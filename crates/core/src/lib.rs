@@ -36,9 +36,10 @@
 //!
 //! * [`runtime::Runtime`] — owns everything; one per program.
 //! * [`sync::ImmunizedMutex`], [`sync::ReentrantLock`] — RAII lock types
-//!   (the "Java flavour": rich per-operation stack capture).
+//!   (the "Java flavour": the call stack is captured at every operation,
+//!   from the thread's context tree).
 //! * [`raw::RawLock`] + [`raw::LockSite`] — explicit lock/unlock (the
-//!   "pthreads flavour": pre-interned stacks, near-zero capture cost).
+//!   "pthreads flavour": the caller passes a pre-interned stack).
 //! * [`avoidance::AvoidanceCore`] — the `request`/`acquired`/`release`
 //!   decision engine and RAG cache, addressable with explicit thread ids so
 //!   simulators can drive it. The hot state is sharded (per-thread

@@ -6,9 +6,9 @@
 //! `trylock`/`timedlock` roll back via a `cancel` event (§6). [`RawLock`]
 //! mirrors that shape in Rust: explicit `lock`/`unlock` (no RAII guard) and
 //! pre-interned [`LockSite`] descriptors standing in for the cheap
-//! return-address stacks the C implementation enjoys — which is also what
-//! makes this flavour measurably cheaper than [`crate::sync::ImmunizedMutex`]
-//! in the Figure 5 comparison.
+//! return-address stacks the C implementation enjoys. The RAII types reach
+//! the same engine calls with the same descriptor, looked up in the calling
+//! thread's context tree ([`crate::context`]) instead of being passed in.
 
 use crate::avoidance::Decision;
 use crate::runtime::Runtime;

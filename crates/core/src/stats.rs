@@ -75,6 +75,11 @@ pub struct Stats {
     /// Threads that could not be registered (slot exhaustion) and ran
     /// unsupervised.
     pub unsupervised_threads: AtomicU64,
+    /// RAII lock operations whose call stack was not in the calling
+    /// thread's context tree and had to be interned by string
+    /// ([`crate::context`]). The share served from the tree is
+    /// `1 - capture_misses / requests` when every lock is an RAII one.
+    pub capture_misses: AtomicU64,
     /// Events drained by the monitor.
     pub events_processed: AtomicU64,
     /// Monitor wakeups.
@@ -201,6 +206,7 @@ impl Default for Stats {
             structural_false_positives: AtomicU64::new(0),
             structural_true_positives: AtomicU64::new(0),
             unsupervised_threads: AtomicU64::new(0),
+            capture_misses: AtomicU64::new(0),
             events_processed: AtomicU64::new(0),
             monitor_passes: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
@@ -344,6 +350,7 @@ impl Stats {
             structural_false_positives: Self::get(&self.structural_false_positives),
             structural_true_positives: Self::get(&self.structural_true_positives),
             unsupervised_threads: Self::get(&self.unsupervised_threads),
+            capture_misses: Self::get(&self.capture_misses),
             events_processed: Self::get(&self.events_processed),
             monitor_passes: Self::get(&self.monitor_passes),
             rebuilds: Self::get(&self.rebuilds),
@@ -423,6 +430,8 @@ pub struct StatsSnapshot {
     pub structural_true_positives: u64,
     /// Unsupervised threads.
     pub unsupervised_threads: u64,
+    /// RAII lock operations that missed the thread's context tree.
+    pub capture_misses: u64,
     /// Events drained.
     pub events_processed: u64,
     /// Monitor wakeups.
@@ -490,7 +499,7 @@ impl fmt::Debug for StatsSnapshot {
         write!(
             f,
             "requests={} gos={} yields={} acq={} rel={} aborts={} broken={} \
-             deadlocks={} starvations={} sigs={} fp={} tp={}",
+             deadlocks={} starvations={} sigs={} fp={} tp={} capture_misses={}",
             self.requests,
             self.gos,
             self.yields,
@@ -503,6 +512,7 @@ impl fmt::Debug for StatsSnapshot {
             self.signatures_added,
             self.false_positives,
             self.true_positives,
+            self.capture_misses,
         )
     }
 }

@@ -157,11 +157,10 @@ impl<T: ?Sized> ImmunizedMutex<T> {
                 _not_send: PhantomData,
             };
         };
-        let frames = context::capture(self.runtime.frame_table(), site);
-        let stack = self.runtime.core().intern_stack(&frames);
-        request_until_go(&self.runtime, t, self.id, &frames, stack, None);
+        let site = context::lock_site(&self.runtime, site);
+        request_until_go(&self.runtime, t, self.id, &site.frames, site.stack, None);
         self.raw.lock();
-        self.runtime.core().acquired(t, self.id, stack);
+        self.runtime.core().acquired(t, self.id, site.stack);
         ImmunizedMutexGuard {
             lock: self,
             tid: Some(t),
@@ -182,16 +181,19 @@ impl<T: ?Sized> ImmunizedMutex<T> {
                 _not_send: PhantomData,
             });
         };
-        let frames = context::capture(self.runtime.frame_table(), site);
-        let stack = self.runtime.core().intern_stack(&frames);
-        match self.runtime.core().request(t, self.id, &frames, stack) {
+        let site = context::lock_site(&self.runtime, site);
+        match self
+            .runtime
+            .core()
+            .request(t, self.id, &site.frames, site.stack)
+        {
             Decision::Yield { .. } => {
                 self.runtime.core().cancel(t, self.id);
                 None
             }
             Decision::Go => {
                 if self.raw.try_lock() {
-                    self.runtime.core().acquired(t, self.id, stack);
+                    self.runtime.core().acquired(t, self.id, site.stack);
                     Some(ImmunizedMutexGuard {
                         lock: self,
                         tid: Some(t),
@@ -220,15 +222,22 @@ impl<T: ?Sized> ImmunizedMutex<T> {
                     _not_send: PhantomData,
                 });
         };
-        let frames = context::capture(self.runtime.frame_table(), site);
-        let stack = self.runtime.core().intern_stack(&frames);
-        if !request_until_go(&self.runtime, t, self.id, &frames, stack, Some(deadline)) {
+        let site = context::lock_site(&self.runtime, site);
+        let go = request_until_go(
+            &self.runtime,
+            t,
+            self.id,
+            &site.frames,
+            site.stack,
+            Some(deadline),
+        );
+        if !go {
             self.runtime.core().cancel(t, self.id);
             return None;
         }
         let remaining = deadline.saturating_duration_since(std::time::Instant::now());
         if self.raw.try_lock_for(remaining) {
-            self.runtime.core().acquired(t, self.id, stack);
+            self.runtime.core().acquired(t, self.id, site.stack);
             Some(ImmunizedMutexGuard {
                 lock: self,
                 tid: Some(t),
@@ -350,31 +359,31 @@ impl ReentrantLock {
     /// Enters the monitor (acquires or re-enters).
     #[track_caller]
     pub fn enter(&self) -> ReentrantGuard<'_> {
-        let site = Location::caller();
+        let caller = Location::caller();
         let me = thread_token();
+        let supervised = self
+            .runtime
+            .current_thread()
+            .map(|t| (t, context::lock_site(&self.runtime, caller)));
+        let tid = supervised.as_ref().map(|&(t, _)| t);
         if self.owner.load(Ordering::Acquire) == me {
             // Reentrant fast path.
             self.count.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.runtime.current_thread() {
-                let frames = context::capture(self.runtime.frame_table(), site);
-                let stack = self.runtime.core().intern_stack(&frames);
+            if let Some((t, site)) = &supervised {
                 self.runtime
                     .core()
-                    .acquired_reentrant(t, self.id, &frames, stack);
+                    .acquired_reentrant(*t, self.id, &site.frames, site.stack);
             }
             return ReentrantGuard {
                 lock: self,
-                tid: self.runtime.current_thread(),
+                tid,
                 _not_send: PhantomData,
             };
         }
-        let tid = self.runtime.current_thread();
-        if let Some(t) = tid {
-            let frames = context::capture(self.runtime.frame_table(), site);
-            let stack = self.runtime.core().intern_stack(&frames);
-            request_until_go(&self.runtime, t, self.id, &frames, stack, None);
+        if let Some((t, site)) = &supervised {
+            request_until_go(&self.runtime, *t, self.id, &site.frames, site.stack, None);
             self.raw.lock();
-            self.runtime.core().acquired(t, self.id, stack);
+            self.runtime.core().acquired(*t, self.id, site.stack);
         } else {
             self.raw.lock();
         }

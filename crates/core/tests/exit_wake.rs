@@ -5,7 +5,7 @@
 //! never drained, so with no max-yield bound the yielders parked forever.
 
 use dimmunix_core::{Config, CycleKind, Decision, Runtime};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Installs a two-member deadlock signature over two synthetic sites and
@@ -68,13 +68,18 @@ fn run_exit_canary(die: fn(&Runtime)) -> dimmunix_core::StatsSnapshot {
     let (sa, sb) = seed_signature(&rt);
 
     let lock_a = Arc::new(rt.raw_lock());
+    // The waiter's request is only covered once the holder's SA entry is
+    // bucketed: it must not run before the holder owns A.
+    let a_held = Arc::new(Barrier::new(2));
     let mut handles = Vec::new();
     {
         let rt = rt.clone();
         let la = Arc::clone(&lock_a);
         let sa = sa.clone();
+        let a_held = Arc::clone(&a_held);
         handles.push(std::thread::spawn(move || {
             la.lock(&sa);
+            a_held.wait();
             // Wait until the waiter has yielded (and is parked, or about to
             // park — the register-then-revalidate protocol covers the gap).
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -95,6 +100,7 @@ fn run_exit_canary(die: fn(&Runtime)) -> dimmunix_core::StatsSnapshot {
         let sb = sb.clone();
         handles.push(std::thread::spawn(move || {
             let lock = rt.raw_lock();
+            a_held.wait();
             lock.lock(&sb);
             lock.unlock();
         }));

@@ -123,6 +123,68 @@ fn reentrant_lock_excludes_other_threads() {
     assert_eq!(hits.load(Ordering::SeqCst), 1);
 }
 
+/// Locks `first` then `second` under a "transfer" frame — the paper's
+/// `update(x, y)`. The second acquisition is timed so an actual deadlock
+/// resolves itself after capture. Returns whether both locks were obtained.
+fn transfer(
+    first: &dimmunix_core::ImmunizedMutex<u32>,
+    second: &dimmunix_core::ImmunizedMutex<u32>,
+    hold: Duration,
+) -> bool {
+    frame!("transfer");
+    let g1 = first.lock();
+    std::thread::sleep(hold);
+    let got = second.try_lock_for(Duration::from_millis(700)).is_some();
+    drop(g1);
+    got
+}
+
+/// Two threads `transfer` over `a`/`b` in opposite orders, the second one
+/// `stagger` late, while this thread drives the monitor. Each thread first
+/// makes the same two calls on locks of its own, so the contended
+/// acquisitions come from contexts its tree has already seen. Returns how
+/// many of the two contended transfers obtained both locks.
+fn run_transfer_pair(
+    rt: &Runtime,
+    a: &Arc<dimmunix_core::ImmunizedMutex<u32>>,
+    b: &Arc<dimmunix_core::ImmunizedMutex<u32>>,
+    hold: Duration,
+    stagger: Duration,
+) -> usize {
+    let done = Arc::new(AtomicUsize::new(0));
+    let mut handles = Vec::new();
+    for swap in [false, true] {
+        let (a, b) = (Arc::clone(a), Arc::clone(b));
+        let done = Arc::clone(&done);
+        let rt = rt.clone();
+        let delay = if swap { stagger } else { Duration::ZERO };
+        handles.push(std::thread::spawn(move || {
+            assert!(transfer(&rt.mutex(0), &rt.mutex(0), Duration::ZERO));
+            std::thread::sleep(delay);
+            let full = if swap {
+                transfer(&b, &a, hold)
+            } else {
+                transfer(&a, &b, hold)
+            };
+            if full {
+                done.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
+    }
+    // Drive the monitor while the threads run.
+    for _ in 0..400 {
+        rt.step_monitor();
+        if handles.iter().all(|h| h.is_finished()) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    done.load(Ordering::SeqCst)
+}
+
 /// The paper's §4 scenario end-to-end with real threads and real stacks:
 /// the program *experiences* the ABBA deadlock once (a timed second
 /// acquisition keeps the test from hanging while the monitor captures the
@@ -133,61 +195,12 @@ fn abba_learns_live_then_avoids_with_yield() {
     let rt = Runtime::new(quiet_config()).unwrap();
     let a = Arc::new(rt.mutex(0_u32));
     let b = Arc::new(rt.mutex(0_u32));
-
-    /// Locks `first` then `second` under a "transfer" frame — the paper's
-    /// `update(x, y)`. The second acquisition is timed so an actual
-    /// deadlock resolves itself after capture. Returns whether both locks
-    /// were obtained.
-    fn transfer(
-        first: &dimmunix_core::ImmunizedMutex<u32>,
-        second: &dimmunix_core::ImmunizedMutex<u32>,
-        hold: Duration,
-    ) -> bool {
-        frame!("transfer");
-        let g1 = first.lock();
-        std::thread::sleep(hold);
-        let got = second.try_lock_for(Duration::from_millis(700)).is_some();
-        drop(g1);
-        got
-    }
-
-    let run_pair = |hold: Duration, stagger: Duration| {
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for swap in [false, true] {
-            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-            let done = Arc::clone(&done);
-            let delay = if swap { stagger } else { Duration::ZERO };
-            handles.push(std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                let full = if swap {
-                    transfer(&b, &a, hold)
-                } else {
-                    transfer(&a, &b, hold)
-                };
-                if full {
-                    done.fetch_add(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        // Drive the monitor while the threads run.
-        for _ in 0..400 {
-            rt.step_monitor();
-            if handles.iter().all(|h| h.is_finished()) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        done.load(Ordering::SeqCst)
-    };
+    let (hold, stagger) = (Duration::from_millis(200), Duration::from_millis(30));
 
     // Occurrence run: both threads reach the both-hold window (long hold,
     // short stagger) — the deadlock manifests and is captured; the timed
     // locks then fail and unwind.
-    let full = run_pair(Duration::from_millis(200), Duration::from_millis(30));
+    let full = run_transfer_pair(&rt, &a, &b, hold, stagger);
     assert!(full < 2, "the first run must hit the deadlock window");
     assert!(
         rt.stats().deadlocks_detected >= 1,
@@ -199,13 +212,54 @@ fn abba_learns_live_then_avoids_with_yield() {
     // Immunized run: same timing, same code — now the staggered thread
     // yields at its first acquisition and both transfers complete.
     let yields_before = rt.stats().yields;
-    let full = run_pair(Duration::from_millis(200), Duration::from_millis(30));
+    let full = run_transfer_pair(&rt, &a, &b, hold, stagger);
     assert_eq!(full, 2, "both transfers must complete: {:?}", rt.stats());
     assert!(
         rt.stats().yields > yields_before,
         "avoidance must have steered the schedule: {:?}",
         rt.stats()
     );
+}
+
+/// The same scenario across a restart. The stacks in the signature come out
+/// of the threads' calling-context trees (the contended acquisitions are
+/// tree hits); saved as strings and loaded into a fresh runtime's tables,
+/// they must equal what the trees of that runtime's threads produce, or the
+/// second execution deadlocks again.
+#[test]
+fn signature_from_cached_captures_immunizes_the_next_execution() {
+    let path = tmp_path("cached-capture");
+    std::fs::remove_file(&path).ok();
+    let cfg = || Config {
+        history_path: Some(path.clone()),
+        ..quiet_config()
+    };
+    let (hold, stagger) = (Duration::from_millis(200), Duration::from_millis(30));
+    {
+        let rt = Runtime::new(cfg()).unwrap();
+        let (a, b) = (Arc::new(rt.mutex(0_u32)), Arc::new(rt.mutex(0_u32)));
+        let full = run_transfer_pair(&rt, &a, &b, hold, stagger);
+        assert!(full < 2, "the first execution must hit the deadlock window");
+        let stats = rt.stats();
+        assert_eq!(rt.history().len(), 1, "{stats:?}");
+        // Two threads, two lock call sites each: the warm-up calls missed,
+        // the contended ones did not.
+        assert_eq!(stats.capture_misses, 4, "{stats:?}");
+        assert!(stats.requests >= 8, "{stats:?}");
+        rt.save_history().unwrap();
+    }
+    let rt = Runtime::new(cfg()).unwrap();
+    assert_eq!(rt.history().len(), 1, "immune memory survived restart");
+    let (a, b) = (Arc::new(rt.mutex(0_u32)), Arc::new(rt.mutex(0_u32)));
+    let full = run_transfer_pair(&rt, &a, &b, hold, stagger);
+    let stats = rt.stats();
+    assert_eq!(full, 2, "both transfers must complete: {stats:?}");
+    assert!(
+        stats.yields >= 1 && stats.deadlocks_detected == 0,
+        "{stats:?}"
+    );
+    drop(rt);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -20,7 +20,10 @@
 //! Installation is process-global and serialized: [`install`] returns an
 //! RAII [`InstallGuard`] that holds a global mutex for the duration of the
 //! chaos scenario and uninstalls the plan on drop, so concurrent chaos
-//! tests queue instead of corrupting each other's fault streams.
+//! tests queue instead of corrupting each other's fault streams. Code that
+//! installs nothing still runs beside an installed plan, so the one-shot
+//! history fault is further reserved for saves made by the installing
+//! thread ([`take_history_fault`]).
 
 #![warn(missing_docs)]
 
@@ -223,6 +226,11 @@ pub struct FiredReport {
 
 struct ActivePlan {
     plan: FaultPlan,
+    /// The thread that installed the plan. The plan is process-global but
+    /// a history fault is one-shot, so it is reserved for this thread's
+    /// saves: an unrelated test saving its own history while the plan is
+    /// installed cannot consume it.
+    installer: std::thread::ThreadId,
     acquire_counts: Mutex<HashMap<usize, u64>>,
     history_consumed: AtomicBool,
     monitor_fired: AtomicU64,
@@ -271,6 +279,7 @@ pub fn install(plan: FaultPlan) -> InstallGuard {
     // 'static reference lets hooks read the plan without reference counting.
     let active_plan: &'static ActivePlan = Box::leak(Box::new(ActivePlan {
         plan,
+        installer: std::thread::current().id(),
         acquire_counts: Mutex::new(HashMap::new()),
         history_consumed: AtomicBool::new(false),
         monitor_fired: AtomicU64::new(0),
@@ -357,10 +366,14 @@ pub fn monitor_fault(pass: u64) -> Option<MonitorFaultKind> {
 
 /// Hook: called by the history saver once per save, after the temp file is
 /// durable and before the rename. Consumes and returns the plan's history
-/// fault (each plan tears at most one save).
+/// fault (each plan tears at most one save, and only a save issued by the
+/// thread that installed the plan).
 pub fn take_history_fault() -> Option<HistoryFault> {
     let active = active()?;
     let fault = active.plan.history?;
+    if std::thread::current().id() != active.installer {
+        return None;
+    }
     if active.history_consumed.swap(true, Ordering::AcqRel) {
         return None;
     }
@@ -443,5 +456,14 @@ mod tests {
         );
         assert!(take_history_fault().is_none());
         assert_eq!(guard.fired().history_faults, 1);
+    }
+
+    #[test]
+    fn history_fault_fires_only_for_the_installing_thread() {
+        let guard = install(FaultPlan::none().crash_before_rename());
+        let stolen = std::thread::spawn(take_history_fault).join().unwrap();
+        assert!(stolen.is_none(), "another thread's save took the fault");
+        assert_eq!(guard.fired().history_faults, 0);
+        assert_eq!(take_history_fault(), Some(HistoryFault::CrashBeforeRename));
     }
 }

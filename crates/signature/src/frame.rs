@@ -8,12 +8,15 @@
 //! Dimmunix does exactly this (`<methodName, file:line#>` strings).
 
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A single call-site frame: where in the program a call was made.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Frame {
     /// Name of the function containing the call site.
     pub function: Arc<str>,
@@ -48,20 +51,78 @@ impl fmt::Debug for FrameId {
     }
 }
 
+/// The borrowed view of a frame that the interner's map is probed with, so
+/// a lookup hashes and compares `&str`s in place instead of building two
+/// `Arc<str>` first. [`Frame`] hashes through the same view: an owned key
+/// and a borrowed probe of the same frame always land in the same bucket.
+trait FrameKey {
+    fn key(&self) -> (&str, &str, u32);
+}
+
+impl FrameKey for Frame {
+    fn key(&self) -> (&str, &str, u32) {
+        (&self.function, &self.file, self.line)
+    }
+}
+
+impl FrameKey for (&str, &str, u32) {
+    fn key(&self) -> (&str, &str, u32) {
+        *self
+    }
+}
+
+impl Hash for Frame {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl Hash for dyn FrameKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn FrameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn FrameKey + '_ {}
+
+impl<'a> Borrow<dyn FrameKey + 'a> for Frame {
+    fn borrow(&self) -> &(dyn FrameKey + 'a) {
+        self
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     frames: Vec<Frame>,
     by_frame: HashMap<Frame, FrameId>,
 }
 
+/// Source of [`FrameTable::id`]s.
+static TABLE_IDS: AtomicU64 = AtomicU64::new(0);
+
 /// Thread-safe interner mapping [`Frame`]s to dense [`FrameId`]s.
 ///
 /// One table is owned by each Dimmunix runtime; signatures loaded from disk
 /// are re-interned through it, so `FrameId` equality is meaningful within a
 /// runtime regardless of where a signature came from.
-#[derive(Default)]
 pub struct FrameTable {
+    id: u64,
     inner: RwLock<Inner>,
+}
+
+impl Default for FrameTable {
+    fn default() -> Self {
+        Self {
+            id: TABLE_IDS.fetch_add(1, Ordering::Relaxed),
+            inner: RwLock::default(),
+        }
+    }
 }
 
 impl FrameTable {
@@ -70,29 +131,31 @@ impl FrameTable {
         Self::default()
     }
 
-    /// Interns a frame, returning its id (existing or fresh).
+    /// Process-unique identity of this table, never reused — unlike its
+    /// address, which a later table can inherit. Caches of this table's
+    /// [`FrameId`]s that may outlive it key on this.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Interns a frame, returning its id (existing or fresh). A hit
+    /// allocates nothing.
     pub fn intern(&self, function: &str, file: &str, line: u32) -> FrameId {
+        let probe = (function, file, line);
+        let probe: &dyn FrameKey = &probe;
         // Fast path: read lock only.
-        {
-            let inner = self.inner.read();
-            let probe = Frame {
-                function: function.into(),
-                file: file.into(),
-                line,
-            };
-            if let Some(&id) = inner.by_frame.get(&probe) {
-                return id;
-            }
+        if let Some(&id) = self.inner.read().by_frame.get(probe) {
+            return id;
         }
         let mut inner = self.inner.write();
+        if let Some(&id) = inner.by_frame.get(probe) {
+            return id;
+        }
         let frame = Frame {
             function: function.into(),
             file: file.into(),
             line,
         };
-        if let Some(&id) = inner.by_frame.get(&frame) {
-            return id;
-        }
         let id =
             FrameId(u32::try_from(inner.frames.len()).expect("more than u32::MAX distinct frames"));
         inner.frames.push(frame.clone());
@@ -161,6 +224,15 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn every_table_has_its_own_id() {
+        let (a, b) = (FrameTable::new(), FrameTable::new());
+        assert_ne!(a.id(), b.id());
+        let dead = a.id();
+        drop(a);
+        assert_ne!(FrameTable::new().id(), dead, "ids are never reused");
     }
 
     #[test]

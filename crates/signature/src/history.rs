@@ -39,7 +39,7 @@ use crate::frame::FrameTable;
 use crate::signature::{CycleKind, Provenance, SigId, Signature};
 use crate::stack::{StackId, StackTable};
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -139,8 +139,7 @@ const JOURNAL_CAP: usize = 256;
 /// cache and iterate without touching the `RwLock` again until the
 /// generation counter moves.
 pub struct History {
-    /// Copy-on-write signature list: replaced wholesale on every mutation.
-    sigs: RwLock<Arc<Vec<Arc<Signature>>>>,
+    sigs: RwLock<Sigs>,
     /// Bumped on every change that invalidates cached snapshots/indexes
     /// (membership changes *and* matching-depth changes).
     generation: AtomicU64,
@@ -155,11 +154,21 @@ pub struct History {
     journal: Mutex<VecDeque<(u64, JournalEntry)>>,
 }
 
+/// The signature list and its duplicate filter, mutated together.
+#[derive(Default)]
+struct Sigs {
+    /// Copy-on-write signature list: replaced wholesale on every mutation.
+    list: Arc<Vec<Arc<Signature>>>,
+    /// The sorted stack multiset of every listed signature, so the
+    /// duplicate test of an add does not scan the list.
+    members: HashSet<Box<[StackId]>>,
+}
+
 impl History {
     /// Creates an empty, unbacked history.
     pub fn new() -> Self {
         Self {
-            sigs: RwLock::new(Arc::new(Vec::new())),
+            sigs: RwLock::default(),
             generation: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             path: Mutex::new(None),
@@ -214,29 +223,12 @@ impl History {
     pub fn add_with_provenance(
         &self,
         kind: CycleKind,
-        mut stack_ids: Vec<StackId>,
+        stack_ids: Vec<StackId>,
         depth: u8,
         provenance: Provenance,
     ) -> Option<Arc<Signature>> {
-        stack_ids.sort_unstable();
-        let mut guard = self.sigs.write();
-        if guard.iter().any(|s| s.same_stacks(&stack_ids)) {
-            return None;
-        }
-        let id = SigId(
-            u32::try_from(self.next_id.fetch_add(1, Ordering::Relaxed))
-                .expect("more than u32::MAX signatures"),
-        );
-        let sig = Arc::new(Signature::with_provenance(
-            id, kind, stack_ids, depth, provenance,
-        ));
-        let mut new_list = Vec::with_capacity(guard.len() + 1);
-        new_list.extend(guard.iter().cloned());
-        new_list.push(Arc::clone(&sig));
-        *guard = Arc::new(new_list);
-        drop(guard);
-        self.bump(JournalEntry::Appended(vec![Arc::clone(&sig)]));
-        Some(sig)
+        self.add_batch_with_provenance(vec![(kind, stack_ids, depth, provenance)], |_| {})
+            .pop()
     }
 
     /// Adds a whole batch of signatures under **one** generation bump.
@@ -257,13 +249,26 @@ impl History {
         batch: Vec<(CycleKind, Vec<StackId>, u8, Provenance)>,
         mut on_added: impl FnMut(&Arc<Signature>),
     ) -> Vec<Arc<Signature>> {
+        self.add_batch_tagged(
+            batch.into_iter().map(|(k, s, d, p)| (k, s, d, p, ())),
+            |sig, ()| on_added(sig),
+        )
+    }
+
+    /// [`History::add_batch_with_provenance`] over items that each carry a
+    /// `tag` handed back to `on_added` with the accepted signature — how
+    /// the loader restores a parsed block's counters onto the signature it
+    /// became, whichever earlier blocks deduplication dropped.
+    fn add_batch_tagged<T>(
+        &self,
+        batch: impl IntoIterator<Item = (CycleKind, Vec<StackId>, u8, Provenance, T)>,
+        mut on_added: impl FnMut(&Arc<Signature>, T),
+    ) -> Vec<Arc<Signature>> {
         let mut guard = self.sigs.write();
         let mut added: Vec<Arc<Signature>> = Vec::new();
-        for (kind, mut stack_ids, depth, provenance) in batch {
+        for (kind, mut stack_ids, depth, provenance, tag) in batch {
             stack_ids.sort_unstable();
-            if guard.iter().any(|s| s.same_stacks(&stack_ids))
-                || added.iter().any(|s| s.same_stacks(&stack_ids))
-            {
+            if !guard.members.insert(stack_ids.as_slice().into()) {
                 continue;
             }
             let id = SigId(
@@ -273,16 +278,16 @@ impl History {
             let sig = Arc::new(Signature::with_provenance(
                 id, kind, stack_ids, depth, provenance,
             ));
-            on_added(&sig);
+            on_added(&sig, tag);
             added.push(sig);
         }
         if added.is_empty() {
             return added;
         }
-        let mut new_list = Vec::with_capacity(guard.len() + added.len());
-        new_list.extend(guard.iter().cloned());
+        let mut new_list = Vec::with_capacity(guard.list.len() + added.len());
+        new_list.extend(guard.list.iter().cloned());
         new_list.extend(added.iter().cloned());
-        *guard = Arc::new(new_list);
+        guard.list = Arc::new(new_list);
         drop(guard);
         self.bump(JournalEntry::Appended(added.clone()));
         added
@@ -292,11 +297,11 @@ impl History {
     /// Returns whether it was present.
     pub fn remove(&self, id: SigId) -> bool {
         let mut guard = self.sigs.write();
-        if !guard.iter().any(|s| s.id == id) {
+        let Some(sig) = guard.list.iter().find(|s| s.id == id).cloned() else {
             return false;
-        }
-        let new_list: Vec<_> = guard.iter().filter(|s| s.id != id).cloned().collect();
-        *guard = Arc::new(new_list);
+        };
+        guard.members.remove(&sig.stacks);
+        guard.list = Arc::new(guard.list.iter().filter(|s| s.id != id).cloned().collect());
         drop(guard);
         self.bump(JournalEntry::Structural);
         true
@@ -308,6 +313,7 @@ impl History {
         sorted.sort_unstable();
         self.sigs
             .read()
+            .list
             .iter()
             .find(|s| s.same_stacks(&sorted))
             .cloned()
@@ -315,17 +321,17 @@ impl History {
 
     /// Returns the signature with the given id.
     pub fn get(&self, id: SigId) -> Option<Arc<Signature>> {
-        self.sigs.read().iter().find(|s| s.id == id).cloned()
+        self.sigs.read().list.iter().find(|s| s.id == id).cloned()
     }
 
     /// Cheap immutable snapshot of the current signature list.
     pub fn snapshot(&self) -> Arc<Vec<Arc<Signature>>> {
-        Arc::clone(&self.sigs.read())
+        Arc::clone(&self.sigs.read().list)
     }
 
     /// Number of signatures.
     pub fn len(&self) -> usize {
-        self.sigs.read().len()
+        self.sigs.read().list.len()
     }
 
     /// Whether the history holds no signatures.
@@ -518,7 +524,8 @@ impl History {
 
     /// Merges the signatures found in `path` into this history, re-interning
     /// frames and stacks. Duplicates are skipped. Returns how many new
-    /// signatures were added.
+    /// signatures were added; they arrive as one batch (one generation
+    /// bump), and a parse error adds none.
     ///
     /// This implements both startup loading and §8's live "vaccination":
     /// inserting a vendor-shipped signature into a running program's history
@@ -572,10 +579,12 @@ impl History {
 
     /// The shared strict/salvage parser behind [`History::merge_file`] and
     /// [`History::salvage_file`]. Strict mode (`salvage == false`) returns
-    /// a line-numbered [`HistoryError::Parse`] at the first malformed line;
-    /// salvage mode stops there instead, keeps everything already merged,
-    /// and records the failure plus the number of signature blocks the
-    /// damaged tail loses.
+    /// a line-numbered [`HistoryError::Parse`] at the first malformed line
+    /// and merges nothing; salvage mode stops there instead, keeps every
+    /// signature parsed before it, and records the failure plus the number
+    /// of signature blocks the damaged tail loses. Either way the parsed
+    /// signatures are published as one batch: one generation bump, however
+    /// many the file holds.
     fn parse_slice(
         &self,
         data: &[u8],
@@ -608,6 +617,8 @@ impl History {
         }
 
         let mut out = HistoryRecovery::default();
+        // Each complete block, tagged with itself for its counters.
+        let mut parsed: Vec<(CycleKind, Vec<StackId>, u8, Provenance, Pending)> = Vec::new();
         let mut pending: Option<Pending> = None;
         let mut failure: Option<(usize, String)> = None;
         let mut after_footer = false;
@@ -739,16 +750,8 @@ impl History {
                         let provenance = p
                             .provenance
                             .unwrap_or_else(|| Provenance::default_for(kind));
-                        if let Some(sig) =
-                            self.add_with_provenance(kind, p.stacks, p.depth, provenance)
-                        {
-                            sig.set_disabled(p.disabled);
-                            sig.set_avoided(p.avoided);
-                            for _ in 0..p.aborts {
-                                sig.record_abort();
-                            }
-                            out.recovered += 1;
-                        }
+                        let stacks = std::mem::take(&mut p.stacks);
+                        parsed.push((kind, stacks, p.depth, provenance, p));
                     } else {
                         return Err(format!("unrecognized line {line:?}"));
                     }
@@ -769,10 +772,19 @@ impl History {
             }
         }
 
-        if let Some((lineno, msg)) = failure {
-            if !salvage {
+        if !salvage {
+            if let Some((lineno, msg)) = failure {
                 return Err(parse_err(lineno, msg));
             }
+        }
+        out.recovered = self
+            .add_batch_tagged(parsed, |sig, block| {
+                sig.set_disabled(block.disabled);
+                sig.set_avoided(block.avoided);
+                sig.set_aborts(block.aborts);
+            })
+            .len();
+        if let Some((lineno, msg)) = failure {
             // The open block at the failure point is lost, plus every
             // signature block that starts at or after the failing line —
             // including the failing line itself when the damage hit an
@@ -1285,6 +1297,88 @@ mod tests {
         );
         assert!(none.is_empty());
         assert_eq!(h.generation(), g2);
+    }
+
+    #[test]
+    fn a_file_merges_under_one_generation_bump() {
+        let env = Env::new();
+        let path = std::env::temp_dir().join(format!("dimmunix-batch-{}.dlk", std::process::id()));
+        let h = History::new();
+        // More signatures than the journal retains: loaded one bump each,
+        // a consumer one load behind could only rebuild in full.
+        for i in 0..(JOURNAL_CAP as u32 + 8) {
+            let sig = h
+                .add(
+                    CycleKind::Deadlock,
+                    vec![env.stack(&[i, 1]), env.stack(&[i, 2])],
+                    4,
+                )
+                .unwrap();
+            sig.set_avoided(u64::from(i));
+            sig.set_aborts(u64::from(i % 3));
+            sig.set_disabled(i % 5 == 0);
+        }
+        h.save_to(&path, &env.frames, &env.stacks).unwrap();
+
+        let live = History::new();
+        let known = live
+            .add(
+                CycleKind::Deadlock,
+                vec![env.stack(&[7, 1]), env.stack(&[7, 2])],
+                4,
+            )
+            .unwrap();
+        let g = live.generation();
+        let added = live.merge_file(&path, &env.frames, &env.stacks).unwrap();
+        assert_eq!(added, h.len() - 1, "the known signature is skipped");
+        assert_eq!(live.generation(), g + 1);
+        match live.delta_since(g) {
+            HistoryDelta::Appended(sigs) => assert_eq!(sigs.len(), added),
+            HistoryDelta::Structural => panic!("a merge is a pure append"),
+        }
+        // Counters land on the signature their block described, whichever
+        // blocks before it were duplicates.
+        assert_eq!(known.avoided(), 0, "a duplicate block restores nothing");
+        for (i, sig) in h.snapshot().iter().enumerate().filter(|(i, _)| *i != 7) {
+            let loaded = live.find_by_stacks(&sig.stacks).unwrap();
+            assert_eq!(loaded.avoided(), i as u64);
+            assert_eq!(loaded.aborts(), i as u64 % 3);
+            assert_eq!(loaded.is_disabled(), i % 5 == 0);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_strict_parse_error_merges_nothing() {
+        let env = Env::new();
+        let path = std::env::temp_dir().join(format!("dimmunix-strict-{}.dlk", std::process::id()));
+        std::fs::write(
+            &path,
+            "# dimmunix-history v2\n\
+             signature kind=deadlock depth=4\nstack 1\nframe a|x.rs|1\nend\n\
+             signature kind=banana depth=4\nstack 1\nframe b|x.rs|2\nend\n",
+        )
+        .unwrap();
+        let h = History::new();
+        let g = h.generation();
+        assert!(h.merge_file(&path, &env.frames, &env.stacks).is_err());
+        assert_eq!((h.len(), h.generation()), (0, g));
+        // Salvage keeps the block before the damage.
+        let rec = h.salvage_file(&path, &env.frames, &env.stacks).unwrap();
+        assert_eq!((rec.recovered, rec.dropped, h.len()), (1, 1, 1));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_removed_signature_can_be_added_again() {
+        let env = Env::new();
+        let h = History::new();
+        let stacks = vec![env.stack(&[1]), env.stack(&[2])];
+        let sig = h.add(CycleKind::Deadlock, stacks.clone(), 4).unwrap();
+        assert!(h.add(CycleKind::Deadlock, stacks.clone(), 4).is_none());
+        assert!(h.remove(sig.id));
+        assert!(h.add(CycleKind::Deadlock, stacks, 4).is_some());
+        assert_eq!(h.len(), 1);
     }
 
     #[test]

@@ -199,6 +199,11 @@ impl Signature {
         self.aborts.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// Restores the abort counter (used when loading from disk).
+    pub fn set_aborts(&self, n: u64) {
+        self.aborts.store(n, Ordering::Relaxed);
+    }
+
     /// Exclusive access to the calibration state (monitor thread only).
     pub fn calibration(&self) -> parking_lot::MutexGuard<'_, CalibrationState> {
         self.calibration.lock()
