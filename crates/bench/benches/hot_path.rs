@@ -7,9 +7,9 @@
 //!
 //! * **sharded** — the production [`dimmunix_core::AvoidanceCore`]: no
 //!   global guard at all — no-candidate fast path, occupancy-precheck
-//!   matching path over sharded suffix buckets, sharded owner map,
-//!   epoch-published match view, per-thread event lanes, monitor draining
-//!   asynchronously;
+//!   matching path over sharded suffix buckets, per-thread held-lock
+//!   stacks, epoch-published match view, per-thread event lanes, monitor
+//!   draining asynchronously;
 //! * **reference** — the preserved pre-refactor
 //!   [`dimmunix_core::ReferenceCore`]: one global tournament-lock critical
 //!   section per hook, one shared MPSC event queue (drained by a stand-in
@@ -52,9 +52,11 @@
 //! shortened single-rep run (which leaves the committed baseline
 //! untouched) and `--check-baseline` (the CI smoke setting) to fail with a
 //! non-zero exit if any row's speedup regressed more than 30% against the
-//! committed baseline — or if the proactive-prediction workload loses
-//! first-run immunity (see `dimmunix_workloads::prediction`), so a
-//! predictor regression fails CI alongside a hot-path one.
+//! committed baseline, if the one-thread empty-history row falls below
+//! parity with the reference by more than that same tolerance, or if the
+//! proactive-prediction workload loses first-run immunity (see
+//! `dimmunix_workloads::prediction`), so a predictor regression fails CI
+//! alongside a hot-path one.
 
 use dimmunix_bench::microbench::{build_pool, MicroParams, PoolPath};
 use dimmunix_bench::report::{banner, table};
@@ -80,6 +82,11 @@ const BASELINE_TOLERANCE: f64 = 0.70;
 /// as-is. Median-of-3 baseline recording let this tighten from the old 8x
 /// acceptance floor to 10x.
 const BASELINE_SPEEDUP_CAP: f64 = 10.0;
+
+/// The ROADMAP target for the row with no cross-thread serialization to
+/// remove: one thread, empty history, sharded at least as fast as the
+/// reference. Gated with [`BASELINE_TOLERANCE`] like every other row.
+const SOLO_SPEEDUP_TARGET: f64 = 1.0;
 
 /// Reps per row when recording the baseline (median taken); `--quick` runs
 /// a single rep.
@@ -594,6 +601,23 @@ fn main() {
             Err(e) => println!("no baseline to check against ({e})"),
         }
 
+        if let Some(solo) = samples
+            .iter()
+            .find(|s| s.workload == Workload::Uniform && s.threads == 1 && s.history == 0)
+        {
+            let ok = solo.speedup() >= SOLO_SPEEDUP_TARGET * BASELINE_TOLERANCE;
+            println!(
+                "solo: uniform/1t/0sigs speedup {:.2}x vs target {:.2}x → {}",
+                solo.speedup(),
+                SOLO_SPEEDUP_TARGET,
+                if ok { "ok" } else { "REGRESSED" }
+            );
+            if !ok {
+                println!("\nFAIL: one thread on an empty history fell behind the reference");
+                std::process::exit(1);
+            }
+        }
+
         // Prediction smoke row: first-run immunity must keep working. The
         // workload deadlocks on a fresh empty-history runtime with
         // prediction off and must complete — with ≥ 1 predicted vaccine
@@ -661,9 +685,12 @@ fn main() {
         return;
     }
 
-    // Record the baseline for trajectory tracking. The vaccinate_live row
-    // carries its rebuild-path gauges so the trajectory also tracks how
-    // cheaply generation bumps are absorbed.
+    // Record the baseline for trajectory tracking, every row with the core
+    // count of the host it was measured on (the multi-thread ratios mean
+    // little without it). The vaccinate_live row carries its rebuild-path
+    // gauges so the trajectory also tracks how cheaply generation bumps are
+    // absorbed.
+    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
     let mut json = String::from("[\n");
     for (i, s) in samples.iter().enumerate() {
         let rebuilds = if s.workload == Workload::VaccinateLive {
@@ -682,7 +709,7 @@ fn main() {
             "  {{\"engine_pair\": \"sharded_vs_reference\", \"workload\": \"{}\", \
              \"threads\": {}, \"history\": {}, \"reference_ops_per_sec\": {:.0}, \
              \"sharded_ops_per_sec\": {:.0}, \"speedup\": {:.3}, \
-             \"ops_per_thread\": {}, \"quick\": {}{}}}{}\n",
+             \"ops_per_thread\": {}, \"quick\": {}, \"host_cores\": {}{}}}{}\n",
             s.workload.name(),
             s.threads,
             s.history,
@@ -691,6 +718,7 @@ fn main() {
             s.speedup(),
             ops,
             quick,
+            host_cores,
             rebuilds,
             if i + 1 < samples.len() { "," } else { "" },
         ));

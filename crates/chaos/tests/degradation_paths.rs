@@ -34,7 +34,7 @@ fn seed_signature(rt: &Runtime) -> (dimmunix_core::LockSite, dimmunix_core::Lock
 
 /// Path 1: scripted panic at the victim's 4th acquire, while it holds two
 /// RAII guards and the raw lock every yielder's cover points at. The
-/// unwind must release the guards, sweep the owner table, wake the parked
+/// unwind must release the guards, empty the held-lock stack, wake the parked
 /// yielder and count one panic cleanup.
 #[test]
 fn scripted_acquire_panic_reclaims_state_and_wakes_yielders() {

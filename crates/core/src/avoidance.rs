@@ -2,18 +2,21 @@
 //! RAG cache (§5.4, §5.6).
 //!
 //! This is the code on the application's lock/unlock path. It maintains the
-//! "simpler cache of parts of the RAG" the paper describes — the lock-owner
-//! map and the `Allowed` sets — with a **mutex-free signature-hit path**:
-//! once a request's suffix hits a signature-member bucket, everything it
-//! touches (occupancy fingerprints, the cover search, yield registration,
-//! release-side wakeups) is atomics, not locks:
+//! "simpler cache of parts of the RAG" the paper describes — who holds
+//! which lock and the `Allowed` sets — with a **mutex-free signature-hit
+//! path**: once a request's suffix hits a signature-member bucket,
+//! everything it touches (occupancy fingerprints, the cover search, yield
+//! registration, release-side wakeups) is atomics, not locks:
 //!
-//! * the **owner map** is split into [`OWNER_SHARDS`] hash shards, each
-//!   behind its own mutex, so `acquired`/`release` bookkeeping from
-//!   different locks never contends;
 //! * each registered thread keeps its own **`Allowed` log** (the master
-//!   copy of its entries) behind a per-slot mutex that only its owner and
-//!   the occasional rebuild sweep touch;
+//!   copy of its entries) as a **held-lock stack**: a `Vec` of `(lock,
+//!   stack)` entries pushed by a grant and popped by a release, searched
+//!   from the top so unlocks may come in any order. It is the only record
+//!   of lock ownership on the hook path — a lock's owner is the thread
+//!   whose stack holds it, so there is no shared owner map to update — and
+//!   it sits behind a per-slot mutex that only its owner and the
+//!   occasional rebuild sweep touch. An uncontended pair on a warm stack
+//!   hashes nothing and allocates nothing;
 //! * the suffix-keyed **`Allowed` buckets** consulted by the exact-cover
 //!   search live in a [`MatchTable`]: a **dense array of
 //!   [`VersionedBucket`]s**, one per distinct `(depth, suffix)` member key
@@ -116,11 +119,11 @@
 //! with the new one, so retiring it frees only the view shell.
 //!
 //! The engine-internal lock order is `rebuild mutex → slot (allowed-log)
-//! mutex → bucket sequence claim`: rebuilds hold the rebuild mutex and
-//! take slot mutexes one at a time, hooks bucket their own entries with
-//! the slot mutex held, and the bounded-retry cover fallback (below)
-//! claims every bucket in ascending slot order while holding its own slot
-//! mutex. No holder of a bucket claim ever takes a mutex of an earlier
+//! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
+//! mutex beside them: rebuilds hold the rebuild mutex and take slot
+//! mutexes one at a time, hooks bucket their own entries with the slot
+//! mutex held, and the bounded-retry cover fallback (below) claims every
+//! bucket in ascending slot order while holding its own slot mutex. No holder of a bucket claim ever takes a mutex of an earlier
 //! tier, and bucket claims are only held in ascending order or singly, so
 //! the order is acyclic.
 //!
@@ -170,12 +173,13 @@
 //! # Exit and unwind cleanup
 //!
 //! A registered thread that dies — orderly return or panic — while holding
-//! locks would otherwise strand its owner-table entries, its bucketed
+//! locks would otherwise strand its held-lock stack, its bucketed
 //! `Allowed` entries, and (worst) the yielders parked against it as a
 //! cause, forever. [`AvoidanceCore::unregister_thread_waking`] is the exit
-//! sweep: it removes the thread's entries from every owner shard and every
-//! bucket, clears its yield state, and *then* drains its wake list through
-//! the caller's waker — removals strictly before wakes, so a woken
+//! sweep: it walks the dead thread's stack, removes each entry from its
+//! buckets and empties the stack (which keeps its capacity for the slot's
+//! next tenant), clears the yield state, and *then* drains its wake list
+//! through the caller's waker — removals strictly before wakes, so a woken
 //! yielder's retried request can never re-yield on the dead thread's
 //! entries (each delivered wake counts `orphan_wakes`). The runtime runs
 //! the sweep from the thread-local `Registration`'s `Drop`, which executes
@@ -209,7 +213,6 @@ use dimmunix_signature::{
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -251,74 +254,6 @@ impl AllowedEntry {
             l: LockId(rec[1]),
             stack: StackId(rec[2] as u32),
         }
-    }
-}
-
-/// Number of owner-map shards (power of two).
-const OWNER_SHARDS: usize = 64;
-
-/// One owner-map shard: `lock → (owner thread, reentrancy count)`.
-type OwnerShard = Mutex<HashMap<LockId, (ThreadId, u32)>>;
-
-/// The lock-owner table, sharded by lock id so `acquired`/`release` from
-/// different locks never serialize (§5.1's always-current owner mapping).
-struct OwnerTable {
-    shards: Box<[CachePadded<OwnerShard>]>,
-}
-
-impl OwnerTable {
-    fn new() -> Self {
-        Self {
-            shards: (0..OWNER_SHARDS)
-                .map(|_| CachePadded::new(Mutex::new(HashMap::new())))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, l: LockId) -> &OwnerShard {
-        &self.shards[(mix64(l.0) as usize) & (OWNER_SHARDS - 1)]
-    }
-
-    fn acquire(&self, l: LockId, t: ThreadId) {
-        let mut shard = self.shard(l).lock();
-        let owner = shard.entry(l).or_insert((t, 0));
-        owner.0 = t;
-        owner.1 += 1;
-    }
-
-    fn release(&self, l: LockId, t: ThreadId) {
-        let mut shard = self.shard(l).lock();
-        if let Some(owner) = shard.get_mut(&l) {
-            if owner.0 == t {
-                owner.1 = owner.1.saturating_sub(1);
-                if owner.1 == 0 {
-                    shard.remove(&l);
-                }
-            }
-        }
-    }
-
-    /// Removes every entry owned by `t` across all shards — the exit/unwind
-    /// sweep for a thread that may have died mid-critical-section — and
-    /// returns the swept locks.
-    fn release_all(&self, t: ThreadId) -> Vec<LockId> {
-        let mut swept = Vec::new();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.retain(|&l, &mut (owner, _)| {
-                if owner == t {
-                    swept.push(l);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        swept
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }
 
@@ -586,10 +521,15 @@ impl<T> Guarded<T> {
 /// A thread's private `Allowed` log — the master copy of its entries — plus
 /// its cached match view.
 struct AllowedLog {
-    /// `lock → (stack, tail-bit index) per reentrant nesting level` for
-    /// this thread. The bit index is computed once at append time so a pop
-    /// can maintain the counting bloom without re-resolving the stack.
-    entries: HashMap<LockId, Vec<(StackId, u16)>>,
+    /// The thread's **held-lock stack**: one `(lock, stack, tail-bit index)`
+    /// per granted request or reentrant nesting level, in grant order. A
+    /// grant pushes; a release or cancel removes the *last* entry for its
+    /// lock (searched from the top, so LIFO unlocks cost one comparison and
+    /// out-of-order unlocks stay correct). Capacity is retained, so a warm
+    /// pair allocates nothing. The bit index is computed once at append
+    /// time so a pop can maintain the counting filter without re-resolving
+    /// the stack.
+    entries: Vec<(LockId, StackId, u16)>,
     /// Epoch at which `view` was loaded from the cell.
     view_epoch: u64,
     /// Cached published view (`None` until first use).
@@ -615,7 +555,7 @@ struct AllowedLog {
 impl Default for AllowedLog {
     fn default() -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: Vec::new(),
             view_epoch: u64::MAX,
             view: None,
             tail_filter: [0; TAIL_WORDS],
@@ -625,20 +565,40 @@ impl Default for AllowedLog {
 }
 
 impl AllowedLog {
-    /// Records an appended entry's tail bit in the counting filter.
-    fn note_insert(&mut self, idx: u16) {
+    /// Pushes a granted entry and records its tail bit in the counting
+    /// filter.
+    fn push(&mut self, l: LockId, stack: StackId, idx: u16) {
+        self.entries.push((l, stack, idx));
         self.tail_counts[idx as usize] += 1;
         tail_or(&mut self.tail_filter, idx);
     }
 
-    /// Records a popped entry's tail bit; recomputes the filter exactly
-    /// when the bit's count drains to zero (cold: one scan of the counts).
+    /// Removes the innermost entry for `l` — its most recent nesting level
+    /// — and returns that entry's stack.
+    fn pop(&mut self, l: LockId) -> Option<StackId> {
+        let at = self.entries.iter().rposition(|&(held, ..)| held == l)?;
+        let (_, stack, idx) = self.entries.remove(at);
+        self.note_remove(idx);
+        Some(stack)
+    }
+
+    /// Drops a popped entry's tail bit from the counting filter. O(1): a
+    /// count draining to zero clears its own bit, unless an empty-stack
+    /// sentinel entry still holds every bit set. Only the sentinel itself
+    /// draining rescans the counts.
     fn note_remove(&mut self, idx: u16) {
-        let c = &mut self.tail_counts[idx as usize];
-        *c = c.saturating_sub(1);
-        if *c == 0 {
+        let idx = idx as usize;
+        self.tail_counts[idx] = self.tail_counts[idx].saturating_sub(1);
+        if self.tail_counts[idx] != 0 {
+            return;
+        }
+        if idx < TAIL_BITS {
+            if self.tail_counts[TAIL_BITS] == 0 {
+                self.tail_filter[idx / 64] &= !(1_u64 << (idx % 64));
+            }
+        } else {
             let mut fresh = [0; TAIL_WORDS];
-            for (i, &n) in self.tail_counts.iter().enumerate() {
+            for (i, &n) in self.tail_counts[..TAIL_BITS].iter().enumerate() {
                 if n > 0 {
                     tail_or(&mut fresh, i as u16);
                 }
@@ -648,9 +608,19 @@ impl AllowedLog {
     }
 
     /// Drops every entry and zeroes the counting filter (exit sweep).
-    fn clear_tail_filter(&mut self) {
+    fn clear(&mut self) {
+        self.entries.clear();
         self.tail_filter = [0; TAIL_WORDS];
         self.tail_counts = [0; TAIL_BITS + 1];
+    }
+
+    /// The entries in rebuild-sweep order: ascending lock id, nesting
+    /// levels of one lock in grant order (a stable sort), so rebuilt bucket
+    /// vectors do not depend on the order the thread took its locks in.
+    fn sweep_order(&self) -> Vec<(LockId, StackId)> {
+        let mut held: Vec<_> = self.entries.iter().map(|&(l, s, _)| (l, s)).collect();
+        held.sort_by_key(|&(l, _)| l);
+        held
     }
 }
 
@@ -712,13 +682,18 @@ fn tail_intersects(a: &TailFilter, b: &TailFilter) -> bool {
     a.iter().zip(b.iter()).any(|(x, y)| x & y != 0)
 }
 
-/// Stores a filter into a slot's atomic hint, word by word. Must run under
-/// the slot lock (all hint writers do), so words never interleave with
-/// another writer's.
+/// Stores a filter into a slot's atomic hint, word by word, skipping words
+/// that already hold their value (a warm pair toggles one bit, so three of
+/// the four SeqCst stores would rewrite what is there). Must run under the
+/// slot lock (all hint writers do): words never interleave with another
+/// writer's, and the relaxed pre-read sees the last store, which the lock
+/// hand-off ordered before it.
 #[inline]
 fn store_hint(hint: &[AtomicU64; TAIL_WORDS], filter: &TailFilter) {
     for (w, &v) in hint.iter().zip(filter.iter()) {
-        w.store(v, Ordering::SeqCst);
+        if w.load(Ordering::Relaxed) != v {
+            w.store(v, Ordering::SeqCst);
+        }
     }
 }
 
@@ -812,7 +787,6 @@ struct Instance {
 pub struct AvoidanceCore {
     slots: Box<[ThreadSlot]>,
     slot_alloc: SlotAllocator,
-    owner: OwnerTable,
     /// Published match view; `request` revalidates its per-slot cache with
     /// one epoch load.
     view_cell: EpochCell<MatchView>,
@@ -840,7 +814,6 @@ impl AvoidanceCore {
         Self {
             slots: (0..n).map(|_| ThreadSlot::default()).collect(),
             slot_alloc: SlotAllocator::new(n),
-            owner: OwnerTable::new(),
             view_cell: EpochCell::new(Arc::new(MatchView::sentinel())),
             rebuild_lock: Mutex::new(()),
             history,
@@ -883,11 +856,11 @@ impl AvoidanceCore {
         self.unregister_thread_waking(t, &mut |_| {});
     }
 
-    /// Deregisters `t` with a waker: cleans its yield state, sweeps any
-    /// owner-table entries it still holds (it may have panicked
-    /// mid-critical-section), drops its `Allowed` entries from the shared
-    /// buckets, hands every live yielder parked on `t` as its cause to
-    /// `wake` (counted in `orphan_wakes` — their release will never come),
+    /// Deregisters `t` with a waker: cleans its yield state, empties its
+    /// held-lock stack (it may have panicked mid-critical-section) and
+    /// drops those `Allowed` entries from the shared buckets, hands every
+    /// live yielder parked on `t` as its cause to `wake` (counted in
+    /// `orphan_wakes` — their release will never come),
     /// emits `ThreadExit`, and frees the slot. This is the unwind-safe exit
     /// path: a panicking registered thread reaches it via `Registration`'s
     /// `Drop`.
@@ -900,27 +873,22 @@ impl AvoidanceCore {
         self.slots[slot].yield_set.store(false, Ordering::Relaxed);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.remove_yielding(t);
-            // Sweep owner entries the thread never released (panic inside a
-            // critical section). The monitor's RAG drops the hold edges via
-            // `ThreadExit`, so no per-lock Release events are needed.
-            self.owner.release_all(t);
-            // Drop any Allowed entries the thread leaked; bucket removal is
+            // Drop the entries the thread never released (panic inside a
+            // critical section) from the buckets, then empty its stack. The
+            // monitor's RAG drops the hold edges via `ThreadExit`, so no
+            // per-lock Release events are needed. Bucket removal is
             // tolerant, so unfiltered attempts are fine here.
-            let (drained, view) = {
+            {
                 let mut log = self.slots[slot].allowed.lock();
-                let drained: Vec<(LockId, Vec<(StackId, u16)>)> = log.entries.drain().collect();
-                log.clear_tail_filter();
-                store_hint(&self.slots[slot].tail_hint, &[0; TAIL_WORDS]);
                 let view = Arc::clone(self.view_of(&mut log));
-                (drained, view)
-            };
-            if !view.depths.is_empty() {
-                for (l, stacks) in drained {
-                    for (stack, _) in stacks {
+                if !view.depths.is_empty() {
+                    for &(l, stack, _) in &log.entries {
                         let frames = self.stacks.resolve(stack);
                         Self::remove_buckets(&view, &frames, AllowedEntry { t, l, stack });
                     }
                 }
+                log.clear();
+                store_hint(&self.slots[slot].tail_hint, &[0; TAIL_WORDS]);
             }
             // Drain every wake registration parked against this thread.
             // Live yielders among them are woken through the caller's
@@ -1160,8 +1128,9 @@ impl AvoidanceCore {
         self.lanes.push(slot, Event::Go { t, l, stack });
     }
 
-    /// The `acquired` hook: the lock was actually obtained. Touches only the
-    /// owner shard for this lock.
+    /// The `acquired` hook: the lock was actually obtained. The request's
+    /// GO already pushed the held-stack entry, so this only counts and
+    /// publishes the event.
     pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
         #[cfg(feature = "fault-inject")]
         if dimmunix_inject::should_panic_on_acquire(t.0 as usize) {
@@ -1175,9 +1144,6 @@ impl AvoidanceCore {
                 "dimmunix fault injection: scripted panic at acquire (thread slot {}, lock {})",
                 t.0, l.0
             );
-        }
-        if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.owner.acquire(l, t);
         }
         Stats::bump(&self.stats.hot(t.0 as usize).acquisitions);
         self.lanes
@@ -1193,7 +1159,6 @@ impl AvoidanceCore {
         let slot = t.0 as usize;
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.record_entry(slot, t, l, frames, stack);
-            self.owner.acquire(l, t);
         }
         Stats::bump(&self.stats.hot(slot).acquisitions);
         self.lanes.push(slot, Event::Acquired { t, l, stack });
@@ -1214,9 +1179,7 @@ impl AvoidanceCore {
         frames: &[FrameId],
         stack: StackId,
     ) {
-        let idx = tail_bit_index(frames);
-        log.entries.entry(l).or_default().push((stack, idx));
-        log.note_insert(idx);
+        log.push(l, stack, tail_bit_index(frames));
         if let Some(view) = view {
             Self::insert_buckets(view, frames, AllowedEntry { t, l, stack });
         }
@@ -1283,7 +1246,6 @@ impl AvoidanceCore {
             // concurrent cover decision trust a validated sequence (module
             // docs' protocol).
             let popped = self.pop_entry(slot, l);
-            self.owner.release(l, t);
             if let Some((stack, Some((view, frames)))) = &popped {
                 Self::remove_buckets(
                     view,
@@ -1361,12 +1323,7 @@ impl AvoidanceCore {
         l: LockId,
     ) -> Option<(StackId, Option<(Arc<MatchView>, CallStack)>)> {
         let mut log = self.slots[slot].allowed.lock();
-        let vec = log.entries.get_mut(&l)?;
-        let (stack, idx) = vec.pop()?;
-        if vec.is_empty() {
-            log.entries.remove(&l);
-        }
-        log.note_remove(idx);
+        let stack = log.pop(l)?;
         // Narrow the lock-free hint to the (now exact) filter right away:
         // the hint otherwise keeps carrying this entry's bit — and, between
         // hooks, the last request's primed bit — until the next prime, and
@@ -1604,21 +1561,17 @@ impl AvoidanceCore {
             }
             let t = ThreadId(slot_idx as u64);
             let mut log = self.slots[slot_idx].allowed.lock();
-            if tail_intersects(&log.tail_filter, &new_filter) && !log.entries.is_empty() {
+            if tail_intersects(&log.tail_filter, &new_filter) {
                 // Same deterministic order as the full sweep.
-                let mut locks: Vec<LockId> = log.entries.keys().copied().collect();
-                locks.sort_unstable();
-                for l in locks {
-                    for &(stack, _) in &log.entries[&l] {
-                        let frames = self.stacks.resolve(stack);
-                        // Only *new* slots: surviving buckets already hold
-                        // every relevant old entry.
-                        for &d in &view.depths {
-                            let suffix = suffix_of(&frames, d as usize);
-                            if let Some(s) = view.layout.slot_of(d, suffix) {
-                                if s >= old_len as u32 {
-                                    view.table.insert(s, AllowedEntry { t, l, stack });
-                                }
+                for (l, stack) in log.sweep_order() {
+                    let frames = self.stacks.resolve(stack);
+                    // Only *new* slots: surviving buckets already hold
+                    // every relevant old entry.
+                    for &d in &view.depths {
+                        let suffix = suffix_of(&frames, d as usize);
+                        if let Some(s) = view.layout.slot_of(d, suffix) {
+                            if s >= old_len as u32 {
+                                view.table.insert(s, AllowedEntry { t, l, stack });
                             }
                         }
                     }
@@ -1683,19 +1636,14 @@ impl AvoidanceCore {
         self.view_cell.publish(Arc::clone(&view));
         // Sweep every per-thread log into the fresh buckets, in slot order
         // and sorted by lock id within a slot, so the rebuilt bucket vectors
-        // are deterministic (cover search — and hence yield causes — must
-        // not depend on hash-map iteration order).
+        // are deterministic (`AllowedLog::sweep_order`).
         for (slot_idx, slot) in self.slots.iter().enumerate() {
             let t = ThreadId(slot_idx as u64);
             let mut log = slot.allowed.lock();
-            let mut locks: Vec<LockId> = log.entries.keys().copied().collect();
-            locks.sort_unstable();
-            for l in locks {
-                for &(stack, _) in &log.entries[&l] {
-                    let frames = self.stacks.resolve(stack);
-                    if view.is_relevant(&frames) {
-                        Self::insert_buckets(&view, &frames, AllowedEntry { t, l, stack });
-                    }
+            for (l, stack) in log.sweep_order() {
+                let frames = self.stacks.resolve(stack);
+                if view.is_relevant(&frames) {
+                    Self::insert_buckets(&view, &frames, AllowedEntry { t, l, stack });
                 }
             }
             // The counting filter tracks live entries exactly; re-sync the
@@ -1712,22 +1660,14 @@ impl AvoidanceCore {
 
     /// Approximate heap footprint of the avoidance state, in bytes (§7.4).
     pub fn approx_bytes(&self) -> usize {
-        let entry_sz = core::mem::size_of::<(ThreadId, LockId)>()
-            + core::mem::size_of::<Vec<(StackId, u16)>>();
-        let mut total = 0;
-        for slot in self.slots.iter() {
-            let log = slot.allowed.lock();
-            total += log.entries.len() * entry_sz
-                + log
-                    .entries
-                    .values()
-                    .map(|v| v.len() * core::mem::size_of::<StackId>())
-                    .sum::<usize>();
-        }
-        total += self.view_cell.load().table.approx_bytes();
-        total += self.owner.len()
-            * (core::mem::size_of::<LockId>() + core::mem::size_of::<(ThreadId, u32)>());
-        total + self.slots.len() * core::mem::size_of::<ThreadSlot>()
+        let live: usize = self
+            .slots
+            .iter()
+            .map(|slot| slot.allowed.lock().entries.len())
+            .sum();
+        live * core::mem::size_of::<(LockId, StackId, u16)>()
+            + self.view_cell.load().table.approx_bytes()
+            + self.slots.len() * core::mem::size_of::<ThreadSlot>()
     }
 
     /// Inserts the entry into the view's buckets at every enabled depth
@@ -2177,3 +2117,6 @@ impl std::fmt::Debug for AvoidanceCore {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests;

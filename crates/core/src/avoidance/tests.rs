@@ -1,0 +1,341 @@
+//! White-box tests of the per-thread held-lock stack ([`AllowedLog`]): its
+//! pops against the per-lock `HashMap<LockId, Vec<_>>` it replaced (kept
+//! here as the oracle), the exit sweep, and the rebuild sweeps' bucket
+//! order.
+
+use super::*;
+use crate::runtime::Runtime;
+use dimmunix_signature::CycleKind;
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// The parent design's log: `lock → (stack, tail-bit index)` per nesting
+/// level.
+type Model = HashMap<LockId, Vec<(StackId, u16)>>;
+
+fn model_pop(model: &mut Model, l: LockId) {
+    if let Some(levels) = model.get_mut(&l) {
+        levels.pop();
+        if levels.is_empty() {
+            model.remove(&l);
+        }
+    }
+}
+
+/// The parent's sweep order: lock ids ascending, nesting levels in push
+/// order.
+fn model_sweep_order(model: &Model) -> Vec<(LockId, StackId)> {
+    let mut locks: Vec<LockId> = model.keys().copied().collect();
+    locks.sort_unstable();
+    locks
+        .into_iter()
+        .flat_map(|l| model[&l].iter().map(move |&(stack, _)| (l, stack)))
+        .collect()
+}
+
+/// Interns `frames` (as `(function, line)` pairs of one file) and returns
+/// the frame ids with their stack id.
+fn site(rt: &Runtime, frames: &[(&str, u32)]) -> (Vec<FrameId>, StackId) {
+    let ids: Vec<FrameId> = frames
+        .iter()
+        .map(|&(function, line)| rt.frame_table().intern(function, "held.rs", line))
+        .collect();
+    let stack = rt.stack_table().intern(&ids);
+    (ids, stack)
+}
+
+/// The raw `(thread, lock, stack)` records of the bucket `frames` maps to
+/// at `depth`, in storage order.
+fn bucket_of(core: &AvoidanceCore, depth: u8, frames: &[FrameId]) -> Vec<AllowedEntry> {
+    let view = core.view_cell.load();
+    let slot = view
+        .layout
+        .slot_of(depth, suffix_of(frames, depth as usize))
+        .expect("the frames end a signature-member suffix");
+    let mut raw = Vec::new();
+    view.table.buckets[slot as usize].read_into(&mut raw);
+    raw.into_iter().map(AllowedEntry::decode).collect()
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    /// `request` + `acquired` of lock `.0` along path `.1`.
+    Lock(usize, usize),
+    /// `acquired_reentrant`: one more nesting level of lock `.0`.
+    Reenter(usize, usize),
+    /// `release` of lock `.0`, held or not, innermost or not.
+    Release(usize),
+    /// `cancel` of lock `.0`.
+    Cancel(usize),
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0_usize..5, 0_usize..6).prop_map(|(l, p)| Op::Lock(l, p)),
+            (0_usize..5, 0_usize..6).prop_map(|(l, p)| Op::Lock(l, p)),
+            (0_usize..5, 0_usize..6).prop_map(|(l, p)| Op::Reenter(l, p)),
+            (0_usize..5).prop_map(Op::Release),
+            (0_usize..5).prop_map(Op::Release),
+            (0_usize..5).prop_map(Op::Cancel),
+        ],
+        0..80,
+    )
+}
+
+/// Checks the slot's log, counting filter and lock-free hint against the
+/// model.
+fn assert_matches_model(core: &AvoidanceCore, t: ThreadId, model: &Model) {
+    let slot = &core.slots[t.0 as usize];
+    let log = slot.allowed.lock();
+    for (&l, levels) in model {
+        let held: Vec<(StackId, u16)> = log
+            .entries
+            .iter()
+            .filter(|&&(held, ..)| held == l)
+            .map(|&(_, stack, idx)| (stack, idx))
+            .collect();
+        assert_eq!(&held, levels, "nesting levels of {l:?}");
+    }
+    let live: usize = model.values().map(Vec::len).sum();
+    assert_eq!(log.entries.len(), live);
+    let mut filter = [0; TAIL_WORDS];
+    for &(_, idx) in model.values().flatten() {
+        tail_or(&mut filter, idx);
+    }
+    assert_eq!(log.tail_filter, filter, "filter recomputed from scratch");
+    for (word, &exact) in slot.tail_hint.iter().zip(&log.tail_filter) {
+        let hint = word.load(Ordering::SeqCst);
+        assert_eq!(hint & exact, exact, "hint {hint:#x} misses {exact:#x}");
+    }
+}
+
+proptest! {
+    /// Differential: over random lock / re-enter / release / cancel
+    /// sequences — unlocks in any order, of locks held or not, along
+    /// paths that include the empty stack (the sentinel index) and one
+    /// that is bucketed — the stack pops what the per-lock map pops, and
+    /// after every step the counting filter equals a recomputation from
+    /// the live entries and the lock-free hint covers it.
+    #[test]
+    fn held_stack_equals_per_lock_map(ops in arb_ops()) {
+        let rt = Runtime::new(Config::default()).unwrap();
+        let core = rt.core();
+        let paths = [
+            site(&rt, &[]),
+            site(&rt, &[("main", 1)]),
+            site(&rt, &[("main", 1), ("update", 2)]),
+            site(&rt, &[("serve", 3), ("update", 2)]),
+            site(&rt, &[("main", 1), ("flush", 4), ("update", 2)]),
+            site(&rt, &[("main", 1), ("retry", 5)]),
+        ];
+        // Depth 1: every path ending in `update` or `retry` is bucketed.
+        rt.history()
+            .add(CycleKind::Deadlock, vec![paths[2].1, paths[5].1], 1)
+            .unwrap();
+        let t = core.register_thread().unwrap();
+        let locks: Vec<LockId> = (0..5).map(|_| rt.new_lock_id()).collect();
+        let mut model = Model::new();
+        for op in ops {
+            match op {
+                Op::Lock(l, p) | Op::Reenter(l, p) => {
+                    let (frames, stack) = &paths[p];
+                    if matches!(op, Op::Lock(..)) {
+                        let d = core.request(t, locks[l], frames, *stack);
+                        prop_assert!(matches!(d, Decision::Go), "one thread never yields");
+                        core.acquired(t, locks[l], *stack);
+                    } else {
+                        core.acquired_reentrant(t, locks[l], frames, *stack);
+                    }
+                    model
+                        .entry(locks[l])
+                        .or_default()
+                        .push((*stack, tail_bit_index(frames)));
+                }
+                Op::Release(l) | Op::Cancel(l) => {
+                    // What was popped shows in the levels that remain.
+                    model_pop(&mut model, locks[l]);
+                    if matches!(op, Op::Release(_)) {
+                        prop_assert!(core.release(t, locks[l]).is_empty());
+                    } else {
+                        core.cancel(t, locks[l]);
+                    }
+                }
+            }
+            assert_matches_model(core, t, &model);
+        }
+        // Unwind whatever is still held: the buckets drain with the log.
+        for (l, levels) in model.clone() {
+            for _ in levels {
+                core.release(t, l);
+                model_pop(&mut model, l);
+                assert_matches_model(core, t, &model);
+            }
+        }
+        prop_assert_eq!(core.occupancy_skew().live_entries, 0);
+        core.unregister_thread(t);
+    }
+}
+
+/// A thread dies holding three locks, one of them entered twice more, with
+/// a yielder parked on each: the exit sweep empties the buckets and the
+/// stack, wakes every yielder once and counts the wakes as orphaned.
+#[test]
+fn exit_sweep_drains_a_nested_stack_and_wakes_every_yielder() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    // One two-member signature per held lock: the holder's path and the
+    // path its yielder comes in on.
+    let held_paths: Vec<_> = (0..3)
+        .map(|i| site(&rt, &[("holder", i), ("take", 10)]))
+        .collect();
+    let yield_paths: Vec<_> = (0..3)
+        .map(|i| site(&rt, &[("waiter", i), ("take", 20)]))
+        .collect();
+    for (held, waiting) in held_paths.iter().zip(&yield_paths) {
+        rt.history()
+            .add(CycleKind::Deadlock, vec![held.1, waiting.1], 4)
+            .unwrap();
+    }
+    let holder = core.register_thread().unwrap();
+    let locks: Vec<LockId> = (0..3).map(|_| rt.new_lock_id()).collect();
+    for (l, (frames, stack)) in locks.iter().zip(&held_paths) {
+        assert!(matches!(
+            core.request(holder, *l, frames, *stack),
+            Decision::Go
+        ));
+        core.acquired(holder, *l, *stack);
+    }
+    for _ in 0..2 {
+        let (frames, stack) = &held_paths[1];
+        core.acquired_reentrant(holder, locks[1], frames, *stack);
+    }
+    assert_eq!(core.occupancy_skew().live_entries, 5);
+    let before = core.approx_bytes();
+
+    let mut yielders = Vec::new();
+    for (i, (frames, stack)) in yield_paths.iter().enumerate() {
+        let y = core.register_thread().unwrap();
+        let d = core.request(y, rt.new_lock_id(), frames, *stack);
+        assert!(matches!(d, Decision::Yield { .. }), "yielder {i}: {d:?}");
+        assert_eq!(core.yield_causes(y)[0].lock, locks[i]);
+        yielders.push(y);
+    }
+
+    let mut woken = Vec::new();
+    core.unregister_thread_waking(holder, &mut |t| woken.push(t));
+    woken.sort_unstable();
+    assert_eq!(woken, yielders, "each yielder woken exactly once");
+    assert_eq!(rt.stats().orphan_wakes, 3);
+    assert_eq!(core.occupancy_skew().live_entries, 0, "buckets emptied");
+    let slot = &core.slots[holder.0 as usize];
+    assert!(slot.allowed.lock().entries.is_empty());
+    assert_eq!(slot.allowed.lock().tail_filter, [0; TAIL_WORDS]);
+    assert!(slot.tail_hint.iter().all(|w| w.load(Ordering::SeqCst) == 0));
+    // Five stack entries and their fifteen bucket words are gone.
+    let entry = core::mem::size_of::<(LockId, StackId, u16)>();
+    assert_eq!(before - core.approx_bytes(), 5 * entry + 5 * 3 * 8);
+    // The woken yielders' retries find nothing left to yield on.
+    for (y, (frames, stack)) in yielders.iter().zip(&yield_paths) {
+        let d = core.request(*y, rt.new_lock_id(), frames, *stack);
+        assert!(matches!(d, Decision::Go), "{d:?}");
+    }
+}
+
+/// Builds a log that takes its locks out of id order and nests two of
+/// them, under a history that buckets none of it yet. Every entry's two
+/// innermost frames end the same depth-2 suffix, so one bucket will
+/// receive them all. Returns the thread and the model.
+fn nested_log(rt: &Runtime) -> (ThreadId, Model) {
+    let core = rt.core();
+    let t = core.register_thread().unwrap();
+    let locks: Vec<LockId> = (0..4).map(|_| rt.new_lock_id()).collect();
+    let mut model = Model::new();
+    for (step, (l, reenter)) in [
+        (2, false),
+        (0, false),
+        (2, true),
+        (3, false),
+        (0, true),
+        (2, true),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (frames, stack) = site(rt, &[("outer", step as u32), ("mid", 7), ("inner", 8)]);
+        if reenter {
+            core.acquired_reentrant(t, locks[l], &frames, stack);
+        } else {
+            assert!(matches!(
+                core.request(t, locks[l], &frames, stack),
+                Decision::Go
+            ));
+            core.acquired(t, locks[l], stack);
+        }
+        model
+            .entry(locks[l])
+            .or_default()
+            .push((stack, tail_bit_index(&frames)));
+    }
+    (t, model)
+}
+
+/// A full rebuild and a delta patch sweep a multi-lock, nested log into
+/// the bucket in the same order: lock ids ascending, nesting levels in
+/// grant order — what sorting the per-lock map's keys produced.
+#[test]
+fn full_and_delta_sweeps_bucket_in_lock_id_order() {
+    // The member whose depth-2 suffix every entry of `nested_log` ends in.
+    let member = |rt: &Runtime| site(rt, &[("m", 0), ("mid", 7), ("inner", 8)]);
+    let other = |rt: &Runtime| site(rt, &[("m", 1), ("n", 2), ("o", 3)]).1;
+    let expected = |t: ThreadId, model: &Model| -> Vec<AllowedEntry> {
+        model_sweep_order(model)
+            .into_iter()
+            .map(|(l, stack)| AllowedEntry { t, l, stack })
+            .collect()
+    };
+
+    // Full: a structural change (`touch`) after the log exists.
+    let rt = Runtime::new(Config::default()).unwrap();
+    let (t, model) = nested_log(&rt);
+    let (frames, stack) = member(&rt);
+    rt.history()
+        .add(CycleKind::Deadlock, vec![stack, other(&rt)], 2)
+        .unwrap();
+    rt.history().touch();
+    let fulls = rt.stats().rebuilds_full;
+    rt.core().refresh_published();
+    assert_eq!(rt.stats().rebuilds_full, fulls + 1);
+    let full = bucket_of(rt.core(), 2, &frames);
+    assert_eq!(full, expected(t, &model));
+
+    // Delta: a pure append on top of an unrelated, already-swept history.
+    let rt = Runtime::new(Config::default()).unwrap();
+    let unrelated = site(&rt, &[("p", 0), ("q", 1), ("r", 2)]).1;
+    rt.history()
+        .add(CycleKind::Deadlock, vec![unrelated, other(&rt)], 2)
+        .unwrap();
+    rt.history().touch();
+    rt.core().refresh_published();
+    let (t, model) = nested_log(&rt);
+    let (frames, stack) = member(&rt);
+    rt.history()
+        .add(CycleKind::Deadlock, vec![stack, other(&rt)], 2)
+        .unwrap();
+    rt.core().refresh_published();
+    assert_eq!(rt.stats().rebuilds_delta, 1);
+    let delta = bucket_of(rt.core(), 2, &frames);
+    assert_eq!(delta, expected(t, &model));
+    // Both runtimes number their locks alike: the two paths agree.
+    let locks = |bucket: &[AllowedEntry]| bucket.iter().map(|e| e.l).collect::<Vec<_>>();
+    assert_eq!(locks(&full), locks(&delta));
+}
+
+/// `Runtime::memory_footprint()` charges every slot up front (4096 of them
+/// by default), so the slot must not grow: 744 bytes at the parent commit
+/// (per-lock `HashMap` + `RandomState`), 720 with the stack.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn thread_slot_is_no_larger_than_at_the_parent_commit() {
+    assert!(core::mem::size_of::<ThreadSlot>() <= 744);
+}

@@ -51,7 +51,7 @@ pub enum RuntimeMode {
     /// Hooks run and events are enqueued, but no avoidance data structure is
     /// touched and every decision is GO.
     InstrumentationOnly,
-    /// Hooks maintain the RAG cache (owner map, `Allowed` sets) but skip
+    /// Hooks maintain the RAG cache (held-lock stacks, `Allowed` sets) but skip
     /// signature matching; every decision is GO.
     UpdatesOnly,
     /// Full Dimmunix.

@@ -100,8 +100,10 @@ impl EventLanes {
             self.overflow.push((NO_LANE, 0, event));
             return;
         };
-        // Producer-owned counter: only this slot's thread touches it.
-        let seq = lane.seq.fetch_add(1, Ordering::Relaxed);
+        // Producer-owned counter: only this slot's thread touches it, so a
+        // load and a store do for the increment (no locked instruction).
+        let seq = lane.seq.load(Ordering::Relaxed);
+        lane.seq.store(seq + 1, Ordering::Relaxed);
         let Some(ring) = lane.ring.get() else {
             self.overflowed.fetch_add(1, Ordering::Relaxed);
             self.overflow.push((slot, seq, event));

@@ -42,9 +42,10 @@
 //!   "pthreads flavour": the caller passes a pre-interned stack).
 //! * [`avoidance::AvoidanceCore`] — the `request`/`acquired`/`release`
 //!   decision engine and RAG cache, addressable with explicit thread ids so
-//!   simulators can drive it. The hot state is sharded (per-thread
-//!   `Allowed` logs, sharded owner map, epoch-published match view) so the
-//!   common case never takes a global lock; see the module docs.
+//!   simulators can drive it. The hot state is per thread (an `Allowed`
+//!   log that is also the thread's held-lock stack) or read-mostly (an
+//!   epoch-published match view), so the common case takes no shared lock,
+//!   hashes nothing and allocates nothing; see the module docs.
 //! * [`lanes::EventLanes`] — per-thread SPSC event lanes (with MPSC
 //!   overflow) carrying hook events to the monitor.
 //! * [`monitor::Monitor`] — cycle detection, signature archival, starvation

@@ -1,7 +1,8 @@
 //! The pre-refactor avoidance engine, preserved verbatim in behavior.
 //!
-//! Before the request path was sharded (per-thread `Allowed` logs, sharded
-//! owner map, epoch-published match view, per-thread event lanes), every
+//! Before the request path was sharded (per-thread `Allowed` logs that
+//! double as held-lock stacks, epoch-published match view, per-thread
+//! event lanes), every
 //! `request`/`acquired`/`release` from every thread serialized through one
 //! global tournament-lock critical section around a monolithic state. This
 //! module keeps that engine alive for two purposes:

@@ -40,18 +40,16 @@ pub enum ParkOutcome {
 }
 
 /// Per-registered-thread parking primitive (the paper's `yieldLock[T]`).
+#[derive(Default)]
 struct Parker {
-    epoch: Mutex<u64>,
+    /// Wake count. Bumped only with `lock` held, so a parker that checks
+    /// it under `lock` cannot miss a wake — the mutex orders the two.
+    /// `park_epoch` reads it bare: a wake that matters to that caller is
+    /// caused by a registration the caller publishes after the read, so
+    /// coherence alone keeps the read from seeing that wake's bump.
+    epoch: AtomicU64,
+    lock: Mutex<()>,
     cv: Condvar,
-}
-
-impl Default for Parker {
-    fn default() -> Self {
-        Self {
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 pub(crate) struct Inner {
@@ -111,9 +109,9 @@ struct Registration {
 impl Drop for Registration {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.upgrade() {
-            // Runs on both orderly exit and unwind: sweep the owner table,
-            // clear yield state, wake yielders whose cause we were (they
-            // re-request against a view that no longer contains our
+            // Runs on both orderly exit and unwind: empty the held-lock
+            // stack, clear yield state, wake yielders whose cause we were
+            // (they re-request against a view that no longer contains our
             // entries), emit `ThreadExit`. The panic counter distinguishes
             // unwind reclamation from orderly deregistration; the TLS drop
             // runs after the thread boundary caught the panic, so the
@@ -351,9 +349,14 @@ impl Runtime {
     }
 
     /// Current epoch of `t`'s parker; pass to [`Runtime::park_yield`] to
-    /// close the decide-then-park race.
+    /// close the decide-then-park race. A plain atomic load — every
+    /// `lock()` pays it, yielding or not — so it may miss a wake in flight;
+    /// that stale read only makes `park_yield` see a moved epoch, return
+    /// `Woken` at once and send the caller round to re-request.
     pub(crate) fn park_epoch(&self, t: ThreadId) -> u64 {
-        *self.inner.parkers[t.0 as usize].epoch.lock()
+        self.inner.parkers[t.0 as usize]
+            .epoch
+            .load(Ordering::Acquire)
     }
 
     /// Parks the calling thread (which must be `t`) until a wake arrives
@@ -369,9 +372,10 @@ impl Runtime {
             bound = Some(bound.map_or(cap, |d| d.min(cap)));
         }
         let deadline = bound.map(|d| Instant::now() + d);
-        let mut epoch = parker.epoch.lock();
+        let mut held = parker.lock.lock();
+        let moved = || parker.epoch.load(Ordering::Acquire) != epoch0;
         loop {
-            if *epoch != epoch0 {
+            if moved() {
                 return ParkOutcome::Woken;
             }
             match deadline {
@@ -380,15 +384,15 @@ impl Runtime {
                     if now >= deadline {
                         return ParkOutcome::TimedOut;
                     }
-                    if parker.cv.wait_until(&mut epoch, deadline).timed_out() {
-                        return if *epoch != epoch0 {
+                    if parker.cv.wait_until(&mut held, deadline).timed_out() {
+                        return if moved() {
                             ParkOutcome::Woken
                         } else {
                             ParkOutcome::TimedOut
                         };
                     }
                 }
-                None => parker.cv.wait(&mut epoch),
+                None => parker.cv.wait(&mut held),
             }
         }
     }
@@ -404,8 +408,8 @@ impl Runtime {
             return;
         }
         let parker = &inner.parkers[idx];
-        let mut epoch = parker.epoch.lock();
-        *epoch = epoch.wrapping_add(1);
+        let _held = parker.lock.lock();
+        parker.epoch.fetch_add(1, Ordering::Release);
         parker.cv.notify_all();
     }
 

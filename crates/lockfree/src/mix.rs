@@ -1,10 +1,10 @@
-//! Shared 64-bit hash finalizer for shard selection.
+//! Shared 64-bit hash finalizer for slot selection.
 //!
-//! Several sharded structures (the avoidance engine's owner table and wake
-//! index, and anything else that picks a power-of-two shard from a dense
-//! integer id) need a cheap mixer whose low bits are well dispersed. They
-//! all go through this one function so a future change to the mixing
-//! cannot be applied to one shard-pick site and silently miss another.
+//! Anything that masks a dense integer id down to a power-of-two index
+//! (today the avoidance engine's tail-filter digests) needs a cheap mixer
+//! whose low bits are well dispersed. Every such site goes through this one
+//! function so a future change to the mixing cannot be applied to one and
+//! silently miss another.
 
 /// SplitMix64's finalizer: a cheap bijective mixer with good low-bit
 /// avalanche, suitable for masking down to a power-of-two shard index.
