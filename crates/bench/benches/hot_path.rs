@@ -34,9 +34,9 @@
 //! * **vaccinate_live** — the uniform setup, plus a vaccinator thread that
 //!   streams 48 extra signatures into the history mid-run in small
 //!   pure-append batches: every batch is a generation bump the engines
-//!   must absorb under live traffic. The sharded engine rides the
-//!   delta-rebuild path (publish-then-patch over shared buckets); the
-//!   `--check-baseline` smoke fails if it fell back to full rebuilds or
+//!   must absorb under live traffic. The sharded engine extends its view
+//!   (shared buckets, only the new keys' buckets filled); the
+//!   `--check-baseline` smoke fails if it fell back to fresh tables or
 //!   lost more than a few percent of its static-history throughput.
 //!
 //! The comparison slightly *favors* the reference engine: the sharded side
@@ -108,7 +108,7 @@ const LIVE_BATCH: usize = 4;
 /// within run-to-run noise (across full median-of-3 runs the ratio
 /// swings 0.92–1.11 — vaccination sometimes *beats* the static row), so
 /// the floor sits below the noise band: it exists to catch a real
-/// regression — e.g. delta patches degrading to stop-the-world sweeps,
+/// regression — e.g. appends no longer extending the view,
 /// which the `delta_rebuilds >= 1` gate also flags deterministically —
 /// not to re-measure the noise. Single-rep `--quick` smoke runs are
 /// noisier still and gate slightly looser.
@@ -265,8 +265,8 @@ fn live_pairs(pool: &[PoolPath]) -> Vec<(FramePath, FramePath)> {
 /// Spawns the `vaccinate_live` vaccinator: streams [`LIVE_SIGS`] signatures
 /// into `rt`'s history in pure-append batches of [`LIVE_BATCH`] while the
 /// workers run. Both engines share the runtime's history, so the same
-/// helper serves both runners; only the *absorption* differs (delta patch
-/// vs. single-lock rebuild).
+/// helper serves both runners; only the *absorption* differs (an extended
+/// view vs. a single-lock rebuild).
 fn spawn_vaccinator(rt: &Runtime, pool: &[PoolPath]) -> std::thread::JoinHandle<()> {
     let rt = rt.clone();
     let pairs = live_pairs(pool);

@@ -15,7 +15,7 @@
 //!   of lock ownership on the hook path — a lock's owner is the thread
 //!   whose stack holds it, so there is no shared owner map to update — and
 //!   it sits behind a per-slot mutex that only its owner and the
-//!   occasional rebuild sweep touch. An uncontended pair on a warm stack
+//!   occasional rebuild touch. An uncontended pair on a warm stack
 //!   hashes nothing and allocates nothing;
 //! * the suffix-keyed **`Allowed` buckets** consulted by the exact-cover
 //!   search live in a [`MatchTable`]: a **dense array of
@@ -26,9 +26,9 @@
 //!   (seqlock copy + sequence revalidation) and never block; an insert or
 //!   removal claims only its own bucket's sequence word with one CAS. The
 //!   table also publishes per-bucket **occupancy fingerprints**
-//!   ([`OccupancyArray`], indexed by bucket slot and sized to the key
-//!   count by default — collision-free) whose zero reads prove a bucket
-//!   empty without reading it;
+//!   ([`OccupancyArray`], indexed by bucket slot, one per key —
+//!   collision-free) whose zero reads prove a bucket empty without reading
+//!   it;
 //! * the **yielding bookkeeping** is lock-free: each thread slot owns a
 //!   Treiber-style [`WakeList`] of registrations *against it as a cause*
 //!   (`(cause lock, yielder, epoch)` nodes), plus an atomic registration
@@ -63,77 +63,77 @@
 //! the whole matching path is a read-only precheck plus one single-bucket
 //! CAS-claimed insert of the requester's own entry.
 //!
-//! # Rebuild protocol: publish-then-patch, with publish-then-sweep fallback
+//! # Rebuild protocol: publish, then visit
 //!
 //! When the history generation moves, a single rebuilder (the monitor, or
-//! the first hook that notices — serialized by the rebuild mutex) advances
-//! the match state along one of two paths:
+//! the first hook that notices — serialized by the rebuild mutex) builds the
+//! next view, publishes it, then locks each thread slot in turn and buckets
+//! that log's entries, and finally marks the table swept. There is one
+//! choice, made while building the view:
 //!
-//! * **Delta patch** — the common case under live vaccination, taken when
-//!   the history's delta journal proves every intervening generation was a
-//!   pure signature *append* ([`History::delta_since`]). `BucketLayout`
-//!   slot assignment is append-stable, so the rebuilder *extends* the
-//!   layout and index (new `(depth, suffix)` keys take slots past the old
-//!   length; surviving slots are never renumbered) and builds an extended
-//!   table that **shares** every surviving [`VersionedBucket`], the
-//!   occupancy-fingerprint array, and the non-empty counter with the old
-//!   table — nothing is cloned, live entries and their sequence words
-//!   survive. It publishes the new view, then *patches* instead of
-//!   sweeping: a per-thread log is visited only when its **tail filter**
-//!   (a 256-bit *counting* filter over a digest of the two innermost
-//!   frames of every entry currently in it — a `(depth, suffix)` key pins
-//!   an entry's `min(depth, len)` innermost frames, so for depths ≥ 2 a
-//!   digest miss is a proof, and depth-1 keys saturate the key-side
-//!   filter; pops decrement, so the filter stays live-entries-tight
-//!   instead of saturating) intersects the new keys' filter. The first cut of that test is **lock-free**: each slot
-//!   mirrors its bloom in an atomic hint (`ThreadSlot::tail_hint`) that
-//!   hooks refresh *before* loading the view epoch, fence-paired with the
-//!   patcher's publish (see `prime_tail_hint`), so non-intersecting slots
-//!   — the vast majority even under sustained traffic — are skipped
-//!   without touching their mutex. A
-//!   visited log inserts only entries matching a *new* key, because
-//!   surviving buckets are already complete. Finally the table is marked
-//!   swept.
-//! * **Full rebuild** — the fallback for structural history changes
-//!   (removal, disable, merge, a depth-recalibration touch), for layout
-//!   growth past the inherited occupancy array (which re-sizes it —
-//!   amortized doubling), and for a truncated delta journal: build a
-//!   fresh `MatchTable` + index, publish, then sweep every per-thread log
-//!   into the fresh buckets.
+//! * **Extend** — when the history's journal proves every intervening
+//!   generation was a pure signature *append* ([`History::delta_between`])
+//!   and the grown layout still fits the inherited fingerprint array.
+//!   `BucketLayout` slot assignment is append-stable, so new
+//!   `(depth, suffix)` keys take slots past the old length and surviving
+//!   slots are never renumbered; the extended table **shares** every
+//!   surviving [`VersionedBucket`], the fingerprint array and the non-empty
+//!   counter with the old one — nothing is cloned, live entries and their
+//!   sequence words survive. Surviving buckets are complete as they stand,
+//!   so the visit inserts only entries that land in a new slot.
+//! * **Fresh** — for structural history changes (removal, disable, merge,
+//!   a depth-recalibration touch), a truncated journal, or layout growth
+//!   past the fingerprint array (which re-sizes it — amortized doubling):
+//!   a new index, layout and empty table, and the visit inserts every
+//!   relevant entry.
 //!
-//! The happens-before argument is the same for patch and sweep:
-//! publication-before-patch closes the race with guardless fast-path
-//! appends, because an append either happens before the patch visits its
-//! slot (the visit reads it from the log and buckets it if it matches a
-//! new key) or after (the slot-mutex hand-off guarantees the appending
-//! thread already observed the new view — and its insert lands in the
-//! shared buckets directly, which delta makes safe precisely because the
-//! surviving buckets are the same objects). Decisions and direct bucket
+//! Either way a view is stamped with the generation its contents were read
+//! at, never an older one, so the next extension applies each append once.
+//!
+//! One happens-before argument covers both, and it is the slot-mutex
+//! hand-off alone. Every hook reads the view epoch and touches its log
+//! inside its slot's critical section, and the visit of that slot is a
+//! critical section of the same mutex, entered after the publish. A grant
+//! whose critical section comes *before* the visit is in the log when the
+//! visit reads it; the visit buckets it wherever the new table lacks it
+//! (if the grant also bucketed it under the old view, that was a surviving
+//! bucket, which an extension shares and a fresh table replaces). A grant
+//! whose critical section comes *after* the visit observes the published
+//! view — the hand-off orders the publish before its epoch load — and
+//! buckets its own entry in the new table. Decisions and direct bucket
 //! inserts wait for the swept flag, so they only ever run against a
 //! complete table. Releases need no flag: a release pops its log entry
-//! under the slot mutex first, so the patch visit either runs after the
-//! pop (nothing left to insert) or before it (the entry is bucketed and
-//! the release's subsequent view-current removal targets that same shared
-//! bucket). A full rebuild's old table becomes garbage once the last
-//! reader drops its cached view; a delta's old table shares its storage
-//! with the new one, so retiring it frees only the view shell.
+//! under the slot mutex first, so the visit either runs after the pop and
+//! finds nothing to insert — the release then removes the entry through
+//! whichever view it loaded, reaching a shared surviving bucket or a table
+//! about to lose its last reader — or runs before it, and the release sees
+//! the new view and removes the entry from where the visit put it. The old
+//! view's table becomes garbage once the last reader drops its cached
+//! view; after an extension that frees only the view shell.
+//!
+//! What waits out a rebuild: the rebuilder, hooks that saw the stale
+//! generation before the publish (they queue on the rebuild mutex), and
+//! requests on a *relevant* suffix until the swept flag. Requests on
+//! irrelevant suffixes, `acquired` and releases do not wait. The visit
+//! takes every slot mutex, so it can itself wait on a slot whose owner was
+//! descheduled mid-hook; under heavy oversubscription that is the tail of
+//! `rebuild_us_*_max`.
 //!
 //! The engine-internal lock order is `rebuild mutex → slot (allowed-log)
 //! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
 //! mutex beside them: rebuilds hold the rebuild mutex and take slot
 //! mutexes one at a time, hooks bucket their own entries with the slot
 //! mutex held, and the bounded-retry cover fallback (below) claims every
-//! bucket in ascending slot order while holding its own slot mutex. No holder of a bucket claim ever takes a mutex of an earlier
-//! tier, and bucket claims are only held in ascending order or singly, so
-//! the order is acyclic.
+//! bucket in ascending slot order while holding its own slot mutex. No
+//! holder of a bucket claim ever takes a mutex of an earlier tier, and
+//! bucket claims are only held in ascending order or singly, so the order
+//! is acyclic.
 //!
 //! # No-lost-wakeup protocol (lock-free)
 //!
-//! The engine-internal lock order collapses to `rebuild mutex → slot
-//! (allowed-log) mutex`; no hook ever holds two mutexes of the same tier,
-//! and the old "bucket shards ascending → yield-cause → wake shard" tiers
-//! are gone. What used to be guaranteed by holding the cover's member
-//! shards across yield registration is now guaranteed by ordering:
+//! The yield path holds no lock a releasing cause would need, so nothing
+//! stops a cause from releasing while a yielder registers against it; that
+//! the wakeup is not lost is guaranteed by ordering:
 //!
 //! 1. the requester snapshots the member buckets (validated sequences),
 //!    finds a cover, **publishes its wake registrations** (SeqCst CAS
@@ -156,9 +156,9 @@
 //! other's in-flight entries would have completed — the same
 //! monitor-detectable window the paper already tolerates for yield cycles
 //! (§3); the differential proptest pins the sequential semantics to
-//! [`crate::reference::ReferenceCore`] exactly. Because a delta patch
-//! preserves surviving buckets' temporal entry order while a full rebuild
-//! re-inserts in sweep order, bucket storage order is deliberately *not*
+//! [`crate::reference::ReferenceCore`] exactly. Because an extended
+//! table keeps surviving buckets' temporal entry order while a fresh one is
+//! filled in visit order, bucket storage order is deliberately *not*
 //! load-bearing: every cover search canonically sorts its snapshots by
 //! `(thread, lock, stack)` before solving, the reference engine sorts the
 //! same way, and lockstep decision streams stay byte-identical. After a
@@ -203,7 +203,7 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
 use dimmunix_lockfree::{
-    mix64, CachePadded, DrainVerdict, EpochCell, FilterLock, OccupancyArray, SlotAllocator,
+    CachePadded, DrainVerdict, EpochCell, FilterLock, OccupancyArray, SlotAllocator,
     TournamentLock, VersionedBucket, WakeList, WakeNodePool,
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
@@ -263,7 +263,7 @@ impl AllowedEntry {
 /// replaced wholesale on rebuild. No mutex anywhere: readers are
 /// optimistic, writers claim one bucket's sequence word with a CAS.
 pub(crate) struct MatchTable {
-    /// Per-slot buckets, individually `Arc`ed so a delta-extended table can
+    /// Per-slot buckets, individually `Arc`ed so an extended table can
     /// share the surviving buckets of its predecessor (live entries and
     /// sequence words included) while appending fresh ones.
     buckets: Box<[Arc<VersionedBucket<3>>]>,
@@ -271,10 +271,10 @@ pub(crate) struct MatchTable {
     /// counts the *non-empty buckets* mapping to it, maintained inside the
     /// bucket write sessions (bump before the first entry becomes visible,
     /// drop only after the last is removed), so a zero read always proves
-    /// emptiness. Sized to the key count by default — collision-free.
-    /// Shared (`Arc`) with delta-extended successors: the surviving
-    /// buckets' counts must carry over, or a fresh array would manufacture
-    /// false empty-proofs.
+    /// emptiness. One slot per bucket and room to grow — collision-free.
+    /// Shared (`Arc`) with extended successors: the surviving buckets'
+    /// counts must carry over, or a fresh array would manufacture false
+    /// empty-proofs.
     occupancy: Arc<OccupancyArray>,
     /// Count of currently non-empty buckets (maintained on the same
     /// empty↔non-empty transitions as the fingerprints; padded so the
@@ -282,35 +282,38 @@ pub(crate) struct MatchTable {
     /// the candidate precheck reject a whole suffix's candidates in O(1):
     /// if the only non-empty bucket is the requester's own, every
     /// other-member bucket is empty. That inference reads one fingerprint
-    /// as *identifying* the non-empty bucket, so the engine only uses it
-    /// when the fingerprints are collision-free (one slot per bucket —
-    /// the adaptive default); see [`MatchTable::exact_occupancy`]. Shared
-    /// with delta-extended successors, like the fingerprints.
+    /// as *identifying* the non-empty bucket, which holds because the
+    /// fingerprints are collision-free. Shared with extended successors,
+    /// like the fingerprints.
     nonempty: Arc<CachePadded<AtomicU32>>,
-    /// Set once the rebuild sweep (or delta patch) has merged every
-    /// per-thread log; covers and direct bucket inserts wait for it.
+    /// Set once the rebuild's visit has merged every per-thread log;
+    /// covers and direct bucket inserts wait for it.
     swept: AtomicBool,
 }
 
 impl MatchTable {
-    fn new(buckets: usize, occupancy_slots: usize) -> Self {
+    /// A fresh, unswept table. One fingerprint per bucket keeps the
+    /// precheck exact; doubling past that is the headroom that lets later
+    /// appends extend this table instead of replacing it (4 bytes a slot).
+    fn new(buckets: usize) -> Self {
         Self {
             buckets: (0..buckets)
                 .map(|_| Arc::new(VersionedBucket::new()))
                 .collect(),
-            occupancy: Arc::new(OccupancyArray::new(occupancy_slots)),
+            occupancy: Arc::new(OccupancyArray::new(
+                (buckets.max(1) * 2).next_power_of_two(),
+            )),
             nonempty: Arc::new(CachePadded::new(AtomicU32::new(0))),
             swept: AtomicBool::new(false),
         }
     }
 
-    /// A table for the delta-extended layout: shares every surviving
-    /// bucket, the occupancy fingerprints, and the non-empty counter with
-    /// `base`; slots `[base.len, new_len)` get fresh empty buckets. The
-    /// caller guarantees `new_len <= base.occupancy.len()`, which keeps
-    /// the shared fingerprints collision-free (slots index them
-    /// identically in both tables). Starts unswept iff there are new slots
-    /// to patch.
+    /// A table for an extended layout: shares every surviving bucket, the
+    /// occupancy fingerprints, and the non-empty counter with `base`;
+    /// slots `[base.len, new_len)` get fresh empty buckets. The caller
+    /// guarantees `new_len <= base.occupancy.len()`, which keeps the
+    /// shared fingerprints collision-free (slots index them identically in
+    /// both tables). Unswept, like a fresh one.
     fn extended(base: &Self, new_len: usize) -> Self {
         debug_assert!(new_len >= base.buckets.len());
         debug_assert!(new_len <= base.occupancy.len());
@@ -324,22 +327,13 @@ impl MatchTable {
                 .collect(),
             occupancy: Arc::clone(&base.occupancy),
             nonempty: Arc::clone(&base.nonempty),
-            swept: AtomicBool::new(new_len == base.buckets.len()),
+            swept: AtomicBool::new(false),
         }
-    }
-
-    /// Whether every bucket has its own fingerprint slot (no aliasing):
-    /// true under adaptive sizing, false only when `occupancy_slots` is
-    /// overridden below the key count. A non-zero fingerprint read then
-    /// pins down *which* bucket is non-empty, which the O(1) whole-set
-    /// reject relies on.
-    fn exact_occupancy(&self) -> bool {
-        self.occupancy.len() >= self.buckets.len()
     }
 
     /// An empty, already-swept table (for the sentinel view).
     fn sentinel() -> Self {
-        let table = Self::new(0, 1);
+        let table = Self::new(0);
         table.swept.store(true, Ordering::Release);
         table
     }
@@ -445,13 +439,22 @@ impl MatchView {
     fn is_relevant(&self, frames: &[FrameId]) -> bool {
         !self.depths.is_empty() && self.layout.is_relevant(frames)
     }
+
+    /// The bucket slots an entry with these frames belongs to: one per
+    /// enabled depth whose suffix is a layout key (at the other depths the
+    /// entry is invisible to covers).
+    fn slots_of<'a>(&'a self, frames: &'a [FrameId]) -> impl Iterator<Item = u32> + 'a {
+        self.depths
+            .iter()
+            .filter_map(move |&d| self.layout.slot_of(d, suffix_of(frames, d as usize)))
+    }
 }
 
 /// Outcome of revalidating a slot's cached view against the history.
 enum ViewCheck {
     /// The published view predates the current history generation.
     Stale,
-    /// The view is current but its rebuild sweep is still in flight.
+    /// The view is current but its rebuild's visit is still in flight.
     Unswept,
     /// Current view; the frames hit no signature-member bucket.
     Irrelevant,
@@ -521,35 +524,17 @@ impl<T> Guarded<T> {
 /// A thread's private `Allowed` log — the master copy of its entries — plus
 /// its cached match view.
 struct AllowedLog {
-    /// The thread's **held-lock stack**: one `(lock, stack, tail-bit index)`
-    /// per granted request or reentrant nesting level, in grant order. A
-    /// grant pushes; a release or cancel removes the *last* entry for its
-    /// lock (searched from the top, so LIFO unlocks cost one comparison and
-    /// out-of-order unlocks stay correct). Capacity is retained, so a warm
-    /// pair allocates nothing. The bit index is computed once at append
-    /// time so a pop can maintain the counting filter without re-resolving
-    /// the stack.
-    entries: Vec<(LockId, StackId, u16)>,
+    /// The thread's **held-lock stack**: one `(lock, stack)` per granted
+    /// request or reentrant nesting level, in grant order. A grant pushes; a
+    /// release or cancel removes the *last* entry for its lock (searched
+    /// from the top, so LIFO unlocks cost one comparison and out-of-order
+    /// unlocks stay correct). Capacity is retained, so a warm pair
+    /// allocates nothing.
+    entries: Vec<(LockId, StackId)>,
     /// Epoch at which `view` was loaded from the cell.
     view_epoch: u64,
     /// Cached published view (`None` until first use).
     view: Option<Arc<MatchView>>,
-    /// *Exact* filter over the tail digests ([`tail_bit_index`]) of the
-    /// entries currently in this log: a **counting** filter (`tail_counts`)
-    /// increments on every append and decrements on every pop, so bits of
-    /// popped entries clear instead of accumulating until the next sweep.
-    /// A bucket key pins the matching entries' `min(depth, len)` innermost
-    /// frames, so (for the depths ≥ 2 the key-side filter digests — see
-    /// `delta_patch`) a new key whose digest bit misses this filter
-    /// provably matches no entry here — the delta patch skips the slot
-    /// without resolving a single stack. Keeping the filter
-    /// live-entries-tight is what lets the skip fire under sustained
-    /// traffic: an accumulate-only bloom saturates with every path the
-    /// thread has touched since the last sweep.
-    tail_filter: TailFilter,
-    /// Reference counts behind `tail_filter`: one per bit, plus a last
-    /// slot for the empty-stack sentinel (whose "bit" is all of them).
-    tail_counts: [u16; TAIL_BITS + 1],
 }
 
 impl Default for AllowedLog {
@@ -558,151 +543,26 @@ impl Default for AllowedLog {
             entries: Vec::new(),
             view_epoch: u64::MAX,
             view: None,
-            tail_filter: [0; TAIL_WORDS],
-            tail_counts: [0; TAIL_BITS + 1],
         }
     }
 }
 
 impl AllowedLog {
-    /// Pushes a granted entry and records its tail bit in the counting
-    /// filter.
-    fn push(&mut self, l: LockId, stack: StackId, idx: u16) {
-        self.entries.push((l, stack, idx));
-        self.tail_counts[idx as usize] += 1;
-        tail_or(&mut self.tail_filter, idx);
-    }
-
     /// Removes the innermost entry for `l` — its most recent nesting level
     /// — and returns that entry's stack.
     fn pop(&mut self, l: LockId) -> Option<StackId> {
-        let at = self.entries.iter().rposition(|&(held, ..)| held == l)?;
-        let (_, stack, idx) = self.entries.remove(at);
-        self.note_remove(idx);
-        Some(stack)
-    }
-
-    /// Drops a popped entry's tail bit from the counting filter. O(1): a
-    /// count draining to zero clears its own bit, unless an empty-stack
-    /// sentinel entry still holds every bit set. Only the sentinel itself
-    /// draining rescans the counts.
-    fn note_remove(&mut self, idx: u16) {
-        let idx = idx as usize;
-        self.tail_counts[idx] = self.tail_counts[idx].saturating_sub(1);
-        if self.tail_counts[idx] != 0 {
-            return;
-        }
-        if idx < TAIL_BITS {
-            if self.tail_counts[TAIL_BITS] == 0 {
-                self.tail_filter[idx / 64] &= !(1_u64 << (idx % 64));
-            }
-        } else {
-            let mut fresh = [0; TAIL_WORDS];
-            for (i, &n) in self.tail_counts[..TAIL_BITS].iter().enumerate() {
-                if n > 0 {
-                    tail_or(&mut fresh, i as u16);
-                }
-            }
-            self.tail_filter = fresh;
-        }
-    }
-
-    /// Drops every entry and zeroes the counting filter (exit sweep).
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.tail_filter = [0; TAIL_WORDS];
-        self.tail_counts = [0; TAIL_BITS + 1];
+        let at = self.entries.iter().rposition(|&(held, _)| held == l)?;
+        Some(self.entries.remove(at).1)
     }
 
     /// The entries in rebuild-sweep order: ascending lock id, nesting
     /// levels of one lock in grant order (a stable sort), so rebuilt bucket
     /// vectors do not depend on the order the thread took its locks in.
     fn sweep_order(&self) -> Vec<(LockId, StackId)> {
-        let mut held: Vec<_> = self.entries.iter().map(|&(l, s, _)| (l, s)).collect();
+        let mut held = self.entries.clone();
         held.sort_by_key(|&(l, _)| l);
         held
     }
-}
-
-/// Width of the tail filter. 256 bits keeps the patcher's false-positive
-/// rate (a live entry's bit colliding with a new key's) low enough that a
-/// delta patch under sustained traffic usually locks **zero** slot
-/// mutexes — with a 64-bit bloom, a handful of live bits against a
-/// batch's worth of new keys intersected ~30% of the time per busy slot,
-/// and each false visit stalls on a mutex whose owner may be descheduled
-/// mid-hook.
-const TAIL_WORDS: usize = 4;
-const TAIL_BITS: usize = TAIL_WORDS * 64;
-
-/// The tail filter: a flat multi-word bit set (not a multi-hash bloom —
-/// one bit per entry, so intersection tests stay per-word ANDs).
-type TailFilter = [u64; TAIL_WORDS];
-
-/// The counting-filter slot of an entry with these frames: a digest of the
-/// **two** innermost frames (just the innermost for a one-frame stack), or
-/// the sentinel `TAIL_BITS` for an empty stack (which could match an empty
-/// suffix and must conservatively intersect every key).
-///
-/// Two frames are sound because a `(depth, suffix)` bucket key matches
-/// exactly the entries whose `min(depth, len)` innermost frames equal the
-/// suffix — so for `depth >= 2`, a matching entry agrees with the key on
-/// `min(|suffix|, 2)` innermost frames and their digests coincide (a
-/// one-frame suffix at `depth >= 2` only ever matches one-frame entries,
-/// which also digest a single frame). `depth == 1` keys match on the
-/// innermost frame across entries of *every* length, which a two-frame
-/// digest cannot narrow — `delta_patch` saturates its key-side filter for
-/// those. Innermost frames funnel into a handful of lock wrappers in real
-/// programs, so the second frame is what gives the digest its entropy.
-#[inline]
-fn tail_bit_index(frames: &[FrameId]) -> u16 {
-    match frames {
-        [] => TAIL_BITS as u16,
-        [f] => (mix64(u64::from(f.0)) as usize & (TAIL_BITS - 1)) as u16,
-        [.., g, f] => {
-            let h = mix64(u64::from(f.0) ^ mix64(u64::from(g.0)));
-            (h as usize & (TAIL_BITS - 1)) as u16
-        }
-    }
-}
-
-/// ORs a counting slot's contribution into a filter: one bit, or all of
-/// them for the empty-stack sentinel.
-#[inline]
-fn tail_or(filter: &mut TailFilter, idx: u16) {
-    if idx as usize >= TAIL_BITS {
-        *filter = [u64::MAX; TAIL_WORDS];
-    } else {
-        filter[idx as usize / 64] |= 1_u64 << (idx % 64);
-    }
-}
-
-/// Whether two filters share any bit.
-#[inline]
-fn tail_intersects(a: &TailFilter, b: &TailFilter) -> bool {
-    a.iter().zip(b.iter()).any(|(x, y)| x & y != 0)
-}
-
-/// Stores a filter into a slot's atomic hint, word by word, skipping words
-/// that already hold their value (a warm pair toggles one bit, so three of
-/// the four SeqCst stores would rewrite what is there). Must run under the
-/// slot lock (all hint writers do): words never interleave with another
-/// writer's, and the relaxed pre-read sees the last store, which the lock
-/// hand-off ordered before it.
-#[inline]
-fn store_hint(hint: &[AtomicU64; TAIL_WORDS], filter: &TailFilter) {
-    for (w, &v) in hint.iter().zip(filter.iter()) {
-        if w.load(Ordering::Relaxed) != v {
-            w.store(v, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Lock-free intersection test against a slot's atomic hint.
-#[inline]
-fn hint_intersects(hint: &[AtomicU64; TAIL_WORDS], filter: &TailFilter) -> bool {
-    hint.iter()
-        .zip(filter.iter())
-        .any(|(w, &v)| w.load(Ordering::SeqCst) & v != 0)
 }
 
 /// Per-registered-thread yield state (the paper's `yieldLock[T]` data,
@@ -717,22 +577,9 @@ pub(crate) struct ThreadSlot {
     /// `false` read is impossible.
     yield_set: AtomicBool,
     /// This thread's private `Allowed` log and view cache. Locked by the
-    /// owning thread on every hook and by rebuild sweeps; never contended
-    /// in steady state.
+    /// owning thread on every hook and by every rebuild's visit; never
+    /// contended in steady state.
     allowed: Mutex<AllowedLog>,
-    /// Lock-free mirror of [`AllowedLog::tail_filter`], conservatively a
-    /// superset of it (hooks store `filter | own bit` *before* deciding,
-    /// so a request that ends in a yield still leaves its bit until the
-    /// owner's next hook narrows it away). The delta patch reads it to
-    /// skip non-intersecting slots **without taking their mutex**; every
-    /// write happens under the slot lock (hooks via `prime_tail_hint`,
-    /// sweeps re-sync it to the exact filter), so the only lock-free
-    /// access is the patcher's read — see `prime_tail_hint` for the fence
-    /// protocol that makes the skip sound. Multi-word: each word follows
-    /// the protocol independently (the Dekker pairing is per bit), so the
-    /// patcher may read the words at slightly different instants without
-    /// weakening the argument.
-    tail_hint: [AtomicU64; TAIL_WORDS],
     /// Wake registrations *against this thread as a cause*: `(cause lock,
     /// yielder, yielder epoch)` nodes pushed lock-free by yielding
     /// threads. Only this thread drains it (its own `release` /
@@ -790,8 +637,8 @@ pub struct AvoidanceCore {
     /// Published match view; `request` revalidates its per-slot cache with
     /// one epoch load.
     view_cell: EpochCell<MatchView>,
-    /// Serializes match-state rebuilds (table + index build, publication,
-    /// and the per-slot log sweep). Hooks never hold any other engine lock
+    /// Serializes match-state rebuilds (view build, publication, and the
+    /// per-slot visit). Hooks never hold any other engine lock
     /// while taking it.
     rebuild_lock: Mutex<()>,
     history: Arc<History>,
@@ -882,13 +729,12 @@ impl AvoidanceCore {
                 let mut log = self.slots[slot].allowed.lock();
                 let view = Arc::clone(self.view_of(&mut log));
                 if !view.depths.is_empty() {
-                    for &(l, stack, _) in &log.entries {
+                    for &(l, stack) in &log.entries {
                         let frames = self.stacks.resolve(stack);
                         Self::remove_buckets(&view, &frames, AllowedEntry { t, l, stack });
                     }
                 }
-                log.clear();
-                store_hint(&self.slots[slot].tail_hint, &[0; TAIL_WORDS]);
+                log.entries.clear();
             }
             // Drain every wake registration parked against this thread.
             // Live yielders among them are woken through the caller's
@@ -930,34 +776,6 @@ impl AvoidanceCore {
         log.view.as_ref().expect("view cache populated above")
     }
 
-    /// Primes the slot's lock-free tail-filter hint for a hook that may
-    /// append an entry with `frames`. Must run with the slot lock held and
-    /// **before** the hook's view-epoch load (`check_view`): the SeqCst
-    /// store + fence here pairs with `delta_patch`'s publish + fence, so
-    /// by the store-buffer (Dekker) argument at least one side observes
-    /// the other — either the patcher sees the hint bit and visits this
-    /// slot under its mutex (the lock handoff then shows it the appended
-    /// entry), or this hook's epoch load sees the published view and the
-    /// hook inserts into the new buckets itself. [`EpochCell`] is only
-    /// Release/Acquire, hence the explicit fences on both sides.
-    ///
-    /// The prime *stores* `tail_filter | bit` rather than OR-ing the bit
-    /// in, making the hint self-narrowing: only this slot's owner thread
-    /// primes it (always under the slot lock), the stored value covers
-    /// every live entry (the counting filter is exact) plus this hook's
-    /// candidate bit, and any bit thereby dropped belongs to an earlier
-    /// hook of the same thread that either completed its append (its bit
-    /// is in `tail_filter`) or never appended (nothing to patch). An
-    /// accumulate-only hint would saturate with every path the thread
-    /// requests and defeat the patcher's lock-free skip.
-    #[inline]
-    fn prime_tail_hint(&self, slot: usize, log: &AllowedLog, frames: &[FrameId]) {
-        let mut hint = log.tail_filter;
-        tail_or(&mut hint, tail_bit_index(frames));
-        store_hint(&self.slots[slot].tail_hint, &hint);
-        std::sync::atomic::fence(Ordering::SeqCst);
-    }
-
     /// Revalidates the slot's cached view (slot lock held) and classifies
     /// what the hook may do with `frames` under it.
     fn check_view(&self, log: &mut AllowedLog, frames: &[FrameId]) -> ViewCheck {
@@ -992,7 +810,6 @@ impl AvoidanceCore {
         let instance = loop {
             let was_yielding = self.slots[slot].in_yielding.load(Ordering::Relaxed);
             let mut log = self.slots[slot].allowed.lock();
-            self.prime_tail_hint(slot, &log, frames);
             match self.check_view(&mut log, frames) {
                 ViewCheck::Stale => {
                     drop(log);
@@ -1022,11 +839,6 @@ impl AvoidanceCore {
                                 break None;
                             }
                             Some(inst) => {
-                                // Yield: nothing was appended, so drop the
-                                // primed candidate bit before parking (see
-                                // `pop_entry` on why stale hints cost the
-                                // patcher mutex stalls).
-                                store_hint(&self.slots[slot].tail_hint, &log.tail_filter);
                                 drop(log);
                                 break Some(inst);
                             }
@@ -1055,11 +867,6 @@ impl AvoidanceCore {
                                 // registration and delivers the wakeup —
                                 // see the module docs' protocol.
                                 self.insert_yielding(t, &inst.causes);
-                                // Yield path: the primed candidate bit will
-                                // not become an append — narrow the hint
-                                // before parking. (A revalidation retry
-                                // re-locks and re-primes.)
-                                store_hint(&self.slots[slot].tail_hint, &log.tail_filter);
                                 drop(log);
                                 if view.generation != self.history.generation()
                                     || !proof.still_valid(&view)
@@ -1179,7 +986,7 @@ impl AvoidanceCore {
         frames: &[FrameId],
         stack: StackId,
     ) {
-        log.push(l, stack, tail_bit_index(frames));
+        log.entries.push((l, stack));
         if let Some(view) = view {
             Self::insert_buckets(view, frames, AllowedEntry { t, l, stack });
         }
@@ -1202,7 +1009,6 @@ impl AvoidanceCore {
     ) {
         loop {
             let mut log = self.slots[slot].allowed.lock();
-            self.prime_tail_hint(slot, &log, frames);
             match self.check_view(&mut log, frames) {
                 ViewCheck::Stale => {
                     drop(log);
@@ -1324,14 +1130,6 @@ impl AvoidanceCore {
     ) -> Option<(StackId, Option<(Arc<MatchView>, CallStack)>)> {
         let mut log = self.slots[slot].allowed.lock();
         let stack = log.pop(l)?;
-        // Narrow the lock-free hint to the (now exact) filter right away:
-        // the hint otherwise keeps carrying this entry's bit — and, between
-        // hooks, the last request's primed bit — until the next prime, and
-        // a stale bit on an idle slot costs the patcher a mutex acquisition
-        // whose owner may be descheduled for milliseconds. Sound under the
-        // slot lock: this hook has no append pending, and the next hook
-        // re-primes before its epoch load.
-        store_hint(&self.slots[slot].tail_hint, &log.tail_filter);
         let view = self.view_of(&mut log);
         if view.depths.is_empty() {
             // Empty history: provably never bucketed — skip the resolve.
@@ -1437,225 +1235,122 @@ impl AvoidanceCore {
         self.rebuild();
     }
 
-    /// Advances the match state to the current history generation along
-    /// the cheapest sound path (see the module docs' rebuild protocol):
-    /// a delta patch when the history's journal proves the interval was
-    /// pure appends, a full rebuild otherwise. Callers must hold no other
-    /// engine lock.
+    /// Advances the match state to the current history generation: builds
+    /// the next view, publishes it, then visits every per-thread log (the
+    /// module docs' rebuild protocol). Callers must hold no other engine
+    /// lock.
     fn rebuild(&self) {
         let _g = self.rebuild_lock.lock();
         let gen = self.history.generation();
         let old = self.view_cell.load();
         if old.generation == gen {
-            // Raced with another rebuilder; its sweep finished before the
+            // Raced with another rebuilder; its visit finished before the
             // rebuild lock was handed over.
             return;
         }
         Stats::bump(&self.stats.rebuilds);
         let start = std::time::Instant::now();
-        // The sentinel view (generation `u64::MAX`) predates any history:
-        // it must take the full path, and `delta_since` would misread its
-        // generation as "ahead of everything".
-        let delta = if old.generation == u64::MAX {
-            HistoryDelta::Structural
-        } else {
-            self.history.delta_since(old.generation)
+        // The only branch. An extension shares every surviving bucket with
+        // the old table, complete as they stand, so the visit fills only
+        // the slots past the old layout; a fresh table is filled whole.
+        let (view, first_new, extended) = match self.extended_view(&old, gen) {
+            Some(view) => (view, old.layout.len() as u32, true),
+            None => (self.fresh_view(), 0, false),
         };
-        let took_delta = match delta {
-            HistoryDelta::Appended(new_sigs) => self.delta_patch(&old, gen, &new_sigs),
-            HistoryDelta::Structural => false,
-        };
-        if took_delta {
-            Stats::bump(&self.stats.rebuilds_delta);
-        } else {
-            self.full_rebuild(gen);
-            Stats::bump(&self.stats.rebuilds_full);
-        }
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.stats.record_rebuild_us(took_delta, us);
-    }
-
-    /// The delta path: extends the old view's layout/index with the
-    /// appended signatures' new `(depth, suffix)` keys, builds a table
-    /// that shares every surviving bucket with the old one, publishes,
-    /// then *patches* — visits only per-thread logs whose tail filter
-    /// intersects the new keys', and inserts only entries landing in new
-    /// slots (surviving buckets are already complete). Returns `false`
-    /// (caller falls back to a full rebuild) when the extended layout
-    /// outgrows the inherited occupancy array. Holds the rebuild lock.
-    ///
-    /// A racing `add` may bump the history past `gen` while this runs;
-    /// that is benign — the published view just advertises an older
-    /// generation than it could, and the next rebuild's delta starts from
-    /// `gen`, re-deriving keys idempotently (extension dedups existing
-    /// keys, so already-covered appends degrade to publish-only).
-    fn delta_patch(&self, old: &Arc<MatchView>, gen: u64, new_sigs: &[Arc<Signature>]) -> bool {
-        let layout = Arc::new(BucketLayout::extended(&old.layout, new_sigs, &self.stacks));
-        if layout.len() > old.table.occupancy.len() {
-            // Out of inherited fingerprint slots: let the full rebuild
-            // re-size the array (amortized doubling via adaptive sizing).
-            return false;
-        }
-        let old_len = old.layout.len();
-        let index = match (&old.index, self.config.use_match_index) {
-            (Some(ix), true) => Some(Arc::new(MatchIndex::extended(
-                ix,
-                gen,
-                Arc::clone(&layout),
-                new_sigs,
-                &self.stacks,
-            ))),
-            // Mode flips mid-run don't happen (config is immutable), but a
-            // structurally absent index means extension has no base.
-            (None, true) => return false,
-            _ => None,
-        };
-        let depths: Vec<u8> = layout.depths().collect();
-        let table = Arc::new(MatchTable::extended(&old.table, layout.len()));
-        let patch_needed = layout.len() > old_len;
-        let view = Arc::new(MatchView {
-            generation: gen,
-            depths,
-            index,
-            table,
-            layout,
-        });
+        let view = Arc::new(view);
         self.view_cell.publish(Arc::clone(&view));
-        if !patch_needed {
-            // Pure publish: the appended signatures introduced no new
-            // member key, so every bucket is already complete (the table
-            // was constructed swept). Cached slot views are left in place
-            // — dropping them is a memory nicety, not a correctness need
-            // (every hook revalidates the epoch before trusting its
-            // cache), and the extended table shares all surviving buckets
-            // with the old one, so the retained views pin almost nothing.
-            return true;
-        }
-        // Pairs with the hooks' hint-OR + fence (see `prime_tail_hint`):
-        // after this fence, a hint read that misses a concurrent append's
-        // bit guarantees that append observed the epoch published above.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        // The new keys' tail filter: a log whose filter misses it holds no
-        // entry whose two innermost frames end any new suffix, so no entry
-        // of that log can map to a new slot — skip it without resolving a
-        // single stack. (An entry can match a *currently irrelevant* old
-        // suffix, so the log filters accumulate over all entries, not just
-        // relevant ones.) Depth-1 keys match on the innermost frame alone,
-        // across entries of every length — the two-frame digest cannot
-        // narrow that, so such a batch conservatively visits everything.
-        let mut new_filter = [0; TAIL_WORDS];
-        for (d, suffix, _) in view.layout.keys_from(old_len as u32) {
-            if d < 2 {
-                new_filter = [u64::MAX; TAIL_WORDS];
-                break;
-            }
-            tail_or(&mut new_filter, tail_bit_index(suffix));
-        }
-        for slot_idx in 0..self.slots.len() {
-            // Lock-free skip: the hint is a conservative superset of the
-            // log's tail bloom, so a miss proves no entry here can land in
-            // a new slot — the slot mutex is never touched. (The skipped
-            // slot keeps its cached view; memory-only, see above.)
-            if !hint_intersects(&self.slots[slot_idx].tail_hint, &new_filter) {
-                continue;
-            }
-            let t = ThreadId(slot_idx as u64);
-            let mut log = self.slots[slot_idx].allowed.lock();
-            if tail_intersects(&log.tail_filter, &new_filter) {
-                // Same deterministic order as the full sweep.
-                for (l, stack) in log.sweep_order() {
-                    let frames = self.stacks.resolve(stack);
-                    // Only *new* slots: surviving buckets already hold
-                    // every relevant old entry.
-                    for &d in &view.depths {
-                        let suffix = suffix_of(&frames, d as usize);
-                        if let Some(s) = view.layout.slot_of(d, suffix) {
-                            if s >= old_len as u32 {
-                                view.table.insert(s, AllowedEntry { t, l, stack });
-                            }
-                        }
-                    }
-                }
-            }
-            // The counting filter is already exact; narrow the hint back
-            // to it (dropping the bit of whatever request primed it last).
-            // Safe under the slot lock — hooks only write the hint while
-            // holding it.
-            store_hint(&self.slots[slot_idx].tail_hint, &log.tail_filter);
-            log.view = None;
-            log.view_epoch = u64::MAX;
-        }
-        view.table.swept.store(true, Ordering::Release);
-        true
-    }
-
-    /// The fallback path: builds a fresh table + index for generation
-    /// `gen`, publishes the new view, then sweeps every per-thread log
-    /// into the fresh buckets. See the module docs for the
-    /// publication-before-sweep protocol. Holds the rebuild lock.
-    fn full_rebuild(&self, gen: u64) {
-        let index = if self.config.use_match_index {
-            Some(Arc::new(MatchIndex::build(&self.history, &self.stacks)))
-        } else {
-            None
-        };
-        // The bucket layout — and hence the table size — adapts to the
-        // generation's distinct member-key count; linear-scan mode builds
-        // the same layout directly (it only skips the candidate index).
-        let layout = match &index {
-            Some(ix) => Arc::clone(ix.layout()),
-            None => Arc::new(BucketLayout::build(&self.history, &self.stacks)),
-        };
-        let depths: Vec<u8> = layout.depths().collect();
-        // Adaptive occupancy sizing: one counter per bucket key makes the
-        // fingerprints collision-free. An override below the key count
-        // would silently reintroduce aliasing (spurious cover searches,
-        // and the O(1) whole-set reject turns itself off), so it is
-        // clamped up to the key count and the correction is surfaced in
-        // the `occupancy_clamps` gauge. The adaptive default doubles past
-        // the key count (4 bytes/slot): delta rebuilds inherit this array
-        // and fall back to a full rebuild when an extended layout
-        // outgrows it, so the headroom is what makes live vaccination
-        // patch instead of sweep — classic amortized doubling.
-        let occupancy_floor = layout.len().max(1);
-        let occupancy_slots = match self.config.occupancy_slots {
-            Some(n) if n < occupancy_floor => {
-                Stats::bump(&self.stats.occupancy_clamps);
-                occupancy_floor
-            }
-            Some(n) => n,
-            None => (occupancy_floor * 2).next_power_of_two(),
-        };
-        let view = Arc::new(MatchView {
-            generation: gen,
-            depths,
-            index,
-            table: Arc::new(MatchTable::new(layout.len(), occupancy_slots)),
-            layout,
-        });
-        self.view_cell.publish(Arc::clone(&view));
-        // Sweep every per-thread log into the fresh buckets, in slot order
-        // and sorted by lock id within a slot, so the rebuilt bucket vectors
-        // are deterministic (`AllowedLog::sweep_order`).
+        // Slot order, and lock-id order within a slot, so the bucket
+        // vectors are deterministic (`AllowedLog::sweep_order`).
         for (slot_idx, slot) in self.slots.iter().enumerate() {
             let t = ThreadId(slot_idx as u64);
             let mut log = slot.allowed.lock();
             for (l, stack) in log.sweep_order() {
                 let frames = self.stacks.resolve(stack);
-                if view.is_relevant(&frames) {
-                    Self::insert_buckets(&view, &frames, AllowedEntry { t, l, stack });
+                for s in view.slots_of(&frames).filter(|&s| s >= first_new) {
+                    view.table.insert(s, AllowedEntry { t, l, stack });
                 }
             }
-            // The counting filter tracks live entries exactly; re-sync the
-            // hint to it (clearing any stale primed request bit).
-            store_hint(&slot.tail_hint, &log.tail_filter);
-            // Drop the slot's cached view: an idle thread must not keep the
-            // retired generation's whole bucket table alive until its next
-            // hook (active threads reload on their next epoch check anyway).
+            // Drop the slot's cached view: an idle thread must not keep a
+            // retired generation's bucket table alive until its next hook
+            // (active threads reload on their next epoch check anyway).
             log.view = None;
             log.view_epoch = u64::MAX;
         }
         view.table.swept.store(true, Ordering::Release);
+        Stats::bump(if extended {
+            &self.stats.rebuilds_delta
+        } else {
+            &self.stats.rebuilds_full
+        });
+        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.stats.record_rebuild_us(extended, us);
+    }
+
+    /// `old` extended to generation `gen` by the signatures appended in
+    /// between: new `(depth, suffix)` keys take slots past the old layout's
+    /// length, and the table shares every surviving bucket, the fingerprint
+    /// array and the non-empty counter with `old`'s. `None` when only a
+    /// fresh build will do: the span holds a structural change (removal,
+    /// disable, depth touch), reaches past the journal or starts at the
+    /// sentinel view ([`History::delta_between`] reports all three alike),
+    /// or the grown layout no longer fits the inherited fingerprints — a
+    /// fresh table re-sizes them, amortized doubling.
+    fn extended_view(&self, old: &MatchView, gen: u64) -> Option<MatchView> {
+        // Bounded by `gen`, the stamp: an `add` may bump the history past
+        // it while this runs, and a view holding that signature under the
+        // older stamp would get it again from the next rebuild's delta —
+        // the layout dedups keys, but the index would list its candidates
+        // twice.
+        let HistoryDelta::Appended(new_sigs) = self.history.delta_between(old.generation, gen)
+        else {
+            return None;
+        };
+        let layout = Arc::new(BucketLayout::extended(&old.layout, &new_sigs, &self.stacks));
+        if layout.len() > old.table.occupancy.len() {
+            return None;
+        }
+        let index = old.index.as_ref().map(|ix| {
+            Arc::new(MatchIndex::extended(
+                ix,
+                gen,
+                Arc::clone(&layout),
+                &new_sigs,
+                &self.stacks,
+            ))
+        });
+        Some(MatchView {
+            generation: gen,
+            depths: layout.depths().collect(),
+            index,
+            table: Arc::new(MatchTable::extended(&old.table, layout.len())),
+            layout,
+        })
+    }
+
+    /// A view built from scratch: index (when configured), layout and an
+    /// empty table, stamped with the generation of the one history snapshot
+    /// all of them were derived from (the stamp rule of `extended_view`).
+    fn fresh_view(&self) -> MatchView {
+        let (generation, index, layout) = if self.config.use_match_index {
+            let ix = Arc::new(MatchIndex::build(&self.history, &self.stacks));
+            (
+                ix.generation(),
+                Some(Arc::clone(&ix)),
+                Arc::clone(ix.layout()),
+            )
+        } else {
+            // Linear-scan mode skips only the candidate index.
+            let (generation, snapshot) = self.history.snapshot_with_generation();
+            let layout = BucketLayout::build_from(&snapshot, &self.stacks);
+            (generation, None, Arc::new(layout))
+        };
+        MatchView {
+            generation,
+            depths: layout.depths().collect(),
+            index,
+            table: Arc::new(MatchTable::new(layout.len())),
+            layout,
+        }
     }
 
     /// Approximate heap footprint of the avoidance state, in bytes (§7.4).
@@ -1665,30 +1360,23 @@ impl AvoidanceCore {
             .iter()
             .map(|slot| slot.allowed.lock().entries.len())
             .sum();
-        live * core::mem::size_of::<(LockId, StackId, u16)>()
+        live * core::mem::size_of::<(LockId, StackId)>()
             + self.view_cell.load().table.approx_bytes()
             + self.slots.len() * core::mem::size_of::<ThreadSlot>()
     }
 
-    /// Inserts the entry into the view's buckets at every enabled depth
-    /// whose suffix is a layout key (others are invisible to covers).
+    /// Inserts the entry into every bucket of the view it belongs to.
     fn insert_buckets(view: &MatchView, frames: &[FrameId], e: AllowedEntry) {
-        for &d in &view.depths {
-            let suffix = suffix_of(frames, d as usize);
-            if let Some(slot) = view.layout.slot_of(d, suffix) {
-                view.table.insert(slot, e);
-            }
+        for slot in view.slots_of(frames) {
+            view.table.insert(slot, e);
         }
     }
 
-    /// Removes `e` from the view's buckets at every enabled depth; tolerant
+    /// Removes `e` from every bucket of the view it could be in; tolerant
     /// of the entry being absent (it may never have been bucketed).
     fn remove_buckets(view: &MatchView, frames: &[FrameId], e: AllowedEntry) {
-        for &d in &view.depths {
-            let suffix = suffix_of(frames, d as usize);
-            if let Some(slot) = view.layout.slot_of(d, suffix) {
-                view.table.remove(slot, e);
-            }
+        for slot in view.slots_of(frames) {
+            view.table.remove(slot, e);
         }
     }
 
@@ -1856,11 +1544,8 @@ impl AvoidanceCore {
                         // The only non-empty bucket being the requester's
                         // own refutes every candidate — unless some
                         // candidate pairs two same-suffix members and can
-                        // cover out of that very bucket, or fingerprint
-                        // aliasing (occupancy override below the key
-                        // count) keeps the non-zero read from identifying
-                        // the bucket.
-                        1 if !set.self_paired() && view.table.exact_occupancy() => view
+                        // cover out of that very bucket.
+                        1 if !set.self_paired() => view
                             .table
                             .occupancy
                             .possibly_nonempty(u64::from(set.self_slot())),
@@ -1955,10 +1640,10 @@ impl AvoidanceCore {
 
     /// Decodes a raw bucket snapshot into the **canonical cover order**:
     /// sorted by `(thread, lock, stack)`. Bucket *storage* order is not
-    /// load-bearing (a delta patch preserves surviving buckets' temporal
-    /// order while a full rebuild re-inserts in sweep order); sorting
-    /// every snapshot here — and the reference engine sorting the same
-    /// way — keeps decision streams byte-identical across both paths.
+    /// load-bearing (an extended table keeps surviving buckets' temporal
+    /// order while a fresh one is filled in visit order); sorting every
+    /// snapshot here — and the reference engine sorting the same way —
+    /// keeps decision streams byte-identical either way.
     fn decode_sorted(raw: &[[u64; 3]]) -> Vec<AllowedEntry> {
         let mut entries: Vec<AllowedEntry> =
             raw.iter().copied().map(AllowedEntry::decode).collect();

@@ -1,7 +1,8 @@
 //! White-box tests of the per-thread held-lock stack ([`AllowedLog`]): its
 //! pops against the per-lock `HashMap<LockId, Vec<_>>` it replaced (kept
-//! here as the oracle), the exit sweep, and the rebuild sweeps' bucket
-//! order.
+//! here as the oracle), the exit sweep, and the rebuild's visit: its bucket
+//! order, that appends racing it are applied once, and that buckets equal
+//! the logs after every live rebuild.
 
 use super::*;
 use crate::runtime::Runtime;
@@ -9,9 +10,8 @@ use dimmunix_signature::CycleKind;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// The parent design's log: `lock → (stack, tail-bit index)` per nesting
-/// level.
-type Model = HashMap<LockId, Vec<(StackId, u16)>>;
+/// The earlier design's log: `lock → stack` per nesting level.
+type Model = HashMap<LockId, Vec<StackId>>;
 
 fn model_pop(model: &mut Model, l: LockId) {
     if let Some(levels) = model.get_mut(&l) {
@@ -29,7 +29,7 @@ fn model_sweep_order(model: &Model) -> Vec<(LockId, StackId)> {
     locks.sort_unstable();
     locks
         .into_iter()
-        .flat_map(|l| model[&l].iter().map(move |&(stack, _)| (l, stack)))
+        .flat_map(|l| model[&l].iter().map(move |&stack| (l, stack)))
         .collect()
 }
 
@@ -83,40 +83,27 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Checks the slot's log, counting filter and lock-free hint against the
-/// model.
+/// Checks the slot's log against the model.
 fn assert_matches_model(core: &AvoidanceCore, t: ThreadId, model: &Model) {
-    let slot = &core.slots[t.0 as usize];
-    let log = slot.allowed.lock();
+    let log = core.slots[t.0 as usize].allowed.lock();
     for (&l, levels) in model {
-        let held: Vec<(StackId, u16)> = log
+        let held: Vec<StackId> = log
             .entries
             .iter()
-            .filter(|&&(held, ..)| held == l)
-            .map(|&(_, stack, idx)| (stack, idx))
+            .filter(|&&(held, _)| held == l)
+            .map(|&(_, stack)| stack)
             .collect();
         assert_eq!(&held, levels, "nesting levels of {l:?}");
     }
     let live: usize = model.values().map(Vec::len).sum();
     assert_eq!(log.entries.len(), live);
-    let mut filter = [0; TAIL_WORDS];
-    for &(_, idx) in model.values().flatten() {
-        tail_or(&mut filter, idx);
-    }
-    assert_eq!(log.tail_filter, filter, "filter recomputed from scratch");
-    for (word, &exact) in slot.tail_hint.iter().zip(&log.tail_filter) {
-        let hint = word.load(Ordering::SeqCst);
-        assert_eq!(hint & exact, exact, "hint {hint:#x} misses {exact:#x}");
-    }
 }
 
 proptest! {
     /// Differential: over random lock / re-enter / release / cancel
     /// sequences — unlocks in any order, of locks held or not, along
-    /// paths that include the empty stack (the sentinel index) and one
-    /// that is bucketed — the stack pops what the per-lock map pops, and
-    /// after every step the counting filter equals a recomputation from
-    /// the live entries and the lock-free hint covers it.
+    /// paths that include the empty stack and one that is bucketed — the
+    /// stack pops what the per-lock map pops.
     #[test]
     fn held_stack_equals_per_lock_map(ops in arb_ops()) {
         let rt = Runtime::new(Config::default()).unwrap();
@@ -147,10 +134,7 @@ proptest! {
                     } else {
                         core.acquired_reentrant(t, locks[l], frames, *stack);
                     }
-                    model
-                        .entry(locks[l])
-                        .or_default()
-                        .push((*stack, tail_bit_index(frames)));
+                    model.entry(locks[l]).or_default().push(*stack);
                 }
                 Op::Release(l) | Op::Cancel(l) => {
                     // What was popped shows in the levels that remain.
@@ -230,10 +214,8 @@ fn exit_sweep_drains_a_nested_stack_and_wakes_every_yielder() {
     assert_eq!(core.occupancy_skew().live_entries, 0, "buckets emptied");
     let slot = &core.slots[holder.0 as usize];
     assert!(slot.allowed.lock().entries.is_empty());
-    assert_eq!(slot.allowed.lock().tail_filter, [0; TAIL_WORDS]);
-    assert!(slot.tail_hint.iter().all(|w| w.load(Ordering::SeqCst) == 0));
     // Five stack entries and their fifteen bucket words are gone.
-    let entry = core::mem::size_of::<(LockId, StackId, u16)>();
+    let entry = core::mem::size_of::<(LockId, StackId)>();
     assert_eq!(before - core.approx_bytes(), 5 * entry + 5 * 3 * 8);
     // The woken yielders' retries find nothing left to yield on.
     for (y, (frames, stack)) in yielders.iter().zip(&yield_paths) {
@@ -272,16 +254,13 @@ fn nested_log(rt: &Runtime) -> (ThreadId, Model) {
             ));
             core.acquired(t, locks[l], stack);
         }
-        model
-            .entry(locks[l])
-            .or_default()
-            .push((stack, tail_bit_index(&frames)));
+        model.entry(locks[l]).or_default().push(stack);
     }
     (t, model)
 }
 
-/// A full rebuild and a delta patch sweep a multi-lock, nested log into
-/// the bucket in the same order: lock ids ascending, nesting levels in
+/// A fresh rebuild and an extending one visit a multi-lock, nested log
+/// into the bucket in the same order: lock ids ascending, nesting levels in
 /// grant order — what sorting the per-lock map's keys produced.
 #[test]
 fn full_and_delta_sweeps_bucket_in_lock_id_order() {
@@ -332,10 +311,219 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
 }
 
 /// `Runtime::memory_footprint()` charges every slot up front (4096 of them
-/// by default), so the slot must not grow: 744 bytes at the parent commit
-/// (per-lock `HashMap` + `RandomState`), 720 with the stack.
+/// by default), so the slot must not grow: 720 bytes at the parent commit
+/// (counting filter and hint beside the stack), 136 with the stack alone.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
-    assert!(core::mem::size_of::<ThreadSlot>() <= 744);
+    assert!(core::mem::size_of::<ThreadSlot>() <= 136);
+}
+
+/// Signatures appended while rebuilds run are applied once each. A view
+/// stamped older than its contents would take the newer signatures again
+/// from the next rebuild's delta, and the index would list their
+/// candidates twice (the layout dedups keys; the candidate sets do not).
+#[test]
+fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
+    const SIGS: u32 = 3000;
+    let rt = Runtime::new(Config {
+        max_threads: 8,
+        ..Config::default()
+    })
+    .unwrap();
+    let core = rt.core();
+    let sites: Vec<_> = (0..SIGS)
+        .map(|i| {
+            (
+                site(&rt, &[("left", i), ("take", 1)]),
+                site(&rt, &[("right", i), ("take", 2)]),
+            )
+        })
+        .collect();
+    core.refresh_published();
+    let done = AtomicBool::new(false);
+    // The generation the rebuilder has caught up to. The adder stays within
+    // the history's delta journal of it, so that however the two threads
+    // are scheduled the rebuilds keep extending (the duplicates lived in
+    // extended indexes; a fresh build wipes them).
+    let published = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for (a, b) in &sites {
+                while rt.history().generation() > published.load(Ordering::Acquire) + 128 {
+                    std::thread::yield_now();
+                }
+                rt.history()
+                    .add(CycleKind::Deadlock, vec![a.1, b.1], 2)
+                    .unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        while !done.load(Ordering::Acquire) {
+            core.refresh_published();
+            published.store(core.view_cell.load().generation, Ordering::Release);
+        }
+    });
+    core.refresh_published();
+    let view = core.view_cell.load();
+    assert_eq!(view.generation, rt.history().generation());
+    let index = view.index.as_ref().expect("index mode");
+    for (i, (a, b)) in sites.iter().enumerate() {
+        for (frames, _) in [a, b] {
+            let n = index.candidates(frames).count();
+            assert_eq!(n, 1, "signature {i} listed {n} times for one member");
+        }
+    }
+    let stats = rt.stats();
+    assert!(stats.rebuilds_delta > 0, "no rebuild extended: {stats:?}");
+}
+
+/// The one proof's canary. Real threads nest locks through sites that are
+/// irrelevant at the start while a vaccinator appends signatures that turn
+/// their suffixes into member keys, one key per step, then touches the
+/// history (one fresh build), then appends again. After every step all
+/// threads stop where they are, locks still held, and every bucket must
+/// equal its recomputation from the per-thread logs: nothing missed by the
+/// visit, nothing bucketed by both a hook and the visit. A single step
+/// catches a broken visit only if an entry was held across its rebuild,
+/// hence the many steps.
+#[test]
+fn buckets_equal_the_logs_after_every_live_rebuild() {
+    const WORKERS: u32 = 3;
+    const NEST: u32 = 4;
+    let rt = Runtime::new(Config {
+        max_threads: 16,
+        ..Config::default()
+    })
+    .unwrap();
+    let core = rt.core();
+    // Worker `w` takes its `k`-th lock through `[worker w, step k, take]`:
+    // one key for everything at depth 1, one per nesting level at depth 2,
+    // one per path at depths 3 and 4. The second member of every signature
+    // is a site nobody runs, so no cover exists and every request is
+    // granted.
+    let paths: Vec<Vec<_>> = (0..WORKERS)
+        .map(|w| {
+            (0..NEST)
+                .map(|k| site(&rt, &[("worker", w), ("step", k), ("take", 0)]))
+                .collect()
+        })
+        .collect();
+    let locks: Vec<Vec<LockId>> = (0..WORKERS)
+        .map(|_| (0..NEST).map(|_| rt.new_lock_id()).collect())
+        .collect();
+    let ghost = |rt: &Runtime, n: u32| site(rt, &[("ghost", n), ("never", n)]).1;
+    rt.history()
+        .add(
+            CycleKind::Deadlock,
+            vec![ghost(&rt, 100), ghost(&rt, 101)],
+            2,
+        )
+        .unwrap();
+    core.refresh_published();
+
+    let pause = AtomicBool::new(false);
+    let done = AtomicBool::new(false);
+    let gate = std::sync::Barrier::new(WORKERS as usize + 1);
+    // Returns the first difference instead of panicking: the workers are
+    // parked on the gate and must be let go before the test may fail.
+    let check = |what: &str| -> Result<(), String> {
+        let view = core.view_cell.load();
+        if view.generation != rt.history().generation() || !view.table.swept.load(Ordering::Acquire)
+        {
+            return Err(format!("{what}: the published view is not current"));
+        }
+        let mut expected = vec![Vec::new(); view.layout.len()];
+        for (slot_idx, slot) in core.slots.iter().enumerate() {
+            let t = ThreadId(slot_idx as u64);
+            for &(l, stack) in &slot.allowed.lock().entries {
+                for s in view.slots_of(&core.stacks.resolve(stack)) {
+                    expected[s as usize].push(AllowedEntry { t, l, stack }.encode());
+                }
+            }
+        }
+        let mut raw = Vec::new();
+        for (s, mut want) in expected.into_iter().enumerate() {
+            view.table.buckets[s].read_into(&mut raw);
+            raw.sort_unstable();
+            want.sort_unstable();
+            if raw != want {
+                return Err(format!(
+                    "{what}: bucket {s} holds {raw:?}, logs say {want:?}"
+                ));
+            }
+        }
+        Ok(())
+    };
+    let mut verdict = Ok(());
+    std::thread::scope(|s| {
+        for w in 0..WORKERS as usize {
+            let (paths, locks, pause, done, gate) = (&paths[w], &locks[w], &pause, &done, &gate);
+            s.spawn(move || {
+                let t = core.register_thread().unwrap();
+                gate.wait();
+                let stop_here = || {
+                    if pause.load(Ordering::Acquire) {
+                        gate.wait();
+                        gate.wait();
+                    }
+                };
+                while !done.load(Ordering::Acquire) {
+                    for ((frames, stack), &l) in paths.iter().zip(locks) {
+                        // Always GO (see `paths`); nothing is asserted on
+                        // this thread, a panic here would strand the gate.
+                        let _ = core.request(t, l, frames, *stack);
+                        core.acquired(t, l, *stack);
+                        stop_here();
+                    }
+                    for &l in locks.iter().rev() {
+                        core.release(t, l);
+                        stop_here();
+                    }
+                }
+                core.unregister_thread(t);
+            });
+        }
+        // One step: change the history under traffic, let a rebuild run
+        // (here, unless a hook got to it first), stop the world, compare.
+        let mut step = |what: &str, change: &dyn Fn()| {
+            change();
+            core.refresh_published();
+            pause.store(true, Ordering::Release);
+            gate.wait();
+            if verdict.is_ok() {
+                verdict = check(what);
+            }
+            pause.store(false, Ordering::Release);
+            gate.wait();
+        };
+        let vaccinate = |w: u32, k: u32, depth: u8| {
+            let member = paths[w as usize][k as usize].1;
+            let other = ghost(&rt, u32::from(depth) * 100 + w * NEST + k);
+            rt.history()
+                .add(CycleKind::Deadlock, vec![member, other], depth)
+                .unwrap();
+        };
+        gate.wait();
+        for k in 0..NEST {
+            step("depth-2 append", &|| vaccinate(0, k, 2));
+        }
+        for w in 0..WORKERS {
+            for k in 0..NEST {
+                step("depth-3 append", &|| vaccinate(w, k, 3));
+            }
+        }
+        step("depth-1 append", &|| vaccinate(0, 0, 1));
+        step("touch", &|| rt.history().touch());
+        step("append after touch", &|| vaccinate(1, 1, 4));
+        done.store(true, Ordering::Release);
+    });
+    verdict.unwrap();
+    let stats = rt.stats();
+    assert!(stats.rebuilds_delta >= u64::from(NEST), "{stats:?}");
+    assert!(
+        stats.rebuilds_full >= 2,
+        "first build and the touch: {stats:?}"
+    );
+    assert_eq!(core.occupancy_skew().live_entries, 0, "all released");
 }

@@ -101,8 +101,9 @@ pub struct Config {
     pub prediction: Option<PredictionConfig>,
     /// Where the persistent history lives. `None` keeps it in memory only.
     pub history_path: Option<PathBuf>,
-    /// Maximum concurrently registered threads (bounds the Peterson slots
-    /// and pre-allocated per-thread state; the paper evaluates up to 1024).
+    /// Maximum concurrently registered threads: the number of per-thread
+    /// slots pre-allocated by the engine, which every rebuild visits (the
+    /// paper evaluates up to 1024).
     pub max_threads: usize,
     /// Capacity of each per-thread SPSC event lane (rounded up to a power
     /// of two). A full lane overflows into the shared MPSC queue — correct
@@ -123,21 +124,6 @@ pub struct Config {
     /// candidate signatures instead of scanning the whole history on every
     /// request (ablation; both are benchmarked).
     pub use_match_index: bool,
-    /// Number of occupancy-fingerprint counters published alongside the
-    /// versioned bucket array (rounded up to a power of two). `None`
-    /// (default) sizes them adaptively at rebuild time from the match
-    /// index's `key_count()` — at least one counter per distinct
-    /// `(depth, suffix)` bucket key (the adaptive default doubles past
-    /// it, so delta rebuilds have headroom to extend the layout without
-    /// re-sizing), which makes the fingerprints collision-free and the
-    /// guard-free cover precheck exact. An
-    /// override *below* the key count would silently reintroduce
-    /// fingerprint aliasing (sound, but every aliased read costs a
-    /// spurious cover search and disables the O(1) whole-set reject), so
-    /// the rebuild **auto-clamps it up to the key count** and records the
-    /// correction in [`crate::stats::Stats::occupancy_clamps`]; only
-    /// values at or above the key count take effect. 4 bytes per slot.
-    pub occupancy_slots: Option<usize>,
     /// Bounded-retry budget for the optimistic cover decision: after this
     /// many consecutive post-registration revalidation failures on one
     /// `request` (a member bucket's version kept moving between the
@@ -190,7 +176,6 @@ impl Default for Config {
             mode: RuntimeMode::Full,
             enforce_yields: true,
             use_match_index: true,
-            occupancy_slots: None,
             cover_retry_limit: 8,
             structural_fp_reference_depth: None,
             monitor_restart_budget: 3,

@@ -419,7 +419,7 @@ impl ReferenceCore {
         };
         // Canonical cover order: the sharded engine sorts every bucket
         // snapshot by `(thread, lock, stack)` at cover time (its storage
-        // order differs between delta-patched and fully rebuilt tables),
+        // order differs between extended and freshly built tables),
         // so the reference must search in the same order for the
         // differential decision streams to stay byte-identical.
         let mut candidates: Vec<AllowedEntry> = candidates.clone();

@@ -125,16 +125,13 @@ pub struct Stats {
     /// Gauge: lock-order-graph edges retired by lock aging (both
     /// endpoints release-quiescent past `lock_retire_after` passes).
     pub prediction_edges_retired: AtomicU64,
-    /// Rebuilds that had to clamp an `occupancy_slots` override up to the
-    /// bucket-key count (the override would have reintroduced fingerprint
-    /// aliasing; see `Config::occupancy_slots`).
-    pub occupancy_clamps: AtomicU64,
-    /// Rebuilds that took the incremental delta-patch path (pure signature
-    /// appends: surviving buckets and occupancy fingerprints reused, only
-    /// new-suffix entries patched in).
+    /// Rebuilds that extended the previous view (pure signature appends:
+    /// surviving buckets and occupancy fingerprints shared, only the new
+    /// keys' buckets filled).
     pub rebuilds_delta: AtomicU64,
-    /// Rebuilds that took the full stop-the-world path (structural history
-    /// changes, first build, or layout growth past the occupancy filter).
+    /// Rebuilds that built a fresh table and filled all of it (structural
+    /// history changes, first build, or layout growth past the inherited
+    /// occupancy fingerprints).
     pub rebuilds_full: AtomicU64,
     /// Worst observed delta-rebuild latency, microseconds.
     pub rebuild_us_delta_max: AtomicU64,
@@ -222,7 +219,6 @@ impl Default for Stats {
             scc_merges: AtomicU64::new(0),
             scc_component_peak: AtomicU64::new(0),
             prediction_edges_retired: AtomicU64::new(0),
-            occupancy_clamps: AtomicU64::new(0),
             rebuilds_delta: AtomicU64::new(0),
             rebuilds_full: AtomicU64::new(0),
             rebuild_us_delta_max: AtomicU64::new(0),
@@ -366,7 +362,6 @@ impl Stats {
             scc_merges: Self::get(&self.scc_merges),
             scc_component_peak: Self::get(&self.scc_component_peak),
             prediction_edges_retired: Self::get(&self.prediction_edges_retired),
-            occupancy_clamps: Self::get(&self.occupancy_clamps),
             rebuilds_delta: Self::get(&self.rebuilds_delta),
             rebuilds_full: Self::get(&self.rebuilds_full),
             rebuild_us_delta_max: Self::get(&self.rebuild_us_delta_max),
@@ -462,11 +457,9 @@ pub struct StatsSnapshot {
     pub scc_component_peak: u64,
     /// Lock-order edges retired by lock aging.
     pub prediction_edges_retired: u64,
-    /// Rebuilds that clamped an `occupancy_slots` override.
-    pub occupancy_clamps: u64,
-    /// Rebuilds that took the incremental delta-patch path.
+    /// Rebuilds that extended the previous view.
     pub rebuilds_delta: u64,
-    /// Rebuilds that took the full stop-the-world path.
+    /// Rebuilds that built a fresh table.
     pub rebuilds_full: u64,
     /// Worst observed delta-rebuild latency, microseconds.
     pub rebuild_us_delta_max: u64,

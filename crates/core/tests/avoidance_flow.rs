@@ -548,49 +548,3 @@ fn linear_scan_and_match_index_agree() {
         );
     }
 }
-
-/// An `occupancy_slots` override below the generation's bucket-key count
-/// would reintroduce fingerprint aliasing; the rebuild must clamp it up to
-/// the key count and surface the correction in the stats gauge.
-#[test]
-fn occupancy_override_below_key_count_is_clamped() {
-    let rt = Runtime::new(Config {
-        occupancy_slots: Some(1),
-        ..quiet_config()
-    })
-    .unwrap();
-    // Four signatures over eight distinct stacks = eight bucket keys,
-    // far above the override of 1.
-    for i in 0..4u32 {
-        let a = rt
-            .stack_table()
-            .intern(&[rt.frame_table().intern("fa", "x.rs", i)]);
-        let b = rt
-            .stack_table()
-            .intern(&[rt.frame_table().intern("fb", "x.rs", i)]);
-        rt.history().add(CycleKind::Deadlock, vec![a, b], 4);
-    }
-    assert_eq!(rt.stats().occupancy_clamps, 0, "no rebuild ran yet");
-    // Any request against the stale view triggers the rebuild inline.
-    let t0 = rt.core().register_thread().unwrap();
-    let l = rt.new_lock_id();
-    let site = rt.make_site(&[("unrelated", "x.rs", 99)]);
-    rt.core().request(t0, l, site.frames(), site.stack());
-    assert_eq!(rt.stats().occupancy_clamps, 1, "override must be clamped");
-
-    // A compliant override (>= key count) is honored without a clamp.
-    let rt2 = Runtime::new(Config {
-        occupancy_slots: Some(1024),
-        ..quiet_config()
-    })
-    .unwrap();
-    let a = rt2
-        .stack_table()
-        .intern(&[rt2.frame_table().intern("fa", "x.rs", 0)]);
-    rt2.history().add(CycleKind::Deadlock, vec![a, a], 4);
-    let t0 = rt2.core().register_thread().unwrap();
-    let l = rt2.new_lock_id();
-    let site = rt2.make_site(&[("unrelated", "x.rs", 99)]);
-    rt2.core().request(t0, l, site.frames(), site.stack());
-    assert_eq!(rt2.stats().occupancy_clamps, 0);
-}

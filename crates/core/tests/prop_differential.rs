@@ -28,13 +28,13 @@ enum Step {
     Run(u8),
     /// Add a deadlock signature over sites `i`/`j` at `depth` — the
     /// empty→non-empty history transition happens mid-schedule. Followed
-    /// by a structural touch, so the sharded engine takes the full-rebuild
-    /// path.
+    /// by a structural touch, so the sharded engine's next rebuild builds a
+    /// fresh table.
     AddSig { i: u8, j: u8, depth: u8 },
     /// Add a deadlock signature *without* a structural touch: the bump is
-    /// a pure append, so the sharded engine's next rebuild takes the
-    /// publish-then-patch delta path (the reference always rebuilds
-    /// fully — the two paths must stay decision-identical).
+    /// a pure append, so the sharded engine's next rebuild extends its
+    /// view (the reference always rebuilds from scratch — the two must
+    /// stay decision-identical).
     AddSigDelta { i: u8, j: u8, depth: u8 },
 }
 
@@ -105,10 +105,11 @@ fn arb_hit_heavy_schedule() -> impl Strategy<Value = Vec<Step>> {
         })
 }
 
-/// Pure-append generator for the delta-rebuild path: signatures are
+/// Pure-append generator for extending rebuilds: signatures are
 /// injected mid-run *without* a structural touch, interleaved with decision
 /// traffic, so the sharded engine repeatedly extends its live match state
-/// (publish-then-patch over shared buckets) while requests race the bumps.
+/// (shared buckets, only the new keys' buckets filled) while requests race
+/// the bumps.
 /// The reference rebuilds fully on every bump; the decision streams must
 /// stay byte-identical.
 fn arb_delta_schedule() -> impl Strategy<Value = Vec<Step>> {
@@ -503,7 +504,7 @@ fn run_differential_full(
                 let a = sites[i as usize].1;
                 let b = sites[j as usize].1;
                 // No touch: the add itself is one pure-append generation
-                // bump, eligible for the sharded engine's delta patch.
+                // bump, which the sharded engine's rebuild can extend over.
                 rt.history().add(CycleKind::Deadlock, vec![a, b], depth);
             }
         }
@@ -562,9 +563,9 @@ proptest! {
 
     /// Same agreement when every mid-run history bump is a pure append
     /// (vaccination without a structural touch): the sharded engine's
-    /// delta rebuilds — extended layouts, shared buckets, tail-filtered
-    /// log patches — must be decision-identical to the reference's full
-    /// rebuilds, including bumps landing between a thread's entries being
+    /// extending rebuilds — extended layouts, shared buckets, a visit that
+    /// fills only the new keys' buckets — must be decision-identical to
+    /// the reference's full rebuilds, including bumps landing between a thread's entries being
     /// recorded and the cover searches that consume them.
     #[test]
     fn sharded_engine_matches_reference_delta_rebuilds(
@@ -709,13 +710,13 @@ fn retained_wake_registration_survives_unrelated_release() {
     );
 }
 
-/// A deterministic regression for the delta-rebuild patch: an entry
+/// A deterministic regression for the extending rebuild: an entry
 /// recorded as *irrelevant* (its suffix matched no signature member) must
-/// be found by the patch when a later pure-append bump makes its suffix a
+/// be found by the visit when a later pure-append bump makes its suffix a
 /// member key — and an entry bucketed *before* the bump must survive in
 /// its shared bucket. Both covers must then fire, in lockstep with the
-/// reference, and the sharded engine must have taken the delta path (not
-/// fallen back to a full rebuild).
+/// reference, and the sharded engine must have extended its view (not
+/// fallen back to a fresh table).
 #[test]
 fn mid_run_append_bump_patches_live_state_in_lockstep() {
     let schedule = vec![
@@ -732,8 +733,8 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
             depth: 2,
         },
         Step::Run(2), // T2 requests L1 via site 3: the cover needs T0's
-        // (L0, site 2) entry, which only the delta patch
-        // could have bucketed → YIELD
+        // (L0, site 2) entry, which only the rebuild's
+        // visit could have bucketed → YIELD
         Step::Run(3), // T3 requests L3 via site 1: the cover needs T1's
                       // (L2, site 0) entry, surviving in a shared bucket → YIELD
     ];
@@ -748,14 +749,102 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
     assert_eq!(
         decisions,
         vec![true, true, false, false],
-        "two holder GOs, then one cover out of a patched bucket and one out of a shared bucket"
+        "two holder GOs, then one cover out of a visited bucket and one out of a shared bucket"
     );
     assert!(
         stats.rebuilds_delta >= 1,
-        "the mid-run append must have taken the delta path (delta={} full={})",
+        "the mid-run append must have extended the view (delta={} full={})",
         stats.rebuilds_delta,
         stats.rebuilds_full
     );
+}
+
+/// The fallback from extending to a fresh table: an append batch that
+/// outgrows the inherited fingerprint array is rebuilt fresh, once; an
+/// entry held across that rebuild (bucketed or log-only before it) is
+/// still found by the next cover, in lockstep with the reference; and the
+/// following small append extends again.
+#[test]
+fn outgrowing_the_fingerprints_rebuilds_fresh_once_then_extends_again() {
+    let config = || Config {
+        max_threads: 8,
+        ..Config::default()
+    };
+    let rt = Runtime::new(config()).unwrap();
+    let reference = ReferenceCore::new(
+        config(),
+        Arc::clone(rt.history()),
+        Arc::clone(rt.stack_table()),
+    );
+    let site = |p: u32| rt.make_site(&[("caller", "grow.rs", p), ("inner", "grow.rs", 100 + p)]);
+    let add = |i: u32, j: u32| {
+        rt.history()
+            .add(
+                CycleKind::Deadlock,
+                vec![site(i).stack(), site(j).stack()],
+                2,
+            )
+            .expect("fresh signature");
+    };
+    // Every step runs through both engines and must decide alike.
+    let request = |t: ThreadId, l: LockId, p: u32| -> bool {
+        let s = site(p);
+        let a = <Runtime as Hooks>::request(&rt, t, l, s.frames(), s.stack());
+        let b = Hooks::request(&reference, t, l, s.frames(), s.stack());
+        assert_eq!(a, b, "engines disagree on site {p}");
+        if a {
+            Hooks::acquired(&rt, t, l, s.stack());
+            Hooks::acquired(&reference, t, l, s.stack());
+        }
+        a
+    };
+    let threads: Vec<ThreadId> = (0..5)
+        .map(|_| {
+            let t = rt.core().register_thread().unwrap();
+            assert_eq!(reference.register_thread(), Some(t));
+            t
+        })
+        .collect();
+    let locks: Vec<LockId> = (0..8).map(|_| rt.new_lock_id()).collect();
+
+    // Two keys: the first build sizes four fingerprints.
+    add(0, 1);
+    assert!(request(threads[0], locks[0], 0), "bucketed holder");
+    assert!(request(threads[1], locks[1], 2), "log-only holder");
+    assert!(
+        request(threads[0], locks[4], 6),
+        "log-only holder, for later"
+    );
+    let before = rt.stats();
+    assert_eq!((before.rebuilds_full, before.rebuilds_delta), (1, 0));
+
+    // Six more keys in pure appends: eight do not fit four fingerprints.
+    add(2, 3);
+    add(10, 11);
+    add(12, 13);
+    assert!(
+        !request(threads[2], locks[2], 1),
+        "cover over the entry bucketed before the fresh build"
+    );
+    assert!(
+        !request(threads[3], locks[3], 3),
+        "cover over the entry only the fresh build's visit could bucket"
+    );
+    let grown = rt.stats();
+    assert_eq!(
+        (grown.rebuilds_full, grown.rebuilds_delta),
+        (2, 0),
+        "outgrown fingerprints: one fresh build, no extension"
+    );
+
+    // Two more keys fit the re-sized array: this one extends.
+    add(6, 7);
+    assert!(
+        !request(threads[4], locks[5], 7),
+        "cover over an entry the extension's visit bucketed"
+    );
+    let after = rt.stats();
+    assert_eq!((after.rebuilds_full, after.rebuilds_delta), (2, 1));
 }
 
 /// A deterministic regression for the empty→non-empty transition: entries

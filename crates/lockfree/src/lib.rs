@@ -47,7 +47,6 @@
 
 pub mod backoff;
 pub mod epoch;
-pub mod mix;
 pub mod mpsc;
 pub mod occupancy;
 pub mod pad;
@@ -59,7 +58,6 @@ pub mod wakelist;
 
 pub use backoff::Backoff;
 pub use epoch::EpochCell;
-pub use mix::mix64;
 pub use mpsc::MpscQueue;
 pub use occupancy::OccupancyArray;
 pub use pad::CachePadded;

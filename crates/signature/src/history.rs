@@ -104,7 +104,7 @@ pub struct HistoryRecovery {
 }
 
 /// What happened to the history between two generations, as reported by
-/// [`History::delta_since`].
+/// [`History::delta_between`].
 #[derive(Clone, Debug)]
 pub enum HistoryDelta {
     /// Every bump in the span was a pure append; the listed signatures (in
@@ -147,7 +147,7 @@ pub struct History {
     next_id: AtomicU64,
     /// Where [`History::save`] writes; set by [`History::open`].
     path: Mutex<Option<PathBuf>>,
-    /// Per-bump delta journal consumed by [`History::delta_since`]. The
+    /// Per-bump delta journal consumed by [`History::delta_between`]. The
     /// lock also serializes generation bumps, so journal entries are
     /// contiguous in generation and a reader that observed generation `g`
     /// (`SeqCst`) is guaranteed to find `g`'s entry journaled.
@@ -288,8 +288,11 @@ impl History {
         new_list.extend(guard.list.iter().cloned());
         new_list.extend(added.iter().cloned());
         guard.list = Arc::new(new_list);
-        drop(guard);
+        // Bumped before the write lock drops, so a reader holding the read
+        // lock never sees a list ahead of the generation
+        // ([`History::snapshot_with_generation`]).
         self.bump(JournalEntry::Appended(added.clone()));
+        drop(guard);
         added
     }
 
@@ -302,8 +305,8 @@ impl History {
         };
         guard.members.remove(&sig.stacks);
         guard.list = Arc::new(guard.list.iter().filter(|s| s.id != id).cloned().collect());
-        drop(guard);
         self.bump(JournalEntry::Structural);
+        drop(guard);
         true
     }
 
@@ -327,6 +330,19 @@ impl History {
     /// Cheap immutable snapshot of the current signature list.
     pub fn snapshot(&self) -> Arc<Vec<Arc<Signature>>> {
         Arc::clone(&self.sigs.read().list)
+    }
+
+    /// The signature list together with the generation that produced it.
+    /// Every list change bumps the generation while still holding the list's
+    /// write lock, so the pair is consistent: the list holds exactly the
+    /// signatures [`History::delta_between`] accounts for up to that
+    /// generation, never one more. State stamped with the generation can
+    /// therefore be extended by a later delta without applying an append
+    /// twice. (A [`History::touch`] may still land in between; it changes no
+    /// list, and the stamp then reads as stale, which is the safe side.)
+    pub fn snapshot_with_generation(&self) -> (u64, Arc<Vec<Arc<Signature>>>) {
+        let guard = self.sigs.read();
+        (self.generation(), Arc::clone(&guard.list))
     }
 
     /// Number of signatures.
@@ -358,18 +374,20 @@ impl History {
         self.bump(JournalEntry::Structural);
     }
 
-    /// Classifies the span `(from, current]` of generation bumps for an
+    /// Classifies the span `(from, to]` of generation bumps for an
     /// incremental consumer whose cached state was built at generation
-    /// `from`. `from` values at or ahead of the current generation report an
-    /// empty append (nothing to do) — except values *beyond* it (e.g. a
-    /// sentinel view's `u64::MAX`), which are structural since the journal
-    /// can say nothing about them.
-    pub fn delta_since(&self, from: u64) -> HistoryDelta {
-        let current = self.generation();
-        if from == current {
+    /// `from` and is advancing to `to`, a generation it has observed. The
+    /// caller names `to` rather than letting this read the head again: state
+    /// stamped `to` must contain the appends up to `to` and no later one, or
+    /// the next delta would apply the later ones a second time. `from == to`
+    /// reports an empty append (nothing to do); `from > to` (e.g. a sentinel
+    /// view's `u64::MAX`) is structural, since the journal can say nothing
+    /// about it.
+    pub fn delta_between(&self, from: u64, to: u64) -> HistoryDelta {
+        if from == to {
             return HistoryDelta::Appended(Vec::new());
         }
-        if from > current {
+        if from > to {
             return HistoryDelta::Structural;
         }
         let journal = self.journal.lock();
@@ -379,7 +397,7 @@ impl History {
             if *gen <= from {
                 continue;
             }
-            if *gen > current {
+            if *gen > to {
                 break;
             }
             if *gen != expected {
@@ -391,9 +409,9 @@ impl History {
                 JournalEntry::Structural => return HistoryDelta::Structural,
             }
         }
-        // A gap at either end means the journal no longer covers the span
-        // (entries pruned past `JOURNAL_CAP`).
-        if expected != current + 1 {
+        // A gap at either end means the journal does not cover the span
+        // (entries pruned past `JOURNAL_CAP`, or `to` not reached yet).
+        if expected != to + 1 {
             return HistoryDelta::Structural;
         }
         HistoryDelta::Appended(sigs)
@@ -403,7 +421,7 @@ impl History {
         // The journal lock serializes bumps: each generation value gets
         // exactly one contiguous journal entry, and the entry is visible to
         // anyone who observed the bumped generation (their lock acquisition
-        // in `delta_since` synchronizes with this critical section).
+        // in `delta_between` synchronizes with this critical section).
         let mut journal = self.journal.lock();
         let gen = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
         journal.push_back((gen, entry));
@@ -1204,34 +1222,38 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_reports_pure_appends() {
+    fn delta_between_reports_pure_appends() {
         let env = Env::new();
         let h = History::new();
         let g0 = h.generation();
         let a = h
             .add(CycleKind::Deadlock, vec![env.stack(&[1])], 4)
             .unwrap();
+        let g1 = h.generation();
         let b = h
             .add(CycleKind::Deadlock, vec![env.stack(&[2])], 4)
             .unwrap();
-        match h.delta_since(g0) {
-            HistoryDelta::Appended(sigs) => {
-                assert_eq!(
-                    sigs.iter().map(|s| s.id).collect::<Vec<_>>(),
-                    vec![a.id, b.id]
-                );
-            }
+        let g2 = h.generation();
+        let ids = |from, to| match h.delta_between(from, to) {
+            HistoryDelta::Appended(sigs) => sigs.iter().map(|s| s.id).collect::<Vec<_>>(),
             HistoryDelta::Structural => panic!("append-only span reported structural"),
-        }
+        };
+        assert_eq!(ids(g0, g2), vec![a.id, b.id]);
+        // The span stops at the generation the consumer names, not at the
+        // head: what it stamps `g1` holds `a` only, and `b` comes once.
+        assert_eq!(ids(g0, g1), vec![a.id]);
+        assert_eq!(ids(g1, g2), vec![b.id]);
         // A consumer already at the head has nothing to do.
+        assert_eq!(ids(g2, g2), vec![]);
+        // A generation not reached yet is not covered by the journal.
         assert!(matches!(
-            h.delta_since(h.generation()),
-            HistoryDelta::Appended(s) if s.is_empty()
+            h.delta_between(g1, g2 + 1),
+            HistoryDelta::Structural
         ));
     }
 
     #[test]
-    fn delta_since_degrades_to_structural() {
+    fn delta_between_degrades_to_structural() {
         let env = Env::new();
         let h = History::new();
         let sig = h
@@ -1239,20 +1261,56 @@ mod tests {
             .unwrap();
         let g = h.generation();
         h.touch();
-        assert!(matches!(h.delta_since(g), HistoryDelta::Structural));
+        assert!(matches!(
+            h.delta_between(g, h.generation()),
+            HistoryDelta::Structural
+        ));
         let g = h.generation();
         h.add(CycleKind::Deadlock, vec![env.stack(&[2])], 4)
             .unwrap();
         h.remove(sig.id);
-        assert!(matches!(h.delta_since(g), HistoryDelta::Structural));
+        assert!(matches!(
+            h.delta_between(g, h.generation()),
+            HistoryDelta::Structural
+        ));
         // A from-generation ahead of the head (sentinel views) is structural.
-        assert!(matches!(h.delta_since(u64::MAX), HistoryDelta::Structural));
+        assert!(matches!(
+            h.delta_between(u64::MAX, h.generation()),
+            HistoryDelta::Structural
+        ));
         // A span starting before the journal's retention window is too.
         let g = h.generation();
         for i in 0..(JOURNAL_CAP as u32 + 8) {
             h.add(CycleKind::Deadlock, vec![env.stack(&[100 + i])], 4);
         }
-        assert!(matches!(h.delta_since(g), HistoryDelta::Structural));
+        assert!(matches!(
+            h.delta_between(g, h.generation()),
+            HistoryDelta::Structural
+        ));
+    }
+
+    /// A `(generation, list)` pair read while another thread appends holds
+    /// exactly the signatures the journal accounts for up to that
+    /// generation: one bump per add here, so as many as the generation.
+    #[test]
+    fn a_snapshot_never_runs_ahead_of_its_generation() {
+        let env = Env::new();
+        let h = History::new();
+        let stacks: Vec<StackId> = (0..2000).map(|i| env.stack(&[i])).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for &stack in &stacks {
+                    h.add(CycleKind::Deadlock, vec![stack], 4).unwrap();
+                }
+            });
+            loop {
+                let (gen, list) = h.snapshot_with_generation();
+                assert_eq!(list.len() as u64, gen, "list and generation disagree");
+                if list.len() == stacks.len() {
+                    break;
+                }
+            }
+        });
     }
 
     #[test]
@@ -1285,7 +1343,7 @@ mod tests {
         assert_eq!(h.generation(), g + 1, "one bump for the whole batch");
         assert_eq!(h.len(), 3);
         assert!(added.iter().all(|s| s.depth() == 2));
-        match h.delta_since(g) {
+        match h.delta_between(g, h.generation()) {
             HistoryDelta::Appended(sigs) => assert_eq!(sigs.len(), 2),
             HistoryDelta::Structural => panic!("batch append reported structural"),
         }
@@ -1332,7 +1390,7 @@ mod tests {
         let added = live.merge_file(&path, &env.frames, &env.stacks).unwrap();
         assert_eq!(added, h.len() - 1, "the known signature is skipped");
         assert_eq!(live.generation(), g + 1);
-        match live.delta_since(g) {
+        match live.delta_between(g, live.generation()) {
             HistoryDelta::Appended(sigs) => assert_eq!(sigs.len(), added),
             HistoryDelta::Structural => panic!("a merge is a pure append"),
         }

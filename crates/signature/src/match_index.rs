@@ -355,17 +355,16 @@ pub struct MatchIndex {
 impl MatchIndex {
     /// Builds an index over the current contents of `history`.
     pub fn build(history: &History, stacks: &StackTable) -> Self {
-        // Generation first, then ONE snapshot for both the layout and the
-        // candidate sets. Appends may land between the two reads; that
-        // direction is benign — the index then *contains* signatures newer
-        // than the generation it advertises, and the next (delta) rebuild
-        // re-derives them idempotently. What must never happen is the
-        // layout and the candidates coming from *different* snapshots: a
+        // ONE consistent (generation, snapshot) read for the stamp, the
+        // layout and the candidate sets. The stamp must not be older than
+        // the contents: a later `extended` over the delta since the stamp
+        // would push the newer signatures' candidates a second time (the
+        // layout dedups keys, the candidate sets do not). And the layout
+        // and the candidates must not come from *different* snapshots: a
         // candidate whose member key the layout missed has no slot to
         // resolve against (this was an observed panic under concurrent
         // vaccination).
-        let generation = history.generation();
-        let snapshot = history.snapshot();
+        let (generation, snapshot) = history.snapshot_with_generation();
         let layout = Arc::new(BucketLayout::build_from(&snapshot, stacks));
         let mut index = Self {
             generation,
@@ -502,6 +501,7 @@ impl MatchIndex {
 mod tests {
     use super::*;
     use crate::frame::FrameTable;
+    use crate::history::HistoryDelta;
     use crate::signature::CycleKind;
     use crate::stack::StackId;
 
@@ -787,6 +787,49 @@ mod tests {
             .map(|(_, m)| m)
             .unwrap();
         assert!(Arc::ptr_eq(base_d1, ext_d1), "depth-1 layer must be shared");
+    }
+
+    /// The engine's rebuild, step by step, with an `add` landing between
+    /// its generation read and its delta read. The delta must stop at the
+    /// generation the rebuild stamps its view with: a delta up to the head
+    /// would hand the racing signature to this extension *and* to the next
+    /// one, and the candidate sets — unlike the layout's keys — do not
+    /// dedup.
+    #[test]
+    fn an_append_racing_a_rebuild_is_applied_once() {
+        let env = Env::new();
+        let base = MatchIndex::build(&env.history, &env.stacks);
+        let add = |a: &[u32], b: &[u32]| {
+            env.history
+                .add(CycleKind::Deadlock, vec![env.stack(a), env.stack(b)], 2)
+                .unwrap()
+        };
+        let extend = |from: &MatchIndex, to: u64| {
+            let HistoryDelta::Appended(sigs) = env.history.delta_between(from.generation(), to)
+            else {
+                panic!("pure appends reported structural");
+            };
+            let layout = Arc::new(BucketLayout::extended(from.layout(), &sigs, &env.stacks));
+            MatchIndex::extended(from, to, layout, &sigs, &env.stacks)
+        };
+        add(&[1, 5, 6], &[2, 5, 7]);
+        let stamp = env.history.generation(); // the rebuild reads its stamp ...
+        add(&[3, 8, 9], &[4, 8, 10]); // ... and an `add` lands before its delta
+        let first = extend(&base, stamp);
+        let racing = env.frames_of(&[3, 8, 9]);
+        assert_eq!(
+            first.candidates(&racing).count(),
+            0,
+            "not yet: past the stamp"
+        );
+        let second = extend(&first, env.history.generation());
+        assert_eq!(
+            second.candidates(&racing).count(),
+            1,
+            "once, from its own delta"
+        );
+        assert_eq!(second.candidates(&env.frames_of(&[1, 5, 6])).count(), 1);
+        assert_eq!(second.key_count(), 4);
     }
 
     #[test]
