@@ -105,6 +105,16 @@ fn scripted_acquire_panic_reclaims_state_and_wakes_yielders() {
     assert_eq!(stats.panic_cleanups, 1, "{stats:?}");
     assert!(stats.orphan_wakes >= 1, "{stats:?}");
     assert_eq!(guard.fired().acquire_panics, 1);
+    // The victim died between its last GO and `acquired`; that grant was
+    // still unpublished and must be accounted for all the same: every
+    // counted outcome retired, plus the two thread exits.
+    rt.step_monitor();
+    let s = rt.stats();
+    assert_eq!(
+        s.events_processed,
+        s.requests + s.gos + s.yields + s.acquisitions + s.releases + 2,
+        "{s:?}"
+    );
 }
 
 /// Path 2a: a single monitor panic. The supervisor restarts the monitor
@@ -133,7 +143,9 @@ fn monitor_restart_resumes_detection_from_snapshot() {
     rt.core().request(t1, b, sb.frames(), sb.stack());
     rt.core().acquired(t1, b, sb.stack());
     rt.core().request(t0, b, sb.frames(), sb.stack());
+    rt.core().waiting(t0, b, sb.stack());
     rt.core().request(t1, a, sa.frames(), sa.stack());
+    rt.core().waiting(t1, a, sa.stack());
 
     rt.step_monitor(); // pass 2: scripted panic → respawn from snapshot
     rt.step_monitor(); // pass 3: fresh monitor drains the queued events
@@ -407,7 +419,9 @@ fn forced_lane_overflow_loses_no_events() {
     rt.core().request(t1, b, sb.frames(), sb.stack());
     rt.core().acquired(t1, b, sb.stack());
     rt.core().request(t0, b, sb.frames(), sb.stack());
+    rt.core().waiting(t0, b, sb.stack());
     rt.core().request(t1, a, sa.frames(), sa.stack());
+    rt.core().waiting(t1, a, sa.stack());
     rt.step_monitor();
 
     let stats = rt.stats();

@@ -39,13 +39,54 @@
 //!   and the current `MatchTable`) is published through an [`EpochCell`]
 //!   so `request` revalidates it with a single atomic load;
 //! * events flow to the monitor over per-thread SPSC lanes
-//!   ([`crate::lanes::EventLanes`]) instead of one contended MPSC tail.
+//!   ([`crate::lanes::EventLanes`]) instead of one contended MPSC tail, and
+//!   only the events the monitor's RAG needs: two per uncontended pair.
+//!
+//! # What the monitor is told: a GO is published only if the thread waits
+//!
+//! A `request` that ends in a GO publishes nothing. The grant is remembered
+//! in the thread's slot (`ThreadSlot::grant`, owner-only state), and the
+//! hook that learns how the attempt ended publishes it:
+//!
+//! * [`AvoidanceCore::acquired`] — the lock was free — publishes one
+//!   [`Event::Granted`], the GO and the acquisition together. The monitor
+//!   never sees the allow edge an [`Event::Go`] would have drawn, and never
+//!   needed to: the edge would be gone again within the same drain.
+//! * [`AvoidanceCore::waiting`] — the lock is taken and the thread is about
+//!   to block on it — publishes the `Go`; the later `acquired` then
+//!   publishes a plain [`Event::Acquired`].
+//! * [`AvoidanceCore::cancel`] withdraws an unpublished grant without ever
+//!   publishing it.
+//! * Any other hook that finds a grant still unpublished (a second
+//!   `request`, a `release`, the exit sweep — a hand-driven script, or a
+//!   thread that died between `request` and `acquired`) publishes it as a
+//!   plain `Go` first, so at most one grant is ever pending and none is
+//!   dropped.
+//!
+//! **A blocked thread has always published its allow edge.** Deadlock
+//! detection needs, for every thread stuck inside a mutex, the allow edge
+//! `T → L` and the hold edge `L → holder` in the RAG. The lock types call
+//! `waiting` after a failed `try_lock` and *before* the blocking `lock()` /
+//! `try_lock_for(..)` (one place: `crate::sync::acquire`), on the blocking
+//! thread itself, so the `Go` is in that thread's lane before it can block;
+//! the holder published its hold edge when it acquired, as before. A thread
+//! that never blocks never needed the edge. Relative to the blocking wait
+//! the `Go` is published where it always was — after the decision, before
+//! the wait — so detection lag is unchanged.
+//!
+//! What the avoidance side reads is unchanged too: a GO appends to the held
+//! stack and the buckets inside `request`, exactly as before, so another
+//! thread can name `(T′, L′)` as a yield cause while T′'s grant is still
+//! unpublished. That window existed already — the entry was bucketed before
+//! the `Go` was pushed, and lanes promise no cross-thread order — and the
+//! monitor treats a yield edge whose cause it cannot see yet as not pinned
+//! (`Rag::find_yield_cycles`), the safe direction.
 //!
 //! # Fast-path gating
 //!
 //! A `request` whose stack suffix hits no signature-member bucket (and that
-//! is not yielding) appends to its private `Allowed` log and publishes its
-//! events: zero shared synchronization. This is sound because an `Allowed`
+//! is not yielding) appends to its private `Allowed` log and remembers its
+//! grant: zero shared synchronization. This is sound because an `Allowed`
 //! entry whose own suffix matches no signature member can never participate
 //! in an exact cover (covers look entries up *by member suffix*), so
 //! omitting it from the shared buckets cannot change any decision.
@@ -213,7 +254,7 @@ use dimmunix_signature::{
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Answer of the `request` hook (§3): GO means it is safe — with respect to
@@ -595,8 +636,9 @@ pub(crate) struct ThreadSlot {
     /// Free [`WakeList`] nodes recycled by this thread. The pool's
     /// single-popper contract maps onto the engine's structure: only the
     /// owner thread pops (its own yield registrations recycle from here),
-    /// while any drain of *another* thread's wake list pushes consumed
-    /// nodes into the **draining** thread's own pool. Steady-state
+    /// while whichever cause thread drains one of this thread's nodes
+    /// pushes it back **here** — the node's payload names the yielder — so
+    /// a thread that only ever yields finds its nodes again. Steady-state
     /// yield/wake churn thus allocates nothing.
     wake_pool: WakeNodePool,
     /// Mirror of "this thread is registered as yielding", read by the
@@ -608,15 +650,27 @@ pub(crate) struct ThreadSlot {
     /// `std::thread::panicking()` is already false — so this latch is how
     /// the exit sweep still classifies the exit as a panic cleanup.
     panicked: AtomicBool,
+    /// The grant whose `Go` is not published yet (module docs, "What the
+    /// monitor is told"): its counted outcomes — 2 for a `request` and its
+    /// GO, 1 for a GO alone, **0 when none is pending** — with what was
+    /// granted in `grant_lock` / `grant_stack`. Owner-only: a thread's
+    /// hooks all run on that thread (or on whoever drives a simulated
+    /// one), and a slot changes hands only through the slot allocator,
+    /// after the exit sweep left `grant` at 0 — so relaxed loads and stores
+    /// do.
+    grant: AtomicU8,
+    grant_lock: AtomicU64,
+    grant_stack: AtomicU32,
 }
 
 /// What a yielding thread is waiting out.
 #[derive(Default)]
 pub(crate) struct YieldState {
-    /// Causes of the current yield (empty when not yielding).
+    /// Causes of the current yield (empty when not yielding, and for a
+    /// yield on a single-member signature, which has no other member).
     pub(crate) causes: Vec<YieldCause>,
-    /// The signature being avoided.
-    pub(crate) sig: Option<Arc<Signature>>,
+    /// Whether a yield is in force.
+    pub(crate) yielding: bool,
     /// Set by the monitor to break starvation: the thread must stop
     /// yielding and pursue its most recently requested lock (§3).
     pub(crate) broken: bool,
@@ -742,8 +796,8 @@ impl AvoidanceCore {
             // waiting out will never happen. The bucket removals above
             // precede this drain, so a woken yielder's re-request cannot
             // find the dead thread's entries and re-yield on them.
-            self.slots[slot].wake_list.drain_into(
-                &self.slots[slot].wake_pool,
+            self.slots[slot].wake_list.drain_to_pools(
+                |yielder| &self.slots[yielder as usize].wake_pool,
                 |_, yielder, epoch| {
                     let y = yielder as usize;
                     if self.slots[y].wake_epoch.load(Ordering::Acquire) == epoch {
@@ -754,6 +808,9 @@ impl AvoidanceCore {
                 },
             );
         }
+        // A grant the thread never got to act on (it died between `request`
+        // and `acquired`) still counts as a GO.
+        self.publish_grant(slot, t);
         self.lanes.push(slot, Event::ThreadExit { t });
         self.slot_alloc.release(slot);
     }
@@ -797,11 +854,11 @@ impl AvoidanceCore {
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
         let slot = t.0 as usize;
         Stats::bump(&self.stats.hot(slot).requests);
-        self.lanes.push(slot, Event::Request { t, l, stack });
+        self.publish_grant(slot, t);
 
         if self.config.mode == RuntimeMode::InstrumentationOnly {
             Stats::bump(&self.stats.hot(slot).gos);
-            self.lanes.push(slot, Event::Go { t, l, stack });
+            self.defer_go(slot, l, stack, 2);
             return Decision::Go;
         }
 
@@ -892,7 +949,7 @@ impl AvoidanceCore {
             None => {
                 self.clear_yield_state(slot);
                 Stats::bump(&self.stats.hot(slot).gos);
-                self.lanes.push(slot, Event::Go { t, l, stack });
+                self.defer_go(slot, l, stack, 2);
                 Decision::Go
             }
             Some(inst) => {
@@ -908,13 +965,14 @@ impl AvoidanceCore {
                 if self.config.enforce_yields {
                     let mut ys = self.slots[slot].yield_state.lock();
                     ys.causes = inst.causes;
-                    ys.sig = Some(Arc::clone(&inst.sig));
+                    ys.yielding = true;
                     ys.broken = false;
                     self.slots[slot].yield_set.store(true, Ordering::Relaxed);
                     Decision::Yield { sig: inst.sig }
                 } else {
+                    // The `Yield` event above accounts for the request.
                     Stats::bump(&self.stats.hot(slot).gos);
-                    self.lanes.push(slot, Event::Go { t, l, stack });
+                    self.defer_go(slot, l, stack, 1);
                     Decision::Go
                 }
             }
@@ -926,18 +984,83 @@ impl AvoidanceCore {
     /// most recently requested lock" (§3).
     pub fn force_go(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
         let slot = t.0 as usize;
+        self.publish_grant(slot, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.record_entry(slot, t, l, frames, stack);
             self.remove_yielding(t);
         }
         self.clear_yield_state(slot);
         Stats::bump(&self.stats.hot(slot).gos);
-        self.lanes.push(slot, Event::Go { t, l, stack });
+        // The `Yield` event of the request this overrides accounted for it.
+        self.defer_go(slot, l, stack, 1);
+    }
+
+    /// Remembers a GO instead of publishing it: `outcomes` is what the
+    /// eventual event must account for (2 = the `request` and its GO, 1 =
+    /// the GO alone). Every caller has published any earlier grant.
+    fn defer_go(&self, slot: usize, l: LockId, stack: StackId, outcomes: u8) {
+        let me = &self.slots[slot];
+        debug_assert_eq!(me.grant.load(Ordering::Relaxed), 0);
+        me.grant_lock.store(l.0, Ordering::Relaxed);
+        me.grant_stack.store(stack.0, Ordering::Relaxed);
+        me.grant.store(outcomes, Ordering::Relaxed);
+    }
+
+    /// Takes the unpublished grant, if there is one: what was granted and
+    /// its counted outcomes (as wide as the events carry them).
+    fn take_pending(&self, slot: usize) -> Option<(LockId, StackId, u32)> {
+        let me = &self.slots[slot];
+        let grant = me.grant.load(Ordering::Relaxed);
+        if grant == 0 {
+            return None;
+        }
+        me.grant.store(0, Ordering::Relaxed);
+        let l = LockId(me.grant_lock.load(Ordering::Relaxed));
+        let stack = StackId(me.grant_stack.load(Ordering::Relaxed));
+        Some((l, stack, grant.into()))
+    }
+
+    /// Publishes the unpublished grant, if there is one, as a plain `Go`:
+    /// what every hook other than the grant's own `waiting` / `acquired` /
+    /// `cancel` does first, so at most one grant is ever pending.
+    fn publish_grant(&self, slot: usize, t: ThreadId) {
+        if let Some((l, stack, grant)) = self.take_pending(slot) {
+            self.lanes.push(slot, Event::Go { t, l, stack, grant });
+        }
+    }
+
+    /// Consumes the unpublished grant if it is for `l`, returning its
+    /// counted outcomes (0 = there was none: the `Go` is already out, or
+    /// the caller never requested). A grant for any *other* lock is not the
+    /// caller's to consume and is published as a plain `Go`.
+    fn take_grant(&self, slot: usize, t: ThreadId, l: LockId) -> u32 {
+        match self.take_pending(slot) {
+            Some((granted, _, grant)) if granted == l => grant,
+            Some((l, stack, grant)) => {
+                self.lanes.push(slot, Event::Go { t, l, stack, grant });
+                0
+            }
+            None => 0,
+        }
+    }
+
+    /// The `waiting` hook: `t` was granted `l`, found it taken, and is about
+    /// to block on it. Publishes the grant's `Go` — the allow edge — so the
+    /// call must come **before** the blocking wait (module docs). A no-op
+    /// when that `Go` is already out.
+    pub fn waiting(&self, t: ThreadId, l: LockId, stack: StackId) {
+        let slot = t.0 as usize;
+        let grant = self.take_grant(slot, t, l);
+        if grant != 0 {
+            self.lanes.push(slot, Event::Go { t, l, stack, grant });
+        }
     }
 
     /// The `acquired` hook: the lock was actually obtained. The request's
     /// GO already pushed the held-stack entry, so this only counts and
-    /// publishes the event.
+    /// publishes one event: `Granted` (the GO and the acquisition) when the
+    /// thread never had to wait, `Acquired` when `waiting` already
+    /// published the GO.
     pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
         #[cfg(feature = "fault-inject")]
         if dimmunix_inject::should_panic_on_acquire(t.0 as usize) {
@@ -952,9 +1075,13 @@ impl AvoidanceCore {
                 t.0, l.0
             );
         }
-        Stats::bump(&self.stats.hot(t.0 as usize).acquisitions);
-        self.lanes
-            .push(t.0 as usize, Event::Acquired { t, l, stack });
+        let slot = t.0 as usize;
+        Stats::bump(&self.stats.hot(slot).acquisitions);
+        let event = match self.take_grant(slot, t, l) {
+            0 => Event::Acquired { t, l, stack },
+            grant => Event::Granted { t, l, stack, grant },
+        };
+        self.lanes.push(slot, event);
     }
 
     /// Reentrant re-acquisition (Java monitor / recursive mutex): no
@@ -964,6 +1091,7 @@ impl AvoidanceCore {
     /// bucket).
     pub fn acquired_reentrant(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
         let slot = t.0 as usize;
+        self.publish_grant(slot, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.record_entry(slot, t, l, frames, stack);
         }
@@ -1042,9 +1170,10 @@ impl AvoidanceCore {
                 .panicked
                 .store(true, std::sync::atomic::Ordering::Relaxed);
         }
+        let slot = t.0 as usize;
+        self.publish_grant(slot, t);
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            let slot = t.0 as usize;
             // Pop the innermost entry from our private log and decide —
             // against the view current at pop time — whether the shared
             // buckets ever saw it. The bucket removal (sequence bump) must
@@ -1071,8 +1200,9 @@ impl AvoidanceCore {
             if !me.wake_list.is_empty() {
                 let hot = self.stats.hot(slot);
                 Stats::bump(&hot.wake_drains);
-                me.wake_list
-                    .drain_into(&me.wake_pool, |key, yielder, epoch| {
+                me.wake_list.drain_to_pools(
+                    |yielder| &self.slots[yielder as usize].wake_pool,
+                    |key, yielder, epoch| {
                         let y = yielder as usize;
                         if self.slots[y].wake_epoch.load(Ordering::Acquire) != epoch {
                             // Retracted or superseded registration.
@@ -1085,18 +1215,21 @@ impl AvoidanceCore {
                             Stats::bump(&hot.wake_retained);
                             DrainVerdict::Retain
                         }
-                    });
+                    },
+                );
             }
         }
-        Stats::bump(&self.stats.hot(t.0 as usize).releases);
-        self.lanes.push(t.0 as usize, Event::Release { t, l });
+        Stats::bump(&self.stats.hot(slot).releases);
+        self.lanes.push(slot, Event::Release { t, l });
         wake
     }
 
     /// The `cancel` hook (§6): rolls back a granted-or-pending request after
-    /// a try/timed lock gave up.
+    /// a try/timed lock gave up. A grant that was never published is
+    /// withdrawn with it: the monitor hears of the cancel alone.
     pub fn cancel(&self, t: ThreadId, l: LockId) {
         let slot = t.0 as usize;
+        let grant = self.take_grant(slot, t, l);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             let popped = self.pop_entry(slot, l);
             if let Some((stack, Some((view, frames)))) = &popped {
@@ -1115,7 +1248,7 @@ impl AvoidanceCore {
             }
         }
         self.clear_yield_state(slot);
-        self.lanes.push(slot, Event::Cancel { t, l });
+        self.lanes.push(slot, Event::Cancel { t, l, grant });
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
@@ -1150,7 +1283,7 @@ impl AvoidanceCore {
         }
         let mut ys = self.slots[slot].yield_state.lock();
         ys.causes.clear();
-        ys.sig = None;
+        ys.yielding = false;
         ys.broken = false;
         self.slots[slot].yield_set.store(false, Ordering::Relaxed);
     }
@@ -1163,7 +1296,7 @@ impl AvoidanceCore {
             return false;
         }
         let mut ys = self.slots[slot].yield_state.lock();
-        if ys.causes.is_empty() && ys.sig.is_none() {
+        if !ys.yielding {
             return false;
         }
         ys.broken = true;
@@ -1179,7 +1312,7 @@ impl AvoidanceCore {
         if ys.broken {
             ys.broken = false;
             ys.causes.clear();
-            ys.sig = None;
+            ys.yielding = false;
             self.slots[slot].yield_set.store(false, Ordering::Relaxed);
             true
         } else {
@@ -1189,8 +1322,7 @@ impl AvoidanceCore {
 
     /// Whether `t` currently has an unconsumed yield in force.
     pub fn is_yielding(&self, t: ThreadId) -> bool {
-        let ys = self.slots[t.0 as usize].yield_state.lock();
-        !ys.causes.is_empty() || ys.sig.is_some()
+        self.slots[t.0 as usize].yield_state.lock().yielding
     }
 
     /// Probe: the yield causes currently registered for `t` — the
@@ -1216,7 +1348,7 @@ impl AvoidanceCore {
                 continue;
             }
             let ys = self.slots[slot].yield_state.lock();
-            if !ys.causes.is_empty() || ys.sig.is_some() {
+            if ys.yielding {
                 parked.push((ThreadId(slot as u64), ys.causes.clone()));
             }
         }

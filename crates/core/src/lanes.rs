@@ -230,20 +230,18 @@ impl std::fmt::Debug for EventLanes {
 mod tests {
     use super::*;
     use dimmunix_rag::{LockId, ThreadId};
-    use dimmunix_signature::StackId;
     use std::sync::Arc;
 
     fn ev(t: u64, l: u64) -> Event {
-        Event::Request {
+        Event::Release {
             t: ThreadId(t),
             l: LockId(l),
-            stack: StackId(0),
         }
     }
 
     fn key(e: &Event) -> (u64, u64) {
         match *e {
-            Event::Request { t, l, .. } => (t.0, l.0),
+            Event::Release { t, l } => (t.0, l.0),
             _ => unreachable!(),
         }
     }

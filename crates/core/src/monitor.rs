@@ -40,12 +40,13 @@
 //! runtime supervises it: a panic escaping a pass is caught, counted in
 //! [`Stats::monitor_restarts`], and the monitor is rebuilt via
 //! [`Monitor::respawn`] — a fresh instance seeded with the RAG snapshot
-//! taken at the end of the last *successful* pass ([`last_good`]), plus
-//! the predictor snapshot cloned at the same moment. Probe state may have
-//! been mid-mutation when the pass died, so open probes are abandoned (a
-//! missed calibration sample, never a correctness loss); the predictor
-//! resumes from its last-good clone so pre-panic lock orderings — and the
-//! condensation built over them — survive the restart.
+//! taken at the end of the last *successful* pass that changed it
+//! ([`last_good`]; idle passes reuse the snapshot they would only have
+//! re-cloned), plus the predictor snapshot cloned at the same moment.
+//! Probe state may have been mid-mutation when the pass died, so open
+//! probes are abandoned (a missed calibration sample, never a correctness
+//! loss); the predictor resumes from its last-good clone so pre-panic lock
+//! orderings — and the condensation built over them — survive the restart.
 //!
 //! After `Config::monitor_restart_budget` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
@@ -295,14 +296,18 @@ impl Monitor {
                 .fetch_max(hottest, std::sync::atomic::Ordering::Relaxed);
         }
         self.skew_tick = self.skew_tick.wrapping_add(1);
-        self.drain_events();
+        let mut busy = self.drain_events() > 0
+            || self
+                .predictor
+                .as_ref()
+                .is_some_and(Predictor::has_pending_work);
         self.detect_deadlocks();
         // Prediction runs after detection so that when a pattern both
         // fired and was predictable within one pass, the archived
         // signature carries the `detected` provenance and the prediction
         // deduplicates against it (not the other way around).
         self.predict();
-        self.detect_starvation(core, waker);
+        busy |= self.detect_starvation(core, waker);
         self.resolve_probes();
         if self.dirty {
             self.dirty = false;
@@ -313,9 +318,15 @@ impl Monitor {
             }
         }
         // The pass completed: this RAG (and this predictor state) is a
-        // consistent restart point.
-        self.last_good = self.rag.clone();
-        self.last_good_predictor = self.predictor.clone();
+        // consistent restart point. An idle pass — no event applied, no
+        // enumeration pending, no yield broken — leaves the RAG as the
+        // snapshot already has it and moves only the predictor's aging
+        // clock, which a respawned monitor simply runs again; cloning both
+        // regardless made every idle tick O(held locks).
+        if busy {
+            self.last_good = self.rag.clone();
+            self.last_good_predictor = self.predictor.clone();
+        }
     }
 
     /// A fresh monitor inheriting this one's wiring (config, history,
@@ -356,26 +367,31 @@ impl Monitor {
         Stats::bump(&self.stats.monitor_passes);
         core.refresh_published();
         let lanes = Arc::clone(&self.lanes);
-        let drained = lanes.drain(DRAIN_CAP, |_| {});
+        let mut retired = 0_u64;
+        let drained = lanes.drain(DRAIN_CAP, |event| retired += event.outcomes());
         use std::sync::atomic::Ordering::Relaxed;
-        self.stats
-            .events_processed
-            .fetch_add(drained as u64, Relaxed);
+        self.stats.events_processed.fetch_add(retired, Relaxed);
         self.stats.events_last_drain.store(drained as u64, Relaxed);
         self.stats
             .lane_overflows
             .store(lanes.overflow_count(), Relaxed);
     }
 
-    fn drain_events(&mut self) {
+    /// Applies everything queued (up to [`DRAIN_CAP`]); returns how many
+    /// lane entries that was.
+    fn drain_events(&mut self) -> usize {
         let lanes = Arc::clone(&self.lanes);
-        let drained = lanes.drain(DRAIN_CAP, |event| self.apply(event));
+        // `events_processed` counts hook outcomes retired, not lane entries
+        // (one `Granted` stands for a request, its GO and the acquisition).
+        let mut retired = 0_u64;
+        let drained = lanes.drain(DRAIN_CAP, |event| {
+            retired += event.outcomes();
+            self.apply(event);
+        });
         use std::sync::atomic::Ordering::Relaxed;
-        self.stats
-            .events_processed
-            .fetch_add(drained as u64, Relaxed);
-        // Monitor-lag gauges: drain size per pass, peak lane depth, and
-        // cumulative overflow-path events.
+        self.stats.events_processed.fetch_add(retired, Relaxed);
+        // Monitor-lag gauges, in lane entries: drain size per pass, peak
+        // lane depth, and cumulative overflow-path events.
         self.stats.events_last_drain.store(drained as u64, Relaxed);
         self.stats
             .lane_high_water
@@ -383,22 +399,23 @@ impl Monitor {
         self.stats
             .lane_overflows
             .store(lanes.overflow_count(), Relaxed);
+        drained
     }
 
     fn apply(&mut self, event: Event) {
         match event {
-            Event::Request { t, l, stack } => self.rag.on_request(t, l, stack),
-            Event::Go { t, l, stack } => self.rag.on_go(t, l, stack),
+            Event::Go { t, l, stack, .. } => self.rag.on_go(t, l, stack),
             Event::Yield { t, l, stack, info } => {
                 self.rag.on_yield(t, l, stack, info.causes.clone());
                 self.open_probe(t, l, &info);
             }
+            Event::Granted { t, l, stack, .. } => {
+                self.rag.on_granted(t, l, stack);
+                self.note_acquired(t, l, stack);
+            }
             Event::Acquired { t, l, stack } => {
                 self.rag.on_acquired(t, l, stack);
-                if let Some(p) = &mut self.predictor {
-                    p.on_acquired(t, l, stack);
-                }
-                self.feed_probes(t, l, true);
+                self.note_acquired(t, l, stack);
             }
             Event::Release { t, l } => {
                 self.feed_probes(t, l, false);
@@ -407,7 +424,7 @@ impl Monitor {
                 }
                 self.rag.on_release(t, l);
             }
-            Event::Cancel { t, l } => {
+            Event::Cancel { t, l, .. } => {
                 self.rag.on_cancel(t, l);
                 // A cancelled yielder will never acquire the contested lock;
                 // close its probes by aging them out immediately.
@@ -424,6 +441,15 @@ impl Monitor {
                 self.rag.on_thread_exit(t);
             }
         }
+    }
+
+    /// What an acquisition feeds besides the RAG: the lock-order predictor
+    /// and the open false-positive probes.
+    fn note_acquired(&mut self, t: ThreadId, l: LockId, stack: StackId) {
+        if let Some(p) = &mut self.predictor {
+            p.on_acquired(t, l, stack);
+        }
+        self.feed_probes(t, l, true);
     }
 
     /// One budgeted prediction pass: archives every feasible order cycle
@@ -589,7 +615,10 @@ impl Monitor {
         }
     }
 
-    fn detect_starvation(&mut self, core: &AvoidanceCore, waker: &dyn Fn(ThreadId)) {
+    /// Returns whether a yield was broken (the one way this step edits the
+    /// RAG).
+    fn detect_starvation(&mut self, core: &AvoidanceCore, waker: &dyn Fn(ThreadId)) -> bool {
+        let mut broke = false;
         let cycles = self.rag.find_yield_cycles();
         for cycle in cycles {
             Stats::bump(&self.stats.starvations_detected);
@@ -614,6 +643,7 @@ impl Monitor {
                             // thread's own Go event arrives.
                             self.rag.on_cancel(victim.thread, LockId(u64::MAX));
                             waker(victim.thread);
+                            broke = true;
                         }
                     }
                 }
@@ -624,6 +654,7 @@ impl Monitor {
                 }
             }
         }
+        broke
     }
 
     /// Saves (or finds) the signature for a detected cycle and starts its
@@ -727,5 +758,68 @@ impl std::fmt::Debug for Monitor {
             .field("rag", &self.rag)
             .field("open_probes", &self.probes.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dimmunix_predict::PredictionConfig;
+
+    /// Idle passes skip the `last_good` clones; the snapshot a respawn
+    /// starts from must still be the busy pass's.
+    #[test]
+    fn a_respawn_after_idle_passes_keeps_the_busy_pass_snapshot() {
+        let config = Config {
+            history_path: None,
+            prediction: Some(PredictionConfig::default()),
+            ..Config::default()
+        };
+        let history = Arc::new(History::new());
+        let frames = Arc::new(FrameTable::new());
+        let stacks = Arc::new(StackTable::new());
+        let lanes = Arc::new(EventLanes::new(
+            config.max_threads,
+            config.event_lane_capacity,
+        ));
+        let stats = Arc::new(Stats::new());
+        let core = AvoidanceCore::new(
+            config.clone(),
+            Arc::clone(&history),
+            Arc::clone(&stacks),
+            Arc::clone(&lanes),
+            Arc::clone(&stats),
+        );
+        let mut monitor = Monitor::new(
+            config,
+            history,
+            Arc::clone(&frames),
+            Arc::clone(&stacks),
+            lanes,
+            stats,
+            Arc::new(Hooks::default()),
+        );
+
+        // Busy pass: `t` nests b inside a — two hold edges, one order edge.
+        let t = core.register_thread().unwrap();
+        let (a, b) = (LockId(1), LockId(2));
+        let site = [frames.intern("f", "m.rs", 1)];
+        let stack = stacks.intern(&site);
+        for l in [a, b] {
+            core.request(t, l, &site, stack);
+            core.acquired(t, l, stack);
+        }
+        monitor.step(&core, &|_| {});
+        let edges = |m: &Monitor| m.predictor.as_ref().unwrap().stats().edge_instances;
+        assert_eq!(monitor.rag.holds_of(t), 2);
+        assert_eq!(edges(&monitor), 1);
+
+        for _ in 0..3 {
+            monitor.step(&core, &|_| {});
+        }
+        let fresh = monitor.respawn();
+        assert_eq!(fresh.rag.held_locks(t), monitor.rag.held_locks(t));
+        assert_eq!(fresh.rag.holds_of(t), 2);
+        assert_eq!(edges(&fresh), 1);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::avoidance::Decision;
 use crate::runtime::Runtime;
-use crate::sync::request_until_go;
+use crate::sync::acquire;
 use dimmunix_rag::LockId;
 use dimmunix_signature::{FrameId, StackId};
 use parking_lot::lock_api::{RawMutex as RawMutexApi, RawMutexTimed};
@@ -69,6 +69,9 @@ impl Runtime {
 ///
 /// The caller is responsible for pairing [`RawLock::lock`] with
 /// [`RawLock::unlock`] on the same thread — exactly the pthreads contract.
+/// An uncontended pair tells the monitor two things (granted-and-acquired,
+/// release); a `lock` that finds the mutex taken publishes its allow edge
+/// before it blocks (see [`crate::sync`]).
 ///
 /// # Examples
 ///
@@ -108,9 +111,7 @@ impl RawLock {
             self.raw.lock();
             return;
         };
-        request_until_go(&self.runtime, t, self.id, &site.frames, site.stack, None);
-        self.raw.lock();
-        self.runtime.core().acquired(t, self.id, site.stack);
+        acquire(&self.runtime, &self.raw, t, self.id, site, None);
     }
 
     /// Non-blocking acquire (like `pthread_mutex_trylock`). Fails on
@@ -147,25 +148,7 @@ impl RawLock {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock_for(timeout);
         };
-        if !request_until_go(
-            &self.runtime,
-            t,
-            self.id,
-            &site.frames,
-            site.stack,
-            Some(deadline),
-        ) {
-            self.runtime.core().cancel(t, self.id);
-            return false;
-        }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if self.raw.try_lock_for(remaining) {
-            self.runtime.core().acquired(t, self.id, site.stack);
-            true
-        } else {
-            self.runtime.core().cancel(t, self.id);
-            false
-        }
+        acquire(&self.runtime, &self.raw, t, self.id, site, Some(deadline))
     }
 
     /// Releases the lock. Must be called by the thread that locked it.

@@ -116,7 +116,6 @@ impl ReferenceCore {
     /// enforced (the differential/bench harnesses run the default
     /// configuration).
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
-        self.queue.push(Event::Request { t, l, stack });
         let slot = t.0 as usize;
         let full = self.config.mode == RuntimeMode::Full;
         let instance = self.state.with(slot, |state| {
@@ -142,7 +141,12 @@ impl ReferenceCore {
         });
         match instance {
             None => {
-                self.queue.push(Event::Go { t, l, stack });
+                self.queue.push(Event::Go {
+                    t,
+                    l,
+                    stack,
+                    grant: 2,
+                });
                 Decision::Go
             }
             Some(inst) => {
@@ -218,7 +222,12 @@ impl ReferenceCore {
             Self::add_entry(state, t, l, frames, stack);
             state.yielding.remove(&t);
         });
-        self.queue.push(Event::Go { t, l, stack });
+        self.queue.push(Event::Go {
+            t,
+            l,
+            stack,
+            grant: 1,
+        });
     }
 
     /// The pre-refactor `cancel` hook.
@@ -227,7 +236,7 @@ impl ReferenceCore {
             Self::remove_entry_inner(&self.stacks, state, t, l);
             state.yielding.remove(&t);
         });
-        self.queue.push(Event::Cancel { t, l });
+        self.queue.push(Event::Cancel { t, l, grant: 0 });
     }
 
     /// Drains up to `cap` queued events (bench harness stands in for the

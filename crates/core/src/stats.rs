@@ -80,18 +80,32 @@ pub struct Stats {
     /// ([`crate::context`]). The share served from the tree is
     /// `1 - capture_misses / requests` when every lock is an RAII one.
     pub capture_misses: AtomicU64,
-    /// Events drained by the monitor.
+    /// Counted hook outcomes the monitor has retired: each applied event
+    /// adds [`crate::event::Event::outcomes`], not 1 — one `Granted` stands
+    /// for a request, its GO and the acquisition. At quiescence (every
+    /// hook returned, every event applied)
+    ///
+    /// ```text
+    /// events_processed == requests + gos + yields + acquisitions + releases
+    ///                     + cancel calls + thread exits
+    /// ```
+    ///
+    /// holds exactly, whichever events carried the outcomes — so "has the
+    /// monitor caught up with the hooks?" is a comparison of counters. How
+    /// many lane entries that took is `events_last_drain` /
+    /// `lane_overflows` / `lane_high_water`, which count entries.
     pub events_processed: AtomicU64,
     /// Monitor wakeups.
     pub monitor_passes: AtomicU64,
     /// Match-state rebuilds (bucket table + index + view republish).
     pub rebuilds: AtomicU64,
-    /// Monitor-lag gauge: events drained by the most recent monitor pass.
+    /// Monitor-lag gauge: lane entries drained by the most recent monitor
+    /// pass.
     pub events_last_drain: AtomicU64,
     /// Monitor-lag gauge: highest per-thread event-lane occupancy observed.
     pub lane_high_water: AtomicU64,
-    /// Monitor-lag gauge: cumulative events that overflowed a full lane
-    /// into the shared MPSC queue.
+    /// Monitor-lag gauge: cumulative lane entries that overflowed a full
+    /// lane into the shared MPSC queue.
     pub lane_overflows: AtomicU64,
     /// Occupancy-skew gauge: the highest live-entry count observed in any
     /// single `Allowed` bucket (updated by monitor passes; a hot bucket
@@ -427,13 +441,14 @@ pub struct StatsSnapshot {
     pub unsupervised_threads: u64,
     /// RAII lock operations that missed the thread's context tree.
     pub capture_misses: u64,
-    /// Events drained.
+    /// Counted hook outcomes retired by the monitor (see
+    /// [`Stats::events_processed`] for the identity).
     pub events_processed: u64,
     /// Monitor wakeups.
     pub monitor_passes: u64,
     /// Match-state rebuilds.
     pub rebuilds: u64,
-    /// Events drained by the most recent monitor pass.
+    /// Lane entries drained by the most recent monitor pass.
     pub events_last_drain: u64,
     /// Highest per-thread event-lane occupancy observed.
     pub lane_high_water: u64,

@@ -5,12 +5,20 @@
 //! guard routes `release` on drop. [`ReentrantLock`] mirrors a Java monitor
 //! (`synchronized`): reentrant, with per-level hold edges (§6).
 //!
+//! Every blocking acquisition — of these two types and of
+//! [`crate::raw::RawLock`], timed or not — is one call of `acquire` below:
+//! request until GO, try the mutex, and only if it is taken tell the engine
+//! the thread is `waiting` before blocking on it. An uncontended
+//! `lock()`/`unlock()` therefore publishes two events to the monitor, a
+//! contended one three.
+//!
 //! The call stack recorded with each operation is the thread's
 //! [`crate::context`] frame stack plus the lock call site (captured with
 //! `#[track_caller]`), giving signatures the same shape as the paper's.
 
 use crate::avoidance::Decision;
 use crate::context;
+use crate::raw::LockSite;
 use crate::runtime::{ParkOutcome, Runtime};
 use crate::stats::Stats;
 use dimmunix_rag::{LockId, ThreadId};
@@ -22,7 +30,7 @@ use std::marker::PhantomData;
 use std::panic::Location;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process-unique token identifying a thread (used for reentrancy ownership
 /// independently of Dimmunix registration).
@@ -39,18 +47,18 @@ fn thread_token() -> u64 {
 /// max-yield bound and monitor-initiated breaks), without acquiring the
 /// underlying lock. Returns `false` if the caller should give up
 /// (`deadline` exceeded before a GO, only possible for timed locks).
-pub(crate) fn request_until_go(
+fn request_until_go(
     runtime: &Runtime,
     t: ThreadId,
     id: LockId,
     frames: &[FrameId],
     stack: StackId,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> bool {
     let core = runtime.core();
     loop {
         if let Some(d) = deadline {
-            if std::time::Instant::now() >= d {
+            if Instant::now() >= d {
                 return false;
             }
         }
@@ -75,6 +83,44 @@ pub(crate) fn request_until_go(
             },
         }
     }
+}
+
+/// The blocking acquisition shared by every lock type: drives the request
+/// to a GO, takes `raw`, and tells the engine how it went — `acquired`, or
+/// `cancel` when `deadline` (timed locks only) passed first, in which case
+/// `false` is returned and `raw` is not held.
+///
+/// This is the one place a supervised thread blocks inside a mutex, and so
+/// the one place that owes the monitor the allow edge first: `waiting` is
+/// called after the `try_lock` failed and before the blocking call (see the
+/// `avoidance` module docs). When the mutex is free the thread never waits
+/// and `acquired` publishes the grant and the acquisition as one event.
+pub(crate) fn acquire(
+    runtime: &Runtime,
+    raw: &RawMutex,
+    t: ThreadId,
+    id: LockId,
+    site: &LockSite,
+    deadline: Option<Instant>,
+) -> bool {
+    let core = runtime.core();
+    let locked = request_until_go(runtime, t, id, &site.frames, site.stack, deadline)
+        && (raw.try_lock() || {
+            core.waiting(t, id, site.stack);
+            match deadline {
+                None => {
+                    raw.lock();
+                    true
+                }
+                Some(d) => raw.try_lock_for(d.saturating_duration_since(Instant::now())),
+            }
+        });
+    if locked {
+        core.acquired(t, id, site.stack);
+    } else {
+        core.cancel(t, id);
+    }
+    locked
 }
 
 /// Records a max-yield-duration abort and applies the auto-disable policy
@@ -158,9 +204,7 @@ impl<T: ?Sized> ImmunizedMutex<T> {
             };
         };
         let site = context::lock_site(&self.runtime, site);
-        request_until_go(&self.runtime, t, self.id, &site.frames, site.stack, None);
-        self.raw.lock();
-        self.runtime.core().acquired(t, self.id, site.stack);
+        acquire(&self.runtime, &self.raw, t, self.id, &site, None);
         ImmunizedMutexGuard {
             lock: self,
             tid: Some(t),
@@ -211,7 +255,7 @@ impl<T: ?Sized> ImmunizedMutex<T> {
     #[track_caller]
     pub fn try_lock_for(&self, timeout: Duration) -> Option<ImmunizedMutexGuard<'_, T>> {
         let site = Location::caller();
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let Some(t) = self.runtime.current_thread() else {
             return self
                 .raw
@@ -223,30 +267,13 @@ impl<T: ?Sized> ImmunizedMutex<T> {
                 });
         };
         let site = context::lock_site(&self.runtime, site);
-        let go = request_until_go(
-            &self.runtime,
-            t,
-            self.id,
-            &site.frames,
-            site.stack,
-            Some(deadline),
-        );
-        if !go {
-            self.runtime.core().cancel(t, self.id);
-            return None;
-        }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if self.raw.try_lock_for(remaining) {
-            self.runtime.core().acquired(t, self.id, site.stack);
-            Some(ImmunizedMutexGuard {
+        acquire(&self.runtime, &self.raw, t, self.id, &site, Some(deadline)).then_some(
+            ImmunizedMutexGuard {
                 lock: self,
                 tid: Some(t),
                 _not_send: PhantomData,
-            })
-        } else {
-            self.runtime.core().cancel(t, self.id);
-            None
-        }
+            },
+        )
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -381,9 +408,7 @@ impl ReentrantLock {
             };
         }
         if let Some((t, site)) = &supervised {
-            request_until_go(&self.runtime, *t, self.id, &site.frames, site.stack, None);
-            self.raw.lock();
-            self.runtime.core().acquired(*t, self.id, site.stack);
+            acquire(&self.runtime, &self.raw, *t, self.id, site, None);
         } else {
             self.raw.lock();
         }

@@ -45,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Pairs per burst: four events each, well inside the 1024-slot lane.
+/// Pairs per burst: two events each, well inside the 1024-slot lane.
 const BURST: usize = 200;
 const BURSTS: usize = 50;
 

@@ -72,6 +72,18 @@ impl AbbaWorld {
         }
     }
 
+    /// `t` is granted `l`, finds it taken and blocks on it: the `waiting`
+    /// hook publishes the allow edge a deadlock cycle runs through.
+    fn block_on(
+        &self,
+        t: dimmunix_core::ThreadId,
+        l: dimmunix_core::LockId,
+        site: &dimmunix_core::LockSite,
+    ) {
+        assert!(matches!(self.request(t, l, site), Decision::Go));
+        self.rt.core().waiting(t, l, site.stack());
+    }
+
     /// Drives both threads into the classic deadlocked state (as seen by
     /// the monitor) and lets the monitor capture the signature.
     fn run_first_deadlock(&self) {
@@ -80,15 +92,9 @@ impl AbbaWorld {
         // T1: update(B, A) — holds B, waits for A.
         self.acquire(self.t1, self.lock_b, &self.site_b_first);
         // Both now request the opposite lock; with an empty history both get
-        // GO, which is the deadlock.
-        assert!(matches!(
-            self.request(self.t0, self.lock_b, &self.site_second),
-            Decision::Go
-        ));
-        assert!(matches!(
-            self.request(self.t1, self.lock_a, &self.site_second),
-            Decision::Go
-        ));
+        // GO and block, which is the deadlock.
+        self.block_on(self.t0, self.lock_b, &self.site_second);
+        self.block_on(self.t1, self.lock_a, &self.site_second);
         self.rt.step_monitor();
     }
 }
@@ -170,6 +176,38 @@ fn second_encounter_is_avoided_by_yield() {
         w.request(w.t0, w.lock_a, &w.site_a_first),
         Decision::Go
     ));
+}
+
+/// A hand-off that only ever goes one way — T0 always the yielder, T1 always
+/// the cause — must recycle its wake node: T1's drain returns it to T0's
+/// pool, where T0's next registration looks for it.
+#[test]
+fn one_way_handoffs_recycle_the_yielders_wake_node() {
+    const ROUNDS: u64 = 50;
+    let w = AbbaWorld::new(quiet_config());
+    w.run_first_deadlock();
+    w.rt.core().release(w.t0, w.lock_a);
+    w.rt.core().release(w.t1, w.lock_b);
+    w.rt.core().cancel(w.t0, w.lock_b);
+    w.rt.core().cancel(w.t1, w.lock_a);
+    w.rt.step_monitor();
+
+    for _ in 0..ROUNDS {
+        w.acquire(w.t1, w.lock_b, &w.site_b_first);
+        let d = w.request(w.t0, w.lock_a, &w.site_a_first);
+        assert!(matches!(d, Decision::Yield { .. }), "{d:?}");
+        assert_eq!(w.rt.core().release(w.t1, w.lock_b), vec![w.t0]);
+        w.acquire(w.t0, w.lock_a, &w.site_a_first);
+        w.rt.core().release(w.t0, w.lock_a);
+    }
+    let stats = w.rt.stats();
+    assert_eq!(stats.yields, ROUNDS);
+    assert_eq!(stats.wake_pool_hits + stats.wake_pool_misses, ROUNDS);
+    assert!(
+        stats.wake_pool_misses <= 2,
+        "{} misses",
+        stats.wake_pool_misses
+    );
 }
 
 #[test]
@@ -264,8 +302,10 @@ fn starvation_is_detected_saved_and_broken() {
     rt.core().acquired(t1, b, site_sb.stack());
     rt.core()
         .request(t0, b, site_other.frames(), site_other.stack());
+    rt.core().waiting(t0, b, site_other.stack());
     rt.core()
         .request(t1, a, site_other.frames(), site_other.stack());
+    rt.core().waiting(t1, a, site_other.stack());
     rt.step_monitor();
     assert_eq!(rt.stats().deadlocks_detected, 1);
     // External recovery.
@@ -285,7 +325,8 @@ fn starvation_is_detected_saved_and_broken() {
     rt.core().acquired(t0, a, site_sa.stack());
     rt.core()
         .request(t0, c, site_other.frames(), site_other.stack());
-    // T0 is now "blocked" on C.
+    rt.core().waiting(t0, c, site_other.stack());
+    // T0 is now blocked on C.
     let d = rt.core().request(t1, b, site_sb.frames(), site_sb.stack());
     assert!(matches!(d, Decision::Yield { .. }), "got {d:?}");
 
@@ -340,8 +381,10 @@ fn strong_immunity_requests_restart_instead_of_breaking() {
     rt.core().acquired(t1, b, site_sb.stack());
     rt.core()
         .request(t0, b, site_other.frames(), site_other.stack());
+    rt.core().waiting(t0, b, site_other.stack());
     rt.core()
         .request(t1, a, site_other.frames(), site_other.stack());
+    rt.core().waiting(t1, a, site_other.stack());
     rt.step_monitor();
     rt.core().release(t0, a);
     rt.core().release(t1, b);
@@ -357,6 +400,7 @@ fn strong_immunity_requests_restart_instead_of_breaking() {
     rt.core().acquired(t0, a, site_sa.stack());
     rt.core()
         .request(t0, c, site_other.frames(), site_other.stack());
+    rt.core().waiting(t0, c, site_other.stack());
     rt.core().request(t1, b, site_sb.frames(), site_sb.stack());
     rt.step_monitor();
 

@@ -49,8 +49,11 @@ impl World {
         core.acquired(self.t0, a, self.sa.stack());
         core.request(self.t1, b, self.sb.frames(), self.sb.stack());
         core.acquired(self.t1, b, self.sb.stack());
+        // Both are granted the other's lock and block on it.
         core.request(self.t0, b, self.sb.frames(), self.sb.stack());
+        core.waiting(self.t0, b, self.sb.stack());
         core.request(self.t1, a, self.sa.frames(), self.sa.stack());
+        core.waiting(self.t1, a, self.sa.stack());
         self.rt.step_monitor();
         core.release(self.t0, a);
         core.release(self.t1, b);

@@ -34,8 +34,11 @@ fn seed_abba_signature(rt: &Runtime) {
     rt.core().acquired(t0, a, sa.stack());
     rt.core().request(t1, b, sb.frames(), sb.stack());
     rt.core().acquired(t1, b, sb.stack());
+    // Both are granted the other's lock and block on it.
     rt.core().request(t0, b, sb.frames(), sb.stack());
+    rt.core().waiting(t0, b, sb.stack());
     rt.core().request(t1, a, sa.frames(), sa.stack());
+    rt.core().waiting(t1, a, sa.stack());
     rt.step_monitor();
     assert_eq!(rt.history().len(), 1);
     rt.core().release(t0, a);
@@ -559,7 +562,9 @@ fn spawned_monitor_detects_in_background() {
     rt.core().request(t1, b, sb.frames(), sb.stack());
     rt.core().acquired(t1, b, sb.stack());
     rt.core().request(t0, b, sb.frames(), sb.stack());
+    rt.core().waiting(t0, b, sb.stack());
     rt.core().request(t1, a, sa.frames(), sa.stack());
+    rt.core().waiting(t1, a, sa.stack());
     // Wait for the background monitor to find it.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while rt.history().is_empty() && std::time::Instant::now() < deadline {

@@ -65,9 +65,10 @@ const POOL_CAP: u32 = 64;
 /// All *pops* of one pool must be serialized by the caller. The avoidance
 /// engine guarantees this structurally: each registered thread slot owns
 /// one pool, registration ([`WakeList::push_pooled`]) only ever draws from
-/// the *registering* thread's own pool, and a release returns drained
-/// nodes to the *draining* thread's own pool ([`WakeList::drain_into`]).
-/// With a single popper the Treiber pop is ABA-free: nobody else can
+/// the *registering* thread's own pool, and a drain returns each consumed
+/// node to the pool of the thread that registered it
+/// ([`WakeList::drain_to_pools`]) — the only pool a later registration of
+/// that thread can find it in. With a single popper the Treiber pop is ABA-free: nobody else can
 /// remove the observed head, so a successful CAS proves the head (and its
 /// `next` link) did not change. *Pushes* may come from any thread.
 ///
@@ -301,6 +302,19 @@ impl WakeList {
     pub fn drain_into(
         &self,
         pool: &WakeNodePool,
+        judge: impl FnMut(u64, u64, u64) -> DrainVerdict,
+    ) -> usize {
+        self.drain_to_pools(|_| pool, judge)
+    }
+
+    /// [`Self::drain_into`] with a pool per node: a consumed node goes to
+    /// `pool_of(payload)`. Pushers draw from their own pool and, with the
+    /// pusher's identity as the payload, this hands every node back to
+    /// where its pusher will look for it — returning them to the drainer's
+    /// pool instead starves a pusher that never drains (a one-way hand-off).
+    pub fn drain_to_pools<'p>(
+        &self,
+        pool_of: impl Fn(u64) -> &'p WakeNodePool,
         mut judge: impl FnMut(u64, u64, u64) -> DrainVerdict,
     ) -> usize {
         let mut p = self.head.swap(ptr::null_mut(), Ordering::SeqCst);
@@ -314,7 +328,7 @@ impl WakeList {
             match judge(key, payload, tag) {
                 DrainVerdict::Consume => {
                     consumed += 1;
-                    if !pool.push(p) {
+                    if !pool_of(payload).push(p) {
                         // SAFETY: Pool full; we still own the node.
                         drop(unsafe { Box::from_raw(p) });
                     }
@@ -413,6 +427,21 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![(3, 30), (4, 40), (5, 50)]);
         assert_eq!(pool.approx_len(), 3);
+    }
+
+    #[test]
+    fn each_consumed_node_returns_to_its_pushers_pool() {
+        let list = WakeList::new();
+        let pools = [WakeNodePool::new(), WakeNodePool::new()];
+        // Payload = the pusher, which draws from its own pool.
+        list.push_pooled(&pools[0], 1, 0, 0);
+        list.push_pooled(&pools[1], 1, 1, 0);
+        list.push_pooled(&pools[1], 2, 1, 0);
+        let consumed =
+            list.drain_to_pools(|who| &pools[who as usize], |_, _, _| DrainVerdict::Consume);
+        assert_eq!(consumed, 3);
+        assert_eq!(pools[0].approx_len(), 1);
+        assert_eq!(pools[1].approx_len(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct YieldCause {
     pub stack: StackId,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct WaitEdge {
     lock: LockId,
     #[allow(dead_code)] // Kept for DOT export and debugging.
@@ -39,7 +39,7 @@ struct WaitEdge {
     kind: WaitKind,
 }
 
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 struct ThreadNode {
     /// At most one outstanding request/allow edge: a thread waits for one
     /// lock at a time.
@@ -50,7 +50,7 @@ struct ThreadNode {
     holds: Vec<LockId>,
 }
 
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 struct LockNode {
     /// Hold-edge multiset: `(holder, acquisition stack)` per nesting level.
     /// For a mutex all entries share one holder thread.
@@ -118,7 +118,10 @@ pub struct RagStats {
 /// up-to-date view of the program's synchronization state" (§5.1); that is
 /// fine for cycle detection because deadlocked threads stop producing
 /// events, so the graph converges on exactly the stuck subset.
-#[derive(Clone, Default)]
+///
+/// Two graphs compare equal when every vertex, edge and pending-detection
+/// mark agrees (the equivalence the fused [`Rag::on_granted`] is tested to).
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Rag {
     threads: HashMap<ThreadId, ThreadNode>,
     locks: HashMap<LockId, LockNode>,
@@ -141,7 +144,10 @@ impl Rag {
         self.locks.entry(l).or_default()
     }
 
-    /// Applies a `request` event: `t` wants `l` with call stack `s`.
+    /// Draws a request edge: `t` wants `l` with call stack `s`. The monitor
+    /// has no event that is only this — every request ends in a `go` or a
+    /// `yield`, which draw the edge themselves — but a graph built by hand
+    /// may want it.
     pub fn on_request(&mut self, t: ThreadId, l: LockId, s: StackId) {
         self.thread_mut(t).waiting = Some(WaitEdge {
             lock: l,
@@ -197,6 +203,24 @@ impl Rag {
         self.dirty.insert(t);
         let waiters: Vec<ThreadId> = self.locks[&l].waiters.iter().copied().collect();
         self.dirty.extend(waiters);
+    }
+
+    /// Applies a `granted` event — `t` was allowed `l` and acquired it
+    /// without waiting: [`Rag::on_go`] then [`Rag::on_acquired`] in one
+    /// step. The allow edge the pair would draw and erase is never drawn;
+    /// whatever wait edge `t` had is gone (the `go` would have overwritten
+    /// it), as are its yield edges.
+    pub fn on_granted(&mut self, t: ThreadId, l: LockId, s: StackId) {
+        let node = self.thread_mut(t);
+        node.waiting = None;
+        node.yields.clear();
+        node.holds.push(l);
+        let lock = self.locks.entry(l).or_default();
+        lock.waiters.remove(&t);
+        lock.holders.push((t, s));
+        // As in `on_acquired`: every waiter of `l` now waits on `t`.
+        self.dirty.extend(lock.waiters.iter().copied());
+        self.dirty.insert(t);
     }
 
     /// Applies a `release` event: pops the innermost hold edge of `(t, l)`.

@@ -6,7 +6,9 @@
 //!
 //! * `request` — thread *T* wants lock *L* (present while a yield decision is
 //!   in force: the tentative allow edge is "flipped around" on YIELD);
-//! * `allow` — Dimmunix allowed *T* to block waiting for *L*;
+//! * `allow` — Dimmunix allowed *T* to block waiting for *L*; drawn only
+//!   for a thread that found *L* taken — a grant that acquires at once goes
+//!   straight to `hold` ([`graph::Rag::on_granted`]);
 //! * `hold` — *L* is held by *T*, labelled with the call stack *T* had at
 //!   acquisition time; a *multiset*, so reentrant locks are represented by
 //!   one hold edge per nesting level;

@@ -1,6 +1,6 @@
 //! Property-based tests of the RAG's soundness guarantees.
 
-use dimmunix_rag::{LockId, Rag, ThreadId};
+use dimmunix_rag::{LockId, Rag, ThreadId, YieldCause};
 use dimmunix_signature::StackId;
 use proptest::prelude::*;
 
@@ -98,10 +98,56 @@ proptest! {
         prop_assert_eq!(labels, (0..n as u32).collect::<Vec<_>>());
     }
 
+    /// `on_granted` — what the monitor applies for an uncontended grant —
+    /// leaves exactly the graph `on_go; on_acquired` leaves, from any prior
+    /// state: live yield edges, a request or allow edge on this or another
+    /// lock, other threads waiting on the lock, detection pending or not.
+    #[test]
+    fn granted_equals_go_then_acquired(
+        prior in prop::collection::vec((0_u8..7, 0_u8..4, 0_u8..4, 0_u32..3), 0..60),
+        detect in any::<bool>(),
+        t in 0_u8..4,
+        l in 0_u8..4,
+        s in 0_u32..3,
+    ) {
+        let mut fused = Rag::new();
+        for (op, t, l, s) in prior {
+            let (t, l, s) = (ThreadId(t.into()), LockId(l.into()), StackId(s));
+            match op {
+                0 => fused.on_request(t, l, s),
+                1 => fused.on_go(t, l, s),
+                2 => fused.on_acquired(t, l, s),
+                3 => fused.on_release(t, l),
+                4 => fused.on_cancel(t, l),
+                5 => fused.on_granted(t, l, s),
+                _ => {
+                    // Yield on `l` because of the next thread's hold on the
+                    // next lock.
+                    let cause = YieldCause {
+                        thread: ThreadId((t.0 + 1) % 4),
+                        lock: LockId((l.0 + 1) % 4),
+                        stack: s,
+                    };
+                    fused.on_yield(t, l, s, vec![cause]);
+                }
+            }
+        }
+        if detect {
+            let _ = fused.find_deadlock_cycles(); // consumes the dirty marks
+        }
+        let mut paired = fused.clone();
+        let (t, l, s) = (ThreadId(t.into()), LockId(l.into()), StackId(s));
+        fused.on_granted(t, l, s);
+        paired.on_go(t, l, s);
+        paired.on_acquired(t, l, s);
+        prop_assert!(fused == paired, "fused {fused:?} vs paired {paired:?}");
+        prop_assert_eq!(dimmunix_rag::dot::to_dot(&fused), dimmunix_rag::dot::to_dot(&paired));
+    }
+
     /// Arbitrary (even ill-formed) event sequences never panic the graph,
     /// and stats stay self-consistent.
     #[test]
-    fn arbitrary_events_never_panic(ops in prop::collection::vec((0_u8..5, 0_u8..4, 0_u8..4), 0..200)) {
+    fn arbitrary_events_never_panic(ops in prop::collection::vec((0_u8..6, 0_u8..4, 0_u8..4), 0..200)) {
         let mut rag = Rag::new();
         for (op, t, l) in ops {
             let t = ThreadId(t.into());
@@ -111,6 +157,7 @@ proptest! {
                 1 => rag.on_go(t, l, S),
                 2 => rag.on_acquired(t, l, S),
                 3 => rag.on_release(t, l),
+                4 => rag.on_granted(t, l, S),
                 _ => rag.on_cancel(t, l),
             }
             let _ = rag.find_deadlock_cycles();

@@ -322,6 +322,11 @@ impl Sim {
         if self.locks[lock].owner.is_none() {
             self.grant(v, lock, stack);
         } else {
+            // The one place a simulated thread blocks inside a mutex: its
+            // allow edge is published first, as `dimmunix_core`'s lock
+            // types do. (The shadow publishes its `Go` at the request.)
+            let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
+            self.rt.core().waiting(tid, lid, stack);
             self.locks[lock].waiters.push_back(v);
             self.threads[v].state = VState::Blocked(lock);
             self.threads[v].pending = Some((Vec::new(), stack));

@@ -34,6 +34,8 @@ fn main() {
     core.request(t22, l5, sx.frames(), sx.stack());
     core.acquired(t22, l5, sx.stack());
     core.request(t22, l7, sx.frames(), sx.stack());
+    // L7 is taken: T22 publishes its allow edge and blocks.
+    core.waiting(t22, l7, sx.stack());
 
     // Seed a signature {Sx, Sy} so T13's request yields (as in the figure).
     rt.history()
