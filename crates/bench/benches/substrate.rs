@@ -1,10 +1,8 @@
 //! Criterion micro-costs of the lock-free substrate and the interners:
-//! MPSC enqueue/dequeue, the three `Allowed`-set guards (tournament /
-//! filter / mutex — DESIGN.md ablation #1), stack interning and suffix
-//! matching.
+//! MPSC enqueue/dequeue, stack interning and suffix matching.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dimmunix_lockfree::{FilterLock, MpscQueue, TournamentLock};
+use criterion::{criterion_group, criterion_main, Criterion};
+use dimmunix_lockfree::MpscQueue;
 use dimmunix_signature::{suffix_matches, FrameTable, StackTable};
 
 fn bench_mpsc(c: &mut Criterion) {
@@ -25,38 +23,6 @@ fn bench_mpsc(c: &mut Criterion) {
             let mut sum = 0;
             q.drain(|v| sum += v);
             std::hint::black_box(sum);
-        });
-    });
-    g.finish();
-}
-
-fn bench_guards(c: &mut Criterion) {
-    let mut g = c.benchmark_group("allowed_set_guard");
-    for slots in [64_usize, 1024] {
-        g.bench_with_input(
-            BenchmarkId::new("tournament", slots),
-            &slots,
-            |b, &slots| {
-                let lock = TournamentLock::new(slots);
-                b.iter(|| {
-                    let guard = lock.lock(0);
-                    std::hint::black_box(&guard);
-                });
-            },
-        );
-        g.bench_with_input(BenchmarkId::new("filter", slots), &slots, |b, &slots| {
-            let lock = FilterLock::new(slots);
-            b.iter(|| {
-                let guard = lock.lock(0);
-                std::hint::black_box(&guard);
-            });
-        });
-    }
-    g.bench_function("parking_lot_mutex", |b| {
-        let lock = parking_lot::Mutex::new(());
-        b.iter(|| {
-            let guard = lock.lock();
-            std::hint::black_box(&guard);
         });
     });
     g.finish();
@@ -92,6 +58,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_millis(600))
         .warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_mpsc, bench_guards, bench_interning
+    targets = bench_mpsc, bench_interning
 }
 criterion_main!(benches);

@@ -94,7 +94,7 @@ fn main() {
             "Signatures",
             "Events/pass",
             "Lane high-water",
-            "Overflow events",
+            "Lane growths",
             "Hot bucket peak",
             "Occupancy skew [0 1 2-3 4-7 8-15 16-31 32-63 64+]",
             "Prediction [edges cycles sigs guard-suppr defer retired]",

@@ -8,8 +8,8 @@
 //!    mode with bounded yield waits;
 //! 3. the history file is torn (truncated / corrupted / crash before
 //!    rename) — the next boot salvages the valid prefix;
-//! 4. every event takes the lane-overflow path — detection must still see
-//!    the full stream.
+//! 4. every event forces its lane to hand over to a new block —
+//!    detection must still see the full stream.
 //!
 //! Scenarios serialize on the inject crate's global install lock, so they
 //! can share one process.
@@ -401,9 +401,10 @@ fn corrupted_history_is_salvaged_at_boot() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Path 4: forced lane-overflow pressure. Every event detours through the
-/// MPSC overflow queue, and the monitor must still assemble the full RAG —
-/// a deadlock built exclusively from overflow-path events is detected.
+/// Path 4: forced lane-overflow pressure. Every push links a new block, so
+/// the monitor crosses a block hand-over for every event and must still
+/// assemble the full RAG — a deadlock built exclusively from events that
+/// each sit alone in their block is detected.
 #[test]
 fn forced_lane_overflow_loses_no_events() {
     let guard = install(FaultPlan::none().force_lane_overflow());

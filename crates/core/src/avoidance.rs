@@ -39,8 +39,9 @@
 //!   and the current `MatchTable`) is published through an [`EpochCell`]
 //!   so `request` revalidates it with a single atomic load;
 //! * events flow to the monitor over per-thread SPSC lanes
-//!   ([`crate::lanes::EventLanes`]) instead of one contended MPSC tail, and
-//!   only the events the monitor's RAG needs: two per uncontended pair.
+//!   ([`crate::lanes::EventLanes`]) instead of the paper's one contended
+//!   MPSC tail, and only the events the monitor's RAG needs: two per
+//!   uncontended pair.
 //!
 //! # What the monitor is told: a GO is published only if the thread waits
 //!
@@ -203,7 +204,7 @@
 //! load-bearing: every cover search canonically sorts its snapshots by
 //! `(thread, lock, stack)` before solving, the reference engine sorts the
 //! same way, and lockstep decision streams stay byte-identical. After a
-//! validation-failure budget ([`Config::cover_retry_limit`]) the retry
+//! validation-failure budget (`COVER_RETRY_LIMIT`) the retry
 //! loop falls back to deciding while *holding* every bucket's write claim
 //! (ascending slot order) — the decision cannot be invalidated, the yield
 //! is registered before the claims drop (so a racing release's removal,
@@ -235,17 +236,17 @@
 //! both real OS threads (via [`crate::runtime::Runtime`]) and simulated
 //! threads (via `dimmunix-threadsim`) drive the same decision logic. The
 //! pre-refactor single-lock engine is preserved as
-//! [`crate::reference::ReferenceCore`] for differential testing and as the
-//! benchmark baseline; [`Guarded`] (the Peterson-style tournament guard of
-//! §5.6) now exists for its sake.
+//! [`crate::reference::ReferenceCore`], the oracle of the differential
+//! tests; its state sits behind a plain mutex (§5.6's Peterson-style guard
+//! is not reproduced).
 
-use crate::config::{Config, GuardKind, RuntimeMode};
+use crate::config::{Config, RuntimeMode};
 use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
 use dimmunix_lockfree::{
-    CachePadded, DrainVerdict, EpochCell, FilterLock, OccupancyArray, SlotAllocator,
-    TournamentLock, VersionedBucket, WakeList, WakeNodePool,
+    CachePadded, DrainVerdict, EpochCell, OccupancyArray, SlotAllocator, VersionedBucket, WakeList,
+    WakeNodePool,
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
@@ -253,7 +254,6 @@ use dimmunix_signature::{
     MatchIndex, MemberKey, Signature, StackId, StackTable,
 };
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -501,65 +501,6 @@ enum ViewCheck {
     Irrelevant,
     /// Current, fully swept view; the frames hit a member bucket.
     Relevant(Arc<MatchView>),
-}
-
-/// State of type `T` behind the configured mutual-exclusion guard
-/// (tournament tree / filter lock / mutex). Used by the reference engine;
-/// the production engine's state is sharded instead.
-pub(crate) struct Guarded<T> {
-    cell: UnsafeCell<T>,
-    guard: GuardImpl,
-}
-
-enum GuardImpl {
-    Tournament(TournamentLock),
-    Filter(FilterLock),
-    Mutex(Mutex<()>),
-}
-
-// SAFETY: All access to `cell` goes through `Guarded::with`, which
-// establishes mutual exclusion via the tournament/filter/mutex guard, so the
-// contained state is never aliased mutably.
-unsafe impl<T: Send> Send for Guarded<T> {}
-// SAFETY: See above.
-unsafe impl<T: Send> Sync for Guarded<T> {}
-
-impl<T> Guarded<T> {
-    pub(crate) fn new(kind: GuardKind, slots: usize, value: T) -> Self {
-        let guard = match kind {
-            GuardKind::Tournament => GuardImpl::Tournament(TournamentLock::new(slots)),
-            GuardKind::Filter => GuardImpl::Filter(FilterLock::new(slots)),
-            GuardKind::Mutex => GuardImpl::Mutex(Mutex::new(())),
-        };
-        Self {
-            cell: UnsafeCell::new(value),
-            guard,
-        }
-    }
-
-    /// Runs `f` with exclusive access to the state. `slot` identifies the
-    /// calling thread for the Peterson-style guards.
-    pub(crate) fn with<R>(&self, slot: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        match &self.guard {
-            GuardImpl::Tournament(t) => {
-                let _g = t.lock(slot);
-                // SAFETY: The tournament lock provides mutual exclusion
-                // among all slots, so no other `with` call can be accessing
-                // the cell concurrently.
-                f(unsafe { &mut *self.cell.get() })
-            }
-            GuardImpl::Filter(l) => {
-                let _g = l.lock(slot);
-                // SAFETY: As above, via the filter lock.
-                f(unsafe { &mut *self.cell.get() })
-            }
-            GuardImpl::Mutex(m) => {
-                let _g = m.lock();
-                // SAFETY: As above, via the mutex.
-                f(unsafe { &mut *self.cell.get() })
-            }
-        }
-    }
 }
 
 /// A thread's private `Allowed` log — the master copy of its entries — plus
@@ -862,6 +803,16 @@ impl AvoidanceCore {
             return Decision::Go;
         }
 
+        /// Bounded-retry budget of the optimistic cover decision: after
+        /// this many consecutive post-registration revalidation failures
+        /// on one `request` (a member bucket's version kept moving between
+        /// the optimistic read and the yield registration — adversarial
+        /// churn) the decision is made while *holding* every bucket's write
+        /// claim, which cannot be invalidated and so always terminates.
+        /// That serializes against bucket writers but keeps the request
+        /// path effectively wait-free; `Stats::cover_fallbacks` counts it.
+        const COVER_RETRY_LIMIT: u32 = 8;
+
         let full = self.config.mode == RuntimeMode::Full;
         let mut validation_failures = 0_u32;
         let instance = loop {
@@ -884,7 +835,7 @@ impl AvoidanceCore {
                     break None;
                 }
                 ViewCheck::Relevant(view) => {
-                    if full && validation_failures >= self.config.cover_retry_limit {
+                    if full && validation_failures >= COVER_RETRY_LIMIT {
                         // Adversarial churn kept invalidating the optimistic
                         // decision; decide once and for all under bucket
                         // write claims (a hit registers its yield before
@@ -1593,8 +1544,8 @@ impl AvoidanceCore {
         })
     }
 
-    /// The bounded-retry fallback decision (see [`Config::cover_retry_limit`]
-    /// and the module docs): runs the same search as [`Self::find_instance`]
+    /// The bounded-retry fallback decision (see `COVER_RETRY_LIMIT` in
+    /// [`Self::request`] and the module docs): runs the same search as [`Self::find_instance`]
     /// but while **holding every bucket's write claim** (taken in ascending
     /// slot order — the lowest tier of the engine lock order), so nothing
     /// can move under it and no post-registration revalidation is needed.

@@ -19,31 +19,6 @@ pub enum Immunity {
     Strong,
 }
 
-/// Which mutual-exclusion primitive guards the reference engine's
-/// monolithic shared state (§5.6).
-///
-/// The paper uses a generalization of Peterson's algorithm so that the
-/// avoidance code stays independent of the very lock implementation it
-/// supervises; an ordinary OS mutex works too and is faster uncontended —
-/// the `substrate` Criterion bench quantifies the trade (ablation #1 in
-/// DESIGN.md). The production [`crate::AvoidanceCore`] no longer has a
-/// guard at all: its cover/wake path is lock-free (versioned buckets +
-/// Treiber wake lists), so this knob now selects the guard of the
-/// preserved single-lock [`crate::ReferenceCore`] used for differential
-/// testing and benchmarking.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum GuardKind {
-    /// Tournament tree of two-thread Peterson locks: O(log n), loads/stores
-    /// only. The paper-faithful default.
-    #[default]
-    Tournament,
-    /// Textbook n-thread filter lock: O(n); only sensible for small thread
-    /// counts.
-    Filter,
-    /// `parking_lot::Mutex`.
-    Mutex,
-}
-
 /// How much of the runtime is active — used to reproduce Figure 8's overhead
 /// breakdown (instrumentation / + data-structure updates / + avoidance).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -105,14 +80,6 @@ pub struct Config {
     /// slots pre-allocated by the engine, which every rebuild visits (the
     /// paper evaluates up to 1024).
     pub max_threads: usize,
-    /// Capacity of each per-thread SPSC event lane (rounded up to a power
-    /// of two). A full lane overflows into the shared MPSC queue — correct
-    /// but contended — so size this to cover one monitor period of events
-    /// from the hottest thread. Lanes are allocated lazily per registered
-    /// thread.
-    pub event_lane_capacity: usize,
-    /// Guard for the shared avoidance state.
-    pub guard: GuardKind,
     /// Overhead-breakdown stage (Figure 8); [`RuntimeMode::Full`] for real
     /// use.
     pub mode: RuntimeMode,
@@ -124,16 +91,6 @@ pub struct Config {
     /// candidate signatures instead of scanning the whole history on every
     /// request (ablation; both are benchmarked).
     pub use_match_index: bool,
-    /// Bounded-retry budget for the optimistic cover decision: after this
-    /// many consecutive post-registration revalidation failures on one
-    /// `request` (a member bucket's version kept moving between the
-    /// optimistic read and the yield registration — adversarial churn), the
-    /// decision falls back to computing the cover while *holding* every
-    /// bucket's write claim, which cannot be invalidated and so always
-    /// terminates. The fallback serializes against bucket writers but keeps
-    /// the request path effectively wait-free; occurrences are counted in
-    /// [`crate::stats::Stats::cover_fallbacks`]. Default 8.
-    pub cover_retry_limit: u32,
     /// Structural false-positive accounting for the Figure 9 experiment:
     /// when set to the program's full stack depth `D`, every yield is
     /// classified immediately — a *true* positive if all instance bindings
@@ -171,12 +128,9 @@ impl Default for Config {
             prediction: None,
             history_path: None,
             max_threads: 4096,
-            event_lane_capacity: 1024,
-            guard: GuardKind::Tournament,
             mode: RuntimeMode::Full,
             enforce_yields: true,
             use_match_index: true,
-            cover_retry_limit: 8,
             structural_fp_reference_depth: None,
             monitor_restart_budget: 3,
             degraded_yield_wait: Duration::from_millis(50),

@@ -1,11 +1,11 @@
 //! The monitor thread (§5.2 and Figure 1).
 //!
-//! Periodically drains the per-thread event lanes (then their overflow
-//! queue), replays the events into the full [`Rag`], searches for deadlock
-//! and yield cycles, archives new signatures into the persistent history,
-//! breaks induced starvation (weak immunity) or requests a restart (strong
-//! immunity), and runs the retrospective false-positive analysis that feeds
-//! matching-depth calibration (§5.5).
+//! Periodically drains the per-thread event lanes, replays the events into
+//! the full [`Rag`], searches for deadlock and yield cycles, archives new
+//! signatures into the persistent history, breaks induced starvation (weak
+//! immunity) or requests a restart (strong immunity), and runs the
+//! retrospective false-positive analysis that feeds matching-depth
+//! calibration (§5.5).
 //!
 //! When [`Config::prediction`] is set, the monitor additionally feeds the
 //! drained acquisitions/releases into a lock-order-graph
@@ -22,8 +22,8 @@
 //! generation moved, so application threads never rebuild inline on the
 //! hot path.
 //!
-//! Events are per-thread FIFO (the lane layer guarantees it even across
-//! ring overflow), but cross-thread interleaving within one pass follows
+//! Events are per-thread FIFO (a lane is one queue, however many blocks it
+//! has grown to), but cross-thread interleaving within one pass follows
 //! lane order rather than global enqueue order. The RAG tolerates that:
 //! holds are multisets, detection runs only after the full drain, and a
 //! deadlocked thread stops producing events, so the graph still converges
@@ -390,8 +390,8 @@ impl Monitor {
         });
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.events_processed.fetch_add(retired, Relaxed);
-        // Monitor-lag gauges, in lane entries: drain size per pass, peak
-        // lane depth, and cumulative overflow-path events.
+        // Monitor-lag gauges: drain size per pass and peak lane depth, in
+        // lane entries, and cumulative blocks a lane had to grow by.
         self.stats.events_last_drain.store(drained as u64, Relaxed);
         self.stats
             .lane_high_water
@@ -780,7 +780,7 @@ mod tests {
         let stacks = Arc::new(StackTable::new());
         let lanes = Arc::new(EventLanes::new(
             config.max_threads,
-            config.event_lane_capacity,
+            crate::lanes::BLOCK_CAPACITY,
         ));
         let stats = Arc::new(Stats::new());
         let core = AvoidanceCore::new(

@@ -10,9 +10,8 @@
 //! the same engine calls with the same descriptor, looked up in the calling
 //! thread's context tree ([`crate::context`]) instead of being passed in.
 
-use crate::avoidance::Decision;
 use crate::runtime::Runtime;
-use crate::sync::acquire;
+use crate::sync::{acquire, try_acquire};
 use dimmunix_rag::LockId;
 use dimmunix_signature::{FrameId, StackId};
 use parking_lot::lock_api::{RawMutex as RawMutexApi, RawMutexTimed};
@@ -121,25 +120,7 @@ impl RawLock {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock();
         };
-        match self
-            .runtime
-            .core()
-            .request(t, self.id, &site.frames, site.stack)
-        {
-            Decision::Yield { .. } => {
-                self.runtime.core().cancel(t, self.id);
-                false
-            }
-            Decision::Go => {
-                if self.raw.try_lock() {
-                    self.runtime.core().acquired(t, self.id, site.stack);
-                    true
-                } else {
-                    self.runtime.core().cancel(t, self.id);
-                    false
-                }
-            }
-        }
+        try_acquire(&self.runtime, &self.raw, t, self.id, site)
     }
 
     /// Acquire with a timeout (like `pthread_mutex_timedlock`).

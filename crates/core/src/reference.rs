@@ -4,21 +4,19 @@
 //! double as held-lock stacks, epoch-published match view, per-thread
 //! event lanes), every
 //! `request`/`acquired`/`release` from every thread serialized through one
-//! global tournament-lock critical section around a monolithic state. This
-//! module keeps that engine alive for two purposes:
-//!
-//! * the **differential property test** (`tests/prop_differential.rs`)
-//!   replays random schedules through both engines and asserts byte-
-//!   identical GO/YIELD decision streams — the sharding must be a pure
-//!   performance refactor;
-//! * the **`hot_path` Criterion bench** measures the sharded engine's
-//!   request-path throughput against this one, so the speedup is a recorded
-//!   number rather than a claim.
+//! global critical section around a monolithic state. This module keeps
+//! that engine alive as an oracle: the **differential property test**
+//! (`tests/prop_differential.rs`), `prop_core` and the explorer's lockstep
+//! shadow replay schedules through both engines and assert byte-identical
+//! GO/YIELD decision streams — the sharding must be a pure performance
+//! refactor. The critical section is a plain mutex; the paper's
+//! Peterson-style guard (§5.6) is not reproduced, and nothing measures
+//! this engine's speed.
 //!
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
-use crate::avoidance::{Decision, Guarded};
+use crate::avoidance::Decision;
 use crate::config::{Config, RuntimeMode};
 use crate::event::{Event, YieldInfo};
 use dimmunix_lockfree::{MpscQueue, SlotAllocator};
@@ -26,6 +24,7 @@ use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
     suffix_matches, suffix_of, FrameId, History, MatchIndex, Signature, StackId, StackTable,
 };
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,8 +35,8 @@ struct AllowedEntry {
     stack: StackId,
 }
 
-/// The monolithic guarded state — owner map, master `Allowed` multiset,
-/// suffix buckets and yielding set all behind one guard.
+/// The monolithic state — owner map, master `Allowed` multiset, suffix
+/// buckets and yielding set all behind one mutex.
 struct RefState {
     entries: HashMap<(ThreadId, LockId), Vec<StackId>>,
     buckets: HashMap<u8, HashMap<Box<[FrameId]>, Vec<AllowedEntry>>>,
@@ -48,9 +47,9 @@ struct RefState {
     built_gen: u64,
 }
 
-/// The single-lock engine (see module docs). One guard, no fast path.
+/// The single-lock engine (see module docs). One mutex, no fast path.
 pub struct ReferenceCore {
-    state: Guarded<RefState>,
+    state: Mutex<RefState>,
     slot_alloc: SlotAllocator,
     max_threads: usize,
     history: Arc<History>,
@@ -64,19 +63,15 @@ impl ReferenceCore {
     pub fn new(config: Config, history: Arc<History>, stacks: Arc<StackTable>) -> Self {
         let n = config.max_threads;
         Self {
-            state: Guarded::new(
-                config.guard,
-                n + 1,
-                RefState {
-                    entries: HashMap::new(),
-                    buckets: HashMap::new(),
-                    depths: Vec::new(),
-                    index: None,
-                    owner: HashMap::new(),
-                    yielding: HashMap::new(),
-                    built_gen: u64::MAX,
-                },
-            ),
+            state: Mutex::new(RefState {
+                entries: HashMap::new(),
+                buckets: HashMap::new(),
+                depths: Vec::new(),
+                index: None,
+                owner: HashMap::new(),
+                yielding: HashMap::new(),
+                built_gen: u64::MAX,
+            }),
             slot_alloc: SlotAllocator::new(n),
             max_threads: n,
             history,
@@ -94,8 +89,8 @@ impl ReferenceCore {
 
     /// Deregisters `t`.
     pub fn unregister_thread(&self, t: ThreadId) {
-        let slot = t.0 as usize;
-        self.state.with(slot, |state| {
+        {
+            let state = &mut *self.state.lock();
             state.yielding.remove(&t);
             let stale: Vec<(ThreadId, LockId)> = state
                 .entries
@@ -106,9 +101,9 @@ impl ReferenceCore {
             for key in stale {
                 while Self::remove_entry_inner(&self.stacks, state, key.0, key.1).is_some() {}
             }
-        });
+        }
         self.queue.push(Event::ThreadExit { t });
-        self.slot_alloc.release(slot);
+        self.slot_alloc.release(t.0 as usize);
     }
 
     /// The pre-refactor `request` hook: one global critical section per
@@ -116,29 +111,28 @@ impl ReferenceCore {
     /// enforced (the differential/bench harnesses run the default
     /// configuration).
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
-        let slot = t.0 as usize;
         let full = self.config.mode == RuntimeMode::Full;
-        let instance = self.state.with(slot, |state| {
+        let instance = {
+            let state = &mut *self.state.lock();
             self.refresh(state);
             let instance = if full && !state.depths.is_empty() {
                 self.find_instance(state, t, l, frames, stack)
             } else {
                 None
             };
-            match instance {
+            match &instance {
                 None => {
                     Self::add_entry(state, t, l, frames, stack);
                     state.yielding.remove(&t);
-                    None
                 }
                 Some(inst) => {
                     state
                         .yielding
                         .insert(t, inst.2.iter().map(|c| (c.thread, c.lock)).collect());
-                    Some(inst)
                 }
             }
-        });
+            instance
+        };
         match instance {
             None => {
                 self.queue.push(Event::Go {
@@ -164,23 +158,25 @@ impl ReferenceCore {
 
     /// The pre-refactor `acquired` hook (guarded owner-map update).
     pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
-        self.state.with(t.0 as usize, |state| {
+        {
+            let mut state = self.state.lock();
             let owner = state.owner.entry(l).or_insert((t, 0));
             owner.0 = t;
             owner.1 += 1;
-        });
+        }
         self.queue.push(Event::Acquired { t, l, stack });
     }
 
     /// Reentrant re-acquisition: records the nesting level's entry.
     pub fn acquired_reentrant(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        self.state.with(t.0 as usize, |state| {
+        {
+            let state = &mut *self.state.lock();
             self.refresh(state);
             Self::add_entry(state, t, l, frames, stack);
             let owner = state.owner.entry(l).or_insert((t, 0));
             owner.0 = t;
             owner.1 += 1;
-        });
+        }
         self.queue.push(Event::Acquired { t, l, stack });
     }
 
@@ -188,7 +184,8 @@ impl ReferenceCore {
     /// causes inside the global critical section.
     pub fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let mut wake = Vec::new();
-        self.state.with(t.0 as usize, |state| {
+        {
+            let state = &mut *self.state.lock();
             Self::remove_entry_inner(&self.stacks, state, t, l);
             if let Some(owner) = state.owner.get_mut(&l) {
                 if owner.0 == t {
@@ -205,7 +202,7 @@ impl ReferenceCore {
                     }
                 }
             }
-        });
+        }
         self.queue.push(Event::Release { t, l });
         wake
     }
@@ -217,11 +214,12 @@ impl ReferenceCore {
     /// byte-identical bookkeeping to the sharded path, so lockstep shadows
     /// can follow starvation-break and timeout schedules.
     pub fn force_go(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        self.state.with(t.0 as usize, |state| {
+        {
+            let state = &mut *self.state.lock();
             self.refresh(state);
             Self::add_entry(state, t, l, frames, stack);
             state.yielding.remove(&t);
-        });
+        }
         self.queue.push(Event::Go {
             t,
             l,
@@ -232,14 +230,15 @@ impl ReferenceCore {
 
     /// The pre-refactor `cancel` hook.
     pub fn cancel(&self, t: ThreadId, l: LockId) {
-        self.state.with(t.0 as usize, |state| {
+        {
+            let state = &mut *self.state.lock();
             Self::remove_entry_inner(&self.stacks, state, t, l);
             state.yielding.remove(&t);
-        });
+        }
         self.queue.push(Event::Cancel { t, l, grant: 0 });
     }
 
-    /// Drains up to `cap` queued events (bench harness stands in for the
+    /// Drains up to `cap` queued events (the caller stands in for the
     /// monitor; single-consumer contract as on [`MpscQueue::pop`]).
     pub fn drain_events(&self, cap: usize) -> usize {
         let mut n = 0;

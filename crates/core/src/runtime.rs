@@ -17,7 +17,7 @@
 
 use crate::avoidance::AvoidanceCore;
 use crate::config::Config;
-use crate::lanes::EventLanes;
+use crate::lanes::{EventLanes, BLOCK_CAPACITY};
 use crate::monitor::{Hooks, Monitor};
 use crate::stats::{Stats, StatsSnapshot};
 use dimmunix_rag::{LockId, ThreadId};
@@ -157,12 +157,9 @@ impl Runtime {
             Some(path) => History::open(path, &frames, &stacks)?,
             None => History::new(),
         });
-        // Per-thread event lanes; rings are allocated lazily as threads
-        // register (see AvoidanceCore::register_thread).
-        let lanes = Arc::new(EventLanes::new(
-            config.max_threads,
-            config.event_lane_capacity,
-        ));
+        // Per-thread event lanes; a lane's first block is allocated when
+        // its thread registers (see AvoidanceCore::register_thread).
+        let lanes = Arc::new(EventLanes::new(config.max_threads, BLOCK_CAPACITY));
         let stats = Arc::new(Stats::new());
         if recovery.is_some() {
             Stats::bump(&stats.history_salvaged);

@@ -93,7 +93,7 @@ pub struct Stats {
     /// holds exactly, whichever events carried the outcomes — so "has the
     /// monitor caught up with the hooks?" is a comparison of counters. How
     /// many lane entries that took is `events_last_drain` /
-    /// `lane_overflows` / `lane_high_water`, which count entries.
+    /// `lane_high_water`, which count entries.
     pub events_processed: AtomicU64,
     /// Monitor wakeups.
     pub monitor_passes: AtomicU64,
@@ -102,10 +102,13 @@ pub struct Stats {
     /// Monitor-lag gauge: lane entries drained by the most recent monitor
     /// pass.
     pub events_last_drain: AtomicU64,
-    /// Monitor-lag gauge: highest per-thread event-lane occupancy observed.
+    /// Monitor-lag gauge: peak lane depth — the deepest backlog, in
+    /// entries, a monitor pass ever found waiting on one thread's event
+    /// lane. Not bounded by the lane's block size.
     pub lane_high_water: AtomicU64,
-    /// Monitor-lag gauge: cumulative lane entries that overflowed a full
-    /// lane into the shared MPSC queue.
+    /// Monitor-lag gauge: cumulative blocks event lanes grew by — one each
+    /// time a thread filled its lane's newest block before the monitor
+    /// emptied it. 0 while the monitor keeps up.
     pub lane_overflows: AtomicU64,
     /// Occupancy-skew gauge: the highest live-entry count observed in any
     /// single `Allowed` bucket (updated by monitor passes; a hot bucket
@@ -157,7 +160,7 @@ pub struct Stats {
     /// Full-rebuild latency histogram; bins as in `rebuild_us_delta_hist`.
     pub rebuild_us_full_hist: [AtomicU64; REBUILD_BINS],
     /// Cover decisions that exhausted the bounded optimistic-retry budget
-    /// (`Config::cover_retry_limit`) and fell back to deciding under the
+    /// (`COVER_RETRY_LIMIT`, eight failed revalidations) and fell back to deciding under the
     /// member buckets' write claims (the effectively wait-free slow path).
     pub cover_fallbacks: AtomicU64,
     /// Yield registrations served from the thread's wake-node pool (no
@@ -450,9 +453,9 @@ pub struct StatsSnapshot {
     pub rebuilds: u64,
     /// Lane entries drained by the most recent monitor pass.
     pub events_last_drain: u64,
-    /// Highest per-thread event-lane occupancy observed.
+    /// Peak depth, in entries, of one thread's event lane.
     pub lane_high_water: u64,
-    /// Cumulative lane-overflow events.
+    /// Cumulative blocks event lanes grew by.
     pub lane_overflows: u64,
     /// Highest live-entry count observed in any single bucket.
     pub hot_bucket_peak: u64,

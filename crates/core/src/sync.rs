@@ -10,7 +10,7 @@
 //! request until GO, try the mutex, and only if it is taken tell the engine
 //! the thread is `waiting` before blocking on it. An uncontended
 //! `lock()`/`unlock()` therefore publishes two events to the monitor, a
-//! contended one three.
+//! contended one three. Every `try_lock` is one call of `try_acquire`.
 //!
 //! The call stack recorded with each operation is the thread's
 //! [`crate::context`] frame stack plus the lock call site (captured with
@@ -123,6 +123,27 @@ pub(crate) fn acquire(
     locked
 }
 
+/// The non-blocking acquisition shared by every `try_lock`: one request,
+/// one `try_lock` of `raw`. On a YIELD, or a GO that finds `raw` taken, the
+/// request is rolled back with `cancel` (§6) and `false` is returned.
+pub(crate) fn try_acquire(
+    runtime: &Runtime,
+    raw: &RawMutex,
+    t: ThreadId,
+    id: LockId,
+    site: &LockSite,
+) -> bool {
+    let core = runtime.core();
+    let locked =
+        matches!(core.request(t, id, &site.frames, site.stack), Decision::Go) && raw.try_lock();
+    if locked {
+        core.acquired(t, id, site.stack);
+    } else {
+        core.cancel(t, id);
+    }
+    locked
+}
+
 /// Records a max-yield-duration abort and applies the auto-disable policy
 /// (§5.7: a pattern accumulating many aborts is "too risky to avoid").
 pub(crate) fn yield_abort(runtime: &Runtime, sig: &Arc<Signature>) {
@@ -197,19 +218,11 @@ impl<T: ?Sized> ImmunizedMutex<T> {
         let Some(t) = self.runtime.current_thread() else {
             // Unsupervised fallback: behave like a plain mutex.
             self.raw.lock();
-            return ImmunizedMutexGuard {
-                lock: self,
-                tid: None,
-                _not_send: PhantomData,
-            };
+            return self.guard(None);
         };
         let site = context::lock_site(&self.runtime, site);
         acquire(&self.runtime, &self.raw, t, self.id, &site, None);
-        ImmunizedMutexGuard {
-            lock: self,
-            tid: Some(t),
-            _not_send: PhantomData,
-        }
+        self.guard(Some(t))
     }
 
     /// Attempts the lock without blocking. Returns `None` on contention *or*
@@ -219,36 +232,10 @@ impl<T: ?Sized> ImmunizedMutex<T> {
     pub fn try_lock(&self) -> Option<ImmunizedMutexGuard<'_, T>> {
         let site = Location::caller();
         let Some(t) = self.runtime.current_thread() else {
-            return self.raw.try_lock().then_some(ImmunizedMutexGuard {
-                lock: self,
-                tid: None,
-                _not_send: PhantomData,
-            });
+            return self.raw.try_lock().then(|| self.guard(None));
         };
         let site = context::lock_site(&self.runtime, site);
-        match self
-            .runtime
-            .core()
-            .request(t, self.id, &site.frames, site.stack)
-        {
-            Decision::Yield { .. } => {
-                self.runtime.core().cancel(t, self.id);
-                None
-            }
-            Decision::Go => {
-                if self.raw.try_lock() {
-                    self.runtime.core().acquired(t, self.id, site.stack);
-                    Some(ImmunizedMutexGuard {
-                        lock: self,
-                        tid: Some(t),
-                        _not_send: PhantomData,
-                    })
-                } else {
-                    self.runtime.core().cancel(t, self.id);
-                    None
-                }
-            }
-        }
+        try_acquire(&self.runtime, &self.raw, t, self.id, &site).then(|| self.guard(Some(t)))
     }
 
     /// Attempts the lock with a timeout (like `pthread_mutex_timedlock`).
@@ -257,23 +244,21 @@ impl<T: ?Sized> ImmunizedMutex<T> {
         let site = Location::caller();
         let deadline = Instant::now() + timeout;
         let Some(t) = self.runtime.current_thread() else {
-            return self
-                .raw
-                .try_lock_for(timeout)
-                .then_some(ImmunizedMutexGuard {
-                    lock: self,
-                    tid: None,
-                    _not_send: PhantomData,
-                });
+            return self.raw.try_lock_for(timeout).then(|| self.guard(None));
         };
         let site = context::lock_site(&self.runtime, site);
-        acquire(&self.runtime, &self.raw, t, self.id, &site, Some(deadline)).then_some(
-            ImmunizedMutexGuard {
-                lock: self,
-                tid: Some(t),
-                _not_send: PhantomData,
-            },
-        )
+        acquire(&self.runtime, &self.raw, t, self.id, &site, Some(deadline))
+            .then(|| self.guard(Some(t)))
+    }
+
+    /// The guard of a `raw` this thread has just locked, as thread `tid`
+    /// (`None`: unsupervised).
+    fn guard(&self, tid: Option<ThreadId>) -> ImmunizedMutexGuard<'_, T> {
+        ImmunizedMutexGuard {
+            lock: self,
+            tid,
+            _not_send: PhantomData,
+        }
     }
 
     /// Mutable access without locking (requires exclusive borrow).

@@ -1,43 +1,56 @@
-//! Allocation guard: a warm, uncontended lock/unlock pair on an empty
-//! history touches no heap — the held-lock stack keeps its capacity, events
-//! are plain values in a preallocated lane, an empty wake set is an empty
-//! `Vec`. Bursts fit the event lane; the monitor pass between them (which
-//! does allocate) is not counted.
+//! Allocation guards, on a counting allocator. A warm, uncontended
+//! lock/unlock pair on an empty history touches no heap — the held-lock
+//! stack keeps its capacity, events are plain values in a lane block that
+//! is already there, an empty wake set is an empty `Vec`. Bursts fit one
+//! block; the monitor pass between them (which does allocate) is not
+//! counted. And event lanes dropped with events still queued give back
+//! every block and every event.
 
-use dimmunix_core::{Config, Runtime};
+use dimmunix_core::{
+    Config, Event, EventLanes, LockId, Runtime, SigId, StackId, ThreadId, YieldInfo,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Set on the test thread while a burst runs; the harness's own threads
-    /// never count.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// `Some((allocations, frees))` on a test thread while it counts its
+    /// own; other tests' threads and the harness's never show up in it.
+    static COUNTS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-// SAFETY: Defers every request to `System` unchanged; the counter is an
-// atomic and the thread-local is const-initialised (no allocation, no
-// destructor), so the allocator never re-enters itself.
+fn count(allocations: u64, frees: u64) {
+    let _ = COUNTS.try_with(|c| {
+        if let Some((a, f)) = c.get() {
+            c.set(Some((a + allocations, f + frees)));
+        }
+    });
+}
+
+/// `(allocations, frees)` made by the calling thread inside `f`.
+fn counted(f: impl FnOnce()) -> (u64, u64) {
+    COUNTS.with(|c| c.set(Some((0, 0))));
+    f();
+    COUNTS.with(Cell::take).expect("counting is not nested")
+}
+
+// SAFETY: Defers every request to `System` unchanged; the thread-local is
+// const-initialised (no allocation, no destructor), so the allocator never
+// re-enters itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(1, 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, 1);
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(1, 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,25 +58,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Pairs per burst: two events each, well inside the 1024-slot lane.
+/// Pairs per burst: two events each, well inside a 1024-slot lane block.
 const BURST: usize = 200;
 const BURSTS: usize = 50;
 
 /// Heap allocations made by the calling thread across `BURSTS` bursts of
 /// `pair`, after one uncounted warm-up burst.
 fn allocations_over(rt: &Runtime, mut pair: impl FnMut(usize)) -> u64 {
-    let mut counted = 0;
+    let mut allocations = 0;
     for burst in 0..=BURSTS {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        ARMED.with(|a| a.set(burst > 0));
-        for i in 0..BURST {
-            pair(i);
+        let (allocated, _) = counted(|| {
+            for i in 0..BURST {
+                pair(i);
+            }
+        });
+        if burst > 0 {
+            allocations += allocated;
         }
-        ARMED.with(|a| a.set(false));
-        counted += ALLOCATIONS.load(Ordering::Relaxed) - before;
         rt.step_monitor();
     }
-    counted
+    allocations
 }
 
 #[test]
@@ -87,4 +101,35 @@ fn warm_uncontended_pairs_do_not_allocate() {
     let stats = rt.stats();
     assert_eq!(stats.releases, 2 * (BURSTS as u64 + 1) * BURST as u64);
     assert_eq!(stats.yields, 0);
+}
+
+/// A lane dropped with undrained `Yield`s in three blocks frees the blocks
+/// and, through them, each event's boxed `YieldInfo` and its vectors.
+#[test]
+fn dropping_lanes_frees_every_block_and_queued_event() {
+    let (allocations, frees) = counted(|| {
+        let lanes = EventLanes::new(1, 2);
+        for i in 0..5 {
+            let info = Box::new(YieldInfo {
+                sig: SigId(0),
+                depth_used: 4,
+                bindings: vec![(StackId(i), StackId(i + 1))],
+                causes: Vec::with_capacity(3),
+            });
+            lanes.push(
+                0,
+                Event::Yield {
+                    t: ThreadId(0),
+                    l: LockId(u64::from(i)),
+                    stack: StackId(i),
+                    info,
+                },
+            );
+        }
+        assert_eq!(lanes.overflow_count(), 2, "five events in three blocks");
+    });
+    // Per event a box and two vectors; per block the block and its buffer;
+    // the lane array.
+    assert_eq!(allocations, 5 * 3 + 3 * 2 + 1);
+    assert_eq!(frees, allocations);
 }

@@ -3,11 +3,11 @@
 //! A [`FaultPlan`] is a small script of component failures — "panic thread
 //! slot T at its Nth instrumented acquire", "panic or stall the monitor
 //! after pass P", "tear the history file at byte K", "crash between the
-//! temp-file write and the publishing rename", "force event-lane overflow
-//! pressure" — that the runtime's hooks consult at the corresponding
-//! points. Plans are either built explicitly or derived from a seed with
-//! [`FaultPlan::from_seed`], so every chaos run is replayable from a single
-//! `u64`.
+//! temp-file write and the publishing rename", "force an event-lane block
+//! hand-over on every push" — that the runtime's hooks consult at the
+//! corresponding points. Plans are either built explicitly or derived from
+//! a seed with [`FaultPlan::from_seed`], so every chaos run is replayable
+//! from a single `u64`.
 //!
 //! The crate is a dependency leaf: it knows nothing about the runtime's
 //! types and identifies threads by their runtime slot index. Hooks in the
@@ -95,7 +95,8 @@ pub struct FaultPlan {
     pub monitor: Option<MonitorFault>,
     /// History persistence fault (consumed by the first save it applies to).
     pub history: Option<HistoryFault>,
-    /// Force every event-lane push onto the overflow path.
+    /// Force every event-lane push to hand over to a new block, as if the
+    /// lane's newest block were full.
     pub lane_overflow: bool,
 }
 
@@ -204,7 +205,8 @@ impl FaultPlan {
         self
     }
 
-    /// Forces every event-lane push through the overflow path.
+    /// Forces every event-lane push to link a new block and hand over to
+    /// it, so the monitor crosses a block boundary for every event.
     pub fn force_lane_overflow(mut self) -> Self {
         self.lane_overflow = true;
         self
@@ -220,7 +222,7 @@ pub struct FiredReport {
     pub monitor_faults: u64,
     /// History faults applied.
     pub history_faults: u64,
-    /// Lane pushes diverted to the overflow path.
+    /// Lane pushes forced to hand over to a new block.
     pub lane_overflows: u64,
 }
 
@@ -382,7 +384,7 @@ pub fn take_history_fault() -> Option<HistoryFault> {
 }
 
 /// Hook: called by the event lanes on each push. Returns `true` when the
-/// plan forces this push onto the overflow path.
+/// plan forces this push to hand over to a new block.
 pub fn force_lane_overflow() -> bool {
     let Some(active) = active() else { return false };
     if active.plan.lane_overflow {

@@ -1,24 +1,21 @@
 //! Lock-free substrate used by the Dimmunix runtime.
 //!
-//! The Dimmunix paper (OSDI'08, §5.6) requires two pieces of lock-free
-//! machinery so that the avoidance instrumentation never synchronizes through
-//! the very locks it is supervising:
+//! The Dimmunix paper (OSDI'08, §5.6) requires lock-free machinery so that
+//! the avoidance instrumentation never synchronizes through the very locks
+//! it is supervising. Its **unbounded multi-producer / single-consumer event
+//! queue**, connecting the per-thread avoidance code (producers) to the
+//! asynchronous monitor thread (the single consumer), is implemented in
+//! [`mpsc`] as a Vyukov-style linked queue; the reference engine models the
+//! paper's single queue with it. The paper's other piece, a generalization
+//! of Peterson's mutual-exclusion algorithm guarding the shared `Allowed`
+//! sets, is not reproduced: the production engine has no such guard and the
+//! reference engine uses a plain mutex.
 //!
-//! * an **unbounded multi-producer / single-consumer event queue** connecting
-//!   the per-thread avoidance code (producers) to the asynchronous monitor
-//!   thread (the single consumer) — implemented in [`mpsc`] as a Vyukov-style
-//!   linked queue;
-//! * a **generalization of Peterson's mutual-exclusion algorithm to n
-//!   threads** (the *filter lock*), used to protect the shared `Allowed` sets
-//!   consulted by the `request` and `release` hooks — implemented in
-//!   [`peterson`].
+//! The sharded request path is built from these pieces:
 //!
-//! On top of the paper's requirements, the sharded request path adds two
-//! more pieces:
-//!
-//! * a **bounded SPSC ring** ([`spsc::SpscRing`]) used as a per-registered-
-//!   thread event lane that overflows into the MPSC queue, so hot threads
-//!   never contend on one shared queue tail;
+//! * a **bounded SPSC ring** ([`spsc::SpscRing`]), the block a
+//!   per-registered-thread event lane is chained from, so hot threads never
+//!   contend on one shared queue tail;
 //! * an **epoch-published snapshot cell** ([`epoch::EpochCell`]) that lets
 //!   the `request` hook read the current match view with a single atomic
 //!   load instead of a read-write lock;
@@ -35,9 +32,10 @@
 //!   registrations are one CAS, and a release's wakeup delivery is one
 //!   swap-and-drain — no wake-shard mutex.
 //!
-//! The crate also provides the small utilities those algorithms need:
-//! exponential [`backoff::Backoff`] for contended spin loops and
-//! [`pad::CachePadded`] to keep hot atomics on separate cache lines.
+//! The crate also provides the small utilities those algorithms need: the
+//! [`slots::SlotAllocator`] that hands out dense thread ids, exponential
+//! [`backoff::Backoff`] for contended spin loops and [`pad::CachePadded`] to
+//! keep hot atomics on separate cache lines.
 //!
 //! Everything here is `std`-only and dependency-free; `unsafe` is confined to
 //! the queue internals and documented with `SAFETY` comments.
@@ -50,9 +48,8 @@ pub mod epoch;
 pub mod mpsc;
 pub mod occupancy;
 pub mod pad;
-pub mod peterson;
+pub mod slots;
 pub mod spsc;
-pub mod tournament;
 pub mod versioned;
 pub mod wakelist;
 
@@ -61,8 +58,7 @@ pub use epoch::EpochCell;
 pub use mpsc::MpscQueue;
 pub use occupancy::OccupancyArray;
 pub use pad::CachePadded;
-pub use peterson::{FilterLock, FilterLockGuard, SlotAllocator};
+pub use slots::SlotAllocator;
 pub use spsc::SpscRing;
-pub use tournament::{TournamentGuard, TournamentLock};
 pub use versioned::{BucketWriter, VersionedBucket};
 pub use wakelist::{DrainVerdict, WakeList, WakeNodePool};

@@ -1,9 +1,11 @@
 //! Unbounded lock-free multi-producer / single-consumer queue.
 //!
-//! This is the event channel between Dimmunix's avoidance instrumentation
-//! (every application thread is a producer) and the asynchronous monitor
-//! thread (the single consumer). The design follows Dmitry Vyukov's
-//! non-intrusive MPSC node queue:
+//! This is the paper's event channel between Dimmunix's avoidance
+//! instrumentation (every application thread is a producer) and the
+//! asynchronous monitor thread (the single consumer); in this tree the
+//! reference engine publishes through it, the production engine through
+//! per-thread lanes of [`crate::SpscRing`] blocks. The design follows Dmitry
+//! Vyukov's non-intrusive MPSC node queue:
 //!
 //! * producers `swap` the shared tail and then link the previous node's
 //!   `next` pointer — wait-free except for the two atomic operations;

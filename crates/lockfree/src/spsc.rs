@@ -1,15 +1,15 @@
 //! Bounded wait-free single-producer / single-consumer ring buffer.
 //!
-//! Each thread registered with the Dimmunix runtime gets one of these as its
-//! private *event lane*: the thread is the sole producer, the monitor thread
-//! the sole consumer, so both sides proceed with one relaxed load, one
-//! acquire load and one release store per operation — no CAS, no shared
-//! cache line written by both sides (head and tail are cache-padded).
+//! Each thread registered with the Dimmunix runtime publishes its events
+//! through a private *event lane* made of these: the thread is the sole
+//! producer, the monitor thread the sole consumer, so both sides proceed
+//! with one relaxed load, one acquire load and one release store per
+//! operation — no CAS, no shared cache line written by both sides (head and
+//! tail are cache-padded).
 //!
-//! The ring is bounded by design: when it fills, the caller is expected to
-//! overflow into the unbounded [`crate::MpscQueue`] (see the event-lane
-//! layer in `dimmunix_core`), which preserves progress without ever blocking
-//! the application thread.
+//! The ring is bounded by design: when it fills, the event-lane layer in
+//! `dimmunix_core` links a new ring behind it and moves on, which preserves
+//! progress without ever blocking the application thread.
 
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;
@@ -49,8 +49,6 @@ pub struct SpscRing<T> {
     head: CachePadded<AtomicUsize>,
     /// Next index to push; written only by the producer.
     tail: CachePadded<AtomicUsize>,
-    /// Largest occupancy ever observed by the producer (monitor-lag gauge).
-    high_water: AtomicUsize,
 }
 
 // SAFETY: Values cross threads by ownership transfer (`T: Send`); all index
@@ -72,7 +70,6 @@ impl<T> SpscRing<T> {
             mask: cap - 1,
             head: CachePadded::new(AtomicUsize::new(0)),
             tail: CachePadded::new(AtomicUsize::new(0)),
-            high_water: AtomicUsize::new(0),
         }
     }
 
@@ -87,8 +84,7 @@ impl<T> SpscRing<T> {
     pub fn push(&self, value: T) -> Result<(), T> {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
-        let depth = tail.wrapping_sub(head);
-        if depth == self.buf.len() {
+        if tail.wrapping_sub(head) == self.buf.len() {
             return Err(value);
         }
         // SAFETY: `tail & mask` is outside the consumer's live window
@@ -98,10 +94,6 @@ impl<T> SpscRing<T> {
             (*self.buf[tail & self.mask].get()).write(value);
         }
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        // Producer-only bookkeeping: no other thread stores `high_water`.
-        if depth + 1 > self.high_water.load(Ordering::Relaxed) {
-            self.high_water.store(depth + 1, Ordering::Relaxed);
-        }
         Ok(())
     }
 
@@ -109,34 +101,18 @@ impl<T> SpscRing<T> {
     ///
     /// Must only be called by the single consumer.
     pub fn pop(&self) -> Option<T> {
-        self.pop_when(|_| true)
-    }
-
-    /// Dequeues the front value only if `pred` accepts it; returns `None`
-    /// when the ring is empty or the front element was rejected (it stays
-    /// in place). Lets a consumer merge the ring with a second channel by
-    /// comparing sequence numbers without popping speculatively.
-    ///
-    /// Must only be called by the single consumer.
-    pub fn pop_when(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
         if head == tail {
             return None;
         }
-        let slot = self.buf[head & self.mask].get();
         // SAFETY: `head < tail` (producer's release store observed), so the
         // slot was fully written and is not being touched by the producer;
         // it stays owned by the consumer until the release store of `head`
         // below returns it to the producer.
-        unsafe {
-            if !pred((*slot).assume_init_ref()) {
-                return None;
-            }
-            let value = (*slot).assume_init_read();
-            self.head.store(head.wrapping_add(1), Ordering::Release);
-            Some(value)
-        }
+        let value = unsafe { (*self.buf[head & self.mask].get()).assume_init_read() };
+        self.head.store(head.wrapping_add(1), Ordering::Release);
+        Some(value)
     }
 
     /// Approximate number of queued elements (exact when quiescent).
@@ -149,11 +125,6 @@ impl<T> SpscRing<T> {
     /// Whether the ring appears empty (exact when quiescent).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Largest occupancy the producer has ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
     }
 }
 
@@ -169,7 +140,6 @@ impl<T> fmt::Debug for SpscRing<T> {
         f.debug_struct("SpscRing")
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("high_water", &self.high_water())
             .finish()
     }
 }
@@ -194,7 +164,6 @@ mod tests {
             assert!(ring.push(i).is_ok());
         }
         assert_eq!(ring.push(99), Err(99));
-        assert_eq!(ring.high_water(), 4);
         assert_eq!(ring.pop(), Some(0));
         assert!(ring.push(4).is_ok());
         let drained: Vec<_> = std::iter::from_fn(|| ring.pop()).collect();
@@ -233,18 +202,6 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(ring.pop(), None);
-    }
-
-    #[test]
-    fn pop_when_rejects_without_consuming() {
-        let ring = SpscRing::with_capacity(4);
-        ring.push(1_u32).unwrap();
-        ring.push(2_u32).unwrap();
-        assert_eq!(ring.pop_when(|&v| v > 1), None, "front is 1: rejected");
-        assert_eq!(ring.len(), 2, "rejected element stays in place");
-        assert_eq!(ring.pop_when(|&v| v == 1), Some(1));
-        assert_eq!(ring.pop(), Some(2));
-        assert_eq!(ring.pop_when(|_| true), None, "empty ring");
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Property and stress tests for the lock-free substrate.
 
-use dimmunix_lockfree::{
-    DrainVerdict, MpscQueue, SlotAllocator, TournamentLock, VersionedBucket, WakeList,
-};
+use dimmunix_lockfree::{DrainVerdict, MpscQueue, SlotAllocator, VersionedBucket, WakeList};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -95,38 +93,6 @@ fn mpsc_stress_no_loss_no_dup() {
         h.join().unwrap();
     }
     assert!(seen.iter().all(|&c| c == 1), "loss or duplication detected");
-}
-
-/// The tournament lock protects a non-atomic counter at full contention
-/// with every slot occupied.
-#[test]
-fn tournament_full_occupancy_stress() {
-    const THREADS: usize = 16;
-    const ITERS: usize = 3_000;
-    let lock = Arc::new(TournamentLock::new(THREADS));
-    let value = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|slot| {
-            let lock = Arc::clone(&lock);
-            let value = Arc::clone(&value);
-            std::thread::spawn(move || {
-                for _ in 0..ITERS {
-                    let _g = lock.lock(slot);
-                    // Unprotected read-modify-write: only safe under mutual
-                    // exclusion.
-                    let v = value.load(std::sync::atomic::Ordering::Relaxed);
-                    value.store(v + 1, std::sync::atomic::Ordering::Relaxed);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(
-        value.load(std::sync::atomic::Ordering::SeqCst),
-        THREADS * ITERS
-    );
 }
 
 proptest! {

@@ -21,7 +21,7 @@
 //! | [`rag`](dimmunix_rag) | resource allocation graph + cycle detectors |
 //! | [`signature`](dimmunix_signature) | signatures, history, calibration |
 //! | [`predict`](dimmunix_predict) | proactive lock-order-graph deadlock prediction |
-//! | [`lockfree`](dimmunix_lockfree) | MPSC event queue, Peterson locks |
+//! | [`lockfree`](dimmunix_lockfree) | SPSC rings, MPSC queue, seqlock buckets, wake lists |
 //! | [`threadsim`](dimmunix_threadsim) | deterministic interleaving simulator |
 //! | [`explore`](dimmunix_explore) | DPOR schedule-space explorer + deadlock corpus |
 //! | `dimmunix-workloads` | the paper's Table 1 / Table 2 bug reproductions |
