@@ -9,11 +9,28 @@
 //! panicking while holding a guard does not poison the lock, `Condvar::wait`
 //! takes `&mut MutexGuard`, and `RawMutex` supports `lock`/`unlock` without
 //! a guard object plus timed acquisition.
+//!
+//! So does the cost where the callers measure it. [`RawMutex`] — the mutex
+//! under every immunized lock type and under the gate-lock / ghost-lock
+//! baselines — is a three-state word (0 free, 1 held, 2 held and someone may
+//! wait): an uncontended `lock` is one compare-exchange, an uncontended
+//! `unlock` one swap, and neither makes a system call; only a thread that
+//! finds the mutex taken parks, on a `std` `Mutex<()>` + `Condvar` pair,
+//! and only an `unlock` that reads 2 notifies. The one rule of the slow
+//! path — a waiter acquires with `swap(2)`, never with 0 → 1 — and what
+//! the stand-in leaves out (spinning, fairness, the global parking lot) are
+//! on the type. [`Mutex`] and [`RwLock`] wrap the `std` locks, which already
+//! have that shape on Linux.
 
 #![warn(missing_docs)]
 
 pub mod lock_api;
 
+#[cfg(test)]
+mod tests;
+
+use lock_api::RawMutex as _;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::time::{Duration, Instant};
 
@@ -279,92 +296,145 @@ impl Condvar {
 
 /// A raw mutex: guard-free `lock`/`unlock`, timed acquisition, const init.
 ///
-/// Blocking uses an internal `Mutex<()>`/`Condvar` pair rather than spinning,
-/// so threads parked on a contended lock consume no CPU — important here
+/// The three-state futex-mutex protocol, with a `std` `Mutex<()>` + `Condvar`
+/// pair as the parking place instead of a futex word:
+///
+/// | `state` | meaning                                        |
+/// |---------|------------------------------------------------|
+/// | 0       | free                                           |
+/// | 1       | held, nobody waits                             |
+/// | 2       | held, and a thread may be parked on `cond`     |
+///
+/// * `lock` / `try_lock` / `try_lock_for` on a free mutex are one
+///   compare-exchange 0 → 1 (`Acquire`).
+/// * `unlock` is one `swap(0, Release)`. Only when it reads 2 does it take
+///   `blocking` and `notify_one` — with no waiter it touches neither
+///   `blocking` nor `cond` and makes no system call.
+/// * A thread that finds the mutex taken takes `blocking` and then acquires
+///   **only** with `swap(2, Acquire) == 0`, parking on `cond` while the swap
+///   reads non-zero. It never uses the 0 → 1 compare-exchange: a waiter that
+///   wins while others are still parked must leave the state at 2, so that
+///   its own `unlock` wakes the next one. (With 0 → 1 the second of two
+///   parked waiters sleeps forever.) The swap that fails has also marked the
+///   state 2, so the holder's `unlock` will notify — and not between that
+///   swap and the wait, because it has to take `blocking` first.
+///
+/// The last waiter of a chain, and a timed waiter that gives up, leave a
+/// stale 2 behind: the next `unlock` makes one spurious `notify_one`, and
+/// the next uncontended `lock` returns the state to 1.
+///
+/// What this stand-in does *not* do, unlike the real crate: it does not spin
+/// before parking, it is not fair (a `lock` that arrives between an `unlock`
+/// and the woken waiter's swap barges ahead; the waiter parks again), and it
+/// parks on a `Mutex` + `Condvar` of its own rather than in a global parking
+/// lot keyed by address. Parked threads consume no CPU — important here
 /// because deadlock-avoidance tests intentionally park threads for a while.
 #[derive(Debug)]
 pub struct RawMutex {
-    locked: std::sync::atomic::AtomicBool,
+    state: AtomicU8,
     blocking: StdMutex<()>,
     cond: StdCondvar,
 }
 
+const FREE: u8 = 0;
+const HELD: u8 = 1;
+const CONTENDED: u8 = 2;
+
+#[cfg(test)]
+thread_local! {
+    /// Slow paths (`lock_slow` entries and notifying unlocks) taken by the
+    /// calling thread.
+    static SLOW_PATHS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn count_slow_path() {
+    #[cfg(test)]
+    SLOW_PATHS.with(|c| c.set(c.get() + 1));
+}
+
 impl RawMutex {
-    fn try_acquire(&self) -> bool {
-        self.locked
-            .compare_exchange(
-                false,
-                true,
-                std::sync::atomic::Ordering::Acquire,
-                std::sync::atomic::Ordering::Relaxed,
-            )
-            .is_ok()
+    fn park_lock(&self) -> StdMutexGuard<'_, ()> {
+        // `blocking` guards no data, so a poisoned guard is as good as any.
+        self.blocking.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The mutex was taken: park until it is acquired or `deadline` passes
+    /// (`None`: no deadline). Acquires with `swap(2)`, never 0 → 1 — see the
+    /// type docs.
+    #[cold]
+    fn lock_slow(&self, deadline: Option<Instant>) -> bool {
+        count_slow_path();
+        let mut g = self.park_lock();
+        while self.state.swap(CONTENDED, Ordering::Acquire) != FREE {
+            g = match deadline {
+                None => self.cond.wait(g).unwrap_or_else(|p| p.into_inner()),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return false;
+                    }
+                    let (g, _) = self
+                        .cond
+                        .wait_timeout(g, d - now)
+                        .unwrap_or_else(|p| p.into_inner());
+                    g
+                }
+            };
+        }
+        true
+    }
+
+    /// The state read 2: wake one parked thread.
+    #[cold]
+    fn unlock_slow(&self) {
+        count_slow_path();
+        // A waiter whose swap read non-zero holds `blocking` until it is
+        // inside `cond.wait`, so taking it here means the notification
+        // cannot fall between that swap and the wait.
+        drop(self.park_lock());
+        self.cond.notify_one();
     }
 }
 
 impl lock_api::RawMutex for RawMutex {
     const INIT: Self = Self {
-        locked: std::sync::atomic::AtomicBool::new(false),
+        state: AtomicU8::new(FREE),
         blocking: StdMutex::new(()),
         cond: StdCondvar::new(),
     };
 
+    #[inline]
     fn lock(&self) {
-        if self.try_acquire() {
-            return;
-        }
-        let mut g = match self.blocking.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        while !self.try_acquire() {
-            g = match self.cond.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+        if !self.try_lock() {
+            self.lock_slow(None);
         }
     }
 
+    #[inline]
     fn try_lock(&self) -> bool {
-        self.try_acquire()
+        self.state
+            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
     }
 
+    #[inline]
     unsafe fn unlock(&self) {
-        self.locked
-            .store(false, std::sync::atomic::Ordering::Release);
-        // Take the blocking lock briefly so a waiter that just failed its
-        // CAS cannot miss this notification.
-        drop(self.blocking.lock());
-        self.cond.notify_one();
+        // Pairs with the `Acquire` of whichever compare-exchange or swap
+        // takes the mutex next.
+        if self.state.swap(FREE, Ordering::Release) == CONTENDED {
+            self.unlock_slow();
+        }
     }
 }
 
 impl lock_api::RawMutexTimed for RawMutex {
     fn try_lock_for(&self, timeout: Duration) -> bool {
-        self.try_lock_until(Instant::now() + timeout)
+        // A timeout past the end of `Instant` is no deadline, as in the
+        // real crate.
+        self.try_lock() || self.lock_slow(Instant::now().checked_add(timeout))
     }
 
     fn try_lock_until(&self, deadline: Instant) -> bool {
-        if self.try_acquire() {
-            return true;
-        }
-        let mut g = match self.blocking.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        loop {
-            if self.try_acquire() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (ng, _res) = match self.cond.wait_timeout(g, deadline - now) {
-                Ok((g, r)) => (g, r),
-                Err(p) => p.into_inner(),
-            };
-            g = ng;
-        }
+        self.try_lock() || self.lock_slow(Some(deadline))
     }
 }

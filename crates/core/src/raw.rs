@@ -11,13 +11,13 @@
 //! thread's context tree ([`crate::context`]) instead of being passed in.
 
 use crate::runtime::Runtime;
-use crate::sync::{acquire, try_acquire};
+use crate::sync::{acquire, release, try_acquire};
 use dimmunix_rag::LockId;
 use dimmunix_signature::{FrameId, StackId};
 use parking_lot::lock_api::{RawMutex as RawMutexApi, RawMutexTimed};
 use parking_lot::RawMutex;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A pre-interned call-stack descriptor for [`RawLock`] operations.
 ///
@@ -125,25 +125,20 @@ impl RawLock {
 
     /// Acquire with a timeout (like `pthread_mutex_timedlock`).
     pub fn lock_timeout(&self, site: &LockSite, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        // A timeout past the end of `Instant` is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock_for(timeout);
         };
-        acquire(&self.runtime, &self.raw, t, self.id, site, Some(deadline))
+        acquire(&self.runtime, &self.raw, t, self.id, site, deadline)
     }
 
     /// Releases the lock. Must be called by the thread that locked it.
     pub fn unlock(&self) {
-        let wake = match self.runtime.current_thread() {
-            Some(t) => self.runtime.core().release(t, self.id),
-            None => Vec::new(),
-        };
+        let tid = self.runtime.current_thread();
         // SAFETY: The caller contract (pthreads semantics) guarantees the
         // calling thread holds `raw`.
-        unsafe { self.raw.unlock() };
-        for w in wake {
-            self.runtime.wake(w);
-        }
+        release(&self.runtime, tid, self.id, || unsafe { self.raw.unlock() });
     }
 }
 

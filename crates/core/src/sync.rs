@@ -112,7 +112,7 @@ pub(crate) fn acquire(
                     raw.lock();
                     true
                 }
-                Some(d) => raw.try_lock_for(d.saturating_duration_since(Instant::now())),
+                Some(d) => raw.try_lock_until(d),
             }
         });
     if locked {
@@ -142,6 +142,18 @@ pub(crate) fn try_acquire(
         core.cancel(t, id);
     }
     locked
+}
+
+/// The release shared by every lock type: the `release` hook (`tid` is
+/// `None` for an unsupervised thread, which has none), then `unlock` — the
+/// real unlock — and only after it the wake of the threads the hook found
+/// yielding on this lock, so that a woken thread's retry finds the mutex free.
+pub(crate) fn release(runtime: &Runtime, tid: Option<ThreadId>, id: LockId, unlock: impl FnOnce()) {
+    let wake = tid.map_or_else(Vec::new, |t| runtime.core().release(t, id));
+    unlock();
+    for w in wake {
+        runtime.wake(w);
+    }
 }
 
 /// Records a max-yield-duration abort and applies the auto-disable policy
@@ -242,13 +254,13 @@ impl<T: ?Sized> ImmunizedMutex<T> {
     #[track_caller]
     pub fn try_lock_for(&self, timeout: Duration) -> Option<ImmunizedMutexGuard<'_, T>> {
         let site = Location::caller();
-        let deadline = Instant::now() + timeout;
+        // A timeout past the end of `Instant` is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock_for(timeout).then(|| self.guard(None));
         };
         let site = context::lock_site(&self.runtime, site);
-        acquire(&self.runtime, &self.raw, t, self.id, &site, Some(deadline))
-            .then(|| self.guard(Some(t)))
+        acquire(&self.runtime, &self.raw, t, self.id, &site, deadline).then(|| self.guard(Some(t)))
     }
 
     /// The guard of a `raw` this thread has just locked, as thread `tid`
@@ -290,15 +302,11 @@ pub struct ImmunizedMutexGuard<'a, T: ?Sized> {
 
 impl<T: ?Sized> Drop for ImmunizedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        let wake = match self.tid {
-            Some(t) => self.lock.runtime.core().release(t, self.lock.id),
-            None => Vec::new(),
-        };
+        let lock = self.lock;
         // SAFETY: This guard holds `raw`, acquired in lock/try_lock.
-        unsafe { self.lock.raw.unlock() };
-        for w in wake {
-            self.lock.runtime.wake(w);
-        }
+        release(&lock.runtime, self.tid, lock.id, || unsafe {
+            lock.raw.unlock()
+        });
     }
 }
 
@@ -408,18 +416,13 @@ impl ReentrantLock {
 
     fn exit(&self, tid: Option<ThreadId>) {
         let remaining = self.count.fetch_sub(1, Ordering::Relaxed) - 1;
-        let wake = match tid {
-            Some(t) => self.runtime.core().release(t, self.id),
-            None => Vec::new(),
-        };
-        if remaining == 0 {
-            self.owner.store(0, Ordering::Release);
-            // SAFETY: The outermost guard of the owning thread holds `raw`.
-            unsafe { self.raw.unlock() };
-        }
-        for w in wake {
-            self.runtime.wake(w);
-        }
+        release(&self.runtime, tid, self.id, || {
+            if remaining == 0 {
+                self.owner.store(0, Ordering::Release);
+                // SAFETY: The outermost guard of the owning thread holds `raw`.
+                unsafe { self.raw.unlock() };
+            }
+        });
     }
 }
 

@@ -2,10 +2,10 @@
 //! monitor: the immunized lock types must keep a deadlock-prone program
 //! live once the signature is known.
 
-use dimmunix_core::{frame, Config, Decision, Runtime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use dimmunix_core::{frame, Config, Decision, LockId, Runtime};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn quiet_config() -> Config {
     Config::default()
@@ -15,6 +15,42 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("dimmunix-core-tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}-{}.dlk", std::process::id()))
+}
+
+/// Runs `body` on its own thread and fails the test if it is still running
+/// after 60 s: a thread left blocked inside a mutex shows as a hang, which
+/// must not hang the suite.
+fn watchdogged(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => runner.join().unwrap(),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("watchdog: a thread never got its lock"),
+    }
+}
+
+/// Steps the monitor until its RAG shows `n` threads blocked inside lock
+/// `id` (one allow edge each, published by `waiting` before the blocking
+/// call) or ten seconds pass; returns whether it saw them.
+fn sees_blocked(rt: &Runtime, id: LockId, n: usize) -> bool {
+    let allow = format!(" -> {id} [label=\"allow\"]");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        rt.step_monitor();
+        if rt.rag_dot().matches(&allow).count() >= n {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Seeds the ABBA signature into a runtime by replaying the deadlock at the
@@ -90,6 +126,131 @@ fn try_lock_for_times_out_then_succeeds() {
     assert!(other.join().unwrap());
     drop(g);
     assert!(m.try_lock_for(Duration::from_millis(50)).is_some());
+}
+
+/// A timeout too long to add to `Instant::now()` (which used to panic) is no
+/// deadline: on a free lock the call succeeds, on a taken one it blocks —
+/// through `waiting`, so the monitor sees it — until the holder releases.
+#[test]
+fn raw_lock_timeout_of_duration_max_is_no_deadline() {
+    watchdogged(|| {
+        let rt = Runtime::new(quiet_config()).unwrap();
+        let site = rt.make_site(&[("f", "max.rs", 1)]);
+        let lock = Arc::new(rt.raw_lock());
+        assert!(lock.lock_timeout(&site, Duration::MAX));
+        let returned = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (lock, site, returned) = (Arc::clone(&lock), site.clone(), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                let got = lock.lock_timeout(&site, Duration::MAX);
+                returned.store(true, Ordering::SeqCst);
+                if got {
+                    lock.unlock();
+                }
+                got
+            })
+        };
+        let blocked = sees_blocked(&rt, lock.id(), 1) && !returned.load(Ordering::SeqCst);
+        lock.unlock();
+        assert!(waiter.join().unwrap(), "acquired once released");
+        assert!(blocked, "the waiter must block while the lock is held");
+    });
+}
+
+#[test]
+fn mutex_try_lock_for_duration_max_is_no_deadline() {
+    watchdogged(|| {
+        let rt = Runtime::new(quiet_config()).unwrap();
+        let m = Arc::new(rt.mutex(0_u32));
+        let held = m.try_lock_for(Duration::MAX).expect("free");
+        let returned = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (m, returned) = (Arc::clone(&m), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                let got = m.try_lock_for(Duration::MAX).map(|mut g| *g += 1);
+                returned.store(true, Ordering::SeqCst);
+                got.is_some()
+            })
+        };
+        let blocked = sees_blocked(&rt, m.id(), 1) && !returned.load(Ordering::SeqCst);
+        drop(held);
+        assert!(waiter.join().unwrap(), "acquired once released");
+        assert!(blocked, "the waiter must block while the lock is held");
+        assert_eq!(*m.lock(), 1);
+    });
+}
+
+/// Four threads hammer one lock of each type, so `acquire`'s `try_lock`
+/// fails for real and the `waiting` → blocking `raw.lock()` path runs, as
+/// does the contended unlock that has someone to wake. The main thread first
+/// holds each lock until the monitor sees all four workers blocked inside it
+/// (no run of this test gets by on luckily uncontended pairs), then lets them
+/// race. The load-then-store counters are exact only under mutual exclusion,
+/// and once the monitor has shut down every hook outcome has been retired.
+#[test]
+fn four_threads_contending_on_one_lock_of_each_type_stay_exact() {
+    const THREADS: usize = 4;
+    const ROUNDS: u64 = 2_000;
+    watchdogged(|| {
+        let rt = Runtime::start(Config {
+            monitor_period: Duration::from_millis(2),
+            ..quiet_config()
+        })
+        .unwrap();
+        let site = rt.make_site(&[("worker", "contend.rs", 1)]);
+        let (raw, mutex, monitor) = (rt.raw_lock(), rt.mutex(0_u64), rt.reentrant_lock());
+        let (under_raw, under_monitor) = (AtomicU64::new(0), AtomicU64::new(0));
+        let bump = |c: &AtomicU64| c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // Workers stay alive (a thread's exit is an event of its own) until
+        // the identity below has been read.
+        let (done, exit) = (Barrier::new(THREADS + 1), Barrier::new(THREADS + 1));
+
+        raw.lock(&site);
+        let mutex_held = mutex.lock();
+        let monitor_held = monitor.enter();
+        let (blocked, stats) = std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        raw.lock(&site);
+                        bump(&under_raw);
+                        raw.unlock();
+                        *mutex.lock() += 1;
+                        let _outer = monitor.enter();
+                        let _inner = monitor.enter();
+                        bump(&under_monitor);
+                    }
+                    done.wait();
+                    exit.wait();
+                });
+            }
+            // Observed here, asserted after the scope: a failed assertion
+            // must not strand the workers inside a lock this thread holds.
+            let on_raw = sees_blocked(&rt, raw.id(), THREADS);
+            raw.unlock();
+            let on_mutex = sees_blocked(&rt, mutex.id(), THREADS);
+            drop(mutex_held);
+            let on_monitor = sees_blocked(&rt, monitor.id(), THREADS);
+            drop(monitor_held);
+            done.wait();
+            rt.shutdown();
+            let stats = rt.stats();
+            exit.wait();
+            ([on_raw, on_mutex, on_monitor], stats)
+        });
+
+        assert_eq!(blocked, [true; 3], "all four blocked in each lock type");
+        let total = THREADS as u64 * ROUNDS;
+        assert_eq!(under_raw.load(Ordering::Relaxed), total);
+        assert_eq!(mutex.into_inner(), total);
+        assert_eq!(under_monitor.load(Ordering::Relaxed), total);
+        assert_eq!(
+            stats.events_processed,
+            stats.requests + stats.gos + stats.yields + stats.acquisitions + stats.releases,
+            "{stats:?}"
+        );
+        assert!(stats.acquisitions >= 4 * total, "{stats:?}");
+    });
 }
 
 #[test]
