@@ -1,7 +1,9 @@
 //! Criterion latency of the hot path: one full
 //! `request → acquired → release` hook cycle, swept over history size and
-//! the linear-scan vs. match-index strategies (DESIGN.md ablation; the
-//! paper's complexity discussion is §5.6).
+//! the linear-scan vs. match-index strategies (an ablation: both resolve a
+//! stack to its bucket slots through the `BucketLayout`, only the index
+//! also enters its candidate sets by slot; the paper's complexity
+//! discussion is §5.6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dimmunix_bench::microbench::{build_pool, MicroParams};

@@ -10,13 +10,15 @@
 //!
 //! * each registered thread keeps its own **`Allowed` log** (the master
 //!   copy of its entries) as a **held-lock stack**: a `Vec` of `(lock,
-//!   stack)` entries pushed by a grant and popped by a release, searched
-//!   from the top so unlocks may come in any order. It is the only record
-//!   of lock ownership on the hook path — a lock's owner is the thread
-//!   whose stack holds it, so there is no shared owner map to update — and
-//!   it sits behind a per-slot mutex that only its owner and the
-//!   occasional rebuild touch. An uncontended pair on a warm stack
-//!   hashes nothing and allocates nothing;
+//!   stack)` entries — each with the bucket slots its grant resolved the
+//!   stack to — pushed by a grant and popped by a release, searched from
+//!   the top so unlocks may come in any order. It is the only record of
+//!   lock ownership on the hook path — a lock's owner is the thread whose
+//!   stack holds it, so there is no shared owner map to update — and it
+//!   sits behind a per-slot mutex that only its owner and the occasional
+//!   rebuild touch. An uncontended pair on a warm stack allocates nothing,
+//!   hashes nothing on an empty history, and on a populated one hashes the
+//!   stack's suffixes once, in `request`;
 //! * the suffix-keyed **`Allowed` buckets** consulted by the exact-cover
 //!   search live in a [`MatchTable`]: a **dense array of
 //!   [`VersionedBucket`]s**, one per distinct `(depth, suffix)` member key
@@ -83,16 +85,43 @@
 //! monitor treats a yield edge whose cause it cannot see yet as not pinned
 //! (`Rag::find_yield_cycles`), the safe direction.
 //!
-//! # Fast-path gating
+//! # Fast-path gating: a grant resolves its stack once
 //!
-//! A `request` whose stack suffix hits no signature-member bucket (and that
-//! is not yielding) appends to its private `Allowed` log and remembers its
-//! grant: zero shared synchronization. This is sound because an `Allowed`
-//! entry whose own suffix matches no signature member can never participate
-//! in an exact cover (covers look entries up *by member suffix*), so
-//! omitting it from the shared buckets cannot change any decision.
+//! `request` resolves the call stack against the current view exactly once
+//! (`check_view` → [`BucketLayout::slots_of`]): one borrowed look-up per
+//! matching depth in use, into the only `(depth, suffix)` map there is. The
+//! slots that come back answer everything the hooks ask about that stack
+//! under that view:
 //!
-//! A request that *does* hit a member bucket runs the **guard-free cover
+//! * **none** — the suffix hits no signature-member bucket. A request that
+//!   is not yielding appends to its private `Allowed` log and remembers its
+//!   grant: zero shared synchronization. This is sound because an `Allowed`
+//!   entry whose own suffix matches no signature member can never
+//!   participate in an exact cover (covers look entries up *by member
+//!   suffix*), so omitting it from the shared buckets cannot change any
+//!   decision. On an empty history the layout has no depth layer and
+//!   nothing is hashed at all;
+//! * **some** — they index the [`MatchIndex`]'s candidate sets (the sets
+//!   live in an array by slot, not behind a second map), and they are the
+//!   buckets the entry is inserted into on a GO.
+//!
+//! The held-stack entry keeps the slots, stamped with the epoch of the view
+//! they were resolved under. `release`, `cancel` and the exit sweep compare
+//! that stamp with the epoch of the view they are about to remove from and,
+//! when equal, remove by the remembered slots — no `StackTable::resolve`,
+//! no hashing. Equality is sufficient because a log's `view_epoch` is the
+//! exact publication epoch of its cached view
+//! ([`EpochCell::load_with_epoch`]): the same epoch means the same view
+//! object, hence the same layout and slot numbering and the same table. A
+//! different stamp proves nothing — a fresh table renumbers every slot — so
+//! the slots are resolved again, by the computation the rebuild's visit
+//! runs ([`MatchView::slots_of`]). That happens for a release that falls
+//! between a publish and the visit of its slot (the visit restamps every
+//! entry it visits), and for an entry that hit more depth layers than it
+//! has room to remember, which is stamped with an epoch no view is ever
+//! published at.
+//!
+//! A request that hits a member bucket runs the **guard-free cover
 //! precheck** first: a signature can only be instantiated if *every* member
 //! bucket is non-empty, so one zero occupancy fingerprint among a
 //! candidate's other members refutes that candidate without reading
@@ -109,9 +138,10 @@
 //!
 //! When the history generation moves, a single rebuilder (the monitor, or
 //! the first hook that notices — serialized by the rebuild mutex) builds the
-//! next view, publishes it, then locks each thread slot in turn and buckets
-//! that log's entries, and finally marks the table swept. There is one
-//! choice, made while building the view:
+//! next view, publishes it, then locks each thread slot in turn, buckets
+//! that log's entries and restamps them with the slots they have under the
+//! new view, and finally marks the table swept. There is one choice, made
+//! while building the view:
 //!
 //! * **Extend** — when the history's journal proves every intervening
 //!   generation was a pure signature *append* ([`History::delta_between`])
@@ -149,7 +179,8 @@
 //! finds nothing to insert — the release then removes the entry through
 //! whichever view it loaded, reaching a shared surviving bucket or a table
 //! about to lose its last reader — or runs before it, and the release sees
-//! the new view and removes the entry from where the visit put it. The old
+//! the new view and removes the entry from where the visit put it — the
+//! slots the visit left in the entry, stamped with that view's epoch. The old
 //! view's table becomes garbage once the last reader drops its cached
 //! view; after an extension that frees only the view shell.
 //!
@@ -250,10 +281,11 @@ use dimmunix_lockfree::{
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
-    suffix_matches, suffix_of, BucketLayout, CallStack, CoverKeys, FrameId, History, HistoryDelta,
-    MatchIndex, MemberKey, Signature, StackId, StackTable,
+    suffix_matches, BucketLayout, CoverKeys, FrameId, History, HistoryDelta, MatchIndex, MemberKey,
+    Signature, StackId, StackTable,
 };
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -443,17 +475,16 @@ impl CoverProof {
 }
 
 /// The read-mostly snapshot `request` consults without any lock: the
-/// generation's bucket layout, the suffix index over signature members
+/// generation's bucket layout, the candidate index over signature members
 /// (when configured), and the current bucket table. Published via
 /// [`EpochCell`] whenever the history generation moves.
 pub(crate) struct MatchView {
     /// History generation this view was built from (`u64::MAX` = never).
     generation: u64,
-    /// Distinct matching depths of the enabled signatures, ascending.
-    depths: Vec<u8>,
-    /// Dense `(depth, suffix) → bucket slot` directory of this generation.
+    /// Dense `(depth, suffix) → bucket slot` directory of this generation:
+    /// the only map a hook hashes into.
     layout: Arc<BucketLayout>,
-    /// Suffix index over signature members (`None` in linear-scan mode).
+    /// Candidate sets by layout slot (`None` in linear-scan mode).
     index: Option<Arc<MatchIndex>>,
     /// The versioned buckets + occupancy fingerprints of this generation.
     table: Arc<MatchTable>,
@@ -463,31 +494,78 @@ impl MatchView {
     fn sentinel() -> Self {
         Self {
             generation: u64::MAX,
-            depths: Vec::new(),
             layout: Arc::new(BucketLayout::default()),
             index: None,
             table: Arc::new(MatchTable::sentinel()),
         }
     }
 
-    /// Whether an `Allowed` entry with these frames could ever participate
-    /// in an exact cover under this view. `false` means the entry can stay
-    /// in its thread's private log and skip the shared buckets entirely.
-    ///
-    /// Both index and linear-scan modes gate on the bucket layout: covers
-    /// look entries up *by member suffix*, so an entry whose suffix is no
-    /// layout key is invisible to every possible cover.
-    fn is_relevant(&self, frames: &[FrameId]) -> bool {
-        !self.depths.is_empty() && self.layout.is_relevant(frames)
+    /// The bucket slots an entry with these frames belongs to: one per
+    /// depth layer whose suffix is a layout key (at the other depths the
+    /// entry is invisible to covers), ascending by depth. None at all means
+    /// the entry can stay in its thread's private log and skip the shared
+    /// buckets entirely. Both index and linear-scan modes gate on the
+    /// layout: covers look entries up *by member suffix*, so an entry whose
+    /// suffix is no layout key is invisible to every possible cover.
+    fn slots_of<'a>(&'a self, frames: &'a [FrameId]) -> impl Iterator<Item = u32> + 'a {
+        self.layout.slots_of(frames)
     }
 
-    /// The bucket slots an entry with these frames belongs to: one per
-    /// enabled depth whose suffix is a layout key (at the other depths the
-    /// entry is invisible to covers).
-    fn slots_of<'a>(&'a self, frames: &'a [FrameId]) -> impl Iterator<Item = u32> + 'a {
-        self.depths
-            .iter()
-            .filter_map(move |&d| self.layout.slot_of(d, suffix_of(frames, d as usize)))
+    /// [`MatchView::slots_of`], collected: the one resolution of a grant.
+    fn resolve(&self, frames: &[FrameId]) -> Resolved {
+        let mut resolved = Resolved::default();
+        for slot in self.slots_of(frames) {
+            resolved.push(slot);
+        }
+        resolved
+    }
+
+    /// Every slot `frames` resolved to: `resolved` itself, or — the stack
+    /// hit more depth layers than that holds — all of them, looked up again.
+    fn all_slots<'a>(&self, resolved: &'a Resolved, frames: &[FrameId]) -> Cow<'a, [u32]> {
+        if resolved.is_complete() {
+            Cow::Borrowed(resolved.as_slice())
+        } else {
+            Cow::Owned(self.slots_of(frames).collect())
+        }
+    }
+}
+
+/// How many bucket slots a resolution holds inline, and so how many a
+/// held-stack entry remembers: one per depth layer its stack hits.
+/// Signatures of one history rarely use more than a few distinct matching
+/// depths (calibration moves each between 1 and its `max_depth`).
+const REMEMBERED_SLOTS: usize = 4;
+
+/// The bucket slots one call stack resolved to under one view, ascending by
+/// depth: what relevance, the candidate sets, the bucket insert and the
+/// later removal are all read from. Plain inline data with nothing to drop
+/// — every request builds one, and one that could own a heap spill cost an
+/// *irrelevant* request ≈ 3 ns — so past [`REMEMBERED_SLOTS`] it only
+/// counts, and [`MatchView::all_slots`] looks the rest up again.
+#[derive(Clone, Copy, Default)]
+struct Resolved {
+    /// How many slots the stack resolved to, kept or not (saturating).
+    len: u8,
+    /// The first [`REMEMBERED_SLOTS`] of them.
+    slots: [u32; REMEMBERED_SLOTS],
+}
+
+impl Resolved {
+    fn push(&mut self, slot: u32) {
+        if let Some(room) = self.slots.get_mut(usize::from(self.len)) {
+            *room = slot;
+        }
+        self.len = self.len.saturating_add(1);
+    }
+
+    /// Whether every slot the stack resolved to is in here.
+    fn is_complete(&self) -> bool {
+        usize::from(self.len) <= REMEMBERED_SLOTS
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        &self.slots[..usize::from(self.len).min(REMEMBERED_SLOTS)]
     }
 }
 
@@ -499,21 +577,44 @@ enum ViewCheck {
     Unswept,
     /// Current view; the frames hit no signature-member bucket.
     Irrelevant,
-    /// Current, fully swept view; the frames hit a member bucket.
-    Relevant(Arc<MatchView>),
+    /// Current, fully swept view; the frames hit these member buckets.
+    Relevant(Arc<MatchView>, Resolved),
+}
+
+/// One level of a thread's held-lock stack: the lock, the call stack it was
+/// granted with, and where that grant put the entry in the shared buckets.
+#[derive(Clone, Copy)]
+struct Held {
+    l: LockId,
+    stack: StackId,
+    /// The bucket slots `stack` resolved to when `stamp` was written.
+    slots: Resolved,
+    /// The view epoch `slots` were resolved under, or [`Held::ASK_THE_VIEW`].
+    /// A log's `view_epoch` is the exact publication epoch of its cached
+    /// view ([`EpochCell::load_with_epoch`]), so `stamp == view_epoch`
+    /// means that very view — the same layout, hence the same numbering,
+    /// and the same table — and `slots` are this entry's buckets in it, all
+    /// of them. Any other stamp says nothing (an older view's numbering may
+    /// have been replaced wholesale), and the slots are resolved again.
+    stamp: u64,
+}
+
+impl Held {
+    /// The stamp of an entry whose resolution was not complete. No view is
+    /// ever published at this epoch, so it takes the stale-stamp path.
+    const ASK_THE_VIEW: u64 = u64::MAX;
 }
 
 /// A thread's private `Allowed` log — the master copy of its entries — plus
 /// its cached match view.
 struct AllowedLog {
-    /// The thread's **held-lock stack**: one `(lock, stack)` per granted
-    /// request or reentrant nesting level, in grant order. A grant pushes; a
-    /// release or cancel removes the *last* entry for its lock (searched
-    /// from the top, so LIFO unlocks cost one comparison and out-of-order
-    /// unlocks stay correct). Capacity is retained, so a warm pair
-    /// allocates nothing.
-    entries: Vec<(LockId, StackId)>,
-    /// Epoch at which `view` was loaded from the cell.
+    /// The thread's **held-lock stack**: one [`Held`] per granted request or
+    /// reentrant nesting level, in grant order. A grant pushes; a release or
+    /// cancel removes the *last* entry for its lock (searched from the top,
+    /// so LIFO unlocks cost one comparison and out-of-order unlocks stay
+    /// correct). Capacity is retained, so a warm pair allocates nothing.
+    entries: Vec<Held>,
+    /// Epoch `view` was published at (`u64::MAX` while there is none).
     view_epoch: u64,
     /// Cached published view (`None` until first use).
     view: Option<Arc<MatchView>>,
@@ -530,20 +631,21 @@ impl Default for AllowedLog {
 }
 
 impl AllowedLog {
-    /// Removes the innermost entry for `l` — its most recent nesting level
-    /// — and returns that entry's stack.
-    fn pop(&mut self, l: LockId) -> Option<StackId> {
-        let at = self.entries.iter().rposition(|&(held, _)| held == l)?;
-        Some(self.entries.remove(at).1)
+    /// Removes and returns the innermost entry for `l` — its most recent
+    /// nesting level.
+    fn pop(&mut self, l: LockId) -> Option<Held> {
+        let at = self.entries.iter().rposition(|held| held.l == l)?;
+        Some(self.entries.remove(at))
     }
 
-    /// The entries in rebuild-sweep order: ascending lock id, nesting
-    /// levels of one lock in grant order (a stable sort), so rebuilt bucket
-    /// vectors do not depend on the order the thread took its locks in.
-    fn sweep_order(&self) -> Vec<(LockId, StackId)> {
-        let mut held = self.entries.clone();
-        held.sort_by_key(|&(l, _)| l);
-        held
+    /// Positions in `entries` in rebuild-sweep order: ascending lock id,
+    /// nesting levels of one lock in grant order (a stable sort), so
+    /// rebuilt bucket vectors do not depend on the order the thread took
+    /// its locks in.
+    fn sweep_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.entries.len()).collect();
+        order.sort_by_key(|&at| self.entries[at].l);
+        order
     }
 }
 
@@ -718,16 +820,13 @@ impl AvoidanceCore {
             // Drop the entries the thread never released (panic inside a
             // critical section) from the buckets, then empty its stack. The
             // monitor's RAG drops the hold edges via `ThreadExit`, so no
-            // per-lock Release events are needed. Bucket removal is
-            // tolerant, so unfiltered attempts are fine here.
+            // per-lock Release events are needed.
             {
                 let mut log = self.slots[slot].allowed.lock();
-                let view = Arc::clone(self.view_of(&mut log));
-                if !view.depths.is_empty() {
-                    for &(l, stack) in &log.entries {
-                        let frames = self.stacks.resolve(stack);
-                        Self::remove_buckets(&view, &frames, AllowedEntry { t, l, stack });
-                    }
+                let (view, view_epoch) = self.view_of(&mut log);
+                let view = Arc::clone(view);
+                for held in &log.entries {
+                    self.remove_buckets(&view, view_epoch, t, held);
                 }
                 log.entries.clear();
             }
@@ -761,33 +860,42 @@ impl AvoidanceCore {
         self.stacks.intern(frames)
     }
 
-    /// Returns this slot's cached view, refreshed from the cell if the
-    /// publication epoch moved. Must be called with the slot lock held —
-    /// the rebuild protocol relies on the epoch being re-read inside the
-    /// slot critical section.
-    fn view_of<'a>(&self, log: &'a mut AllowedLog) -> &'a Arc<MatchView> {
-        let epoch = self.view_cell.epoch();
-        if log.view.is_none() || log.view_epoch != epoch {
-            log.view = Some(self.view_cell.load());
+    /// Returns this slot's cached view and the epoch it was published at,
+    /// refreshed from the cell if the publication epoch moved. Must be
+    /// called with the slot lock held — the rebuild protocol relies on the
+    /// epoch being re-read inside the slot critical section.
+    fn view_of<'a>(&self, log: &'a mut AllowedLog) -> (&'a Arc<MatchView>, u64) {
+        if log.view.is_none() || log.view_epoch != self.view_cell.epoch() {
+            // The exact pair: held-stack entries are stamped with
+            // `view_epoch` to mean "resolved under `view`" (`Held::stamp`).
+            let (epoch, view) = self.view_cell.load_with_epoch();
+            log.view = Some(view);
             log.view_epoch = epoch;
         }
-        log.view.as_ref().expect("view cache populated above")
+        let view = log.view.as_ref().expect("view cache populated above");
+        (view, log.view_epoch)
     }
 
-    /// Revalidates the slot's cached view (slot lock held) and classifies
-    /// what the hook may do with `frames` under it.
+    /// Revalidates the slot's cached view (slot lock held), resolves
+    /// `frames` against it — the grant's one look-up — and classifies what
+    /// the hook may do under it. Inlined into its two callers so that the
+    /// resolution is built in the frame that reads it: returned through
+    /// memory, its word-sized stores are re-read as one wide load, which
+    /// stalls on store forwarding (≈ 8 ns of a relevant request).
+    #[inline(always)]
     fn check_view(&self, log: &mut AllowedLog, frames: &[FrameId]) -> ViewCheck {
-        let view = self.view_of(log);
+        let (view, _) = self.view_of(log);
         if view.generation != self.history.generation() {
             return ViewCheck::Stale;
         }
-        if !view.is_relevant(frames) {
+        let resolved = view.resolve(frames);
+        if resolved.len == 0 {
             return ViewCheck::Irrelevant;
         }
         if !view.table.swept.load(Ordering::Acquire) {
             return ViewCheck::Unswept;
         }
-        ViewCheck::Relevant(Arc::clone(view))
+        ViewCheck::Relevant(Arc::clone(view), resolved)
     }
 
     /// The `request` hook: decides GO or YIELD for thread `t` wanting lock
@@ -831,19 +939,21 @@ impl AvoidanceCore {
                     // Cover impossible: the suffix hits no member bucket, so
                     // the decision is GO and the entry stays in the private
                     // log — no shared state touched (beyond yield cleanup).
-                    self.record_go(log, None, was_yielding, t, l, frames, stack);
+                    self.record_go(log, None, was_yielding, t, l, stack);
                     break None;
                 }
-                ViewCheck::Relevant(view) => {
+                ViewCheck::Relevant(view, resolved) => {
+                    let slots = &view.all_slots(&resolved, frames)[..];
+                    let bucketed = Some((&*view, slots));
                     if full && validation_failures >= COVER_RETRY_LIMIT {
                         // Adversarial churn kept invalidating the optimistic
                         // decision; decide once and for all under bucket
                         // write claims (a hit registers its yield before
                         // the claims drop — no revalidation possible or
                         // needed).
-                        match self.find_instance_locked(&view, slot, t, l, frames, stack) {
+                        match self.find_instance_locked(&view, slots, slot, t, l, frames, stack) {
                             None => {
-                                self.record_go(log, Some(&view), was_yielding, t, l, frames, stack);
+                                self.record_go(log, bucketed, was_yielding, t, l, stack);
                                 break None;
                             }
                             Some(inst) => {
@@ -853,13 +963,13 @@ impl AvoidanceCore {
                         }
                     }
                     let found = if full {
-                        self.find_instance(&view, slot, t, l, frames, stack)
+                        self.find_instance(&view, slots, slot, t, l, frames, stack)
                     } else {
                         None
                     };
                     match found {
                         None => {
-                            self.record_go(log, Some(&view), was_yielding, t, l, frames, stack);
+                            self.record_go(log, bucketed, was_yielding, t, l, stack);
                             break None;
                         }
                         Some((inst, proof)) => {
@@ -887,7 +997,7 @@ impl AvoidanceCore {
                             } else {
                                 // Measurement mode: record the would-be
                                 // yield but proceed as GO.
-                                self.record_go(log, Some(&view), was_yielding, t, l, frames, stack);
+                                self.record_go(log, bucketed, was_yielding, t, l, stack);
                             }
                             break Some(inst);
                         }
@@ -1051,23 +1161,34 @@ impl AvoidanceCore {
     }
 
     /// GO bookkeeping shared by every granting path: appends the entry to
-    /// the private log (and, when the view bucketed this suffix, to the
-    /// bucket shards — under the slot lock, see the rebuild protocol), then
-    /// clears any yield registration.
-    #[allow(clippy::too_many_arguments)] // Packed grant-bookkeeping inputs.
+    /// the private log and — when its stack resolved to member buckets
+    /// (`bucketed`: the view, and all the slots the stack resolved to under
+    /// it in this critical section) — to those buckets, under the slot lock
+    /// (see the rebuild protocol); then clears any yield registration.
     fn record_go(
         &self,
         mut log: MutexGuard<'_, AllowedLog>,
-        view: Option<&MatchView>,
+        bucketed: Option<(&MatchView, &[u32])>,
         was_yielding: bool,
         t: ThreadId,
         l: LockId,
-        frames: &[FrameId],
         stack: StackId,
     ) {
-        log.entries.push((l, stack));
-        if let Some(view) = view {
-            Self::insert_buckets(view, frames, AllowedEntry { t, l, stack });
+        // No buckets is as much a fact about the stack under this view as
+        // any slots are: stamped alike, and a release ends at the stamp.
+        // (Pushed whole and amended in place: an entry handed around by
+        // value is written field by field and re-read in wider pieces,
+        // which stalls on store forwarding — ≈ 10 ns of a 45 ns request.)
+        let view_epoch = log.view_epoch;
+        log.entries.push(Held {
+            l,
+            stack,
+            slots: Resolved::default(),
+            stamp: view_epoch,
+        });
+        if let Some((view, slots)) = bucketed {
+            let held = log.entries.last_mut().expect("pushed above");
+            Self::bucket(view, slots, 0, view_epoch, t, held);
         }
         drop(log);
         if was_yielding {
@@ -1075,8 +1196,39 @@ impl AvoidanceCore {
         }
     }
 
+    /// Inserts `held` (an entry of `t`'s log) into the buckets `slots` — all
+    /// that its stack resolved to under `view`, published at `view_epoch` —
+    /// from `first_new` on: a grant passes 0, the visit of an extension the
+    /// old layout's length. The entry leaves remembering all of them, if it
+    /// has the room.
+    fn bucket(
+        view: &MatchView,
+        slots: &[u32],
+        first_new: u32,
+        view_epoch: u64,
+        t: ThreadId,
+        held: &mut Held,
+    ) {
+        let e = AllowedEntry {
+            t,
+            l: held.l,
+            stack: held.stack,
+        };
+        for &s in slots.iter().filter(|&&s| s >= first_new) {
+            view.table.insert(s, e);
+        }
+        // Written where it stays, like the entry itself (`record_go`).
+        held.slots = Resolved::default();
+        slots.iter().for_each(|&s| held.slots.push(s));
+        held.stamp = if held.slots.is_complete() {
+            view_epoch
+        } else {
+            Held::ASK_THE_VIEW
+        };
+    }
+
     /// Records an `Allowed` entry outside a decision: log-only when the
-    /// current view says the suffix hits no bucket, log + shard insert
+    /// current view says the suffix hits no bucket, log + bucket insert
     /// otherwise.
     fn record_entry(
         &self,
@@ -1098,11 +1250,12 @@ impl AvoidanceCore {
                     drop(self.rebuild_lock.lock());
                 }
                 ViewCheck::Irrelevant => {
-                    self.record_go(log, None, false, t, l, frames, stack);
+                    self.record_go(log, None, false, t, l, stack);
                     return;
                 }
-                ViewCheck::Relevant(view) => {
-                    self.record_go(log, Some(&view), false, t, l, frames, stack);
+                ViewCheck::Relevant(view, resolved) => {
+                    let slots = view.all_slots(&resolved, frames);
+                    self.record_go(log, Some((&view, &slots)), false, t, l, stack);
                     return;
                 }
             }
@@ -1125,24 +1278,12 @@ impl AvoidanceCore {
         self.publish_grant(slot, t);
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            // Pop the innermost entry from our private log and decide —
-            // against the view current at pop time — whether the shared
-            // buckets ever saw it. The bucket removal (sequence bump) must
-            // precede the wake-list check below: that order is what lets a
-            // concurrent cover decision trust a validated sequence (module
-            // docs' protocol).
-            let popped = self.pop_entry(slot, l);
-            if let Some((stack, Some((view, frames)))) = &popped {
-                Self::remove_buckets(
-                    view,
-                    frames,
-                    AllowedEntry {
-                        t,
-                        l,
-                        stack: *stack,
-                    },
-                );
-            }
+            // Pop the innermost entry from our private log and take it out
+            // of the buckets it is in. The bucket removal (sequence bump)
+            // must precede the wake-list check below: that order is what
+            // lets a concurrent cover decision trust a validated sequence
+            // (module docs' protocol).
+            self.pop_entry(slot, t, l);
             // Swap-and-drain our own wake list (single-drainer: only the
             // owner thread releases its locks). The empty check is a
             // SeqCst load, so skipping the drain keeps the ordering
@@ -1182,18 +1323,7 @@ impl AvoidanceCore {
         let slot = t.0 as usize;
         let grant = self.take_grant(slot, t, l);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            let popped = self.pop_entry(slot, l);
-            if let Some((stack, Some((view, frames)))) = &popped {
-                Self::remove_buckets(
-                    view,
-                    frames,
-                    AllowedEntry {
-                        t,
-                        l,
-                        stack: *stack,
-                    },
-                );
-            }
+            self.pop_entry(slot, t, l);
             if self.slots[slot].in_yielding.load(Ordering::Relaxed) {
                 self.remove_yielding(t);
             }
@@ -1203,29 +1333,26 @@ impl AvoidanceCore {
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
-    /// private log; returns its stack and, when the entry may be bucketed
-    /// under the currently published view, that view (to remove it from)
-    /// together with the already-resolved frames.
-    #[allow(clippy::type_complexity)] // Pop result local to the two callers.
-    fn pop_entry(
-        &self,
-        slot: usize,
-        l: LockId,
-    ) -> Option<(StackId, Option<(Arc<MatchView>, CallStack)>)> {
+    /// private log and removes it from the shared buckets — by the slots
+    /// the entry remembers, when they are still good.
+    ///
+    /// The pop and the view look-up share one slot critical section; the
+    /// bucket write sessions run after it, against the view loaded in it
+    /// (the rebuild protocol's release argument). An entry with no buckets —
+    /// an empty history, an irrelevant suffix — ends at the stamp
+    /// comparison: the view is not even cloned.
+    fn pop_entry(&self, slot: usize, t: ThreadId, l: LockId) {
         let mut log = self.slots[slot].allowed.lock();
-        let stack = log.pop(l)?;
-        let view = self.view_of(&mut log);
-        if view.depths.is_empty() {
-            // Empty history: provably never bucketed — skip the resolve.
-            return Some((stack, None));
+        let Some(held) = log.pop(l) else {
+            return;
+        };
+        let (view, view_epoch) = self.view_of(&mut log);
+        if held.stamp == view_epoch && held.slots.len == 0 {
+            return;
         }
-        let frames = self.stacks.resolve(stack);
-        if view.is_relevant(&frames) {
-            let view = Arc::clone(view);
-            Some((stack, Some((view, frames))))
-        } else {
-            Some((stack, None))
-        }
+        let view = Arc::clone(view);
+        drop(log);
+        self.remove_buckets(&view, view_epoch, t, &held);
     }
 
     fn clear_yield_state(&self, slot: usize) {
@@ -1342,16 +1469,35 @@ impl AvoidanceCore {
         };
         let view = Arc::new(view);
         self.view_cell.publish(Arc::clone(&view));
+        self.visit_logs(&view, first_new);
+        Stats::bump(if extended {
+            &self.stats.rebuilds_delta
+        } else {
+            &self.stats.rebuilds_full
+        });
+        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.stats.record_rebuild_us(extended, us);
+    }
+
+    /// The visit of a rebuild (module docs): with `view` published, locks
+    /// each thread slot in turn, buckets its log's entries wherever `view`'s
+    /// table lacks them — the slots from `first_new` on — and marks the
+    /// table swept. Every visited entry leaves with its slots under `view`
+    /// remembered and stamped, so the releases that follow take the
+    /// remembered path again. The caller holds the rebuild mutex, which is
+    /// what keeps the epoch read here `view`'s own.
+    fn visit_logs(&self, view: &MatchView, first_new: u32) {
+        let view_epoch = self.view_cell.epoch();
         // Slot order, and lock-id order within a slot, so the bucket
         // vectors are deterministic (`AllowedLog::sweep_order`).
         for (slot_idx, slot) in self.slots.iter().enumerate() {
             let t = ThreadId(slot_idx as u64);
             let mut log = slot.allowed.lock();
-            for (l, stack) in log.sweep_order() {
-                let frames = self.stacks.resolve(stack);
-                for s in view.slots_of(&frames).filter(|&s| s >= first_new) {
-                    view.table.insert(s, AllowedEntry { t, l, stack });
-                }
+            for at in log.sweep_order() {
+                let held = &mut log.entries[at];
+                let frames = self.stacks.resolve(held.stack);
+                let slots: Vec<u32> = view.slots_of(&frames).collect();
+                Self::bucket(view, &slots, first_new, view_epoch, t, held);
             }
             // Drop the slot's cached view: an idle thread must not keep a
             // retired generation's bucket table alive until its next hook
@@ -1360,13 +1506,6 @@ impl AvoidanceCore {
             log.view_epoch = u64::MAX;
         }
         view.table.swept.store(true, Ordering::Release);
-        Stats::bump(if extended {
-            &self.stats.rebuilds_delta
-        } else {
-            &self.stats.rebuilds_full
-        });
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.stats.record_rebuild_us(extended, us);
     }
 
     /// `old` extended to generation `gen` by the signatures appended in
@@ -1403,7 +1542,6 @@ impl AvoidanceCore {
         });
         Some(MatchView {
             generation: gen,
-            depths: layout.depths().collect(),
             index,
             table: Arc::new(MatchTable::extended(&old.table, layout.len())),
             layout,
@@ -1429,7 +1567,6 @@ impl AvoidanceCore {
         };
         MatchView {
             generation,
-            depths: layout.depths().collect(),
             index,
             table: Arc::new(MatchTable::new(layout.len())),
             layout,
@@ -1443,23 +1580,32 @@ impl AvoidanceCore {
             .iter()
             .map(|slot| slot.allowed.lock().entries.len())
             .sum();
-        live * core::mem::size_of::<(LockId, StackId)>()
+        live * core::mem::size_of::<Held>()
             + self.view_cell.load().table.approx_bytes()
             + self.slots.len() * core::mem::size_of::<ThreadSlot>()
     }
 
-    /// Inserts the entry into every bucket of the view it belongs to.
-    fn insert_buckets(view: &MatchView, frames: &[FrameId], e: AllowedEntry) {
-        for slot in view.slots_of(frames) {
-            view.table.insert(slot, e);
-        }
-    }
-
-    /// Removes `e` from every bucket of the view it could be in; tolerant
-    /// of the entry being absent (it may never have been bucketed).
-    fn remove_buckets(view: &MatchView, frames: &[FrameId], e: AllowedEntry) {
-        for slot in view.slots_of(frames) {
-            view.table.remove(slot, e);
+    /// Removes `held` (an entry of `t`'s log, already popped or about to
+    /// be cleared) from every bucket of `view` it is in: the slots it
+    /// remembers when its stamp is `view`'s epoch, the slots its stack
+    /// resolves to under `view` otherwise — a release between a publish and
+    /// the visit that would have restamped the entry, or an entry with more
+    /// slots than it can remember. Tolerant of the entry being absent (the
+    /// visit may not have bucketed it under `view` yet).
+    fn remove_buckets(&self, view: &MatchView, view_epoch: u64, t: ThreadId, held: &Held) {
+        let e = AllowedEntry {
+            t,
+            l: held.l,
+            stack: held.stack,
+        };
+        if held.stamp == view_epoch {
+            for &s in held.slots.as_slice() {
+                view.table.remove(s, e);
+            }
+        } else {
+            for s in view.slots_of(&self.stacks.resolve(held.stack)) {
+                view.table.remove(s, e);
+            }
         }
     }
 
@@ -1528,9 +1674,11 @@ impl AvoidanceCore {
     /// cover's [`CoverProof`] (the validated bucket sequences its decision
     /// was computed from) is returned, so the caller can register the
     /// yield and then revalidate (see `request`).
+    #[allow(clippy::too_many_arguments)] // Packed search inputs.
     fn find_instance(
         &self,
         view: &MatchView,
+        slots: &[u32],
         slot: usize,
         t: ThreadId,
         l: LockId,
@@ -1538,7 +1686,7 @@ impl AvoidanceCore {
         stack: StackId,
     ) -> Option<(Instance, CoverProof)> {
         let mut scratch: Vec<[u64; 3]> = Vec::new();
-        self.find_instance_with(view, slot, t, l, frames, stack, &mut |s: u32| {
+        self.find_instance_with(view, slots, slot, t, l, frames, stack, &mut |s: u32| {
             let seq = view.table.buckets[s as usize].read_into(&mut scratch);
             (seq, Self::decode_sorted(&scratch))
         })
@@ -1556,9 +1704,11 @@ impl AvoidanceCore {
     /// never take an engine mutex and normal write sessions hold a single
     /// claim without waiting, so the all-claims hold cannot deadlock —
     /// only serialize.
+    #[allow(clippy::too_many_arguments)] // Packed search inputs.
     fn find_instance_locked(
         &self,
         view: &MatchView,
+        slots: &[u32],
         slot: usize,
         t: ThreadId,
         l: LockId,
@@ -1576,9 +1726,10 @@ impl AvoidanceCore {
             })
             .collect();
         // Sequences in the proof are immaterial — the decision is final.
-        let found = self.find_instance_with(view, slot, t, l, frames, stack, &mut |s: u32| {
-            (0, all[s as usize].clone())
-        });
+        let found =
+            self.find_instance_with(view, slots, slot, t, l, frames, stack, &mut |s: u32| {
+                (0, all[s as usize].clone())
+            });
         let inst = found.map(|(inst, _proof)| inst);
         if let Some(inst) = &inst {
             if self.config.enforce_yields {
@@ -1591,11 +1742,14 @@ impl AvoidanceCore {
 
     /// Shared search body of [`Self::find_instance`] (optimistic bucket
     /// reads) and [`Self::find_instance_locked`] (reads under claims),
-    /// parameterized over the bucket `read` accessor.
+    /// parameterized over the bucket `read` accessor. `slots` is what
+    /// `frames` resolved to under `view` — the index is entered by slot, no
+    /// second look-up; the linear walk compares `frames` itself.
     #[allow(clippy::too_many_arguments)] // Packed search inputs + accessor.
     fn find_instance_with(
         &self,
         view: &MatchView,
+        slots: &[u32],
         slot: usize,
         t: ThreadId,
         l: LockId,
@@ -1610,7 +1764,7 @@ impl AvoidanceCore {
             // measurably tax the contended rows.
             let mut skips = 0_u64;
             let mut found = None;
-            'sets: for set in index.candidate_sets(frames) {
+            'sets: for set in slots.iter().map(|&s| index.set_at(s)) {
                 // Whole-set fast rejects: every candidate needs all of its
                 // other-member buckets non-empty, and every candidate has
                 // at least one. O(1) form first — if the table's only

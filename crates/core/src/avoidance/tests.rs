@@ -2,11 +2,12 @@
 //! pops against the per-lock `HashMap<LockId, Vec<_>>` it replaced (kept
 //! here as the oracle), the exit sweep, and the rebuild's visit: its bucket
 //! order, that appends racing it are applied once, and that buckets equal
-//! the logs after every live rebuild.
+//! the logs after every live rebuild; the slots a held entry remembers
+//! across both kinds of rebuild; and the bounded-retry cover fallback.
 
 use super::*;
 use crate::runtime::Runtime;
-use dimmunix_signature::CycleKind;
+use dimmunix_signature::{suffix_of, CycleKind};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -90,8 +91,8 @@ fn assert_matches_model(core: &AvoidanceCore, t: ThreadId, model: &Model) {
         let held: Vec<StackId> = log
             .entries
             .iter()
-            .filter(|&&(held, _)| held == l)
-            .map(|&(_, stack)| stack)
+            .filter(|held| held.l == l)
+            .map(|held| held.stack)
             .collect();
         assert_eq!(&held, levels, "nesting levels of {l:?}");
     }
@@ -215,7 +216,7 @@ fn exit_sweep_drains_a_nested_stack_and_wakes_every_yielder() {
     let slot = &core.slots[holder.0 as usize];
     assert!(slot.allowed.lock().entries.is_empty());
     // Five stack entries and their fifteen bucket words are gone.
-    let entry = core::mem::size_of::<(LockId, StackId)>();
+    let entry = core::mem::size_of::<Held>();
     assert_eq!(before - core.approx_bytes(), 5 * entry + 5 * 3 * 8);
     // The woken yielders' retries find nothing left to yield on.
     for (y, (frames, stack)) in yielders.iter().zip(&yield_paths) {
@@ -433,11 +434,23 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
         {
             return Err(format!("{what}: the published view is not current"));
         }
+        let epoch = core.view_cell.epoch();
         let mut expected = vec![Vec::new(); view.layout.len()];
         for (slot_idx, slot) in core.slots.iter().enumerate() {
             let t = ThreadId(slot_idx as u64);
-            for &(l, stack) in &slot.allowed.lock().entries {
-                for s in view.slots_of(&core.stacks.resolve(stack)) {
+            for held in &slot.allowed.lock().entries {
+                let Held { l, stack, .. } = *held;
+                let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(stack)).collect();
+                // Granted under this view or restamped by its visit: either
+                // way the entry remembers exactly its buckets.
+                if held.stamp != epoch || held.slots.as_slice() != &slots[..] {
+                    return Err(format!(
+                        "{what}: {t:?}/{l:?} remembers {:?} @ {}, the view at {epoch} says {slots:?}",
+                        held.slots.as_slice(),
+                        held.stamp
+                    ));
+                }
+                for s in slots {
                     expected[s as usize].push(AllowedEntry { t, l, stack }.encode());
                 }
             }
@@ -526,4 +539,275 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
         "first build and the touch: {stats:?}"
     );
     assert_eq!(core.occupancy_skew().live_entries, 0, "all released");
+}
+
+/// Every bucket of the published table is empty, and says so three ways.
+fn assert_table_drained(core: &AvoidanceCore) {
+    let view = core.view_cell.load();
+    for (s, bucket) in view.table.buckets.iter().enumerate() {
+        assert_eq!(bucket.approx_len(), 0, "bucket {s}");
+    }
+    assert_eq!(view.table.nonempty.load(Ordering::SeqCst), 0);
+    for s in 0..view.table.occupancy.len() as u64 {
+        assert!(
+            !view.table.occupancy.possibly_nonempty(s),
+            "fingerprint {s}"
+        );
+    }
+}
+
+/// One thread holds nested locks through a bucketed suffix while the
+/// history changes under them twice: an append that gives the suffix a key
+/// at a second depth (the view is extended: each entry gains a bucket past
+/// the old layout) and a removal (a fresh table: the surviving key is
+/// renumbered from slot 2 to slot 0, the other one is gone). Around each
+/// rebuild one lock is released — between the publish and the slot's visit
+/// when `before_visit` (the entry's stamp is stale: the slots are resolved
+/// again), after the visit otherwise (restamped: the remembered slots are
+/// used) — and at the end everything else. Whatever path a removal took,
+/// no bucket keeps anything.
+fn remembered_slots_survive_rebuilds(before_visit: bool) {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let member = |rt: &Runtime, n: u32| site(rt, &[("m", n), ("mid", 7), ("inner", 8)]).1;
+    let ghost = |rt: &Runtime, n: u32| site(rt, &[("ghost", n), ("never", n), ("run", n)]).1;
+    let deep = rt
+        .history()
+        .add(CycleKind::Deadlock, vec![member(&rt, 0), ghost(&rt, 0)], 2)
+        .unwrap();
+    core.refresh_published();
+
+    let t = core.register_thread().unwrap();
+    let locks: Vec<LockId> = (0..4).map(|_| rt.new_lock_id()).collect();
+    let paths: Vec<_> = (0..4)
+        .map(|i| site(&rt, &[("outer", i), ("mid", 7), ("inner", 8)]))
+        .collect();
+    let grant = |i: usize| {
+        let (frames, stack) = &paths[i];
+        assert!(matches!(
+            core.request(t, locks[i], frames, *stack),
+            Decision::Go
+        ));
+        core.acquired(t, locks[i], *stack);
+    };
+    // View N: two nesting levels of lock 1 inside lock 0, two more locks on
+    // top, and lock 0 — the outermost — unlocked first.
+    grant(0);
+    grant(1);
+    core.acquired_reentrant(t, locks[1], &paths[1].0, paths[1].1);
+    grant(2);
+    grant(3);
+    assert_eq!(core.occupancy_skew().live_entries, 5);
+    assert!(core.release(t, locks[0]).is_empty());
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 4);
+
+    // What the log's entry for `l` remembers, and whether that is current.
+    let remembered = |l: LockId| -> (Vec<u32>, bool) {
+        let log = core.slots[t.0 as usize].allowed.lock();
+        let held = log.entries.iter().rfind(|held| held.l == l).unwrap();
+        let current = held.stamp == core.view_cell.epoch();
+        (held.slots.as_slice().to_vec(), current)
+    };
+    // One rebuild, by hand: publish `view`, release `l` on one side of the
+    // visit or the other.
+    let rebuild_around = |view: MatchView, first_new: u32, l: LockId| {
+        let _g = core.rebuild_lock.lock();
+        let view = Arc::new(view);
+        core.view_cell.publish(Arc::clone(&view));
+        if before_visit {
+            assert!(!remembered(l).1, "published past the entry's stamp");
+            assert!(core.release(t, l).is_empty());
+        }
+        core.visit_logs(&view, first_new);
+        for held in &core.slots[t.0 as usize].allowed.lock().entries {
+            let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(held.stack)).collect();
+            assert_eq!(held.slots.as_slice(), &slots[..], "restamped by the visit");
+            assert_eq!(held.stamp, core.view_cell.epoch());
+        }
+        if !before_visit {
+            assert!(core.release(t, l).is_empty());
+        }
+    };
+
+    // (a) Extension: `inner` alone becomes a key, at depth 1.
+    assert_eq!(remembered(locks[3]), (vec![0], true));
+    rt.history()
+        .add(
+            CycleKind::Deadlock,
+            vec![site(&rt, &[("n", 0), ("inner", 8)]).1, ghost(&rt, 1)],
+            1,
+        )
+        .unwrap();
+    let old = core.view_cell.load();
+    let gen = rt.history().generation();
+    let extended = core.extended_view(&old, gen).expect("a pure append");
+    assert!(Arc::ptr_eq(
+        &extended.table.buckets[0],
+        &old.table.buckets[0]
+    ));
+    rebuild_around(extended, old.layout.len() as u32, locks[3]);
+    // Depth ascending: the new depth-1 slot, then the surviving depth-2 one.
+    assert_eq!(remembered(locks[2]), (vec![2, 0], true));
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
+    // A grant under the extended view lands in both buckets, and leaves
+    // them by what it remembers.
+    grant(3);
+    assert_eq!(remembered(locks[3]), (vec![2, 0], true));
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 4);
+    assert!(core.release(t, locks[3]).is_empty());
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
+
+    // (b) Structural: the depth-2 signature goes; a fresh table numbers
+    // what is left from 0.
+    assert!(rt.history().remove(deep.id));
+    assert!(core
+        .extended_view(&core.view_cell.load(), rt.history().generation())
+        .is_none());
+    rebuild_around(core.fresh_view(), 0, locks[2]);
+    assert_eq!(remembered(locks[1]), (vec![0], true));
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
+
+    // The two nesting levels of lock 1, innermost first.
+    assert!(core.release(t, locks[1]).is_empty());
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 1);
+    assert!(core.release(t, locks[1]).is_empty());
+    assert!(core.slots[t.0 as usize].allowed.lock().entries.is_empty());
+    assert_table_drained(core);
+    core.unregister_thread(t);
+}
+
+#[test]
+fn a_release_between_publish_and_visit_resolves_its_slots_again() {
+    remembered_slots_survive_rebuilds(true);
+}
+
+#[test]
+fn a_release_after_the_visit_uses_the_restamped_slots() {
+    remembered_slots_survive_rebuilds(false);
+}
+
+/// A stack that hits more depth layers than an entry can remember is
+/// stamped "ask the view": granted into every bucket, and released out of
+/// every bucket by resolving again — the stale-stamp path, not a third one.
+#[test]
+fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let frames: Vec<(&str, u32)> = (0..=REMEMBERED_SLOTS as u32).map(|i| ("f", i)).collect();
+    let (path, stack) = site(&rt, &frames);
+    let layers = REMEMBERED_SLOTS as u8 + 1;
+    for depth in 1..=layers {
+        let ghost = site(&rt, &[("ghost", u32::from(depth))]).1;
+        rt.history()
+            .add(CycleKind::Deadlock, vec![stack, ghost], depth)
+            .unwrap();
+    }
+    let t = core.register_thread().unwrap();
+    let l = rt.new_lock_id();
+    assert!(matches!(core.request(t, l, &path, stack), Decision::Go));
+    core.acquired(t, l, stack);
+    assert_eq!(
+        core.slots[t.0 as usize].allowed.lock().entries[0].stamp,
+        Held::ASK_THE_VIEW
+    );
+    for depth in 1..=layers {
+        assert_eq!(bucket_of(core, depth, &path).len(), 1, "depth {depth}");
+    }
+    // The visit of a rebuild finds as many and leaves the same stamp.
+    rt.history().touch();
+    core.refresh_published();
+    assert_eq!(core.occupancy_skew().live_entries, u64::from(layers));
+    assert_eq!(
+        core.slots[t.0 as usize].allowed.lock().entries[0].stamp,
+        Held::ASK_THE_VIEW
+    );
+    assert!(core.release(t, l).is_empty());
+    assert_table_drained(core);
+    core.unregister_thread(t);
+}
+
+/// The bounded-retry fallback, reached directly: on a two-thread cover
+/// `find_instance_locked` decides what the optimistic `find_instance`
+/// decides — same signature, causes and bindings — counts itself, and has
+/// the yield registered by the time it returns (it registers before its
+/// bucket claims drop, so the cause's release, which must claim the bucket
+/// to remove its entry, cannot slip in between): the release hands back the
+/// yielder although `request` never ran.
+#[test]
+fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let (held_path, held_stack) = site(&rt, &[("holder", 0), ("take", 10)]);
+    let (yield_path, yield_stack) = site(&rt, &[("waiter", 0), ("take", 20)]);
+    let sig = rt
+        .history()
+        .add(CycleKind::Deadlock, vec![held_stack, yield_stack], 2)
+        .unwrap();
+    let holder = core.register_thread().unwrap();
+    let yielder = core.register_thread().unwrap();
+    let (held_lock, wanted) = (rt.new_lock_id(), rt.new_lock_id());
+    assert!(matches!(
+        core.request(holder, held_lock, &held_path, held_stack),
+        Decision::Go
+    ));
+    core.acquired(holder, held_lock, held_stack);
+
+    let slot = yielder.0 as usize;
+    let checked = core.check_view(&mut core.slots[slot].allowed.lock(), &yield_path);
+    let ViewCheck::Relevant(view, resolved) = checked else {
+        panic!("the yielder's path is a member suffix of a swept, current view");
+    };
+    let slots = resolved.as_slice();
+    let (optimistic, _proof) = core
+        .find_instance(
+            &view,
+            slots,
+            slot,
+            yielder,
+            wanted,
+            &yield_path,
+            yield_stack,
+        )
+        .expect("the holder's entry completes the cover");
+    assert_eq!(rt.stats().cover_fallbacks, 0);
+    assert!(
+        core.release(holder, held_lock).is_empty(),
+        "nothing registered yet"
+    );
+    assert!(matches!(
+        core.request(holder, held_lock, &held_path, held_stack),
+        Decision::Go
+    ));
+    core.acquired(holder, held_lock, held_stack);
+
+    let locked = core
+        .find_instance_locked(
+            &view,
+            slots,
+            slot,
+            yielder,
+            wanted,
+            &yield_path,
+            yield_stack,
+        )
+        .expect("the same cover, read under the claims");
+    assert_eq!(rt.stats().cover_fallbacks, 1);
+    assert_eq!(locked.sig.id, sig.id);
+    assert_eq!(locked.sig.id, optimistic.sig.id);
+    assert_eq!(locked.depth_used, optimistic.depth_used);
+    assert_eq!(locked.causes, optimistic.causes);
+    assert_eq!(locked.bindings, optimistic.bindings);
+    assert_eq!(
+        locked.causes,
+        vec![YieldCause {
+            thread: holder,
+            lock: held_lock,
+            stack: held_stack,
+        }]
+    );
+    assert_eq!(core.release(holder, held_lock), vec![yielder]);
+    core.unregister_thread(yielder);
+    core.unregister_thread(holder);
 }

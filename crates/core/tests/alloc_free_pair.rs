@@ -1,13 +1,15 @@
 //! Allocation guards, on a counting allocator. A warm, uncontended
 //! lock/unlock pair on an empty history touches no heap — the held-lock
 //! stack keeps its capacity, events are plain values in a lane block that
-//! is already there, an empty wake set is an empty `Vec`. Bursts fit one
-//! block; the monitor pass between them (which does allocate) is not
-//! counted. And event lanes dropped with events still queued give back
-//! every block and every event.
+//! is already there, an empty wake set is an empty `Vec`. Nor does one on
+//! a populated history through a signature-member suffix: the stack is
+//! resolved to its bucket slots into the held-stack entry itself, and the
+//! release removes by those. Bursts fit one block; the monitor pass between
+//! them (which does allocate) is not counted. And event lanes dropped with
+//! events still queued give back every block and every event.
 
 use dimmunix_core::{
-    Config, Event, EventLanes, LockId, Runtime, SigId, StackId, ThreadId, YieldInfo,
+    Config, CycleKind, Event, EventLanes, LockId, Runtime, SigId, StackId, ThreadId, YieldInfo,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,6 +102,44 @@ fn warm_uncontended_pairs_do_not_allocate() {
 
     let stats = rt.stats();
     assert_eq!(stats.releases, 2 * (BURSTS as u64 + 1) * BURST as u64);
+    assert_eq!(stats.yields, 0);
+}
+
+/// The pair that pays for the match path: every request resolves to member
+/// buckets (two of them — the history uses two matching depths), runs the
+/// occupancy precheck over its candidates, inserts its entry, and every
+/// release takes it out again.
+#[test]
+fn warm_pairs_on_a_relevant_suffix_do_not_allocate() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let site_of = |function: &'static str, line: u32| {
+        rt.make_site(&[("main", "guard.rs", 1), (function, "guard.rs", line)])
+    };
+    let member = site_of("work", 2);
+    for (i, depth) in (0..32_u32).zip([2_u8, 1].into_iter().cycle()) {
+        let partner = site_of("elsewhere", 100 + i);
+        let added = rt.history().add(
+            CycleKind::Deadlock,
+            vec![member.stack(), partner.stack()],
+            depth,
+        );
+        assert!(added.is_some(), "32 distinct signatures");
+    }
+    let raw: Vec<_> = (0..8).map(|_| rt.raw_lock()).collect();
+    let before = rt.stats();
+    let allocations = allocations_over(&rt, |i| {
+        let lock = &raw[i % raw.len()];
+        lock.lock(&member);
+        lock.unlock();
+    });
+    assert_eq!(allocations, 0, "RawLock pairs through a member suffix");
+
+    // Each request met all 32 candidates and refuted them without a search:
+    // the pairs really were on the match path.
+    let stats = rt.stats();
+    let pairs = (BURSTS as u64 + 1) * BURST as u64;
+    assert_eq!(stats.releases - before.releases, pairs);
+    assert_eq!(stats.precheck_skips - before.precheck_skips, 32 * pairs);
     assert_eq!(stats.yields, 0);
 }
 

@@ -69,10 +69,22 @@ impl<T> EpochCell<T> {
 
     /// Clones the currently published snapshot.
     pub fn load(&self) -> Arc<T> {
+        self.load_with_epoch().1
+    }
+
+    /// Clones the currently published snapshot together with the epoch it
+    /// was published at. [`EpochCell::epoch`] followed by
+    /// [`EpochCell::load`] can straddle a publication and pair an older
+    /// epoch with a newer value; a reader that keys anything else by the
+    /// epoch — "same epoch, therefore same snapshot" — refreshes through
+    /// this instead.
+    pub fn load_with_epoch(&self) -> (u64, Arc<T>) {
         let _g = self.lock();
+        // The epoch only moves inside this critical section (`publish`).
+        let epoch = self.epoch.load(Ordering::Acquire);
         // SAFETY: The spinlock is held, so no publication is concurrently
         // replacing the Arc.
-        unsafe { Arc::clone(&*self.value.get()) }
+        (epoch, unsafe { Arc::clone(&*self.value.get()) })
     }
 
     /// Publishes `value` as the new snapshot and bumps the epoch.
@@ -82,7 +94,7 @@ impl<T> EpochCell<T> {
     /// refresh is guaranteed to load the new (or a newer) value.
     pub fn publish(&self, value: Arc<T>) {
         let _g = self.lock();
-        // SAFETY: As in `load`: exclusive via the spinlock.
+        // SAFETY: As in `load_with_epoch`: exclusive via the spinlock.
         unsafe {
             *self.value.get() = value;
         }
@@ -132,6 +144,7 @@ mod tests {
         cell.publish(Arc::new("c"));
         assert_eq!(cell.epoch(), 2);
         assert_eq!(*cell.load(), "c");
+        assert_eq!(cell.load_with_epoch(), (2, Arc::new("c")));
     }
 
     #[test]
@@ -156,6 +169,9 @@ mod tests {
             assert!(e >= last_epoch, "epoch regressed");
             last = v;
             last_epoch = e;
+            // Value `i` is the `i`-th publication: the pair is exact.
+            let (paired_epoch, paired) = cell.load_with_epoch();
+            assert_eq!(paired_epoch, *paired);
         }
         publisher.join().unwrap();
     }

@@ -8,28 +8,32 @@
 //! its metadata by hashed call stack, so we provide the equivalent: an index
 //! from depth-truncated stack suffixes to the signature members that carry
 //! them. The avoidance runtime can use either strategy; the Criterion bench
-//! `request_path` compares them (an ablation called out in DESIGN.md).
+//! `request_path` compares them (the paper's complexity discussion is
+//! §5.6).
 //!
-//! The index is layered per depth (`depth → suffix → members`) so a lookup
-//! borrows the probe suffix directly — no per-request key allocation — and
-//! every candidate carries the signature's precomputed [`CoverKeys`]: one
+//! There is **one** `(depth, suffix)` map: the [`BucketLayout`], which
+//! assigns every distinct member key of one history generation a **dense
+//! slot**. Everything else is an array indexed by that slot — the
+//! [`MatchIndex`]'s [`CandidateSet`]s here, the avoidance engine's versioned
+//! `Allowed` buckets and occupancy fingerprints there (sized from
+//! [`BucketLayout::len`] at rebuild time; the key set is known up front
+//! because only entries whose suffix matches some signature member can ever
+//! participate in an exact cover). A call stack is therefore resolved
+//! against a generation **once**, by [`BucketLayout::slots_of`] — one
+//! borrowed look-up per depth layer, no per-request key allocation — and the
+//! slots it yields name its candidate sets and its buckets alike.
+//!
+//! Every candidate carries the signature's precomputed [`CoverKeys`]: one
 //! `(stack, suffix, slot)` triple per member, ready for the lock-free
 //! engine's occupancy prechecks and versioned-bucket reads without
 //! resolving or re-hashing member stacks on the request path.
-//!
-//! The distinct `(depth, suffix)` member keys of one history generation
-//! additionally get **dense bucket slots** assigned through a
-//! [`BucketLayout`]: the avoidance engine sizes its versioned `Allowed`
-//! bucket array (and, by default, its occupancy fingerprints) to exactly
-//! `key_count()` slots at rebuild time — the set of bucket keys is known up
-//! front because only entries whose suffix matches some signature member
-//! can ever participate in an exact cover.
 
 use crate::frame::FrameId;
 use crate::history::History;
 use crate::signature::Signature;
 use crate::stack::{suffix_of, StackId, StackTable};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One signature member's precomputed bucket key: the member stack, its
@@ -94,15 +98,57 @@ impl CoverKeys {
     }
 }
 
+/// Multiply-rotate hasher for suffix keys (the FxHash recurrence). The keys
+/// are slices of [`FrameId`]s — small dense integers this process's own
+/// [`crate::FrameTable`] handed out, never bytes an outsider chose — so
+/// SipHash's resistance to crafted collisions protects nothing here, and it
+/// was two thirds of the cost of a look-up.
+#[derive(Default)]
+struct SuffixHasher(u64);
+
+impl SuffixHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SuffixHasher {
+    /// Not on the key path (a `[FrameId]` hashes as a length and `u32`s);
+    /// here so that any other key type still hashes all of its bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, len: usize) {
+        self.mix(len as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top; the table takes
+    /// its bucket index from the bottom.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// One depth layer of a [`BucketLayout`]: `suffix → dense slot`.
-type SlotMap = HashMap<Box<[FrameId]>, u32>;
+type SlotMap = HashMap<Box<[FrameId]>, u32, BuildHasherDefault<SuffixHasher>>;
 
 /// Dense bucket-slot directory of one history generation: every distinct
 /// `(depth, suffix)` key across the enabled signatures' members gets one
 /// slot in `[0, len)`, assigned in deterministic history-snapshot × member
 /// order. The avoidance engine sizes its versioned bucket array from
-/// [`BucketLayout::len`] and routes every bucket insert/remove/probe
-/// through [`BucketLayout::slot_of`].
+/// [`BucketLayout::len`] and resolves each granted call stack to its
+/// bucket slots with [`BucketLayout::slots_of`].
 ///
 /// Slot assignments are **append-stable**: because slots are handed out in
 /// snapshot × member order and the history only ever appends (removals and
@@ -167,7 +213,7 @@ impl BucketLayout {
             let map = match self.by_depth.iter_mut().find(|(d, _)| *d == depth) {
                 Some((_, map)) => map,
                 None => {
-                    self.by_depth.push((depth, Arc::new(HashMap::new())));
+                    self.by_depth.push((depth, Arc::default()));
                     &mut self.by_depth.last_mut().expect("just pushed").1
                 }
             };
@@ -201,27 +247,16 @@ impl BucketLayout {
         self.by_depth.iter().map(|&(d, _)| d)
     }
 
-    /// Iterates the `(depth, suffix, slot)` keys whose slot is `>= from` —
-    /// for a layout produced by [`BucketLayout::extended`], exactly the
-    /// keys appended on top of a base layout of length `from` (append
-    /// stability: surviving keys keep slots `< from`). The delta rebuild
-    /// uses this to compute which buckets need patching.
-    pub fn keys_from(&self, from: u32) -> impl Iterator<Item = (u8, &[FrameId], u32)> {
-        self.by_depth.iter().flat_map(move |(d, map)| {
-            map.iter().filter_map(move |(suffix, &slot)| {
-                (slot >= from).then_some((*d, &suffix[..], slot))
-            })
-        })
-    }
-
-    /// Whether any depth's suffix of `stack` is a member key — i.e. whether
-    /// an `Allowed` entry with these frames could ever participate in an
-    /// exact cover under this layout (the request fast path's relevance
-    /// probe).
-    pub fn is_relevant(&self, stack: &[FrameId]) -> bool {
+    /// The slots `stack` resolves to: one per depth layer whose suffix of
+    /// `stack` is a member key, in ascending depth order. Empty means an
+    /// `Allowed` entry with these frames can never participate in an exact
+    /// cover under this layout (covers look entries up *by member suffix*).
+    /// This is the one hashing step of a grant: the slots index the
+    /// [`MatchIndex`]'s candidate sets and the engine's buckets alike.
+    pub fn slots_of<'a>(&'a self, stack: &'a [FrameId]) -> impl Iterator<Item = u32> + 'a {
         self.by_depth
             .iter()
-            .any(|(d, map)| map.contains_key(suffix_of(stack, *d as usize)))
+            .filter_map(move |(d, map)| map.get(suffix_of(stack, *d as usize)).copied())
     }
 }
 
@@ -242,7 +277,7 @@ pub struct Candidate {
 /// the suffix, and in the common all-refuted case the scan must not chase
 /// a single per-candidate `Arc` — just contiguous slot indices plus one
 /// fingerprint load each.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct CandidateSet {
     candidates: Vec<Candidate>,
     /// Concatenation of every candidate's *other-member* bucket slots.
@@ -328,27 +363,26 @@ impl CandidateSet {
     }
 }
 
-/// One depth layer of the index: `suffix → candidates`.
-type SuffixMap = HashMap<Box<[FrameId]>, CandidateSet>;
-
-/// Immutable index over one history generation.
+/// Immutable index over one history generation: the [`CandidateSet`] of
+/// every [`BucketLayout`] slot.
 ///
 /// Rebuild whenever [`History::generation`] moves — membership or
 /// matching-depth changes both bump it. For pure appends,
-/// [`MatchIndex::extended`] patches a copy instead of rebuilding: depth
-/// layers untouched by the appended signatures are `Arc`-shared with the
-/// base index, and existing candidates keep their (slot-stable, see
-/// [`BucketLayout`]) precomputed [`CoverKeys`].
+/// [`MatchIndex::extended`] patches a copy instead of rebuilding: sets the
+/// appended signatures do not touch are `Arc`-shared with the base index,
+/// and existing candidates keep their (slot-stable, see [`BucketLayout`])
+/// precomputed [`CoverKeys`].
 #[derive(Debug)]
 pub struct MatchIndex {
     /// Generation of the history this index was built from.
     generation: u64,
-    /// `(depth, suffix → candidates)`, ascending by depth. Candidate order
-    /// within a bucket follows history-snapshot order — the cover search
-    /// (and hence yield causes) must be deterministic.
-    by_depth: Vec<(u8, Arc<SuffixMap>)>,
-    /// Dense bucket-slot directory for this generation; every candidate's
-    /// [`CoverKeys`] members carry slots resolved against it.
+    /// One set per layout slot, indexed by it. Candidate order within a set
+    /// follows history-snapshot order — the cover search (and hence yield
+    /// causes) must be deterministic.
+    sets: Vec<Arc<CandidateSet>>,
+    /// Dense bucket-slot directory for this generation: the `(depth,
+    /// suffix) → slot` map in front of `sets`, and what every candidate's
+    /// [`CoverKeys`] members resolved their slots against.
     layout: Arc<BucketLayout>,
 }
 
@@ -366,16 +400,7 @@ impl MatchIndex {
         // vaccination).
         let (generation, snapshot) = history.snapshot_with_generation();
         let layout = Arc::new(BucketLayout::build_from(&snapshot, stacks));
-        let mut index = Self {
-            generation,
-            by_depth: Vec::new(),
-            layout,
-        };
-        for sig in snapshot.iter() {
-            index.add_signature(sig, stacks);
-        }
-        index.by_depth.sort_unstable_by_key(|&(d, _)| d);
-        index
+        Self::with_signatures(generation, Vec::new(), layout, &snapshot, stacks)
     }
 
     /// Extends `base` with candidates for `new_sigs` (appended to the
@@ -383,7 +408,8 @@ impl MatchIndex {
     /// `base.layout()`), producing the index `generation` describes. Because
     /// appends land at the snapshot's tail and slots are append-stable, the
     /// result is identical to a fresh [`MatchIndex::build`] at that
-    /// generation — at the cost of the affected depth layers only.
+    /// generation — at the cost of one `Arc` clone per surviving set and a
+    /// copy of each set that gains a candidate.
     pub fn extended(
         base: &Self,
         generation: u64,
@@ -391,35 +417,38 @@ impl MatchIndex {
         new_sigs: &[Arc<Signature>],
         stacks: &StackTable,
     ) -> Self {
+        Self::with_signatures(generation, base.sets.clone(), layout, new_sigs, stacks)
+    }
+
+    /// `sets` grown to one per `layout` slot, with `sigs`' members appended.
+    fn with_signatures(
+        generation: u64,
+        mut sets: Vec<Arc<CandidateSet>>,
+        layout: Arc<BucketLayout>,
+        sigs: &[Arc<Signature>],
+        stacks: &StackTable,
+    ) -> Self {
+        let first_new = sets.len() as u32;
+        sets.extend((first_new..layout.len).map(|slot| Arc::new(CandidateSet::new(slot))));
         let mut index = Self {
             generation,
-            by_depth: base.by_depth.clone(),
+            sets,
             layout,
         };
-        for sig in new_sigs {
+        for sig in sigs {
             index.add_signature(sig, stacks);
         }
-        index.by_depth.sort_unstable_by_key(|&(d, _)| d);
         index
     }
 
-    /// Appends `sig`'s members to the candidate sets of its depth layer.
+    /// Appends `sig`'s members to the candidate sets of their slots.
     fn add_signature(&mut self, sig: &Arc<Signature>, stacks: &StackTable) {
         if sig.is_disabled() {
             return;
         }
-        let depth = sig.depth();
-        let mut keys = CoverKeys::compute(sig, depth, stacks);
+        let mut keys = CoverKeys::compute(sig, sig.depth(), stacks);
         keys.resolve(&self.layout);
         let keys = Arc::new(keys);
-        let map = match self.by_depth.iter_mut().find(|(d, _)| *d == depth) {
-            Some((_, map)) => map,
-            None => {
-                self.by_depth.push((depth, Arc::new(HashMap::new())));
-                &mut self.by_depth.last_mut().expect("just pushed").1
-            }
-        };
-        let map = Arc::make_mut(map);
         for (member, key) in keys.members.iter().enumerate() {
             let others = keys
                 .members
@@ -428,16 +457,14 @@ impl MatchIndex {
                 .filter(|&(i, _)| i != member)
                 .map(|(_, mk)| mk.slot.expect("key resolved against own layout"));
             let self_slot = key.slot.expect("key resolved against own layout");
-            map.entry(key.suffix.clone())
-                .or_insert_with(|| CandidateSet::new(self_slot))
-                .push(
-                    Candidate {
-                        sig: Arc::clone(sig),
-                        member,
-                        keys: Arc::clone(&keys),
-                    },
-                    others,
-                );
+            Arc::make_mut(&mut self.sets[self_slot as usize]).push(
+                Candidate {
+                    sig: Arc::clone(sig),
+                    member,
+                    keys: Arc::clone(&keys),
+                },
+                others,
+            );
         }
     }
 
@@ -452,48 +479,36 @@ impl MatchIndex {
         &self.layout
     }
 
-    /// Whether the index must be rebuilt for `history`.
-    pub fn is_stale(&self, history: &History) -> bool {
-        self.generation != history.generation()
-    }
-
-    /// Distinct matching depths present in the index, ascending.
-    pub fn depths(&self) -> impl Iterator<Item = u8> + '_ {
-        self.by_depth.iter().map(|&(d, _)| d)
+    /// The candidates of layout slot `slot` — for a caller that already
+    /// resolved its stack with [`BucketLayout::slots_of`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a slot of [`MatchIndex::layout`].
+    pub fn set_at(&self, slot: u32) -> &CandidateSet {
+        &self.sets[slot as usize]
     }
 
     /// All [`Candidate`]s whose member stack matches `stack` at the
     /// signature's indexed depth. Allocation-free: the probe suffix is
-    /// borrowed for the bucket lookup.
+    /// borrowed for the slot look-up.
     pub fn candidates<'a>(&'a self, stack: &'a [FrameId]) -> impl Iterator<Item = &'a Candidate> {
         self.candidate_sets(stack)
             .flat_map(|set| set.candidates().iter())
     }
 
     /// The per-`(depth, suffix)` [`CandidateSet`]s matching `stack` — at
-    /// most one per depth layer. The avoidance engine iterates these so its
-    /// occupancy precheck runs over each set's flat slot arrays.
+    /// most one per depth layer, ascending by depth.
     pub fn candidate_sets<'a>(
         &'a self,
         stack: &'a [FrameId],
     ) -> impl Iterator<Item = &'a CandidateSet> {
-        self.by_depth
-            .iter()
-            .filter_map(move |(d, map)| map.get(suffix_of(stack, *d as usize)))
+        self.layout.slots_of(stack).map(|slot| self.set_at(slot))
     }
 
-    /// Whether any signature member matches `stack` at its indexed depth
-    /// (the request fast path's relevance probe).
+    /// Whether any signature member matches `stack` at its indexed depth.
     pub fn matches_any(&self, stack: &[FrameId]) -> bool {
-        self.by_depth
-            .iter()
-            .any(|(d, map)| map.contains_key(suffix_of(stack, *d as usize)))
-    }
-
-    /// Number of distinct `(depth, suffix)` keys — the generation's bucket
-    /// count (used for adaptive table/occupancy sizing).
-    pub fn key_count(&self) -> usize {
-        self.layout.len()
+        self.layout.slots_of(stack).next().is_some()
     }
 }
 
@@ -610,8 +625,9 @@ mod tests {
         assert_eq!(layout.slot_of(2, &env.frames_of(&[5, 9])), None);
         assert_eq!(layout.slot_of(3, &env.frames_of(&[5, 6])), None);
         assert_eq!(layout.depths().collect::<Vec<_>>(), vec![2]);
-        assert!(layout.is_relevant(&env.frames_of(&[8, 8, 5, 6])));
-        assert!(!layout.is_relevant(&env.frames_of(&[8, 8, 6, 5])));
+        let resolved: Vec<u32> = layout.slots_of(&env.frames_of(&[8, 8, 5, 6])).collect();
+        assert_eq!(resolved, vec![k56]);
+        assert_eq!(layout.slots_of(&env.frames_of(&[8, 8, 6, 5])).count(), 0);
     }
 
     #[test]
@@ -623,16 +639,6 @@ mod tests {
         env.history.touch();
         let idx = MatchIndex::build(&env.history, &env.stacks);
         assert_eq!(idx.candidates(&env.frames_of(&[1, 2])).count(), 0);
-    }
-
-    #[test]
-    fn staleness_tracks_generation() {
-        let env = Env::new();
-        let idx = MatchIndex::build(&env.history, &env.stacks);
-        assert!(!idx.is_stale(&env.history));
-        env.history
-            .add(CycleKind::Deadlock, vec![env.stack(&[1])], 4);
-        assert!(idx.is_stale(&env.history));
     }
 
     #[test]
@@ -655,7 +661,7 @@ mod tests {
             )
             .unwrap();
         let idx = MatchIndex::build(&env.history, &env.stacks);
-        assert_eq!(idx.depths().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(idx.layout().depths().collect::<Vec<_>>(), vec![1, 4]);
 
         // Anything ending in 6 matches `shallow` at depth 1; only the exact
         // 4-suffix matches `deep`.
@@ -749,44 +755,33 @@ mod tests {
         );
         let full = MatchIndex::build(&env.history, &env.stacks);
         assert_eq!(ext.generation(), full.generation());
-        for (d, map) in &full.by_depth {
-            let ext_map = ext
-                .by_depth
-                .iter()
-                .find(|(ed, _)| ed == d)
-                .map(|(_, m)| m)
-                .expect("depth layer present in extension");
-            assert_eq!(map.len(), ext_map.len());
-            for (suffix, set) in map.iter() {
-                let eset = ext_map.get(suffix).expect("suffix present in extension");
-                assert_eq!(set.self_slot(), eset.self_slot());
-                assert_eq!(set.self_paired(), eset.self_paired());
-                assert_eq!(set.has_lone_member(), eset.has_lone_member());
-                assert_eq!(set.all_other_slots(), eset.all_other_slots());
-                assert_eq!(set.candidates().len(), eset.candidates().len());
-                for (c, e) in set.candidates().iter().zip(eset.candidates()) {
-                    assert_eq!(c.sig.id, e.sig.id);
-                    assert_eq!(c.member, e.member);
-                    let cs: Vec<_> = c.keys.members.iter().map(|m| m.slot).collect();
-                    let es: Vec<_> = e.keys.members.iter().map(|m| m.slot).collect();
-                    assert_eq!(cs, es);
-                }
+        assert_eq!(full.sets.len(), full_layout.len());
+        assert_eq!(ext.sets.len(), full.sets.len());
+        for (set, eset) in full.sets.iter().zip(&ext.sets) {
+            assert_eq!(set.self_slot(), eset.self_slot());
+            assert_eq!(set.self_paired(), eset.self_paired());
+            assert_eq!(set.has_lone_member(), eset.has_lone_member());
+            assert_eq!(set.all_other_slots(), eset.all_other_slots());
+            assert_eq!(set.candidates().len(), eset.candidates().len());
+            for (c, e) in set.candidates().iter().zip(eset.candidates()) {
+                assert_eq!(c.sig.id, e.sig.id);
+                assert_eq!(c.member, e.member);
+                let cs: Vec<_> = c.keys.members.iter().map(|m| m.slot).collect();
+                let es: Vec<_> = e.keys.members.iter().map(|m| m.slot).collect();
+                assert_eq!(cs, es);
             }
         }
-        // The untouched depth-1 layer is shared, not cloned.
-        let base_d1 = base_index
-            .by_depth
-            .iter()
-            .find(|(d, _)| *d == 1)
-            .map(|(_, m)| m)
-            .unwrap();
-        let ext_d1 = ext
-            .by_depth
-            .iter()
-            .find(|(d, _)| *d == 1)
-            .map(|(_, m)| m)
-            .unwrap();
-        assert!(Arc::ptr_eq(base_d1, ext_d1), "depth-1 layer must be shared");
+        // Only the set that gained a candidate ([5, 6] at depth 2, shared
+        // with `n1`) was copied; every other surviving set is shared.
+        let touched = base_layout.slot_of(2, &env.frames_of(&[5, 6])).unwrap();
+        for (slot, (b, e)) in base_index.sets.iter().zip(&ext.sets).enumerate() {
+            assert_eq!(Arc::ptr_eq(b, e), slot != touched as usize, "slot {slot}");
+        }
+        // Look-ups go through the one map: the same sets, depth ascending.
+        let probe = env.frames_of(&[0, 9, 5, 6]);
+        let via_layout: Vec<u32> = ext_layout.slots_of(&probe).collect();
+        let via_index: Vec<u32> = ext.candidate_sets(&probe).map(|s| s.self_slot()).collect();
+        assert_eq!(via_layout, via_index);
     }
 
     /// The engine's rebuild, step by step, with an `add` landing between
@@ -829,7 +824,7 @@ mod tests {
             "once, from its own delta"
         );
         assert_eq!(second.candidates(&env.frames_of(&[1, 5, 6])).count(), 1);
-        assert_eq!(second.key_count(), 4);
+        assert_eq!(second.layout().len(), 4);
     }
 
     #[test]
