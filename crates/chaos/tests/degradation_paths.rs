@@ -15,7 +15,7 @@
 //! can share one process.
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
-use dimmunix_core::{Config, CycleKind, Decision, PredictionConfig, Runtime};
+use dimmunix_core::{Config, CycleKind, Decision, HistoryError, PredictionConfig, Runtime};
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
 use std::sync::Arc;
@@ -297,22 +297,26 @@ fn three_sig_history() -> (History, FrameTable, StackTable) {
     (h, frames, stacks)
 }
 
-/// Path 3a: truncation mid-signature. The next boot salvages the valid
-/// prefix, reports accurate counts, and counts the salvage.
-#[test]
-fn truncated_history_is_salvaged_at_boot() {
-    let path = tmp_path("truncate");
+/// Saves [`three_sig_history`] to a fresh temp file, truncated inside the
+/// third signature's header line.
+fn truncated_history_file(name: &str) -> std::path::PathBuf {
+    let path = tmp_path(name);
     std::fs::remove_file(&path).ok();
     let (h, frames, stacks) = three_sig_history();
     h.save_to(&path, &frames, &stacks).unwrap();
     let clean = std::fs::read_to_string(&path).unwrap();
-    // Cut inside the third signature's header line.
     let third_sig = clean.match_indices("signature ").nth(2).unwrap().0;
     let guard = install(FaultPlan::none().truncate_history_at(third_sig as u64 + 18));
     h.save_to(&path, &frames, &stacks).unwrap();
     assert_eq!(guard.fired().history_faults, 1);
-    drop(guard);
+    path
+}
 
+/// Path 3a: truncation mid-signature. The next boot salvages the valid
+/// prefix, reports accurate counts, and counts the salvage.
+#[test]
+fn truncated_history_is_salvaged_at_boot() {
+    let path = truncated_history_file("truncate");
     let rt = Runtime::new(Config {
         history_path: Some(path.clone()),
         ..Config::default()
@@ -322,6 +326,27 @@ fn truncated_history_is_salvaged_at_boot() {
     assert_eq!((rec.recovered, rec.dropped), (2, 1), "{rec:?}");
     assert_eq!(rt.history().len(), 2);
     assert_eq!(rt.stats().history_salvaged, 1);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Path 3a with `history_salvage` off: the same torn file is a boot error —
+/// no runtime, no partial history — and the file is left as it was found,
+/// for whoever repairs it.
+#[test]
+fn truncated_history_without_salvage_refuses_to_boot() {
+    let path = truncated_history_file("truncate-strict");
+    let torn = std::fs::read(&path).unwrap();
+    let booted = Runtime::new(Config {
+        history_path: Some(path.clone()),
+        history_salvage: false,
+        ..Config::default()
+    });
+    assert!(
+        matches!(booted, Err(HistoryError::Parse { .. })),
+        "strict open of a torn file: {:?}",
+        booted.map(|_| "a runtime")
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), torn, "file untouched");
     std::fs::remove_file(&path).ok();
 }
 

@@ -88,7 +88,7 @@
 //! # Fast-path gating: a grant resolves its stack once
 //!
 //! `request` resolves the call stack against the current view exactly once
-//! (`check_view` → [`BucketLayout::slots_of`]): one borrowed look-up per
+//! (`lock_current` → [`BucketLayout::slots_of`]): one borrowed look-up per
 //! matching depth in use, into the only `(depth, suffix)` map there is. The
 //! slots that come back answer everything the hooks ask about that stack
 //! under that view:
@@ -149,10 +149,10 @@
 //!   `BucketLayout` slot assignment is append-stable, so new
 //!   `(depth, suffix)` keys take slots past the old length and surviving
 //!   slots are never renumbered; the extended table **shares** every
-//!   surviving [`VersionedBucket`], the fingerprint array and the non-empty
-//!   counter with the old one — nothing is cloned, live entries and their
-//!   sequence words survive. Surviving buckets are complete as they stand,
-//!   so the visit inserts only entries that land in a new slot.
+//!   surviving [`VersionedBucket`] and the fingerprint array with the old
+//!   one — nothing is cloned, live entries and their sequence words
+//!   survive. Surviving buckets are complete as they stand, so the visit
+//!   inserts only entries that land in a new slot.
 //! * **Fresh** — for structural history changes (removal, disable, merge,
 //!   a depth-recalibration touch), a truncated journal, or layout growth
 //!   past the fingerprint array (which re-sizes it — amortized doubling):
@@ -174,15 +174,15 @@
 //! view — the hand-off orders the publish before its epoch load — and
 //! buckets its own entry in the new table. Decisions and direct bucket
 //! inserts wait for the swept flag, so they only ever run against a
-//! complete table. Releases need no flag: a release pops its log entry
-//! under the slot mutex first, so the visit either runs after the pop and
-//! finds nothing to insert — the release then removes the entry through
-//! whichever view it loaded, reaching a shared surviving bucket or a table
-//! about to lose its last reader — or runs before it, and the release sees
-//! the new view and removes the entry from where the visit put it — the
-//! slots the visit left in the entry, stamped with that view's epoch. The old
-//! view's table becomes garbage once the last reader drops its cached
-//! view; after an extension that frees only the view shell.
+//! complete table. Releases need no flag: a release is one slot critical
+//! section — pop, view look-up and bucket removal — so the visit cannot
+//! interleave with it. It runs before the visit and the entry is gone from
+//! the log and from whichever table the release's view named (a shared
+//! surviving bucket, or a table about to lose its last reader), or after
+//! it and removes the entry from where the visit put it: the slots the
+//! visit left in the entry, stamped with that view's epoch. The old view's
+//! table becomes garbage once the last reader drops its cached view; after
+//! an extension that frees only the view shell.
 //!
 //! What waits out a rebuild: the rebuilder, hooks that saw the stale
 //! generation before the publish (they queue on the rebuild mutex), and
@@ -196,11 +196,11 @@
 //! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
 //! mutex beside them: rebuilds hold the rebuild mutex and take slot
 //! mutexes one at a time, hooks bucket their own entries with the slot
-//! mutex held, and the bounded-retry cover fallback (below) claims every
-//! bucket in ascending slot order while holding its own slot mutex. No
-//! holder of a bucket claim ever takes a mutex of an earlier tier, and
-//! bucket claims are only held in ascending order or singly, so the order
-//! is acyclic.
+//! mutex held, a release claims its bucket with the slot mutex held, and
+//! the bounded-retry cover fallback (below) claims every bucket in
+//! ascending slot order while holding its own slot mutex. No holder of a
+//! bucket claim ever takes a mutex of an earlier tier, and bucket claims
+//! are only held in ascending order or singly, so the order is acyclic.
 //!
 //! # No-lost-wakeup protocol (lock-free)
 //!
@@ -276,13 +276,12 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
 use dimmunix_lockfree::{
-    CachePadded, DrainVerdict, EpochCell, OccupancyArray, SlotAllocator, VersionedBucket, WakeList,
-    WakeNodePool,
+    DrainVerdict, EpochCell, OccupancyArray, SlotAllocator, VersionedBucket, WakeList, WakeNodePool,
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
-    suffix_matches, BucketLayout, CoverKeys, FrameId, History, HistoryDelta, MatchIndex, MemberKey,
-    Signature, StackId, StackTable,
+    BucketLayout, CoverKeys, FrameId, History, HistoryDelta, MatchIndex, MemberKey, Signature,
+    StackId, StackTable,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -349,16 +348,6 @@ pub(crate) struct MatchTable {
     /// counts must carry over, or a fresh array would manufacture false
     /// empty-proofs.
     occupancy: Arc<OccupancyArray>,
-    /// Count of currently non-empty buckets (maintained on the same
-    /// empty↔non-empty transitions as the fingerprints; padded so the
-    /// toggling workloads don't share a line with the table header). Lets
-    /// the candidate precheck reject a whole suffix's candidates in O(1):
-    /// if the only non-empty bucket is the requester's own, every
-    /// other-member bucket is empty. That inference reads one fingerprint
-    /// as *identifying* the non-empty bucket, which holds because the
-    /// fingerprints are collision-free. Shared with extended successors,
-    /// like the fingerprints.
-    nonempty: Arc<CachePadded<AtomicU32>>,
     /// Set once the rebuild's visit has merged every per-thread log;
     /// covers and direct bucket inserts wait for it.
     swept: AtomicBool,
@@ -376,14 +365,12 @@ impl MatchTable {
             occupancy: Arc::new(OccupancyArray::new(
                 (buckets.max(1) * 2).next_power_of_two(),
             )),
-            nonempty: Arc::new(CachePadded::new(AtomicU32::new(0))),
             swept: AtomicBool::new(false),
         }
     }
 
-    /// A table for an extended layout: shares every surviving bucket, the
-    /// occupancy fingerprints, and the non-empty counter with `base`;
-    /// slots `[base.len, new_len)` get fresh empty buckets. The caller
+    /// A table for an extended layout: shares every surviving bucket and
+    /// the occupancy fingerprints with `base`; slots `[base.len, new_len)` get fresh empty buckets. The caller
     /// guarantees `new_len <= base.occupancy.len()`, which keeps the
     /// shared fingerprints collision-free (slots index them identically in
     /// both tables). Unswept, like a fresh one.
@@ -399,7 +386,6 @@ impl MatchTable {
                 })
                 .collect(),
             occupancy: Arc::clone(&base.occupancy),
-            nonempty: Arc::clone(&base.nonempty),
             swept: AtomicBool::new(false),
         }
     }
@@ -421,7 +407,6 @@ impl MatchTable {
         let mut w = self.buckets[slot as usize].write();
         if w.is_empty() {
             self.occupancy.increment(u64::from(slot));
-            self.nonempty.fetch_add(1, Ordering::SeqCst);
         }
         w.push(e.encode());
     }
@@ -433,7 +418,6 @@ impl MatchTable {
         let mut w = self.buckets[slot as usize].write();
         if w.remove(e.encode()) && w.is_empty() {
             self.occupancy.decrement(u64::from(slot));
-            self.nonempty.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -475,27 +459,28 @@ impl CoverProof {
 }
 
 /// The read-mostly snapshot `request` consults without any lock: the
-/// generation's bucket layout, the candidate index over signature members
-/// (when configured), and the current bucket table. Published via
-/// [`EpochCell`] whenever the history generation moves.
+/// generation's bucket layout, the candidate index over signature members,
+/// and the current bucket table. Published via [`EpochCell`] whenever the
+/// history generation moves.
 pub(crate) struct MatchView {
     /// History generation this view was built from (`u64::MAX` = never).
     generation: u64,
     /// Dense `(depth, suffix) → bucket slot` directory of this generation:
     /// the only map a hook hashes into.
     layout: Arc<BucketLayout>,
-    /// Candidate sets by layout slot (`None` in linear-scan mode).
-    index: Option<Arc<MatchIndex>>,
+    /// Candidate sets by `layout` slot.
+    index: Arc<MatchIndex>,
     /// The versioned buckets + occupancy fingerprints of this generation.
     table: Arc<MatchTable>,
 }
 
 impl MatchView {
     fn sentinel() -> Self {
+        let index = MatchIndex::build(&History::new(), &StackTable::new());
         Self {
             generation: u64::MAX,
-            layout: Arc::new(BucketLayout::default()),
-            index: None,
+            layout: Arc::clone(index.layout()),
+            index: Arc::new(index),
             table: Arc::new(MatchTable::sentinel()),
         }
     }
@@ -504,20 +489,11 @@ impl MatchView {
     /// depth layer whose suffix is a layout key (at the other depths the
     /// entry is invisible to covers), ascending by depth. None at all means
     /// the entry can stay in its thread's private log and skip the shared
-    /// buckets entirely. Both index and linear-scan modes gate on the
-    /// layout: covers look entries up *by member suffix*, so an entry whose
-    /// suffix is no layout key is invisible to every possible cover.
+    /// buckets entirely: covers look entries up *by member suffix*, so an
+    /// entry whose suffix is no layout key is invisible to every possible
+    /// cover.
     fn slots_of<'a>(&'a self, frames: &'a [FrameId]) -> impl Iterator<Item = u32> + 'a {
         self.layout.slots_of(frames)
-    }
-
-    /// [`MatchView::slots_of`], collected: the one resolution of a grant.
-    fn resolve(&self, frames: &[FrameId]) -> Resolved {
-        let mut resolved = Resolved::default();
-        for slot in self.slots_of(frames) {
-            resolved.push(slot);
-        }
-        resolved
     }
 
     /// Every slot `frames` resolved to: `resolved` itself, or — the stack
@@ -567,18 +543,6 @@ impl Resolved {
     fn as_slice(&self) -> &[u32] {
         &self.slots[..usize::from(self.len).min(REMEMBERED_SLOTS)]
     }
-}
-
-/// Outcome of revalidating a slot's cached view against the history.
-enum ViewCheck {
-    /// The published view predates the current history generation.
-    Stale,
-    /// The view is current but its rebuild's visit is still in flight.
-    Unswept,
-    /// Current view; the frames hit no signature-member bucket.
-    Irrelevant,
-    /// Current, fully swept view; the frames hit these member buckets.
-    Relevant(Arc<MatchView>, Resolved),
 }
 
 /// One level of a thread's held-lock stack: the lock, the call stack it was
@@ -631,6 +595,12 @@ impl Default for AllowedLog {
 }
 
 impl AllowedLog {
+    /// The cached view, which [`AvoidanceCore::refresh_view`] made current
+    /// earlier in this slot critical section.
+    fn view(&self) -> &Arc<MatchView> {
+        self.view.as_ref().expect("view cache populated")
+    }
+
     /// Removes and returns the innermost entry for `l` — its most recent
     /// nesting level.
     fn pop(&mut self, l: LockId) -> Option<Held> {
@@ -823,10 +793,9 @@ impl AvoidanceCore {
             // per-lock Release events are needed.
             {
                 let mut log = self.slots[slot].allowed.lock();
-                let (view, view_epoch) = self.view_of(&mut log);
-                let view = Arc::clone(view);
+                self.refresh_view(&mut log);
                 for held in &log.entries {
-                    self.remove_buckets(&view, view_epoch, t, held);
+                    self.remove_buckets(log.view(), log.view_epoch, t, held);
                 }
                 log.entries.clear();
             }
@@ -860,11 +829,11 @@ impl AvoidanceCore {
         self.stacks.intern(frames)
     }
 
-    /// Returns this slot's cached view and the epoch it was published at,
-    /// refreshed from the cell if the publication epoch moved. Must be
-    /// called with the slot lock held — the rebuild protocol relies on the
-    /// epoch being re-read inside the slot critical section.
-    fn view_of<'a>(&self, log: &'a mut AllowedLog) -> (&'a Arc<MatchView>, u64) {
+    /// Refreshes this slot's cached view (and the epoch it was published
+    /// at) from the cell if the publication epoch moved. Must be called
+    /// with the slot lock held — the rebuild protocol relies on the epoch
+    /// being re-read inside the slot critical section.
+    fn refresh_view(&self, log: &mut AllowedLog) {
         if log.view.is_none() || log.view_epoch != self.view_cell.epoch() {
             // The exact pair: held-stack entries are stamped with
             // `view_epoch` to mean "resolved under `view`" (`Held::stamp`).
@@ -872,30 +841,44 @@ impl AvoidanceCore {
             log.view = Some(view);
             log.view_epoch = epoch;
         }
-        let view = log.view.as_ref().expect("view cache populated above");
-        (view, log.view_epoch)
     }
 
-    /// Revalidates the slot's cached view (slot lock held), resolves
-    /// `frames` against it — the grant's one look-up — and classifies what
-    /// the hook may do under it. Inlined into its two callers so that the
-    /// resolution is built in the frame that reads it: returned through
-    /// memory, its word-sized stores are re-read as one wide load, which
-    /// stalls on store forwarding (≈ 8 ns of a relevant request).
+    /// Locks `slot`'s log and resolves `frames` — the grant's one look-up —
+    /// into `resolved`, against a view a grant may act on: of the current
+    /// history generation and, when `frames` hit a member bucket, fully
+    /// swept. Until the cached view is that, drops the lock and rebuilds
+    /// (stale) or waits out the rebuilder (visit still in flight). The view
+    /// is borrowed out of the returned log ([`AllowedLog::view`]), not
+    /// cloned. Inlined into its callers, and the resolution written where
+    /// the caller reads it: returned by value it is copied through memory,
+    /// padding and all, and re-read in pieces of other widths, which stalls
+    /// on store forwarding (≈ 2 ns of an empty-history request, ≈ 8 ns of a
+    /// relevant one).
     #[inline(always)]
-    fn check_view(&self, log: &mut AllowedLog, frames: &[FrameId]) -> ViewCheck {
-        let (view, _) = self.view_of(log);
-        if view.generation != self.history.generation() {
-            return ViewCheck::Stale;
+    fn lock_current(
+        &self,
+        slot: usize,
+        frames: &[FrameId],
+        resolved: &mut Resolved,
+    ) -> MutexGuard<'_, AllowedLog> {
+        loop {
+            let mut log = self.slots[slot].allowed.lock();
+            self.refresh_view(&mut log);
+            let view = log.view();
+            if view.generation != self.history.generation() {
+                drop(log);
+                self.rebuild();
+                continue;
+            }
+            *resolved = Resolved::default();
+            view.slots_of(frames).for_each(|s| resolved.push(s));
+            if resolved.len != 0 && !view.table.swept.load(Ordering::Acquire) {
+                drop(log);
+                drop(self.rebuild_lock.lock());
+                continue;
+            }
+            return log;
         }
-        let resolved = view.resolve(frames);
-        if resolved.len == 0 {
-            return ViewCheck::Irrelevant;
-        }
-        if !view.table.swept.load(Ordering::Acquire) {
-            return ViewCheck::Unswept;
-        }
-        ViewCheck::Relevant(Arc::clone(view), resolved)
     }
 
     /// The `request` hook: decides GO or YIELD for thread `t` wanting lock
@@ -925,85 +908,62 @@ impl AvoidanceCore {
         let mut validation_failures = 0_u32;
         let instance = loop {
             let was_yielding = self.slots[slot].in_yielding.load(Ordering::Relaxed);
-            let mut log = self.slots[slot].allowed.lock();
-            match self.check_view(&mut log, frames) {
-                ViewCheck::Stale => {
-                    drop(log);
-                    self.rebuild();
-                }
-                ViewCheck::Unswept => {
-                    drop(log);
-                    drop(self.rebuild_lock.lock());
-                }
-                ViewCheck::Irrelevant => {
-                    // Cover impossible: the suffix hits no member bucket, so
-                    // the decision is GO and the entry stays in the private
-                    // log — no shared state touched (beyond yield cleanup).
-                    self.record_go(log, None, was_yielding, t, l, stack);
-                    break None;
-                }
-                ViewCheck::Relevant(view, resolved) => {
-                    let slots = &view.all_slots(&resolved, frames)[..];
-                    let bucketed = Some((&*view, slots));
-                    if full && validation_failures >= COVER_RETRY_LIMIT {
-                        // Adversarial churn kept invalidating the optimistic
-                        // decision; decide once and for all under bucket
-                        // write claims (a hit registers its yield before
-                        // the claims drop — no revalidation possible or
-                        // needed).
-                        match self.find_instance_locked(&view, slots, slot, t, l, frames, stack) {
-                            None => {
-                                self.record_go(log, bucketed, was_yielding, t, l, stack);
-                                break None;
-                            }
-                            Some(inst) => {
-                                drop(log);
-                                break Some(inst);
-                            }
-                        }
-                    }
-                    let found = if full {
-                        self.find_instance(&view, slots, slot, t, l, frames, stack)
-                    } else {
-                        None
-                    };
-                    match found {
-                        None => {
-                            self.record_go(log, bucketed, was_yielding, t, l, stack);
-                            break None;
-                        }
-                        Some((inst, proof)) => {
-                            if self.config.enforce_yields {
-                                // Publish the wake registrations first
-                                // (SeqCst pushes), then revalidate both the
-                                // generation and the cover's bucket
-                                // sequences: a cause release removes its
-                                // entry (sequence bump) *before* draining
-                                // its wake list, so either the
-                                // revalidation here observes the churn and
-                                // retries, or the drain observes the
-                                // registration and delivers the wakeup —
-                                // see the module docs' protocol.
-                                self.insert_yielding(t, &inst.causes);
-                                drop(log);
-                                if view.generation != self.history.generation()
-                                    || !proof.still_valid(&view)
-                                {
-                                    Stats::bump(&self.stats.hot(slot).cover_retries);
-                                    validation_failures += 1;
-                                    self.remove_yielding(t);
-                                    continue;
-                                }
-                            } else {
-                                // Measurement mode: record the would-be
-                                // yield but proceed as GO.
-                                self.record_go(log, bucketed, was_yielding, t, l, stack);
-                            }
-                            break Some(inst);
-                        }
-                    }
-                }
+            let mut resolved = Resolved::default();
+            let log = self.lock_current(slot, frames, &mut resolved);
+            if resolved.len == 0 {
+                // Cover impossible: the suffix hits no member bucket, so the
+                // decision is GO and the entry stays in the private log — no
+                // shared state touched (beyond yield cleanup).
+                self.record_go(log, &[], was_yielding, t, l, stack);
+                break None;
             }
+            let view = log.view();
+            let slots = &view.all_slots(&resolved, frames)[..];
+            if full && validation_failures >= COVER_RETRY_LIMIT {
+                // Adversarial churn kept invalidating the optimistic
+                // decision; decide once and for all under bucket write
+                // claims (a hit registers its yield before the claims drop —
+                // no revalidation possible or needed).
+                let found = self.find_instance_locked(view, slots, slot, t, l, stack);
+                if found.is_none() {
+                    self.record_go(log, slots, was_yielding, t, l, stack);
+                }
+                break found;
+            }
+            let found = if full {
+                self.find_instance(view, slots, slot, t, l, stack)
+            } else {
+                None
+            };
+            let Some((inst, proof)) = found else {
+                self.record_go(log, slots, was_yielding, t, l, stack);
+                break None;
+            };
+            if self.config.enforce_yields {
+                // Publish the wake registrations first (SeqCst pushes), then
+                // revalidate both the generation and the cover's bucket
+                // sequences: a cause release removes its entry (sequence
+                // bump) *before* draining its wake list, so either the
+                // revalidation here observes the churn and retries, or the
+                // drain observes the registration and delivers the wakeup —
+                // see the module docs' protocol. The revalidation must run
+                // with the slot lock dropped, so this branch alone takes its
+                // own reference to the view.
+                self.insert_yielding(t, &inst.causes);
+                let view = Arc::clone(log.view());
+                drop(log);
+                if view.generation != self.history.generation() || !proof.still_valid(&view) {
+                    Stats::bump(&self.stats.hot(slot).cover_retries);
+                    validation_failures += 1;
+                    self.remove_yielding(t);
+                    continue;
+                }
+            } else {
+                // Measurement mode: record the would-be yield but proceed
+                // as GO.
+                self.record_go(log, slots, was_yielding, t, l, stack);
+            }
+            break Some(inst);
         };
 
         match instance {
@@ -1161,14 +1121,14 @@ impl AvoidanceCore {
     }
 
     /// GO bookkeeping shared by every granting path: appends the entry to
-    /// the private log and — when its stack resolved to member buckets
-    /// (`bucketed`: the view, and all the slots the stack resolved to under
-    /// it in this critical section) — to those buckets, under the slot lock
-    /// (see the rebuild protocol); then clears any yield registration.
+    /// the private log and to the member buckets `slots` — all that its
+    /// stack resolved to under the log's view in this critical section,
+    /// none for an irrelevant suffix — under the slot lock (see the rebuild
+    /// protocol); then clears any yield registration.
     fn record_go(
         &self,
         mut log: MutexGuard<'_, AllowedLog>,
-        bucketed: Option<(&MatchView, &[u32])>,
+        slots: &[u32],
         was_yielding: bool,
         t: ThreadId,
         l: LockId,
@@ -1179,16 +1139,21 @@ impl AvoidanceCore {
         // (Pushed whole and amended in place: an entry handed around by
         // value is written field by field and re-read in wider pieces,
         // which stalls on store forwarding — ≈ 10 ns of a 45 ns request.)
-        let view_epoch = log.view_epoch;
-        log.entries.push(Held {
+        let AllowedLog {
+            entries,
+            view_epoch,
+            view,
+        } = &mut *log;
+        entries.push(Held {
             l,
             stack,
             slots: Resolved::default(),
-            stamp: view_epoch,
+            stamp: *view_epoch,
         });
-        if let Some((view, slots)) = bucketed {
-            let held = log.entries.last_mut().expect("pushed above");
-            Self::bucket(view, slots, 0, view_epoch, t, held);
+        if !slots.is_empty() {
+            let view = view.as_deref().expect("view cache populated");
+            let held = entries.last_mut().expect("pushed above");
+            Self::bucket(view, slots, 0, *view_epoch, t, held);
         }
         drop(log);
         if was_yielding {
@@ -1238,28 +1203,10 @@ impl AvoidanceCore {
         frames: &[FrameId],
         stack: StackId,
     ) {
-        loop {
-            let mut log = self.slots[slot].allowed.lock();
-            match self.check_view(&mut log, frames) {
-                ViewCheck::Stale => {
-                    drop(log);
-                    self.rebuild();
-                }
-                ViewCheck::Unswept => {
-                    drop(log);
-                    drop(self.rebuild_lock.lock());
-                }
-                ViewCheck::Irrelevant => {
-                    self.record_go(log, None, false, t, l, stack);
-                    return;
-                }
-                ViewCheck::Relevant(view, resolved) => {
-                    let slots = view.all_slots(&resolved, frames);
-                    self.record_go(log, Some((&view, &slots)), false, t, l, stack);
-                    return;
-                }
-            }
-        }
+        let mut resolved = Resolved::default();
+        let log = self.lock_current(slot, frames, &mut resolved);
+        let slots = log.view().all_slots(&resolved, frames);
+        self.record_go(log, &slots, false, t, l, stack);
     }
 
     /// The `release` hook, invoked **before** the real unlock. Returns the
@@ -1334,25 +1281,22 @@ impl AvoidanceCore {
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
     /// private log and removes it from the shared buckets — by the slots
-    /// the entry remembers, when they are still good.
-    ///
-    /// The pop and the view look-up share one slot critical section; the
-    /// bucket write sessions run after it, against the view loaded in it
-    /// (the rebuild protocol's release argument). An entry with no buckets —
-    /// an empty history, an irrelevant suffix — ends at the stamp
-    /// comparison: the view is not even cloned.
+    /// the entry remembers, when they are still good — all in one slot
+    /// critical section, so no rebuild's visit can fall between the pop and
+    /// the removal. An entry with no buckets — an empty history, an
+    /// irrelevant suffix — ends at the stamp comparison, here, while it is
+    /// still in registers (`remove_buckets` takes it through memory: ≈ 3 ns
+    /// of the empty-history pair).
     fn pop_entry(&self, slot: usize, t: ThreadId, l: LockId) {
         let mut log = self.slots[slot].allowed.lock();
         let Some(held) = log.pop(l) else {
             return;
         };
-        let (view, view_epoch) = self.view_of(&mut log);
-        if held.stamp == view_epoch && held.slots.len == 0 {
+        self.refresh_view(&mut log);
+        if held.stamp == log.view_epoch && held.slots.len == 0 {
             return;
         }
-        let view = Arc::clone(view);
-        drop(log);
-        self.remove_buckets(&view, view_epoch, t, &held);
+        self.remove_buckets(log.view(), log.view_epoch, t, &held);
     }
 
     fn clear_yield_state(&self, slot: usize) {
@@ -1510,8 +1454,8 @@ impl AvoidanceCore {
 
     /// `old` extended to generation `gen` by the signatures appended in
     /// between: new `(depth, suffix)` keys take slots past the old layout's
-    /// length, and the table shares every surviving bucket, the fingerprint
-    /// array and the non-empty counter with `old`'s. `None` when only a
+    /// length, and the table shares every surviving bucket and the
+    /// fingerprint array with `old`'s. `None` when only a
     /// fresh build will do: the span holds a structural change (removal,
     /// disable, depth touch), reaches past the journal or starts at the
     /// sentinel view ([`History::delta_between`] reports all three alike),
@@ -1531,43 +1475,30 @@ impl AvoidanceCore {
         if layout.len() > old.table.occupancy.len() {
             return None;
         }
-        let index = old.index.as_ref().map(|ix| {
-            Arc::new(MatchIndex::extended(
-                ix,
-                gen,
-                Arc::clone(&layout),
-                &new_sigs,
-                &self.stacks,
-            ))
-        });
+        let index = MatchIndex::extended(
+            &old.index,
+            gen,
+            Arc::clone(&layout),
+            &new_sigs,
+            &self.stacks,
+        );
         Some(MatchView {
             generation: gen,
-            index,
+            index: Arc::new(index),
             table: Arc::new(MatchTable::extended(&old.table, layout.len())),
             layout,
         })
     }
 
-    /// A view built from scratch: index (when configured), layout and an
-    /// empty table, stamped with the generation of the one history snapshot
-    /// all of them were derived from (the stamp rule of `extended_view`).
+    /// A view built from scratch: index, layout and an empty table, stamped
+    /// with the generation of the one history snapshot all of them were
+    /// derived from (the stamp rule of `extended_view`).
     fn fresh_view(&self) -> MatchView {
-        let (generation, index, layout) = if self.config.use_match_index {
-            let ix = Arc::new(MatchIndex::build(&self.history, &self.stacks));
-            (
-                ix.generation(),
-                Some(Arc::clone(&ix)),
-                Arc::clone(ix.layout()),
-            )
-        } else {
-            // Linear-scan mode skips only the candidate index.
-            let (generation, snapshot) = self.history.snapshot_with_generation();
-            let layout = BucketLayout::build_from(&snapshot, &self.stacks);
-            (generation, None, Arc::new(layout))
-        };
+        let index = MatchIndex::build(&self.history, &self.stacks);
+        let layout = Arc::clone(index.layout());
         MatchView {
-            generation,
-            index,
+            generation: index.generation(),
+            index: Arc::new(index),
             table: Arc::new(MatchTable::new(layout.len())),
             layout,
         }
@@ -1646,9 +1577,8 @@ impl AvoidanceCore {
     }
 
     /// Precomputes member bucket keys for `sig` at depth `d`, resolved
-    /// against `view`'s layout (used when the index's cached keys are stale
-    /// or absent — linear-scan mode, or a live depth change racing a
-    /// rebuild).
+    /// against `view`'s layout (used when the index's cached keys are stale:
+    /// a live depth change racing a rebuild).
     fn member_keys_at(&self, view: &MatchView, sig: &Signature, d: u8) -> Vec<MemberKey> {
         let mut keys = CoverKeys::compute(sig, d, &self.stacks);
         keys.resolve(&view.layout);
@@ -1674,7 +1604,6 @@ impl AvoidanceCore {
     /// cover's [`CoverProof`] (the validated bucket sequences its decision
     /// was computed from) is returned, so the caller can register the
     /// yield and then revalidate (see `request`).
-    #[allow(clippy::too_many_arguments)] // Packed search inputs.
     fn find_instance(
         &self,
         view: &MatchView,
@@ -1682,11 +1611,10 @@ impl AvoidanceCore {
         slot: usize,
         t: ThreadId,
         l: LockId,
-        frames: &[FrameId],
         stack: StackId,
     ) -> Option<(Instance, CoverProof)> {
         let mut scratch: Vec<[u64; 3]> = Vec::new();
-        self.find_instance_with(view, slots, slot, t, l, frames, stack, &mut |s: u32| {
+        self.find_instance_with(view, slots, slot, t, l, stack, &mut |s: u32| {
             let seq = view.table.buckets[s as usize].read_into(&mut scratch);
             (seq, Self::decode_sorted(&scratch))
         })
@@ -1704,7 +1632,6 @@ impl AvoidanceCore {
     /// never take an engine mutex and normal write sessions hold a single
     /// claim without waiting, so the all-claims hold cannot deadlock —
     /// only serialize.
-    #[allow(clippy::too_many_arguments)] // Packed search inputs.
     fn find_instance_locked(
         &self,
         view: &MatchView,
@@ -1712,7 +1639,6 @@ impl AvoidanceCore {
         slot: usize,
         t: ThreadId,
         l: LockId,
-        frames: &[FrameId],
         stack: StackId,
     ) -> Option<Instance> {
         Stats::bump(&self.stats.cover_fallbacks);
@@ -1726,10 +1652,9 @@ impl AvoidanceCore {
             })
             .collect();
         // Sequences in the proof are immaterial — the decision is final.
-        let found =
-            self.find_instance_with(view, slots, slot, t, l, frames, stack, &mut |s: u32| {
-                (0, all[s as usize].clone())
-            });
+        let found = self.find_instance_with(view, slots, slot, t, l, stack, &mut |s: u32| {
+            (0, all[s as usize].clone())
+        });
         let inst = found.map(|(inst, _proof)| inst);
         if let Some(inst) = &inst {
             if self.config.enforce_yields {
@@ -1742,9 +1667,10 @@ impl AvoidanceCore {
 
     /// Shared search body of [`Self::find_instance`] (optimistic bucket
     /// reads) and [`Self::find_instance_locked`] (reads under claims),
-    /// parameterized over the bucket `read` accessor. `slots` is what
-    /// `frames` resolved to under `view` — the index is entered by slot, no
-    /// second look-up; the linear walk compares `frames` itself.
+    /// parameterized over the bucket `read` accessor. `slots` is what the
+    /// requester's frames resolved to under `view`, ascending by depth — the
+    /// index is entered by slot, no second look-up — so candidates are
+    /// tried in the order [`crate::reference`] states.
     #[allow(clippy::too_many_arguments)] // Packed search inputs + accessor.
     fn find_instance_with(
         &self,
@@ -1753,126 +1679,66 @@ impl AvoidanceCore {
         slot: usize,
         t: ThreadId,
         l: LockId,
-        frames: &[FrameId],
         stack: StackId,
         read: &mut dyn FnMut(u32) -> (u64, Vec<AllowedEntry>),
     ) -> Option<(Instance, CoverProof)> {
         let hot = self.stats.hot(slot);
-        if let Some(index) = &view.index {
-            // Batch the per-candidate precheck counter: a hot suffix can
-            // carry dozens of candidates, and per-candidate atomic bumps
-            // measurably tax the contended rows.
-            let mut skips = 0_u64;
-            let mut found = None;
-            'sets: for set in slots.iter().map(|&s| index.set_at(s)) {
-                // Whole-set fast rejects: every candidate needs all of its
-                // other-member buckets non-empty, and every candidate has
-                // at least one. O(1) form first — if the table's only
-                // non-empty bucket is this suffix's own, every other
-                // bucket is empty; otherwise one tight loop over the set's
-                // contiguous slot array. The hot suffix of a large history
-                // takes one of these paths on almost every request.
-                // No emptiness argument applies to a single-member
-                // signature — its anchor request instantiates it alone.
-                if !set.candidates().is_empty() && !set.has_lone_member() {
-                    let ne = view.table.nonempty.load(Ordering::Acquire);
-                    let rejected = match ne {
-                        0 => true,
-                        // The only non-empty bucket being the requester's
-                        // own refutes every candidate — unless some
-                        // candidate pairs two same-suffix members and can
-                        // cover out of that very bucket.
-                        1 if !set.self_paired() => view
-                            .table
-                            .occupancy
-                            .possibly_nonempty(u64::from(set.self_slot())),
-                        _ => false,
-                    } || !set
-                        .all_other_slots()
-                        .iter()
-                        .any(|&s| view.table.occupancy.possibly_nonempty(u64::from(s)));
-                    if rejected {
-                        skips += set.candidates().len() as u64;
-                        continue;
-                    }
+        let occupied = |s: &u32| view.table.occupancy.possibly_nonempty(u64::from(*s));
+        // Batch the per-candidate precheck counter: a hot suffix can carry
+        // dozens of candidates, and per-candidate atomic bumps measurably
+        // tax the contended rows.
+        let mut skips = 0_u64;
+        let mut found = None;
+        'sets: for set in slots.iter().map(|&s| view.index.set_at(s)) {
+            // Whole-set fast reject: every candidate needs all of its
+            // other-member buckets non-empty, and every candidate has at
+            // least one, so if none of the set's other-member buckets is
+            // occupied — one tight loop over its contiguous slot array —
+            // every candidate is refuted at once. The hot suffix of a large
+            // history takes this path on almost every request. No emptiness
+            // argument applies to a single-member signature — its anchor
+            // request instantiates it alone.
+            if !set.has_lone_member() && !set.all_other_slots().iter().any(occupied) {
+                skips += set.candidates().len() as u64;
+                continue;
+            }
+            for (i, c) in set.candidates().iter().enumerate() {
+                // Precheck over the set's flat other-member slots: one
+                // fingerprint load per slot, no per-candidate pointer
+                // chasing. A refuted candidate skips even the live depth
+                // guard — a depth change always rides a generation bump
+                // (monitor sets depth then touches), so a stale-keys
+                // refutation is only reachable in the concurrent mid-bump
+                // window the engine already tolerates.
+                if !set.other_slots(i).iter().all(occupied) {
+                    skips += 1;
+                    continue;
                 }
-                for (i, c) in set.candidates().iter().enumerate() {
-                    // Precheck over the set's flat other-member slots: one
-                    // fingerprint load per slot, no per-candidate pointer
-                    // chasing. A refuted candidate skips even the live
-                    // depth guard — a depth change always rides a
-                    // generation bump (monitor sets depth then touches),
-                    // so a stale-keys refutation is only reachable in the
-                    // concurrent mid-bump window the engine already
-                    // tolerates.
-                    if !set
-                        .other_slots(i)
-                        .iter()
-                        .all(|&s| view.table.occupancy.possibly_nonempty(u64::from(s)))
-                    {
+                let d = c.sig.depth();
+                let fresh_keys;
+                let member_keys: &[MemberKey] = if d == c.keys.depth {
+                    &c.keys.members
+                } else {
+                    // Depth changed since the index was built (generation
+                    // bump pending); recompute live like the reference.
+                    fresh_keys = self.member_keys_at(view, &c.sig, d);
+                    if !Self::cover_possible(view, &fresh_keys, c.member) {
                         skips += 1;
                         continue;
                     }
-                    let d = c.sig.depth();
-                    let fresh_keys;
-                    let member_keys: &[MemberKey] = if d == c.keys.depth {
-                        &c.keys.members
-                    } else {
-                        // Depth changed since the index was built
-                        // (generation bump pending); recompute live like
-                        // the reference.
-                        fresh_keys = self.member_keys_at(view, &c.sig, d);
-                        if !Self::cover_possible(view, &fresh_keys, c.member) {
-                            skips += 1;
-                            continue;
-                        }
-                        &fresh_keys
-                    };
-                    Stats::bump(&hot.cover_searches);
-                    found =
-                        Self::try_cover_with(read, &c.sig, d, member_keys, c.member, t, l, stack);
-                    if found.is_some() {
-                        break 'sets;
-                    }
+                    &fresh_keys
+                };
+                Stats::bump(&hot.cover_searches);
+                found = Self::try_cover_with(read, &c.sig, d, member_keys, c.member, t, l, stack);
+                if found.is_some() {
+                    break 'sets;
                 }
             }
-            if skips > 0 {
-                hot.precheck_skips.fetch_add(skips, Ordering::Relaxed);
-            }
-            found
-        } else {
-            // Paper-style linear walk over the history.
-            let snapshot = self.history.snapshot();
-            for sig in snapshot.iter() {
-                if sig.is_disabled() {
-                    continue;
-                }
-                let d = sig.depth();
-                let mut sig_keys: Option<Vec<MemberKey>> = None;
-                for (mi, &mstack) in sig.stacks.iter().enumerate() {
-                    // Identical members produce identical searches.
-                    if mi > 0 && sig.stacks[mi - 1] == mstack {
-                        continue;
-                    }
-                    let mframes = self.stacks.resolve(mstack);
-                    if suffix_matches(frames, &mframes, d as usize) {
-                        let keys =
-                            sig_keys.get_or_insert_with(|| self.member_keys_at(view, sig, d));
-                        if !Self::cover_possible(view, keys, mi) {
-                            Stats::bump(&hot.precheck_skips);
-                            continue;
-                        }
-                        Stats::bump(&hot.cover_searches);
-                        if let Some(found) =
-                            Self::try_cover_with(read, sig, d, keys, mi, t, l, stack)
-                        {
-                            return Some(found);
-                        }
-                    }
-                }
-            }
-            None
         }
+        if skips > 0 {
+            hot.precheck_skips.fetch_add(skips, Ordering::Relaxed);
+        }
+        found
     }
 
     /// Decodes a raw bucket snapshot into the **canonical cover order**:

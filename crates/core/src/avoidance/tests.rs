@@ -368,10 +368,9 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
     core.refresh_published();
     let view = core.view_cell.load();
     assert_eq!(view.generation, rt.history().generation());
-    let index = view.index.as_ref().expect("index mode");
     for (i, (a, b)) in sites.iter().enumerate() {
         for (frames, _) in [a, b] {
-            let n = index.candidates(frames).count();
+            let n = view.index.candidates(frames).count();
             assert_eq!(n, 1, "signature {i} listed {n} times for one member");
         }
     }
@@ -541,13 +540,12 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
     assert_eq!(core.occupancy_skew().live_entries, 0, "all released");
 }
 
-/// Every bucket of the published table is empty, and says so three ways.
+/// Every bucket of the published table is empty, and its fingerprint says so.
 fn assert_table_drained(core: &AvoidanceCore) {
     let view = core.view_cell.load();
     for (s, bucket) in view.table.buckets.iter().enumerate() {
         assert_eq!(bucket.approx_len(), 0, "bucket {s}");
     }
-    assert_eq!(view.table.nonempty.load(Ordering::SeqCst), 0);
     for s in 0..view.table.occupancy.len() as u64 {
         assert!(
             !view.table.occupancy.possibly_nonempty(s),
@@ -755,21 +753,14 @@ fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield
     core.acquired(holder, held_lock, held_stack);
 
     let slot = yielder.0 as usize;
-    let checked = core.check_view(&mut core.slots[slot].allowed.lock(), &yield_path);
-    let ViewCheck::Relevant(view, resolved) = checked else {
-        panic!("the yielder's path is a member suffix of a swept, current view");
-    };
+    let mut resolved = Resolved::default();
+    let log = core.lock_current(slot, &yield_path, &mut resolved);
+    let view = Arc::clone(log.view.as_ref().unwrap());
+    drop(log);
     let slots = resolved.as_slice();
+    assert_eq!(slots.len(), 1, "the yielder's path is a member suffix");
     let (optimistic, _proof) = core
-        .find_instance(
-            &view,
-            slots,
-            slot,
-            yielder,
-            wanted,
-            &yield_path,
-            yield_stack,
-        )
+        .find_instance(&view, slots, slot, yielder, wanted, yield_stack)
         .expect("the holder's entry completes the cover");
     assert_eq!(rt.stats().cover_fallbacks, 0);
     assert!(
@@ -783,15 +774,7 @@ fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield
     core.acquired(holder, held_lock, held_stack);
 
     let locked = core
-        .find_instance_locked(
-            &view,
-            slots,
-            slot,
-            yielder,
-            wanted,
-            &yield_path,
-            yield_stack,
-        )
+        .find_instance_locked(&view, slots, slot, yielder, wanted, yield_stack)
         .expect("the same cover, read under the claims");
     assert_eq!(rt.stats().cover_fallbacks, 1);
     assert_eq!(locked.sig.id, sig.id);

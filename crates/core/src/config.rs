@@ -87,10 +87,6 @@ pub struct Config {
     /// "instrumented, but ignore all yield decisions" configuration used to
     /// validate the Table 1 exploits.
     pub enforce_yields: bool,
-    /// Consult the suffix-hash [`dimmunix_signature::MatchIndex`] to find
-    /// candidate signatures instead of scanning the whole history on every
-    /// request (ablation; both are benchmarked).
-    pub use_match_index: bool,
     /// Structural false-positive accounting for the Figure 9 experiment:
     /// when set to the program's full stack depth `D`, every yield is
     /// classified immediately — a *true* positive if all instance bindings
@@ -130,7 +126,6 @@ impl Default for Config {
             max_threads: 4096,
             mode: RuntimeMode::Full,
             enforce_yields: true,
-            use_match_index: true,
             structural_fp_reference_depth: None,
             monitor_restart_budget: 3,
             degraded_yield_wait: Duration::from_millis(50),

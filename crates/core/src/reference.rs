@@ -6,12 +6,29 @@
 //! `request`/`acquired`/`release` from every thread serialized through one
 //! global critical section around a monolithic state. This module keeps
 //! that engine alive as an oracle: the **differential property test**
-//! (`tests/prop_differential.rs`), `prop_core` and the explorer's lockstep
-//! shadow replay schedules through both engines and assert byte-identical
-//! GO/YIELD decision streams — the sharding must be a pure performance
-//! refactor. The critical section is a plain mutex; the paper's
+//! (`tests/prop_differential.rs`), the chaos suite and the explorer's
+//! lockstep shadow replay schedules through both engines and assert
+//! byte-identical GO/YIELD decision streams — the sharding must be a pure
+//! performance refactor. The critical section is a plain mutex; the paper's
 //! Peterson-style guard (§5.6) is not reproduced, and nothing measures
 //! this engine's speed.
+//!
+//! The oracle matches the way the paper does (§5.6): every `request` walks
+//! the history and compares the call stack with each member stack at the
+//! signature's depth. It shares **no matching code** with the sharded
+//! engine — no candidate index, no bucket layout, no occupancy precheck —
+//! so every lockstep run compares the engine's index against the walk it
+//! replaces.
+//!
+//! # Candidate order
+//!
+//! A request may match several signatures, and the first one whose cover
+//! succeeds names the yield's signature and causes, so the order is part of
+//! the semantics. The rule both engines must produce, stated here once:
+//! **ascending matching depth; within a depth, history order; within a
+//! signature, member order.** The sharded engine gets it from its layout
+//! (depth layers ascending, candidates appended in snapshot × member
+//! order); the oracle from a stable sort of the history snapshot by depth.
 //!
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
@@ -22,7 +39,7 @@ use crate::event::{Event, YieldInfo};
 use dimmunix_lockfree::{MpscQueue, SlotAllocator};
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
-    suffix_matches, suffix_of, FrameId, History, MatchIndex, Signature, StackId, StackTable,
+    suffix_matches, suffix_of, FrameId, History, Signature, StackId, StackTable,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -41,7 +58,6 @@ struct RefState {
     entries: HashMap<(ThreadId, LockId), Vec<StackId>>,
     buckets: HashMap<u8, HashMap<Box<[FrameId]>, Vec<AllowedEntry>>>,
     depths: Vec<u8>,
-    index: Option<Arc<MatchIndex>>,
     owner: HashMap<LockId, (ThreadId, u32)>,
     yielding: HashMap<ThreadId, Vec<(ThreadId, LockId)>>,
     built_gen: u64,
@@ -67,7 +83,6 @@ impl ReferenceCore {
                 entries: HashMap::new(),
                 buckets: HashMap::new(),
                 depths: Vec::new(),
-                index: None,
                 owner: HashMap::new(),
                 yielding: HashMap::new(),
                 built_gen: u64::MAX,
@@ -284,11 +299,6 @@ impl ReferenceCore {
             let frames = self.stacks.resolve(e.stack);
             Self::bucket_insert(state, &frames, e);
         }
-        state.index = if self.config.use_match_index {
-            Some(Arc::new(MatchIndex::build(&self.history, &self.stacks)))
-        } else {
-            None
-        };
         state.built_gen = gen;
     }
 
@@ -344,34 +354,26 @@ impl ReferenceCore {
         frames: &[FrameId],
         stack: StackId,
     ) -> Option<(Arc<Signature>, u8, Vec<YieldCause>, Vec<(StackId, StackId)>)> {
-        if let Some(index) = &state.index {
-            for c in index.candidates(frames) {
-                if let Some(inst) = self.try_cover(state, &c.sig, c.member, t, l, stack) {
-                    return Some(inst);
-                }
-            }
-            None
-        } else {
-            let snapshot = self.history.snapshot();
-            for sig in snapshot.iter() {
-                if sig.is_disabled() {
+        // The module docs' candidate order: the sort is stable, so history
+        // order survives within a depth.
+        let mut snapshot = self.history.snapshot().to_vec();
+        snapshot.sort_by_key(|sig| sig.depth());
+        for sig in snapshot.iter().filter(|sig| !sig.is_disabled()) {
+            let d = sig.depth() as usize;
+            for (mi, &mstack) in sig.stacks.iter().enumerate() {
+                // Identical members produce identical searches.
+                if mi > 0 && sig.stacks[mi - 1] == mstack {
                     continue;
                 }
-                let d = sig.depth() as usize;
-                for (mi, &mstack) in sig.stacks.iter().enumerate() {
-                    if mi > 0 && sig.stacks[mi - 1] == mstack {
-                        continue;
-                    }
-                    let mframes = self.stacks.resolve(mstack);
-                    if suffix_matches(frames, &mframes, d) {
-                        if let Some(inst) = self.try_cover(state, sig, mi, t, l, stack) {
-                            return Some(inst);
-                        }
+                let mframes = self.stacks.resolve(mstack);
+                if suffix_matches(frames, &mframes, d) {
+                    if let Some(inst) = self.try_cover(state, sig, mi, t, l, stack) {
+                        return Some(inst);
                     }
                 }
             }
-            None
         }
+        None
     }
 
     #[allow(clippy::type_complexity)] // Instance tuple local to this module.

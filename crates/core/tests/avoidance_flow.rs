@@ -570,25 +570,16 @@ fn updates_only_mode_skips_matching() {
 }
 
 #[test]
-fn linear_scan_and_match_index_agree() {
-    for use_index in [false, true] {
-        let cfg = Config {
-            use_match_index: use_index,
-            ..quiet_config()
-        };
-        let w = AbbaWorld::new(cfg);
-        w.run_first_deadlock();
-        w.rt.core().release(w.t0, w.lock_a);
-        w.rt.core().release(w.t1, w.lock_b);
-        w.rt.core().cancel(w.t0, w.lock_b);
-        w.rt.core().cancel(w.t1, w.lock_a);
-        w.rt.step_monitor();
+fn a_learned_signature_yields() {
+    let w = AbbaWorld::new(quiet_config());
+    w.run_first_deadlock();
+    w.rt.core().release(w.t0, w.lock_a);
+    w.rt.core().release(w.t1, w.lock_b);
+    w.rt.core().cancel(w.t0, w.lock_b);
+    w.rt.core().cancel(w.t1, w.lock_a);
+    w.rt.step_monitor();
 
-        w.acquire(w.t1, w.lock_b, &w.site_b_first);
-        let d = w.request(w.t0, w.lock_a, &w.site_a_first);
-        assert!(
-            matches!(d, Decision::Yield { .. }),
-            "use_index={use_index}: got {d:?}"
-        );
-    }
+    w.acquire(w.t1, w.lock_b, &w.site_b_first);
+    let d = w.request(w.t0, w.lock_a, &w.site_a_first);
+    assert!(matches!(d, Decision::Yield { .. }), "got {d:?}");
 }

@@ -1,5 +1,5 @@
-//! Property tests of the avoidance engine: strategy agreement and safety
-//! invariants under randomized scenarios.
+//! Property tests of the avoidance engine: safety invariants under
+//! randomized scenarios.
 
 use dimmunix_core::{Config, CycleKind, Decision, Runtime};
 use proptest::prelude::*;
@@ -22,12 +22,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn build_runtime(use_index: bool, with_history: bool) -> Runtime {
-    let rt = Runtime::new(Config {
-        use_match_index: use_index,
-        ..Config::default()
-    })
-    .unwrap();
+fn build_runtime(with_history: bool) -> Runtime {
+    let rt = Runtime::new(Config::default()).unwrap();
     if with_history {
         // Signatures over a subset of the paths used by the scenario.
         let paths: Vec<Vec<(&str, &str, u32)>> = (0..6_u32)
@@ -98,23 +94,12 @@ fn replay(rt: &Runtime, ops: &[Op]) -> Vec<bool> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The linear history walk and the suffix-index strategy make identical
-    /// decisions on identical scenarios.
-    #[test]
-    fn linear_and_index_strategies_agree(ops in arb_ops()) {
-        let rt_linear = build_runtime(false, true);
-        let rt_index = build_runtime(true, true);
-        let a = replay(&rt_linear, &ops);
-        let b = replay(&rt_index, &ops);
-        prop_assert_eq!(a, b);
-    }
-
     /// With an empty history, the engine never yields: "a program that
     /// never deadlocks will have a perpetually empty history, which means
     /// no avoidance will ever be done" (§5.7).
     #[test]
     fn empty_history_never_yields(ops in arb_ops()) {
-        let rt = build_runtime(true, false);
+        let rt = build_runtime(false);
         let decisions = replay(&rt, &ops);
         prop_assert!(decisions.iter().all(|&d| d), "yield without history");
         prop_assert_eq!(rt.stats().yields, 0);
@@ -124,7 +109,7 @@ proptest! {
     /// the scenario only ever acquires free locks, so no cycle can exist.
     #[test]
     fn no_false_deadlocks_from_clean_runs(ops in arb_ops()) {
-        let rt = build_runtime(true, true);
+        let rt = build_runtime(true);
         replay(&rt, &ops);
         rt.step_monitor();
         prop_assert_eq!(rt.stats().deadlocks_detected, 0);

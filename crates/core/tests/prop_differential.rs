@@ -7,11 +7,14 @@
 //! replayed in lockstep through the sharded engine
 //! ([`dimmunix_core::AvoidanceCore`], via a `Runtime`) and the preserved
 //! pre-refactor single-lock engine ([`dimmunix_core::ReferenceCore`]). The
-//! GO/YIELD decision streams must be byte-identical at every step.
+//! decision streams — GO, or YIELD and on which signature — must be
+//! identical at every step. The sharded engine finds its candidates through
+//! the suffix index, the reference by walking the history, so every run
+//! here is also index against walk.
 
 use dimmunix_core::{
-    Config, CycleKind, Decision, FrameId, LockId, ReferenceCore, Runtime, StackId, StatsSnapshot,
-    ThreadId,
+    Config, CycleKind, Decision, FrameId, LockId, ReferenceCore, Runtime, SigId, StackId,
+    StatsSnapshot, ThreadId, YieldCause,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -20,6 +23,12 @@ use std::sync::Arc;
 const THREADS: usize = 4;
 const LOCKS: usize = 4;
 const SITES: u8 = 6;
+/// Sites past the first [`SITES`], each the *twin* of site `p - SITES`: same
+/// innermost frame, different caller. A request through a site matches a
+/// depth-2 signature over that site and a depth-1 signature over its twin —
+/// two candidates at two depths, which is where candidate order shows. Only
+/// the shared-inner generator uses them.
+const TWINS: u8 = 2;
 
 /// One entry of the generated schedule.
 #[derive(Clone, Debug)]
@@ -73,17 +82,22 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
 /// rather than the no-candidate fast path.
 const HOT_SITES: u8 = 3;
 
-fn arb_hit_heavy_schedule() -> impl Strategy<Value = Vec<Step>> {
-    let add_sig = || {
-        (0_u8..HOT_SITES, 0_u8..HOT_SITES, 1_u8..3).prop_map(|(i, j, depth)| Step::AddSig {
-            i,
-            j,
-            depth,
-        })
-    };
+/// The shared-inner generator's alphabet: sites 0 and 1 with their twins,
+/// so most requests match one signature at depth 1 and another at depth 2,
+/// in either history order.
+fn arb_twinned_site() -> impl Strategy<Value = u8> {
+    prop_oneof![0_u8..TWINS, SITES..SITES + TWINS]
+}
+
+/// Schedules over a small site alphabet, the history seeded before any
+/// scheduling so the very first requests already hit signature-member
+/// buckets.
+fn arb_hit_heavy_schedule<S: Strategy<Value = u8> + 'static>(
+    site: fn() -> S,
+) -> impl Strategy<Value = Vec<Step>> {
+    let add_sig =
+        move || (site(), site(), 1_u8..3).prop_map(|(i, j, depth)| Step::AddSig { i, j, depth });
     (
-        // Seed the history before any scheduling so the very first requests
-        // already hit signature-member buckets.
         prop::collection::vec(add_sig(), 2..6),
         prop::collection::vec(
             prop_oneof![
@@ -143,14 +157,16 @@ fn arb_delta_schedule() -> impl Strategy<Value = Vec<Step>> {
         })
 }
 
-/// Scripts confined to the hot-site alphabet, so nearly every request's
-/// suffix matches some injected signature member.
-fn arb_hit_heavy_script() -> impl Strategy<Value = Vec<Action>> {
+/// Scripts confined to the schedule's site alphabet, so nearly every
+/// request's suffix matches some injected signature member.
+fn arb_hit_heavy_script<S: Strategy<Value = u8> + 'static>(
+    site: fn() -> S,
+) -> impl Strategy<Value = Vec<Action>> {
     prop::collection::vec(
         prop_oneof![
-            (0_u8..LOCKS as u8, 0_u8..HOT_SITES).prop_map(|(l, p)| Action::Lock(l, p)),
-            (0_u8..LOCKS as u8, 0_u8..HOT_SITES).prop_map(|(l, p)| Action::Lock(l, p)),
-            (0_u8..LOCKS as u8, 0_u8..HOT_SITES).prop_map(|(l, p)| Action::TryLock(l, p)),
+            (0_u8..LOCKS as u8, site()).prop_map(|(l, p)| Action::Lock(l, p)),
+            (0_u8..LOCKS as u8, site()).prop_map(|(l, p)| Action::Lock(l, p)),
+            (0_u8..LOCKS as u8, site()).prop_map(|(l, p)| Action::TryLock(l, p)),
             (0_u8..1).prop_map(|_| Action::Unlock),
         ],
         0..16,
@@ -215,17 +231,25 @@ fn arb_script() -> impl Strategy<Value = Vec<Action>> {
     )
 }
 
-/// The hook surface both engines expose.
+/// The hook surface both engines expose. `request` answers `None` for GO
+/// and the signature yielded on otherwise.
 trait Hooks {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> bool;
+    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId>;
     fn acquired(&self, t: ThreadId, l: LockId, stack: StackId);
     fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId>;
     fn cancel(&self, t: ThreadId, l: LockId);
 }
 
+fn yielded_on(decision: Decision) -> Option<SigId> {
+    match decision {
+        Decision::Go => None,
+        Decision::Yield { sig } => Some(sig.id),
+    }
+}
+
 impl Hooks for Runtime {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> bool {
-        matches!(self.core().request(t, l, frames, stack), Decision::Go)
+    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId> {
+        yielded_on(self.core().request(t, l, frames, stack))
     }
     fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
         self.core().acquired(t, l, stack);
@@ -239,11 +263,8 @@ impl Hooks for Runtime {
 }
 
 impl Hooks for ReferenceCore {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> bool {
-        matches!(
-            ReferenceCore::request(self, t, l, frames, stack),
-            Decision::Go
-        )
+    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId> {
+        yielded_on(ReferenceCore::request(self, t, l, frames, stack))
     }
     fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
         ReferenceCore::acquired(self, t, l, stack);
@@ -306,9 +327,9 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
         }
     }
 
-    /// Runs one slot for thread `v`; returns the GO/YIELD decision if a
-    /// `request` was made.
-    fn run_slot(&mut self, v: usize) -> Option<bool> {
+    /// Runs one slot for thread `v`; returns the decision ([`Hooks::request`])
+    /// if a `request` was made.
+    fn run_slot(&mut self, v: usize) -> Option<Option<SigId>> {
         match self.state[v] {
             VState::Blocked(_) => None,
             VState::Yielding(l) => {
@@ -318,13 +339,13 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
                 self.woken[v] = false;
                 let site = self.pending[v].expect("yielding thread has a pending site");
                 let (frames, stack) = self.sites[site as usize].clone();
-                let go = self
+                let yielded = self
                     .engine
                     .request(self.tids[v], self.lock_ids[l], &frames, stack);
-                if go {
+                if yielded.is_none() {
                     self.attempt_acquire(v, l, stack);
                 }
-                Some(go)
+                Some(yielded)
             }
             VState::Ready => {
                 let action = self.scripts[v].get(self.pc[v]).cloned()?;
@@ -332,25 +353,25 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
                     Action::Lock(l, p) => {
                         let (frames, stack) = self.sites[p as usize].clone();
                         let l = l as usize;
-                        let go =
+                        let yielded =
                             self.engine
                                 .request(self.tids[v], self.lock_ids[l], &frames, stack);
                         self.pending[v] = Some(p);
-                        if go {
+                        if yielded.is_none() {
                             self.attempt_acquire(v, l, stack);
                         } else {
                             self.state[v] = VState::Yielding(l);
                             self.woken[v] = false;
                         }
-                        Some(go)
+                        Some(yielded)
                     }
                     Action::TryLock(l, p) => {
                         let (frames, stack) = self.sites[p as usize].clone();
                         let l = l as usize;
-                        let go =
+                        let yielded =
                             self.engine
                                 .request(self.tids[v], self.lock_ids[l], &frames, stack);
-                        if go && self.owner[l].is_none() {
+                        if yielded.is_none() && self.owner[l].is_none() {
                             self.engine.acquired(self.tids[v], self.lock_ids[l], stack);
                             self.owner[l] = Some(v);
                             self.held[v].push(l);
@@ -358,7 +379,7 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
                             self.engine.cancel(self.tids[v], self.lock_ids[l]);
                         }
                         self.pc[v] += 1;
-                        Some(go)
+                        Some(yielded)
                     }
                     Action::Unlock => {
                         if let Some(l) = self.held[v].pop() {
@@ -408,46 +429,44 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
 }
 
 /// Replays `schedule` over `scripts` through both engines in lockstep and
-/// returns the (asserted-identical) decision stream.
+/// returns the (asserted-identical) decision stream, `true` for GO.
 fn run_differential(
-    use_match_index: bool,
     schedule: &[Step],
     scripts: [Vec<Action>; THREADS],
 ) -> Result<Vec<bool>, String> {
-    run_differential_full(use_match_index, schedule, scripts).map(|(d, _)| d)
+    run_differential_full(schedule, scripts).map(|(d, _)| d)
 }
 
 /// [`run_differential`] plus the sharded runtime's final stats snapshot,
 /// for tests that assert *which* rebuild path ran.
 fn run_differential_full(
-    use_match_index: bool,
     schedule: &[Step],
     scripts: [Vec<Action>; THREADS],
 ) -> Result<(Vec<bool>, StatsSnapshot), String> {
-    let rt = Runtime::new(Config {
-        use_match_index,
+    let config = || Config {
         max_threads: 8,
         ..Config::default()
-    })
-    .unwrap();
+    };
+    let rt = Runtime::new(config()).unwrap();
     // The reference engine shares the runtime's history and interners, so
     // signature injection and stack ids line up exactly; nothing else
     // mutates the history (the monitor is never stepped here).
     let reference = ReferenceCore::new(
-        Config {
-            use_match_index,
-            max_threads: 8,
-            ..Config::default()
-        },
+        config(),
         Arc::clone(rt.history()),
         Arc::clone(rt.stack_table()),
     );
 
-    let sites: Vec<(Vec<FrameId>, StackId)> = (0..SITES)
+    let sites: Vec<(Vec<FrameId>, StackId)> = (0..SITES + TWINS)
         .map(|p| {
+            let (caller, inner) = if p < SITES {
+                ("caller", p)
+            } else {
+                ("twin", p - SITES)
+            };
             let site = rt.make_site(&[
-                ("caller", "d.rs", u32::from(p)),
-                ("inner", "d.rs", 100 + u32::from(p)),
+                (caller, "d.rs", u32::from(p)),
+                ("inner", "d.rs", 100 + u32::from(inner)),
             ]);
             (site.frames().to_vec(), site.stack())
         })
@@ -490,8 +509,8 @@ fn run_differential_full(
                          sharded={da:?} reference={db:?}"
                     ));
                 }
-                if let Some(d) = da {
-                    decisions.push(d);
+                if let Some(yielded) = da {
+                    decisions.push(yielded.is_none());
                 }
             }
             Step::AddSig { i, j, depth } => {
@@ -515,8 +534,7 @@ fn run_differential_full(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded and reference engines agree on every decision, with the
-    /// suffix match index enabled (the production configuration).
+    /// Sharded and reference engines agree on every decision.
     #[test]
     fn sharded_engine_matches_reference_with_index(
         schedule in arb_schedule(),
@@ -525,7 +543,7 @@ proptest! {
         s2 in arb_script(),
         s3 in arb_script(),
     ) {
-        let result = run_differential(true, &schedule, [s0, s1, s2, s3]);
+        let result = run_differential(&schedule, [s0, s1, s2, s3]);
         prop_assert!(result.is_ok(), "{}", result.err().unwrap_or_default());
     }
 
@@ -535,13 +553,13 @@ proptest! {
     /// decision-identical to the reference's globally guarded search.
     #[test]
     fn sharded_engine_matches_reference_hit_heavy(
-        schedule in arb_hit_heavy_schedule(),
-        s0 in arb_hit_heavy_script(),
-        s1 in arb_hit_heavy_script(),
-        s2 in arb_hit_heavy_script(),
-        s3 in arb_hit_heavy_script(),
+        schedule in arb_hit_heavy_schedule(|| 0_u8..HOT_SITES),
+        s0 in arb_hit_heavy_script(|| 0_u8..HOT_SITES),
+        s1 in arb_hit_heavy_script(|| 0_u8..HOT_SITES),
+        s2 in arb_hit_heavy_script(|| 0_u8..HOT_SITES),
+        s3 in arb_hit_heavy_script(|| 0_u8..HOT_SITES),
     ) {
-        let result = run_differential(true, &schedule, [s0, s1, s2, s3]);
+        let result = run_differential(&schedule, [s0, s1, s2, s3]);
         prop_assert!(result.is_ok(), "{}", result.err().unwrap_or_default());
     }
 
@@ -557,7 +575,7 @@ proptest! {
         s2 in arb_waiter_script(2),
         s3 in arb_waiter_script(3),
     ) {
-        let result = run_differential(true, &schedule, [s0, s1, s2, s3]);
+        let result = run_differential(&schedule, [s0, s1, s2, s3]);
         prop_assert!(result.is_ok(), "{}", result.err().unwrap_or_default());
     }
 
@@ -575,21 +593,24 @@ proptest! {
         s2 in arb_script(),
         s3 in arb_script(),
     ) {
-        let result = run_differential(true, &schedule, [s0, s1, s2, s3]);
+        let result = run_differential(&schedule, [s0, s1, s2, s3]);
         prop_assert!(result.is_ok(), "{}", result.err().unwrap_or_default());
     }
 
-    /// Same agreement in linear-scan mode, where the fast path reduces to
-    /// the empty-history check.
+    /// Same agreement when sites share innermost frames and signatures mix
+    /// depths 1 and 2, so one request has candidates at both depths: the
+    /// index (depth layers ascending) and the reference's walk must try
+    /// them in the same order, or they yield on different signatures and
+    /// wait for different releases.
     #[test]
-    fn sharded_engine_matches_reference_linear(
-        schedule in arb_schedule(),
-        s0 in arb_script(),
-        s1 in arb_script(),
-        s2 in arb_script(),
-        s3 in arb_script(),
+    fn sharded_engine_matches_reference_shared_inner(
+        schedule in arb_hit_heavy_schedule(arb_twinned_site),
+        s0 in arb_hit_heavy_script(arb_twinned_site),
+        s1 in arb_hit_heavy_script(arb_twinned_site),
+        s2 in arb_hit_heavy_script(arb_twinned_site),
+        s3 in arb_hit_heavy_script(arb_twinned_site),
     ) {
-        let result = run_differential(false, &schedule, [s0, s1, s2, s3]);
+        let result = run_differential(&schedule, [s0, s1, s2, s3]);
         prop_assert!(result.is_ok(), "{}", result.err().unwrap_or_default());
     }
 }
@@ -622,7 +643,7 @@ fn yield_storm_wakes_every_yielder_in_lockstep() {
         vec![Action::Lock(2, 0)],
         vec![Action::Lock(3, 0)],
     ];
-    let decisions = run_differential(true, &schedule, scripts).expect("no divergence");
+    let decisions = run_differential(&schedule, scripts).expect("no divergence");
     assert_eq!(
         decisions,
         vec![true, false, false, false, true, true, true],
@@ -668,6 +689,100 @@ fn single_member_signature_yields_in_both_engines() {
     reference.cancel(tb, l);
 }
 
+/// Pins the candidate-order rule (`dimmunix_core::reference`'s module docs):
+/// ascending matching depth first, history order only within a depth. The
+/// requester's site and its twin share an innermost frame, so its request
+/// matches the depth-2 signature over its own site — added *first* — and
+/// the depth-1 signature over the twin, and each signature's other member
+/// has a holder. Both engines must yield on the depth-1 signature, with its
+/// holder as the cause: only that holder's release wakes the requester. An
+/// oracle walking in plain history order yields on the depth-2 signature
+/// and fails here.
+#[test]
+fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
+    let config = || Config {
+        max_threads: 8,
+        ..Config::default()
+    };
+    let rt = Runtime::new(config()).unwrap();
+    let reference = ReferenceCore::new(
+        config(),
+        Arc::clone(rt.history()),
+        Arc::clone(rt.stack_table()),
+    );
+    let site = |caller: &'static str, inner: u32| {
+        rt.make_site(&[(caller, "order.rs", 1), ("inner", "order.rs", inner)])
+    };
+    let requester = site("requester", 100);
+    let twin = site("twin", 100);
+    let deep_holder = site("deep_holder", 200);
+    let shallow_holder = site("shallow_holder", 300);
+    let add = |a: StackId, b: StackId, depth: u8| {
+        rt.history()
+            .add(CycleKind::Deadlock, vec![a, b], depth)
+            .expect("fresh signature")
+    };
+    let deep = add(requester.stack(), deep_holder.stack(), 2);
+    let shallow = add(twin.stack(), shallow_holder.stack(), 1);
+    assert!(deep.id < shallow.id, "history order: the deeper one first");
+
+    let threads: Vec<ThreadId> = (0..3)
+        .map(|_| {
+            let t = rt.core().register_thread().unwrap();
+            assert_eq!(reference.register_thread(), Some(t));
+            t
+        })
+        .collect();
+    let (deep_thread, shallow_thread, asking) = (threads[0], threads[1], threads[2]);
+    let (deep_lock, shallow_lock, wanted) = (rt.new_lock_id(), rt.new_lock_id(), rt.new_lock_id());
+    // One holder per signature, each covering its signature's other member.
+    for (t, l, s) in [
+        (deep_thread, deep_lock, &deep_holder),
+        (shallow_thread, shallow_lock, &shallow_holder),
+    ] {
+        assert_eq!(Hooks::request(&rt, t, l, s.frames(), s.stack()), None);
+        assert_eq!(
+            Hooks::request(&reference, t, l, s.frames(), s.stack()),
+            None
+        );
+        Hooks::acquired(&rt, t, l, s.stack());
+        Hooks::acquired(&reference, t, l, s.stack());
+    }
+
+    let (frames, stack) = (requester.frames(), requester.stack());
+    assert_eq!(
+        Hooks::request(&rt, asking, wanted, frames, stack),
+        Some(shallow.id),
+        "sharded"
+    );
+    assert_eq!(
+        Hooks::request(&reference, asking, wanted, frames, stack),
+        Some(shallow.id),
+        "reference"
+    );
+    assert_eq!(
+        rt.core().yield_causes(asking),
+        vec![YieldCause {
+            thread: shallow_thread,
+            lock: shallow_lock,
+            stack: shallow_holder.stack(),
+        }]
+    );
+    // The reference shows its causes by whom a release wakes.
+    assert_eq!(Hooks::release(&rt, deep_thread, deep_lock), vec![]);
+    assert_eq!(Hooks::release(&reference, deep_thread, deep_lock), vec![]);
+    assert_eq!(
+        Hooks::release(&rt, shallow_thread, shallow_lock),
+        vec![asking]
+    );
+    assert_eq!(
+        Hooks::release(&reference, shallow_thread, shallow_lock),
+        vec![asking]
+    );
+    Hooks::cancel(&rt, asking, wanted);
+    Hooks::cancel(&reference, asking, wanted);
+}
+
 /// A deterministic drain-ordering regression for the lock-free wake list:
 /// the cause thread holds two locks acquired through the same site, a
 /// yielder registers against the *first* one (bucket order picks the
@@ -702,7 +817,7 @@ fn retained_wake_registration_survives_unrelated_release() {
         vec![],
         vec![],
     ];
-    let decisions = run_differential(true, &schedule, scripts).expect("no divergence");
+    let decisions = run_differential(&schedule, scripts).expect("no divergence");
     assert_eq!(
         decisions,
         vec![true, true, false, true],
@@ -744,8 +859,7 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
         vec![Action::Lock(1, 3)],
         vec![Action::Lock(3, 1)],
     ];
-    let (decisions, stats) =
-        run_differential_full(true, &schedule, scripts).expect("no divergence");
+    let (decisions, stats) = run_differential_full(&schedule, scripts).expect("no divergence");
     assert_eq!(
         decisions,
         vec![true, true, false, false],
@@ -792,11 +906,11 @@ fn outgrowing_the_fingerprints_rebuilds_fresh_once_then_extends_again() {
         let a = <Runtime as Hooks>::request(&rt, t, l, s.frames(), s.stack());
         let b = Hooks::request(&reference, t, l, s.frames(), s.stack());
         assert_eq!(a, b, "engines disagree on site {p}");
-        if a {
+        if a.is_none() {
             Hooks::acquired(&rt, t, l, s.stack());
             Hooks::acquired(&reference, t, l, s.stack());
         }
-        a
+        a.is_none()
     };
     let threads: Vec<ThreadId> = (0..5)
         .map(|_| {
@@ -870,7 +984,7 @@ fn empty_to_nonempty_transition_is_lockstep() {
         vec![],
         vec![],
     ];
-    let decisions = run_differential(true, &schedule, scripts).expect("no divergence");
+    let decisions = run_differential(&schedule, scripts).expect("no divergence");
     assert_eq!(
         decisions,
         vec![true, true, true, false],

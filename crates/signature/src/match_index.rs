@@ -2,14 +2,12 @@
 //!
 //! The paper's `request` hook walks the history and, for each signature,
 //! checks whether the current call stack matches one of the signature's
-//! member stacks at the signature's matching depth (§5.6). With the history
-//! sizes the paper evaluates (≤256), a linear walk is already cheap — Fig. 7
-//! shows history size contributes negligible overhead — but Dimmunix keys
-//! its metadata by hashed call stack, so we provide the equivalent: an index
+//! member stacks at the signature's matching depth (§5.6). Dimmunix keys
+//! its metadata by hashed call stack, and this is the equivalent: an index
 //! from depth-truncated stack suffixes to the signature members that carry
-//! them. The avoidance runtime can use either strategy; the Criterion bench
-//! `request_path` compares them (the paper's complexity discussion is
-//! §5.6).
+//! them. It is the avoidance engine's only way from a call stack to
+//! signatures; the walk survives in `dimmunix_core`'s `ReferenceCore`, the
+//! oracle every differential test compares this index against.
 //!
 //! There is **one** `(depth, suffix)` map: the [`BucketLayout`], which
 //! assigns every distinct member key of one history generation a **dense
@@ -285,14 +283,6 @@ pub struct CandidateSet {
     /// `candidates.len() + 1` offsets into `others_flat` (candidate `i`
     /// owns `others_flat[spans[i]..spans[i + 1]]`).
     spans: Vec<u32>,
-    /// The set's own `(depth, suffix)` bucket slot — the bucket the
-    /// *requester's* entries land in.
-    self_slot: u32,
-    /// Whether some candidate's other-member slots include `self_slot`
-    /// (a signature pairing two stacks with the same suffix). Such a
-    /// candidate can cover out of the requester's own bucket, so the O(1)
-    /// only-own-bucket-non-empty reject does not apply.
-    self_paired: bool,
     /// Whether some candidate has *no* other members (a single-member
     /// signature): it is instantiated by the anchor request alone, so no
     /// emptiness argument can ever refute the set wholesale.
@@ -300,13 +290,11 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    fn new(self_slot: u32) -> Self {
+    fn new() -> Self {
         Self {
             candidates: Vec::new(),
             others_flat: Vec::new(),
             spans: vec![0],
-            self_slot,
-            self_paired: false,
             lone_member: false,
         }
     }
@@ -314,7 +302,6 @@ impl CandidateSet {
     fn push(&mut self, candidate: Candidate, other_slots: impl Iterator<Item = u32>) {
         let start = self.others_flat.len();
         self.others_flat.extend(other_slots);
-        self.self_paired |= self.others_flat[start..].contains(&self.self_slot);
         self.lone_member |= self.others_flat.len() == start;
         self.spans.push(self.others_flat.len() as u32);
         self.candidates.push(candidate);
@@ -337,21 +324,6 @@ impl CandidateSet {
     /// set is refuted at once — the whole-set fast reject.
     pub fn all_other_slots(&self) -> &[u32] {
         &self.others_flat
-    }
-
-    /// The set's own `(depth, suffix)` bucket slot. Together with
-    /// [`CandidateSet::self_paired`] this enables an O(1) whole-set
-    /// reject: if the table's only non-empty bucket is this one and no
-    /// candidate is self-paired, every candidate has an empty other
-    /// bucket.
-    pub fn self_slot(&self) -> u32 {
-        self.self_slot
-    }
-
-    /// Whether some candidate's other-member slots include
-    /// [`CandidateSet::self_slot`] (see there).
-    pub fn self_paired(&self) -> bool {
-        self.self_paired
     }
 
     /// Whether some candidate is a single-member signature (see the
@@ -428,8 +400,7 @@ impl MatchIndex {
         sigs: &[Arc<Signature>],
         stacks: &StackTable,
     ) -> Self {
-        let first_new = sets.len() as u32;
-        sets.extend((first_new..layout.len).map(|slot| Arc::new(CandidateSet::new(slot))));
+        sets.resize_with(layout.len(), || Arc::new(CandidateSet::new()));
         let mut index = Self {
             generation,
             sets,
@@ -758,8 +729,6 @@ mod tests {
         assert_eq!(full.sets.len(), full_layout.len());
         assert_eq!(ext.sets.len(), full.sets.len());
         for (set, eset) in full.sets.iter().zip(&ext.sets) {
-            assert_eq!(set.self_slot(), eset.self_slot());
-            assert_eq!(set.self_paired(), eset.self_paired());
             assert_eq!(set.has_lone_member(), eset.has_lone_member());
             assert_eq!(set.all_other_slots(), eset.all_other_slots());
             assert_eq!(set.candidates().len(), eset.candidates().len());
@@ -777,11 +746,17 @@ mod tests {
         for (slot, (b, e)) in base_index.sets.iter().zip(&ext.sets).enumerate() {
             assert_eq!(Arc::ptr_eq(b, e), slot != touched as usize, "slot {slot}");
         }
-        // Look-ups go through the one map: the same sets, depth ascending.
+        // Look-ups go through the one map, depth ascending, and every set
+        // is filed under its candidates' own member key.
         let probe = env.frames_of(&[0, 9, 5, 6]);
         let via_layout: Vec<u32> = ext_layout.slots_of(&probe).collect();
-        let via_index: Vec<u32> = ext.candidate_sets(&probe).map(|s| s.self_slot()).collect();
-        assert_eq!(via_layout, via_index);
+        assert_eq!(via_layout.len(), ext.candidate_sets(&probe).count());
+        for (&slot, set) in via_layout.iter().zip(ext.candidate_sets(&probe)) {
+            assert!(!set.candidates().is_empty());
+            for c in set.candidates() {
+                assert_eq!(c.keys.members[c.member].slot, Some(slot));
+            }
+        }
     }
 
     /// The engine's rebuild, step by step, with an `add` landing between
