@@ -3,7 +3,7 @@
 //!
 //! Measures full `request → acquired → release` hook cycles per second of
 //! the production [`dimmunix_core::AvoidanceCore`] (no global guard:
-//! no-candidate fast path, occupancy-precheck matching path over sharded
+//! no-candidate fast path, emptiness-precheck matching path over sharded
 //! suffix buckets, per-thread held-lock stacks, epoch-published match view,
 //! per-thread event lanes, the full monitor draining asynchronously) at
 //! 1/4/8 application threads, with an empty history and with 64 synthetic

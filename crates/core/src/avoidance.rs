@@ -5,7 +5,7 @@
 //! "simpler cache of parts of the RAG" the paper describes — who holds
 //! which lock and the `Allowed` sets — with a **mutex-free signature-hit
 //! path**: once a request's suffix hits a signature-member bucket,
-//! everything it touches (occupancy fingerprints, the cover search, yield
+//! everything it touches (the emptiness precheck, the cover search, yield
 //! registration, release-side wakeups) is atomics, not locks:
 //!
 //! * each registered thread keeps its own **`Allowed` log** (the master
@@ -26,11 +26,10 @@
 //!   rebuild time because only entries whose suffix matches some signature
 //!   member can ever participate in a cover. Readers are optimistic
 //!   (seqlock copy + sequence revalidation) and never block; an insert or
-//!   removal claims only its own bucket's sequence word with one CAS. The
-//!   table also publishes per-bucket **occupancy fingerprints**
-//!   ([`OccupancyArray`], indexed by bucket slot, one per key —
-//!   collision-free) whose zero reads prove a bucket empty without reading
-//!   it;
+//!   removal claims only its own bucket's sequence word with one CAS. A
+//!   bucket is the only record of whether it is empty: its live-record
+//!   count, loaded alone ([`VersionedBucket::is_empty`]), proves it empty
+//!   without copying anything;
 //! * the **yielding bookkeeping** is lock-free: each thread slot owns a
 //!   Treiber-style [`WakeList`] of registrations *against it as a cause*
 //!   (`(cause lock, yielder, epoch)` nodes), plus an atomic registration
@@ -123,8 +122,8 @@
 //!
 //! A request that hits a member bucket runs the **guard-free cover
 //! precheck** first: a signature can only be instantiated if *every* member
-//! bucket is non-empty, so one zero occupancy fingerprint among a
-//! candidate's other members refutes that candidate without reading
+//! bucket is non-empty, so one empty bucket among a candidate's other
+//! members — one length load — refutes that candidate without reading
 //! anything else. Candidates that survive get an **optimistic cover
 //! search**: each member bucket is copied with a validated sequence
 //! ([`VersionedBucket::read_into`]), the exact cover is solved over those
@@ -144,20 +143,17 @@
 //! while building the view:
 //!
 //! * **Extend** — when the history's journal proves every intervening
-//!   generation was a pure signature *append* ([`History::delta_between`])
-//!   and the grown layout still fits the inherited fingerprint array.
+//!   generation was a pure signature *append* ([`History::delta_between`]).
 //!   `BucketLayout` slot assignment is append-stable, so new
 //!   `(depth, suffix)` keys take slots past the old length and surviving
 //!   slots are never renumbered; the extended table **shares** every
-//!   surviving [`VersionedBucket`] and the fingerprint array with the old
-//!   one — nothing is cloned, live entries and their sequence words
-//!   survive. Surviving buckets are complete as they stand, so the visit
-//!   inserts only entries that land in a new slot.
+//!   surviving [`VersionedBucket`] with the old one — nothing is cloned,
+//!   live entries and their sequence words survive. Surviving buckets are
+//!   complete as they stand, so the visit inserts only entries that land
+//!   in a new slot.
 //! * **Fresh** — for structural history changes (removal, disable, merge,
-//!   a depth-recalibration touch), a truncated journal, or layout growth
-//!   past the fingerprint array (which re-sizes it — amortized doubling):
-//!   a new index, layout and empty table, and the visit inserts every
-//!   relevant entry.
+//!   a depth-recalibration touch) or a truncated journal: a new index,
+//!   layout and empty table, and the visit inserts every relevant entry.
 //!
 //! Either way a view is stamped with the generation its contents were read
 //! at, never an older one, so the next extension applies each append once.
@@ -276,7 +272,7 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
 use dimmunix_lockfree::{
-    DrainVerdict, EpochCell, OccupancyArray, SlotAllocator, VersionedBucket, WakeList, WakeNodePool,
+    DrainVerdict, EpochCell, SlotAllocator, VersionedBucket, WakeList, WakeNodePool,
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
@@ -330,53 +326,36 @@ impl AllowedEntry {
 }
 
 /// The `Allowed` buckets of one history generation — a dense array of
-/// [`VersionedBucket`]s, one per [`BucketLayout`] key — plus their
-/// occupancy fingerprints. Owned by the [`MatchView`] that published it;
-/// replaced wholesale on rebuild. No mutex anywhere: readers are
-/// optimistic, writers claim one bucket's sequence word with a CAS.
+/// [`VersionedBucket`]s, one per [`BucketLayout`] key. Owned by the
+/// [`MatchView`] that published it; replaced wholesale on rebuild. No mutex
+/// anywhere: readers are optimistic, writers claim one bucket's sequence
+/// word with a CAS, and the precheck asks each bucket whether it is empty.
 pub(crate) struct MatchTable {
     /// Per-slot buckets, individually `Arc`ed so an extended table can
     /// share the surviving buckets of its predecessor (live entries and
     /// sequence words included) while appending fresh ones.
     buckets: Box<[Arc<VersionedBucket<3>>]>,
-    /// Per-bucket-slot occupancy fingerprints (see module docs): a slot
-    /// counts the *non-empty buckets* mapping to it, maintained inside the
-    /// bucket write sessions (bump before the first entry becomes visible,
-    /// drop only after the last is removed), so a zero read always proves
-    /// emptiness. One slot per bucket and room to grow — collision-free.
-    /// Shared (`Arc`) with extended successors: the surviving buckets'
-    /// counts must carry over, or a fresh array would manufacture false
-    /// empty-proofs.
-    occupancy: Arc<OccupancyArray>,
     /// Set once the rebuild's visit has merged every per-thread log;
     /// covers and direct bucket inserts wait for it.
     swept: AtomicBool,
 }
 
 impl MatchTable {
-    /// A fresh, unswept table. One fingerprint per bucket keeps the
-    /// precheck exact; doubling past that is the headroom that lets later
-    /// appends extend this table instead of replacing it (4 bytes a slot).
+    /// A fresh, unswept table: one empty bucket per layout key.
     fn new(buckets: usize) -> Self {
         Self {
             buckets: (0..buckets)
                 .map(|_| Arc::new(VersionedBucket::new()))
                 .collect(),
-            occupancy: Arc::new(OccupancyArray::new(
-                (buckets.max(1) * 2).next_power_of_two(),
-            )),
             swept: AtomicBool::new(false),
         }
     }
 
-    /// A table for an extended layout: shares every surviving bucket and
-    /// the occupancy fingerprints with `base`; slots `[base.len, new_len)` get fresh empty buckets. The caller
-    /// guarantees `new_len <= base.occupancy.len()`, which keeps the
-    /// shared fingerprints collision-free (slots index them identically in
-    /// both tables). Unswept, like a fresh one.
+    /// A table for an extended layout: shares every surviving bucket with
+    /// `base`; slots `[base.len, new_len)` get fresh empty buckets.
+    /// Unswept, like a fresh one.
     fn extended(base: &Self, new_len: usize) -> Self {
         debug_assert!(new_len >= base.buckets.len());
-        debug_assert!(new_len <= base.occupancy.len());
         debug_assert!(base.swept.load(Ordering::Acquire));
         Self {
             buckets: (0..new_len)
@@ -385,7 +364,6 @@ impl MatchTable {
                     None => Arc::new(VersionedBucket::new()),
                 })
                 .collect(),
-            occupancy: Arc::clone(&base.occupancy),
             swept: AtomicBool::new(false),
         }
     }
@@ -397,40 +375,25 @@ impl MatchTable {
         table
     }
 
-    /// Inserts `e` into bucket `slot`. The occupancy fingerprint tracks
-    /// *non-empty buckets*, not entries, so it is only bumped on the
-    /// empty→non-empty transition — inside the write session, before the
-    /// entry becomes visible (the `len` store), so a concurrent zero read
-    /// never misses a live entry. Steady-state traffic on an already
-    /// populated bucket touches no fingerprint cache line at all.
+    /// Inserts `e` into bucket `slot`: one write session.
     fn insert(&self, slot: u32, e: AllowedEntry) {
-        let mut w = self.buckets[slot as usize].write();
-        if w.is_empty() {
-            self.occupancy.increment(u64::from(slot));
-        }
-        w.push(e.encode());
+        self.buckets[slot as usize].write().push(e.encode());
     }
 
-    /// Removes `e` from bucket `slot`; tolerant of the entry being absent
-    /// (it may never have been bucketed in *this* table). The fingerprint
-    /// is only decremented when an actual removal empties the bucket.
+    /// Removes `e` from bucket `slot`: one write session, tolerant of the
+    /// entry being absent (it may never have been bucketed in *this* table).
     fn remove(&self, slot: u32, e: AllowedEntry) {
-        let mut w = self.buckets[slot as usize].write();
-        if w.remove(e.encode()) && w.is_empty() {
-            self.occupancy.decrement(u64::from(slot));
-        }
+        self.buckets[slot as usize].write().remove(e.encode());
     }
 
     fn approx_bytes(&self) -> usize {
-        self.occupancy.len() * core::mem::size_of::<u32>()
-            + self
-                .buckets
-                .iter()
-                .map(|b| {
-                    core::mem::size_of::<VersionedBucket<3>>()
-                        + b.approx_len() * 3 * core::mem::size_of::<u64>()
-                })
-                .sum::<usize>()
+        self.buckets
+            .iter()
+            .map(|b| {
+                core::mem::size_of::<VersionedBucket<3>>()
+                    + b.approx_len() * 3 * core::mem::size_of::<u64>()
+            })
+            .sum()
     }
 }
 
@@ -470,7 +433,7 @@ pub(crate) struct MatchView {
     layout: Arc<BucketLayout>,
     /// Candidate sets by `layout` slot.
     index: Arc<MatchIndex>,
-    /// The versioned buckets + occupancy fingerprints of this generation.
+    /// The versioned buckets of this generation.
     table: Arc<MatchTable>,
 }
 
@@ -625,11 +588,12 @@ impl AllowedLog {
 #[derive(Default)]
 pub(crate) struct ThreadSlot {
     pub(crate) yield_state: Mutex<YieldState>,
-    /// Cheap mirror of "`yield_state` holds anything worth clearing", so
-    /// the GO path skips the mutex when the state is already clean. Only
-    /// the owner thread stores `true` (when recording a yield), so a stale
-    /// `false` read is impossible.
-    yield_set: AtomicBool,
+    /// Whether a yield is in force — and so whether `yield_state` holds
+    /// anything worth clearing. Written only with `yield_state` locked and
+    /// read under it, except by the GO path, which skips the mutex when it
+    /// reads `false`: only the owner thread stores `true` (when recording
+    /// a yield), so a stale `false` read is impossible there.
+    yielding: AtomicBool,
     /// This thread's private `Allowed` log and view cache. Locked by the
     /// owning thread on every hook and by every rebuild's visit; never
     /// contended in steady state.
@@ -676,14 +640,13 @@ pub(crate) struct ThreadSlot {
     grant_stack: AtomicU32,
 }
 
-/// What a yielding thread is waiting out.
+/// What a yielding thread is waiting out (whether it is yielding at all is
+/// `ThreadSlot::yielding`, written under this state's mutex).
 #[derive(Default)]
 pub(crate) struct YieldState {
     /// Causes of the current yield (empty when not yielding, and for a
     /// yield on a single-member signature, which has no other member).
     pub(crate) causes: Vec<YieldCause>,
-    /// Whether a yield is in force.
-    pub(crate) yielding: bool,
     /// Set by the monitor to break starvation: the thread must stop
     /// yielding and pursue its most recently requested lock (§3).
     pub(crate) broken: bool,
@@ -783,8 +746,8 @@ impl AvoidanceCore {
         {
             let mut ys = self.slots[slot].yield_state.lock();
             *ys = YieldState::default();
+            self.slots[slot].yielding.store(false, Ordering::Relaxed);
         }
-        self.slots[slot].yield_set.store(false, Ordering::Relaxed);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.remove_yielding(t);
             // Drop the entries the thread never released (panic inside a
@@ -986,9 +949,8 @@ impl AvoidanceCore {
                 if self.config.enforce_yields {
                     let mut ys = self.slots[slot].yield_state.lock();
                     ys.causes = inst.causes;
-                    ys.yielding = true;
                     ys.broken = false;
-                    self.slots[slot].yield_set.store(true, Ordering::Relaxed);
+                    self.slots[slot].yielding.store(true, Ordering::Relaxed);
                     Decision::Yield { sig: inst.sig }
                 } else {
                     // The `Yield` event above accounts for the request.
@@ -1237,8 +1199,7 @@ impl AvoidanceCore {
             // argument intact.
             let me = &self.slots[slot];
             if !me.wake_list.is_empty() {
-                let hot = self.stats.hot(slot);
-                Stats::bump(&hot.wake_drains);
+                Stats::bump(&self.stats.hot(slot).wake_drains);
                 me.wake_list.drain_to_pools(
                     |yielder| &self.slots[yielder as usize].wake_pool,
                     |key, yielder, epoch| {
@@ -1251,7 +1212,6 @@ impl AvoidanceCore {
                             DrainVerdict::Consume
                         } else {
                             // Live registration against another of our locks.
-                            Stats::bump(&hot.wake_retained);
                             DrainVerdict::Retain
                         }
                     },
@@ -1300,25 +1260,24 @@ impl AvoidanceCore {
     }
 
     fn clear_yield_state(&self, slot: usize) {
-        if !self.slots[slot].yield_set.load(Ordering::Relaxed) {
+        let me = &self.slots[slot];
+        if !me.yielding.load(Ordering::Relaxed) {
             return;
         }
-        let mut ys = self.slots[slot].yield_state.lock();
+        let mut ys = me.yield_state.lock();
         ys.causes.clear();
-        ys.yielding = false;
         ys.broken = false;
-        self.slots[slot].yield_set.store(false, Ordering::Relaxed);
+        me.yielding.store(false, Ordering::Relaxed);
     }
 
     /// Marks `t`'s current yield as broken (monitor starvation breaking).
     /// Returns whether the thread was indeed yielding.
     pub fn break_yield(&self, t: ThreadId) -> bool {
-        let slot = t.0 as usize;
-        if slot >= self.slots.len() {
+        let Some(me) = self.slots.get(t.0 as usize) else {
             return false;
-        }
-        let mut ys = self.slots[slot].yield_state.lock();
-        if !ys.yielding {
+        };
+        let mut ys = me.yield_state.lock();
+        if !me.yielding.load(Ordering::Relaxed) {
             return false;
         }
         ys.broken = true;
@@ -1329,13 +1288,12 @@ impl AvoidanceCore {
     /// Consumes `t`'s broken flag; a yielding thread calls this on wakeup to
     /// learn whether it must proceed without re-consulting the history.
     pub fn take_broken(&self, t: ThreadId) -> bool {
-        let slot = t.0 as usize;
-        let mut ys = self.slots[slot].yield_state.lock();
+        let me = &self.slots[t.0 as usize];
+        let mut ys = me.yield_state.lock();
         if ys.broken {
             ys.broken = false;
             ys.causes.clear();
-            ys.yielding = false;
-            self.slots[slot].yield_set.store(false, Ordering::Relaxed);
+            me.yielding.store(false, Ordering::Relaxed);
             true
         } else {
             false
@@ -1344,7 +1302,9 @@ impl AvoidanceCore {
 
     /// Whether `t` currently has an unconsumed yield in force.
     pub fn is_yielding(&self, t: ThreadId) -> bool {
-        self.slots[t.0 as usize].yield_state.lock().yielding
+        let me = &self.slots[t.0 as usize];
+        let _ys = me.yield_state.lock();
+        me.yielding.load(Ordering::Relaxed)
     }
 
     /// Probe: the yield causes currently registered for `t` — the
@@ -1365,12 +1325,14 @@ impl AvoidanceCore {
     /// completed program with a non-empty parked set is a lost wakeup.
     pub fn parked_yielders(&self) -> Vec<(ThreadId, Vec<YieldCause>)> {
         let mut parked = Vec::new();
-        for slot in 0..self.slots.len() {
-            if !self.slots[slot].yield_set.load(Ordering::Relaxed) {
+        for (slot, me) in self.slots.iter().enumerate() {
+            // Lock-free skip of the idle slots, then the read that counts,
+            // under the lock.
+            if !me.yielding.load(Ordering::Relaxed) {
                 continue;
             }
-            let ys = self.slots[slot].yield_state.lock();
-            if ys.yielding {
+            let ys = me.yield_state.lock();
+            if me.yielding.load(Ordering::Relaxed) {
                 parked.push((ThreadId(slot as u64), ys.causes.clone()));
             }
         }
@@ -1402,7 +1364,6 @@ impl AvoidanceCore {
             // rebuild lock was handed over.
             return;
         }
-        Stats::bump(&self.stats.rebuilds);
         let start = std::time::Instant::now();
         // The only branch. An extension shares every surviving bucket with
         // the old table, complete as they stand, so the visit fills only
@@ -1454,13 +1415,11 @@ impl AvoidanceCore {
 
     /// `old` extended to generation `gen` by the signatures appended in
     /// between: new `(depth, suffix)` keys take slots past the old layout's
-    /// length, and the table shares every surviving bucket and the
-    /// fingerprint array with `old`'s. `None` when only a
-    /// fresh build will do: the span holds a structural change (removal,
-    /// disable, depth touch), reaches past the journal or starts at the
-    /// sentinel view ([`History::delta_between`] reports all three alike),
-    /// or the grown layout no longer fits the inherited fingerprints — a
-    /// fresh table re-sizes them, amortized doubling.
+    /// length, and the table shares every surviving bucket with `old`'s.
+    /// `None` when only a fresh build will do: the span holds a structural
+    /// change (removal, disable, depth touch), reaches past the journal or
+    /// starts at the sentinel view ([`History::delta_between`] reports all
+    /// three alike).
     fn extended_view(&self, old: &MatchView, gen: u64) -> Option<MatchView> {
         // Bounded by `gen`, the stamp: an `add` may bump the history past
         // it while this runs, and a view holding that signature under the
@@ -1472,9 +1431,6 @@ impl AvoidanceCore {
             return None;
         };
         let layout = Arc::new(BucketLayout::extended(&old.layout, &new_sigs, &self.stacks));
-        if layout.len() > old.table.occupancy.len() {
-            return None;
-        }
         let index = MatchIndex::extended(
             &old.index,
             gen,
@@ -1586,16 +1542,16 @@ impl AvoidanceCore {
     }
 
     /// The guard-free cover precheck: a signature can only be instantiated
-    /// if every non-anchor member bucket is non-empty, so one zero
-    /// occupancy fingerprint refutes the candidate without reading any
-    /// bucket. A member key outside the layout has no bucket at all —
+    /// if every non-anchor member bucket is non-empty, so one empty bucket
+    /// ([`VersionedBucket::is_empty`]) refutes the candidate without
+    /// copying any. A member key outside the layout has no bucket at all —
     /// provably empty.
     fn cover_possible(view: &MatchView, keys: &[MemberKey], anchor: usize) -> bool {
         keys.iter().enumerate().all(|(i, mk)| {
             i == anchor
                 || mk
                     .slot
-                    .is_some_and(|s| view.table.occupancy.possibly_nonempty(u64::from(s)))
+                    .is_some_and(|s| !view.table.buckets[s as usize].is_empty())
         })
     }
 
@@ -1683,7 +1639,7 @@ impl AvoidanceCore {
         read: &mut dyn FnMut(u32) -> (u64, Vec<AllowedEntry>),
     ) -> Option<(Instance, CoverProof)> {
         let hot = self.stats.hot(slot);
-        let occupied = |s: &u32| view.table.occupancy.possibly_nonempty(u64::from(*s));
+        let occupied = |s: &u32| !view.table.buckets[*s as usize].is_empty();
         // Batch the per-candidate precheck counter: a hot suffix can carry
         // dozens of candidates, and per-candidate atomic bumps measurably
         // tax the contended rows.
@@ -1704,7 +1660,7 @@ impl AvoidanceCore {
             }
             for (i, c) in set.candidates().iter().enumerate() {
                 // Precheck over the set's flat other-member slots: one
-                // fingerprint load per slot, no per-candidate pointer
+                // bucket-length load per slot, no per-candidate pointer
                 // chasing. A refuted candidate skips even the live depth
                 // guard — a depth change always rides a generation bump
                 // (monitor sets depth then touches), so a stale-keys

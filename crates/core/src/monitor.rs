@@ -366,27 +366,25 @@ impl Monitor {
     pub(crate) fn degraded_step(&mut self, core: &AvoidanceCore) {
         Stats::bump(&self.stats.monitor_passes);
         core.refresh_published();
-        let lanes = Arc::clone(&self.lanes);
-        let mut retired = 0_u64;
-        let drained = lanes.drain(DRAIN_CAP, |event| retired += event.outcomes());
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stats.events_processed.fetch_add(retired, Relaxed);
-        self.stats.events_last_drain.store(drained as u64, Relaxed);
-        self.stats
-            .lane_overflows
-            .store(lanes.overflow_count(), Relaxed);
+        self.drain_with(|_, _| {});
     }
 
     /// Applies everything queued (up to [`DRAIN_CAP`]); returns how many
     /// lane entries that was.
     fn drain_events(&mut self) -> usize {
+        self.drain_with(Self::apply)
+    }
+
+    /// Hands everything queued (up to [`DRAIN_CAP`]) to `apply` and does the
+    /// accounting both passes share; returns how many lane entries that was.
+    fn drain_with(&mut self, mut apply: impl FnMut(&mut Self, Event)) -> usize {
         let lanes = Arc::clone(&self.lanes);
         // `events_processed` counts hook outcomes retired, not lane entries
         // (one `Granted` stands for a request, its GO and the acquisition).
         let mut retired = 0_u64;
         let drained = lanes.drain(DRAIN_CAP, |event| {
             retired += event.outcomes();
-            self.apply(event);
+            apply(self, event);
         });
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.events_processed.fetch_add(retired, Relaxed);
@@ -766,10 +764,9 @@ mod tests {
     use super::*;
     use dimmunix_predict::PredictionConfig;
 
-    /// Idle passes skip the `last_good` clones; the snapshot a respawn
-    /// starts from must still be the busy pass's.
-    #[test]
-    fn a_respawn_after_idle_passes_keeps_the_busy_pass_snapshot() {
+    /// An engine and a monitor wired to one history, one set of lanes and
+    /// one set of counters, with prediction on.
+    fn wired() -> (AvoidanceCore, Monitor, Arc<FrameTable>, Arc<StackTable>) {
         let config = Config {
             history_path: None,
             prediction: Some(PredictionConfig::default()),
@@ -790,7 +787,7 @@ mod tests {
             Arc::clone(&lanes),
             Arc::clone(&stats),
         );
-        let mut monitor = Monitor::new(
+        let monitor = Monitor::new(
             config,
             history,
             Arc::clone(&frames),
@@ -799,6 +796,32 @@ mod tests {
             stats,
             Arc::new(Hooks::default()),
         );
+        (core, monitor, frames, stacks)
+    }
+
+    /// A degraded pass does the same drain accounting as a full one, the
+    /// peak lane depth included.
+    #[test]
+    fn a_degraded_pass_records_the_lane_high_water() {
+        let (core, mut monitor, _, _) = wired();
+        let t = core.register_thread().unwrap();
+        for l in 0..5 {
+            monitor
+                .lanes
+                .push(t.0 as usize, Event::Release { t, l: LockId(l) });
+        }
+        monitor.degraded_step(&core);
+        let stats = monitor.stats.snapshot();
+        assert_eq!(stats.lane_high_water, 5);
+        assert_eq!(stats.events_last_drain, 5);
+        assert_eq!(stats.events_processed, 5);
+    }
+
+    /// Idle passes skip the `last_good` clones; the snapshot a respawn
+    /// starts from must still be the busy pass's.
+    #[test]
+    fn a_respawn_after_idle_passes_keeps_the_busy_pass_snapshot() {
+        let (core, mut monitor, frames, stacks) = wired();
 
         // Busy pass: `t` nests b inside a — two hold edges, one order edge.
         let t = core.register_thread().unwrap();

@@ -16,7 +16,7 @@
 //! The oracle matches the way the paper does (§5.6): every `request` walks
 //! the history and compares the call stack with each member stack at the
 //! signature's depth. It shares **no matching code** with the sharded
-//! engine — no candidate index, no bucket layout, no occupancy precheck —
+//! engine — no candidate index, no bucket layout, no emptiness precheck —
 //! so every lockstep run compares the engine's index against the walk it
 //! replaces.
 //!
@@ -30,13 +30,15 @@
 //! (depth layers ascending, candidates appended in snapshot × member
 //! order); the oracle from a stable sort of the history snapshot by depth.
 //!
+//! It decides and nothing else: it publishes no events, keeps no owner map
+//! and builds no yield report — what the lockstep harnesses compare is the
+//! decision, the signature yielded on, the yield causes and the wake lists.
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
 use crate::avoidance::Decision;
 use crate::config::{Config, RuntimeMode};
-use crate::event::{Event, YieldInfo};
-use dimmunix_lockfree::{MpscQueue, SlotAllocator};
+use dimmunix_lockfree::SlotAllocator;
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
     suffix_matches, suffix_of, FrameId, History, Signature, StackId, StackTable,
@@ -52,14 +54,13 @@ struct AllowedEntry {
     stack: StackId,
 }
 
-/// The monolithic state — owner map, master `Allowed` multiset, suffix
-/// buckets and yielding set all behind one mutex.
+/// The monolithic state — master `Allowed` multiset, suffix buckets and
+/// yielding set all behind one mutex.
 struct RefState {
     entries: HashMap<(ThreadId, LockId), Vec<StackId>>,
     buckets: HashMap<u8, HashMap<Box<[FrameId]>, Vec<AllowedEntry>>>,
     depths: Vec<u8>,
-    owner: HashMap<LockId, (ThreadId, u32)>,
-    yielding: HashMap<ThreadId, Vec<(ThreadId, LockId)>>,
+    yielding: HashMap<ThreadId, Vec<YieldCause>>,
     built_gen: u64,
 }
 
@@ -70,7 +71,6 @@ pub struct ReferenceCore {
     max_threads: usize,
     history: Arc<History>,
     stacks: Arc<StackTable>,
-    queue: Arc<MpscQueue<Event>>,
     config: Config,
 }
 
@@ -83,7 +83,6 @@ impl ReferenceCore {
                 entries: HashMap::new(),
                 buckets: HashMap::new(),
                 depths: Vec::new(),
-                owner: HashMap::new(),
                 yielding: HashMap::new(),
                 built_gen: u64::MAX,
             }),
@@ -91,7 +90,6 @@ impl ReferenceCore {
             max_threads: n,
             history,
             stacks,
-            queue: Arc::new(MpscQueue::new()),
             config,
         }
     }
@@ -117,7 +115,6 @@ impl ReferenceCore {
                 while Self::remove_entry_inner(&self.stacks, state, key.0, key.1).is_some() {}
             }
         }
-        self.queue.push(Event::ThreadExit { t });
         self.slot_alloc.release(t.0 as usize);
     }
 
@@ -127,143 +124,69 @@ impl ReferenceCore {
     /// configuration).
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
         let full = self.config.mode == RuntimeMode::Full;
-        let instance = {
-            let state = &mut *self.state.lock();
-            self.refresh(state);
-            let instance = if full && !state.depths.is_empty() {
-                self.find_instance(state, t, l, frames, stack)
-            } else {
-                None
-            };
-            match &instance {
-                None => {
-                    Self::add_entry(state, t, l, frames, stack);
-                    state.yielding.remove(&t);
-                }
-                Some(inst) => {
-                    state
-                        .yielding
-                        .insert(t, inst.2.iter().map(|c| (c.thread, c.lock)).collect());
-                }
-            }
-            instance
+        let state = &mut *self.state.lock();
+        self.refresh(state);
+        let instance = if full && !state.depths.is_empty() {
+            self.find_instance(state, t, l, frames)
+        } else {
+            None
         };
         match instance {
             None => {
-                self.queue.push(Event::Go {
-                    t,
-                    l,
-                    stack,
-                    grant: 2,
-                });
+                Self::add_entry(state, t, l, frames, stack);
+                state.yielding.remove(&t);
                 Decision::Go
             }
-            Some(inst) => {
-                let info = Box::new(YieldInfo {
-                    sig: inst.0.id,
-                    depth_used: inst.1,
-                    bindings: inst.3,
-                    causes: inst.2,
-                });
-                self.queue.push(Event::Yield { t, l, stack, info });
-                Decision::Yield { sig: inst.0 }
+            Some((sig, causes)) => {
+                state.yielding.insert(t, causes);
+                Decision::Yield { sig }
             }
         }
     }
 
-    /// The pre-refactor `acquired` hook (guarded owner-map update).
-    pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
-        {
-            let mut state = self.state.lock();
-            let owner = state.owner.entry(l).or_insert((t, 0));
-            owner.0 = t;
-            owner.1 += 1;
-        }
-        self.queue.push(Event::Acquired { t, l, stack });
-    }
+    /// The `acquired` hook: a no-op. The GO already entered the `Allowed`
+    /// entry, and no decision reads who owns a lock. Kept so lockstep
+    /// harnesses drive both engines through the same hooks.
+    pub fn acquired(&self, _t: ThreadId, _l: LockId, _stack: StackId) {}
 
     /// Reentrant re-acquisition: records the nesting level's entry.
     pub fn acquired_reentrant(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        {
-            let state = &mut *self.state.lock();
-            self.refresh(state);
-            Self::add_entry(state, t, l, frames, stack);
-            let owner = state.owner.entry(l).or_insert((t, 0));
-            owner.0 = t;
-            owner.1 += 1;
-        }
-        self.queue.push(Event::Acquired { t, l, stack });
+        let state = &mut *self.state.lock();
+        self.refresh(state);
+        Self::add_entry(state, t, l, frames, stack);
     }
 
     /// The pre-refactor `release` hook: linear scan over all yielders'
     /// causes inside the global critical section.
     pub fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        let mut wake = Vec::new();
-        {
-            let state = &mut *self.state.lock();
-            Self::remove_entry_inner(&self.stacks, state, t, l);
-            if let Some(owner) = state.owner.get_mut(&l) {
-                if owner.0 == t {
-                    owner.1 = owner.1.saturating_sub(1);
-                    if owner.1 == 0 {
-                        state.owner.remove(&l);
-                    }
-                }
-            }
-            if !state.yielding.is_empty() {
-                for (&yt, causes) in &state.yielding {
-                    if causes.iter().any(|&(ct, cl)| ct == t && cl == l) {
-                        wake.push(yt);
-                    }
-                }
-            }
-        }
-        self.queue.push(Event::Release { t, l });
-        wake
+        let state = &mut *self.state.lock();
+        Self::remove_entry_inner(&self.stacks, state, t, l);
+        state
+            .yielding
+            .iter()
+            .filter(|(_, causes)| causes.iter().any(|c| c.thread == t && c.lock == l))
+            .map(|(&yt, _)| yt)
+            .collect()
     }
 
     /// The pre-refactor equivalent of the sharded engine's `force_go`:
     /// grants the request without consulting the history (used when a yield
     /// is broken by the monitor or times out, §3). Records the `Allowed`
-    /// entry, clears the yielding registration, and emits the Go event —
-    /// byte-identical bookkeeping to the sharded path, so lockstep shadows
-    /// can follow starvation-break and timeout schedules.
+    /// entry and clears the yielding registration — the sharded path's
+    /// bookkeeping, so lockstep shadows can follow starvation-break and
+    /// timeout schedules.
     pub fn force_go(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        {
-            let state = &mut *self.state.lock();
-            self.refresh(state);
-            Self::add_entry(state, t, l, frames, stack);
-            state.yielding.remove(&t);
-        }
-        self.queue.push(Event::Go {
-            t,
-            l,
-            stack,
-            grant: 1,
-        });
+        let state = &mut *self.state.lock();
+        self.refresh(state);
+        Self::add_entry(state, t, l, frames, stack);
+        state.yielding.remove(&t);
     }
 
     /// The pre-refactor `cancel` hook.
     pub fn cancel(&self, t: ThreadId, l: LockId) {
-        {
-            let state = &mut *self.state.lock();
-            Self::remove_entry_inner(&self.stacks, state, t, l);
-            state.yielding.remove(&t);
-        }
-        self.queue.push(Event::Cancel { t, l, grant: 0 });
-    }
-
-    /// Drains up to `cap` queued events (the caller stands in for the
-    /// monitor; single-consumer contract as on [`MpscQueue::pop`]).
-    pub fn drain_events(&self, cap: usize) -> usize {
-        let mut n = 0;
-        while n < cap {
-            if self.queue.pop().is_none() {
-                break;
-            }
-            n += 1;
-        }
-        n
+        let state = &mut *self.state.lock();
+        Self::remove_entry_inner(&self.stacks, state, t, l);
+        state.yielding.remove(&t);
     }
 
     fn refresh(&self, state: &mut RefState) {
@@ -345,84 +268,59 @@ impl ReferenceCore {
         Some(stack)
     }
 
-    #[allow(clippy::type_complexity)] // Instance tuple local to this module.
+    /// The first signature, in the module docs' candidate order, whose
+    /// cover the tentative allow edge `(t, l)` on `frames` completes: the
+    /// signature and the cover's entries, the yield's causes.
     fn find_instance(
         &self,
         state: &RefState,
         t: ThreadId,
         l: LockId,
         frames: &[FrameId],
-        stack: StackId,
-    ) -> Option<(Arc<Signature>, u8, Vec<YieldCause>, Vec<(StackId, StackId)>)> {
+    ) -> Option<(Arc<Signature>, Vec<YieldCause>)> {
         // The module docs' candidate order: the sort is stable, so history
         // order survives within a depth.
         let mut snapshot = self.history.snapshot().to_vec();
         snapshot.sort_by_key(|sig| sig.depth());
         for sig in snapshot.iter().filter(|sig| !sig.is_disabled()) {
-            let d = sig.depth() as usize;
+            let d = sig.depth();
             for (mi, &mstack) in sig.stacks.iter().enumerate() {
                 // Identical members produce identical searches.
                 if mi > 0 && sig.stacks[mi - 1] == mstack {
                     continue;
                 }
                 let mframes = self.stacks.resolve(mstack);
-                if suffix_matches(frames, &mframes, d) {
-                    if let Some(inst) = self.try_cover(state, sig, mi, t, l, stack) {
-                        return Some(inst);
-                    }
+                if !suffix_matches(frames, &mframes, d as usize) {
+                    continue;
+                }
+                let members: Vec<usize> = (0..sig.stacks.len()).filter(|&i| i != mi).collect();
+                let mut causes = Vec::new();
+                if self.cover_rec(state, sig, d, &members, t, l, &mut causes) {
+                    return Some((Arc::clone(sig), causes));
                 }
             }
         }
         None
     }
 
-    #[allow(clippy::type_complexity)] // Instance tuple local to this module.
-    fn try_cover(
-        &self,
-        state: &RefState,
-        sig: &Arc<Signature>,
-        anchor: usize,
-        t: ThreadId,
-        l: LockId,
-        stack: StackId,
-    ) -> Option<(Arc<Signature>, u8, Vec<YieldCause>, Vec<(StackId, StackId)>)> {
-        let d = sig.depth();
-        let members: Vec<usize> = (0..sig.stacks.len()).filter(|&i| i != anchor).collect();
-        let mut chosen: Vec<(ThreadId, LockId, StackId, StackId)> = Vec::new();
-        if self.cover_rec(state, sig, d, &members, 0, t, l, &mut chosen) {
-            let causes = chosen
-                .iter()
-                .map(|&(ct, cl, cs, _)| YieldCause {
-                    thread: ct,
-                    lock: cl,
-                    stack: cs,
-                })
-                .collect();
-            let mut bindings = vec![(stack, sig.stacks[anchor])];
-            bindings.extend(chosen.iter().map(|&(_, _, cs, ms)| (cs, ms)));
-            Some((Arc::clone(sig), d, causes, bindings))
-        } else {
-            None
-        }
-    }
-
+    /// Covers `members` of `sig` at depth `d` with `Allowed` entries
+    /// distinct in thread and lock from each other and from the requester
+    /// `(t, l)`, appending them to `chosen`.
     #[allow(clippy::too_many_arguments)] // Recursive helper over packed search state.
     fn cover_rec(
         &self,
         state: &RefState,
-        sig: &Arc<Signature>,
+        sig: &Signature,
         d: u8,
         members: &[usize],
-        i: usize,
         t: ThreadId,
         l: LockId,
-        chosen: &mut Vec<(ThreadId, LockId, StackId, StackId)>,
+        chosen: &mut Vec<YieldCause>,
     ) -> bool {
-        if i == members.len() {
+        let Some((&member, rest)) = members.split_first() else {
             return true;
-        }
-        let mstack = sig.stacks[members[i]];
-        let mframes = self.stacks.resolve(mstack);
+        };
+        let mframes = self.stacks.resolve(sig.stacks[member]);
         let suffix = suffix_of(&mframes, d as usize);
         let Some(candidates) = state.buckets.get(&d).and_then(|m| m.get(suffix)) else {
             return false;
@@ -436,12 +334,16 @@ impl ReferenceCore {
         candidates.sort_unstable_by_key(|e| (e.t.0, e.l.0, e.stack.0));
         for e in &candidates {
             let distinct =
-                e.t != t && e.l != l && chosen.iter().all(|&(ct, cl, _, _)| ct != e.t && cl != e.l);
+                e.t != t && e.l != l && chosen.iter().all(|c| c.thread != e.t && c.lock != e.l);
             if !distinct {
                 continue;
             }
-            chosen.push((e.t, e.l, e.stack, mstack));
-            if self.cover_rec(state, sig, d, members, i + 1, t, l, chosen) {
+            chosen.push(YieldCause {
+                thread: e.t,
+                lock: e.l,
+                stack: e.stack,
+            });
+            if self.cover_rec(state, sig, d, rest, t, l, chosen) {
                 return true;
             }
             chosen.pop();

@@ -24,8 +24,8 @@ pub struct HotStripe {
     pub acquisitions: AtomicU64,
     /// Locks released.
     pub releases: AtomicU64,
-    /// Signature candidates dismissed by the guard-free occupancy precheck
-    /// (a required member bucket was provably empty — nothing was read).
+    /// Signature candidates dismissed by the guard-free emptiness precheck
+    /// (a required member bucket was provably empty — nothing was copied).
     pub precheck_skips: AtomicU64,
     /// Optimistic exact-cover searches actually performed.
     pub cover_searches: AtomicU64,
@@ -35,9 +35,6 @@ pub struct HotStripe {
     pub cover_retries: AtomicU64,
     /// Release-side wake-list swap-and-drains performed (list non-empty).
     pub wake_drains: AtomicU64,
-    /// Wake-list nodes retained (re-pushed) by a drain because they were
-    /// live registrations for a different lock of the same cause thread.
-    pub wake_retained: AtomicU64,
 }
 
 /// Monotonic counters exposed by a runtime; all relaxed atomics, cheap to
@@ -97,8 +94,6 @@ pub struct Stats {
     pub events_processed: AtomicU64,
     /// Monitor wakeups.
     pub monitor_passes: AtomicU64,
-    /// Match-state rebuilds (bucket table + index + view republish).
-    pub rebuilds: AtomicU64,
     /// Monitor-lag gauge: lane entries drained by the most recent monitor
     /// pass.
     pub events_last_drain: AtomicU64,
@@ -143,12 +138,11 @@ pub struct Stats {
     /// endpoints release-quiescent past `lock_retire_after` passes).
     pub prediction_edges_retired: AtomicU64,
     /// Rebuilds that extended the previous view (pure signature appends:
-    /// surviving buckets and occupancy fingerprints shared, only the new
-    /// keys' buckets filled).
+    /// surviving buckets shared, only the new keys' buckets filled). With
+    /// `rebuilds_full`, every match-state rebuild there was.
     pub rebuilds_delta: AtomicU64,
-    /// Rebuilds that built a fresh table and filled all of it (structural
-    /// history changes, first build, or layout growth past the inherited
-    /// occupancy fingerprints).
+    /// Rebuilds that built a fresh table and filled all of it (the first
+    /// build, structural history changes, a truncated journal).
     pub rebuilds_full: AtomicU64,
     /// Worst observed delta-rebuild latency, microseconds.
     pub rebuild_us_delta_max: AtomicU64,
@@ -223,7 +217,6 @@ impl Default for Stats {
             capture_misses: AtomicU64::new(0),
             events_processed: AtomicU64::new(0),
             monitor_passes: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
             events_last_drain: AtomicU64::new(0),
             lane_high_water: AtomicU64::new(0),
             lane_overflows: AtomicU64::new(0),
@@ -293,7 +286,7 @@ impl Stats {
         self.hot_sum(|s| &s.releases)
     }
 
-    /// Total occupancy-precheck candidate dismissals across all stripes.
+    /// Total emptiness-precheck candidate dismissals across all stripes.
     pub fn precheck_skips(&self) -> u64 {
         self.hot_sum(|s| &s.precheck_skips)
     }
@@ -311,11 +304,6 @@ impl Stats {
     /// Total wake-list drains across all stripes.
     pub fn wake_drains(&self) -> u64 {
         self.hot_sum(|s| &s.wake_drains)
-    }
-
-    /// Total wake-list nodes retained across all stripes.
-    pub fn wake_retained(&self) -> u64 {
-        self.hot_sum(|s| &s.wake_retained)
     }
 
     /// Convenience relaxed increment.
@@ -352,7 +340,6 @@ impl Stats {
             cover_searches: self.cover_searches(),
             cover_retries: self.cover_retries(),
             wake_drains: self.wake_drains(),
-            wake_retained: self.wake_retained(),
             yield_aborts: Self::get(&self.yield_aborts),
             yields_broken: Self::get(&self.yields_broken),
             deadlocks_detected: Self::get(&self.deadlocks_detected),
@@ -366,7 +353,6 @@ impl Stats {
             capture_misses: Self::get(&self.capture_misses),
             events_processed: Self::get(&self.events_processed),
             monitor_passes: Self::get(&self.monitor_passes),
-            rebuilds: Self::get(&self.rebuilds),
             events_last_drain: Self::get(&self.events_last_drain),
             lane_high_water: Self::get(&self.lane_high_water),
             lane_overflows: Self::get(&self.lane_overflows),
@@ -412,7 +398,7 @@ pub struct StatsSnapshot {
     pub acquisitions: u64,
     /// Locks released.
     pub releases: u64,
-    /// Signature candidates dismissed by the guard-free occupancy precheck.
+    /// Signature candidates dismissed by the guard-free emptiness precheck.
     pub precheck_skips: u64,
     /// Optimistic exact-cover searches performed.
     pub cover_searches: u64,
@@ -420,8 +406,6 @@ pub struct StatsSnapshot {
     pub cover_retries: u64,
     /// Wake-list swap-and-drains performed.
     pub wake_drains: u64,
-    /// Wake-list nodes retained (re-pushed) by drains.
-    pub wake_retained: u64,
     /// Yields aborted by the max-yield bound.
     pub yield_aborts: u64,
     /// Yields broken by the monitor.
@@ -449,8 +433,6 @@ pub struct StatsSnapshot {
     pub events_processed: u64,
     /// Monitor wakeups.
     pub monitor_passes: u64,
-    /// Match-state rebuilds.
-    pub rebuilds: u64,
     /// Lane entries drained by the most recent monitor pass.
     pub events_last_drain: u64,
     /// Peak depth, in entries, of one thread's event lane.

@@ -78,7 +78,7 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
 /// Size of the reduced site alphabet used by the signature-hit-heavy
 /// generator: with signatures injected over the same few sites up front,
 /// most requests land in populated suffix buckets and exercise the sharded
-/// matching path (occupancy prechecks, shard-ordered cover searches)
+/// matching path (emptiness prechecks, shard-ordered cover searches)
 /// rather than the no-candidate fast path.
 const HOT_SITES: u8 = 3;
 
@@ -549,7 +549,7 @@ proptest! {
 
     /// Same agreement when the schedule is skewed so most requests land in
     /// populated signature-member buckets — the sharded matching path
-    /// (occupancy prechecks + shard-ordered cover searches) must still be
+    /// (emptiness prechecks + shard-ordered cover searches) must still be
     /// decision-identical to the reference's globally guarded search.
     #[test]
     fn sharded_engine_matches_reference_hit_heavy(
@@ -629,7 +629,7 @@ fn yield_storm_wakes_every_yielder_in_lockstep() {
             depth: 2,
         },
         Step::Run(0), // T0 locks L0 via site 1: member bucket [site 0] is
-        Step::Run(1), // empty, so the occupancy precheck proves GO.
+        Step::Run(1), // empty, so the emptiness precheck proves GO.
         Step::Run(2), // T1..T3 request L1..L3 via site 0: T0's bucketed
         Step::Run(3), // entry covers member [site 1] → three YIELDs on the
         Step::Run(0), // same cause (T0, L0). T0 unlocks → wakes all three.
@@ -654,7 +654,7 @@ fn yield_storm_wakes_every_yielder_in_lockstep() {
 /// A single-member signature (legal via `History::add` — e.g. a
 /// self-cycle, or a vaccination file) is instantiated by its anchor
 /// request *alone*: no emptiness argument may reject it, so both engines
-/// must YIELD. Regression for the whole-set occupancy fast reject, which
+/// must YIELD. Regression for the whole-set emptiness fast reject, which
 /// once refuted zero-other-member candidates unconditionally.
 #[test]
 fn single_member_signature_yields_in_both_engines() {
@@ -873,13 +873,14 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
     );
 }
 
-/// The fallback from extending to a fresh table: an append batch that
-/// outgrows the inherited fingerprint array is rebuilt fresh, once; an
-/// entry held across that rebuild (bucketed or log-only before it) is
-/// still found by the next cover, in lockstep with the reference; and the
-/// following small append extends again.
+/// Pure appends always extend the view, however far the layout grows past
+/// the first build's size: an append batch that quadruples the key count
+/// extends it, an entry held across that rebuild (bucketed or log-only
+/// before it) is still found by the next cover, in lockstep with the
+/// reference, and the following small append extends again. Only the
+/// first build is fresh.
 #[test]
-fn outgrowing_the_fingerprints_rebuilds_fresh_once_then_extends_again() {
+fn pure_appends_past_the_first_builds_size_keep_extending() {
     let config = || Config {
         max_threads: 8,
         ..Config::default()
@@ -921,7 +922,7 @@ fn outgrowing_the_fingerprints_rebuilds_fresh_once_then_extends_again() {
         .collect();
     let locks: Vec<LockId> = (0..8).map(|_| rt.new_lock_id()).collect();
 
-    // Two keys: the first build sizes four fingerprints.
+    // Two keys: the first build.
     add(0, 1);
     assert!(request(threads[0], locks[0], 0), "bucketed holder");
     assert!(request(threads[1], locks[1], 2), "log-only holder");
@@ -932,33 +933,33 @@ fn outgrowing_the_fingerprints_rebuilds_fresh_once_then_extends_again() {
     let before = rt.stats();
     assert_eq!((before.rebuilds_full, before.rebuilds_delta), (1, 0));
 
-    // Six more keys in pure appends: eight do not fit four fingerprints.
+    // Six more keys in pure appends, four times the first build's two.
     add(2, 3);
     add(10, 11);
     add(12, 13);
     assert!(
         !request(threads[2], locks[2], 1),
-        "cover over the entry bucketed before the fresh build"
+        "cover over the entry bucketed before the extension"
     );
     assert!(
         !request(threads[3], locks[3], 3),
-        "cover over the entry only the fresh build's visit could bucket"
+        "cover over the entry only the extension's visit could bucket"
     );
     let grown = rt.stats();
     assert_eq!(
         (grown.rebuilds_full, grown.rebuilds_delta),
-        (2, 0),
-        "outgrown fingerprints: one fresh build, no extension"
+        (1, 1),
+        "one extension over the whole span, no fresh build"
     );
 
-    // Two more keys fit the re-sized array: this one extends.
+    // Two more keys: this one extends too.
     add(6, 7);
     assert!(
         !request(threads[4], locks[5], 7),
         "cover over an entry the extension's visit bucketed"
     );
     let after = rt.stats();
-    assert_eq!((after.rebuilds_full, after.rebuilds_delta), (2, 1));
+    assert_eq!((after.rebuilds_full, after.rebuilds_delta), (1, 2));
 }
 
 /// A deterministic regression for the empty→non-empty transition: entries

@@ -2,14 +2,11 @@
 //!
 //! The Dimmunix paper (OSDI'08, §5.6) requires lock-free machinery so that
 //! the avoidance instrumentation never synchronizes through the very locks
-//! it is supervising. Its **unbounded multi-producer / single-consumer event
-//! queue**, connecting the per-thread avoidance code (producers) to the
-//! asynchronous monitor thread (the single consumer), is implemented in
-//! [`mpsc`] as a Vyukov-style linked queue; the reference engine models the
-//! paper's single queue with it. The paper's other piece, a generalization
-//! of Peterson's mutual-exclusion algorithm guarding the shared `Allowed`
-//! sets, is not reproduced: the production engine has no such guard and the
-//! reference engine uses a plain mutex.
+//! it is supervising. Its two pieces are not reproduced as such: the
+//! paper's single event queue is one growable SPSC lane per thread here,
+//! and its Peterson-style guard around the shared `Allowed` sets has no
+//! counterpart — the production engine needs none and the reference engine
+//! uses a plain mutex.
 //!
 //! The sharded request path is built from these pieces:
 //!
@@ -19,18 +16,20 @@
 //! * an **epoch-published snapshot cell** ([`epoch::EpochCell`]) that lets
 //!   the `request` hook read the current match view with a single atomic
 //!   load instead of a read-write lock;
-//! * a **counting occupancy filter** ([`occupancy::OccupancyArray`]) that
-//!   publishes per-bucket occupancy fingerprints, so the request path can
-//!   prove a signature cover impossible (some required bucket empty)
-//!   without touching the bucket itself;
 //! * a **seqlock-versioned bucket** ([`versioned::VersionedBucket`])
 //!   holding the `Allowed` records the exact-cover search probes: readers
 //!   are optimistic (copy, then re-validate the sequence word) and never
-//!   block, and the returned sequence supports the engine's
-//!   register-then-revalidate no-lost-wakeup protocol;
+//!   block, the returned sequence supports the engine's
+//!   register-then-revalidate no-lost-wakeup protocol, and its live-record
+//!   count alone proves a bucket empty — the cover precheck's one read;
 //! * a **Treiber-style wake list** ([`wakelist::WakeList`]): yield
 //!   registrations are one CAS, and a release's wakeup delivery is one
 //!   swap-and-drain — no wake-shard mutex.
+//!
+//! Two modules are kept only for benchmark probes, and nothing in the
+//! runtime uses them: [`mpsc`], a Vyukov-style MPSC queue (the shape of the
+//! paper's single event queue), and [`occupancy`], a counting filter of
+//! per-bucket fingerprints the cover precheck used to read.
 //!
 //! The crate also provides the small utilities those algorithms need: the
 //! [`slots::SlotAllocator`] that hands out dense thread ids, exponential

@@ -1,11 +1,14 @@
 //! Unbounded lock-free multi-producer / single-consumer queue.
 //!
-//! This is the paper's event channel between Dimmunix's avoidance
-//! instrumentation (every application thread is a producer) and the
-//! asynchronous monitor thread (the single consumer); in this tree the
-//! reference engine publishes through it, the production engine through
-//! per-thread lanes of [`crate::SpscRing`] blocks. The design follows Dmitry
-//! Vyukov's non-intrusive MPSC node queue:
+//! **Kept only for benchmarks** (`crates/benchmark`'s
+//! `lockfree.mpsc_push_pop_ns` probe, and `crates/bench`'s `substrate`
+//! bench). This is the shape of the paper's event channel between
+//! Dimmunix's avoidance instrumentation (every application thread is a
+//! producer) and the asynchronous monitor thread (the single consumer), but
+//! nothing in the runtime publishes through it: the engine uses per-thread
+//! lanes of [`crate::SpscRing`] blocks, and since PR 25 the reference
+//! engine publishes no events at all. Retire the probe, then this module.
+//! The design follows Dmitry Vyukov's non-intrusive MPSC node queue:
 //!
 //! * producers `swap` the shared tail and then link the previous node's
 //!   `next` pointer — wait-free except for the two atomic operations;

@@ -1,14 +1,19 @@
 //! Lock-free bucket-occupancy fingerprints.
 //!
-//! The avoidance engine wants to answer "could this suffix bucket possibly
-//! be non-empty?" on the request path *without* reading the bucket itself.
-//! [`OccupancyArray`] supports that with a counting filter: a power-of-two
-//! array of atomic counters, indexed by the bucket's dense slot (or a hash
-//! when the array is smaller than the key space). Writers increment and
-//! decrement a slot in matched pairs around whatever unit they count —
-//! live elements, or (as the avoidance engine's match table does)
-//! *non-empty buckets*, bumping only on the empty↔non-empty transitions —
-//! so the invariant is:
+//! **Kept only for a benchmark probe** (`crates/benchmark`'s
+//! `lockfree.occupancy_probe_ns`). The avoidance engine no longer uses it:
+//! since PR 25 its cover precheck reads each
+//! [`VersionedBucket`](crate::VersionedBucket)'s own live-record count,
+//! which was the same fact. Retire the probe, then this module.
+//!
+//! The question it answers is "could this bucket possibly be non-empty?",
+//! *without* reading the bucket itself. [`OccupancyArray`] supports that
+//! with a counting filter: a power-of-two array of atomic counters, indexed
+//! by a bucket's dense slot (or a hash when the array is smaller than the
+//! key space). Writers increment and decrement a slot in matched pairs
+//! around whatever unit they count — live elements, or *non-empty
+//! buckets*, bumping only on the empty↔non-empty transitions — so the
+//! invariant is:
 //!
 //! > slot count == number of live units across all buckets whose key maps
 //! > to the slot.

@@ -51,6 +51,11 @@
 //! releasing thread does *(claim `seq` — SeqCst CAS, release — SeqCst
 //! store) then (swap the wake list — SeqCst RMW)*; one of the two sides
 //! must see the other.
+//!
+//! The live-record count `len` is the bucket's only record of its own
+//! occupancy: the claim holder stores it `Release` after the record words,
+//! and [`VersionedBucket::is_empty`] loads it `Acquire`. There is no
+//! separate occupancy counter to keep in step with it.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -131,7 +136,7 @@ pub struct VersionedBucket<const W: usize> {
     /// Sequence word: even = stable, odd = writer inside. `SeqCst` RMWs.
     seq: CachePadded<AtomicU64>,
     /// Number of live records (the dense prefix). Only the claim holder
-    /// writes it.
+    /// writes it (`Release`, after the record words).
     len: AtomicU32,
     head: Chunk<W>,
 }
@@ -166,10 +171,14 @@ impl<const W: usize> VersionedBucket<W> {
         self.len.load(Ordering::Relaxed) as usize
     }
 
-    /// Whether the bucket currently appears empty (racy; telemetry only).
+    /// Whether the bucket held no live record when `len` was loaded: the
+    /// read whose zero proves the bucket was empty, with no copy and no
+    /// sequence check (the avoidance engine's cover precheck). `Acquire`
+    /// pairs with the writer's `Release` store of `len`, which follows the
+    /// record's words, so a non-zero read also sees those records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.approx_len() == 0
+        self.len.load(Ordering::Acquire) == 0
     }
 
     /// Optimistically copies the live records into `out` (cleared first),
@@ -312,16 +321,6 @@ pub struct BucketWriter<'a, const W: usize> {
 }
 
 impl<const W: usize> BucketWriter<'_, W> {
-    /// Live-record count inside this session.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the bucket is empty inside this session.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends `rec` (Vec-push position: index `len`).
     pub fn push(&mut self, rec: [u64; W]) {
         let needed = self.len as usize + 1;

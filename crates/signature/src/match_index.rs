@@ -13,7 +13,7 @@
 //! assigns every distinct member key of one history generation a **dense
 //! slot**. Everything else is an array indexed by that slot — the
 //! [`MatchIndex`]'s [`CandidateSet`]s here, the avoidance engine's versioned
-//! `Allowed` buckets and occupancy fingerprints there (sized from
+//! `Allowed` buckets there (one per slot, sized from
 //! [`BucketLayout::len`] at rebuild time; the key set is known up front
 //! because only entries whose suffix matches some signature member can ever
 //! participate in an exact cover). A call stack is therefore resolved
@@ -23,7 +23,7 @@
 //!
 //! Every candidate carries the signature's precomputed [`CoverKeys`]: one
 //! `(stack, suffix, slot)` triple per member, ready for the lock-free
-//! engine's occupancy prechecks and versioned-bucket reads without
+//! engine's emptiness prechecks and versioned-bucket reads without
 //! resolving or re-hashing member stacks on the request path.
 
 use crate::frame::FrameId;
@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 /// One signature member's precomputed bucket key: the member stack, its
 /// suffix at the signature's matching depth, and the dense
-/// [`BucketLayout`] slot the engine's versioned bucket (and occupancy
-/// fingerprint) for that key lives at.
+/// [`BucketLayout`] slot the engine's versioned bucket for that key lives
+/// at.
 #[derive(Debug)]
 pub struct MemberKey {
     /// The member stack id (`signature.stacks[i]` for member `i`).
@@ -68,7 +68,7 @@ impl CoverKeys {
     /// unresolved. The single source of the suffix derivation: the index
     /// precomputes through this at build time, and the avoidance engine
     /// calls it for the rare live-depth-change fallback — both must agree
-    /// on the key layout or the occupancy precheck would be unsound.
+    /// on the key layout or the emptiness precheck would be unsound.
     pub fn compute(sig: &Signature, depth: u8, stacks: &StackTable) -> Self {
         Self {
             depth,
@@ -269,12 +269,12 @@ pub struct Candidate {
     pub keys: Arc<CoverKeys>,
 }
 
-/// All candidates sharing one `(depth, suffix)` key, with the occupancy
+/// All candidates sharing one `(depth, suffix)` key, with the emptiness
 /// precheck's inputs laid out flat: a hot suffix can carry dozens of
 /// candidates, the precheck runs for every one on every request hitting
 /// the suffix, and in the common all-refuted case the scan must not chase
 /// a single per-candidate `Arc` — just contiguous slot indices plus one
-/// fingerprint load each.
+/// bucket-length load each.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     candidates: Vec<Candidate>,
@@ -312,7 +312,7 @@ impl CandidateSet {
         &self.candidates
     }
 
-    /// Candidate `i`'s other-member bucket slots (the occupancy precheck
+    /// Candidate `i`'s other-member bucket slots (the emptiness precheck
     /// inputs).
     pub fn other_slots(&self, i: usize) -> &[u32] {
         &self.others_flat[self.spans[i] as usize..self.spans[i + 1] as usize]

@@ -374,13 +374,6 @@ impl Sim {
         }
     }
 
-    /// Drains the shadow's event queue (stands in for its monitor).
-    fn drain_shadow(&self) {
-        if let Some(sh) = &self.shadow {
-            sh.core.drain_events(usize::MAX);
-        }
-    }
-
     /// Executes one scheduling slot for thread `v`. Returns `false` if the
     /// thread could not make progress.
     fn run_slot(&mut self, v: usize) {
@@ -623,7 +616,6 @@ impl Sim {
             if self.time - last_monitor >= self.config.monitor_every {
                 last_monitor = self.time;
                 self.rt.step_monitor();
-                self.drain_shadow();
                 self.poll_breaks();
                 if self.config.stop_on_deadlock && self.deadlock_delta() > 0 {
                     break self.deadlock_outcome();
@@ -639,7 +631,6 @@ impl Sim {
                 // Quiescent but unfinished: give the monitor a chance to
                 // detect and break, then advance time to yield timeouts.
                 self.rt.step_monitor();
-                self.drain_shadow();
                 last_monitor = self.time;
                 self.poll_breaks();
                 if self.config.stop_on_deadlock && self.deadlock_delta() > 0 {
@@ -670,7 +661,6 @@ impl Sim {
                         // Nothing can ever run again: a real deadlock.
                         let outcome = self.deadlock_outcome();
                         self.rt.step_monitor();
-                        self.drain_shadow();
                         break outcome;
                     }
                 }
@@ -692,7 +682,6 @@ impl Sim {
         // Trial over: drain events and clean up the RAG (the "program" has
         // terminated or been restarted).
         self.rt.step_monitor();
-        self.drain_shadow();
         let end = self.rt.stats();
         RunReport {
             outcome,
@@ -841,7 +830,6 @@ impl Drop for Sim {
             for &tid in &sh.tids {
                 sh.core.unregister_thread(tid);
             }
-            sh.core.drain_events(usize::MAX);
         }
         for t in &self.threads {
             self.rt.core().unregister_thread(t.tid);

@@ -269,7 +269,7 @@ fn eight_thread_storm_completes_on_sharded_match_path() {
     // After immunization, eight simulated threads hammer the same ABBA
     // pattern through the *same* call sites, so nearly every second-lock
     // request lands in a populated signature-member bucket. This drives
-    // the sharded matching path — occupancy prechecks, shard-ordered
+    // the sharded matching path — emptiness prechecks, shard-ordered
     // cover searches, and the sharded wake index under repeated yield
     // storms — from simulated threads rather than OS threads.
     let rt = Runtime::new(Config::default()).unwrap();
