@@ -95,7 +95,6 @@ struct Sample {
 
 fn bench_config() -> Config {
     Config {
-        max_threads: 64,
         // Drain lanes aggressively so the bench measures the hook path, not
         // queue growth.
         monitor_period: Duration::from_millis(1),

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use dimmunix_core::Runtime;
+use dimmunix_core::{Config, Runtime};
 use dimmunix_explore::{
     default_corpus_dir, edges_fingerprint, explore, minimize, scenarios, verify_scenario,
     ExploreConfig, Fixture, Pruning, Scenario,
@@ -58,7 +58,7 @@ impl Row {
 }
 
 fn fresh() -> Runtime {
-    Runtime::new(Scenario::small_config()).expect("runtime")
+    Runtime::new(Config::default()).expect("runtime")
 }
 
 fn reference_scenarios() -> Vec<Scenario> {

@@ -293,7 +293,7 @@ proptest! {
 /// engine itself.
 #[test]
 fn corpus_fixtures_stay_immune_under_armed_hooks() {
-    use dimmunix_explore::{default_corpus_dir, load_dir, mine_vaccine, Scenario};
+    use dimmunix_explore::{default_corpus_dir, load_dir, mine_vaccine};
 
     let _guard = install(FaultPlan::none());
     let fixtures = load_dir(&default_corpus_dir()).expect("corpus dir loads");
@@ -306,7 +306,7 @@ fn corpus_fixtures_stay_immune_under_armed_hooks() {
         std::fs::remove_file(&vax).ok();
         mine_vaccine(&fx.scenario, &fx.schedule, 100_000, &vax)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let rt = Runtime::new(Scenario::small_config()).expect("runtime");
+        let rt = Runtime::new(Config::default()).expect("runtime");
         assert!(rt.vaccinate(&vax).expect("vaccinate") >= 1);
         fx.verify_immunized(&rt)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));

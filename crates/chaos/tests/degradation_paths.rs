@@ -15,6 +15,7 @@
 //! can share one process.
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
+use dimmunix_core::config::MONITOR_RESTART_BUDGET;
 use dimmunix_core::{Config, CycleKind, Decision, HistoryError, PredictionConfig, Runtime};
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
@@ -228,19 +229,22 @@ fn monitor_restart_budget_exhaustion_degrades_gracefully() {
     quiet_scripted_panics();
     let _guard = install(FaultPlan::none().kill_monitor_after(1, 0)); // every pass
     let rt = Runtime::new(Config {
-        monitor_restart_budget: 2,
-        degraded_yield_wait: Duration::from_millis(10),
         max_yield_duration: None,
         ..Config::default()
     })
     .unwrap();
 
-    for _ in 0..3 {
-        rt.step_monitor(); // panics 1, 2 restart; 3 exceeds the budget
+    // Panics 1 ..= budget restart; one more exceeds the budget.
+    for _ in 0..=MONITOR_RESTART_BUDGET {
+        rt.step_monitor();
     }
     let stats = rt.stats();
     assert!(rt.degraded());
-    assert_eq!(stats.monitor_restarts, 3, "{stats:?}");
+    assert_eq!(
+        stats.monitor_restarts,
+        u64::from(MONITOR_RESTART_BUDGET) + 1,
+        "{stats:?}"
+    );
     assert_eq!(stats.degraded_mode, 1, "{stats:?}");
 
     // Degraded passes are fault-free pass-throughs.
@@ -257,7 +261,8 @@ fn monitor_restart_budget_exhaustion_degrades_gracefully() {
     rt.core().acquired(t0, a, sa.stack());
 
     // A real thread yielding against it parks with the bounded degraded
-    // wait (10ms), aborts, and completes — no monitor will ever wake it.
+    // wait (`DEGRADED_YIELD_WAIT`), aborts, and completes — no monitor will
+    // ever wake it.
     let waiter = {
         let rt = rt.clone();
         let sb = sb.clone();

@@ -137,7 +137,7 @@
 //!
 //! When the history generation moves, a single rebuilder (the monitor, or
 //! the first hook that notices — serialized by the rebuild mutex) builds the
-//! next view, publishes it, then locks each thread slot in turn, buckets
+//! next view, publishes it, then locks each thread record in turn, buckets
 //! that log's entries and restamps them with the slots they have under the
 //! new view, and finally marks the table swept. There is one choice, made
 //! while building the view:
@@ -180,11 +180,19 @@
 //! table becomes garbage once the last reader drops its cached view; after
 //! an extension that frees only the view shell.
 //!
+//! The visit walks only the thread records that exist (a `ThreadSlot` per
+//! thread: log, yield state, wake list and the parker it yields on). They
+//! are made 64 at a time, and a registration that needs a new chunk
+//! installs it under the rebuild mutex — the **chunk-install rule** — so a
+//! visit either sees the chunk and covers its threads as above, or ends
+//! before the chunk exists, and their hooks read the view epoch after the
+//! publish.
+//!
 //! What waits out a rebuild: the rebuilder, hooks that saw the stale
 //! generation before the publish (they queue on the rebuild mutex), and
 //! requests on a *relevant* suffix until the swept flag. Requests on
 //! irrelevant suffixes, `acquired` and releases do not wait. The visit
-//! takes every slot mutex, so it can itself wait on a slot whose owner was
+//! takes every record's slot mutex, so it can itself wait on a thread
 //! descheduled mid-hook; under heavy oversubscription that is the tail of
 //! `rebuild_us_*_max`.
 //!
@@ -267,9 +275,10 @@
 //! tests; its state sits behind a plain mutex (§5.6's Peterson-style guard
 //! is not reproduced).
 
-use crate::config::{Config, RuntimeMode};
+use crate::config::{Config, RuntimeMode, MAX_THREADS};
 use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
+use crate::runtime::Parker;
 use crate::stats::Stats;
 use dimmunix_lockfree::{
     DrainVerdict, EpochCell, SlotAllocator, VersionedBucket, WakeList, WakeNodePool,
@@ -282,7 +291,7 @@ use dimmunix_signature::{
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Answer of the `request` hook (§3): GO means it is safe — with respect to
 /// the history — for the thread to block waiting for the lock; YIELD means
@@ -582,11 +591,16 @@ impl AllowedLog {
     }
 }
 
-/// Per-registered-thread yield state (the paper's `yieldLock[T]` data,
-/// minus the parking primitive, which lives in the runtime layer so that
-/// simulated threads can use their own).
+/// Thread records per chunk: the first registration in a chunk makes all.
+const CHUNK: usize = 64;
+
+/// One registered thread's record: its `Allowed` log, yield state and
+/// parker (the paper's `yieldLock[T]` data), made with its chunk and reused
+/// by every later tenant of the id.
 #[derive(Default)]
 pub(crate) struct ThreadSlot {
+    /// Where a yielding real thread parks (simulated ones park elsewhere).
+    pub(crate) parker: Parker,
     pub(crate) yield_state: Mutex<YieldState>,
     /// Whether a yield is in force — and so whether `yield_state` holds
     /// anything worth clearing. Written only with `yield_state` locked and
@@ -640,6 +654,49 @@ pub(crate) struct ThreadSlot {
     grant_stack: AtomicU32,
 }
 
+impl ThreadSlot {
+    /// Remembers a GO instead of publishing it: `outcomes` is what the
+    /// eventual event must account for (2 = the `request` and its GO, 1 =
+    /// the GO alone). Every caller has published any earlier grant.
+    fn defer_go(&self, l: LockId, stack: StackId, outcomes: u8) {
+        debug_assert_eq!(self.grant.load(Ordering::Relaxed), 0);
+        self.grant_lock.store(l.0, Ordering::Relaxed);
+        self.grant_stack.store(stack.0, Ordering::Relaxed);
+        self.grant.store(outcomes, Ordering::Relaxed);
+    }
+
+    /// Takes the unpublished grant, if there is one: what was granted and
+    /// its counted outcomes (as wide as the events carry them).
+    fn take_pending(&self) -> Option<(LockId, StackId, u32)> {
+        let grant = self.grant.load(Ordering::Relaxed);
+        if grant == 0 {
+            return None;
+        }
+        self.grant.store(0, Ordering::Relaxed);
+        let l = LockId(self.grant_lock.load(Ordering::Relaxed));
+        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
+        Some((l, stack, grant.into()))
+    }
+
+    /// Retracts this thread's yield registration: one epoch bump
+    /// invalidates every outstanding node (drainers free them lazily).
+    /// No-op-safe when not yielding.
+    fn remove_yielding(&self) {
+        self.wake_epoch.fetch_add(1, Ordering::SeqCst);
+        self.in_yielding.store(false, Ordering::Relaxed);
+    }
+
+    fn clear_yield_state(&self) {
+        if !self.yielding.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut ys = self.yield_state.lock();
+        ys.causes.clear();
+        ys.broken = false;
+        self.yielding.store(false, Ordering::Relaxed);
+    }
+}
+
 /// What a yielding thread is waiting out (whether it is yielding at all is
 /// `ThreadSlot::yielding`, written under this state's mutex).
 #[derive(Default)]
@@ -662,7 +719,9 @@ struct Instance {
 
 /// The avoidance engine. One per runtime.
 pub struct AvoidanceCore {
-    slots: Box<[ThreadSlot]>,
+    /// The thread records, [`CHUNK`] ids per entry, installed as a prefix
+    /// (module docs) and kept until the engine drops.
+    chunks: [OnceLock<Box<[ThreadSlot; CHUNK]>>; MAX_THREADS / CHUNK],
     slot_alloc: SlotAllocator,
     /// Published match view; `request` revalidates its per-slot cache with
     /// one epoch load.
@@ -687,10 +746,9 @@ impl AvoidanceCore {
         lanes: Arc<EventLanes>,
         stats: Arc<Stats>,
     ) -> Self {
-        let n = config.max_threads;
         Self {
-            slots: (0..n).map(|_| ThreadSlot::default()).collect(),
-            slot_alloc: SlotAllocator::new(n),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            slot_alloc: SlotAllocator::new(MAX_THREADS),
             view_cell: EpochCell::new(Arc::new(MatchView::sentinel())),
             rebuild_lock: Mutex::new(()),
             history,
@@ -701,28 +759,50 @@ impl AvoidanceCore {
         }
     }
 
-    /// The configured runtime mode.
-    pub fn mode(&self) -> RuntimeMode {
-        self.config.mode
-    }
-
     /// Registers the calling (real or simulated) thread, returning its dense
-    /// id, or `None` when `max_threads` are already registered. Also
-    /// allocates the thread's event lane.
+    /// id, or `None` when [`MAX_THREADS`] are already registered. An id past
+    /// the installed chunks installs every chunk up to its own (module docs).
     pub fn register_thread(&self) -> Option<ThreadId> {
         let slot = self.slot_alloc.acquire()?;
-        self.slots[slot]
-            .panicked
-            .store(false, std::sync::atomic::Ordering::Relaxed);
-        self.lanes.register(slot);
-        Some(ThreadId(slot as u64))
+        if self.chunks[slot / CHUNK].get().is_none() {
+            let _g = self.rebuild_lock.lock();
+            for chunk in &self.chunks[..=slot / CHUNK] {
+                chunk.get_or_init(|| {
+                    // On the heap, not through ≈ 10 KB of the caller's stack.
+                    let made: Box<[ThreadSlot]> = (0..CHUNK).map(|_| Default::default()).collect();
+                    made.try_into().unwrap_or_else(|_| unreachable!())
+                });
+            }
+        }
+        let t = ThreadId(slot as u64);
+        self.me(t).panicked.store(false, Ordering::Relaxed);
+        Some(t)
+    }
+
+    /// `t`'s record; `None` for an id past the installed chunks, which no
+    /// thread was ever given.
+    pub(crate) fn record(&self, t: ThreadId) -> Option<&ThreadSlot> {
+        let id = usize::try_from(t.0).ok()?;
+        Some(&self.chunks.get(id / CHUNK)?.get()?[id % CHUNK])
+    }
+
+    /// The record of registered thread `t`: each hook looks it up once.
+    #[inline]
+    pub(crate) fn me(&self, t: ThreadId) -> &ThreadSlot {
+        self.record(t).expect("a registered thread id")
+    }
+
+    /// Every record there is, with its id: what each per-thread sweep walks.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (ThreadId, &ThreadSlot)> {
+        let made = self.chunks.iter().map_while(OnceLock::get);
+        let ids = made.flat_map(|chunk| chunk.iter()).enumerate();
+        ids.map(|(id, me)| (ThreadId(id as u64), me))
     }
 
     /// Whether a hook has observed `t` unwinding (see `ThreadSlot::panicked`).
     pub(crate) fn thread_panicked(&self, t: ThreadId) -> bool {
-        self.slots[t.0 as usize]
-            .panicked
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.record(t)
+            .is_some_and(|me| me.panicked.load(Ordering::Relaxed))
     }
 
     /// Deregisters `t`, releasing its slot and cleaning its state. Yielders
@@ -742,20 +822,16 @@ impl AvoidanceCore {
     /// path: a panicking registered thread reaches it via `Registration`'s
     /// `Drop`.
     pub fn unregister_thread_waking(&self, t: ThreadId, wake: &mut dyn FnMut(ThreadId)) {
-        let slot = t.0 as usize;
-        {
-            let mut ys = self.slots[slot].yield_state.lock();
-            *ys = YieldState::default();
-            self.slots[slot].yielding.store(false, Ordering::Relaxed);
-        }
+        let me = self.me(t);
+        me.clear_yield_state();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.remove_yielding(t);
+            me.remove_yielding();
             // Drop the entries the thread never released (panic inside a
             // critical section) from the buckets, then empty its stack. The
             // monitor's RAG drops the hold edges via `ThreadExit`, so no
             // per-lock Release events are needed.
             {
-                let mut log = self.slots[slot].allowed.lock();
+                let mut log = me.allowed.lock();
                 self.refresh_view(&mut log);
                 for held in &log.entries {
                     self.remove_buckets(log.view(), log.view_epoch, t, held);
@@ -768,13 +844,13 @@ impl AvoidanceCore {
             // waiting out will never happen. The bucket removals above
             // precede this drain, so a woken yielder's re-request cannot
             // find the dead thread's entries and re-yield on them.
-            self.slots[slot].wake_list.drain_to_pools(
-                |yielder| &self.slots[yielder as usize].wake_pool,
+            me.wake_list.drain_to_pools(
+                |yielder| &self.me(ThreadId(yielder)).wake_pool,
                 |_, yielder, epoch| {
-                    let y = yielder as usize;
-                    if self.slots[y].wake_epoch.load(Ordering::Acquire) == epoch {
+                    let y = ThreadId(yielder);
+                    if self.me(y).wake_epoch.load(Ordering::Acquire) == epoch {
                         Stats::bump(&self.stats.orphan_wakes);
-                        wake(ThreadId(yielder));
+                        wake(y);
                     }
                     DrainVerdict::Consume
                 },
@@ -782,9 +858,9 @@ impl AvoidanceCore {
         }
         // A grant the thread never got to act on (it died between `request`
         // and `acquired`) still counts as a GO.
-        self.publish_grant(slot, t);
-        self.lanes.push(slot, Event::ThreadExit { t });
-        self.slot_alloc.release(slot);
+        self.publish_grant(me, t);
+        self.lanes.push(t.0 as usize, Event::ThreadExit { t });
+        self.slot_alloc.release(t.0 as usize);
     }
 
     /// Interns a captured frame sequence.
@@ -818,14 +894,14 @@ impl AvoidanceCore {
     /// on store forwarding (≈ 2 ns of an empty-history request, ≈ 8 ns of a
     /// relevant one).
     #[inline(always)]
-    fn lock_current(
+    fn lock_current<'a>(
         &self,
-        slot: usize,
+        me: &'a ThreadSlot,
         frames: &[FrameId],
         resolved: &mut Resolved,
-    ) -> MutexGuard<'_, AllowedLog> {
+    ) -> MutexGuard<'a, AllowedLog> {
         loop {
-            let mut log = self.slots[slot].allowed.lock();
+            let mut log = me.allowed.lock();
             self.refresh_view(&mut log);
             let view = log.view();
             if view.generation != self.history.generation() {
@@ -847,13 +923,14 @@ impl AvoidanceCore {
     /// The `request` hook: decides GO or YIELD for thread `t` wanting lock
     /// `l` with call stack `frames`/`stack` (§5.4).
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
+        let me = self.me(t);
         let slot = t.0 as usize;
         Stats::bump(&self.stats.hot(slot).requests);
-        self.publish_grant(slot, t);
+        self.publish_grant(me, t);
 
         if self.config.mode == RuntimeMode::InstrumentationOnly {
             Stats::bump(&self.stats.hot(slot).gos);
-            self.defer_go(slot, l, stack, 2);
+            me.defer_go(l, stack, 2);
             return Decision::Go;
         }
 
@@ -870,14 +947,14 @@ impl AvoidanceCore {
         let full = self.config.mode == RuntimeMode::Full;
         let mut validation_failures = 0_u32;
         let instance = loop {
-            let was_yielding = self.slots[slot].in_yielding.load(Ordering::Relaxed);
+            let was_yielding = me.in_yielding.load(Ordering::Relaxed);
             let mut resolved = Resolved::default();
-            let log = self.lock_current(slot, frames, &mut resolved);
+            let log = self.lock_current(me, frames, &mut resolved);
             if resolved.len == 0 {
                 // Cover impossible: the suffix hits no member bucket, so the
                 // decision is GO and the entry stays in the private log — no
                 // shared state touched (beyond yield cleanup).
-                self.record_go(log, &[], was_yielding, t, l, stack);
+                Self::record_go(log, &[], was_yielding, me, t, l, stack);
                 break None;
             }
             let view = log.view();
@@ -887,19 +964,19 @@ impl AvoidanceCore {
                 // decision; decide once and for all under bucket write
                 // claims (a hit registers its yield before the claims drop —
                 // no revalidation possible or needed).
-                let found = self.find_instance_locked(view, slots, slot, t, l, stack);
+                let found = self.find_instance_locked(view, slots, me, t, l, stack);
                 if found.is_none() {
-                    self.record_go(log, slots, was_yielding, t, l, stack);
+                    Self::record_go(log, slots, was_yielding, me, t, l, stack);
                 }
                 break found;
             }
             let found = if full {
-                self.find_instance(view, slots, slot, t, l, stack)
+                self.find_instance(view, slots, t, l, stack)
             } else {
                 None
             };
             let Some((inst, proof)) = found else {
-                self.record_go(log, slots, was_yielding, t, l, stack);
+                Self::record_go(log, slots, was_yielding, me, t, l, stack);
                 break None;
             };
             if self.config.enforce_yields {
@@ -912,28 +989,28 @@ impl AvoidanceCore {
                 // see the module docs' protocol. The revalidation must run
                 // with the slot lock dropped, so this branch alone takes its
                 // own reference to the view.
-                self.insert_yielding(t, &inst.causes);
+                self.insert_yielding(me, t, &inst.causes);
                 let view = Arc::clone(log.view());
                 drop(log);
                 if view.generation != self.history.generation() || !proof.still_valid(&view) {
                     Stats::bump(&self.stats.hot(slot).cover_retries);
                     validation_failures += 1;
-                    self.remove_yielding(t);
+                    me.remove_yielding();
                     continue;
                 }
             } else {
                 // Measurement mode: record the would-be yield but proceed
                 // as GO.
-                self.record_go(log, slots, was_yielding, t, l, stack);
+                Self::record_go(log, slots, was_yielding, me, t, l, stack);
             }
             break Some(inst);
         };
 
         match instance {
             None => {
-                self.clear_yield_state(slot);
+                me.clear_yield_state();
                 Stats::bump(&self.stats.hot(slot).gos);
-                self.defer_go(slot, l, stack, 2);
+                me.defer_go(l, stack, 2);
                 Decision::Go
             }
             Some(inst) => {
@@ -947,15 +1024,15 @@ impl AvoidanceCore {
                 Stats::bump(&self.stats.yields);
                 self.lanes.push(slot, Event::Yield { t, l, stack, info });
                 if self.config.enforce_yields {
-                    let mut ys = self.slots[slot].yield_state.lock();
+                    let mut ys = me.yield_state.lock();
                     ys.causes = inst.causes;
                     ys.broken = false;
-                    self.slots[slot].yielding.store(true, Ordering::Relaxed);
+                    me.yielding.store(true, Ordering::Relaxed);
                     Decision::Yield { sig: inst.sig }
                 } else {
                     // The `Yield` event above accounts for the request.
                     Stats::bump(&self.stats.hot(slot).gos);
-                    self.defer_go(slot, l, stack, 1);
+                    me.defer_go(l, stack, 1);
                     Decision::Go
                 }
             }
@@ -966,49 +1043,25 @@ impl AvoidanceCore {
     /// yield is broken by the monitor or times out: the thread "pursues its
     /// most recently requested lock" (§3).
     pub fn force_go(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        let slot = t.0 as usize;
-        self.publish_grant(slot, t);
+        let me = self.me(t);
+        self.publish_grant(me, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.record_entry(slot, t, l, frames, stack);
-            self.remove_yielding(t);
+            self.record_entry(me, t, l, frames, stack);
+            me.remove_yielding();
         }
-        self.clear_yield_state(slot);
-        Stats::bump(&self.stats.hot(slot).gos);
+        me.clear_yield_state();
+        Stats::bump(&self.stats.hot(t.0 as usize).gos);
         // The `Yield` event of the request this overrides accounted for it.
-        self.defer_go(slot, l, stack, 1);
-    }
-
-    /// Remembers a GO instead of publishing it: `outcomes` is what the
-    /// eventual event must account for (2 = the `request` and its GO, 1 =
-    /// the GO alone). Every caller has published any earlier grant.
-    fn defer_go(&self, slot: usize, l: LockId, stack: StackId, outcomes: u8) {
-        let me = &self.slots[slot];
-        debug_assert_eq!(me.grant.load(Ordering::Relaxed), 0);
-        me.grant_lock.store(l.0, Ordering::Relaxed);
-        me.grant_stack.store(stack.0, Ordering::Relaxed);
-        me.grant.store(outcomes, Ordering::Relaxed);
-    }
-
-    /// Takes the unpublished grant, if there is one: what was granted and
-    /// its counted outcomes (as wide as the events carry them).
-    fn take_pending(&self, slot: usize) -> Option<(LockId, StackId, u32)> {
-        let me = &self.slots[slot];
-        let grant = me.grant.load(Ordering::Relaxed);
-        if grant == 0 {
-            return None;
-        }
-        me.grant.store(0, Ordering::Relaxed);
-        let l = LockId(me.grant_lock.load(Ordering::Relaxed));
-        let stack = StackId(me.grant_stack.load(Ordering::Relaxed));
-        Some((l, stack, grant.into()))
+        me.defer_go(l, stack, 1);
     }
 
     /// Publishes the unpublished grant, if there is one, as a plain `Go`:
     /// what every hook other than the grant's own `waiting` / `acquired` /
     /// `cancel` does first, so at most one grant is ever pending.
-    fn publish_grant(&self, slot: usize, t: ThreadId) {
-        if let Some((l, stack, grant)) = self.take_pending(slot) {
-            self.lanes.push(slot, Event::Go { t, l, stack, grant });
+    fn publish_grant(&self, me: &ThreadSlot, t: ThreadId) {
+        if let Some((l, stack, grant)) = me.take_pending() {
+            self.lanes
+                .push(t.0 as usize, Event::Go { t, l, stack, grant });
         }
     }
 
@@ -1016,11 +1069,12 @@ impl AvoidanceCore {
     /// counted outcomes (0 = there was none: the `Go` is already out, or
     /// the caller never requested). A grant for any *other* lock is not the
     /// caller's to consume and is published as a plain `Go`.
-    fn take_grant(&self, slot: usize, t: ThreadId, l: LockId) -> u32 {
-        match self.take_pending(slot) {
+    fn take_grant(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> u32 {
+        match me.take_pending() {
             Some((granted, _, grant)) if granted == l => grant,
             Some((l, stack, grant)) => {
-                self.lanes.push(slot, Event::Go { t, l, stack, grant });
+                self.lanes
+                    .push(t.0 as usize, Event::Go { t, l, stack, grant });
                 0
             }
             None => 0,
@@ -1032,10 +1086,10 @@ impl AvoidanceCore {
     /// call must come **before** the blocking wait (module docs). A no-op
     /// when that `Go` is already out.
     pub fn waiting(&self, t: ThreadId, l: LockId, stack: StackId) {
-        let slot = t.0 as usize;
-        let grant = self.take_grant(slot, t, l);
+        let grant = self.take_grant(self.me(t), t, l);
         if grant != 0 {
-            self.lanes.push(slot, Event::Go { t, l, stack, grant });
+            self.lanes
+                .push(t.0 as usize, Event::Go { t, l, stack, grant });
         }
     }
 
@@ -1045,14 +1099,13 @@ impl AvoidanceCore {
     /// thread never had to wait, `Acquired` when `waiting` already
     /// published the GO.
     pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
+        let me = self.me(t);
         #[cfg(feature = "fault-inject")]
         if dimmunix_inject::should_panic_on_acquire(t.0 as usize) {
             // Latch before unwinding: the scripted panic may be the only
             // unwind-time hook this thread ever runs (raw locks have no
             // RAII guard to pass through `release`).
-            self.slots[t.0 as usize]
-                .panicked
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            me.panicked.store(true, Ordering::Relaxed);
             panic!(
                 "dimmunix fault injection: scripted panic at acquire (thread slot {}, lock {})",
                 t.0, l.0
@@ -1060,7 +1113,7 @@ impl AvoidanceCore {
         }
         let slot = t.0 as usize;
         Stats::bump(&self.stats.hot(slot).acquisitions);
-        let event = match self.take_grant(slot, t, l) {
+        let event = match self.take_grant(me, t, l) {
             0 => Event::Acquired { t, l, stack },
             grant => Event::Granted { t, l, stack, grant },
         };
@@ -1073,10 +1126,11 @@ impl AvoidanceCore {
     /// this nesting level is recorded (log-only when the suffix hits no
     /// bucket).
     pub fn acquired_reentrant(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
+        let me = self.me(t);
         let slot = t.0 as usize;
-        self.publish_grant(slot, t);
+        self.publish_grant(me, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.record_entry(slot, t, l, frames, stack);
+            self.record_entry(me, t, l, frames, stack);
         }
         Stats::bump(&self.stats.hot(slot).acquisitions);
         self.lanes.push(slot, Event::Acquired { t, l, stack });
@@ -1088,10 +1142,10 @@ impl AvoidanceCore {
     /// none for an irrelevant suffix — under the slot lock (see the rebuild
     /// protocol); then clears any yield registration.
     fn record_go(
-        &self,
         mut log: MutexGuard<'_, AllowedLog>,
         slots: &[u32],
         was_yielding: bool,
+        me: &ThreadSlot,
         t: ThreadId,
         l: LockId,
         stack: StackId,
@@ -1119,7 +1173,7 @@ impl AvoidanceCore {
         }
         drop(log);
         if was_yielding {
-            self.remove_yielding(t);
+            me.remove_yielding();
         }
     }
 
@@ -1159,32 +1213,31 @@ impl AvoidanceCore {
     /// otherwise.
     fn record_entry(
         &self,
-        slot: usize,
+        me: &ThreadSlot,
         t: ThreadId,
         l: LockId,
         frames: &[FrameId],
         stack: StackId,
     ) {
         let mut resolved = Resolved::default();
-        let log = self.lock_current(slot, frames, &mut resolved);
+        let log = self.lock_current(me, frames, &mut resolved);
         let slots = log.view().all_slots(&resolved, frames);
-        self.record_go(log, &slots, false, t, l, stack);
+        Self::record_go(log, &slots, false, me, t, l, stack);
     }
 
     /// The `release` hook, invoked **before** the real unlock. Returns the
     /// threads whose yields were caused by `(t, l)` — the caller must wake
     /// them *after* performing the real unlock.
     pub fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
+        let me = self.me(t);
         // A release arriving mid-unwind is a RAII guard dropping during a
         // panic: latch it so the TLS-teardown exit sweep (which runs after
         // the panic was caught) can still classify the exit correctly.
         if std::thread::panicking() {
-            self.slots[t.0 as usize]
-                .panicked
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            me.panicked.store(true, Ordering::Relaxed);
         }
         let slot = t.0 as usize;
-        self.publish_grant(slot, t);
+        self.publish_grant(me, t);
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             // Pop the innermost entry from our private log and take it out
@@ -1192,19 +1245,22 @@ impl AvoidanceCore {
             // must precede the wake-list check below: that order is what
             // lets a concurrent cover decision trust a validated sequence
             // (module docs' protocol).
-            self.pop_entry(slot, t, l);
+            self.pop_entry(me, t, l);
             // Swap-and-drain our own wake list (single-drainer: only the
             // owner thread releases its locks). The empty check is a
             // SeqCst load, so skipping the drain keeps the ordering
             // argument intact.
-            let me = &self.slots[slot];
             if !me.wake_list.is_empty() {
                 Stats::bump(&self.stats.hot(slot).wake_drains);
                 me.wake_list.drain_to_pools(
-                    |yielder| &self.slots[yielder as usize].wake_pool,
+                    |yielder| &self.me(ThreadId(yielder)).wake_pool,
                     |key, yielder, epoch| {
-                        let y = yielder as usize;
-                        if self.slots[y].wake_epoch.load(Ordering::Acquire) != epoch {
+                        if self
+                            .me(ThreadId(yielder))
+                            .wake_epoch
+                            .load(Ordering::Acquire)
+                            != epoch
+                        {
                             // Retracted or superseded registration.
                             DrainVerdict::Consume
                         } else if key == l.0 {
@@ -1227,16 +1283,16 @@ impl AvoidanceCore {
     /// a try/timed lock gave up. A grant that was never published is
     /// withdrawn with it: the monitor hears of the cancel alone.
     pub fn cancel(&self, t: ThreadId, l: LockId) {
-        let slot = t.0 as usize;
-        let grant = self.take_grant(slot, t, l);
+        let me = self.me(t);
+        let grant = self.take_grant(me, t, l);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.pop_entry(slot, t, l);
-            if self.slots[slot].in_yielding.load(Ordering::Relaxed) {
-                self.remove_yielding(t);
+            self.pop_entry(me, t, l);
+            if me.in_yielding.load(Ordering::Relaxed) {
+                me.remove_yielding();
             }
         }
-        self.clear_yield_state(slot);
-        self.lanes.push(slot, Event::Cancel { t, l, grant });
+        me.clear_yield_state();
+        self.lanes.push(t.0 as usize, Event::Cancel { t, l, grant });
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
@@ -1247,8 +1303,8 @@ impl AvoidanceCore {
     /// irrelevant suffix — ends at the stamp comparison, here, while it is
     /// still in registers (`remove_buckets` takes it through memory: ≈ 3 ns
     /// of the empty-history pair).
-    fn pop_entry(&self, slot: usize, t: ThreadId, l: LockId) {
-        let mut log = self.slots[slot].allowed.lock();
+    fn pop_entry(&self, me: &ThreadSlot, t: ThreadId, l: LockId) {
+        let mut log = me.allowed.lock();
         let Some(held) = log.pop(l) else {
             return;
         };
@@ -1259,21 +1315,10 @@ impl AvoidanceCore {
         self.remove_buckets(log.view(), log.view_epoch, t, &held);
     }
 
-    fn clear_yield_state(&self, slot: usize) {
-        let me = &self.slots[slot];
-        if !me.yielding.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut ys = me.yield_state.lock();
-        ys.causes.clear();
-        ys.broken = false;
-        me.yielding.store(false, Ordering::Relaxed);
-    }
-
     /// Marks `t`'s current yield as broken (monitor starvation breaking).
     /// Returns whether the thread was indeed yielding.
     pub fn break_yield(&self, t: ThreadId) -> bool {
-        let Some(me) = self.slots.get(t.0 as usize) else {
+        let Some(me) = self.record(t) else {
             return false;
         };
         let mut ys = me.yield_state.lock();
@@ -1288,7 +1333,9 @@ impl AvoidanceCore {
     /// Consumes `t`'s broken flag; a yielding thread calls this on wakeup to
     /// learn whether it must proceed without re-consulting the history.
     pub fn take_broken(&self, t: ThreadId) -> bool {
-        let me = &self.slots[t.0 as usize];
+        let Some(me) = self.record(t) else {
+            return false;
+        };
         let mut ys = me.yield_state.lock();
         if ys.broken {
             ys.broken = false;
@@ -1302,9 +1349,10 @@ impl AvoidanceCore {
 
     /// Whether `t` currently has an unconsumed yield in force.
     pub fn is_yielding(&self, t: ThreadId) -> bool {
-        let me = &self.slots[t.0 as usize];
-        let _ys = me.yield_state.lock();
-        me.yielding.load(Ordering::Relaxed)
+        self.record(t).is_some_and(|me| {
+            let _ys = me.yield_state.lock();
+            me.yielding.load(Ordering::Relaxed)
+        })
     }
 
     /// Probe: the yield causes currently registered for `t` — the
@@ -1312,11 +1360,8 @@ impl AvoidanceCore {
     /// parked in a yield. Read-only; used by verification harnesses to
     /// build wait-for edges and audit parked/woken accounting.
     pub fn yield_causes(&self, t: ThreadId) -> Vec<YieldCause> {
-        let slot = t.0 as usize;
-        if slot >= self.slots.len() {
-            return Vec::new();
-        }
-        self.slots[slot].yield_state.lock().causes.clone()
+        self.record(t)
+            .map_or_else(Vec::new, |me| me.yield_state.lock().causes.clone())
     }
 
     /// Probe: every thread currently parked in an unconsumed yield, with
@@ -1325,7 +1370,7 @@ impl AvoidanceCore {
     /// completed program with a non-empty parked set is a lost wakeup.
     pub fn parked_yielders(&self) -> Vec<(ThreadId, Vec<YieldCause>)> {
         let mut parked = Vec::new();
-        for (slot, me) in self.slots.iter().enumerate() {
+        for (t, me) in self.records() {
             // Lock-free skip of the idle slots, then the read that counts,
             // under the lock.
             if !me.yielding.load(Ordering::Relaxed) {
@@ -1333,7 +1378,7 @@ impl AvoidanceCore {
             }
             let ys = me.yield_state.lock();
             if me.yielding.load(Ordering::Relaxed) {
-                parked.push((ThreadId(slot as u64), ys.causes.clone()));
+                parked.push((t, ys.causes.clone()));
             }
         }
         parked
@@ -1385,19 +1430,18 @@ impl AvoidanceCore {
     }
 
     /// The visit of a rebuild (module docs): with `view` published, locks
-    /// each thread slot in turn, buckets its log's entries wherever `view`'s
-    /// table lacks them — the slots from `first_new` on — and marks the
-    /// table swept. Every visited entry leaves with its slots under `view`
-    /// remembered and stamped, so the releases that follow take the
+    /// each thread record in turn, buckets its log's entries wherever
+    /// `view`'s table lacks them — the slots from `first_new` on — and marks
+    /// the table swept. Every visited entry leaves with its slots under
+    /// `view` remembered and stamped, so the releases that follow take the
     /// remembered path again. The caller holds the rebuild mutex, which is
     /// what keeps the epoch read here `view`'s own.
     fn visit_logs(&self, view: &MatchView, first_new: u32) {
         let view_epoch = self.view_cell.epoch();
         // Slot order, and lock-id order within a slot, so the bucket
         // vectors are deterministic (`AllowedLog::sweep_order`).
-        for (slot_idx, slot) in self.slots.iter().enumerate() {
-            let t = ThreadId(slot_idx as u64);
-            let mut log = slot.allowed.lock();
+        for (t, me) in self.records() {
+            let mut log = me.allowed.lock();
             for at in log.sweep_order() {
                 let held = &mut log.entries[at];
                 let frames = self.stacks.resolve(held.stack);
@@ -1462,14 +1506,11 @@ impl AvoidanceCore {
 
     /// Approximate heap footprint of the avoidance state, in bytes (§7.4).
     pub fn approx_bytes(&self) -> usize {
-        let live: usize = self
-            .slots
-            .iter()
-            .map(|slot| slot.allowed.lock().entries.len())
-            .sum();
+        let held = |(_, me): (ThreadId, &ThreadSlot)| me.allowed.lock().entries.len();
+        let live: usize = self.records().map(held).sum();
         live * core::mem::size_of::<Held>()
             + self.view_cell.load().table.approx_bytes()
-            + self.slots.len() * core::mem::size_of::<ThreadSlot>()
+            + self.records().count() * core::mem::size_of::<ThreadSlot>()
     }
 
     /// Removes `held` (an entry of `t`'s log, already popped or about to
@@ -1499,37 +1540,23 @@ impl AvoidanceCore {
     /// Registers `t` as yielding on `causes`: bumps its registration epoch
     /// (atomically retracting any previous registration) and pushes one
     /// lock-free node into each cause thread's wake list.
-    fn insert_yielding(&self, t: ThreadId, causes: &[YieldCause]) {
-        let slot = &self.slots[t.0 as usize];
-        let epoch = slot.wake_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+    fn insert_yielding(&self, me: &ThreadSlot, t: ThreadId, causes: &[YieldCause]) {
+        let epoch = me.wake_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         for c in causes {
             // Recycle a node from *our own* pool (registration runs on the
             // yielding thread — the pool's single popper); the push itself
             // still lands in the cause thread's list.
-            let hit = self.slots[c.thread.0 as usize].wake_list.push_pooled(
-                &slot.wake_pool,
-                c.lock.0,
-                t.0,
-                epoch,
-            );
+            let hit = self
+                .me(c.thread)
+                .wake_list
+                .push_pooled(&me.wake_pool, c.lock.0, t.0, epoch);
             Stats::bump(if hit {
                 &self.stats.wake_pool_hits
             } else {
                 &self.stats.wake_pool_misses
             });
         }
-        slot.in_yielding.store(true, Ordering::Relaxed);
-    }
-
-    /// Retracts `t`'s yield registration: one epoch bump invalidates every
-    /// outstanding node (drainers free them lazily). No-op-safe when not
-    /// yielding.
-    fn remove_yielding(&self, t: ThreadId) {
-        let Some(slot) = self.slots.get(t.0 as usize) else {
-            return;
-        };
-        slot.wake_epoch.fetch_add(1, Ordering::SeqCst);
-        slot.in_yielding.store(false, Ordering::Relaxed);
+        me.in_yielding.store(true, Ordering::Relaxed);
     }
 
     /// Precomputes member bucket keys for `sig` at depth `d`, resolved
@@ -1564,13 +1591,12 @@ impl AvoidanceCore {
         &self,
         view: &MatchView,
         slots: &[u32],
-        slot: usize,
         t: ThreadId,
         l: LockId,
         stack: StackId,
     ) -> Option<(Instance, CoverProof)> {
         let mut scratch: Vec<[u64; 3]> = Vec::new();
-        self.find_instance_with(view, slots, slot, t, l, stack, &mut |s: u32| {
+        self.find_instance_with(view, slots, t, l, stack, &mut |s: u32| {
             let seq = view.table.buckets[s as usize].read_into(&mut scratch);
             (seq, Self::decode_sorted(&scratch))
         })
@@ -1592,7 +1618,7 @@ impl AvoidanceCore {
         &self,
         view: &MatchView,
         slots: &[u32],
-        slot: usize,
+        me: &ThreadSlot,
         t: ThreadId,
         l: LockId,
         stack: StackId,
@@ -1608,13 +1634,13 @@ impl AvoidanceCore {
             })
             .collect();
         // Sequences in the proof are immaterial — the decision is final.
-        let found = self.find_instance_with(view, slots, slot, t, l, stack, &mut |s: u32| {
+        let found = self.find_instance_with(view, slots, t, l, stack, &mut |s: u32| {
             (0, all[s as usize].clone())
         });
         let inst = found.map(|(inst, _proof)| inst);
         if let Some(inst) = &inst {
             if self.config.enforce_yields {
-                self.insert_yielding(t, &inst.causes);
+                self.insert_yielding(me, t, &inst.causes);
             }
         }
         drop(writers);
@@ -1627,18 +1653,16 @@ impl AvoidanceCore {
     /// requester's frames resolved to under `view`, ascending by depth — the
     /// index is entered by slot, no second look-up — so candidates are
     /// tried in the order [`crate::reference`] states.
-    #[allow(clippy::too_many_arguments)] // Packed search inputs + accessor.
     fn find_instance_with(
         &self,
         view: &MatchView,
         slots: &[u32],
-        slot: usize,
         t: ThreadId,
         l: LockId,
         stack: StackId,
         read: &mut dyn FnMut(u32) -> (u64, Vec<AllowedEntry>),
     ) -> Option<(Instance, CoverProof)> {
-        let hot = self.stats.hot(slot);
+        let hot = self.stats.hot(t.0 as usize);
         let occupied = |s: &u32| !view.table.buckets[*s as usize].is_empty();
         // Batch the per-candidate precheck counter: a hot suffix can carry
         // dozens of candidates, and per-candidate atomic bumps measurably
@@ -1856,7 +1880,7 @@ pub struct OccupancySkew {
 impl std::fmt::Debug for AvoidanceCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AvoidanceCore")
-            .field("max_threads", &self.slots.len())
+            .field("threads", &self.slot_alloc.allocated())
             .field("history_len", &self.history.len())
             .finish()
     }

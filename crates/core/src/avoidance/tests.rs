@@ -86,7 +86,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// Checks the slot's log against the model.
 fn assert_matches_model(core: &AvoidanceCore, t: ThreadId, model: &Model) {
-    let log = core.slots[t.0 as usize].allowed.lock();
+    let log = core.me(t).allowed.lock();
     for (&l, levels) in model {
         let held: Vec<StackId> = log
             .entries
@@ -213,8 +213,7 @@ fn exit_sweep_drains_a_nested_stack_and_wakes_every_yielder() {
     assert_eq!(woken, yielders, "each yielder woken exactly once");
     assert_eq!(rt.stats().orphan_wakes, 3);
     assert_eq!(core.occupancy_skew().live_entries, 0, "buckets emptied");
-    let slot = &core.slots[holder.0 as usize];
-    assert!(slot.allowed.lock().entries.is_empty());
+    assert!(core.me(holder).allowed.lock().entries.is_empty());
     // Five stack entries and their fifteen bucket words are gone.
     let entry = core::mem::size_of::<Held>();
     assert_eq!(before - core.approx_bytes(), 5 * entry + 5 * 3 * 8);
@@ -311,13 +310,113 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
     assert_eq!(locks(&full), locks(&delta));
 }
 
-/// `Runtime::memory_footprint()` charges every slot up front (4096 of them
-/// by default), so the slot must not grow: 720 bytes at the parent commit
-/// (counting filter and hint beside the stack), 136 with the stack alone.
+/// `Runtime::memory_footprint()` charges the records 64 at a time, so a
+/// thread's record must not grow: 720 bytes of slot at an earlier commit
+/// (counting filter and hint beside the stack), 136 with the stack alone,
+/// and now the parker that used to sit in an array of its own.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
-    assert!(core::mem::size_of::<ThreadSlot>() <= 136);
+    assert!(core::mem::size_of::<ThreadSlot>() <= 136 + core::mem::size_of::<Parker>());
+}
+
+/// A runtime makes no thread record until a thread registers, then 64 at a
+/// time: the first registration adds one chunk of records to the
+/// footprint, the 64th nothing, the 65th one chunk more. Every sweep walks
+/// exactly the records made, and an id handed out again reuses its record.
+#[test]
+fn records_are_made_a_chunk_at_a_time() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let chunk = CHUNK * core::mem::size_of::<ThreadSlot>();
+    assert_eq!(core.records().count(), 0);
+    assert_eq!(core.approx_bytes(), 0, "Runtime::new makes no record");
+    let empty = rt.memory_footprint();
+    let first = core.register_thread().unwrap();
+    assert_eq!(rt.memory_footprint(), empty + chunk);
+    for _ in 1..CHUNK {
+        core.register_thread().unwrap();
+    }
+    assert_eq!(rt.memory_footprint(), empty + chunk, "chunk 0 is full");
+    let next = core.register_thread().unwrap();
+    assert_eq!(next, ThreadId(CHUNK as u64));
+    assert_eq!(rt.memory_footprint(), empty + 2 * chunk);
+    let ids: Vec<u64> = core.records().map(|(t, _)| t.0).collect();
+    assert_eq!(ids, (0..2 * CHUNK as u64).collect::<Vec<_>>());
+    core.unregister_thread(next);
+    core.unregister_thread(first);
+    assert_eq!(core.register_thread(), Some(first));
+    assert_eq!(rt.memory_footprint(), empty + 2 * chunk);
+}
+
+/// Ids no thread was ever given — past the last chunk made, past the cap —
+/// are never yielding: the probes answer so, breaking or waking them does
+/// nothing, and none of it makes a record. (Two of these indexed without a
+/// bounds check and panicked for an id ≥ 4096.)
+#[test]
+fn an_id_no_thread_was_given_is_not_yielding() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let t = core.register_thread().unwrap();
+    for id in [CHUNK as u64, MAX_THREADS as u64, u64::MAX] {
+        let never = ThreadId(id);
+        assert!(!core.is_yielding(never), "{never:?}");
+        assert!(!core.take_broken(never), "{never:?}");
+        assert!(!core.break_yield(never), "{never:?}");
+        assert!(core.yield_causes(never).is_empty(), "{never:?}");
+        assert!(!core.thread_panicked(never), "{never:?}");
+        rt.wake(never);
+    }
+    assert_eq!(core.records().count(), CHUNK);
+    assert_eq!(rt.stats().yields_broken, 0);
+    core.unregister_thread(t);
+}
+
+/// The chunk-install rule. Chunk 0's 64 threads each hold a lock through a
+/// path a vaccination is about to make relevant, and the rebuild it needs
+/// is in flight — published, not yet visited — when a 65th thread
+/// registers. Installing chunk 1 waits out the visit, the newcomer's grant
+/// lands under the new view, and at quiescence the table holds every
+/// relevant held entry: the 64 the visit bucketed and the newcomer's own.
+#[test]
+fn a_chunk_installed_during_a_rebuild_waits_for_its_visit() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let (path, stack) = site(&rt, &[("worker", 0), ("take", 1)]);
+    let ghost = site(&rt, &[("ghost", 0), ("never", 1)]).1;
+    let grant = |t: ThreadId| {
+        let l = rt.new_lock_id();
+        assert!(matches!(core.request(t, l, &path, stack), Decision::Go));
+        core.acquired(t, l, stack);
+    };
+    for _ in 0..CHUNK {
+        grant(core.register_thread().unwrap());
+    }
+    assert_eq!(core.occupancy_skew().live_entries, 0, "not relevant yet");
+
+    rt.history()
+        .add(CycleKind::Deadlock, vec![stack, ghost], 2)
+        .unwrap();
+    let registered = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let rebuilding = core.rebuild_lock.lock();
+        let view = Arc::new(core.fresh_view());
+        core.view_cell.publish(Arc::clone(&view));
+        let newcomer = s.spawn(|| {
+            let t = core.register_thread().unwrap();
+            registered.store(true, Ordering::Release);
+            grant(t);
+            t
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let early = registered.load(Ordering::Acquire);
+        core.visit_logs(&view, 0);
+        drop(rebuilding);
+        assert_eq!(newcomer.join().unwrap(), ThreadId(CHUNK as u64));
+        assert!(!early, "chunk 1 was installed while a visit was pending");
+    });
+    assert_eq!(core.records().count(), 2 * CHUNK);
+    assert_eq!(core.occupancy_skew().live_entries, CHUNK as u64 + 1);
 }
 
 /// Signatures appended while rebuilds run are applied once each. A view
@@ -327,11 +426,7 @@ fn thread_slot_is_no_larger_than_at_the_parent_commit() {
 #[test]
 fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
     const SIGS: u32 = 3000;
-    let rt = Runtime::new(Config {
-        max_threads: 8,
-        ..Config::default()
-    })
-    .unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
     let sites: Vec<_> = (0..SIGS)
         .map(|i| {
@@ -391,11 +486,7 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
 fn buckets_equal_the_logs_after_every_live_rebuild() {
     const WORKERS: u32 = 3;
     const NEST: u32 = 4;
-    let rt = Runtime::new(Config {
-        max_threads: 16,
-        ..Config::default()
-    })
-    .unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
     // Worker `w` takes its `k`-th lock through `[worker w, step k, take]`:
     // one key for everything at depth 1, one per nesting level at depth 2,
@@ -435,9 +526,8 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
         }
         let epoch = core.view_cell.epoch();
         let mut expected = vec![Vec::new(); view.layout.len()];
-        for (slot_idx, slot) in core.slots.iter().enumerate() {
-            let t = ThreadId(slot_idx as u64);
-            for held in &slot.allowed.lock().entries {
+        for (t, me) in core.records() {
+            for held in &me.allowed.lock().entries {
                 let Held { l, stack, .. } = *held;
                 let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(stack)).collect();
                 // Granted under this view or restamped by its visit: either
@@ -595,7 +685,7 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
 
     // What the log's entry for `l` remembers, and whether that is current.
     let remembered = |l: LockId| -> (Vec<u32>, bool) {
-        let log = core.slots[t.0 as usize].allowed.lock();
+        let log = core.me(t).allowed.lock();
         let held = log.entries.iter().rfind(|held| held.l == l).unwrap();
         let current = held.stamp == core.view_cell.epoch();
         (held.slots.as_slice().to_vec(), current)
@@ -611,7 +701,7 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
             assert!(core.release(t, l).is_empty());
         }
         core.visit_logs(&view, first_new);
-        for held in &core.slots[t.0 as usize].allowed.lock().entries {
+        for held in &core.me(t).allowed.lock().entries {
             let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(held.stack)).collect();
             assert_eq!(held.slots.as_slice(), &slots[..], "restamped by the visit");
             assert_eq!(held.stamp, core.view_cell.epoch());
@@ -665,7 +755,7 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
     assert!(core.release(t, locks[1]).is_empty());
     assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 1);
     assert!(core.release(t, locks[1]).is_empty());
-    assert!(core.slots[t.0 as usize].allowed.lock().entries.is_empty());
+    assert!(core.me(t).allowed.lock().entries.is_empty());
     assert_table_drained(core);
     core.unregister_thread(t);
 }
@@ -701,7 +791,7 @@ fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
     assert!(matches!(core.request(t, l, &path, stack), Decision::Go));
     core.acquired(t, l, stack);
     assert_eq!(
-        core.slots[t.0 as usize].allowed.lock().entries[0].stamp,
+        core.me(t).allowed.lock().entries[0].stamp,
         Held::ASK_THE_VIEW
     );
     for depth in 1..=layers {
@@ -712,7 +802,7 @@ fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
     core.refresh_published();
     assert_eq!(core.occupancy_skew().live_entries, u64::from(layers));
     assert_eq!(
-        core.slots[t.0 as usize].allowed.lock().entries[0].stamp,
+        core.me(t).allowed.lock().entries[0].stamp,
         Held::ASK_THE_VIEW
     );
     assert!(core.release(t, l).is_empty());
@@ -746,15 +836,15 @@ fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield
     ));
     core.acquired(holder, held_lock, held_stack);
 
-    let slot = yielder.0 as usize;
+    let me = core.me(yielder);
     let mut resolved = Resolved::default();
-    let log = core.lock_current(slot, &yield_path, &mut resolved);
+    let log = core.lock_current(me, &yield_path, &mut resolved);
     let view = Arc::clone(log.view.as_ref().unwrap());
     drop(log);
     let slots = resolved.as_slice();
     assert_eq!(slots.len(), 1, "the yielder's path is a member suffix");
     let (optimistic, _proof) = core
-        .find_instance(&view, slots, slot, yielder, wanted, yield_stack)
+        .find_instance(&view, slots, yielder, wanted, yield_stack)
         .expect("the holder's entry completes the cover");
     assert_eq!(rt.stats().cover_fallbacks, 0);
     assert!(
@@ -768,7 +858,7 @@ fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield
     core.acquired(holder, held_lock, held_stack);
 
     let locked = core
-        .find_instance_locked(&view, slots, slot, yielder, wanted, yield_stack)
+        .find_instance_locked(&view, slots, me, yielder, wanted, yield_stack)
         .expect("the same cover, read under the claims");
     assert_eq!(rt.stats().cover_fallbacks, 1);
     assert_eq!(locked.sig.id, sig.id);

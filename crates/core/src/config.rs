@@ -1,9 +1,25 @@
-//! Runtime configuration.
+//! Runtime configuration: the [`Config`] a caller sets, and constants.
 
 use dimmunix_predict::PredictionConfig;
 use dimmunix_signature::CalibrationConfig;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Most threads registered with one runtime at a time (the paper evaluates
+/// up to 1024); past it a thread runs unsupervised.
+pub const MAX_THREADS: usize = 4096;
+
+/// Matching depth given to newly captured signatures when calibration is
+/// off (paper default: 4).
+pub const DEFAULT_DEPTH: u8 = 4;
+
+/// Monitor-pass panics the supervisor absorbs by restarting the monitor
+/// (from its last good RAG snapshot) before the runtime degrades.
+pub const MONITOR_RESTART_BUDGET: u32 = 3;
+
+/// Bound on every yield park in degraded mode, where no monitor will ever
+/// break a stuck yield; it tightens [`Config::max_yield_duration`].
+pub const DEGRADED_YIELD_WAIT: Duration = Duration::from_millis(50);
 
 /// Immunity level (§5.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -40,9 +56,6 @@ pub struct Config {
     /// Monitor wakeup period τ (§5.2). The delay between a deadlock and its
     /// detection is bounded by this. Default 100 ms.
     pub monitor_period: Duration,
-    /// Matching depth given to newly captured signatures when calibration is
-    /// off (paper default: 4).
-    pub default_depth: u8,
     /// Weak or strong immunity.
     pub immunity: Immunity,
     /// Upper bound on how long a thread may be kept yielding to avoid a
@@ -55,7 +68,7 @@ pub struct Config {
     /// never disables.
     pub abort_disable_threshold: Option<u64>,
     /// Online matching-depth calibration (§5.5); `None` keeps the fixed
-    /// [`Config::default_depth`].
+    /// [`DEFAULT_DEPTH`].
     pub calibration: Option<CalibrationConfig>,
     /// Proactive deadlock prediction: when set, the monitor runs a
     /// lock-order-graph analysis over the drained event stream and
@@ -76,10 +89,6 @@ pub struct Config {
     pub prediction: Option<PredictionConfig>,
     /// Where the persistent history lives. `None` keeps it in memory only.
     pub history_path: Option<PathBuf>,
-    /// Maximum concurrently registered threads: the number of per-thread
-    /// slots pre-allocated by the engine, which every rebuild visits (the
-    /// paper evaluates up to 1024).
-    pub max_threads: usize,
     /// Overhead-breakdown stage (Figure 8); [`RuntimeMode::Full`] for real
     /// use.
     pub mode: RuntimeMode,
@@ -95,16 +104,6 @@ pub struct Config {
     /// `structural_false_positives`. Independent of the retrospective
     /// lock-inversion analysis.
     pub structural_fp_reference_depth: Option<u8>,
-    /// How many monitor-pass panics the supervisor absorbs by restarting
-    /// the monitor (tracker state rebuilt from the last good RAG snapshot)
-    /// before giving up and switching the runtime into degraded
-    /// pass-through mode. Default 3.
-    pub monitor_restart_budget: u32,
-    /// Upper bound applied to every yield park while in degraded mode (no
-    /// live monitor means nobody will ever break a stuck yield), replacing
-    /// [`Config::max_yield_duration`] when that is `None` or larger.
-    /// Default 50 ms.
-    pub degraded_yield_wait: Duration,
     /// Attempt to salvage the valid prefix of a torn/corrupt history file
     /// at load time instead of failing `Runtime::start`. The recovery is
     /// reported via `Runtime::history_recovery` and counted in
@@ -116,19 +115,15 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             monitor_period: Duration::from_millis(100),
-            default_depth: 4,
             immunity: Immunity::Weak,
             max_yield_duration: Some(Duration::from_millis(200)),
             abort_disable_threshold: None,
             calibration: None,
             prediction: None,
             history_path: None,
-            max_threads: 4096,
             mode: RuntimeMode::Full,
             enforce_yields: true,
             structural_fp_reference_depth: None,
-            monitor_restart_budget: 3,
-            degraded_yield_wait: Duration::from_millis(50),
             history_salvage: true,
         }
     }
@@ -153,7 +148,7 @@ mod tests {
     fn defaults_match_paper() {
         let c = Config::default();
         assert_eq!(c.monitor_period, Duration::from_millis(100));
-        assert_eq!(c.default_depth, 4);
+        assert_eq!(DEFAULT_DEPTH, 4);
         assert_eq!(c.immunity, Immunity::Weak);
         assert_eq!(c.max_yield_duration, Some(Duration::from_millis(200)));
         assert!(c.calibration.is_none());

@@ -1,10 +1,11 @@
 //! Per-thread event lanes: one growable SPSC queue per registered thread.
 //!
 //! Every registered thread owns one lane and is its only producer; the
-//! monitor is the only consumer of all lanes. A lane is a chain of
-//! fixed-size [`SpscRing`] blocks: the producer pushes into the newest
-//! block and, when that is full, allocates another, pushes there, links it
-//! behind the old one and never goes back. The hot
+//! monitor is the only consumer of all lanes, and a drain stops at the
+//! highest lane ever given a block (a lane gets its first by its first
+//! push). A lane is a chain of fixed-size [`SpscRing`] blocks: the producer
+//! pushes into the newest block and, when that is full, allocates another,
+//! pushes there, links it behind the old one and never goes back. The hot
 //! `acquired`/`release` hooks therefore publish their events with two
 //! uncontended atomic stores instead of fighting over one shared MPSC tail,
 //! a push can neither fail, block nor reorder, and a lane the monitor keeps
@@ -88,6 +89,8 @@ struct Lane {
 /// [`EventLanes::drain`].
 pub struct EventLanes {
     lanes: Box<[Lane]>,
+    /// One past the highest lane ever given a block: where a drain stops.
+    in_use: AtomicUsize,
     block_capacity: usize,
     /// Cumulative blocks linked behind an older one.
     linked: AtomicU64,
@@ -102,29 +105,29 @@ const _: () = {
 };
 
 impl EventLanes {
-    /// Creates lanes for `max_threads` slots; each block of a lane holds
+    /// Creates lanes for `slots` slots; each block of a lane holds
     /// `block_capacity` events (rounded up to a power of two). No block is
     /// allocated until a slot is registered or pushed to.
-    pub fn new(max_threads: usize, block_capacity: usize) -> Self {
+    pub fn new(slots: usize, block_capacity: usize) -> Self {
         Self {
-            lanes: (0..max_threads)
+            lanes: (0..slots)
                 .map(|_| Lane {
                     head: AtomicPtr::new(ptr::null_mut()),
                     tail: AtomicPtr::new(ptr::null_mut()),
                 })
                 .collect(),
+            in_use: AtomicUsize::new(0),
             block_capacity,
             linked: AtomicU64::new(0),
             high_water: AtomicUsize::new(0),
         }
     }
 
-    /// Ensures `slot`'s first block exists (called from thread registration,
+    /// Ensures `slot`'s first block exists, ahead of its first push (called
     /// by the thread that will push; the chain is kept across slot reuse).
     pub fn register(&self, slot: usize) {
-        let lane = &self.lanes[slot];
-        if lane.tail.load(Ordering::Relaxed).is_null() {
-            self.first_block(lane);
+        if self.lanes[slot].tail.load(Ordering::Relaxed).is_null() {
+            self.first_block(slot);
         }
     }
 
@@ -138,7 +141,7 @@ impl EventLanes {
         let lane = &self.lanes[slot];
         let mut tail = lane.tail.load(Ordering::Relaxed);
         if tail.is_null() {
-            tail = self.first_block(lane);
+            tail = self.first_block(slot);
         }
         #[cfg(feature = "fault-inject")]
         if dimmunix_inject::force_lane_overflow() {
@@ -157,11 +160,14 @@ impl EventLanes {
     }
 
     #[cold]
-    fn first_block(&self, lane: &Lane) -> *mut Block {
+    fn first_block(&self, slot: usize) -> *mut Block {
+        let lane = &self.lanes[slot];
         let block = Block::alloc(self.block_capacity);
         lane.tail.store(block, Ordering::Relaxed);
-        // Publishes the block to the consumer (`Acquire` in `drain`).
+        // Publishes the block to the consumer (`Acquire` in `drain`), which
+        // skips the lane until it reads the new `in_use`.
         lane.head.store(block, Ordering::Release);
+        self.in_use.fetch_max(slot + 1, Ordering::Release);
         block
     }
 
@@ -181,14 +187,14 @@ impl EventLanes {
         unsafe { &(*old).next }.store(new, Ordering::Release);
     }
 
-    /// Drains up to exactly `cap` events — every lane in slot order, each
-    /// lane oldest first — invoking `f` on each. Returns how many were
+    /// Drains up to exactly `cap` events — every lane in use in slot order,
+    /// each oldest first — invoking `f` on each. Returns how many were
     /// drained; a later call resumes where this one stopped.
     ///
     /// Single-consumer contract: only the monitor may call this.
     pub fn drain(&self, cap: usize, mut f: impl FnMut(Event)) -> usize {
         let mut drained = 0_usize;
-        for lane in self.lanes.iter() {
+        for lane in &self.lanes[..self.in_use.load(Ordering::Acquire)] {
             let mut block = lane.head.load(Ordering::Acquire);
             if block.is_null() {
                 continue;
@@ -261,7 +267,7 @@ impl EventLanes {
 
 impl Drop for EventLanes {
     fn drop(&mut self) {
-        for lane in self.lanes.iter_mut() {
+        for lane in &mut self.lanes[..*self.in_use.get_mut()] {
             let mut block = *lane.head.get_mut();
             while !block.is_null() {
                 // SAFETY: `&mut self`: no producer or consumer is left, and
@@ -493,7 +499,25 @@ mod tests {
         }
     }
 
-    /// 4096 of these are built per runtime and swept by every monitor pass.
+    /// A drain walks the lanes up to the highest one given a block, whether
+    /// by `register` or by a first push, and no further.
+    #[test]
+    fn a_drain_stops_at_the_highest_lane_in_use() {
+        let lanes = EventLanes::new(4096, 4);
+        assert_eq!(lanes.in_use.load(Ordering::Relaxed), 0);
+        lanes.register(2);
+        assert_eq!(lanes.in_use.load(Ordering::Relaxed), 3);
+        lanes.push(9, ev(9, 1));
+        lanes.push(0, ev(0, 2));
+        assert_eq!(
+            lanes.in_use.load(Ordering::Relaxed),
+            10,
+            "a lower lane does not lower it"
+        );
+        assert_eq!(drain_all(&lanes), vec![2, 1]);
+    }
+
+    /// 4096 of these are built per runtime.
     #[test]
     fn a_lane_header_fits_a_cache_line() {
         assert!(std::mem::size_of::<Lane>() <= 64);

@@ -27,7 +27,8 @@
 //! lane order rather than global enqueue order. The RAG tolerates that:
 //! holds are multisets, detection runs only after the full drain, and a
 //! deadlocked thread stops producing events, so the graph still converges
-//! on exactly the stuck subset (§5.1's lazy-view argument).
+//! on exactly the stuck subset (§5.1's lazy-view argument). A drain stops
+//! at the highest lane that ever held an event.
 //!
 //! The monitor is deliberately separable from wall-clock time: the runtime
 //! can either spawn it on a dedicated thread with period τ, or call
@@ -48,20 +49,20 @@
 //! loss); the predictor resumes from its last-good clone so pre-panic lock
 //! orderings — and the condensation built over them — survive the restart.
 //!
-//! After `Config::monitor_restart_budget` consecutive restarts the runtime
+//! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
 //! ([`Stats::degraded_mode`]): each period it runs [`Monitor::degraded_step`]
 //! instead — a pass-through pass that drains and discards events (bounding
 //! lane memory), keeps republishing the match view (so avoidance decisions
 //! stay sound against the last published history), and skips detection,
 //! prediction, starvation breaking and saves. Yielding threads park with
-//! the bounded `Config::degraded_yield_wait` instead of waiting on a
-//! monitor that will never break their starvation.
+//! the bounded `DEGRADED_YIELD_WAIT` instead of waiting on a monitor
+//! that will never break their starvation.
 //!
 //! [`last_good`]: Monitor::respawn
 
 use crate::avoidance::AvoidanceCore;
-use crate::config::{Config, Immunity};
+use crate::config::{Config, Immunity, DEFAULT_DEPTH};
 use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
@@ -493,7 +494,7 @@ impl Monitor {
             batch.push((
                 CycleKind::Deadlock,
                 cycle.labels,
-                self.config.default_depth,
+                DEFAULT_DEPTH,
                 Provenance::Predicted,
             ));
         }
@@ -666,7 +667,7 @@ impl Monitor {
             vec![(
                 kind,
                 labels.clone(),
-                self.config.default_depth,
+                DEFAULT_DEPTH,
                 Provenance::default_for(kind),
             )],
             |sig| {
@@ -776,7 +777,7 @@ mod tests {
         let frames = Arc::new(FrameTable::new());
         let stacks = Arc::new(StackTable::new());
         let lanes = Arc::new(EventLanes::new(
-            config.max_threads,
+            crate::config::MAX_THREADS,
             crate::lanes::BLOCK_CAPACITY,
         ));
         let stats = Arc::new(Stats::new());

@@ -37,7 +37,7 @@
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
 use crate::avoidance::Decision;
-use crate::config::{Config, RuntimeMode};
+use crate::config::{Config, RuntimeMode, MAX_THREADS};
 use dimmunix_lockfree::SlotAllocator;
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
@@ -68,7 +68,6 @@ struct RefState {
 pub struct ReferenceCore {
     state: Mutex<RefState>,
     slot_alloc: SlotAllocator,
-    max_threads: usize,
     history: Arc<History>,
     stacks: Arc<StackTable>,
     config: Config,
@@ -77,7 +76,6 @@ pub struct ReferenceCore {
 impl ReferenceCore {
     /// Creates the engine over a (possibly shared) history and stack table.
     pub fn new(config: Config, history: Arc<History>, stacks: Arc<StackTable>) -> Self {
-        let n = config.max_threads;
         Self {
             state: Mutex::new(RefState {
                 entries: HashMap::new(),
@@ -86,8 +84,7 @@ impl ReferenceCore {
                 yielding: HashMap::new(),
                 built_gen: u64::MAX,
             }),
-            slot_alloc: SlotAllocator::new(n),
-            max_threads: n,
+            slot_alloc: SlotAllocator::new(MAX_THREADS),
             history,
             stacks,
             config,
@@ -355,7 +352,7 @@ impl ReferenceCore {
 impl std::fmt::Debug for ReferenceCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReferenceCore")
-            .field("max_threads", &self.max_threads)
+            .field("threads", &self.slot_alloc.allocated())
             .field("history_len", &self.history.len())
             .finish()
     }

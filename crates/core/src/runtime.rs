@@ -4,19 +4,20 @@
 //! One [`Runtime`] corresponds to one instrumented program: it owns the
 //! frame/stack interners, the persistent [`History`], the
 //! [`AvoidanceCore`], the per-thread event lanes and (optionally) a spawned
-//! monitor thread with period τ. Thread registration allocates the
-//! thread's event lane along with its dense id; deregistration retires
-//! both. Lock types ([`crate::sync::ImmunizedMutex`],
+//! monitor thread with period τ. [`Runtime::new`] makes no per-thread
+//! state: a thread's record (`Allowed` log, yield state, [`Parker`]) is
+//! made with its chunk of 64 ids, its lane's first block with its first
+//! event. Lock types ([`crate::sync::ImmunizedMutex`],
 //! [`crate::sync::ReentrantLock`], [`crate::raw::RawLock`]) hold a handle to
 //! their runtime and route every lock/unlock through its hooks.
 //!
 //! Threads register lazily the first time they touch an immunized lock; a
 //! thread-local guard deregisters them on thread exit. If registration
-//! fails (more than `max_threads` live threads) the thread simply runs
-//! unsupervised — its locks behave like plain mutexes.
+//! fails ([`MAX_THREADS`] threads already registered) the thread simply
+//! runs unsupervised — its locks behave like plain mutexes.
 
 use crate::avoidance::AvoidanceCore;
-use crate::config::Config;
+use crate::config::{Config, DEGRADED_YIELD_WAIT, MAX_THREADS, MONITOR_RESTART_BUDGET};
 use crate::lanes::{EventLanes, BLOCK_CAPACITY};
 use crate::monitor::{Hooks, Monitor};
 use crate::stats::{Stats, StatsSnapshot};
@@ -39,9 +40,9 @@ pub enum ParkOutcome {
     TimedOut,
 }
 
-/// Per-registered-thread parking primitive (the paper's `yieldLock[T]`).
+/// A thread's parking primitive (the paper's `yieldLock[T]`), in its record.
 #[derive(Default)]
-struct Parker {
+pub(crate) struct Parker {
     /// Wake count. Bumped only with `lock` held, so a parker that checks
     /// it under `lock` cannot miss a wake — the mutex orders the two.
     /// `park_epoch` reads it bare: a wake that matters to that caller is
@@ -60,7 +61,6 @@ pub(crate) struct Inner {
     pub(crate) core: AvoidanceCore,
     pub(crate) stats: Arc<Stats>,
     monitor: Mutex<Monitor>,
-    parkers: Box<[Parker]>,
     next_lock: AtomicU64,
     /// Set to stop a spawned monitor thread.
     shutdown: Arc<AtomicBool>,
@@ -71,7 +71,7 @@ pub(crate) struct Inner {
     runtime_id: usize,
     /// Set once the monitor exceeded its restart budget: passes become
     /// pass-through ([`Monitor::degraded_step`]) and yields park with the
-    /// bounded `Config::degraded_yield_wait`.
+    /// bounded [`DEGRADED_YIELD_WAIT`].
     degraded: AtomicBool,
     /// Boot-time salvage report, if the history file was damaged and
     /// `Config::history_salvage` recovered its valid prefix.
@@ -157,9 +157,9 @@ impl Runtime {
             Some(path) => History::open(path, &frames, &stacks)?,
             None => History::new(),
         });
-        // Per-thread event lanes; a lane's first block is allocated when
-        // its thread registers (see AvoidanceCore::register_thread).
-        let lanes = Arc::new(EventLanes::new(config.max_threads, BLOCK_CAPACITY));
+        // Per-thread event lanes; a lane's first block is allocated by its
+        // thread's first event.
+        let lanes = Arc::new(EventLanes::new(MAX_THREADS, BLOCK_CAPACITY));
         let stats = Arc::new(Stats::new());
         if recovery.is_some() {
             Stats::bump(&stats.history_salvaged);
@@ -180,7 +180,6 @@ impl Runtime {
             Arc::clone(&stats),
             Arc::new(hooks),
         );
-        let parkers = (0..config.max_threads).map(|_| Parker::default()).collect();
         let inner = Arc::new(Inner {
             config,
             frames,
@@ -189,7 +188,6 @@ impl Runtime {
             core,
             stats,
             monitor: Mutex::new(monitor),
-            parkers,
             next_lock: AtomicU64::new(0),
             shutdown: Arc::new(AtomicBool::new(false)),
             monitor_signal: Arc::new((Mutex::new(false), Condvar::new())),
@@ -270,8 +268,8 @@ impl Runtime {
 
     /// One supervised monitor pass. A panic escaping [`Monitor::step`] is
     /// caught and the monitor is rebuilt from its last good RAG snapshot
-    /// ([`Monitor::respawn`]); after `config.monitor_restart_budget`
-    /// restarts the runtime degrades to pass-through passes instead.
+    /// ([`Monitor::respawn`]); after [`MONITOR_RESTART_BUDGET`] restarts
+    /// the runtime degrades to pass-through passes instead.
     fn step_inner(inner: &Arc<Inner>) {
         let mut monitor = inner.monitor.lock();
         if inner.degraded.load(Ordering::SeqCst) {
@@ -289,19 +287,17 @@ impl Runtime {
         }));
         if outcome.is_err() {
             Stats::bump(&inner.stats.monitor_restarts);
-            if Stats::get(&inner.stats.monitor_restarts)
-                > u64::from(inner.config.monitor_restart_budget)
-            {
+            if Stats::get(&inner.stats.monitor_restarts) > u64::from(MONITOR_RESTART_BUDGET) {
                 // Budget exhausted: stop resurrecting detection. Decisions
                 // stay sound against the last published match view; parked
                 // yielders must not wait forever on a monitor that will
                 // never break their starvation, so flip the degraded flag
-                // first, then wake every parker — waking threads re-park
-                // with the bounded degraded wait.
+                // first, then wake the parker of every record there is —
+                // waking threads re-park with the bounded degraded wait.
                 inner.degraded.store(true, Ordering::SeqCst);
                 inner.stats.degraded_mode.store(1, Ordering::SeqCst);
-                for t in 0..inner.parkers.len() {
-                    Self::wake_tid(inner, ThreadId(t as u64));
+                for (t, _) in inner.core.records() {
+                    Self::wake_tid(inner, t);
                 }
                 monitor.degraded_step(&inner.core);
             } else {
@@ -314,7 +310,7 @@ impl Runtime {
     }
 
     /// The calling OS thread's dense id in this runtime, registering it on
-    /// first use. `None` when `max_threads` registrations are live.
+    /// first use. `None` when [`MAX_THREADS`] registrations are live.
     pub fn current_thread(&self) -> Option<ThreadId> {
         let id = self.inner.runtime_id;
         REGISTRATIONS.with(|regs| {
@@ -351,22 +347,19 @@ impl Runtime {
     /// that stale read only makes `park_yield` see a moved epoch, return
     /// `Woken` at once and send the caller round to re-request.
     pub(crate) fn park_epoch(&self, t: ThreadId) -> u64 {
-        self.inner.parkers[t.0 as usize]
-            .epoch
-            .load(Ordering::Acquire)
+        self.inner.core.me(t).parker.epoch.load(Ordering::Acquire)
     }
 
     /// Parks the calling thread (which must be `t`) until a wake arrives
     /// (epoch moves past `epoch0`) or the max-yield bound expires.
     pub(crate) fn park_yield(&self, t: ThreadId, epoch0: u64) -> ParkOutcome {
-        let parker = &self.inner.parkers[t.0 as usize];
+        let parker = &self.inner.core.me(t).parker;
         let mut bound = self.inner.config.max_yield_duration;
         if self.inner.degraded.load(Ordering::Relaxed) {
             // No monitor will ever break this thread's starvation: cap the
             // park at the degraded fallback wait (tightening, never
             // loosening, the configured max-yield bound).
-            let cap = self.inner.config.degraded_yield_wait;
-            bound = Some(bound.map_or(cap, |d| d.min(cap)));
+            bound = Some(bound.map_or(DEGRADED_YIELD_WAIT, |d| d.min(DEGRADED_YIELD_WAIT)));
         }
         let deadline = bound.map(|d| Instant::now() + d);
         let mut held = parker.lock.lock();
@@ -400,14 +393,12 @@ impl Runtime {
     }
 
     fn wake_tid(inner: &Inner, t: ThreadId) {
-        let idx = t.0 as usize;
-        if idx >= inner.parkers.len() {
-            return;
-        }
-        let parker = &inner.parkers[idx];
-        let _held = parker.lock.lock();
-        parker.epoch.fetch_add(1, Ordering::Release);
-        parker.cv.notify_all();
+        let Some(me) = inner.core.record(t) else {
+            return; // no thread was ever given `t`
+        };
+        let _held = me.parker.lock.lock();
+        me.parker.epoch.fetch_add(1, Ordering::Release);
+        me.parker.cv.notify_all();
     }
 
     /// The avoidance engine (expert/simulator API).
@@ -441,7 +432,7 @@ impl Runtime {
     }
 
     /// Whether the runtime is in degraded pass-through mode (the monitor
-    /// exceeded `Config::monitor_restart_budget`). Degradation is one-way:
+    /// exceeded [`MONITOR_RESTART_BUDGET`]). Degradation is one-way:
     /// a restart of the process (with a working monitor) clears it.
     pub fn degraded(&self) -> bool {
         self.inner.degraded.load(Ordering::Relaxed)

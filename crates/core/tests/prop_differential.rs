@@ -443,16 +443,12 @@ fn run_differential_full(
     schedule: &[Step],
     scripts: [Vec<Action>; THREADS],
 ) -> Result<(Vec<bool>, StatsSnapshot), String> {
-    let config = || Config {
-        max_threads: 8,
-        ..Config::default()
-    };
-    let rt = Runtime::new(config()).unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     // The reference engine shares the runtime's history and interners, so
     // signature injection and stack ids line up exactly; nothing else
     // mutates the history (the monitor is never stepped here).
     let reference = ReferenceCore::new(
-        config(),
+        Config::default(),
         Arc::clone(rt.history()),
         Arc::clone(rt.stack_table()),
     );
@@ -658,16 +654,9 @@ fn yield_storm_wakes_every_yielder_in_lockstep() {
 /// once refuted zero-other-member candidates unconditionally.
 #[test]
 fn single_member_signature_yields_in_both_engines() {
-    let rt = Runtime::new(Config {
-        max_threads: 8,
-        ..Config::default()
-    })
-    .unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     let reference = ReferenceCore::new(
-        Config {
-            max_threads: 8,
-            ..Config::default()
-        },
+        Config::default(),
         Arc::clone(rt.history()),
         Arc::clone(rt.stack_table()),
     );
@@ -700,13 +689,9 @@ fn single_member_signature_yields_in_both_engines() {
 /// and fails here.
 #[test]
 fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
-    let config = || Config {
-        max_threads: 8,
-        ..Config::default()
-    };
-    let rt = Runtime::new(config()).unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     let reference = ReferenceCore::new(
-        config(),
+        Config::default(),
         Arc::clone(rt.history()),
         Arc::clone(rt.stack_table()),
     );
@@ -881,13 +866,9 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
 /// first build is fresh.
 #[test]
 fn pure_appends_past_the_first_builds_size_keep_extending() {
-    let config = || Config {
-        max_threads: 8,
-        ..Config::default()
-    };
-    let rt = Runtime::new(config()).unwrap();
+    let rt = Runtime::new(Config::default()).unwrap();
     let reference = ReferenceCore::new(
-        config(),
+        Config::default(),
         Arc::clone(rt.history()),
         Arc::clone(rt.stack_table()),
     );
@@ -991,4 +972,91 @@ fn empty_to_nonempty_transition_is_lockstep() {
         vec![true, true, true, false],
         "T1's second request must instantiate the injected signature"
     );
+}
+
+/// The engines agree across chunks of thread records. With 66 threads
+/// registered, ids 64 and 65 live in the second chunk. A holder there takes
+/// a lock through a path that a pure append then makes relevant, so only
+/// the extension's visit, walking both chunks, can bucket its entry. A
+/// yielder in the first chunk waits on it and is woken by its release. Then
+/// the same runs the other way round: a first-chunk holder wakes a
+/// second-chunk yielder.
+#[test]
+fn a_visit_and_a_wake_cross_chunks_of_thread_records_in_lockstep() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let reference = ReferenceCore::new(
+        Config::default(),
+        Arc::clone(rt.history()),
+        Arc::clone(rt.stack_table()),
+    );
+    let site =
+        |p: u32| rt.make_site(&[("caller", "chunks.rs", p), ("inner", "chunks.rs", 100 + p)]);
+    let add = |i: u32, j: u32| {
+        rt.history()
+            .add(
+                CycleKind::Deadlock,
+                vec![site(i).stack(), site(j).stack()],
+                2,
+            )
+            .expect("fresh signature")
+            .id
+    };
+    // Every request runs through both engines and must decide alike.
+    let request = |t: ThreadId, l: LockId, p: u32| -> Option<SigId> {
+        let s = site(p);
+        let a = <Runtime as Hooks>::request(&rt, t, l, s.frames(), s.stack());
+        let b = Hooks::request(&reference, t, l, s.frames(), s.stack());
+        assert_eq!(a, b, "engines disagree on site {p}");
+        if a.is_none() {
+            Hooks::acquired(&rt, t, l, s.stack());
+            Hooks::acquired(&reference, t, l, s.stack());
+        }
+        a
+    };
+    let release = |t: ThreadId, l: LockId| -> Vec<ThreadId> {
+        let a = Hooks::release(&rt, t, l);
+        assert_eq!(a, Hooks::release(&reference, t, l), "engines wake alike");
+        a
+    };
+    let threads: Vec<ThreadId> = (0..66)
+        .map(|_| {
+            let t = rt.core().register_thread().unwrap();
+            assert_eq!(reference.register_thread(), Some(t));
+            t
+        })
+        .collect();
+    let locks: Vec<LockId> = (0..4).map(|_| rt.new_lock_id()).collect();
+    let parked = || {
+        rt.core()
+            .parked_yielders()
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect::<Vec<_>>()
+    };
+
+    // Chunk 1 holds, chunk 0 yields.
+    let (first, second) = (threads[1], threads[65]);
+    let sig01 = add(0, 1);
+    assert_eq!(request(second, locks[0], 2), None, "log-only holder");
+    let sig23 = add(2, 3);
+    assert_eq!(
+        request(first, locks[1], 3),
+        Some(sig23),
+        "cover over the visited entry"
+    );
+    assert_eq!(parked(), vec![first]);
+    assert_eq!(release(second, locks[0]), vec![first]);
+    assert_eq!(request(first, locks[1], 3), None, "retried after the wake");
+    assert!(parked().is_empty());
+
+    // Chunk 0 holds, chunk 1 yields.
+    let (first, second) = (threads[0], threads[64]);
+    assert_eq!(request(first, locks[2], 0), None);
+    assert_eq!(request(second, locks[3], 1), Some(sig01));
+    assert_eq!(parked(), vec![second]);
+    assert_eq!(release(first, locks[2]), vec![second]);
+    assert_eq!(request(second, locks[3], 1), None);
+
+    let stats = rt.stats();
+    assert_eq!((stats.rebuilds_full, stats.rebuilds_delta), (1, 1));
 }

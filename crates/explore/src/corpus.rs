@@ -30,7 +30,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use dimmunix_core::Runtime;
+use dimmunix_core::{Config, Runtime};
 use dimmunix_threadsim::{Outcome, ReplayScheduler, Script, WaitEdge};
 
 use crate::scenario::Scenario;
@@ -96,7 +96,7 @@ impl Fixture {
     /// resulting deadlock as a fixture. Errors if the replay diverges or
     /// does not deadlock.
     pub fn mined(scenario: Scenario, schedule: Vec<usize>) -> Result<Fixture, String> {
-        let rt = Runtime::new(Scenario::small_config()).map_err(|e| format!("runtime: {e}"))?;
+        let rt = Runtime::new(Config::default()).map_err(|e| format!("runtime: {e}"))?;
         let mut sim = scenario.instantiate(&rt, Scenario::sim_config(100_000), false);
         let mut sched = ReplayScheduler::strict(schedule.iter().copied());
         let report = sim.run_with(&mut sched);

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dimmunix_core::Runtime;
+use dimmunix_core::{Config, Runtime};
 use dimmunix_threadsim::{Outcome, ReplayScheduler};
 
 use crate::dpor::{explore, Exploration, ExploreConfig};
@@ -69,7 +69,7 @@ pub fn mine_vaccine(
     max_steps: u64,
     path: &Path,
 ) -> Result<usize, String> {
-    let rt = Runtime::new(Scenario::small_config()).map_err(|e| format!("runtime: {e}"))?;
+    let rt = Runtime::new(Config::default()).map_err(|e| format!("runtime: {e}"))?;
     let mut sim = scenario.instantiate(&rt, Scenario::sim_config(max_steps), false);
     let mut sched = ReplayScheduler::strict(schedule.iter().copied());
     let report = sim.run_with(&mut sched);
@@ -103,7 +103,7 @@ pub fn mine_vaccine(
 /// Runs the full verify pipeline (see the module docs) for `scenario`.
 pub fn verify_scenario(scenario: &Scenario, config: &ExploreConfig) -> HarnessReport {
     let buggy = explore(scenario, config, || {
-        Runtime::new(Scenario::small_config()).expect("runtime")
+        Runtime::new(Config::default()).expect("runtime")
     });
     let mut violations = buggy.violations.clone();
     let mut immune = None;
@@ -116,7 +116,7 @@ pub fn verify_scenario(scenario: &Scenario, config: &ExploreConfig) -> HarnessRe
                 vaccine_sigs = sigs;
                 let errs: RefCell<Vec<String>> = RefCell::new(Vec::new());
                 let imm = explore(scenario, config, || {
-                    let rt = Runtime::new(Scenario::small_config()).expect("runtime");
+                    let rt = Runtime::new(Config::default()).expect("runtime");
                     if let Err(e) = rt.vaccinate(&path) {
                         errs.borrow_mut().push(format!("vaccinate: {e}"));
                     }

@@ -7,7 +7,7 @@
 //! [`Runtime`](dimmunix_core::Runtime), so the driver can build a fresh
 //! runtime (empty or vaccinated) for every schedule.
 
-use dimmunix_core::{Config, Runtime};
+use dimmunix_core::Runtime;
 use dimmunix_threadsim::{LockHandle, Script, Sim, SimConfig};
 
 /// One virtual thread of a scenario: a name and its straight-line script.
@@ -84,14 +84,6 @@ impl Scenario {
             sim.spawn(t.name, t.script.clone());
         }
         sim
-    }
-
-    /// A small runtime config for per-schedule throwaway runtimes.
-    pub fn small_config() -> Config {
-        Config {
-            max_threads: 8,
-            ..Config::default()
-        }
     }
 
     /// The simulator config exploration requires for determinism: the
@@ -251,6 +243,7 @@ pub mod scenarios {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dimmunix_core::Config;
     use dimmunix_threadsim::Outcome;
 
     #[test]
@@ -258,7 +251,7 @@ mod tests {
         let mut s = Scenario::new("solo");
         let a = s.lock("A");
         s.thread("T", Script::new().lock(a).compute(2).unlock(a));
-        let rt = Runtime::new(Scenario::small_config()).unwrap();
+        let rt = Runtime::new(Config::default()).unwrap();
         let mut sim = s.instantiate(&rt, Scenario::sim_config(10_000), true);
         let report = sim.run();
         assert_eq!(report.outcome, Outcome::Completed);

@@ -5,8 +5,8 @@
 //! deadlocks that stop reproducing, or vaccines that stop working — fails
 //! here before it ships.
 
-use dimmunix_core::Runtime;
-use dimmunix_explore::{default_corpus_dir, load_dir, mine_vaccine, ExpectedOutcome, Scenario};
+use dimmunix_core::{Config, Runtime};
+use dimmunix_explore::{default_corpus_dir, load_dir, mine_vaccine, ExpectedOutcome};
 
 #[test]
 fn corpus_fixtures_replay_and_vaccinate() {
@@ -26,7 +26,7 @@ fn corpus_fixtures_replay_and_vaccinate() {
         assert!(!fx.edges.is_empty(), "{}", path.display());
 
         // Fresh runtime: the schedule must reproduce the exact deadlock.
-        let rt = Runtime::new(Scenario::small_config()).expect("runtime");
+        let rt = Runtime::new(Config::default()).expect("runtime");
         fx.verify_fresh(&rt)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         drop(rt);
@@ -40,7 +40,7 @@ fn corpus_fixtures_replay_and_vaccinate() {
         ));
         mine_vaccine(&fx.scenario, &fx.schedule, 100_000, &vax)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let rt = Runtime::new(Scenario::small_config()).expect("runtime");
+        let rt = Runtime::new(Config::default()).expect("runtime");
         let sigs = rt.vaccinate(&vax).expect("vaccinate");
         assert!(sigs >= 1, "{}", path.display());
         fx.verify_immunized(&rt)

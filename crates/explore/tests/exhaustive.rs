@@ -2,14 +2,14 @@
 //! counts for the canonical AB/BA inversion, DPOR-vs-naive differential
 //! equivalence, and minimizer behaviour.
 
-use dimmunix_core::Runtime;
+use dimmunix_core::{Config, Runtime};
 use dimmunix_explore::corpus::edges_fingerprint;
 use dimmunix_explore::{
     explore, minimize, scenarios, Exploration, ExploreConfig, Pruning, Scenario,
 };
 
 fn fresh() -> Runtime {
-    Runtime::new(Scenario::small_config()).expect("runtime")
+    Runtime::new(Config::default()).expect("runtime")
 }
 
 fn run(s: &Scenario, pruning: Pruning) -> Exploration {

@@ -1,8 +1,8 @@
 //! Lock-free allocator of small integer slots.
 //!
 //! Every thread registered with the Dimmunix runtime claims a *slot* from a
-//! [`SlotAllocator`]; the slot is its dense thread id and indexes every
-//! per-thread array (held-lock stacks, event lanes, parkers). Releasing a
+//! [`SlotAllocator`]; the slot is its dense thread id and names its record
+//! (held-lock stack, parker) and its event lane. Releasing a
 //! slot and claiming it again is a release/acquire pair, so a slot's
 //! successive tenants never overlap.
 
@@ -27,11 +27,6 @@ impl SlotAllocator {
             words: (0..nwords).map(|_| AtomicU64::new(0)).collect(),
             capacity,
         }
-    }
-
-    /// Total number of slots managed.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Claims a free slot, or returns `None` if all are taken.

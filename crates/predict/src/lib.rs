@@ -29,7 +29,7 @@
 //! 2. **Enumerate** — cycle enumeration runs only through edges that
 //!    landed *inside* an SCC (every genuinely new cycle passes through
 //!    the edge that closed it), restricted to that component's members
-//!    and the `max_cycle_len` depth bound.
+//!    and the [`MAX_CYCLE_LEN`] depth bound.
 //! 3. **Feasibility-filter** — each enumerated lock cycle gets one
 //!    instance chosen per edge with pairwise-distinct threads and
 //!    pairwise-disjoint guard sets (gate-lock suppression), from the
@@ -72,6 +72,14 @@ use dimmunix_signature::StackId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
+/// Minimum number of edges (== threads) in a reported cycle: the classic
+/// two-lock inversion.
+pub const MIN_CYCLE_LEN: usize = 2;
+
+/// Maximum number of edges in a searched cycle; bounds the enumeration
+/// depth.
+pub const MAX_CYCLE_LEN: usize = 4;
+
 /// Tunables of the prediction subsystem.
 #[derive(Clone, Debug)]
 pub struct PredictionConfig {
@@ -79,12 +87,6 @@ pub struct PredictionConfig {
     /// by one process (the monitor stops archiving — but keeps counting —
     /// beyond it).
     pub max_predicted: usize,
-    /// Minimum number of edges (== threads) in a reported cycle. 2 is the
-    /// classic two-lock inversion.
-    pub min_cycle_len: usize,
-    /// Maximum number of edges in a searched cycle; bounds the
-    /// enumeration depth.
-    pub max_cycle_len: usize,
     /// Per-edge cap on stored ordering instances.
     pub max_instances_per_edge: usize,
     /// Global cap on stored ordering instances (graph memory bound).
@@ -108,8 +110,6 @@ impl Default for PredictionConfig {
     fn default() -> Self {
         Self {
             max_predicted: 128,
-            min_cycle_len: 2,
-            max_cycle_len: 4,
             max_instances_per_edge: 8,
             max_edge_instances: 1 << 16,
             pass_budget: 1 << 13,
@@ -486,7 +486,7 @@ impl Predictor {
             let next = top.0[top.1];
             top.1 += 1;
             if next == en.src {
-                if en.path.len() >= self.cfg.min_cycle_len {
+                if en.path.len() >= MIN_CYCLE_LEN {
                     self.try_emit(&en.path, budget, found);
                 }
                 continue;
@@ -495,7 +495,7 @@ impl Predictor {
             // retired, components split): revalidate membership live.
             if !self.scc.same_component(en.src, next)
                 || en.path.contains(&next)
-                || en.path.len() >= self.cfg.max_cycle_len
+                || en.path.len() >= MAX_CYCLE_LEN
             {
                 continue;
             }
@@ -685,28 +685,15 @@ mod tests {
     }
 
     #[test]
-    fn three_thread_cycle_and_min_len_filter() {
-        let mk = || {
-            let mut p = Predictor::new(PredictionConfig::default());
-            nested(&mut p, t(1), (l(1), s(1)), (l(2), s(12)));
-            nested(&mut p, t(2), (l(2), s(2)), (l(3), s(23)));
-            nested(&mut p, t(3), (l(3), s(3)), (l(1), s(31)));
-            p
-        };
-        let mut p = mk();
+    fn three_thread_cycle_is_predicted() {
+        let mut p = Predictor::new(PredictionConfig::default());
+        nested(&mut p, t(1), (l(1), s(1)), (l(2), s(12)));
+        nested(&mut p, t(2), (l(2), s(2)), (l(3), s(23)));
+        nested(&mut p, t(3), (l(3), s(3)), (l(1), s(31)));
         let cycles = p.pass();
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].threads, 3);
         assert_eq!(cycles[0].labels, vec![s(1), s(2), s(3)]);
-
-        let mut p4 = Predictor::new(PredictionConfig {
-            min_cycle_len: 4,
-            ..PredictionConfig::default()
-        });
-        nested(&mut p4, t(1), (l(1), s(1)), (l(2), s(12)));
-        nested(&mut p4, t(2), (l(2), s(2)), (l(3), s(23)));
-        nested(&mut p4, t(3), (l(3), s(3)), (l(1), s(31)));
-        assert!(p4.pass().is_empty(), "3-cycle below min_cycle_len = 4");
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //!
 //! The reference re-records the same events into its own edge/instance
 //! store (identical dedup rules), exhaustively enumerates every canonical
-//! simple lock cycle of length `min_cycle_len..=max_cycle_len`, and runs
+//! simple lock cycle of length `MIN_CYCLE_LEN..=MAX_CYCLE_LEN`, and runs
 //! the same first-fit feasibility assignment. The predictor — fed the
 //! identical trace and drained at the end — must produce exactly the same
 //! set of emitted label multisets and the same count of guard-suppressed
 //! cycles, no matter which merges, reorders, full-rebuild fallbacks or
 //! deferrals its incremental machinery went through along the way.
 
-use dimmunix_predict::{PredictionConfig, Predictor};
+use dimmunix_predict::{PredictionConfig, Predictor, MAX_CYCLE_LEN, MIN_CYCLE_LEN};
 use dimmunix_rag::{LockId, ThreadId};
 use dimmunix_signature::StackId;
 use proptest::prelude::*;
@@ -117,14 +117,14 @@ impl Reference {
     /// first, so each directed cycle is visited exactly once) and applies
     /// the feasibility filter. Returns `(emitted label multisets,
     /// guard-suppressed cycle count)`.
-    fn predict(&self, cfg: &PredictionConfig) -> (BTreeSet<Vec<StackId>>, u64) {
+    fn predict(&self) -> (BTreeSet<Vec<StackId>>, u64) {
         let mut emitted: BTreeSet<Vec<StackId>> = BTreeSet::new();
         let mut suppressed: BTreeSet<Vec<LockId>> = BTreeSet::new();
         let mut nodes: Vec<LockId> = self.edges.keys().copied().collect();
         nodes.sort_unstable();
         for &start in &nodes {
             let mut path = vec![start];
-            self.dfs(start, &mut path, cfg, &mut emitted, &mut suppressed);
+            self.dfs(start, &mut path, &mut emitted, &mut suppressed);
         }
         (emitted, suppressed.len() as u64)
     }
@@ -133,7 +133,6 @@ impl Reference {
         &self,
         start: LockId,
         path: &mut Vec<LockId>,
-        cfg: &PredictionConfig,
         emitted: &mut BTreeSet<Vec<StackId>>,
         suppressed: &mut BTreeSet<Vec<LockId>>,
     ) {
@@ -145,17 +144,17 @@ impl Reference {
         next.sort_unstable();
         for n in next {
             if n == start {
-                if path.len() >= cfg.min_cycle_len {
+                if path.len() >= MIN_CYCLE_LEN {
                     self.try_emit(path, emitted, suppressed);
                 }
                 continue;
             }
             // Canonical: only locks above the start, each visited once.
-            if n < start || path.contains(&n) || path.len() >= cfg.max_cycle_len {
+            if n < start || path.contains(&n) || path.len() >= MAX_CYCLE_LEN {
                 continue;
             }
             path.push(n);
-            self.dfs(start, path, cfg, emitted, suppressed);
+            self.dfs(start, path, emitted, suppressed);
             path.pop();
         }
     }
@@ -222,7 +221,7 @@ type SideOutcome = (BTreeSet<Vec<StackId>>, u64);
 
 /// Feeds the trace to both sides and drains the predictor completely.
 fn run_both(trace: &[Op], cfg: PredictionConfig) -> (SideOutcome, SideOutcome) {
-    let mut p = Predictor::new(cfg.clone());
+    let mut p = Predictor::new(cfg);
     let mut r = Reference::default();
     for op in trace {
         match *op {
@@ -261,7 +260,7 @@ fn run_both(trace: &[Op], cfg: PredictionConfig) -> (SideOutcome, SideOutcome) {
     assert!(!p.has_pending_work(), "drain loop failed to converge");
     let stats = p.stats();
     assert_eq!(stats.dropped, 0, "caps must not fire in the test universe");
-    ((predicted, stats.guard_suppressed), r.predict(&cfg))
+    ((predicted, stats.guard_suppressed), r.predict())
 }
 
 proptest! {

@@ -256,13 +256,13 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// Panics if the runtime's `max_threads` registrations are exhausted.
+    /// Panics if [`dimmunix_core::config::MAX_THREADS`] threads are registered.
     pub fn spawn(&mut self, name: &'static str, script: Script) {
         let tid = self
             .rt
             .core()
             .register_thread()
-            .expect("simulator thread registration failed: raise Config::max_threads");
+            .expect("simulator thread registration failed: MAX_THREADS threads are registered");
         if let Some(sh) = &mut self.shadow {
             let stid = sh
                 .core
