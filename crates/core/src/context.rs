@@ -57,10 +57,9 @@
 use crate::raw::LockSite;
 use crate::runtime::Runtime;
 use crate::stats::Stats;
-use dimmunix_signature::{FrameId, FrameTable, StackId};
+use dimmunix_signature::{FrameId, FrameTable, IdMap, StackId};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::panic::Location;
 use std::sync::Arc;
 
@@ -98,40 +97,6 @@ fn identity(frame: &RawFrame) -> FrameIdentity {
     )
 }
 
-/// Multiply-rotate hasher for the tree's maps. Their keys are node numbers
-/// and addresses of this process's own statics, so SipHash's resistance to
-/// chosen keys buys nothing here and costs most of a lookup.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-impl Hasher for IdentityHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the entropy in the high bits; the table
-        // indexes with the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type IdentityMap<K, V> = HashMap<K, V, BuildHasherDefault<IdentityHasher>>;
-
 /// A cached capture: one context, one lock call site, one frame table.
 struct Leaf {
     frames: Arc<[FrameId]>,
@@ -147,9 +112,9 @@ struct Context {
     /// than the stack.
     path: Vec<Node>,
     /// The tree's edges: `(context, next frame) → deeper context`.
-    children: IdentityMap<(Node, FrameIdentity), Node>,
+    children: IdMap<(Node, FrameIdentity), Node>,
     /// `(context, lock call site address, frame table id) → capture`.
-    leaves: IdentityMap<(Node, usize, u64), Leaf>,
+    leaves: IdMap<(Node, usize, u64), Leaf>,
 }
 
 thread_local! {
@@ -157,8 +122,8 @@ thread_local! {
         RefCell::new(Context {
             stack: Vec::new(),
             path: Vec::new(),
-            children: HashMap::with_hasher(BuildHasherDefault::new()),
-            leaves: HashMap::with_hasher(BuildHasherDefault::new()),
+            children: IdMap::with_hasher(BuildHasherDefault::new()),
+            leaves: IdMap::with_hasher(BuildHasherDefault::new()),
         })
     };
 }
@@ -167,8 +132,8 @@ impl Context {
     /// The leaf for the live context, `site` and `table`, grown on a miss.
     fn leaf(&mut self, table: &FrameTable, site: &'static Location<'static>) -> &mut Leaf {
         if self.children.len() + self.leaves.len() >= NODE_BUDGET {
-            self.children = HashMap::default();
-            self.leaves = HashMap::default();
+            self.children = IdMap::default();
+            self.leaves = IdMap::default();
             self.path.clear();
         }
         let mut node = self.path.last().copied().unwrap_or(ROOT);

@@ -70,9 +70,8 @@ use dimmunix_predict::Predictor;
 use dimmunix_rag::{LockId, Rag, ThreadId, YieldCause};
 use dimmunix_signature::{
     suffix_matches, CalibrationUpdate, CallStack, CycleKind, FrameTable, History, HistoryError,
-    Provenance, Signature, StackId, StackTable,
+    IdMap, IdSet, Provenance, Signature, StackId, StackTable,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Callback invoked with a detected cycle's signature and participants.
@@ -127,7 +126,7 @@ struct FpProbe {
     binding_frames: Vec<(CallStack, CallStack)>,
     yielder: ThreadId,
     contested: LockId,
-    participants: HashSet<ThreadId>,
+    participants: IdSet<ThreadId>,
     /// Locks held by participants when the probe opened (from the RAG).
     initial_holds: Vec<(ThreadId, LockId)>,
     /// Logged operations: `(thread, lock, is_acquire)`.
@@ -141,12 +140,11 @@ impl FpProbe {
     /// participants ordered some lock pair in opposite ways (the true-
     /// positive witness).
     fn has_inversion(&self) -> bool {
-        use std::collections::HashMap;
-        let mut held: HashMap<ThreadId, Vec<LockId>> = HashMap::new();
+        let mut held: IdMap<ThreadId, Vec<LockId>> = IdMap::default();
         for &(t, l) in &self.initial_holds {
             held.entry(t).or_default().push(l);
         }
-        let mut orders: HashMap<ThreadId, HashSet<(LockId, LockId)>> = HashMap::new();
+        let mut orders: IdMap<ThreadId, IdSet<(LockId, LockId)>> = IdMap::default();
         for &(t, l, acquire) in &self.ops {
             let h = held.entry(t).or_default();
             if acquire {
@@ -522,7 +520,7 @@ impl Monitor {
         let Some(sig) = self.history.get(info.sig) else {
             return;
         };
-        let mut participants: HashSet<ThreadId> = info.causes.iter().map(|c| c.thread).collect();
+        let mut participants: IdSet<ThreadId> = info.causes.iter().map(|c| c.thread).collect();
         participants.insert(yielder);
         let initial_holds = self.initial_holds(&participants, &info.causes);
         let binding_frames: Vec<(CallStack, CallStack)> = info
@@ -563,7 +561,7 @@ impl Monitor {
 
     fn initial_holds(
         &self,
-        participants: &HashSet<ThreadId>,
+        participants: &IdSet<ThreadId>,
         causes: &[YieldCause],
     ) -> Vec<(ThreadId, LockId)> {
         // The cause tuples name the locks that pin the yield; the RAG (even

@@ -15,8 +15,7 @@
 //! [`LockOrderGraph::remove_lock`]) run without scanning every edge map.
 
 use dimmunix_rag::{LockId, ThreadId};
-use dimmunix_signature::StackId;
-use std::collections::{HashMap, HashSet};
+use dimmunix_signature::{IdMap, IdSet, StackId};
 
 /// One observed establishment of a lock ordering.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,9 +49,9 @@ pub(crate) enum Recorded {
 /// The graph itself: `src → dst → instances`, plus the reverse index.
 #[derive(Clone, Default, Debug)]
 pub(crate) struct LockOrderGraph {
-    edges: HashMap<LockId, HashMap<LockId, Vec<EdgeInstance>>>,
-    preds: HashMap<LockId, HashSet<LockId>>,
-    nodes: HashSet<LockId>,
+    edges: IdMap<LockId, IdMap<LockId, Vec<EdgeInstance>>>,
+    preds: IdMap<LockId, IdSet<LockId>>,
+    nodes: IdSet<LockId>,
     instances: usize,
 }
 

@@ -68,9 +68,9 @@ use graph::{EdgeInstance, LockOrderGraph, Recorded};
 use scc::{Condensation, EdgeOutcome};
 
 use dimmunix_rag::{LockId, ThreadId};
-use dimmunix_signature::StackId;
+use dimmunix_signature::{IdMap, IdSet, StackId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Minimum number of edges (== threads) in a reported cycle: the classic
 /// two-lock inversion.
@@ -182,30 +182,30 @@ pub struct Predictor {
     scc: Condensation,
     /// Per-thread held multiset: `(lock, acquisition stack)` in acquisition
     /// order (reentrancy repeats the lock).
-    held: HashMap<ThreadId, Vec<(LockId, StackId)>>,
+    held: IdMap<ThreadId, Vec<(LockId, StackId)>>,
     /// Edges that landed inside an SCC and await cycle enumeration.
     dirty: VecDeque<(LockId, LockId)>,
-    dirty_set: HashSet<(LockId, LockId)>,
+    dirty_set: IdSet<(LockId, LockId)>,
     /// Enumeration paused by budget exhaustion, resumed next pass.
     pending: Option<Enumeration>,
     /// Label multisets already reported (prevents re-emission and
     /// re-searching known cycles every pass).
-    emitted: HashSet<Vec<StackId>>,
+    emitted: IdSet<Vec<StackId>>,
     /// Lock sets of cycles already counted as guard-suppressed, so the
     /// telemetry counts *distinct* suppressed cycles — not one event per
     /// rotation, dirty edge, or re-dirtying instance.
-    suppressed_cycles: HashSet<Vec<LockId>>,
+    suppressed_cycles: IdSet<Vec<LockId>>,
     /// Monotonic pass counter — the aging clock.
     pass_tick: u64,
     /// Last pass at which each lock was held, released, or recorded an
     /// ordering.
-    last_active: HashMap<LockId, u64>,
+    last_active: IdMap<LockId, u64>,
     /// How many times each lock is currently held across all threads.
-    held_count: HashMap<LockId, usize>,
+    held_count: IdMap<LockId, usize>,
     /// Aging probes: `(due pass, lock)`, lazily revalidated on pop.
     retire_queue: BinaryHeap<Reverse<(u64, LockId)>>,
     /// Locks with a live probe in `retire_queue`.
-    retire_queued: HashSet<LockId>,
+    retire_queued: IdSet<LockId>,
     cycles_predicted: u64,
     guard_suppressed: u64,
     dropped: u64,
@@ -220,17 +220,17 @@ impl Predictor {
             cfg,
             graph: LockOrderGraph::default(),
             scc: Condensation::default(),
-            held: HashMap::new(),
+            held: IdMap::default(),
             dirty: VecDeque::new(),
-            dirty_set: HashSet::new(),
+            dirty_set: IdSet::default(),
             pending: None,
-            emitted: HashSet::new(),
-            suppressed_cycles: HashSet::new(),
+            emitted: IdSet::default(),
+            suppressed_cycles: IdSet::default(),
             pass_tick: 0,
-            last_active: HashMap::new(),
-            held_count: HashMap::new(),
+            last_active: IdMap::default(),
+            held_count: IdMap::default(),
             retire_queue: BinaryHeap::new(),
-            retire_queued: HashSet::new(),
+            retire_queued: IdSet::default(),
             cycles_predicted: 0,
             guard_suppressed: 0,
             dropped: 0,

@@ -51,7 +51,8 @@
 
 use crate::graph::LockOrderGraph;
 use dimmunix_rag::LockId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use dimmunix_signature::{IdMap, IdSet};
+use std::collections::BTreeSet;
 
 /// Identifier of one condensation component.
 type CompId = u32;
@@ -83,8 +84,8 @@ pub(crate) enum EdgeOutcome {
 /// The condensation DAG: lock → component, component → topological order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Condensation {
-    comp: HashMap<LockId, CompId>,
-    comps: HashMap<CompId, Component>,
+    comp: IdMap<LockId, CompId>,
+    comps: IdMap<CompId, Component>,
     /// Order values currently in use (gap queries for insertions/splits).
     orders: BTreeSet<u64>,
     next_id: CompId,
@@ -244,7 +245,7 @@ impl Condensation {
             };
         };
         if fwd.contains(&cu) {
-            let merged: HashSet<CompId> = fwd.intersection(&bwd).copied().collect();
+            let merged: IdSet<CompId> = fwd.intersection(&bwd).copied().collect();
             self.restructure(&fwd, &bwd, Some(&merged));
             self.merges += 1;
             EdgeOutcome::Merged
@@ -264,8 +265,8 @@ impl Condensation {
         hi: u64,
         dir: Direction,
         budget: &mut usize,
-    ) -> Option<HashSet<CompId>> {
-        let mut seen: HashSet<CompId> = HashSet::new();
+    ) -> Option<IdSet<CompId>> {
+        let mut seen: IdSet<CompId> = IdSet::default();
         seen.insert(start);
         let mut stack = vec![start];
         while let Some(c) = stack.pop() {
@@ -298,11 +299,11 @@ impl Condensation {
     /// the soundness argument.
     fn restructure(
         &mut self,
-        fwd: &HashSet<CompId>,
-        bwd: &HashSet<CompId>,
-        merged: Option<&HashSet<CompId>>,
+        fwd: &IdSet<CompId>,
+        bwd: &IdSet<CompId>,
+        merged: Option<&IdSet<CompId>>,
     ) {
-        let empty = HashSet::new();
+        let empty = IdSet::default();
         let m = merged.unwrap_or(&empty);
         // Pool of order values owned by the affected region.
         let mut pool: Vec<u64> = fwd
@@ -504,23 +505,24 @@ enum Direction {
 /// ignored). Returns SCCs in emission order — reverse topological.
 fn tarjan_restricted(graph: &LockOrderGraph, nodes: &[LockId]) -> Vec<Vec<LockId>> {
     struct State {
-        index: HashMap<LockId, u32>,
-        lowlink: HashMap<LockId, u32>,
-        on_stack: HashSet<LockId>,
+        index: IdMap<LockId, u32>,
+        lowlink: IdMap<LockId, u32>,
+        on_stack: IdSet<LockId>,
         stack: Vec<LockId>,
         next: u32,
         out: Vec<Vec<LockId>>,
     }
-    let allowed: HashSet<LockId> = nodes.iter().copied().collect();
+    let allowed: IdSet<LockId> = nodes.iter().copied().collect();
     let mut st = State {
-        index: HashMap::new(),
-        lowlink: HashMap::new(),
-        on_stack: HashSet::new(),
+        index: IdMap::default(),
+        lowlink: IdMap::default(),
+        on_stack: IdSet::default(),
         stack: Vec::new(),
         next: 0,
         out: Vec::new(),
     };
-    // Deterministic visit order (HashMap iteration is not).
+    // Visit in id order: map iteration follows hash order, not insertion
+    // or id order, and SCC emission order must not depend on it.
     let mut roots: Vec<LockId> = nodes.to_vec();
     roots.sort_unstable();
     for &root in &roots {
@@ -788,7 +790,7 @@ mod tests {
             // Membership must agree with batch Tarjan over the live nodes.
             let nodes: Vec<LockId> = scc.comp.keys().copied().collect();
             let batch = tarjan_restricted(&g, &nodes);
-            let mut expect: HashMap<LockId, usize> = HashMap::new();
+            let mut expect: IdMap<LockId, usize> = IdMap::default();
             for (i, sub) in batch.iter().enumerate() {
                 for &m in sub {
                     expect.insert(m, i);

@@ -1,8 +1,8 @@
 //! The resource allocation graph and its two cycle detectors.
 
 use crate::ids::{LockId, ThreadId};
-use dimmunix_signature::StackId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use dimmunix_signature::{IdMap, IdSet, StackId};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Whether a thread's outstanding wait is a tentative `request` (yield in
@@ -56,7 +56,7 @@ struct LockNode {
     /// For a mutex all entries share one holder thread.
     holders: Vec<(ThreadId, StackId)>,
     /// Threads with a request/allow edge on this lock.
-    waiters: HashSet<ThreadId>,
+    waiters: IdSet<ThreadId>,
 }
 
 /// A deadlock cycle found in the RAG: a cycle made up exclusively of hold,
@@ -123,11 +123,11 @@ pub struct RagStats {
 /// mark agrees (the equivalence the fused [`Rag::on_granted`] is tested to).
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Rag {
-    threads: HashMap<ThreadId, ThreadNode>,
-    locks: HashMap<LockId, LockNode>,
+    threads: IdMap<ThreadId, ThreadNode>,
+    locks: IdMap<LockId, LockNode>,
     /// Threads whose outgoing edges changed since the last detection pass;
     /// new cycles must involve at least one of them.
-    dirty: HashSet<ThreadId>,
+    dirty: IdSet<ThreadId>,
 }
 
 impl Rag {
@@ -295,13 +295,13 @@ impl Rag {
         let dirty: Vec<ThreadId> = self.dirty.drain().collect();
         let mut cycles = Vec::new();
         // Gray = position on the current path; Black = fully explored.
-        let mut black: HashSet<ThreadId> = HashSet::new();
+        let mut black: IdSet<ThreadId> = IdSet::default();
         for start in dirty {
             if black.contains(&start) || !self.threads.contains_key(&start) {
                 continue;
             }
             let mut path: Vec<(ThreadId, LockId, StackId)> = Vec::new();
-            let mut on_path: HashMap<ThreadId, usize> = HashMap::new();
+            let mut on_path: IdMap<ThreadId, usize> = IdMap::default();
             let mut cur = start;
             loop {
                 if black.contains(&cur) {
@@ -356,7 +356,7 @@ impl Rag {
     /// [`Rag::find_deadlock_cycles`].)
     pub fn find_yield_cycles(&self) -> Vec<YieldCycle> {
         // Candidate stuck set.
-        let mut stuck: HashSet<ThreadId> = self
+        let mut stuck: IdSet<ThreadId> = self
             .threads
             .iter()
             .filter(|(_, n)| n.waiting.is_some() || !n.yields.is_empty())
@@ -421,14 +421,14 @@ impl Rag {
 
         // Partition the stuck set into connected components over stuck-to-
         // stuck dependency edges, collecting labels as we go.
-        let mut remaining: HashSet<ThreadId> = stuck.clone();
+        let mut remaining: IdSet<ThreadId> = stuck.clone();
         let mut out = Vec::new();
         while let Some(&seed) = remaining.iter().next() {
             let mut component = Vec::new();
             let mut labels = Vec::new();
             let mut has_yield_edge = false;
             let mut work = vec![seed];
-            let mut seen: HashSet<ThreadId> = HashSet::new();
+            let mut seen: IdSet<ThreadId> = IdSet::default();
             seen.insert(seed);
             while let Some(t) = work.pop() {
                 remaining.remove(&t);

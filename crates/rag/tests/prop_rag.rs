@@ -24,6 +24,38 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
+/// Arbitrary (even ill-formed) event streams: `(op, thread, lock)`, applied
+/// by [`apply`].
+fn arb_events() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+    prop::collection::vec((0_u8..7, 0_u8..4, 0_u8..4), 0..200)
+}
+
+/// Applies one event of [`arb_events`]. Each edge is labelled by its
+/// `(thread, lock)` pair, so cycles through different edges carry different
+/// labels; a yield names the next thread's hold on the next lock as cause.
+fn apply(rag: &mut Rag, (op, t, l): (u8, u8, u8)) {
+    let label = |t: u8, l: u8| StackId(u32::from(t) * 4 + u32::from(l));
+    let s = label(t, l);
+    let (tid, lid) = (ThreadId(t.into()), LockId(l.into()));
+    match op {
+        0 => rag.on_request(tid, lid, s),
+        1 => rag.on_go(tid, lid, s),
+        2 => rag.on_acquired(tid, lid, s),
+        3 => rag.on_release(tid, lid),
+        4 => rag.on_granted(tid, lid, s),
+        5 => rag.on_cancel(tid, lid),
+        _ => {
+            let (ct, cl) = ((t + 1) % 4, (l + 1) % 4);
+            let cause = YieldCause {
+                thread: ThreadId(ct.into()),
+                lock: LockId(cl.into()),
+                stack: label(ct, cl),
+            };
+            rag.on_yield(tid, lid, s, vec![cause]);
+        }
+    }
+}
+
 proptest! {
     /// §5.7: "Dimmunix never adds a false deadlock to the history." With
     /// globally ordered acquisition there is no deadlock, so the detector
@@ -147,19 +179,10 @@ proptest! {
     /// Arbitrary (even ill-formed) event sequences never panic the graph,
     /// and stats stay self-consistent.
     #[test]
-    fn arbitrary_events_never_panic(ops in prop::collection::vec((0_u8..6, 0_u8..4, 0_u8..4), 0..200)) {
+    fn arbitrary_events_never_panic(ops in arb_events()) {
         let mut rag = Rag::new();
-        for (op, t, l) in ops {
-            let t = ThreadId(t.into());
-            let l = LockId(l.into());
-            match op {
-                0 => rag.on_request(t, l, S),
-                1 => rag.on_go(t, l, S),
-                2 => rag.on_acquired(t, l, S),
-                3 => rag.on_release(t, l),
-                4 => rag.on_granted(t, l, S),
-                _ => rag.on_cancel(t, l),
-            }
+        for op in ops {
+            apply(&mut rag, op);
             let _ = rag.find_deadlock_cycles();
             let _ = rag.find_yield_cycles();
             let stats = rag.stats();
@@ -174,5 +197,27 @@ proptest! {
         prop_assert_eq!(stats.hold_edges, 0);
         prop_assert_eq!(stats.wait_edges, 0);
         prop_assert_eq!(stats.yield_edges, 0);
+    }
+
+    /// Two graphs fed the same event stream report the same cycles in the
+    /// same order, down to the order of each cycle's threads and labels. The
+    /// monitor saves signatures and calls hooks in report order, so one
+    /// schedule must do both in one order in every process: no map behind
+    /// detection may be seeded per instance.
+    #[test]
+    fn same_events_report_cycles_in_one_order(ops in arb_events()) {
+        let (mut a, mut b) = (Rag::new(), Rag::new());
+        for op in ops {
+            apply(&mut a, op);
+            apply(&mut b, op);
+            prop_assert_eq!(
+                format!("{:?}", a.find_deadlock_cycles()),
+                format!("{:?}", b.find_deadlock_cycles())
+            );
+            prop_assert_eq!(
+                format!("{:?}", a.find_yield_cycles()),
+                format!("{:?}", b.find_yield_cycles())
+            );
+        }
     }
 }

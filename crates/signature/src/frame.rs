@@ -100,6 +100,8 @@ impl<'a> Borrow<dyn FrameKey + 'a> for Frame {
 #[derive(Default)]
 struct Inner {
     frames: Vec<Frame>,
+    /// SipHash, unlike every id-keyed map: the function and file strings
+    /// are read from history files, so an outsider chooses them.
     by_frame: HashMap<Frame, FrameId>,
 }
 

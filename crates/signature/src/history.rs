@@ -36,10 +36,11 @@
 //! always saved as v2.
 
 use crate::frame::FrameTable;
+use crate::id_hash::IdSet;
 use crate::signature::{CycleKind, Provenance, SigId, Signature};
 use crate::stack::{StackId, StackTable};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -161,7 +162,7 @@ struct Sigs {
     list: Arc<Vec<Arc<Signature>>>,
     /// The sorted stack multiset of every listed signature, so the
     /// duplicate test of an add does not scan the list.
-    members: HashSet<Box<[StackId]>>,
+    members: IdSet<Box<[StackId]>>,
 }
 
 impl History {

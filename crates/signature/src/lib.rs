@@ -21,6 +21,8 @@
 //!   reload and merge ("patching a program without restarting it", §8);
 //! * [`match_index`] — an optional suffix-hash index accelerating the
 //!   per-`request` signature search;
+//! * [`IdHasher`] — the one hasher for every map and set keyed by ids this
+//!   process hands out;
 //! * [`calibration`] — the matching-depth calibration state machine
 //!   (NA = 20 avoidances per depth, recalibration after NT = 10⁴, §5.5).
 
@@ -31,6 +33,7 @@ pub mod calibration;
 pub mod crc;
 pub mod frame;
 pub mod history;
+mod id_hash;
 pub mod match_index;
 pub mod signature;
 pub mod stack;
@@ -38,6 +41,7 @@ pub mod stack;
 pub use calibration::{CalibrationConfig, CalibrationState, CalibrationUpdate, Phase};
 pub use frame::{Frame, FrameId, FrameTable};
 pub use history::{History, HistoryDelta, HistoryError, HistoryRecovery};
+pub use id_hash::{IdHasher, IdMap, IdSet};
 pub use match_index::{BucketLayout, Candidate, CandidateSet, CoverKeys, MatchIndex, MemberKey};
 pub use signature::{CycleKind, Provenance, SigId, Signature};
 pub use stack::{suffix_matches, suffix_of, CallStack, StackId, StackTable};

@@ -28,10 +28,9 @@
 
 use crate::frame::FrameId;
 use crate::history::History;
+use crate::id_hash::IdMap;
 use crate::signature::Signature;
 use crate::stack::{suffix_of, StackId, StackTable};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One signature member's precomputed bucket key: the member stack, its
@@ -96,50 +95,8 @@ impl CoverKeys {
     }
 }
 
-/// Multiply-rotate hasher for suffix keys (the FxHash recurrence). The keys
-/// are slices of [`FrameId`]s — small dense integers this process's own
-/// [`crate::FrameTable`] handed out, never bytes an outsider chose — so
-/// SipHash's resistance to crafted collisions protects nothing here, and it
-/// was two thirds of the cost of a look-up.
-#[derive(Default)]
-struct SuffixHasher(u64);
-
-impl SuffixHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for SuffixHasher {
-    /// Not on the key path (a `[FrameId]` hashes as a length and `u32`s);
-    /// here so that any other key type still hashes all of its bytes.
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.mix(u64::from(byte));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, word: u32) {
-        self.mix(u64::from(word));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, len: usize) {
-        self.mix(len as u64);
-    }
-
-    /// The multiply leaves its best-mixed bits at the top; the table takes
-    /// its bucket index from the bottom.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// One depth layer of a [`BucketLayout`]: `suffix → dense slot`.
-type SlotMap = HashMap<Box<[FrameId]>, u32, BuildHasherDefault<SuffixHasher>>;
+type SlotMap = IdMap<Box<[FrameId]>, u32>;
 
 /// Dense bucket-slot directory of one history generation: every distinct
 /// `(depth, suffix)` key across the enabled signatures' members gets one

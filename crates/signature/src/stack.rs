@@ -8,8 +8,8 @@
 //! deadlock" (§3 of the paper).
 
 use crate::frame::FrameId;
+use crate::id_hash::IdMap;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ pub fn suffix_matches(a: &[FrameId], b: &[FrameId], depth: usize) -> bool {
 #[derive(Default)]
 struct Inner {
     stacks: Vec<CallStack>,
-    by_stack: HashMap<CallStack, StackId>,
+    by_stack: IdMap<CallStack, StackId>,
 }
 
 /// Thread-safe interner mapping call stacks to dense [`StackId`]s.
