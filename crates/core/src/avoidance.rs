@@ -42,7 +42,7 @@
 //! * events flow to the monitor over per-thread SPSC lanes
 //!   ([`crate::lanes::EventLanes`]) instead of the paper's one contended
 //!   MPSC tail, and only the events the monitor's RAG needs: two per
-//!   uncontended pair.
+//!   uncontended pair, and none for a lone one (a quiet hold).
 //!
 //! # What the monitor is told: a GO is published only if the thread waits
 //!
@@ -65,6 +65,9 @@
 //!   plain `Go` first, so at most one grant is ever pending and none is
 //!   dropped.
 //!
+//! A grant that may need no event at all is marked quiet; `acquired` turns
+//! it into a quiet hold instead of publishing the `Granted` (below).
+//!
 //! **A blocked thread has always published its allow edge.** Deadlock
 //! detection needs, for every thread stuck inside a mutex, the allow edge
 //! `T → L` and the hold edge `L → holder` in the RAG. The lock types call
@@ -83,6 +86,56 @@
 //! the `Go` was pushed, and lanes promise no cross-thread order — and the
 //! monitor treats a yield edge whose cause it cannot see yet as not pinned
 //! (`Rag::find_yield_cycles`), the safe direction.
+//!
+//! # Quiet holds: a pair no one waits for publishes nothing
+//!
+//! The monitor needs a hold edge only where it can close a cycle or answer
+//! a waiter's "waiting for whom" (§5.2). A lock taken by a thread that
+//! holds nothing, on a stack that hits no member bucket, can do neither
+//! until someone waits for it: its thread waits for nothing, no cover can
+//! name the entry as a cause, and a thread that goes on to block publishes
+//! its holds first. So:
+//!
+//! * `request` marks such a GO quiet — in the branch that already found the
+//!   stack's resolution empty and holds the thread's log, which must be
+//!   empty, with no yield registration whose edges the monitor still draws.
+//!   Instrumentation-only mode keeps no log and never marks one;
+//! * `acquired` on a quiet grant pushes nothing. It leaves the grant's lock
+//!   and stack where `defer_go` wrote them and stores the thread's next
+//!   hold number, with `QUIET_HELD`, in `ThreadSlot::quiet` (`Release`);
+//! * that lock's `release` takes the word with one swap. A hold still
+//!   unclaimed ends unseen: the release pushes nothing and counts the
+//!   pair's four outcomes as one `quiet_pairs`;
+//! * every other hook that finds a quiet hold (a nested `request`,
+//!   `force_go`, `acquired_reentrant`, `waiting` / `acquired` / `cancel` of
+//!   another lock, the exit sweep) takes it and publishes it first, as the
+//!   `Granted` it stands in for. Everything else publishes what it did.
+//!
+//! **The monitor claims a hold only when someone waits.** After each drain
+//! it looks for locks that a thread in its RAG waits for and no thread
+//! holds, and claims the quiet hold of each (`AvoidanceCore::claim_quiet`):
+//! it reads the hold word (`Acquire`), then the lock and stack, checks that
+//! the holder's lane is drained, and CASes `QUIET_CLAIMED` into the word.
+//! It then draws the hold edge as that `Granted` would have, and retires
+//! the grant's three outcomes. The holder's swap sees the claim, and the
+//! release publishes a plain `Release`. Three facts make the claim exact:
+//!
+//! * **The lock and stack are the hold's.** The owner rewrites them only in
+//!   `defer_go`, after taking the word. The hold number is unique, so a CAS
+//!   that succeeds proves the word was not taken between the read and the
+//!   CAS, and reads made before a CAS the owner's later swap reads from
+//!   cannot see the owner's later writes.
+//! * **The edge lands in the holder's event order.** Every event the holder
+//!   pushed before the hold happens-before the word store the claim read,
+//!   so a drained lane means they are all applied; while the hold is in
+//!   force the holder pushes nothing, since every hook that pushes takes
+//!   the word first. A lane with events left defers the claim to the next
+//!   pass, after the drain. Without that check a stale edge of the holder's
+//!   — an allow edge whose `Acquired` was still queued — could close a
+//!   false cycle through the new hold edge.
+//! * **No stale edge.** A claimed hold's release always publishes its
+//!   `Release`, so the graph ends equal to a replay of the events the pair
+//!   would have published unclaimed.
 //!
 //! # Fast-path gating: a grant resolves its stack once
 //!
@@ -649,25 +702,50 @@ pub(crate) struct ThreadSlot {
     /// one), and a slot changes hands only through the slot allocator,
     /// after the exit sweep left `grant` at 0 — so relaxed loads and stores
     /// do.
+    ///
+    /// [`GRANT_QUIET`] beside the count marks a grant that becomes a quiet
+    /// hold if the lock is free.
     grant: AtomicU8,
     grant_lock: AtomicU64,
     grant_stack: AtomicU32,
+    /// The thread's **quiet hold** (module docs, "Quiet holds"): the hold's
+    /// number in the bits above [`QUIET_STATE`], with [`QUIET_HELD`] while
+    /// one is in force and [`QUIET_CLAIMED`] once the monitor drew its hold
+    /// edge. The lock and stack are the grant's, still in `grant_lock` /
+    /// `grant_stack`, which no hook rewrites before taking the hold. Written
+    /// by the owner alone, except for the monitor's one claim CAS.
+    quiet: AtomicU64,
 }
+
+/// [`ThreadSlot::grant`] flag: the GO was granted on a stack that hits no
+/// member bucket to a thread holding nothing, so its pair needs no event.
+const GRANT_QUIET: u8 = 4;
+/// [`ThreadSlot::quiet`] bit: a quiet hold is in force.
+const QUIET_HELD: u64 = 1;
+/// [`ThreadSlot::quiet`] bit: the monitor claimed the hold and drew its edge.
+const QUIET_CLAIMED: u64 = 2;
+/// The state bits of [`ThreadSlot::quiet`]; the hold number counts above
+/// them, one step per hold, so no two holds of one thread share a word.
+const QUIET_STATE: u64 = QUIET_HELD | QUIET_CLAIMED;
 
 impl ThreadSlot {
     /// Remembers a GO instead of publishing it: `outcomes` is what the
     /// eventual event must account for (2 = the `request` and its GO, 1 =
-    /// the GO alone). Every caller has published any earlier grant.
+    /// the GO alone), possibly with [`GRANT_QUIET`]. Every caller has
+    /// published any earlier grant and taken any quiet hold, whose lock and
+    /// stack these fields still were.
     fn defer_go(&self, l: LockId, stack: StackId, outcomes: u8) {
         debug_assert_eq!(self.grant.load(Ordering::Relaxed), 0);
+        debug_assert_eq!(self.quiet.load(Ordering::Relaxed) & QUIET_HELD, 0);
         self.grant_lock.store(l.0, Ordering::Relaxed);
         self.grant_stack.store(stack.0, Ordering::Relaxed);
         self.grant.store(outcomes, Ordering::Relaxed);
     }
 
-    /// Takes the unpublished grant, if there is one: what was granted and
-    /// its counted outcomes (as wide as the events carry them).
-    fn take_pending(&self) -> Option<(LockId, StackId, u32)> {
+    /// Takes the unpublished grant, if there is one: what was granted, its
+    /// counted outcomes (as wide as the events carry them) and whether it
+    /// may become a quiet hold.
+    fn take_pending(&self) -> Option<(LockId, StackId, u32, bool)> {
         let grant = self.grant.load(Ordering::Relaxed);
         if grant == 0 {
             return None;
@@ -675,7 +753,67 @@ impl ThreadSlot {
         self.grant.store(0, Ordering::Relaxed);
         let l = LockId(self.grant_lock.load(Ordering::Relaxed));
         let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
-        Some((l, stack, grant.into()))
+        let quiet = grant & GRANT_QUIET != 0;
+        Some((l, stack, (grant & !GRANT_QUIET).into(), quiet))
+    }
+
+    /// Makes the grant just taken a quiet hold. Its lock and stack stay in
+    /// `grant_lock` / `grant_stack`; the `Release` store of the next hold
+    /// number publishes them to the monitor's claim.
+    fn hold_quietly(&self) {
+        let next = (self.quiet.load(Ordering::Relaxed) | QUIET_STATE) + 1;
+        self.quiet.store(next | QUIET_HELD, Ordering::Release);
+    }
+
+    /// Takes the quiet hold, if there is one: its lock and stack, and
+    /// whether the monitor claimed it. The swap is the one read-modify-write
+    /// of a quiet pair: the monitor may set [`QUIET_CLAIMED`] up to the
+    /// instant it lands.
+    fn take_quiet(&self) -> Option<(LockId, StackId, bool)> {
+        let word = self.quiet.load(Ordering::Relaxed);
+        if word & QUIET_HELD == 0 {
+            return None;
+        }
+        let l = LockId(self.grant_lock.load(Ordering::Relaxed));
+        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
+        let was = self.quiet.swap(word & !QUIET_STATE, Ordering::AcqRel);
+        Some((l, stack, was & QUIET_CLAIMED != 0))
+    }
+
+    /// The monitor's claim of this thread's quiet hold, if it holds one of
+    /// `locks` and `drained` says its lane has nothing left to apply: the
+    /// hold's lock and stack (module docs, "Quiet holds"). Both are read
+    /// before the CAS — after it the owner may release and grant again —
+    /// and the CAS succeeding proves they were this hold's: the hold number
+    /// is unique, and the owner rewrites them only after taking the word.
+    fn claim_quiet(
+        &self,
+        locks: &[LockId],
+        drained: impl FnOnce() -> bool,
+    ) -> Option<(LockId, StackId)> {
+        let word = self.quiet.load(Ordering::Acquire);
+        if word & QUIET_STATE != QUIET_HELD {
+            return None;
+        }
+        let l = LockId(self.grant_lock.load(Ordering::Relaxed));
+        if !locks.contains(&l) {
+            return None;
+        }
+        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
+        // Every event the thread pushed before this hold happens-before the
+        // word just read, so the lane check sees them all.
+        if !drained() {
+            return None;
+        }
+        self.quiet
+            .compare_exchange(
+                word,
+                word | QUIET_CLAIMED,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            )
+            .ok()?;
+        Some((l, stack))
     }
 
     /// Retracts this thread's yield registration: one epoch bump
@@ -946,6 +1084,7 @@ impl AvoidanceCore {
 
         let full = self.config.mode == RuntimeMode::Full;
         let mut validation_failures = 0_u32;
+        let mut outcomes = 2;
         let instance = loop {
             let was_yielding = me.in_yielding.load(Ordering::Relaxed);
             let mut resolved = Resolved::default();
@@ -953,7 +1092,12 @@ impl AvoidanceCore {
             if resolved.len == 0 {
                 // Cover impossible: the suffix hits no member bucket, so the
                 // decision is GO and the entry stays in the private log — no
-                // shared state touched (beyond yield cleanup).
+                // shared state touched (beyond yield cleanup). A thread that
+                // holds nothing and has no yield edge to clear gets a grant
+                // that may become a quiet hold (module docs).
+                if log.entries.is_empty() && !was_yielding {
+                    outcomes |= GRANT_QUIET;
+                }
                 Self::record_go(log, &[], was_yielding, me, t, l, stack);
                 break None;
             }
@@ -1010,7 +1154,7 @@ impl AvoidanceCore {
             None => {
                 me.clear_yield_state();
                 Stats::bump(&self.stats.hot(slot).gos);
-                me.defer_go(l, stack, 2);
+                me.defer_go(l, stack, outcomes);
                 Decision::Go
             }
             Some(inst) => {
@@ -1055,29 +1199,64 @@ impl AvoidanceCore {
         me.defer_go(l, stack, 1);
     }
 
-    /// Publishes the unpublished grant, if there is one, as a plain `Go`:
-    /// what every hook other than the grant's own `waiting` / `acquired` /
-    /// `cancel` does first, so at most one grant is ever pending.
+    /// Publishes the quiet hold and the unpublished grant, whichever there
+    /// is, as a `Granted` and a plain `Go`: what every hook other than the
+    /// grant's own `waiting` / `acquired` / `cancel` and the hold's own
+    /// `release` does first, so at most one of them is ever pending and
+    /// none is dropped.
     fn publish_grant(&self, me: &ThreadSlot, t: ThreadId) {
-        if let Some((l, stack, grant)) = me.take_pending() {
+        self.end_quiet(me, t, None);
+        if let Some((l, stack, grant, _)) = me.take_pending() {
             self.lanes
                 .push(t.0 as usize, Event::Go { t, l, stack, grant });
         }
     }
 
+    /// Takes the quiet hold, if there is one. A hold of `releasing` the
+    /// monitor never claimed ends unseen (`true`: its `release` retires the
+    /// pair); any other unclaimed hold is published as the `Granted` it
+    /// stands in for. A claimed hold's edge is already drawn.
+    fn end_quiet(&self, me: &ThreadSlot, t: ThreadId, releasing: Option<LockId>) -> bool {
+        match me.take_quiet() {
+            Some((l, _, false)) if Some(l) == releasing => true,
+            Some((l, stack, false)) => {
+                let grant = 2;
+                self.lanes
+                    .push(t.0 as usize, Event::Granted { t, l, stack, grant });
+                false
+            }
+            _ => false,
+        }
+    }
+
+    /// The monitor's claims: every quiet hold of one of `locks` whose
+    /// thread's lane the caller has drained, with its thread, lock and
+    /// stack (module docs, "Quiet holds"). Only the lanes' consumer may
+    /// call this — the lane check is a consumer's read.
+    pub(crate) fn claim_quiet(&self, locks: &[LockId]) -> Vec<(ThreadId, LockId, StackId)> {
+        let claim = |(t, me): (ThreadId, &ThreadSlot)| {
+            let drained = || self.lanes.is_drained(t.0 as usize);
+            let (l, stack) = me.claim_quiet(locks, drained)?;
+            Some((t, l, stack))
+        };
+        self.records().filter_map(claim).collect()
+    }
+
     /// Consumes the unpublished grant if it is for `l`, returning its
     /// counted outcomes (0 = there was none: the `Go` is already out, or
-    /// the caller never requested). A grant for any *other* lock is not the
-    /// caller's to consume and is published as a plain `Go`.
-    fn take_grant(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> u32 {
+    /// the caller never requested) and whether it may become a quiet hold.
+    /// A grant for any *other* lock is not the caller's to consume and is
+    /// published as a plain `Go`, after any quiet hold.
+    fn take_grant(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> (u32, bool) {
+        self.end_quiet(me, t, None);
         match me.take_pending() {
-            Some((granted, _, grant)) if granted == l => grant,
-            Some((l, stack, grant)) => {
+            Some((granted, _, grant, quiet)) if granted == l => (grant, quiet),
+            Some((l, stack, grant, _)) => {
                 self.lanes
                     .push(t.0 as usize, Event::Go { t, l, stack, grant });
-                0
+                (0, false)
             }
-            None => 0,
+            None => (0, false),
         }
     }
 
@@ -1086,7 +1265,7 @@ impl AvoidanceCore {
     /// call must come **before** the blocking wait (module docs). A no-op
     /// when that `Go` is already out.
     pub fn waiting(&self, t: ThreadId, l: LockId, stack: StackId) {
-        let grant = self.take_grant(self.me(t), t, l);
+        let (grant, _) = self.take_grant(self.me(t), t, l);
         if grant != 0 {
             self.lanes
                 .push(t.0 as usize, Event::Go { t, l, stack, grant });
@@ -1095,9 +1274,10 @@ impl AvoidanceCore {
 
     /// The `acquired` hook: the lock was actually obtained. The request's
     /// GO already pushed the held-stack entry, so this only counts and
-    /// publishes one event: `Granted` (the GO and the acquisition) when the
-    /// thread never had to wait, `Acquired` when `waiting` already
-    /// published the GO.
+    /// publishes at most one event: `Granted` (the GO and the acquisition)
+    /// when the thread never had to wait, `Acquired` when `waiting` already
+    /// published the GO — and none when the grant was quiet: it becomes the
+    /// thread's quiet hold (module docs).
     pub fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
         let me = self.me(t);
         #[cfg(feature = "fault-inject")]
@@ -1114,8 +1294,9 @@ impl AvoidanceCore {
         let slot = t.0 as usize;
         Stats::bump(&self.stats.hot(slot).acquisitions);
         let event = match self.take_grant(me, t, l) {
-            0 => Event::Acquired { t, l, stack },
-            grant => Event::Granted { t, l, stack, grant },
+            (_, true) => return me.hold_quietly(),
+            (0, _) => Event::Acquired { t, l, stack },
+            (grant, _) => Event::Granted { t, l, stack, grant },
         };
         self.lanes.push(slot, event);
     }
@@ -1237,6 +1418,7 @@ impl AvoidanceCore {
             me.panicked.store(true, Ordering::Relaxed);
         }
         let slot = t.0 as usize;
+        let quiet = self.end_quiet(me, t, Some(l));
         self.publish_grant(me, t);
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
@@ -1274,8 +1456,13 @@ impl AvoidanceCore {
                 );
             }
         }
-        Stats::bump(&self.stats.hot(slot).releases);
-        self.lanes.push(slot, Event::Release { t, l });
+        let hot = self.stats.hot(slot);
+        if quiet {
+            Stats::bump(&hot.quiet_pairs);
+        } else {
+            Stats::bump(&hot.releases);
+            self.lanes.push(slot, Event::Release { t, l });
+        }
         wake
     }
 
@@ -1284,7 +1471,7 @@ impl AvoidanceCore {
     /// withdrawn with it: the monitor hears of the cancel alone.
     pub fn cancel(&self, t: ThreadId, l: LockId) {
         let me = self.me(t);
-        let grant = self.take_grant(me, t, l);
+        let (grant, _) = self.take_grant(me, t, l);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.pop_entry(me, t, l);
             if me.in_yielding.load(Ordering::Relaxed) {

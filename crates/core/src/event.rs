@@ -6,10 +6,17 @@
 //! monitor's RAG must show, so a `request` that ends in a GO publishes
 //! nothing by itself:
 //!
-//! * an **uncontended** `lock()`/`unlock()` publishes two events —
+//! * a **lone** uncontended `lock()`/`unlock()` — taken by a thread that
+//!   holds nothing, on a stack that hits no signature bucket — publishes
+//!   nothing at all. It is a *quiet hold* (`crate::avoidance`, "Quiet
+//!   holds"): the monitor draws its hold edge itself if someone waits for
+//!   the lock, and otherwise the `release` retires the whole pair;
+//! * any other **uncontended** pair publishes two events —
 //!   [`Event::Granted`] once the lock is held (the request, its GO and the
 //!   acquisition in one: the monitor never observes the gap between them)
-//!   and [`Event::Release`] *before* the real unlock;
+//!   and [`Event::Release`] *before* the real unlock. A quiet hold that the
+//!   thread nests another lock inside becomes this `Granted`, published
+//!   before anything else the thread publishes;
 //! * a **contended** one publishes three — [`Event::Go`] from the `waiting`
 //!   hook, *before* the thread blocks inside the mutex (the allow edge a
 //!   deadlock cycle runs through), then [`Event::Acquired`] and
@@ -24,13 +31,16 @@
 //! detection runs after a full drain, and a deadlocked thread has stopped
 //! publishing (§5.1's lazy view). What is promised is the hook placement:
 //! `Go` precedes the blocking wait, `Granted`/`Acquired` follow the real
-//! lock, `Release` precedes the real unlock (§5.2).
+//! lock, `Release` precedes the real unlock (§5.2). A thread that blocks
+//! has published every hold it has — the request it blocks after published
+//! any quiet hold first — so no deadlock cycle runs through a quiet hold.
 //!
 //! The hooks count their outcomes (`requests`, `gos`, `yields`,
 //! `acquisitions`, `releases` in [`crate::stats::Stats`]) whether or not an
 //! event is published for each; [`Event::outcomes`] says how many of them an
-//! event stands for, so the monitor's `events_processed` still accounts for
-//! every one.
+//! event stands for, a claimed quiet hold stands for a `Granted`, and a
+//! quiet pair retires its four at its `release` (`quiet_pairs`), so the
+//! snapshot's `events_processed` still accounts for every one.
 
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{SigId, StackId};

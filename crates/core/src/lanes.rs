@@ -9,9 +9,13 @@
 //! `acquired`/`release` hooks therefore publish their events with two
 //! uncontended atomic stores instead of fighting over one shared MPSC tail,
 //! a push can neither fail, block nor reorder, and a lane the monitor keeps
-//! up with stays one block forever. Like the single queue of §5.2 a lane is
-//! unbounded: a producer the monitor never catches up with grows its chain
-//! one block at a time ([`EventLanes::overflow_count`] counts them).
+//! up with stays one block forever. A lone pair pushes nothing at all (a
+//! quiet hold, [`crate::avoidance`]); the monitor asks
+//! [`EventLanes::is_drained`] before it draws such a hold itself, so the
+//! hold edge lands after everything its thread pushed before taking the
+//! lock. Like the single queue of §5.2 a lane is unbounded: a producer the
+//! monitor never catches up with grows its chain one block at a time
+//! ([`EventLanes::overflow_count`] counts them).
 //!
 //! # Hand-over: free a block only after reading its link
 //!
@@ -235,6 +239,12 @@ impl EventLanes {
             }
         }
         drained
+    }
+
+    /// Whether `slot`'s lane holds nothing to drain: every push that
+    /// happens-before this call has been drained. Consumer only.
+    pub fn is_drained(&self, slot: usize) -> bool {
+        Self::depth(self.lanes[slot].head.load(Ordering::Acquire)) == 0
     }
 
     /// Entries queued from `block` to the end of its chain. Consumer only.

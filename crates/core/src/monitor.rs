@@ -1,7 +1,9 @@
 //! The monitor thread (§5.2 and Figure 1).
 //!
 //! Periodically drains the per-thread event lanes, replays the events into
-//! the full [`Rag`], searches for deadlock and yield cycles, archives new
+//! the full [`Rag`], claims the quiet holds its waiters wait for (the hold
+//! edges no event carried, [`crate::avoidance`]'s "Quiet holds"), searches
+//! for deadlock and yield cycles, archives new
 //! signatures into the persistent history, breaks induced starvation (weak
 //! immunity) or requests a restart (strong immunity), and runs the
 //! retrospective false-positive analysis that feeds matching-depth
@@ -300,6 +302,7 @@ impl Monitor {
                 .predictor
                 .as_ref()
                 .is_some_and(Predictor::has_pending_work);
+        busy |= self.claim_quiet_holds(core);
         self.detect_deadlocks();
         // Prediction runs after detection so that when a pattern both
         // fired and was predictable within one pass, the archived
@@ -397,6 +400,27 @@ impl Monitor {
             .lane_overflows
             .store(lanes.overflow_count(), Relaxed);
         drained
+    }
+
+    /// Draws the hold edge of every quiet hold someone waits for
+    /// ([`crate::avoidance`], "Quiet holds"), as the `Granted` it stands in
+    /// for would have, and retires that grant's three outcomes. Returns
+    /// whether it claimed any.
+    fn claim_quiet_holds(&mut self, core: &AvoidanceCore) -> bool {
+        let awaited = self.rag.awaited_unheld();
+        if awaited.is_empty() {
+            return false;
+        }
+        let claims = core.claim_quiet(&awaited);
+        for &(t, l, stack) in &claims {
+            self.rag.on_granted(t, l, stack);
+            self.note_acquired(t, l, stack);
+        }
+        self.stats.events_processed.fetch_add(
+            3 * claims.len() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        !claims.is_empty()
     }
 
     fn apply(&mut self, event: Event) {
@@ -766,9 +790,16 @@ mod tests {
     /// An engine and a monitor wired to one history, one set of lanes and
     /// one set of counters, with prediction on.
     fn wired() -> (AvoidanceCore, Monitor, Arc<FrameTable>, Arc<StackTable>) {
+        wired_with(PredictionConfig::default())
+    }
+
+    /// [`wired`] with a predictor configured as `prediction`.
+    fn wired_with(
+        prediction: PredictionConfig,
+    ) -> (AvoidanceCore, Monitor, Arc<FrameTable>, Arc<StackTable>) {
         let config = Config {
             history_path: None,
-            prediction: Some(PredictionConfig::default()),
+            prediction: Some(prediction),
             ..Config::default()
         };
         let history = Arc::new(History::new());
@@ -843,5 +874,133 @@ mod tests {
         assert_eq!(fresh.rag.held_locks(t), monitor.rag.held_locks(t));
         assert_eq!(fresh.rag.holds_of(t), 2);
         assert_eq!(edges(&fresh), 1);
+    }
+
+    /// The one call stack the quiet-hold tests lock with: it hits no
+    /// bucket, the history being empty.
+    fn site(
+        frames: &FrameTable,
+        stacks: &StackTable,
+    ) -> ([dimmunix_signature::FrameId; 1], StackId) {
+        let site = [frames.intern("f", "quiet.rs", 1)];
+        let stack = stacks.intern(&site);
+        (site, stack)
+    }
+
+    /// A quiet hold someone waits for is claimed, hold edge and all; once
+    /// both pairs end, the RAG equals a replay of every event the pairs
+    /// would have published had the hold never been quiet — no stale hold
+    /// edge — and every counted outcome is retired.
+    #[test]
+    fn a_claimed_hold_once_released_leaves_the_replayed_rag() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let (holder, waiter) = (
+            core.register_thread().unwrap(),
+            core.register_thread().unwrap(),
+        );
+        let l = LockId(1);
+        let (site, s) = site(&frames, &stacks);
+        core.request(holder, l, &site, s);
+        core.acquired(holder, l, s);
+        monitor.step(&core, &|_| {});
+        assert_eq!(monitor.rag.holds_of(holder), 0, "no one waits: not drawn");
+
+        core.request(waiter, l, &site, s);
+        core.waiting(waiter, l, s);
+        monitor.step(&core, &|_| {});
+        let mut replay = Rag::new();
+        replay.on_granted(holder, l, s);
+        replay.on_go(waiter, l, s);
+        replay.find_deadlock_cycles();
+        assert!(monitor.rag == replay, "claimed: {:?}", monitor.rag);
+
+        core.release(holder, l);
+        core.acquired(waiter, l, s);
+        core.release(waiter, l);
+        monitor.step(&core, &|_| {});
+        replay.on_release(holder, l);
+        replay.on_acquired(waiter, l, s);
+        replay.on_release(waiter, l);
+        replay.find_deadlock_cycles();
+        assert!(monitor.rag == replay, "released: {:?}", monitor.rag);
+        assert!(monitor.rag.held_locks(holder).is_empty());
+
+        let st = monitor.stats.snapshot();
+        assert_eq!(st.quiet_pairs, 0, "the claimed pair is not quiet");
+        assert_eq!(
+            st.events_processed,
+            st.requests + st.gos + st.acquisitions + st.releases,
+            "{st:?}"
+        );
+    }
+
+    /// A claim waits for everything the holder queued before its quiet
+    /// hold: those events precede the hold edge in its thread's order.
+    #[test]
+    fn a_claim_waits_for_the_holders_queued_events() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let t = core.register_thread().unwrap();
+        let (a, b, c) = (LockId(1), LockId(2), LockId(3));
+        let (site, s) = site(&frames, &stacks);
+        // Nested, so published: four entries still queued.
+        for l in [a, b] {
+            core.request(t, l, &site, s);
+            core.acquired(t, l, s);
+        }
+        core.release(t, b);
+        core.release(t, a);
+        core.request(t, c, &site, s);
+        core.acquired(t, c, s);
+        assert!(core.claim_quiet(&[c]).is_empty(), "queued events first");
+        assert_eq!(monitor.drain_events(), 4);
+        assert!(core.claim_quiet(&[a]).is_empty(), "a hold of another lock");
+        assert_eq!(core.claim_quiet(&[c]), vec![(t, c, s)]);
+        assert!(core.claim_quiet(&[c]).is_empty(), "claimed once");
+        // The claimed hold's release is published.
+        core.release(t, c);
+        assert_eq!(monitor.drain_events(), 1);
+    }
+
+    /// Lock aging counts what the predictor is fed: a lock used only in
+    /// quiet pairs after its last published hold retires on the same pass
+    /// as one left untouched.
+    #[test]
+    fn a_lock_used_only_in_quiet_pairs_retires_like_an_untouched_one() {
+        let aging = PredictionConfig {
+            lock_retire_after: 2,
+            ..PredictionConfig::default()
+        };
+        let mut worlds = [wired_with(aging.clone()), wired_with(aging)];
+        let (a, b) = (LockId(1), LockId(2));
+        let ts: Vec<ThreadId> = worlds
+            .iter_mut()
+            .map(|(core, monitor, frames, stacks)| {
+                let t = core.register_thread().unwrap();
+                let (site, s) = site(frames, stacks);
+                for l in [a, b] {
+                    core.request(t, l, &site, s);
+                    core.acquired(t, l, s);
+                }
+                core.release(t, b);
+                core.release(t, a);
+                monitor.step(core, &|_| {});
+                t
+            })
+            .collect();
+        let predictor = |m: &Monitor| m.predictor.as_ref().unwrap().stats();
+        for pass in 0..6 {
+            let (core, monitor, frames, stacks) = &mut worlds[0];
+            let (site, s) = site(frames, stacks);
+            core.request(ts[0], a, &site, s);
+            core.acquired(ts[0], a, s);
+            core.release(ts[0], a);
+            monitor.step(core, &|_| {});
+            worlds[1].1.step(&worlds[1].0, &|_| {});
+            let (used, untouched) = (predictor(&worlds[0].1), predictor(&worlds[1].1));
+            assert_eq!(used, untouched, "pass {pass}");
+        }
+        let st = predictor(&worlds[0].1);
+        assert_eq!((st.locks, st.edges_retired), (0, 1), "{st:?}");
+        assert_eq!(worlds[0].1.stats.snapshot().quiet_pairs, 6);
     }
 }

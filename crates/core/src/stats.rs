@@ -9,11 +9,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// without sharing a cache line.
 const HOT_STRIPES: usize = 16;
 
-/// One stripe of the counters bumped on *every* lock operation. A stripe is
-/// at most one cache line and is padded, so bumps from threads on different
-/// stripes never invalidate each other's lines (false sharing) — the
-/// single shared-counter-per-stat layout measurably throttled the request
-/// path at 8+ threads.
+/// One stripe of the counters bumped on *every* lock operation. A stripe
+/// fits its 128-byte padded cell (two 64-byte lines, the unit adjacent-line
+/// prefetch moves), so bumps from threads on different stripes never
+/// invalidate each other's lines (false sharing) — the single
+/// shared-counter-per-stat layout measurably throttled the request path at
+/// 8+ threads.
 #[derive(Default, Debug)]
 pub struct HotStripe {
     /// `request` hook invocations.
@@ -22,7 +23,8 @@ pub struct HotStripe {
     pub gos: AtomicU64,
     /// Locks actually acquired.
     pub acquisitions: AtomicU64,
-    /// Locks released.
+    /// Locks released, but for the releases that ended a quiet pair: those
+    /// count in `quiet_pairs` alone ([`Stats::releases`] sums both).
     pub releases: AtomicU64,
     /// Signature candidates dismissed by the guard-free emptiness precheck
     /// (a required member bucket was provably empty — nothing was copied).
@@ -35,6 +37,11 @@ pub struct HotStripe {
     pub cover_retries: AtomicU64,
     /// Release-side wake-list swap-and-drains performed (list non-empty).
     pub wake_drains: AtomicU64,
+    /// Pairs that ended as a quiet hold no one waited for: the `release`
+    /// retired their four counted outcomes (request, GO, acquisition,
+    /// release) itself, and the monitor never heard of them. The one
+    /// counter such a release bumps.
+    pub quiet_pairs: AtomicU64,
 }
 
 /// Monotonic counters exposed by a runtime; all relaxed atomics, cheap to
@@ -79,12 +86,15 @@ pub struct Stats {
     pub capture_misses: AtomicU64,
     /// Counted hook outcomes the monitor has retired: each applied event
     /// adds [`crate::event::Event::outcomes`], not 1 — one `Granted` stands
-    /// for a request, its GO and the acquisition. At quiescence (every
-    /// hook returned, every event applied)
+    /// for a request, its GO and the acquisition — and each quiet hold it
+    /// claimed adds the 3 of the `Granted` it stands in for. The pairs that
+    /// never reached the monitor are [`HotStripe::quiet_pairs`];
+    /// [`StatsSnapshot::events_processed`] adds 4 for each, and at
+    /// quiescence (every hook returned, every event applied)
     ///
     /// ```text
-    /// events_processed == requests + gos + yields + acquisitions + releases
-    ///                     + cancel calls + thread exits
+    /// snapshot.events_processed == requests + gos + yields + acquisitions
+    ///                              + releases + cancel calls + thread exits
     /// ```
     ///
     /// holds exactly, whichever events carried the outcomes — so "has the
@@ -281,9 +291,9 @@ impl Stats {
         self.hot_sum(|s| &s.acquisitions)
     }
 
-    /// Total lock releases across all stripes.
+    /// Total lock releases across all stripes, quiet pairs' included.
     pub fn releases(&self) -> u64 {
-        self.hot_sum(|s| &s.releases)
+        self.hot_sum(|s| &s.releases) + self.quiet_pairs()
     }
 
     /// Total emptiness-precheck candidate dismissals across all stripes.
@@ -304,6 +314,11 @@ impl Stats {
     /// Total wake-list drains across all stripes.
     pub fn wake_drains(&self) -> u64 {
         self.hot_sum(|s| &s.wake_drains)
+    }
+
+    /// Total quiet pairs across all stripes.
+    pub fn quiet_pairs(&self) -> u64 {
+        self.hot_sum(|s| &s.quiet_pairs)
     }
 
     /// Convenience relaxed increment.
@@ -330,6 +345,7 @@ impl Stats {
 
     /// A plain-data snapshot of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let quiet_pairs = self.quiet_pairs();
         StatsSnapshot {
             requests: self.requests(),
             gos: self.gos(),
@@ -340,6 +356,7 @@ impl Stats {
             cover_searches: self.cover_searches(),
             cover_retries: self.cover_retries(),
             wake_drains: self.wake_drains(),
+            quiet_pairs,
             yield_aborts: Self::get(&self.yield_aborts),
             yields_broken: Self::get(&self.yields_broken),
             deadlocks_detected: Self::get(&self.deadlocks_detected),
@@ -351,7 +368,7 @@ impl Stats {
             structural_true_positives: Self::get(&self.structural_true_positives),
             unsupervised_threads: Self::get(&self.unsupervised_threads),
             capture_misses: Self::get(&self.capture_misses),
-            events_processed: Self::get(&self.events_processed),
+            events_processed: Self::get(&self.events_processed) + 4 * quiet_pairs,
             monitor_passes: Self::get(&self.monitor_passes),
             events_last_drain: Self::get(&self.events_last_drain),
             lane_high_water: Self::get(&self.lane_high_water),
@@ -406,6 +423,8 @@ pub struct StatsSnapshot {
     pub cover_retries: u64,
     /// Wake-list swap-and-drains performed.
     pub wake_drains: u64,
+    /// Pairs retired at their `release` as quiet holds no one waited for.
+    pub quiet_pairs: u64,
     /// Yields aborted by the max-yield bound.
     pub yield_aborts: u64,
     /// Yields broken by the monitor.
@@ -428,8 +447,8 @@ pub struct StatsSnapshot {
     pub unsupervised_threads: u64,
     /// RAII lock operations that missed the thread's context tree.
     pub capture_misses: u64,
-    /// Counted hook outcomes retired by the monitor (see
-    /// [`Stats::events_processed`] for the identity).
+    /// Counted hook outcomes retired: by the monitor, plus 4 per quiet pair
+    /// (see [`Stats::events_processed`] for the identity).
     pub events_processed: u64,
     /// Monitor wakeups.
     pub monitor_passes: u64,
@@ -524,6 +543,20 @@ mod tests {
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.yields, 1);
         assert_eq!(snap.gos, 0);
+    }
+
+    /// A quiet pair's release counts it once; the snapshot reads it as the
+    /// release it was and the four outcomes it retired.
+    #[test]
+    fn a_quiet_pair_is_a_release_and_four_retired_outcomes() {
+        let s = Stats::new();
+        Stats::bump(&s.hot(0).releases);
+        Stats::bump(&s.events_processed);
+        Stats::bump(&s.hot(5).quiet_pairs);
+        let snap = s.snapshot();
+        assert_eq!(snap.quiet_pairs, 1);
+        assert_eq!(snap.releases, 2);
+        assert_eq!(snap.events_processed, 5);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! What the hooks tell the monitor, and when: an uncontended pair publishes
-//! two lane entries and a contended one three; a thread blocked inside any
-//! immunized lock type has its allow edge in the monitor's RAG before its
-//! holder releases; and `events_processed` accounts for every counted hook
-//! outcome whichever event ended up carrying it.
+//! What the hooks tell the monitor, and when: a lone uncontended pair
+//! publishes nothing (a quiet hold), the same pair nested inside another
+//! lock two lane entries, and a contended one three; a thread blocked inside
+//! any immunized lock type has its allow edge in the monitor's RAG before
+//! its holder releases, beside the hold edge the monitor claimed from the
+//! holder's quiet hold; and `events_processed` accounts for every counted
+//! hook outcome whichever event — or quiet pair — ended up carrying it.
 
 use dimmunix_core::{Config, Decision, LockId, LockSite, Runtime, RuntimeMode, ThreadId};
 use std::cell::Cell;
@@ -19,15 +21,23 @@ fn drained(rt: &Runtime) -> u64 {
     rt.stats().events_last_drain
 }
 
-/// Drives one lock flavour through an uncontended and a contended pair.
+/// Drives one lock flavour through a lone, a nested and a contended pair.
 /// `pair` acquires the lock with the blocking call under test, runs its
 /// argument while holding it, and releases. Everything is observed first
 /// and asserted once both threads are done, so a failure cannot strand the
 /// waiter inside the lock.
 fn check_flavour(rt: &Runtime, id: LockId, pair: &(dyn Fn(&mut dyn FnMut()) + Sync)) {
     drained(rt);
+    let quiet_before = rt.stats().quiet_pairs;
     pair(&mut || {});
-    let uncontended = drained(rt);
+    let lone = drained(rt);
+    let quiet = rt.stats().quiet_pairs - quiet_before;
+
+    let (outer, site) = (rt.raw_lock(), rt.make_site(&[("outer", "nest.rs", 1)]));
+    outer.lock(&site);
+    pair(&mut || {});
+    outer.unlock();
+    let nested = drained(rt);
 
     let main = rt
         .current_thread()
@@ -55,7 +65,8 @@ fn check_flavour(rt: &Runtime, id: LockId, pair: &(dyn Fn(&mut dyn FnMut()) + Sy
             });
             let waiter = tid_rx.recv().unwrap();
             // The waiter blocks inside the mutex. Before this thread
-            // releases, the monitor must learn of the allow edge.
+            // releases, the monitor must learn of the allow edge, and claim
+            // this thread's quiet hold for the hold edge beside it.
             edges = (
                 format!("{waiter} -> {id} [label=\"allow\"]"),
                 format!("{id} -> {main} [label=\"hold"),
@@ -76,8 +87,12 @@ fn check_flavour(rt: &Runtime, id: LockId, pair: &(dyn Fn(&mut dyn FnMut()) + Sy
         (after_handoff, after_release)
     });
 
-    assert_eq!(uncontended, 2, "uncontended: granted, release");
-    assert_eq!(holder_granted, 1, "the holder's granted");
+    assert_eq!((lone, quiet), (0, 1), "a lone pair is a quiet hold");
+    assert_eq!(
+        nested, 4,
+        "the outer granted, the pair's granted and release, the outer release"
+    );
+    assert_eq!(holder_granted, 0, "the holder's hold is quiet");
     let (allow, hold) = edges;
     assert!(
         blocked_rag.contains(&allow) && blocked_rag.contains(&hold),
@@ -248,14 +263,23 @@ impl Script {
         self.exits.set(self.exits.get() + 1);
     }
 
-    /// GO → acquire, GO → wait → acquire, GO → failed `try_lock` → cancel:
-    /// the paths every mode has.
+    /// GO → acquire, GO → wait → acquire, GO → failed `try_lock` → cancel,
+    /// and a hold someone waits for: the paths every mode has.
     fn unmatched_paths(&self) {
         let core = self.rt.core();
-        let (t0, a, other) = (self.t0, self.a, &self.other);
+        let (t0, t1, a, other) = (self.t0, self.t1, self.a, &self.other);
         self.acquire(t0, a, other);
         core.release(t0, a);
         self.assert_identity("go, acquire");
+
+        self.acquire(t0, a, other);
+        self.go(t1, a, other);
+        core.waiting(t1, a, other.stack());
+        self.rt.step_monitor();
+        core.release(t0, a);
+        core.acquired(t1, a, other.stack());
+        core.release(t1, a);
+        self.assert_identity("go, acquire, a waiter");
 
         self.go(t0, a, other);
         core.waiting(t0, a, other.stack());
@@ -306,6 +330,7 @@ fn every_hook_outcome_is_retired_exactly_once() {
         ..Config::default()
     });
     w.unmatched_paths();
+    assert_eq!(w.rt.stats().quiet_pairs, 1, "only the lone pair was quiet");
     w.seed();
     let (t0, t1, a, b) = (w.t0, w.t1, w.a, w.b);
     let (sa, sb, other) = (&w.sa, &w.sb, &w.other);

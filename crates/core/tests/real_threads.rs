@@ -764,11 +764,14 @@ fn rag_dot_export_renders() {
     let rt = Runtime::new(quiet_config()).unwrap();
     let t0 = rt.core().register_thread().unwrap();
     let site = rt.make_site(&[("w", "x.rs", 1)]);
-    let l = rt.new_lock_id();
-    rt.core().request(t0, l, site.frames(), site.stack());
-    rt.core().acquired(t0, l, site.stack());
+    // Nested, so the outer hold is published too: a lone hold is quiet.
+    let (outer, inner) = (rt.new_lock_id(), rt.new_lock_id());
+    for l in [outer, inner] {
+        rt.core().request(t0, l, site.frames(), site.stack());
+        rt.core().acquired(t0, l, site.stack());
+    }
     rt.step_monitor();
     let dot = rt.rag_dot();
     assert!(dot.contains("digraph rag"));
-    assert!(dot.contains("hold"));
+    assert_eq!(dot.matches("[label=\"hold").count(), 2, "{dot}");
 }

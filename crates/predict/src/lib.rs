@@ -103,6 +103,14 @@ pub struct PredictionConfig {
     /// Passes a lock may stay quiescent — unheld by every thread and
     /// recording no new orderings — before it is retired from the order
     /// graph and condensation (lock aging). `0` disables aging.
+    ///
+    /// The clock counts what the predictor is fed: orderings, and the holds
+    /// and releases the monitor publishes to it. A lock a thread takes
+    /// while holding nothing, on a stack no signature names, and releases
+    /// before anyone waits for it is never published (the core's quiet
+    /// holds), so such use does not reset the clock: a lock used only that
+    /// way retires like one left untouched. It can order nothing either,
+    /// until a thread nests another lock inside it — which publishes it.
     pub lock_retire_after: u64,
 }
 

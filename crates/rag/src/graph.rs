@@ -278,6 +278,22 @@ impl Rag {
         self.dirty.extend(self.threads.keys().copied());
     }
 
+    /// Locks some thread has a request or allow edge on and no thread holds,
+    /// ascending: where a waiter's "waiting for whom" has no answer in the
+    /// graph. O(thread vertices).
+    pub fn awaited_unheld(&self) -> Vec<LockId> {
+        let unheld = |l: &LockId| self.locks.get(l).is_none_or(|n| n.holders.is_empty());
+        let mut locks: Vec<LockId> = self
+            .threads
+            .values()
+            .filter_map(|n| n.waiting.map(|w| w.lock))
+            .filter(unheld)
+            .collect();
+        locks.sort_unstable();
+        locks.dedup();
+        locks
+    }
+
     /// The holder of `l`'s hold edges, if any (a mutex has one holder
     /// thread; the stack is the innermost acquisition's).
     fn holder_of(&self, l: LockId) -> Option<(ThreadId, StackId)> {
