@@ -4,7 +4,7 @@ use crate::{Strategy, TestRng};
 use rand::Rng;
 use std::ops::Range;
 
-/// Strategy producing `Vec`s with lengths drawn from a range; see [`vec`].
+/// Strategy producing `Vec`s with lengths drawn from a range; see [`vec`](fn@vec).
 #[derive(Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -3,8 +3,8 @@
 //! property suites use is provided here: the [`proptest!`] /
 //! [`prop_oneof!`] / [`prop_assert!`] / [`prop_assert_eq!`] macros, the
 //! [`Strategy`] trait with `prop_map`, integer-range and tuple strategies,
-//! [`collection::vec`], [`any`] over [`Arbitrary`] types, and simple
-//! character-class string patterns (`"[a-z]{1,12}"`).
+//! [`collection::vec`](fn@collection::vec), [`any`] over [`Arbitrary`]
+//! types, and simple character-class string patterns (`"[a-z]{1,12}"`).
 //!
 //! Differences from upstream: cases are generated from a per-test
 //! deterministic seed, and failing cases are reported with their inputs but

@@ -1,4 +1,4 @@
-//! Gate locks (Nir-Buchbinder et al. [17]).
+//! Gate locks (Nir-Buchbinder et al. \[17\]).
 //!
 //! The healing scheme: when a deadlock is observed among a set of code
 //! blocks, introduce one *gate lock* and require it to be held while

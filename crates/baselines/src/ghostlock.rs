@@ -1,4 +1,4 @@
-//! Ghost locks (Zeng & Martin [23]).
+//! Ghost locks (Zeng & Martin \[23\]).
 //!
 //! Instead of serializing code blocks, serialize access to the *lock sets*
 //! previously seen to deadlock: a ghost lock is introduced per deadlocking

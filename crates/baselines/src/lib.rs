@@ -2,7 +2,7 @@
 //! comparison (Figure 9).
 //!
 //! * [`gatelock`] — Nir-Buchbinder, Tzoref & Ur, *"Deadlocks: from
-//!   exhibiting to healing"* (RV'08), reference [17] of the Dimmunix paper:
+//!   exhibiting to healing"* (RV'08), reference \[17\] of the Dimmunix paper:
 //!   once a deadlock is observed between code blocks, wrap those blocks in
 //!   a shared **gate lock** that serializes *every* entry into any of them.
 //!   No call-stack context, no runtime lock-holder information — hence the
@@ -10,7 +10,7 @@
 //!   measures (70% overhead vs. Dimmunix's 4.6%, 45 gates for 64
 //!   signatures).
 //! * [`ghostlock`] — Zeng & Martin, *"Ghost locks: Deadlock prevention for
-//!   Java"* (2004), reference [23]: serialize access to the **lock sets**
+//!   Java"* (2004), reference \[23\]: serialize access to the **lock sets**
 //!   that could induce deadlock — a ghost lock must be acquired before
 //!   locking any member of a set previously seen to deadlock.
 

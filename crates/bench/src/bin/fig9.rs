@@ -6,7 +6,7 @@
 //! depth D = 10; matching at k < D can fire on stacks that diverge above
 //! the suffix — false positives whose yields cost throughput. The paper
 //! measures FP overhead decaying from ~61% (depth 1) to ~0 (depth ≥ 8),
-//! with Dimmunix's own overhead at 4.6%; gate locks [17] needed 45 gates
+//! with Dimmunix's own overhead at 4.6%; gate locks \[17\] needed 45 gates
 //! for the 64-signature history, produced 561,627 false positives and 70%
 //! overhead — comparable to depth-1 Dimmunix and an order of magnitude
 //! worse than depth-8.

@@ -47,8 +47,8 @@
 //! # What the monitor is told: a GO is published only if the thread waits
 //!
 //! A `request` that ends in a GO publishes nothing. The grant is remembered
-//! in the thread's slot (`ThreadSlot::grant`, owner-only state), and the
-//! hook that learns how the attempt ended publishes it:
+//! in the thread's slot (`ThreadSlot::grant`), and the hook that learns how
+//! the attempt ended publishes it:
 //!
 //! * [`AvoidanceCore::acquired`] — the lock was free — publishes one
 //!   [`Event::Granted`], the GO and the acquisition together. The monitor
@@ -98,11 +98,12 @@
 //!
 //! * `request` marks such a GO quiet — in the branch that already found the
 //!   stack's resolution empty and holds the thread's log, which must be
-//!   empty, with no yield registration whose edges the monitor still draws.
+//!   empty, with no yield in force whose edges the monitor still draws.
 //!   Instrumentation-only mode keeps no log and never marks one;
 //! * `acquired` on a quiet grant pushes nothing. It leaves the grant's lock
-//!   and stack where `defer_go` wrote them and stores the thread's next
-//!   hold number, with `QUIET_HELD`, in `ThreadSlot::quiet` (`Release`);
+//!   and stack where `defer_go` wrote them and stores `HELD` into the
+//!   grant word, `ThreadSlot::grant` (`Release`): the hold is a state of
+//!   the one word that already says what was granted;
 //! * that lock's `release` takes the word with one swap. A hold still
 //!   unclaimed ends unseen: the release pushes nothing and counts the
 //!   pair's four outcomes as one `quiet_pairs`;
@@ -113,18 +114,25 @@
 //!
 //! **The monitor claims a hold only when someone waits.** After each drain
 //! it looks for locks that a thread in its RAG waits for and no thread
-//! holds, and claims the quiet hold of each (`AvoidanceCore::claim_quiet`):
-//! it reads the hold word (`Acquire`), then the lock and stack, checks that
-//! the holder's lane is drained, and CASes `QUIET_CLAIMED` into the word.
-//! It then draws the hold edge as that `Granted` would have, and retires
-//! the grant's three outcomes. The holder's swap sees the claim, and the
-//! release publishes a plain `Release`. Three facts make the claim exact:
+//! holds, and claims the quiet hold of each (`AvoidanceCore::claim_quiet`).
+//! A lock-free look filters the threads: the word is `HELD` and its lock
+//! is awaited. For each that passes, the monitor takes the thread's slot
+//! mutex, reloads the word (`Acquire`), checks that the holder's lane is
+//! drained, reads the lock and stack, and CASes `HELD → HELD | CLAIMED` —
+//! the only write to the word that is not the owner's. It then draws the
+//! hold edge as that `Granted` would have, and retires the grant's three
+//! outcomes. The holder's swap sees the claim, and the release publishes a
+//! plain `Release`. Three facts make the claim exact:
 //!
-//! * **The lock and stack are the hold's.** The owner rewrites them only in
-//!   `defer_go`, after taking the word. The hold number is unique, so a CAS
-//!   that succeeds proves the word was not taken between the read and the
-//!   CAS, and reads made before a CAS the owner's later swap reads from
-//!   cannot see the owner's later writes.
+//! * **The CAS lands on the hold that was read.** While the monitor holds
+//!   the slot mutex the owner can still *end* the hold — the swap at the
+//!   top of `release` or `request` — but cannot *start* another: every
+//!   path to a new grant passes `lock_current`, which takes that mutex
+//!   (instrumentation-only grants skip it, and that mode never holds
+//!   quietly). So the word cannot return to `HELD` before the CAS, and the
+//!   lock and stack read after the reload are the hold's: they were written
+//!   before its `Release` store, and their one writer, `defer_go`, runs
+//!   only after a new grant's `lock_current`.
 //! * **The edge lands in the holder's event order.** Every event the holder
 //!   pushed before the hold happens-before the word store the claim read,
 //!   so a drained lane means they are all applied; while the hold is in
@@ -136,6 +144,10 @@
 //! * **No stale edge.** A claimed hold's release always publishes its
 //!   `Release`, so the graph ends equal to a replay of the events the pair
 //!   would have published unclaimed.
+//!
+//! The claim adds one edge to the engine's lock order: the monitor takes a
+//! slot mutex holding no engine lock, as a rebuild's visit does, and no
+//! hook holds a slot mutex while it waits on the monitor.
 //!
 //! # Fast-path gating: a grant resolves its stack once
 //!
@@ -685,133 +697,107 @@ pub(crate) struct ThreadSlot {
     /// a thread that only ever yields finds its nodes again. Steady-state
     /// yield/wake churn thus allocates nothing.
     wake_pool: WakeNodePool,
-    /// Mirror of "this thread is registered as yielding", read by the
-    /// owner thread to decide whether a GO must retract a registration.
-    in_yielding: AtomicBool,
     /// Latched when a hook observes this thread unwinding (a RAII guard
     /// releasing during a panic). `Registration`'s drop runs in TLS
     /// teardown — *after* the thread boundary caught the panic, when
     /// `std::thread::panicking()` is already false — so this latch is how
     /// the exit sweep still classifies the exit as a panic cleanup.
     panicked: AtomicBool,
-    /// The grant whose `Go` is not published yet (module docs, "What the
-    /// monitor is told"): its counted outcomes — 2 for a `request` and its
-    /// GO, 1 for a GO alone, **0 when none is pending** — with what was
-    /// granted in `grant_lock` / `grant_stack`. Owner-only: a thread's
-    /// hooks all run on that thread (or on whoever drives a simulated
-    /// one), and a slot changes hands only through the slot allocator,
-    /// after the exit sweep left `grant` at 0 — so relaxed loads and stores
-    /// do.
+    /// What was granted and not published yet, or is held quietly, with its
+    /// lock and stack in `grant_lock` / `grant_stack` (module docs, "What
+    /// the monitor is told" and "Quiet holds"); **0** when there is neither.
+    /// A grant whose `Go` is unpublished counts its outcomes — 2 for a
+    /// `request` and its GO, 1 for a GO alone — with [`GRANT_QUIET`] if it
+    /// becomes a quiet hold when the lock is free. A quiet hold is [`HELD`],
+    /// and `HELD | CLAIMED` once the monitor drew its hold edge.
     ///
-    /// [`GRANT_QUIET`] beside the count marks a grant that becomes a quiet
-    /// hold if the lock is free.
+    /// Written by the owner — a thread's hooks all run on that thread (or
+    /// on whoever drives a simulated one), and a slot changes hands only
+    /// through the slot allocator, after the exit sweep left this at 0 —
+    /// except for the monitor's one claim CAS, `HELD → HELD | CLAIMED`. So
+    /// the owner enters `HELD` with a `Release` store and leaves it with a
+    /// swap; every other state is the owner's alone, and relaxed loads and
+    /// stores do.
     grant: AtomicU8,
     grant_lock: AtomicU64,
     grant_stack: AtomicU32,
-    /// The thread's **quiet hold** (module docs, "Quiet holds"): the hold's
-    /// number in the bits above [`QUIET_STATE`], with [`QUIET_HELD`] while
-    /// one is in force and [`QUIET_CLAIMED`] once the monitor drew its hold
-    /// edge. The lock and stack are the grant's, still in `grant_lock` /
-    /// `grant_stack`, which no hook rewrites before taking the hold. Written
-    /// by the owner alone, except for the monitor's one claim CAS.
-    quiet: AtomicU64,
 }
 
 /// [`ThreadSlot::grant`] flag: the GO was granted on a stack that hits no
 /// member bucket to a thread holding nothing, so its pair needs no event.
 const GRANT_QUIET: u8 = 4;
-/// [`ThreadSlot::quiet`] bit: a quiet hold is in force.
-const QUIET_HELD: u64 = 1;
-/// [`ThreadSlot::quiet`] bit: the monitor claimed the hold and drew its edge.
-const QUIET_CLAIMED: u64 = 2;
-/// The state bits of [`ThreadSlot::quiet`]; the hold number counts above
-/// them, one step per hold, so no two holds of one thread share a word.
-const QUIET_STATE: u64 = QUIET_HELD | QUIET_CLAIMED;
+/// [`ThreadSlot::grant`] state: a quiet hold is in force.
+const HELD: u8 = 8;
+/// [`ThreadSlot::grant`] flag beside [`HELD`]: the monitor claimed the hold
+/// and drew its edge.
+const CLAIMED: u8 = 16;
 
 impl ThreadSlot {
     /// Remembers a GO instead of publishing it: `outcomes` is what the
     /// eventual event must account for (2 = the `request` and its GO, 1 =
-    /// the GO alone), possibly with [`GRANT_QUIET`]. Every caller has
-    /// published any earlier grant and taken any quiet hold, whose lock and
-    /// stack these fields still were.
+    /// the GO alone), possibly with [`GRANT_QUIET`]. Every caller has taken
+    /// whatever the grant word held before.
     fn defer_go(&self, l: LockId, stack: StackId, outcomes: u8) {
         debug_assert_eq!(self.grant.load(Ordering::Relaxed), 0);
-        debug_assert_eq!(self.quiet.load(Ordering::Relaxed) & QUIET_HELD, 0);
         self.grant_lock.store(l.0, Ordering::Relaxed);
         self.grant_stack.store(stack.0, Ordering::Relaxed);
         self.grant.store(outcomes, Ordering::Relaxed);
     }
 
-    /// Takes the unpublished grant, if there is one: what was granted, its
-    /// counted outcomes (as wide as the events carry them) and whether it
-    /// may become a quiet hold.
-    fn take_pending(&self) -> Option<(LockId, StackId, u32, bool)> {
-        let grant = self.grant.load(Ordering::Relaxed);
+    /// Takes whatever the grant word holds — an unpublished grant or a quiet
+    /// hold — with its lock and stack, and leaves it 0. A hold is taken with
+    /// a swap, the one read-modify-write of a quiet pair: the monitor may
+    /// set [`CLAIMED`] up to the instant it lands.
+    fn take(&self) -> Option<(LockId, StackId, u8)> {
+        let mut grant = self.grant.load(Ordering::Relaxed);
         if grant == 0 {
             return None;
         }
-        self.grant.store(0, Ordering::Relaxed);
-        let l = LockId(self.grant_lock.load(Ordering::Relaxed));
-        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
-        let quiet = grant & GRANT_QUIET != 0;
-        Some((l, stack, (grant & !GRANT_QUIET).into(), quiet))
-    }
-
-    /// Makes the grant just taken a quiet hold. Its lock and stack stay in
-    /// `grant_lock` / `grant_stack`; the `Release` store of the next hold
-    /// number publishes them to the monitor's claim.
-    fn hold_quietly(&self) {
-        let next = (self.quiet.load(Ordering::Relaxed) | QUIET_STATE) + 1;
-        self.quiet.store(next | QUIET_HELD, Ordering::Release);
-    }
-
-    /// Takes the quiet hold, if there is one: its lock and stack, and
-    /// whether the monitor claimed it. The swap is the one read-modify-write
-    /// of a quiet pair: the monitor may set [`QUIET_CLAIMED`] up to the
-    /// instant it lands.
-    fn take_quiet(&self) -> Option<(LockId, StackId, bool)> {
-        let word = self.quiet.load(Ordering::Relaxed);
-        if word & QUIET_HELD == 0 {
-            return None;
+        if grant & HELD == 0 {
+            self.grant.store(0, Ordering::Relaxed);
+        } else {
+            grant = self.grant.swap(0, Ordering::AcqRel);
         }
         let l = LockId(self.grant_lock.load(Ordering::Relaxed));
         let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
-        let was = self.quiet.swap(word & !QUIET_STATE, Ordering::AcqRel);
-        Some((l, stack, was & QUIET_CLAIMED != 0))
+        Some((l, stack, grant))
+    }
+
+    /// Makes the grant just taken a quiet hold. Its lock and stack stay in
+    /// `grant_lock` / `grant_stack`; the `Release` store publishes them to
+    /// the monitor's claim.
+    fn hold_quietly(&self) {
+        self.grant.store(HELD, Ordering::Release);
     }
 
     /// The monitor's claim of this thread's quiet hold, if it holds one of
     /// `locks` and `drained` says its lane has nothing left to apply: the
-    /// hold's lock and stack (module docs, "Quiet holds"). Both are read
-    /// before the CAS — after it the owner may release and grant again —
-    /// and the CAS succeeding proves they were this hold's: the hold number
-    /// is unique, and the owner rewrites them only after taking the word.
+    /// hold's lock and stack (module docs, "Quiet holds").
     fn claim_quiet(
         &self,
         locks: &[LockId],
         drained: impl FnOnce() -> bool,
     ) -> Option<(LockId, StackId)> {
-        let word = self.quiet.load(Ordering::Acquire);
-        if word & QUIET_STATE != QUIET_HELD {
-            return None;
-        }
-        let l = LockId(self.grant_lock.load(Ordering::Relaxed));
-        if !locks.contains(&l) {
-            return None;
-        }
-        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
+        let held = || {
+            let held = self.grant.load(Ordering::Acquire) == HELD;
+            let l = LockId(self.grant_lock.load(Ordering::Relaxed));
+            (held && locks.contains(&l)).then_some(l)
+        };
+        // Lock-free first: most threads hold nothing anyone waits for.
+        held()?;
+        // The owner may still end the hold read below, but cannot start
+        // another until this guard drops: every grant passes
+        // `lock_current`. So the CAS succeeds only against that hold.
+        let _log = self.allowed.lock();
+        let l = held()?;
         // Every event the thread pushed before this hold happens-before the
         // word just read, so the lane check sees them all.
         if !drained() {
             return None;
         }
-        self.quiet
-            .compare_exchange(
-                word,
-                word | QUIET_CLAIMED,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
+        let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
+        self.grant
+            .compare_exchange(HELD, HELD | CLAIMED, Ordering::AcqRel, Ordering::Relaxed)
             .ok()?;
         Some((l, stack))
     }
@@ -819,9 +805,8 @@ impl ThreadSlot {
     /// Retracts this thread's yield registration: one epoch bump
     /// invalidates every outstanding node (drainers free them lazily).
     /// No-op-safe when not yielding.
-    fn remove_yielding(&self) {
+    pub(crate) fn remove_yielding(&self) {
         self.wake_epoch.fetch_add(1, Ordering::SeqCst);
-        self.in_yielding.store(false, Ordering::Relaxed);
     }
 
     fn clear_yield_state(&self) {
@@ -1085,8 +1070,11 @@ impl AvoidanceCore {
         let full = self.config.mode == RuntimeMode::Full;
         let mut validation_failures = 0_u32;
         let mut outcomes = 2;
+        // A yield in force when the request began: its registration is still
+        // live and the monitor still draws its edges, however many retries
+        // below fail to revalidate (only this thread writes `yielding`).
+        let yielding = me.yielding.load(Ordering::Relaxed);
         let instance = loop {
-            let was_yielding = me.in_yielding.load(Ordering::Relaxed);
             let mut resolved = Resolved::default();
             let log = self.lock_current(me, frames, &mut resolved);
             if resolved.len == 0 {
@@ -1095,10 +1083,10 @@ impl AvoidanceCore {
                 // shared state touched (beyond yield cleanup). A thread that
                 // holds nothing and has no yield edge to clear gets a grant
                 // that may become a quiet hold (module docs).
-                if log.entries.is_empty() && !was_yielding {
+                if log.entries.is_empty() && !yielding {
                     outcomes |= GRANT_QUIET;
                 }
-                Self::record_go(log, &[], was_yielding, me, t, l, stack);
+                Self::record_go(log, &[], yielding, me, t, l, stack);
                 break None;
             }
             let view = log.view();
@@ -1110,7 +1098,7 @@ impl AvoidanceCore {
                 // no revalidation possible or needed).
                 let found = self.find_instance_locked(view, slots, me, t, l, stack);
                 if found.is_none() {
-                    Self::record_go(log, slots, was_yielding, me, t, l, stack);
+                    Self::record_go(log, slots, yielding, me, t, l, stack);
                 }
                 break found;
             }
@@ -1120,7 +1108,7 @@ impl AvoidanceCore {
                 None
             };
             let Some((inst, proof)) = found else {
-                Self::record_go(log, slots, was_yielding, me, t, l, stack);
+                Self::record_go(log, slots, yielding, me, t, l, stack);
                 break None;
             };
             if self.config.enforce_yields {
@@ -1145,7 +1133,7 @@ impl AvoidanceCore {
             } else {
                 // Measurement mode: record the would-be yield but proceed
                 // as GO.
-                Self::record_go(log, slots, was_yielding, me, t, l, stack);
+                Self::record_go(log, slots, yielding, me, t, l, stack);
             }
             break Some(inst);
         };
@@ -1199,40 +1187,39 @@ impl AvoidanceCore {
         me.defer_go(l, stack, 1);
     }
 
-    /// Publishes the quiet hold and the unpublished grant, whichever there
-    /// is, as a `Granted` and a plain `Go`: what every hook other than the
-    /// grant's own `waiting` / `acquired` / `cancel` and the hold's own
-    /// `release` does first, so at most one of them is ever pending and
-    /// none is dropped.
+    /// Publishes whatever the grant word holds: what every hook other than
+    /// the grant's own `waiting` / `acquired` / `cancel` and the hold's own
+    /// `release` does first, so at most one grant or hold is ever pending
+    /// and none is dropped.
     fn publish_grant(&self, me: &ThreadSlot, t: ThreadId) {
-        self.end_quiet(me, t, None);
-        if let Some((l, stack, grant, _)) = me.take_pending() {
-            self.lanes
-                .push(t.0 as usize, Event::Go { t, l, stack, grant });
-        }
+        self.publish(t, me.take());
     }
 
-    /// Takes the quiet hold, if there is one. A hold of `releasing` the
-    /// monitor never claimed ends unseen (`true`: its `release` retires the
-    /// pair); any other unclaimed hold is published as the `Granted` it
-    /// stands in for. A claimed hold's edge is already drawn.
-    fn end_quiet(&self, me: &ThreadSlot, t: ThreadId, releasing: Option<LockId>) -> bool {
-        match me.take_quiet() {
-            Some((l, _, false)) if Some(l) == releasing => true,
-            Some((l, stack, false)) => {
-                let grant = 2;
-                self.lanes
-                    .push(t.0 as usize, Event::Granted { t, l, stack, grant });
-                false
+    /// Publishes what [`ThreadSlot::take`] took as the event it stands in
+    /// for: an unpublished grant as a plain `Go`, an unclaimed quiet hold as
+    /// its `Granted`. A claimed hold's edge is already drawn.
+    fn publish(&self, t: ThreadId, taken: Option<(LockId, StackId, u8)>) {
+        let event = match taken {
+            Some((l, stack, HELD)) => Event::Granted {
+                t,
+                l,
+                stack,
+                grant: 2,
+            },
+            Some((l, stack, grant)) if grant & HELD == 0 => {
+                let grant = (grant & !GRANT_QUIET).into();
+                Event::Go { t, l, stack, grant }
             }
-            _ => false,
-        }
+            _ => return,
+        };
+        self.lanes.push(t.0 as usize, event);
     }
 
     /// The monitor's claims: every quiet hold of one of `locks` whose
     /// thread's lane the caller has drained, with its thread, lock and
     /// stack (module docs, "Quiet holds"). Only the lanes' consumer may
-    /// call this — the lane check is a consumer's read.
+    /// call this — the lane check is a consumer's read — and with no engine
+    /// lock held: it takes each candidate's slot mutex.
     pub(crate) fn claim_quiet(&self, locks: &[LockId]) -> Vec<(ThreadId, LockId, StackId)> {
         let claim = |(t, me): (ThreadId, &ThreadSlot)| {
             let drained = || self.lanes.is_drained(t.0 as usize);
@@ -1245,18 +1232,17 @@ impl AvoidanceCore {
     /// Consumes the unpublished grant if it is for `l`, returning its
     /// counted outcomes (0 = there was none: the `Go` is already out, or
     /// the caller never requested) and whether it may become a quiet hold.
-    /// A grant for any *other* lock is not the caller's to consume and is
-    /// published as a plain `Go`, after any quiet hold.
+    /// Anything else the word holds — a grant for another lock, a quiet
+    /// hold — is not the caller's to consume and is published.
     fn take_grant(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> (u32, bool) {
-        self.end_quiet(me, t, None);
-        match me.take_pending() {
-            Some((granted, _, grant, quiet)) if granted == l => (grant, quiet),
-            Some((l, stack, grant, _)) => {
-                self.lanes
-                    .push(t.0 as usize, Event::Go { t, l, stack, grant });
+        match me.take() {
+            Some((granted, _, grant)) if granted == l && grant & HELD == 0 => {
+                ((grant & !GRANT_QUIET).into(), grant & GRANT_QUIET != 0)
+            }
+            taken => {
+                self.publish(t, taken);
                 (0, false)
             }
-            None => (0, false),
         }
     }
 
@@ -1325,7 +1311,7 @@ impl AvoidanceCore {
     fn record_go(
         mut log: MutexGuard<'_, AllowedLog>,
         slots: &[u32],
-        was_yielding: bool,
+        yielding: bool,
         me: &ThreadSlot,
         t: ThreadId,
         l: LockId,
@@ -1353,7 +1339,7 @@ impl AvoidanceCore {
             Self::bucket(view, slots, 0, *view_epoch, t, held);
         }
         drop(log);
-        if was_yielding {
+        if yielding {
             me.remove_yielding();
         }
     }
@@ -1418,8 +1404,16 @@ impl AvoidanceCore {
             me.panicked.store(true, Ordering::Relaxed);
         }
         let slot = t.0 as usize;
-        let quiet = self.end_quiet(me, t, Some(l));
-        self.publish_grant(me, t);
+        // A quiet hold of `l` the monitor never claimed ends unseen: this
+        // release retires its pair. Anything else the word holds is
+        // published.
+        let quiet = match me.take() {
+            Some((held, _, HELD)) if held == l => true,
+            taken => {
+                self.publish(t, taken);
+                false
+            }
+        };
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             // Pop the innermost entry from our private log and take it out
@@ -1474,7 +1468,7 @@ impl AvoidanceCore {
         let (grant, _) = self.take_grant(me, t, l);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.pop_entry(me, t, l);
-            if me.in_yielding.load(Ordering::Relaxed) {
+            if me.yielding.load(Ordering::Relaxed) {
                 me.remove_yielding();
             }
         }
@@ -1743,7 +1737,6 @@ impl AvoidanceCore {
                 &self.stats.wake_pool_misses
             });
         }
-        me.in_yielding.store(true, Ordering::Relaxed);
     }
 
     /// Precomputes member bucket keys for `sig` at depth `d`, resolved

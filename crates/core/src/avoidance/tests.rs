@@ -313,13 +313,12 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
 /// `Runtime::memory_footprint()` charges the records 64 at a time, so a
 /// thread's record must not grow: 720 bytes of slot at an earlier commit
 /// (counting filter and hint beside the stack), 136 with the stack alone,
-/// then the parker that used to sit in an array of its own, and 8 more for
-/// the quiet-hold word: the slot's three flags, grant count and grant stack
-/// filled one 8-byte unit exactly, so no smaller word fits beside them.
+/// then the parker that used to sit in an array of its own. A quiet hold is
+/// a state of the grant word, so it costs no byte of its own.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
-    assert!(core::mem::size_of::<ThreadSlot>() <= 144 + core::mem::size_of::<Parker>());
+    assert!(core::mem::size_of::<ThreadSlot>() <= 136 + core::mem::size_of::<Parker>());
 }
 
 /// A runtime makes no thread record until a thread registers, then 64 at a
@@ -812,31 +811,42 @@ fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
     core.unregister_thread(t);
 }
 
-/// The bounded-retry fallback, reached directly: on a two-thread cover
-/// `find_instance_locked` decides what the optimistic `find_instance`
-/// decides — same signature, causes and bindings — counts itself, and has
-/// the yield registered by the time it returns (it registers before its
-/// bucket claims drop, so the cause's release, which must claim the bucket
-/// to remove its entry, cannot slip in between): the release hands back the
-/// yielder although `request` never ran.
-#[test]
-fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield() {
+/// A thread and a lock it holds.
+type Hold = (ThreadId, LockId);
+
+/// The bounded-retry fallback, reached directly: over the same bucket
+/// contents `find_instance_locked` decides what the optimistic
+/// `find_instance` decides — the same signature, causes and bindings, or no
+/// instance — and counts itself. On a hit it has the yield registered by
+/// the time it returns (it registers before its bucket claims drop, so a
+/// cause's release, which must claim the bucket to remove its entry, cannot
+/// slip in between): every cause's release hands back the yielder although
+/// `request` never ran. The signature has `held` members whose depth-2 keys
+/// are identical, all ending the path `holders` threads each hold a lock
+/// through, and one the yielder requests on. Returns the holders' threads and
+/// locks, and the decision's causes as such pairs.
+fn the_fallback_agrees(held: u32, holders: usize) -> (Vec<Hold>, Vec<Hold>) {
     let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
-    let (held_path, held_stack) = site(&rt, &[("holder", 0), ("take", 10)]);
+    let held_site = |i: u32| site(&rt, &[("holder", i), ("mid", 5), ("take", 10)]);
+    let (held_path, held_stack) = held_site(0);
     let (yield_path, yield_stack) = site(&rt, &[("waiter", 0), ("take", 20)]);
-    let sig = rt
-        .history()
-        .add(CycleKind::Deadlock, vec![held_stack, yield_stack], 2)
-        .unwrap();
-    let holder = core.register_thread().unwrap();
+    let mut members: Vec<StackId> = (0..held).map(|i| held_site(i).1).collect();
+    members.push(yield_stack);
+    let sig = rt.history().add(CycleKind::Deadlock, members, 2).unwrap();
+    let holders: Vec<Hold> = (0..holders)
+        .map(|_| {
+            let (t, l) = (core.register_thread().unwrap(), rt.new_lock_id());
+            assert!(matches!(
+                core.request(t, l, &held_path, held_stack),
+                Decision::Go
+            ));
+            core.acquired(t, l, held_stack);
+            (t, l)
+        })
+        .collect();
     let yielder = core.register_thread().unwrap();
-    let (held_lock, wanted) = (rt.new_lock_id(), rt.new_lock_id());
-    assert!(matches!(
-        core.request(holder, held_lock, &held_path, held_stack),
-        Decision::Go
-    ));
-    core.acquired(holder, held_lock, held_stack);
+    let wanted = rt.new_lock_id();
 
     let me = core.me(yielder);
     let mut resolved = Resolved::default();
@@ -845,38 +855,57 @@ fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield
     drop(log);
     let slots = resolved.as_slice();
     assert_eq!(slots.len(), 1, "the yielder's path is a member suffix");
-    let (optimistic, _proof) = core
+    let optimistic = core
         .find_instance(&view, slots, yielder, wanted, yield_stack)
-        .expect("the holder's entry completes the cover");
+        .map(|(inst, _proof)| inst);
     assert_eq!(rt.stats().cover_fallbacks, 0);
-    assert!(
-        core.release(holder, held_lock).is_empty(),
-        "nothing registered yet"
-    );
-    assert!(matches!(
-        core.request(holder, held_lock, &held_path, held_stack),
-        Decision::Go
-    ));
-    core.acquired(holder, held_lock, held_stack);
+    for &(t, _) in &holders {
+        assert!(core.me(t).wake_list.is_empty(), "nothing registered yet");
+    }
 
-    let locked = core
-        .find_instance_locked(&view, slots, me, yielder, wanted, yield_stack)
-        .expect("the same cover, read under the claims");
+    let locked = core.find_instance_locked(&view, slots, me, yielder, wanted, yield_stack);
     assert_eq!(rt.stats().cover_fallbacks, 1);
-    assert_eq!(locked.sig.id, sig.id);
-    assert_eq!(locked.sig.id, optimistic.sig.id);
-    assert_eq!(locked.depth_used, optimistic.depth_used);
-    assert_eq!(locked.causes, optimistic.causes);
-    assert_eq!(locked.bindings, optimistic.bindings);
-    assert_eq!(
-        locked.causes,
-        vec![YieldCause {
-            thread: holder,
-            lock: held_lock,
-            stack: held_stack,
-        }]
-    );
-    assert_eq!(core.release(holder, held_lock), vec![yielder]);
+    let decision = |inst: &Option<Instance>| {
+        inst.as_ref()
+            .map(|i| (i.sig.id, i.depth_used, i.causes.clone(), i.bindings.clone()))
+    };
+    assert_eq!(decision(&locked), decision(&optimistic));
+    let causes: Vec<Hold> = locked.map_or_else(Vec::new, |inst| {
+        assert_eq!(inst.sig.id, sig.id);
+        inst.causes.iter().map(|c| (c.thread, c.lock)).collect()
+    });
+    let woken = if causes.is_empty() {
+        vec![]
+    } else {
+        vec![yielder]
+    };
+    for &(t, l) in &holders {
+        assert_eq!(core.release(t, l), woken, "{t:?}");
+        core.unregister_thread(t);
+    }
     core.unregister_thread(yielder);
-    core.unregister_thread(holder);
+    (holders, causes)
+}
+
+/// A hit: one holder covers the one other member.
+#[test]
+fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield() {
+    let (holders, causes) = the_fallback_agrees(1, 1);
+    assert_eq!(causes, holders);
+}
+
+/// A miss: two members with one key want two distinct holders, and the
+/// bucket holds one. Neither search finds an instance; the fallback still
+/// counts itself and registers nothing.
+#[test]
+fn the_cover_fallback_misses_where_the_optimistic_search_misses() {
+    assert!(the_fallback_agrees(2, 1).1.is_empty());
+}
+
+/// Two members with identical keys share one bucket snapshot, and two
+/// holders in it cover both.
+#[test]
+fn the_cover_fallback_covers_members_with_identical_keys_alike() {
+    let (holders, causes) = the_fallback_agrees(2, 2);
+    assert_eq!(causes, holders);
 }

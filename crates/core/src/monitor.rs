@@ -961,6 +961,43 @@ mod tests {
         assert_eq!(monitor.drain_events(), 1);
     }
 
+    /// A request retried after a failed revalidation still clears the yield
+    /// the monitor drew. The retry's first step retracts the registration,
+    /// but the `Yield` stays in force until a grant's event replaces it, so
+    /// the grant may not become a quiet hold, even on a stack that by now
+    /// hits no bucket — else the pair publishes nothing and the stale yield
+    /// edges outlive it (and a false yield cycle could be archived).
+    #[test]
+    fn a_retried_request_publishes_the_grant_that_ends_a_drawn_yield() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let (holder, yielder) = (
+            core.register_thread().unwrap(),
+            core.register_thread().unwrap(),
+        );
+        let (a, b) = (LockId(1), LockId(2));
+        let held = [frames.intern("holder", "retry.rs", 1)];
+        let wanted = [frames.intern("yielder", "retry.rs", 2)];
+        let (hs, ws) = (stacks.intern(&held), stacks.intern(&wanted));
+        let sig = monitor
+            .history
+            .add(CycleKind::Deadlock, vec![hs, ws], 1)
+            .unwrap();
+        core.request(holder, a, &held, hs);
+        core.acquired(holder, a, hs);
+        let d = core.request(yielder, b, &wanted, ws);
+        assert!(matches!(d, crate::Decision::Yield { .. }), "{d:?}");
+        monitor.step(&core, &|_| {});
+        assert!(monitor.rag.is_yielding(yielder), "the Yield is drawn");
+
+        assert!(monitor.history.remove(sig.id));
+        core.me(yielder).remove_yielding();
+        core.request(yielder, b, &wanted, ws);
+        core.acquired(yielder, b, ws);
+        core.release(yielder, b);
+        monitor.step(&core, &|_| {});
+        assert!(!monitor.rag.is_yielding(yielder), "{:?}", monitor.rag);
+    }
+
     /// Lock aging counts what the predictor is fed: a lock used only in
     /// quiet pairs after its last published hold retires on the same pass
     /// as one left untouched.

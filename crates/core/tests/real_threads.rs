@@ -775,3 +775,66 @@ fn rag_dot_export_renders() {
     assert!(dot.contains("digraph rag"));
     assert_eq!(dot.matches("[label=\"hold").count(), 2, "{dot}");
 }
+
+/// Canary for the monitor's claim of a quiet hold against the holder's
+/// release. One thread loops lone pairs on `L` (each a quiet hold), a
+/// second keeps blocking on `L` through `waiting`, and the spawned monitor,
+/// on a short τ, claims the holder's hold whenever it draws the waiter's
+/// allow edge — so claims race the holder's release swap, for a few hundred
+/// passes. Once both are done (alive and holding nothing, so no exit sweep
+/// tidies the graph), a final pass must find no hold edge left, and every
+/// hook outcome retired exactly once: a claim that landed on a later hold,
+/// or a release that missed its claim, leaves a stale edge or a miscount.
+#[test]
+fn a_claim_racing_the_holders_release_leaves_no_hold_edge() {
+    const PASSES: u64 = 300;
+    watchdogged(|| {
+        let rt = Runtime::start(Config {
+            monitor_period: Duration::from_millis(1),
+            ..quiet_config()
+        })
+        .unwrap();
+        let lock = rt.raw_lock();
+        let sites = [
+            rt.make_site(&[("holder", "claim.rs", 1)]),
+            rt.make_site(&[("waiter", "claim.rs", 2)]),
+        ];
+        let stop = AtomicBool::new(false);
+        let (done, exit) = (Barrier::new(3), Barrier::new(3));
+        let (dot, stats) = std::thread::scope(|s| {
+            for (site, hold) in sites.iter().zip([64, 0]) {
+                let (lock, stop, done, exit) = (&lock, &stop, &done, &exit);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        lock.lock(site);
+                        for _ in 0..hold {
+                            std::hint::spin_loop();
+                        }
+                        lock.unlock();
+                    }
+                    done.wait();
+                    exit.wait();
+                });
+            }
+            let passes = rt.stats().monitor_passes;
+            while rt.stats().monitor_passes < passes + PASSES {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::Relaxed);
+            done.wait();
+            rt.step_monitor();
+            let seen = (rt.rag_dot(), rt.stats());
+            exit.wait();
+            seen
+        });
+        rt.shutdown();
+
+        assert_eq!(dot.matches("[label=\"hold").count(), 0, "{dot}");
+        assert_eq!(
+            stats.events_processed,
+            stats.requests + stats.gos + stats.yields + stats.acquisitions + stats.releases,
+            "{stats:?}"
+        );
+        assert!(stats.quiet_pairs > 0, "no pair was quiet: {stats:?}");
+    });
+}

@@ -3,9 +3,11 @@
 //! with dynamic partial-order reduction (DPOR), an invariant harness, a
 //! schedule minimizer and a replayable deadlock corpus.
 //!
-//! Random seed sweeps ([`dimmunix_threadsim::explore`]) answer "does some
-//! schedule deadlock?"; this crate answers "does **any** schedule violate
-//! an invariant?" by walking the whole schedule space of small scripts.
+//! Random seed sweeps
+//! ([`dimmunix_threadsim::explore`](mod@dimmunix_threadsim::explore))
+//! answer "does some schedule deadlock?"; this crate answers "does **any**
+//! schedule violate an invariant?" by walking the whole schedule space of
+//! small scripts.
 //!
 //! # The schedule space
 //!
