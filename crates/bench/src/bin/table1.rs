@@ -5,7 +5,8 @@
 //! instrumented-but-ignoring-yields configuration still deadlocks, (3)
 //! learns the signatures, then (4) replays deadlocking schedules under full
 //! Dimmunix — which must complete them all — reporting yields per trial and
-//! the learned patterns.
+//! the learned patterns. It exits 1 if any row fails the shape checks it
+//! prints.
 
 use dimmunix_bench::report::{arg_u64, banner, scale_from_args, table, Scale};
 use dimmunix_core::{Config, Runtime};
@@ -26,6 +27,7 @@ fn main() {
     banner(&format!(
         "Table 1: reported deadlock bugs avoided by Dimmunix ({trials} trials per bug)"
     ));
+    let mut failures = Vec::new();
     let mut rows = Vec::new();
     for w in workloads::table1() {
         // Config 2 sanity: instrumented, yields ignored, must still deadlock.
@@ -46,6 +48,18 @@ fn main() {
         let mut depths: Vec<usize> = cert.pattern_depths.clone();
         depths.sort_unstable();
         depths.dedup();
+        let missed = [
+            (cert.completed != cert.trials, "complete every trial"),
+            (cert.yields.0 == 0, "yield in every trial"),
+            (
+                cert.patterns != w.expected_patterns,
+                "learn the paper's pattern count",
+            ),
+            (!ignored_still_deadlocks, "deadlock with yields ignored"),
+        ];
+        for (_, what) in missed.iter().filter(|(missed, _)| *missed) {
+            failures.push(format!("{} {}: did not {what}", w.system, w.bug_id));
+        }
         rows.push(vec![
             w.system.to_string(),
             w.bug_id.to_string(),
@@ -78,4 +92,10 @@ fn main() {
         "\nShape checks: every bug deadlocks without enforcement, completes {trials}/{trials} \
          with Dimmunix, and yields >= 1 per replayed exploit."
     );
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("FAIL: {failure}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -91,15 +91,20 @@
 //!
 //! The monitor needs a hold edge only where it can close a cycle or answer
 //! a waiter's "waiting for whom" (§5.2). A lock taken by a thread that
-//! holds nothing, on a stack that hits no member bucket, can do neither
-//! until someone waits for it: its thread waits for nothing, no cover can
-//! name the entry as a cause, and a thread that goes on to block publishes
-//! its holds first. So:
+//! holds nothing can do neither until someone waits for it: its thread
+//! waits for nothing, and a thread that goes on to request another lock —
+//! the only way to block or yield while holding this one — publishes its
+//! holds first. So:
 //!
-//! * `request` marks such a GO quiet — in the branch that already found the
-//!   stack's resolution empty and holds the thread's log, which must be
-//!   empty, with no yield in force whose edges the monitor still draws.
-//!   Instrumentation-only mode keeps no log and never marks one;
+//! * `request` marks a GO quiet when the thread's log is empty and no
+//!   yield is in force whose edges the monitor still draws. It decides once,
+//!   right after `lock_current`, for all three branches that grant: a stack
+//!   that hits no member bucket, a relevant one with no cover, and the
+//!   bounded-retry fallback. A relevant quiet grant still inserts its
+//!   bucket entries, and its release still removes them and drains its
+//!   wake list, so decisions and wakeups are those of a published pair;
+//!   only the lane entries are skipped. Instrumentation-only mode keeps no
+//!   log and never marks one;
 //! * `acquired` on a quiet grant pushes nothing. It leaves the grant's lock
 //!   and stack where `defer_go` wrote them and stores `HELD` into the
 //!   grant word, `ThreadSlot::grant` (`Release`): the hold is a state of
@@ -144,6 +149,20 @@
 //! * **No stale edge.** A claimed hold's release always publishes its
 //!   `Release`, so the graph ends equal to a replay of the events the pair
 //!   would have published unclaimed.
+//!
+//! **A cover may name a quiet hold.** The bucket entry of a relevant quiet
+//! hold `(T, L)` is as visible to covers as any, so a yielder can register
+//! it as a cause while the monitor has no hold edge for it. Nothing the
+//! yielder waits for comes from the monitor: T's release drains the wake
+//! list whatever the hold's state. The monitor's part is the yield-cycle
+//! search, and there a cause it does not see held does not pin its yielder
+//! (`Rag::find_yield_cycles`) — the safe direction, and only while T
+//! cannot be stuck: T joins a yield cycle only by a further `request` while
+//! holding L, whose first step publishes the hold (`publish_grant`).
+//! So T's `Granted` is in its lane ahead of its `Go` or `Yield`, and the
+//! pass that sees T stuck sees the hold edge too. The false-positive probes
+//! take their holds from the RAG alone for the same reason: a cause enters
+//! a probe as an applied event or a claim, never on the yielder's word.
 //!
 //! The claim adds one edge to the engine's lock order: the monitor takes a
 //! slot mutex holding no engine lock, as a rebuild's visit does, and no
@@ -723,8 +742,9 @@ pub(crate) struct ThreadSlot {
     grant_stack: AtomicU32,
 }
 
-/// [`ThreadSlot::grant`] flag: the GO was granted on a stack that hits no
-/// member bucket to a thread holding nothing, so its pair needs no event.
+/// [`ThreadSlot::grant`] flag: the GO was granted to a thread holding
+/// nothing with no yield in force, so its pair needs no event unless someone
+/// waits for the lock.
 const GRANT_QUIET: u8 = 4;
 /// [`ThreadSlot::grant`] state: a quiet hold is in force.
 const HELD: u8 = 8;
@@ -1044,7 +1064,9 @@ impl AvoidanceCore {
     }
 
     /// The `request` hook: decides GO or YIELD for thread `t` wanting lock
-    /// `l` with call stack `frames`/`stack` (§5.4).
+    /// `l` with call stack `frames`/`stack` (§5.4). A GO to a thread that
+    /// holds nothing and has no yield in force is marked quiet, relevant
+    /// stack or not (module docs, "Quiet holds").
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
         let me = self.me(t);
         let slot = t.0 as usize;
@@ -1069,23 +1091,23 @@ impl AvoidanceCore {
 
         let full = self.config.mode == RuntimeMode::Full;
         let mut validation_failures = 0_u32;
-        let mut outcomes = 2;
         // A yield in force when the request began: its registration is still
         // live and the monitor still draws its edges, however many retries
         // below fail to revalidate (only this thread writes `yielding`).
         let yielding = me.yielding.load(Ordering::Relaxed);
+        let mut quiet;
         let instance = loop {
             let mut resolved = Resolved::default();
             let log = self.lock_current(me, frames, &mut resolved);
+            // A thread that holds nothing and has no yield edge to clear
+            // gets a GO that may become a quiet hold, whichever branch below
+            // grants it (module docs). Only this thread changes its log's
+            // length, so every retry reads the same answer.
+            quiet = log.entries.is_empty() && !yielding;
             if resolved.len == 0 {
                 // Cover impossible: the suffix hits no member bucket, so the
                 // decision is GO and the entry stays in the private log — no
-                // shared state touched (beyond yield cleanup). A thread that
-                // holds nothing and has no yield edge to clear gets a grant
-                // that may become a quiet hold (module docs).
-                if log.entries.is_empty() && !yielding {
-                    outcomes |= GRANT_QUIET;
-                }
+                // shared state touched (beyond yield cleanup).
                 Self::record_go(log, &[], yielding, me, t, l, stack);
                 break None;
             }
@@ -1142,7 +1164,7 @@ impl AvoidanceCore {
             None => {
                 me.clear_yield_state();
                 Stats::bump(&self.stats.hot(slot).gos);
-                me.defer_go(l, stack, outcomes);
+                me.defer_go(l, stack, if quiet { 2 | GRANT_QUIET } else { 2 });
                 Decision::Go
             }
             Some(inst) => {

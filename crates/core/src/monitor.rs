@@ -69,7 +69,7 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
 use dimmunix_predict::Predictor;
-use dimmunix_rag::{LockId, Rag, ThreadId, YieldCause};
+use dimmunix_rag::{LockId, Rag, ThreadId};
 use dimmunix_signature::{
     suffix_matches, CalibrationUpdate, CallStack, CycleKind, FrameTable, History, HistoryError,
     IdMap, IdSet, Provenance, Signature, StackId, StackTable,
@@ -546,7 +546,7 @@ impl Monitor {
         };
         let mut participants: IdSet<ThreadId> = info.causes.iter().map(|c| c.thread).collect();
         participants.insert(yielder);
-        let initial_holds = self.initial_holds(&participants, &info.causes);
+        let initial_holds = self.initial_holds(&participants);
         let binding_frames: Vec<(CallStack, CallStack)> = info
             .bindings
             .iter()
@@ -583,25 +583,15 @@ impl Monitor {
         });
     }
 
-    fn initial_holds(
-        &self,
-        participants: &IdSet<ThreadId>,
-        causes: &[YieldCause],
-    ) -> Vec<(ThreadId, LockId)> {
-        // The cause tuples name the locks that pin the yield; the RAG (even
-        // if slightly stale) supplies everything else the participants held
-        // at probe-open time — in particular the yielder's own holds, which
-        // are one side of any future inversion.
-        let mut holds: Vec<(ThreadId, LockId)> =
-            causes.iter().map(|c| (c.thread, c.lock)).collect();
-        for &t in participants {
-            for l in self.rag.held_locks(t) {
-                holds.push((t, l));
-            }
-        }
-        holds.sort_unstable_by_key(|&(t, l)| (t, l));
-        holds.dedup();
-        holds
+    /// What the participants hold in the RAG when the probe opens — the
+    /// yielder's own holds above all, one side of any future inversion.
+    /// Only the RAG: a cause's hold the graph does not show yet (its
+    /// `Granted` is still queued, it is only allowed to wait, it holds
+    /// quietly) reaches the probe as the event or claim that draws it, and
+    /// counting it here too would leave a copy its release never removes.
+    fn initial_holds(&self, participants: &IdSet<ThreadId>) -> Vec<(ThreadId, LockId)> {
+        let held = |&t: &ThreadId| self.rag.held_locks(t).into_iter().map(move |l| (t, l));
+        participants.iter().flat_map(held).collect()
     }
 
     fn feed_probes(&mut self, t: ThreadId, l: LockId, acquire: bool) {
@@ -996,6 +986,57 @@ mod tests {
         core.release(yielder, b);
         monitor.step(&core, &|_| {});
         assert!(!monitor.rag.is_yielding(yielder), "{:?}", monitor.rag);
+    }
+
+    /// A probe counts a yield cause's hold once. The yielder is registered
+    /// first, so its lane — and the `Yield` that opens the probe — drains
+    /// before the cause's `Granted`, which the probe then logs as an
+    /// acquisition. The cause releases `a`, later nests `b` inside `outer`,
+    /// and the yielder nests `a` inside `b`: no two threads ordered a pair
+    /// both ways, so the probe is a false positive. A second copy of the
+    /// cause's hold of `a` would outlive its release and read as `a → b`.
+    #[test]
+    fn a_probe_opened_before_its_causes_grant_counts_that_hold_once() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let yielder = core.register_thread().unwrap();
+        let cause = core.register_thread().unwrap();
+        let (a, b, outer) = (LockId(1), LockId(2), LockId(3));
+        let held = [frames.intern("cause", "probe.rs", 1)];
+        let wanted = [frames.intern("yielder", "probe.rs", 2)];
+        let (hs, ws) = (stacks.intern(&held), stacks.intern(&wanted));
+        monitor
+            .history
+            .add(CycleKind::Deadlock, vec![hs, ws], 1)
+            .unwrap();
+        let (site, s) = site(&frames, &stacks);
+        let nest = |t, pairs: [(LockId, &[_], StackId); 2]| {
+            for (l, frames, stack) in pairs {
+                core.request(t, l, frames, stack);
+                core.acquired(t, l, stack);
+            }
+        };
+        // Nested, so the hold of `a` is published.
+        nest(cause, [(outer, &site, s), (a, &held, hs)]);
+        let d = core.request(yielder, b, &wanted, ws);
+        assert!(matches!(d, crate::Decision::Yield { .. }), "{d:?}");
+        monitor.step(&core, &|_| {});
+        assert_eq!(monitor.probes.len(), 1);
+        assert_eq!(monitor.rag.held_locks(cause), [outer, a]);
+
+        assert_eq!(core.release(cause, a), [yielder]);
+        core.release(cause, outer);
+        nest(cause, [(outer, &site, s), (b, &site, s)]);
+        core.release(cause, b);
+        core.release(cause, outer);
+        monitor.step(&core, &|_| {});
+
+        nest(yielder, [(b, &wanted, ws), (a, &site, s)]);
+        core.release(yielder, a);
+        core.release(yielder, b);
+        monitor.step(&core, &|_| {});
+        let st = monitor.stats.snapshot();
+        assert!(monitor.probes.is_empty());
+        assert_eq!((st.false_positives, st.true_positives), (1, 0));
     }
 
     /// Lock aging counts what the predictor is fed: a lock used only in

@@ -90,7 +90,8 @@ pub struct Stats {
     /// claimed adds the 3 of the `Granted` it stands in for. The pairs that
     /// never reached the monitor are [`HotStripe::quiet_pairs`];
     /// [`StatsSnapshot::events_processed`] adds 4 for each, and at
-    /// quiescence (every hook returned, every event applied)
+    /// quiescence (every hook returned, every event applied) with no quiet
+    /// hold in force
     ///
     /// ```text
     /// snapshot.events_processed == requests + gos + yields + acquisitions
@@ -98,7 +99,9 @@ pub struct Stats {
     /// ```
     ///
     /// holds exactly, whichever events carried the outcomes — so "has the
-    /// monitor caught up with the hooks?" is a comparison of counters. How
+    /// monitor caught up with the hooks?" is a comparison of counters. A
+    /// quiet hold still in force (unclaimed, not yet released) leaves its
+    /// request, GO and acquisition — 3 — unretired until its release. How
     /// many lane entries that took is `events_last_drain` /
     /// `lane_high_water`, which count entries.
     pub events_processed: AtomicU64,

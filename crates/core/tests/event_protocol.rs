@@ -1,12 +1,16 @@
 //! What the hooks tell the monitor, and when: a lone uncontended pair
-//! publishes nothing (a quiet hold), the same pair nested inside another
-//! lock two lane entries, and a contended one three; a thread blocked inside
-//! any immunized lock type has its allow edge in the monitor's RAG before
-//! its holder releases, beside the hold edge the monitor claimed from the
-//! holder's quiet hold; and `events_processed` accounts for every counted
-//! hook outcome whichever event — or quiet pair — ended up carrying it.
+//! publishes nothing (a quiet hold, on a signature stack too, where its
+//! bucket entry still makes it a yield cause), the same pair nested inside
+//! another lock two lane entries, and a contended one three; a thread
+//! blocked inside any immunized lock type has its allow edge in the
+//! monitor's RAG before its holder releases, beside the hold edge the
+//! monitor claimed from the holder's quiet hold; and `events_processed`
+//! accounts for every counted hook outcome whichever event — or quiet pair
+//! — ended up carrying it.
 
-use dimmunix_core::{Config, Decision, LockId, LockSite, Runtime, RuntimeMode, ThreadId};
+use dimmunix_core::{
+    Config, Decision, LockId, LockSite, Runtime, RuntimeMode, ThreadId, YieldCause,
+};
 use std::cell::Cell;
 use std::sync::mpsc;
 use std::sync::Barrier;
@@ -312,13 +316,19 @@ impl Script {
 
     /// The quiescent identity of `Stats::events_processed`.
     fn assert_identity(&self, after: &str) {
+        self.assert_identity_holding(after, 0);
+    }
+
+    /// The identity with `quiet` quiet holds in force: each leaves its
+    /// request, GO and acquisition unretired until its release.
+    fn assert_identity_holding(&self, after: &str, quiet: u64) {
         self.rt.step_monitor();
         let s = self.rt.stats();
         let (cancels, exits) = (self.cancels.get(), self.exits.get());
         assert_eq!(
-            s.events_processed,
+            s.events_processed + 3 * quiet,
             s.requests + s.gos + s.yields + s.acquisitions + s.releases + cancels + exits,
-            "after {after}: {cancels} cancels, {exits} exits, {s:?}",
+            "after {after}: {quiet} quiet holds, {cancels} cancels, {exits} exits, {s:?}",
         );
     }
 }
@@ -348,13 +358,14 @@ fn every_hook_outcome_is_retired_exactly_once() {
     core.release(t0, a);
     w.assert_identity("yield, wake, go");
 
-    // Yield → `force_go` after the yield timed out, lock free.
+    // Yield → `force_go` after the yield timed out, lock free. The cause,
+    // t1, holds b quietly until the cancel step below.
     w.acquire(t1, b, sb);
     yields(t0, a, sa);
     core.force_go(t0, a, sa.frames(), sa.stack());
     core.acquired(t0, a, sa.stack());
     core.release(t0, a);
-    w.assert_identity("yield, timeout, force_go");
+    w.assert_identity_holding("yield, timeout, force_go", 1);
 
     // Yield → `force_go` after the monitor broke it, lock taken.
     yields(t0, a, sa);
@@ -364,7 +375,7 @@ fn every_hook_outcome_is_retired_exactly_once() {
     core.waiting(t0, a, sa.stack());
     core.acquired(t0, a, sa.stack());
     core.release(t0, a);
-    w.assert_identity("yield, broken, force_go, wait");
+    w.assert_identity_holding("yield, broken, force_go, wait", 1);
 
     // A yield a `try_lock` rolls back.
     yields(t0, a, sa);
@@ -405,12 +416,13 @@ fn an_unenforced_yield_retires_its_request_with_the_yield() {
     w.unmatched_paths();
     w.seed();
     let (t0, t1, a, b) = (w.t0, w.t1, w.a, w.b);
+    // The cause holds b quietly until the last step.
     w.acquire(t1, b, &w.sb);
     // Counted as a yield, answered with a GO.
     w.acquire(t0, a, &w.sa);
     assert_eq!(w.rt.stats().yields, 1);
     w.rt.core().release(t0, a);
-    w.assert_identity("would-be yield, acquire");
+    w.assert_identity_holding("would-be yield, acquire", 1);
 
     w.go(t0, a, &w.sa);
     w.rt.core().waiting(t0, a, w.sa.stack());
@@ -419,4 +431,51 @@ fn an_unenforced_yield_retires_its_request_with_the_yield() {
     w.rt.core().release(t1, b);
     assert_eq!(w.rt.stats().yields, 2);
     w.assert_identity("would-be yield, wait, acquire");
+}
+
+/// A lone pair on a signature stack is quiet too: its bucket entry is
+/// still a yield cause, and its release still wakes the yielder. Nested
+/// inside another lock, the same pair is published.
+#[test]
+fn a_lone_pair_on_a_signature_stack_is_quiet_and_still_a_yield_cause() {
+    let w = Script::new(Config {
+        max_yield_duration: None,
+        ..Config::default()
+    });
+    w.seed();
+    let (t0, t1, a, b) = (w.t0, w.t1, w.a, w.b);
+    let core = w.rt.core();
+    let quiet_pairs = || w.rt.stats().quiet_pairs;
+    let before = quiet_pairs();
+    w.acquire(t1, b, &w.sb);
+    core.release(t1, b);
+    assert_eq!((drained(&w.rt), quiet_pairs() - before), (0, 1));
+
+    w.acquire(t1, b, &w.sb);
+    let d = w.request(t0, a, &w.sa);
+    assert!(matches!(d, Decision::Yield { .. }), "{d:?}");
+    let cause = YieldCause {
+        thread: t1,
+        lock: b,
+        stack: w.sb.stack(),
+    };
+    assert_eq!(core.yield_causes(t0), [cause]);
+    assert_eq!(drained(&w.rt), 1, "the yield alone");
+    assert_eq!(core.release(t1, b), [t0]);
+    assert_eq!(quiet_pairs() - before, 2);
+    w.acquire(t0, a, &w.sa);
+    core.release(t0, a);
+    w.assert_identity("a yield caused by a quiet hold");
+
+    let outer = w.rt.new_lock_id();
+    w.acquire(t1, outer, &w.other);
+    w.acquire(t1, b, &w.sb);
+    core.release(t1, b);
+    core.release(t1, outer);
+    assert_eq!(
+        drained(&w.rt),
+        4,
+        "the outer granted, the pair's granted and release, the outer release"
+    );
+    assert_eq!(quiet_pairs() - before, 2);
 }
