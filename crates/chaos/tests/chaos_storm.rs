@@ -9,10 +9,11 @@
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path};
 use dimmunix_core::{Config, CycleKind, Decision, PredictionConfig, ReferenceCore, Runtime};
-use dimmunix_inject::{install, FaultPlan};
+use dimmunix_inject::{install, FaultPlan, MonitorFault, MonitorFaultKind};
 use dimmunix_workloads::{run_once, table1};
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Splittable xorshift64* — deterministic op-stream driver (the chaos
 /// crate deliberately has no RNG dependency).
@@ -119,8 +120,13 @@ proptest! {
         // Scripted thread panics target real OS threads (covered by the
         // degradation-path tests); the simulator's threads are virtual.
         plan.acquire_panics.clear();
-        if plan.monitor.is_none() && plan.history.is_none() && !plan.lane_overflow {
-            plan.lane_overflow = true; // never run a fault-free "storm"
+        if plan.monitor.is_none() && plan.history.is_none() {
+            // Never run a fault-free "storm": stall a few passes instead.
+            plan.monitor = Some(MonitorFault {
+                after_pass: 1,
+                kind: MonitorFaultKind::Stall(Duration::from_millis(1)),
+                times: 3,
+            });
         }
         let guard = install(plan);
 
@@ -178,7 +184,7 @@ proptest! {
         drop(reboot);
         std::fs::remove_file(&path).ok();
         prop_assert!(
-            fired.monitor_faults + fired.history_faults + fired.lane_overflows > 0,
+            fired.monitor_faults + fired.history_faults > 0,
             "seed {seed:016x} injected nothing: {fired:?}"
         );
     }

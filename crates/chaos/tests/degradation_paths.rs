@@ -1,4 +1,4 @@
-//! The four scripted degradation paths, each driven end to end from a
+//! The three scripted degradation paths, each driven end to end from a
 //! seed-replayable [`FaultPlan`]:
 //!
 //! 1. a registered thread panics at its Nth acquire while holding locks —
@@ -7,16 +7,14 @@
 //!    RAG snapshot, and past the restart budget degrades to pass-through
 //!    mode with bounded yield waits;
 //! 3. the history file is torn (truncated / corrupted / crash before
-//!    rename) — the next boot salvages the valid prefix;
-//! 4. every event forces its lane to hand over to a new block —
-//!    detection must still see the full stream.
+//!    rename) — the next boot salvages the valid prefix.
 //!
 //! Scenarios serialize on the inject crate's global install lock, so they
 //! can share one process.
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
 use dimmunix_core::config::MONITOR_RESTART_BUDGET;
-use dimmunix_core::{Config, CycleKind, Decision, HistoryError, PredictionConfig, Runtime};
+use dimmunix_core::{Config, CycleKind, HistoryError, PredictionConfig, Runtime};
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
 use std::sync::Arc;
@@ -429,41 +427,4 @@ fn corrupted_history_is_salvaged_at_boot() {
     assert_eq!(rt.stats().history_salvaged, 1);
     assert_eq!(rt.history().len(), rec.recovered);
     std::fs::remove_file(&path).ok();
-}
-
-/// Path 4: forced lane-overflow pressure. Every push links a new block, so
-/// the monitor crosses a block hand-over for every event and must still
-/// assemble the full RAG — a deadlock built exclusively from events that
-/// each sit alone in their block is detected.
-#[test]
-fn forced_lane_overflow_loses_no_events() {
-    let guard = install(FaultPlan::none().force_lane_overflow());
-    let rt = Runtime::new(Config::default()).unwrap();
-    let t0 = rt.core().register_thread().unwrap();
-    let t1 = rt.core().register_thread().unwrap();
-    let a = rt.new_lock_id();
-    let b = rt.new_lock_id();
-    let sa = rt.make_site(&[("m", "x.rs", 1), ("u", "x.rs", 3)]);
-    let sb = rt.make_site(&[("m", "x.rs", 2), ("u", "x.rs", 3)]);
-    rt.core().request(t0, a, sa.frames(), sa.stack());
-    rt.core().acquired(t0, a, sa.stack());
-    rt.core().request(t1, b, sb.frames(), sb.stack());
-    rt.core().acquired(t1, b, sb.stack());
-    rt.core().request(t0, b, sb.frames(), sb.stack());
-    rt.core().waiting(t0, b, sb.stack());
-    rt.core().request(t1, a, sa.frames(), sa.stack());
-    rt.core().waiting(t1, a, sa.stack());
-    rt.step_monitor();
-
-    let stats = rt.stats();
-    assert!(stats.deadlocks_detected >= 1, "{stats:?}");
-    assert!(stats.lane_overflows > 0, "{stats:?}");
-    assert!(guard.fired().lane_overflows > 0);
-    assert_eq!(rt.history().len(), 1);
-    let d = rt.core().request(t0, a, sa.frames(), sa.stack());
-    assert!(
-        matches!(d, Decision::Go | Decision::Yield { .. }),
-        "runtime stays functional: {d:?}"
-    );
-    rt.core().cancel(t0, a);
 }

@@ -39,9 +39,9 @@
 //! * the read-mostly **match view** (bucket layout, the [`MatchIndex`],
 //!   and the current `MatchTable`) is published through an [`EpochCell`]
 //!   so `request` revalidates it with a single atomic load;
-//! * events flow to the monitor over per-thread SPSC lanes
+//! * events flow to the monitor over per-thread lanes
 //!   ([`crate::lanes::EventLanes`]) instead of the paper's one contended
-//!   MPSC tail, and only the events the monitor's RAG needs: two per
+//!   queue, and only the events the monitor's RAG needs: two per
 //!   uncontended pair, and none for a lone one (a quiet hold).
 //!
 //! # What the monitor is told: a GO is published only if the thread waits
@@ -226,8 +226,9 @@
 //! new view, and finally marks the table swept. There is one choice, made
 //! while building the view:
 //!
-//! * **Extend** — when the history's journal proves every intervening
-//!   generation was a pure signature *append* ([`History::delta_between`]).
+//! * **Extend** — when no generation since the old view's was structural,
+//!   so everything in between was a pure signature *append*
+//!   ([`History::appended_since`]).
 //!   `BucketLayout` slot assignment is append-stable, so new
 //!   `(depth, suffix)` keys take slots past the old length and surviving
 //!   slots are never renumbered; the extended table **shares** every
@@ -236,7 +237,7 @@
 //!   complete as they stand, so the visit inserts only entries that land
 //!   in a new slot.
 //! * **Fresh** — for structural history changes (removal, disable, merge,
-//!   a depth-recalibration touch) or a truncated journal: a new index,
+//!   a depth-recalibration touch) or the sentinel view: a new index,
 //!   layout and empty table, and the visit inserts every relevant entry.
 //!
 //! Either way a view is stamped with the generation its contents were read
@@ -369,8 +370,8 @@ use dimmunix_lockfree::{
 };
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
-    BucketLayout, CoverKeys, FrameId, History, HistoryDelta, MatchIndex, MemberKey, Signature,
-    StackId, StackTable,
+    BucketLayout, CoverKeys, FrameId, History, MatchIndex, MemberKey, Signature, StackId,
+    StackTable,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -1616,7 +1617,7 @@ impl AvoidanceCore {
         // The only branch. An extension shares every surviving bucket with
         // the old table, complete as they stand, so the visit fills only
         // the slots past the old layout; a fresh table is filled whole.
-        let (view, first_new, extended) = match self.extended_view(&old, gen) {
+        let (view, first_new, extended) = match self.extended_view(&old) {
             Some(view) => (view, old.layout.len() as u32, true),
             None => (self.fresh_view(), 0, false),
         };
@@ -1660,23 +1661,21 @@ impl AvoidanceCore {
         view.table.swept.store(true, Ordering::Release);
     }
 
-    /// `old` extended to generation `gen` by the signatures appended in
-    /// between: new `(depth, suffix)` keys take slots past the old layout's
-    /// length, and the table shares every surviving bucket with `old`'s.
-    /// `None` when only a fresh build will do: the span holds a structural
-    /// change (removal, disable, depth touch), reaches past the journal or
-    /// starts at the sentinel view ([`History::delta_between`] reports all
-    /// three alike).
-    fn extended_view(&self, old: &MatchView, gen: u64) -> Option<MatchView> {
-        // Bounded by `gen`, the stamp: an `add` may bump the history past
-        // it while this runs, and a view holding that signature under the
-        // older stamp would get it again from the next rebuild's delta —
-        // the layout dedups keys, but the index would list its candidates
-        // twice.
-        let HistoryDelta::Appended(new_sigs) = self.history.delta_between(old.generation, gen)
-        else {
-            return None;
-        };
+    /// `old` extended by the signatures appended since it was built: new
+    /// `(depth, suffix)` keys take slots past the old layout's length, and
+    /// the table shares every surviving bucket with `old`'s. `None` when
+    /// only a fresh build will do: a structural change (removal, disable,
+    /// depth touch) came after `old`, or `old` is the sentinel view
+    /// ([`History::appended_since`] reports both alike).
+    fn extended_view(&self, old: &MatchView) -> Option<MatchView> {
+        // Stamped with the generation read together with the tail: an `add`
+        // may bump the history while this runs, and a view holding a
+        // signature under an older stamp would get it again from the next
+        // rebuild's tail — the layout dedups keys, but the index would list
+        // its candidates twice.
+        let (gen, new_sigs) = self
+            .history
+            .appended_since(old.generation, old.index.signatures())?;
         let layout = Arc::new(BucketLayout::extended(&old.layout, &new_sigs, &self.stacks));
         let index = MatchIndex::extended(
             &old.index,

@@ -422,7 +422,7 @@ fn a_chunk_installed_during_a_rebuild_waits_for_its_visit() {
 
 /// Signatures appended while rebuilds run are applied once each. A view
 /// stamped older than its contents would take the newer signatures again
-/// from the next rebuild's delta, and the index would list their
+/// from the next rebuild's tail, and the index would list their
 /// candidates twice (the layout dedups keys; the candidate sets do not).
 #[test]
 fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
@@ -439,17 +439,11 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
         .collect();
     core.refresh_published();
     let done = AtomicBool::new(false);
-    // The generation the rebuilder has caught up to. The adder stays within
-    // the history's delta journal of it, so that however the two threads
-    // are scheduled the rebuilds keep extending (the duplicates lived in
+    // Pure appends only, so every rebuild extends (the duplicates lived in
     // extended indexes; a fresh build wipes them).
-    let published = AtomicU64::new(0);
     std::thread::scope(|s| {
         s.spawn(|| {
             for (a, b) in &sites {
-                while rt.history().generation() > published.load(Ordering::Acquire) + 128 {
-                    std::thread::yield_now();
-                }
                 rt.history()
                     .add(CycleKind::Deadlock, vec![a.1, b.1], 2)
                     .unwrap();
@@ -458,7 +452,6 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
         });
         while !done.load(Ordering::Acquire) {
             core.refresh_published();
-            published.store(core.view_cell.load().generation, Ordering::Release);
         }
     });
     core.refresh_published();
@@ -722,8 +715,7 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
         )
         .unwrap();
     let old = core.view_cell.load();
-    let gen = rt.history().generation();
-    let extended = core.extended_view(&old, gen).expect("a pure append");
+    let extended = core.extended_view(&old).expect("a pure append");
     assert!(Arc::ptr_eq(
         &extended.table.buckets[0],
         &old.table.buckets[0]
@@ -745,9 +737,7 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
     // (b) Structural: the depth-2 signature goes; a fresh table numbers
     // what is left from 0.
     assert!(rt.history().remove(deep.id));
-    assert!(core
-        .extended_view(&core.view_cell.load(), rt.history().generation())
-        .is_none());
+    assert!(core.extended_view(&core.view_cell.load()).is_none());
     rebuild_around(core.fresh_view(), 0, locks[2]);
     assert_eq!(remembered(locks[1]), (vec![0], true));
     assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);

@@ -2,9 +2,10 @@
 //!
 //! The avoidance hooks decide on the lock path and tell the monitor
 //! afterwards (§3, Figure 1), over the per-thread lanes of
-//! [`crate::lanes`]. An event is published only when it changes what the
-//! monitor's RAG must show, so a `request` that ends in a GO publishes
-//! nothing by itself:
+//! [`crate::lanes`]: one mutex-guarded queue per thread, pushed by its
+//! thread and swapped out whole by the monitor's drain. An event is
+//! published only when it changes what the monitor's RAG must show, so a
+//! `request` that ends in a GO publishes nothing by itself:
 //!
 //! * a **lone** uncontended `lock()`/`unlock()` — taken by a thread that
 //!   holds nothing, on a stack that hits no signature bucket — publishes

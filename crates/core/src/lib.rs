@@ -46,9 +46,9 @@
 //!   log that is also the thread's held-lock stack) or read-mostly (an
 //!   epoch-published match view), so the common case takes no shared lock,
 //!   hashes nothing and allocates nothing; see the module docs.
-//! * [`lanes::EventLanes`] — per-thread SPSC event lanes, each one queue
-//!   that grows by a block when its producer outruns the monitor, carrying
-//!   hook events to the monitor.
+//! * [`lanes::EventLanes`] — per-thread event lanes, each one
+//!   mutex-guarded queue that only its thread and the monitor's swap touch,
+//!   carrying hook events to the monitor.
 //! * [`monitor::Monitor`] — cycle detection, signature archival, starvation
 //!   breaking, false-positive probes, calibration, the steady-state
 //!   match-view rebuild/publication, and (when [`Config::prediction`] is

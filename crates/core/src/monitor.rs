@@ -24,13 +24,17 @@
 //! generation moved, so application threads never rebuild inline on the
 //! hot path.
 //!
-//! Events are per-thread FIFO (a lane is one queue, however many blocks it
-//! has grown to), but cross-thread interleaving within one pass follows
-//! lane order rather than global enqueue order. The RAG tolerates that:
-//! holds are multisets, detection runs only after the full drain, and a
-//! deadlocked thread stops producing events, so the graph still converges
-//! on exactly the stuck subset (§5.1's lazy-view argument). A drain stops
-//! at the highest lane that ever held an event.
+//! Events are per-thread FIFO (a lane is one queue, which a drain swaps out
+//! and applies with no lane lock held), but cross-thread interleaving
+//! within one pass follows lane order rather than global enqueue order. The
+//! RAG tolerates that: holds are multisets, detection runs only after the
+//! full drain, and a deadlocked thread stops producing events, so the graph
+//! still converges on exactly the stuck subset (§5.1's lazy-view argument).
+//! A drain stops at the highest lane made so far.
+//!
+//! The RAG is also the one record of holds the false-positive probes read:
+//! at each acquisition by a probe's participant, the probe notes which
+//! locks the graph shows that thread holding.
 //!
 //! The monitor is deliberately separable from wall-clock time: the runtime
 //! can either spawn it on a dedicated thread with period τ, or call
@@ -72,7 +76,7 @@ use dimmunix_predict::Predictor;
 use dimmunix_rag::{LockId, Rag, ThreadId};
 use dimmunix_signature::{
     suffix_matches, CalibrationUpdate, CallStack, CycleKind, FrameTable, History, HistoryError,
-    IdMap, IdSet, Provenance, Signature, StackId, StackTable,
+    IdSet, Provenance, Signature, StackId, StackTable,
 };
 use std::sync::Arc;
 
@@ -106,8 +110,8 @@ impl std::fmt::Debug for Hooks {
     }
 }
 
-/// Upper bound on ops collected per false-positive probe.
-const PROBE_OP_CAP: usize = 10_000;
+/// Upper bound on lock orders recorded per false-positive probe.
+const PROBE_ORDER_CAP: usize = 10_000;
 /// Upper bound on monitor passes a probe stays open without resolution.
 const PROBE_AGE_CAP: u32 = 64;
 /// Upper bound on concurrently open probes. Probes are a statistical
@@ -117,7 +121,7 @@ const PROBE_AGE_CAP: u32 = 64;
 const PROBE_OPEN_CAP: usize = 512;
 
 /// One retrospective false-positive analysis in flight (§5.5): after an
-/// avoidance, log the lock operations of the involved threads (plus the
+/// avoidance, record the lock orders of the involved threads (plus the
 /// yielded thread after release) and look for lock inversions; none found ⇒
 /// the avoidance was likely a false positive.
 struct FpProbe {
@@ -129,47 +133,22 @@ struct FpProbe {
     yielder: ThreadId,
     contested: LockId,
     participants: IdSet<ThreadId>,
-    /// Locks held by participants when the probe opened (from the RAG).
-    initial_holds: Vec<(ThreadId, LockId)>,
-    /// Logged operations: `(thread, lock, is_acquire)`.
-    ops: Vec<(ThreadId, LockId, bool)>,
+    /// `(t, a, l)`: participant `t` acquired `l` while the RAG showed it
+    /// holding `a`.
+    orders: IdSet<(ThreadId, LockId, LockId)>,
     yielder_acquired_target: bool,
     age: u32,
 }
 
 impl FpProbe {
-    /// Lock-inversion analysis: replays the log and reports whether two
-    /// participants ordered some lock pair in opposite ways (the true-
-    /// positive witness).
+    /// Lock-inversion analysis: whether two participants recorded some lock
+    /// pair in opposite orders (the true-positive witness).
     fn has_inversion(&self) -> bool {
-        let mut held: IdMap<ThreadId, Vec<LockId>> = IdMap::default();
-        for &(t, l) in &self.initial_holds {
-            held.entry(t).or_default().push(l);
-        }
-        let mut orders: IdMap<ThreadId, IdSet<(LockId, LockId)>> = IdMap::default();
-        for &(t, l, acquire) in &self.ops {
-            let h = held.entry(t).or_default();
-            if acquire {
-                for &a in h.iter() {
-                    if a != l {
-                        orders.entry(t).or_default().insert((a, l));
-                    }
-                }
-                h.push(l);
-            } else if let Some(pos) = h.iter().rposition(|&x| x == l) {
-                h.remove(pos);
-            }
-        }
-        for (&t1, pairs) in &orders {
-            for &(a, b) in pairs {
-                for (&t2, pairs2) in &orders {
-                    if t1 != t2 && pairs2.contains(&(b, a)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.orders.iter().any(|&(t, a, l)| {
+            self.participants
+                .iter()
+                .any(|&u| u != t && self.orders.contains(&(u, l, a)))
+        })
     }
 
     /// Whether this same execution would also have triggered avoidance had
@@ -391,7 +370,7 @@ impl Monitor {
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.events_processed.fetch_add(retired, Relaxed);
         // Monitor-lag gauges: drain size per pass and peak lane depth, in
-        // lane entries, and cumulative blocks a lane had to grow by.
+        // lane entries, and cumulative pushes that grew a lane past a block.
         self.stats.events_last_drain.store(drained as u64, Relaxed);
         self.stats
             .lane_high_water
@@ -546,7 +525,6 @@ impl Monitor {
         };
         let mut participants: IdSet<ThreadId> = info.causes.iter().map(|c| c.thread).collect();
         participants.insert(yielder);
-        let initial_holds = self.initial_holds(&participants);
         let binding_frames: Vec<(CallStack, CallStack)> = info
             .bindings
             .iter()
@@ -576,33 +554,30 @@ impl Monitor {
             yielder,
             contested,
             participants,
-            initial_holds,
-            ops: Vec::new(),
+            orders: IdSet::default(),
             yielder_acquired_target: false,
             age: 0,
         });
     }
 
-    /// What the participants hold in the RAG when the probe opens — the
-    /// yielder's own holds above all, one side of any future inversion.
-    /// Only the RAG: a cause's hold the graph does not show yet (its
-    /// `Granted` is still queued, it is only allowed to wait, it holds
-    /// quietly) reaches the probe as the event or claim that draws it, and
-    /// counting it here too would leave a copy its release never removes.
-    fn initial_holds(&self, participants: &IdSet<ThreadId>) -> Vec<(ThreadId, LockId)> {
-        let held = |&t: &ThreadId| self.rag.held_locks(t).into_iter().map(move |l| (t, l));
-        participants.iter().flat_map(held).collect()
-    }
-
+    /// Tells the open probes that `t` acquired (or released) `l`. An
+    /// acquisition, already drawn in the RAG, records one order per other
+    /// lock the RAG shows `t` holding: the one copy of who holds what.
     fn feed_probes(&mut self, t: ThreadId, l: LockId, acquire: bool) {
+        let mut held = None;
         for p in &mut self.probes {
             if !p.participants.contains(&t) {
                 continue;
             }
-            if p.ops.len() < PROBE_OP_CAP {
-                p.ops.push((t, l, acquire));
-            } else {
-                p.age = PROBE_AGE_CAP;
+            if acquire {
+                let held = held.get_or_insert_with(|| self.rag.held_locks(t));
+                for &a in held.iter().filter(|&&a| a != l) {
+                    if p.orders.len() < PROBE_ORDER_CAP {
+                        p.orders.insert((t, a, l));
+                    } else {
+                        p.age = PROBE_AGE_CAP;
+                    }
+                }
             }
             if t == p.yielder && l == p.contested {
                 if acquire {

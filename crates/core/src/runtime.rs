@@ -6,8 +6,7 @@
 //! [`AvoidanceCore`], the per-thread event lanes and (optionally) a spawned
 //! monitor thread with period τ. [`Runtime::new`] makes no per-thread
 //! state: a thread's record (`Allowed` log, yield state, [`Parker`]) is
-//! made with its chunk of 64 ids, its lane's first block with its first
-//! event. Lock types ([`crate::sync::ImmunizedMutex`],
+//! made with its chunk of 64 ids, its event lane when it registers. Lock types ([`crate::sync::ImmunizedMutex`],
 //! [`crate::sync::ReentrantLock`], [`crate::raw::RawLock`]) hold a handle to
 //! their runtime and route every lock/unlock through its hooks.
 //!
@@ -157,8 +156,7 @@ impl Runtime {
             Some(path) => History::open(path, &frames, &stacks)?,
             None => History::new(),
         });
-        // Per-thread event lanes; a lane's first block is allocated by its
-        // thread's first event.
+        // Per-thread event lanes; a lane is made when its thread registers.
         let lanes = Arc::new(EventLanes::new(MAX_THREADS, BLOCK_CAPACITY));
         let stats = Arc::new(Stats::new());
         if recovery.is_some() {

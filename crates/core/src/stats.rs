@@ -112,11 +112,11 @@ pub struct Stats {
     pub events_last_drain: AtomicU64,
     /// Monitor-lag gauge: peak lane depth — the deepest backlog, in
     /// entries, a monitor pass ever found waiting on one thread's event
-    /// lane. Not bounded by the lane's block size.
+    /// lane. Not bounded by [`crate::lanes::BLOCK_CAPACITY`].
     pub lane_high_water: AtomicU64,
-    /// Monitor-lag gauge: cumulative blocks event lanes grew by — one each
-    /// time a thread filled its lane's newest block before the monitor
-    /// emptied it. 0 while the monitor keeps up.
+    /// Monitor-lag gauge: cumulative pushes that grew an event lane past a
+    /// full block of [`crate::lanes::BLOCK_CAPACITY`] events — one per block
+    /// a thread got ahead of the monitor. 0 while the monitor keeps up.
     pub lane_overflows: AtomicU64,
     /// Occupancy-skew gauge: the highest live-entry count observed in any
     /// single `Allowed` bucket (updated by monitor passes; a hot bucket
@@ -155,7 +155,7 @@ pub struct Stats {
     /// `rebuilds_full`, every match-state rebuild there was.
     pub rebuilds_delta: AtomicU64,
     /// Rebuilds that built a fresh table and filled all of it (the first
-    /// build, structural history changes, a truncated journal).
+    /// build, structural history changes).
     pub rebuilds_full: AtomicU64,
     /// Worst observed delta-rebuild latency, microseconds.
     pub rebuild_us_delta_max: AtomicU64,
@@ -459,7 +459,7 @@ pub struct StatsSnapshot {
     pub events_last_drain: u64,
     /// Peak depth, in entries, of one thread's event lane.
     pub lane_high_water: u64,
-    /// Cumulative blocks event lanes grew by.
+    /// Cumulative pushes that grew an event lane past a full block.
     pub lane_overflows: u64,
     /// Highest live-entry count observed in any single bucket.
     pub hot_bucket_peak: u64,

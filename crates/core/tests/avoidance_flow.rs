@@ -105,6 +105,9 @@ fn first_deadlock_is_detected_and_archived() {
     w.run_first_deadlock();
     let stats = w.rt.stats();
     assert_eq!(stats.deadlocks_detected, 1);
+    // Detected through the lanes: each thread's hold (a quiet hold turned
+    // `Granted` by the nested request) and allow edge, drained in one pass.
+    assert_eq!(stats.lane_high_water, 2, "{stats:?}");
     assert_eq!(stats.signatures_added, 1);
     let sigs = w.rt.history().snapshot();
     assert_eq!(sigs.len(), 1);

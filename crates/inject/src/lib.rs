@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] is a small script of component failures — "panic thread
 //! slot T at its Nth instrumented acquire", "panic or stall the monitor
 //! after pass P", "tear the history file at byte K", "crash between the
-//! temp-file write and the publishing rename", "force an event-lane block
-//! hand-over on every push" — that the runtime's hooks consult at the
-//! corresponding points. Plans are either built explicitly or derived from
+//! temp-file write and the publishing rename" — that the runtime's hooks
+//! consult at the corresponding points. Plans are either built explicitly or derived from
 //! a seed with [`FaultPlan::from_seed`], so every chaos run is replayable
 //! from a single `u64`.
 //!
@@ -13,7 +12,7 @@
 //! types and identifies threads by their runtime slot index. Hooks in the
 //! other crates are compiled only under their `fault-inject` feature and
 //! call the free functions here ([`should_panic_on_acquire`],
-//! [`monitor_fault`], [`take_history_fault`], [`force_lane_overflow`]);
+//! [`monitor_fault`], [`take_history_fault`]);
 //! with no plan installed every hook is a cheap atomic load that says
 //! "no fault".
 //!
@@ -95,9 +94,6 @@ pub struct FaultPlan {
     pub monitor: Option<MonitorFault>,
     /// History persistence fault (consumed by the first save it applies to).
     pub history: Option<HistoryFault>,
-    /// Force every event-lane push to hand over to a new block, as if the
-    /// lane's newest block were full.
-    pub lane_overflow: bool,
 }
 
 impl FaultPlan {
@@ -115,11 +111,7 @@ impl FaultPlan {
             ..FaultPlan::default()
         };
         // Always at least one fault; each class joins independently.
-        while plan.acquire_panics.is_empty()
-            && plan.monitor.is_none()
-            && plan.history.is_none()
-            && !plan.lane_overflow
-        {
+        while plan.acquire_panics.is_empty() && plan.monitor.is_none() && plan.history.is_none() {
             if rng.gen_range(0..4_u32) == 0 {
                 let victims = rng.gen_range(1..3_usize);
                 for _ in 0..victims {
@@ -150,9 +142,6 @@ impl FaultPlan {
                     },
                     _ => HistoryFault::CrashBeforeRename,
                 });
-            }
-            if rng.gen_range(0..4_u32) == 0 {
-                plan.lane_overflow = true;
             }
         }
         plan
@@ -204,13 +193,6 @@ impl FaultPlan {
         self.history = Some(HistoryFault::CrashBeforeRename);
         self
     }
-
-    /// Forces every event-lane push to link a new block and hand over to
-    /// it, so the monitor crosses a block boundary for every event.
-    pub fn force_lane_overflow(mut self) -> Self {
-        self.lane_overflow = true;
-        self
-    }
 }
 
 /// Counters of faults that actually fired, for test assertions.
@@ -222,8 +204,6 @@ pub struct FiredReport {
     pub monitor_faults: u64,
     /// History faults applied.
     pub history_faults: u64,
-    /// Lane pushes forced to hand over to a new block.
-    pub lane_overflows: u64,
 }
 
 struct ActivePlan {
@@ -239,7 +219,6 @@ struct ActivePlan {
     fired_acquire: AtomicU64,
     fired_monitor: AtomicU64,
     fired_history: AtomicU64,
-    fired_lane: AtomicU64,
 }
 
 struct Registry {
@@ -288,7 +267,6 @@ pub fn install(plan: FaultPlan) -> InstallGuard {
         fired_acquire: AtomicU64::new(0),
         fired_monitor: AtomicU64::new(0),
         fired_history: AtomicU64::new(0),
-        fired_lane: AtomicU64::new(0),
     }));
     *reg.active.lock().unwrap_or_else(PoisonError::into_inner) = Some(active_plan);
     reg.installed.store(true, Ordering::Release);
@@ -305,7 +283,6 @@ impl InstallGuard {
             acquire_panics: self.plan.fired_acquire.load(Ordering::Relaxed),
             monitor_faults: self.plan.fired_monitor.load(Ordering::Relaxed),
             history_faults: self.plan.fired_history.load(Ordering::Relaxed),
-            lane_overflows: self.plan.fired_lane.load(Ordering::Relaxed),
         }
     }
 }
@@ -383,17 +360,6 @@ pub fn take_history_fault() -> Option<HistoryFault> {
     Some(fault)
 }
 
-/// Hook: called by the event lanes on each push. Returns `true` when the
-/// plan forces this push to hand over to a new block.
-pub fn force_lane_overflow() -> bool {
-    let Some(active) = active() else { return false };
-    if active.plan.lane_overflow {
-        active.fired_lane.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,12 +372,8 @@ mod tests {
             assert_eq!(a.acquire_panics, b.acquire_panics, "seed {seed}");
             assert_eq!(a.monitor, b.monitor, "seed {seed}");
             assert_eq!(a.history, b.history, "seed {seed}");
-            assert_eq!(a.lane_overflow, b.lane_overflow, "seed {seed}");
             assert!(
-                !a.acquire_panics.is_empty()
-                    || a.monitor.is_some()
-                    || a.history.is_some()
-                    || a.lane_overflow,
+                !a.acquire_panics.is_empty() || a.monitor.is_some() || a.history.is_some(),
                 "seed {seed} produced an empty plan"
             );
         }
@@ -422,7 +384,6 @@ mod tests {
         assert!(!should_panic_on_acquire(0));
         assert!(monitor_fault(1).is_none());
         assert!(take_history_fault().is_none());
-        assert!(!force_lane_overflow());
     }
 
     #[test]

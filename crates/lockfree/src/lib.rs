@@ -3,16 +3,14 @@
 //! The Dimmunix paper (OSDI'08, §5.6) requires lock-free machinery so that
 //! the avoidance instrumentation never synchronizes through the very locks
 //! it is supervising. Its two pieces are not reproduced as such: the
-//! paper's single event queue is one growable SPSC lane per thread here,
-//! and its Peterson-style guard around the shared `Allowed` sets has no
-//! counterpart — the production engine needs none and the reference engine
-//! uses a plain mutex.
+//! paper's single event queue is one mutex-guarded queue per thread in
+//! `dimmunix_core` (whose only other user is the monitor's once-per-pass
+//! swap), and its Peterson-style guard around the shared `Allowed` sets has
+//! no counterpart — the production engine needs none and the reference
+//! engine uses a plain mutex.
 //!
 //! The sharded request path is built from these pieces:
 //!
-//! * a **bounded SPSC ring** ([`spsc::SpscRing`]), the block a
-//!   per-registered-thread event lane is chained from, so hot threads never
-//!   contend on one shared queue tail;
 //! * an **epoch-published snapshot cell** ([`epoch::EpochCell`]) that lets
 //!   the `request` hook read the current match view with a single atomic
 //!   load instead of a read-write lock;
@@ -26,9 +24,10 @@
 //!   registrations are one CAS, and a release's wakeup delivery is one
 //!   swap-and-drain — no wake-shard mutex.
 //!
-//! Two modules are kept only for benchmark probes, and nothing in the
+//! Three modules are kept only for benchmark probes, and nothing in the
 //! runtime uses them: [`mpsc`], a Vyukov-style MPSC queue (the shape of the
-//! paper's single event queue), and [`occupancy`], a counting filter of
+//! paper's single event queue), [`spsc`], a bounded SPSC ring the event
+//! lanes used to be chained from, and [`occupancy`], a counting filter of
 //! per-bucket fingerprints the cover precheck used to read.
 //!
 //! The crate also provides the small utilities those algorithms need: the

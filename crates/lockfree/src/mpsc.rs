@@ -1,13 +1,12 @@
 //! Unbounded lock-free multi-producer / single-consumer queue.
 //!
-//! **Kept only for benchmarks** (`crates/benchmark`'s
-//! `lockfree.mpsc_push_pop_ns` probe, and `crates/bench`'s `substrate`
-//! bench). This is the shape of the paper's event channel between
-//! Dimmunix's avoidance instrumentation (every application thread is a
-//! producer) and the asynchronous monitor thread (the single consumer), but
-//! nothing in the runtime publishes through it: the engine uses per-thread
-//! lanes of [`crate::SpscRing`] blocks, and since PR 25 the reference
-//! engine publishes no events at all. Retire the probe, then this module.
+//! **Kept only for a benchmark probe** (`crates/benchmark`'s
+//! `lockfree.mpsc_push_pop_ns`). This is the shape of the paper's event
+//! channel between Dimmunix's avoidance instrumentation (every application
+//! thread is a producer) and the asynchronous monitor thread (the single
+//! consumer), but nothing in the runtime publishes through it: the engine
+//! uses one mutex-guarded queue per thread, and the reference engine
+//! publishes no events at all. Retire the probe, then this module.
 //! The design follows Dmitry Vyukov's non-intrusive MPSC node queue:
 //!
 //! * producers `swap` the shared tail and then link the previous node's

@@ -1,15 +1,12 @@
 //! Bounded wait-free single-producer / single-consumer ring buffer.
 //!
-//! Each thread registered with the Dimmunix runtime publishes its events
-//! through a private *event lane* made of these: the thread is the sole
-//! producer, the monitor thread the sole consumer, so both sides proceed
-//! with one relaxed load, one acquire load and one release store per
-//! operation — no CAS, no shared cache line written by both sides (head and
-//! tail are cache-padded).
-//!
-//! The ring is bounded by design: when it fills, the event-lane layer in
-//! `dimmunix_core` links a new ring behind it and moves on, which preserves
-//! progress without ever blocking the application thread.
+//! **Kept only for a benchmark probe** (`crates/benchmark`'s
+//! `lockfree.spsc_push_pop_ns`); the runtime's event lanes are mutex-guarded
+//! queues. The sole producer and the sole consumer each proceed with one
+//! relaxed load, one acquire load and one release store per operation — no
+//! CAS, no shared cache line written by both sides (head and tail are
+//! cache-padded). A full ring refuses the push. Retire the probe, then this
+//! module.
 
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;

@@ -40,7 +40,6 @@ use crate::id_hash::IdSet;
 use crate::signature::{CycleKind, Provenance, SigId, Signature};
 use crate::stack::{StackId, StackTable};
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -104,35 +103,6 @@ pub struct HistoryRecovery {
     pub crc_ok: Option<bool>,
 }
 
-/// What happened to the history between two generations, as reported by
-/// [`History::delta_between`].
-#[derive(Clone, Debug)]
-pub enum HistoryDelta {
-    /// Every bump in the span was a pure append; the listed signatures (in
-    /// append order, possibly empty) are the only difference. The caller may
-    /// patch incrementally: nothing already published was removed, and no
-    /// existing signature's matching depth changed.
-    Appended(Vec<Arc<Signature>>),
-    /// The span contains a removal, a depth change ([`History::touch`]), or
-    /// reaches past the journal's retention window: only a full rebuild can
-    /// reconstruct the difference.
-    Structural,
-}
-
-/// One journaled generation bump.
-enum JournalEntry {
-    /// The bump appended exactly these signatures.
-    Appended(Vec<Arc<Signature>>),
-    /// The bump changed something other than the list tail.
-    Structural,
-}
-
-/// Bumps retained by the delta journal before old spans degrade to
-/// [`HistoryDelta::Structural`]. Rebuilds normally trail the head by one or
-/// two generations, so a short window suffices; the cap bounds memory when
-/// nobody consumes deltas (e.g. no runtime attached to a `History`).
-const JOURNAL_CAP: usize = 256;
-
 /// The persistent, duplicate-free collection of signatures.
 ///
 /// Reads are lock-free for practical purposes: [`History::snapshot`] returns
@@ -142,17 +112,13 @@ const JOURNAL_CAP: usize = 256;
 pub struct History {
     sigs: RwLock<Sigs>,
     /// Bumped on every change that invalidates cached snapshots/indexes
-    /// (membership changes *and* matching-depth changes).
+    /// (membership changes *and* matching-depth changes), always under the
+    /// `sigs` write lock.
     generation: AtomicU64,
     /// Monotonic id source for new signatures.
     next_id: AtomicU64,
     /// Where [`History::save`] writes; set by [`History::open`].
     path: Mutex<Option<PathBuf>>,
-    /// Per-bump delta journal consumed by [`History::delta_between`]. The
-    /// lock also serializes generation bumps, so journal entries are
-    /// contiguous in generation and a reader that observed generation `g`
-    /// (`SeqCst`) is guaranteed to find `g`'s entry journaled.
-    journal: Mutex<VecDeque<(u64, JournalEntry)>>,
 }
 
 /// The signature list and its duplicate filter, mutated together.
@@ -163,6 +129,10 @@ struct Sigs {
     /// The sorted stack multiset of every listed signature, so the
     /// duplicate test of an add does not scan the list.
     members: IdSet<Box<[StackId]>>,
+    /// The last generation that changed more than the list's tail (a
+    /// removal or a [`History::touch`]): a consumer built before it must
+    /// rebuild in full ([`History::appended_since`]).
+    structural: u64,
 }
 
 impl History {
@@ -173,7 +143,6 @@ impl History {
             generation: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             path: Mutex::new(None),
-            journal: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -292,7 +261,7 @@ impl History {
         // Bumped before the write lock drops, so a reader holding the read
         // lock never sees a list ahead of the generation
         // ([`History::snapshot_with_generation`]).
-        self.bump(JournalEntry::Appended(added.clone()));
+        self.bump(&mut guard, false);
         drop(guard);
         added
     }
@@ -306,7 +275,7 @@ impl History {
         };
         guard.members.remove(&sig.stacks);
         guard.list = Arc::new(guard.list.iter().filter(|s| s.id != id).cloned().collect());
-        self.bump(JournalEntry::Structural);
+        self.bump(&mut guard, true);
         drop(guard);
         true
     }
@@ -334,13 +303,11 @@ impl History {
     }
 
     /// The signature list together with the generation that produced it.
-    /// Every list change bumps the generation while still holding the list's
-    /// write lock, so the pair is consistent: the list holds exactly the
-    /// signatures [`History::delta_between`] accounts for up to that
-    /// generation, never one more. State stamped with the generation can
-    /// therefore be extended by a later delta without applying an append
-    /// twice. (A [`History::touch`] may still land in between; it changes no
-    /// list, and the stamp then reads as stale, which is the safe side.)
+    /// Every generation bump happens under the list's write lock, so the
+    /// pair is consistent: the list holds exactly the signatures added up to
+    /// that generation, never one more. State stamped with the generation can
+    /// therefore be extended by [`History::appended_since`] without applying
+    /// an append twice.
     pub fn snapshot_with_generation(&self) -> (u64, Arc<Vec<Arc<Signature>>>) {
         let guard = self.sigs.read();
         (self.generation(), Arc::clone(&guard.list))
@@ -369,65 +336,35 @@ impl History {
     }
 
     /// Explicitly invalidates caches (call after changing a signature's
-    /// matching depth, which lives outside the list structure). Journaled as
-    /// structural: consumers must fully rebuild.
+    /// matching depth, which lives outside the list structure). Structural:
+    /// consumers must fully rebuild.
     pub fn touch(&self) {
-        self.bump(JournalEntry::Structural);
+        let mut guard = self.sigs.write();
+        self.bump(&mut guard, true);
     }
 
-    /// Classifies the span `(from, to]` of generation bumps for an
-    /// incremental consumer whose cached state was built at generation
-    /// `from` and is advancing to `to`, a generation it has observed. The
-    /// caller names `to` rather than letting this read the head again: state
-    /// stamped `to` must contain the appends up to `to` and no later one, or
-    /// the next delta would apply the later ones a second time. `from == to`
-    /// reports an empty append (nothing to do); `from > to` (e.g. a sentinel
-    /// view's `u64::MAX`) is structural, since the journal can say nothing
-    /// about it.
-    pub fn delta_between(&self, from: u64, to: u64) -> HistoryDelta {
-        if from == to {
-            return HistoryDelta::Appended(Vec::new());
+    /// What an incremental consumer built at generation `gen` over the
+    /// first `len` signatures must add to catch up: the list's tail past
+    /// `len`, with the generation that tail brings it to. Both are read
+    /// under one lock, so state stamped with the returned generation holds
+    /// every append exactly once. `None` when only a full rebuild will do:
+    /// a removal or a [`History::touch`] came after `gen`, or `gen` is the
+    /// never-built sentinel `u64::MAX`.
+    pub fn appended_since(&self, gen: u64, len: usize) -> Option<(u64, Vec<Arc<Signature>>)> {
+        let guard = self.sigs.read();
+        if gen == u64::MAX || guard.structural > gen {
+            return None;
         }
-        if from > to {
-            return HistoryDelta::Structural;
-        }
-        let journal = self.journal.lock();
-        let mut sigs = Vec::new();
-        let mut expected = from + 1;
-        for (gen, entry) in journal.iter() {
-            if *gen <= from {
-                continue;
-            }
-            if *gen > to {
-                break;
-            }
-            if *gen != expected {
-                return HistoryDelta::Structural;
-            }
-            expected += 1;
-            match entry {
-                JournalEntry::Appended(s) => sigs.extend(s.iter().cloned()),
-                JournalEntry::Structural => return HistoryDelta::Structural,
-            }
-        }
-        // A gap at either end means the journal does not cover the span
-        // (entries pruned past `JOURNAL_CAP`, or `to` not reached yet).
-        if expected != to + 1 {
-            return HistoryDelta::Structural;
-        }
-        HistoryDelta::Appended(sigs)
+        Some((self.generation(), guard.list.get(len..)?.to_vec()))
     }
 
-    fn bump(&self, entry: JournalEntry) {
-        // The journal lock serializes bumps: each generation value gets
-        // exactly one contiguous journal entry, and the entry is visible to
-        // anyone who observed the bumped generation (their lock acquisition
-        // in `delta_between` synchronizes with this critical section).
-        let mut journal = self.journal.lock();
+    /// Moves the generation on. Taking the `sigs` guard keeps every bump
+    /// under the write lock, so a reader of the list also reads the
+    /// generation that produced it.
+    fn bump(&self, sigs: &mut Sigs, structural: bool) {
         let gen = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        journal.push_back((gen, entry));
-        while journal.len() > JOURNAL_CAP {
-            journal.pop_front();
+        if structural {
+            sigs.structural = gen;
         }
     }
 
@@ -1223,7 +1160,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_between_reports_pure_appends() {
+    fn appended_since_reports_the_tail_and_its_generation() {
         let env = Env::new();
         let h = History::new();
         let g0 = h.generation();
@@ -1235,26 +1172,24 @@ mod tests {
             .add(CycleKind::Deadlock, vec![env.stack(&[2])], 4)
             .unwrap();
         let g2 = h.generation();
-        let ids = |from, to| match h.delta_between(from, to) {
-            HistoryDelta::Appended(sigs) => sigs.iter().map(|s| s.id).collect::<Vec<_>>(),
-            HistoryDelta::Structural => panic!("append-only span reported structural"),
+        let tail = |gen, len| {
+            let (to, sigs) = h
+                .appended_since(gen, len)
+                .expect("append-only span reported structural");
+            (to, sigs.iter().map(|s| s.id).collect::<Vec<_>>())
         };
-        assert_eq!(ids(g0, g2), vec![a.id, b.id]);
-        // The span stops at the generation the consumer names, not at the
-        // head: what it stamps `g1` holds `a` only, and `b` comes once.
-        assert_eq!(ids(g0, g1), vec![a.id]);
-        assert_eq!(ids(g1, g2), vec![b.id]);
+        // Whatever the consumer's generation, the tail runs to the head and
+        // comes with the head's generation, its new stamp.
+        assert_eq!(tail(g0, 0), (g2, vec![a.id, b.id]));
+        assert_eq!(tail(g1, 1), (g2, vec![b.id]));
         // A consumer already at the head has nothing to do.
-        assert_eq!(ids(g2, g2), vec![]);
-        // A generation not reached yet is not covered by the journal.
-        assert!(matches!(
-            h.delta_between(g1, g2 + 1),
-            HistoryDelta::Structural
-        ));
+        assert_eq!(tail(g2, 2), (g2, vec![]));
+        // A count past the list is no consumer of this history.
+        assert!(h.appended_since(g2, 3).is_none());
     }
 
     #[test]
-    fn delta_between_degrades_to_structural() {
+    fn appended_since_refuses_a_span_with_a_structural_bump() {
         let env = Env::new();
         let h = History::new();
         let sig = h
@@ -1262,37 +1197,26 @@ mod tests {
             .unwrap();
         let g = h.generation();
         h.touch();
-        assert!(matches!(
-            h.delta_between(g, h.generation()),
-            HistoryDelta::Structural
-        ));
+        assert!(h.appended_since(g, 1).is_none());
         let g = h.generation();
+        let empty = h.appended_since(g, 1).map(|(to, sigs)| (to, sigs.len()));
+        assert_eq!(empty, Some((g, 0)));
         h.add(CycleKind::Deadlock, vec![env.stack(&[2])], 4)
             .unwrap();
         h.remove(sig.id);
-        assert!(matches!(
-            h.delta_between(g, h.generation()),
-            HistoryDelta::Structural
-        ));
-        // A from-generation ahead of the head (sentinel views) is structural.
-        assert!(matches!(
-            h.delta_between(u64::MAX, h.generation()),
-            HistoryDelta::Structural
-        ));
-        // A span starting before the journal's retention window is too.
+        assert!(h.appended_since(g, 1).is_none());
+        // Appends after the structural bump extend again.
         let g = h.generation();
-        for i in 0..(JOURNAL_CAP as u32 + 8) {
-            h.add(CycleKind::Deadlock, vec![env.stack(&[100 + i])], 4);
-        }
-        assert!(matches!(
-            h.delta_between(g, h.generation()),
-            HistoryDelta::Structural
-        ));
+        h.add(CycleKind::Deadlock, vec![env.stack(&[3])], 4)
+            .unwrap();
+        assert_eq!(h.appended_since(g, 1).map(|(_, s)| s.len()), Some(1));
+        // The sentinel generation never extends.
+        assert!(h.appended_since(u64::MAX, 0).is_none());
     }
 
     /// A `(generation, list)` pair read while another thread appends holds
-    /// exactly the signatures the journal accounts for up to that
-    /// generation: one bump per add here, so as many as the generation.
+    /// exactly the signatures added up to that generation: one bump per add
+    /// here, so as many as the generation.
     #[test]
     fn a_snapshot_never_runs_ahead_of_its_generation() {
         let env = Env::new();
@@ -1344,10 +1268,8 @@ mod tests {
         assert_eq!(h.generation(), g + 1, "one bump for the whole batch");
         assert_eq!(h.len(), 3);
         assert!(added.iter().all(|s| s.depth() == 2));
-        match h.delta_between(g, h.generation()) {
-            HistoryDelta::Appended(sigs) => assert_eq!(sigs.len(), 2),
-            HistoryDelta::Structural => panic!("batch append reported structural"),
-        }
+        let (_, sigs) = h.appended_since(g, 1).expect("a batch is a pure append");
+        assert_eq!(sigs.len(), 2);
         // An all-duplicate batch is a no-op: no bump at all.
         let g2 = h.generation();
         let none = h.add_batch_with_provenance(
@@ -1363,9 +1285,7 @@ mod tests {
         let env = Env::new();
         let path = std::env::temp_dir().join(format!("dimmunix-batch-{}.dlk", std::process::id()));
         let h = History::new();
-        // More signatures than the journal retains: loaded one bump each,
-        // a consumer one load behind could only rebuild in full.
-        for i in 0..(JOURNAL_CAP as u32 + 8) {
+        for i in 0..40_u32 {
             let sig = h
                 .add(
                     CycleKind::Deadlock,
@@ -1391,10 +1311,8 @@ mod tests {
         let added = live.merge_file(&path, &env.frames, &env.stacks).unwrap();
         assert_eq!(added, h.len() - 1, "the known signature is skipped");
         assert_eq!(live.generation(), g + 1);
-        match live.delta_between(g, live.generation()) {
-            HistoryDelta::Appended(sigs) => assert_eq!(sigs.len(), added),
-            HistoryDelta::Structural => panic!("a merge is a pure append"),
-        }
+        let (_, sigs) = live.appended_since(g, 1).expect("a merge is a pure append");
+        assert_eq!(sigs.len(), added);
         // Counters land on the signature their block described, whichever
         // blocks before it were duplicates.
         assert_eq!(known.avoided(), 0, "a duplicate block restores nothing");

@@ -40,7 +40,7 @@ pub mod stack;
 
 pub use calibration::{CalibrationConfig, CalibrationState, CalibrationUpdate, Phase};
 pub use frame::{Frame, FrameId, FrameTable};
-pub use history::{History, HistoryDelta, HistoryError, HistoryRecovery};
+pub use history::{History, HistoryError, HistoryRecovery};
 pub use id_hash::{IdHasher, IdMap, IdSet};
 pub use match_index::{BucketLayout, Candidate, CandidateSet, CoverKeys, MatchIndex, MemberKey};
 pub use signature::{CycleKind, Provenance, SigId, Signature};

@@ -305,6 +305,9 @@ impl CandidateSet {
 pub struct MatchIndex {
     /// Generation of the history this index was built from.
     generation: u64,
+    /// How many signatures of that generation's list it covers, disabled
+    /// ones included: where [`History::appended_since`] resumes.
+    signatures: usize,
     /// One set per layout slot, indexed by it. Candidate order within a set
     /// follows history-snapshot order — the cover search (and hence yield
     /// causes) must be deterministic.
@@ -329,7 +332,7 @@ impl MatchIndex {
         // vaccination).
         let (generation, snapshot) = history.snapshot_with_generation();
         let layout = Arc::new(BucketLayout::build_from(&snapshot, stacks));
-        Self::with_signatures(generation, Vec::new(), layout, &snapshot, stacks)
+        Self::with_signatures(generation, 0, Vec::new(), layout, &snapshot, stacks)
     }
 
     /// Extends `base` with candidates for `new_sigs` (appended to the
@@ -346,12 +349,15 @@ impl MatchIndex {
         new_sigs: &[Arc<Signature>],
         stacks: &StackTable,
     ) -> Self {
-        Self::with_signatures(generation, base.sets.clone(), layout, new_sigs, stacks)
+        let (sets, covered) = (base.sets.clone(), base.signatures);
+        Self::with_signatures(generation, covered, sets, layout, new_sigs, stacks)
     }
 
-    /// `sets` grown to one per `layout` slot, with `sigs`' members appended.
+    /// `sets` (covering the first `covered` signatures) grown to one per
+    /// `layout` slot, with `sigs`' members appended.
     fn with_signatures(
         generation: u64,
+        covered: usize,
         mut sets: Vec<Arc<CandidateSet>>,
         layout: Arc<BucketLayout>,
         sigs: &[Arc<Signature>],
@@ -360,6 +366,7 @@ impl MatchIndex {
         sets.resize_with(layout.len(), || Arc::new(CandidateSet::new()));
         let mut index = Self {
             generation,
+            signatures: covered + sigs.len(),
             sets,
             layout,
         };
@@ -399,6 +406,11 @@ impl MatchIndex {
     /// Generation of the history this index reflects.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// How many signatures of its generation's list this index covers.
+    pub fn signatures(&self) -> usize {
+        self.signatures
     }
 
     /// The dense bucket-slot directory this index's cover keys resolve
@@ -444,7 +456,6 @@ impl MatchIndex {
 mod tests {
     use super::*;
     use crate::frame::FrameTable;
-    use crate::history::HistoryDelta;
     use crate::signature::CycleKind;
     use crate::stack::StackId;
 
@@ -717,11 +728,10 @@ mod tests {
     }
 
     /// The engine's rebuild, step by step, with an `add` landing between
-    /// its generation read and its delta read. The delta must stop at the
-    /// generation the rebuild stamps its view with: a delta up to the head
-    /// would hand the racing signature to this extension *and* to the next
-    /// one, and the candidate sets — unlike the layout's keys — do not
-    /// dedup.
+    /// its generation read and its tail read. The tail and the stamp come
+    /// from one read: an extension stamped with the older generation would
+    /// get the racing signature again from the next extension, and the
+    /// candidate sets — unlike the layout's keys — do not dedup.
     #[test]
     fn an_append_racing_a_rebuild_is_applied_once() {
         let env = Env::new();
@@ -731,32 +741,31 @@ mod tests {
                 .add(CycleKind::Deadlock, vec![env.stack(a), env.stack(b)], 2)
                 .unwrap()
         };
-        let extend = |from: &MatchIndex, to: u64| {
-            let HistoryDelta::Appended(sigs) = env.history.delta_between(from.generation(), to)
-            else {
-                panic!("pure appends reported structural");
-            };
+        let extend = |from: &MatchIndex| {
+            let (to, sigs) = env
+                .history
+                .appended_since(from.generation(), from.signatures())
+                .expect("pure appends reported structural");
             let layout = Arc::new(BucketLayout::extended(from.layout(), &sigs, &env.stacks));
             MatchIndex::extended(from, to, layout, &sigs, &env.stacks)
         };
         add(&[1, 5, 6], &[2, 5, 7]);
         let stamp = env.history.generation(); // the rebuild reads its stamp ...
-        add(&[3, 8, 9], &[4, 8, 10]); // ... and an `add` lands before its delta
-        let first = extend(&base, stamp);
+        add(&[3, 8, 9], &[4, 8, 10]); // ... and an `add` lands before its tail
+        let first = extend(&base);
         let racing = env.frames_of(&[3, 8, 9]);
-        assert_eq!(
-            first.candidates(&racing).count(),
-            0,
-            "not yet: past the stamp"
-        );
-        let second = extend(&first, env.history.generation());
+        assert!(first.generation() > stamp, "stamped with what it read");
+        assert_eq!(first.candidates(&racing).count(), 1, "in the first tail");
+        let second = extend(&first);
+        assert_eq!(second.generation(), first.generation());
         assert_eq!(
             second.candidates(&racing).count(),
             1,
-            "once, from its own delta"
+            "not again from the second"
         );
         assert_eq!(second.candidates(&env.frames_of(&[1, 5, 6])).count(), 1);
         assert_eq!(second.layout().len(), 4);
+        assert_eq!(second.signatures(), 2);
     }
 
     #[test]
