@@ -37,8 +37,9 @@
 //!   yielder. Registration is one CAS per cause; a release's wakeup
 //!   delivery is one swap-and-drain of its own list;
 //! * the read-mostly **match view** (bucket layout, the [`MatchIndex`],
-//!   and the current `MatchTable`) is published through an [`EpochCell`]
-//!   so `request` revalidates it with a single atomic load;
+//!   and the current `MatchTable`) sits in each thread's log, where the
+//!   rebuild's visit hands it over, so `request` reads it under the slot
+//!   mutex it takes anyway and checks it with one generation load;
 //! * events flow to the monitor over per-thread lanes
 //!   ([`crate::lanes::EventLanes`]) instead of the paper's one contended
 //!   queue, and only the events the monitor's RAG needs: two per
@@ -170,7 +171,7 @@
 //!
 //! # Fast-path gating: a grant resolves its stack once
 //!
-//! `request` resolves the call stack against the current view exactly once
+//! `request` resolves the call stack against its log's view exactly once
 //! (`lock_current` → [`BucketLayout::slots_of`]): one borrowed look-up per
 //! matching depth in use, into the only `(depth, suffix)` map there is. The
 //! slots that come back answer everything the hooks ask about that stack
@@ -188,21 +189,17 @@
 //!   live in an array by slot, not behind a second map), and they are the
 //!   buckets the entry is inserted into on a GO.
 //!
-//! The held-stack entry keeps the slots, stamped with the epoch of the view
-//! they were resolved under. `release`, `cancel` and the exit sweep compare
-//! that stamp with the epoch of the view they are about to remove from and,
-//! when equal, remove by the remembered slots — no `StackTable::resolve`,
-//! no hashing. Equality is sufficient because a log's `view_epoch` is the
-//! exact publication epoch of its cached view
-//! ([`EpochCell::load_with_epoch`]): the same epoch means the same view
-//! object, hence the same layout and slot numbering and the same table. A
-//! different stamp proves nothing — a fresh table renumbers every slot — so
-//! the slots are resolved again, by the computation the rebuild's visit
-//! runs ([`MatchView::slots_of`]). That happens for a release that falls
-//! between a publish and the visit of its slot (the visit restamps every
-//! entry it visits), and for an entry that hit more depth layers than it
-//! has room to remember, which is stamped with an epoch no view is ever
-//! published at.
+//! The held-stack entry keeps the slots. They index its log's own view: a
+//! grant resolves them under that view in the critical section that pushes
+//! the entry, and a view reaches a log only where every entry in it is
+//! resolved again — the chunk install that makes the record, when the log
+//! is empty, and the rebuild's visit, which rebuckets each entry and hands
+//! over the view in one critical section. So `release`, `cancel` and the
+//! exit sweep remove an entry by its remembered slots — no
+//! `StackTable::resolve`, no hashing — and resolve again only for an entry
+//! that hit more depth layers than it has room to remember
+//! (`Resolved::is_complete`), by the computation the visit runs
+//! ([`MatchView::slots_of`]).
 //!
 //! A request that hits a member bucket runs the **guard-free cover
 //! precheck** first: a signature can only be instantiated if *every* member
@@ -217,13 +214,14 @@
 //! the whole matching path is a read-only precheck plus one single-bucket
 //! CAS-claimed insert of the requester's own entry.
 //!
-//! # Rebuild protocol: publish, then visit
+//! # Rebuild protocol: build, then visit
 //!
 //! When the history generation moves, a single rebuilder (the monitor, or
-//! the first hook that notices — serialized by the rebuild mutex) builds the
-//! next view, publishes it, then locks each thread record in turn, buckets
-//! that log's entries and restamps them with the slots they have under the
-//! new view, and finally marks the table swept. There is one choice, made
+//! the first hook that notices — serialized by the rebuild mutex, which
+//! also holds the published view) builds the next view, then locks each
+//! thread record in turn, buckets that log's entries, records the slots
+//! they have under the new view and hands the log that view, and finally
+//! marks the table swept and publishes the view. There is one choice, made
 //! while building the view:
 //!
 //! * **Extend** — when no generation since the old view's was structural,
@@ -244,42 +242,42 @@
 //! at, never an older one, so the next extension applies each append once.
 //!
 //! One happens-before argument covers both, and it is the slot-mutex
-//! hand-off alone. Every hook reads the view epoch and touches its log
-//! inside its slot's critical section, and the visit of that slot is a
-//! critical section of the same mutex, entered after the publish. A grant
-//! whose critical section comes *before* the visit is in the log when the
-//! visit reads it; the visit buckets it wherever the new table lacks it
-//! (if the grant also bucketed it under the old view, that was a surviving
+//! hand-off alone. Every hook reads its log's view and touches the log's
+//! entries inside its slot's critical section, and the visit of that slot
+//! is one critical section of the same mutex, which rebuckets the log and
+//! replaces its view. A hook before the visit acts on the old view, a hook
+//! after it on the new one. A grant before the visit is in the log when the
+//! visit reads it; the visit buckets it wherever the new table lacks it (if
+//! the grant also bucketed it under the old view, that was a surviving
 //! bucket, which an extension shares and a fresh table replaces). A grant
-//! whose critical section comes *after* the visit observes the published
-//! view — the hand-off orders the publish before its epoch load — and
-//! buckets its own entry in the new table. Decisions and direct bucket
-//! inserts wait for the swept flag, so they only ever run against a
-//! complete table. Releases need no flag: a release is one slot critical
-//! section — pop, view look-up and bucket removal — so the visit cannot
-//! interleave with it. It runs before the visit and the entry is gone from
-//! the log and from whichever table the release's view named (a shared
-//! surviving bucket, or a table about to lose its last reader), or after
-//! it and removes the entry from where the visit put it: the slots the
-//! visit left in the entry, stamped with that view's epoch. The old view's
-//! table becomes garbage once the last reader drops its cached view; after
+//! after the visit buckets its own entry in the new table. Decisions and
+//! direct bucket inserts wait for the swept flag, so they only ever run
+//! against a complete table. Releases need no flag and never wait: a
+//! release is one slot critical section — pop and bucket removal — so the
+//! visit cannot interleave with it. Before the visit it removes the entry
+//! by the old view's slots: a surviving bucket, which an extension shares,
+//! empties in both tables, and the entry has left the log before the visit
+//! could put it in a new slot or a fresh table. After the visit it removes
+//! the entry by the slots the visit left in it. The old view's table
+//! becomes garbage once the visit has handed every log the new view; after
 //! an extension that frees only the view shell.
 //!
 //! The visit walks only the thread records that exist (a `ThreadSlot` per
 //! thread: log, yield state, wake list and the parker it yields on). They
 //! are made 64 at a time, and a registration that needs a new chunk
-//! installs it under the rebuild mutex — the **chunk-install rule** — so a
-//! visit either sees the chunk and covers its threads as above, or ends
-//! before the chunk exists, and their hooks read the view epoch after the
-//! publish.
+//! installs it under the rebuild mutex — the **chunk-install rule** —
+//! setting each new record's view to the published one. So a visit either
+//! sees the chunk and covers its threads as above, or ended before the
+//! chunk exists, whose records then start on the view it published.
 //!
-//! What waits out a rebuild: the rebuilder, hooks that saw the stale
-//! generation before the publish (they queue on the rebuild mutex), and
-//! requests on a *relevant* suffix until the swept flag. Requests on
-//! irrelevant suffixes, `acquired` and releases do not wait. The visit
-//! takes every record's slot mutex, so it can itself wait on a thread
-//! descheduled mid-hook; under heavy oversubscription that is the tail of
-//! `rebuild_us_*_max`.
+//! What waits out a rebuild: the rebuilder; every grant (`request`,
+//! `force_go`, `acquired_reentrant`) whose log still holds an old view — a
+//! stale generation sends it to the rebuild mutex, which it gets once the
+//! visit is over; and, after its visit, a grant on a *relevant* suffix
+//! until the swept flag. `acquired`, `waiting`, releases, cancels and the
+//! exit sweep never wait. The visit takes every record's slot mutex, so it
+//! can itself wait on a thread descheduled mid-hook; under heavy
+//! oversubscription that is the tail of `rebuild_us_*_max`.
 //!
 //! The engine-internal lock order is `rebuild mutex → slot (allowed-log)
 //! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
@@ -365,9 +363,7 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::runtime::Parker;
 use crate::stats::Stats;
-use dimmunix_lockfree::{
-    DrainVerdict, EpochCell, SlotAllocator, VersionedBucket, WakeList, WakeNodePool,
-};
+use dimmunix_lockfree::{DrainVerdict, SlotAllocator, VersionedBucket, WakeList, WakeNodePool};
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
     BucketLayout, CoverKeys, FrameId, History, MatchIndex, MemberKey, Signature, StackId,
@@ -515,10 +511,11 @@ impl CoverProof {
     }
 }
 
-/// The read-mostly snapshot `request` consults without any lock: the
+/// The read-mostly snapshot `request` consults without any shared lock: the
 /// generation's bucket layout, the candidate index over signature members,
-/// and the current bucket table. Published via [`EpochCell`] whenever the
-/// history generation moves.
+/// and the current bucket table. Published under the rebuild mutex whenever
+/// the history generation moves, and handed to each thread's log by the
+/// rebuild's visit.
 pub(crate) struct MatchView {
     /// History generation this view was built from (`u64::MAX` = never).
     generation: u64,
@@ -532,14 +529,21 @@ pub(crate) struct MatchView {
 }
 
 impl MatchView {
-    fn sentinel() -> Self {
-        let index = MatchIndex::build(&History::new(), &StackTable::new());
-        Self {
-            generation: u64::MAX,
-            layout: Arc::clone(index.layout()),
-            index: Arc::new(index),
-            table: Arc::new(MatchTable::sentinel()),
-        }
+    /// The view of no generation, empty and swept, that an engine publishes
+    /// until its first rebuild. Nothing is ever bucketed in it, so one serves
+    /// the whole process.
+    fn sentinel() -> Arc<Self> {
+        static SENTINEL: OnceLock<Arc<MatchView>> = OnceLock::new();
+        let sentinel = SENTINEL.get_or_init(|| {
+            let index = MatchIndex::build(&History::new(), &StackTable::new());
+            Arc::new(MatchView {
+                generation: u64::MAX,
+                layout: Arc::clone(index.layout()),
+                index: Arc::new(index),
+                table: Arc::new(MatchTable::sentinel()),
+            })
+        });
+        Arc::clone(sentinel)
     }
 
     /// The bucket slots an entry with these frames belongs to: one per
@@ -603,31 +607,21 @@ impl Resolved {
 }
 
 /// One level of a thread's held-lock stack: the lock, the call stack it was
-/// granted with, and where that grant put the entry in the shared buckets.
+/// granted with, and where the entry is in the shared buckets.
 #[derive(Clone, Copy)]
 struct Held {
     l: LockId,
     stack: StackId,
-    /// The bucket slots `stack` resolved to when `stamp` was written.
+    /// The bucket slots `stack` resolves to under its log's view: written by
+    /// the grant and by every visit, each in the critical section that sets
+    /// or keeps that view, so they are this entry's buckets in the view's
+    /// table — all of them when [`Resolved::is_complete`], and otherwise the
+    /// rest are resolved again.
     slots: Resolved,
-    /// The view epoch `slots` were resolved under, or [`Held::ASK_THE_VIEW`].
-    /// A log's `view_epoch` is the exact publication epoch of its cached
-    /// view ([`EpochCell::load_with_epoch`]), so `stamp == view_epoch`
-    /// means that very view — the same layout, hence the same numbering,
-    /// and the same table — and `slots` are this entry's buckets in it, all
-    /// of them. Any other stamp says nothing (an older view's numbering may
-    /// have been replaced wholesale), and the slots are resolved again.
-    stamp: u64,
 }
 
-impl Held {
-    /// The stamp of an entry whose resolution was not complete. No view is
-    /// ever published at this epoch, so it takes the stale-stamp path.
-    const ASK_THE_VIEW: u64 = u64::MAX;
-}
-
-/// A thread's private `Allowed` log — the master copy of its entries — plus
-/// its cached match view.
+/// A thread's private `Allowed` log — the master copy of its entries — and
+/// the match view its hooks act on.
 struct AllowedLog {
     /// The thread's **held-lock stack**: one [`Held`] per granted request or
     /// reentrant nesting level, in grant order. A grant pushes; a release or
@@ -635,29 +629,13 @@ struct AllowedLog {
     /// so LIFO unlocks cost one comparison and out-of-order unlocks stay
     /// correct). Capacity is retained, so a warm pair allocates nothing.
     entries: Vec<Held>,
-    /// Epoch `view` was published at (`u64::MAX` while there is none).
-    view_epoch: u64,
-    /// Cached published view (`None` until first use).
-    view: Option<Arc<MatchView>>,
-}
-
-impl Default for AllowedLog {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            view_epoch: u64::MAX,
-            view: None,
-        }
-    }
+    /// The view every entry's slots index. Set only where the entries are
+    /// re-resolved: by the chunk install that made this record, and by each
+    /// rebuild's visit of it (module docs, "Rebuild protocol").
+    view: Arc<MatchView>,
 }
 
 impl AllowedLog {
-    /// The cached view, which [`AvoidanceCore::refresh_view`] made current
-    /// earlier in this slot critical section.
-    fn view(&self) -> &Arc<MatchView> {
-        self.view.as_ref().expect("view cache populated")
-    }
-
     /// Removes and returns the innermost entry for `l` — its most recent
     /// nesting level.
     fn pop(&mut self, l: LockId) -> Option<Held> {
@@ -682,7 +660,6 @@ const CHUNK: usize = 64;
 /// One registered thread's record: its `Allowed` log, yield state and
 /// parker (the paper's `yieldLock[T]` data), made with its chunk and reused
 /// by every later tenant of the id.
-#[derive(Default)]
 pub(crate) struct ThreadSlot {
     /// Where a yielding real thread parks (simulated ones park elsewhere).
     pub(crate) parker: Parker,
@@ -693,7 +670,7 @@ pub(crate) struct ThreadSlot {
     /// reads `false`: only the owner thread stores `true` (when recording
     /// a yield), so a stale `false` read is impossible there.
     yielding: AtomicBool,
-    /// This thread's private `Allowed` log and view cache. Locked by the
+    /// This thread's private `Allowed` log and its match view. Locked by the
     /// owning thread on every hook and by every rebuild's visit; never
     /// contended in steady state.
     allowed: Mutex<AllowedLog>,
@@ -754,6 +731,26 @@ const HELD: u8 = 8;
 const CLAIMED: u8 = 16;
 
 impl ThreadSlot {
+    /// A record whose log starts empty, on `view`.
+    fn new(view: Arc<MatchView>) -> Self {
+        Self {
+            parker: Parker::default(),
+            yield_state: Mutex::default(),
+            yielding: AtomicBool::default(),
+            allowed: Mutex::new(AllowedLog {
+                entries: Vec::new(),
+                view,
+            }),
+            wake_list: WakeList::default(),
+            wake_epoch: AtomicU64::default(),
+            wake_pool: WakeNodePool::default(),
+            panicked: AtomicBool::default(),
+            grant: AtomicU8::default(),
+            grant_lock: AtomicU64::default(),
+            grant_stack: AtomicU32::default(),
+        }
+    }
+
     /// Remembers a GO instead of publishing it: `outcomes` is what the
     /// eventual event must account for (2 = the `request` and its GO, 1 =
     /// the GO alone), possibly with [`GRANT_QUIET`]. Every caller has taken
@@ -867,13 +864,11 @@ pub struct AvoidanceCore {
     /// (module docs) and kept until the engine drops.
     chunks: [OnceLock<Box<[ThreadSlot; CHUNK]>>; MAX_THREADS / CHUNK],
     slot_alloc: SlotAllocator,
-    /// Published match view; `request` revalidates its per-slot cache with
-    /// one epoch load.
-    view_cell: EpochCell<MatchView>,
-    /// Serializes match-state rebuilds (view build, publication, and the
-    /// per-slot visit). Hooks never hold any other engine lock
-    /// while taking it.
-    rebuild_lock: Mutex<()>,
+    /// The published match view, behind the mutex that serializes rebuilds
+    /// (view build, the per-slot visit, publication) and chunk installs.
+    /// Hooks read their log's view, never this; they take the mutex only to
+    /// rebuild or to wait one out, holding no other engine lock.
+    view: Mutex<Arc<MatchView>>,
     history: Arc<History>,
     stacks: Arc<StackTable>,
     lanes: Arc<EventLanes>,
@@ -893,8 +888,7 @@ impl AvoidanceCore {
         Self {
             chunks: std::array::from_fn(|_| OnceLock::new()),
             slot_alloc: SlotAllocator::new(MAX_THREADS),
-            view_cell: EpochCell::new(Arc::new(MatchView::sentinel())),
-            rebuild_lock: Mutex::new(()),
+            view: Mutex::new(MatchView::sentinel()),
             history,
             stacks,
             lanes,
@@ -909,11 +903,13 @@ impl AvoidanceCore {
     pub fn register_thread(&self) -> Option<ThreadId> {
         let slot = self.slot_alloc.acquire()?;
         if self.chunks[slot / CHUNK].get().is_none() {
-            let _g = self.rebuild_lock.lock();
+            let view = self.view.lock();
             for chunk in &self.chunks[..=slot / CHUNK] {
                 chunk.get_or_init(|| {
                     // On the heap, not through ≈ 10 KB of the caller's stack.
-                    let made: Box<[ThreadSlot]> = (0..CHUNK).map(|_| Default::default()).collect();
+                    let made: Box<[ThreadSlot]> = (0..CHUNK)
+                        .map(|_| ThreadSlot::new(Arc::clone(&view)))
+                        .collect();
                     made.try_into().unwrap_or_else(|_| unreachable!())
                 });
             }
@@ -976,9 +972,8 @@ impl AvoidanceCore {
             // per-lock Release events are needed.
             {
                 let mut log = me.allowed.lock();
-                self.refresh_view(&mut log);
                 for held in &log.entries {
-                    self.remove_buckets(log.view(), log.view_epoch, t, held);
+                    self.remove_buckets(&log.view, t, held);
                 }
                 log.entries.clear();
             }
@@ -1012,26 +1007,12 @@ impl AvoidanceCore {
         self.stacks.intern(frames)
     }
 
-    /// Refreshes this slot's cached view (and the epoch it was published
-    /// at) from the cell if the publication epoch moved. Must be called
-    /// with the slot lock held — the rebuild protocol relies on the epoch
-    /// being re-read inside the slot critical section.
-    fn refresh_view(&self, log: &mut AllowedLog) {
-        if log.view.is_none() || log.view_epoch != self.view_cell.epoch() {
-            // The exact pair: held-stack entries are stamped with
-            // `view_epoch` to mean "resolved under `view`" (`Held::stamp`).
-            let (epoch, view) = self.view_cell.load_with_epoch();
-            log.view = Some(view);
-            log.view_epoch = epoch;
-        }
-    }
-
     /// Locks `slot`'s log and resolves `frames` — the grant's one look-up —
     /// into `resolved`, against a view a grant may act on: of the current
     /// history generation and, when `frames` hit a member bucket, fully
-    /// swept. Until the cached view is that, drops the lock and rebuilds
-    /// (stale) or waits out the rebuilder (visit still in flight). The view
-    /// is borrowed out of the returned log ([`AllowedLog::view`]), not
+    /// swept. Until the log's view is that, drops the lock and rebuilds
+    /// (stale, or not visited yet) or waits out the rebuilder (visit still
+    /// in flight). The view is borrowed out of the returned log, not
     /// cloned. Inlined into its callers, and the resolution written where
     /// the caller reads it: returned by value it is copied through memory,
     /// padding and all, and re-read in pieces of other widths, which stalls
@@ -1045,19 +1026,18 @@ impl AvoidanceCore {
         resolved: &mut Resolved,
     ) -> MutexGuard<'a, AllowedLog> {
         loop {
-            let mut log = me.allowed.lock();
-            self.refresh_view(&mut log);
-            let view = log.view();
+            let log = me.allowed.lock();
+            let view = &log.view;
             if view.generation != self.history.generation() {
                 drop(log);
-                self.rebuild();
+                self.refresh_published();
                 continue;
             }
             *resolved = Resolved::default();
             view.slots_of(frames).for_each(|s| resolved.push(s));
             if resolved.len != 0 && !view.table.swept.load(Ordering::Acquire) {
                 drop(log);
-                drop(self.rebuild_lock.lock());
+                drop(self.view.lock());
                 continue;
             }
             return log;
@@ -1112,7 +1092,7 @@ impl AvoidanceCore {
                 Self::record_go(log, &[], yielding, me, t, l, stack);
                 break None;
             }
-            let view = log.view();
+            let view = &log.view;
             let slots = &view.all_slots(&resolved, frames)[..];
             if full && validation_failures >= COVER_RETRY_LIMIT {
                 // Adversarial churn kept invalidating the optimistic
@@ -1145,7 +1125,7 @@ impl AvoidanceCore {
                 // with the slot lock dropped, so this branch alone takes its
                 // own reference to the view.
                 self.insert_yielding(me, t, &inst.causes);
-                let view = Arc::clone(log.view());
+                let view = Arc::clone(&log.view);
                 drop(log);
                 if view.generation != self.history.generation() || !proof.still_valid(&view) {
                     Stats::bump(&self.stats.hot(slot).cover_retries);
@@ -1340,26 +1320,18 @@ impl AvoidanceCore {
         l: LockId,
         stack: StackId,
     ) {
-        // No buckets is as much a fact about the stack under this view as
-        // any slots are: stamped alike, and a release ends at the stamp.
-        // (Pushed whole and amended in place: an entry handed around by
+        // Pushed whole and amended in place: an entry handed around by
         // value is written field by field and re-read in wider pieces,
-        // which stalls on store forwarding — ≈ 10 ns of a 45 ns request.)
-        let AllowedLog {
-            entries,
-            view_epoch,
-            view,
-        } = &mut *log;
+        // which stalls on store forwarding — ≈ 10 ns of a 45 ns request.
+        let AllowedLog { entries, view } = &mut *log;
         entries.push(Held {
             l,
             stack,
             slots: Resolved::default(),
-            stamp: *view_epoch,
         });
         if !slots.is_empty() {
-            let view = view.as_deref().expect("view cache populated");
             let held = entries.last_mut().expect("pushed above");
-            Self::bucket(view, slots, 0, *view_epoch, t, held);
+            Self::bucket(view, slots, 0, t, held);
         }
         drop(log);
         if yielding {
@@ -1368,18 +1340,11 @@ impl AvoidanceCore {
     }
 
     /// Inserts `held` (an entry of `t`'s log) into the buckets `slots` — all
-    /// that its stack resolved to under `view`, published at `view_epoch` —
-    /// from `first_new` on: a grant passes 0, the visit of an extension the
-    /// old layout's length. The entry leaves remembering all of them, if it
-    /// has the room.
-    fn bucket(
-        view: &MatchView,
-        slots: &[u32],
-        first_new: u32,
-        view_epoch: u64,
-        t: ThreadId,
-        held: &mut Held,
-    ) {
+    /// that its stack resolved to under `view`, which the log holds or is
+    /// about to — from `first_new` on: a grant passes 0, the visit of an
+    /// extension the old layout's length. The entry leaves remembering all
+    /// of them, if it has the room.
+    fn bucket(view: &MatchView, slots: &[u32], first_new: u32, t: ThreadId, held: &mut Held) {
         let e = AllowedEntry {
             t,
             l: held.l,
@@ -1391,11 +1356,6 @@ impl AvoidanceCore {
         // Written where it stays, like the entry itself (`record_go`).
         held.slots = Resolved::default();
         slots.iter().for_each(|&s| held.slots.push(s));
-        held.stamp = if held.slots.is_complete() {
-            view_epoch
-        } else {
-            Held::ASK_THE_VIEW
-        };
     }
 
     /// Records an `Allowed` entry outside a decision: log-only when the
@@ -1411,7 +1371,7 @@ impl AvoidanceCore {
     ) {
         let mut resolved = Resolved::default();
         let log = self.lock_current(me, frames, &mut resolved);
-        let slots = log.view().all_slots(&resolved, frames);
+        let slots = log.view.all_slots(&resolved, frames);
         Self::record_go(log, &slots, false, me, t, l, stack);
     }
 
@@ -1500,23 +1460,20 @@ impl AvoidanceCore {
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
-    /// private log and removes it from the shared buckets — by the slots
-    /// the entry remembers, when they are still good — all in one slot
-    /// critical section, so no rebuild's visit can fall between the pop and
-    /// the removal. An entry with no buckets — an empty history, an
-    /// irrelevant suffix — ends at the stamp comparison, here, while it is
-    /// still in registers (`remove_buckets` takes it through memory: ≈ 3 ns
-    /// of the empty-history pair).
+    /// private log and removes it from the buckets of the log's view by the
+    /// slots it remembers, all in one slot critical section, so no rebuild's
+    /// visit can fall between the pop and the removal. An entry with no
+    /// buckets — an empty history, an irrelevant suffix — ends here, while
+    /// it is still in registers (`remove_buckets` takes it through memory:
+    /// ≈ 3 ns of the empty-history pair).
     fn pop_entry(&self, me: &ThreadSlot, t: ThreadId, l: LockId) {
         let mut log = me.allowed.lock();
         let Some(held) = log.pop(l) else {
             return;
         };
-        self.refresh_view(&mut log);
-        if held.stamp == log.view_epoch && held.slots.len == 0 {
-            return;
+        if held.slots.len != 0 {
+            self.remove_buckets(&log.view, t, &held);
         }
-        self.remove_buckets(log.view(), log.view_epoch, t, &held);
     }
 
     /// Marks `t`'s current yield as broken (monitor starvation breaking).
@@ -1588,42 +1545,30 @@ impl AvoidanceCore {
         parked
     }
 
-    /// Rebuilds the match state — and publishes the match view — if the
-    /// history generation moved. The monitor calls this once per pass so
-    /// steady-state requests never pay for a rebuild inline; the hook paths
-    /// still rebuild as a fallback for immediacy (e.g. right after
-    /// `vaccinate`).
+    /// Advances the match state to the current history generation, if it
+    /// moved: builds the next view, visits every per-thread log with it,
+    /// then publishes it (the module docs' rebuild protocol). The monitor
+    /// calls this once per pass so steady-state requests never pay for a
+    /// rebuild inline; a hook whose view is stale calls it too, to rebuild
+    /// or to wait out the rebuilder. Callers must hold no other engine lock.
     pub(crate) fn refresh_published(&self) {
-        if self.view_cell.load().generation == self.history.generation() {
-            return;
-        }
-        self.rebuild();
-    }
-
-    /// Advances the match state to the current history generation: builds
-    /// the next view, publishes it, then visits every per-thread log (the
-    /// module docs' rebuild protocol). Callers must hold no other engine
-    /// lock.
-    fn rebuild(&self) {
-        let _g = self.rebuild_lock.lock();
-        let gen = self.history.generation();
-        let old = self.view_cell.load();
-        if old.generation == gen {
-            // Raced with another rebuilder; its visit finished before the
-            // rebuild lock was handed over.
+        let mut published = self.view.lock();
+        if published.generation == self.history.generation() {
+            // Current, or raced with another rebuilder, whose visit finished
+            // before the mutex was handed over.
             return;
         }
         let start = std::time::Instant::now();
         // The only branch. An extension shares every surviving bucket with
         // the old table, complete as they stand, so the visit fills only
         // the slots past the old layout; a fresh table is filled whole.
-        let (view, first_new, extended) = match self.extended_view(&old) {
-            Some(view) => (view, old.layout.len() as u32, true),
+        let (view, first_new, extended) = match self.extended_view(&published) {
+            Some(view) => (view, published.layout.len() as u32, true),
             None => (self.fresh_view(), 0, false),
         };
         let view = Arc::new(view);
-        self.view_cell.publish(Arc::clone(&view));
         self.visit_logs(&view, first_new);
+        *published = view;
         Stats::bump(if extended {
             &self.stats.rebuilds_delta
         } else {
@@ -1633,15 +1578,12 @@ impl AvoidanceCore {
         self.stats.record_rebuild_us(extended, us);
     }
 
-    /// The visit of a rebuild (module docs): with `view` published, locks
-    /// each thread record in turn, buckets its log's entries wherever
-    /// `view`'s table lacks them — the slots from `first_new` on — and marks
-    /// the table swept. Every visited entry leaves with its slots under
-    /// `view` remembered and stamped, so the releases that follow take the
-    /// remembered path again. The caller holds the rebuild mutex, which is
-    /// what keeps the epoch read here `view`'s own.
-    fn visit_logs(&self, view: &MatchView, first_new: u32) {
-        let view_epoch = self.view_cell.epoch();
+    /// The visit of a rebuild (module docs): locks each thread record in
+    /// turn, buckets its log's entries wherever `view`'s table lacks them —
+    /// the slots from `first_new` on — and hands the log `view`, and marks
+    /// the table swept. Every visited entry leaves remembering its slots
+    /// under the view its log now holds. The caller holds the rebuild mutex.
+    fn visit_logs(&self, view: &Arc<MatchView>, first_new: u32) {
         // Slot order, and lock-id order within a slot, so the bucket
         // vectors are deterministic (`AllowedLog::sweep_order`).
         for (t, me) in self.records() {
@@ -1650,13 +1592,11 @@ impl AvoidanceCore {
                 let held = &mut log.entries[at];
                 let frames = self.stacks.resolve(held.stack);
                 let slots: Vec<u32> = view.slots_of(&frames).collect();
-                Self::bucket(view, &slots, first_new, view_epoch, t, held);
+                Self::bucket(view, &slots, first_new, t, held);
             }
-            // Drop the slot's cached view: an idle thread must not keep a
-            // retired generation's bucket table alive until its next hook
-            // (active threads reload on their next epoch check anyway).
-            log.view = None;
-            log.view_epoch = u64::MAX;
+            // Also what lets the old view go: an idle thread keeps no
+            // retired generation's table alive.
+            log.view = Arc::clone(view);
         }
         view.table.swept.store(true, Ordering::Release);
     }
@@ -1706,29 +1646,32 @@ impl AvoidanceCore {
         }
     }
 
+    /// The published match view.
+    fn published(&self) -> Arc<MatchView> {
+        Arc::clone(&self.view.lock())
+    }
+
     /// Approximate heap footprint of the avoidance state, in bytes (§7.4).
     pub fn approx_bytes(&self) -> usize {
         let held = |(_, me): (ThreadId, &ThreadSlot)| me.allowed.lock().entries.len();
         let live: usize = self.records().map(held).sum();
         live * core::mem::size_of::<Held>()
-            + self.view_cell.load().table.approx_bytes()
+            + self.published().table.approx_bytes()
             + self.records().count() * core::mem::size_of::<ThreadSlot>()
     }
 
     /// Removes `held` (an entry of `t`'s log, already popped or about to
-    /// be cleared) from every bucket of `view` it is in: the slots it
-    /// remembers when its stamp is `view`'s epoch, the slots its stack
-    /// resolves to under `view` otherwise — a release between a publish and
-    /// the visit that would have restamped the entry, or an entry with more
-    /// slots than it can remember. Tolerant of the entry being absent (the
-    /// visit may not have bucketed it under `view` yet).
-    fn remove_buckets(&self, view: &MatchView, view_epoch: u64, t: ThreadId, held: &Held) {
+    /// be cleared) from every bucket of `view`, its log's view, it is in:
+    /// the slots it remembers, or — it hit more depth layers than it can
+    /// remember — the slots its stack resolves to again. Tolerant of the
+    /// entry being absent.
+    fn remove_buckets(&self, view: &MatchView, t: ThreadId, held: &Held) {
         let e = AllowedEntry {
             t,
             l: held.l,
             stack: held.stack,
         };
-        if held.stamp == view_epoch {
+        if held.slots.is_complete() {
             for &s in held.slots.as_slice() {
                 view.table.remove(s, e);
             }
@@ -2037,7 +1980,7 @@ impl AvoidanceCore {
     /// Live-occupancy skew across the current generation's buckets
     /// (telemetry; racy reads, no synchronization).
     pub fn occupancy_skew(&self) -> OccupancySkew {
-        let view = self.view_cell.load();
+        let view = self.published();
         let mut skew = OccupancySkew {
             buckets: view.table.buckets.len(),
             ..OccupancySkew::default()

@@ -1,9 +1,10 @@
 //! White-box tests of the per-thread held-lock stack ([`AllowedLog`]): its
 //! pops against the per-lock `HashMap<LockId, Vec<_>>` it replaced (kept
 //! here as the oracle), the exit sweep, and the rebuild's visit: its bucket
-//! order, that appends racing it are applied once, and that buckets equal
-//! the logs after every live rebuild; the slots a held entry remembers
-//! across both kinds of rebuild; and the bounded-retry cover fallback.
+//! order, that appends racing it are applied once, that buckets equal the
+//! logs after every live rebuild, and the view it hands each log; the slots
+//! a held entry remembers across both kinds of rebuild; and the
+//! bounded-retry cover fallback.
 
 use super::*;
 use crate::runtime::Runtime;
@@ -48,7 +49,7 @@ fn site(rt: &Runtime, frames: &[(&str, u32)]) -> (Vec<FrameId>, StackId) {
 /// The raw `(thread, lock, stack)` records of the bucket `frames` maps to
 /// at `depth`, in storage order.
 fn bucket_of(core: &AvoidanceCore, depth: u8, frames: &[FrameId]) -> Vec<AllowedEntry> {
-    let view = core.view_cell.load();
+    let view = core.published();
     let slot = view
         .layout
         .slot_of(depth, suffix_of(frames, depth as usize))
@@ -314,11 +315,12 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
 /// thread's record must not grow: 720 bytes of slot at an earlier commit
 /// (counting filter and hint beside the stack), 136 with the stack alone,
 /// then the parker that used to sit in an array of its own. A quiet hold is
-/// a state of the grant word, so it costs no byte of its own.
+/// a state of the grant word, so it costs no byte of its own; the log's view
+/// is one `Arc`, with no epoch beside it (136 before that).
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
-    assert!(core::mem::size_of::<ThreadSlot>() <= 136 + core::mem::size_of::<Parker>());
+    assert!(core::mem::size_of::<ThreadSlot>() <= 128 + core::mem::size_of::<Parker>());
 }
 
 /// A runtime makes no thread record until a thread registers, then 64 at a
@@ -375,8 +377,7 @@ fn an_id_no_thread_was_given_is_not_yielding() {
 
 /// The chunk-install rule. Chunk 0's 64 threads each hold a lock through a
 /// path a vaccination is about to make relevant, and the rebuild it needs
-/// is in flight — published, not yet visited — when a 65th thread
-/// registers. Installing chunk 1 waits out the visit, the newcomer's grant
+/// is in flight — built, not yet visited — when a 65th thread registers. Installing chunk 1 waits out the visit, the newcomer's grant
 /// lands under the new view, and at quiescence the table holds every
 /// relevant held entry: the 64 the visit bucketed and the newcomer's own.
 #[test]
@@ -400,9 +401,8 @@ fn a_chunk_installed_during_a_rebuild_waits_for_its_visit() {
         .unwrap();
     let registered = AtomicBool::new(false);
     std::thread::scope(|s| {
-        let rebuilding = core.rebuild_lock.lock();
+        let mut rebuilding = core.view.lock();
         let view = Arc::new(core.fresh_view());
-        core.view_cell.publish(Arc::clone(&view));
         let newcomer = s.spawn(|| {
             let t = core.register_thread().unwrap();
             registered.store(true, Ordering::Release);
@@ -412,6 +412,7 @@ fn a_chunk_installed_during_a_rebuild_waits_for_its_visit() {
         std::thread::sleep(std::time::Duration::from_millis(20));
         let early = registered.load(Ordering::Acquire);
         core.visit_logs(&view, 0);
+        *rebuilding = view;
         drop(rebuilding);
         assert_eq!(newcomer.join().unwrap(), ThreadId(CHUNK as u64));
         assert!(!early, "chunk 1 was installed while a visit was pending");
@@ -455,7 +456,7 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
         }
     });
     core.refresh_published();
-    let view = core.view_cell.load();
+    let view = core.published();
     assert_eq!(view.generation, rt.history().generation());
     for (i, (a, b)) in sites.iter().enumerate() {
         for (frames, _) in [a, b] {
@@ -471,9 +472,10 @@ fn an_add_racing_a_rebuild_never_duplicates_a_candidate() {
 /// irrelevant at the start while a vaccinator appends signatures that turn
 /// their suffixes into member keys, one key per step, then touches the
 /// history (one fresh build), then appends again. After every step all
-/// threads stop where they are, locks still held, and every bucket must
-/// equal its recomputation from the per-thread logs: nothing missed by the
-/// visit, nothing bucketed by both a hook and the visit. A single step
+/// threads stop where they are, locks still held, and every log must hold
+/// the published view and every bucket must equal its recomputation from
+/// the per-thread logs: nothing missed by the visit, nothing bucketed by
+/// both a hook and the visit. A single step
 /// catches a broken visit only if an entry was held across its rebuild,
 /// hence the many steps.
 #[test]
@@ -513,24 +515,26 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
     // Returns the first difference instead of panicking: the workers are
     // parked on the gate and must be let go before the test may fail.
     let check = |what: &str| -> Result<(), String> {
-        let view = core.view_cell.load();
+        let view = core.published();
         if view.generation != rt.history().generation() || !view.table.swept.load(Ordering::Acquire)
         {
             return Err(format!("{what}: the published view is not current"));
         }
-        let epoch = core.view_cell.epoch();
         let mut expected = vec![Vec::new(); view.layout.len()];
         for (t, me) in core.records() {
-            for held in &me.allowed.lock().entries {
+            let log = me.allowed.lock();
+            if !Arc::ptr_eq(&log.view, &view) {
+                return Err(format!("{what}: {t:?} holds another view"));
+            }
+            for held in &log.entries {
                 let Held { l, stack, .. } = *held;
                 let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(stack)).collect();
-                // Granted under this view or restamped by its visit: either
-                // way the entry remembers exactly its buckets.
-                if held.stamp != epoch || held.slots.as_slice() != &slots[..] {
+                // Granted under this view or re-resolved by its visit:
+                // either way the entry remembers exactly its buckets.
+                if held.slots.as_slice() != &slots[..] {
                     return Err(format!(
-                        "{what}: {t:?}/{l:?} remembers {:?} @ {}, the view at {epoch} says {slots:?}",
+                        "{what}: {t:?}/{l:?} remembers {:?}, the view says {slots:?}",
                         held.slots.as_slice(),
-                        held.stamp
                     ));
                 }
                 for s in slots {
@@ -624,25 +628,26 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
     assert_eq!(core.occupancy_skew().live_entries, 0, "all released");
 }
 
-/// Every bucket of the published table is empty.
-fn assert_table_drained(core: &AvoidanceCore) {
-    let view = core.view_cell.load();
+/// Every bucket of `view`'s table is empty.
+fn assert_drained(view: &MatchView) {
     for (s, bucket) in view.table.buckets.iter().enumerate() {
         assert!(bucket.is_empty(), "bucket {s}");
     }
 }
 
 /// One thread holds nested locks through a bucketed suffix while the
-/// history changes under them twice: an append that gives the suffix a key
-/// at a second depth (the view is extended: each entry gains a bucket past
-/// the old layout) and a removal (a fresh table: the surviving key is
-/// renumbered from slot 2 to slot 0, the other one is gone). Around each
-/// rebuild one lock is released — between the publish and the slot's visit
-/// when `before_visit` (the entry's stamp is stale: the slots are resolved
-/// again), after the visit otherwise (restamped: the remembered slots are
-/// used) — and at the end everything else. Whatever path a removal took,
-/// no bucket keeps anything.
-fn remembered_slots_survive_rebuilds(before_visit: bool) {
+/// history changes under them twice, each rebuild built and visited by hand
+/// under the rebuild mutex: an append that gives the suffix a key at a
+/// second depth (the view is extended: each entry gains a bucket past the
+/// old layout) and a removal (a fresh table: the surviving key is
+/// renumbered from slot 2 to slot 0, the other one is gone). A release
+/// before a visit removes its entry by the old view's slots: a bucket the
+/// extension shares loses it in both tables, and no bucket the visit fills
+/// ever gets it. The visit hands the log the new view and leaves every held
+/// entry remembering its slots under it; a release after the visit removes
+/// by those. At the end no table, retired or published, keeps anything.
+#[test]
+fn remembered_slots_survive_rebuilds() {
     let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
     let member = |rt: &Runtime, n: u32| site(rt, &[("m", n), ("mid", 7), ("inner", 8)]).1;
@@ -677,36 +682,37 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
     assert!(core.release(t, locks[0]).is_empty());
     assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 4);
 
-    // What the log's entry for `l` remembers, and whether that is current.
-    let remembered = |l: LockId| -> (Vec<u32>, bool) {
+    // What the log's entry for `l` remembers.
+    let remembered = |l: LockId| -> Vec<u32> {
         let log = core.me(t).allowed.lock();
         let held = log.entries.iter().rfind(|held| held.l == l).unwrap();
-        let current = held.stamp == core.view_cell.epoch();
-        (held.slots.as_slice().to_vec(), current)
+        held.slots.as_slice().to_vec()
     };
-    // One rebuild, by hand: publish `view`, release `l` on one side of the
-    // visit or the other.
-    let rebuild_around = |view: MatchView, first_new: u32, l: LockId| {
-        let _g = core.rebuild_lock.lock();
+    // One rebuild, by hand: release `before` while the log still holds the
+    // old view, then visit with `view` and publish it.
+    let rebuild_around = |view: MatchView, first_new: u32, before: &[LockId]| {
+        let mut published = core.view.lock();
+        for &l in before {
+            let log = core.me(t).allowed.lock();
+            assert!(Arc::ptr_eq(&log.view, &published), "not visited yet");
+            drop(log);
+            assert!(core.release(t, l).is_empty());
+        }
         let view = Arc::new(view);
-        core.view_cell.publish(Arc::clone(&view));
-        if before_visit {
-            assert!(!remembered(l).1, "published past the entry's stamp");
-            assert!(core.release(t, l).is_empty());
-        }
         core.visit_logs(&view, first_new);
-        for held in &core.me(t).allowed.lock().entries {
+        *published = Arc::clone(&view);
+        let log = core.me(t).allowed.lock();
+        assert!(Arc::ptr_eq(&log.view, &view), "handed over by the visit");
+        for held in &log.entries {
             let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(held.stack)).collect();
-            assert_eq!(held.slots.as_slice(), &slots[..], "restamped by the visit");
-            assert_eq!(held.stamp, core.view_cell.epoch());
-        }
-        if !before_visit {
-            assert!(core.release(t, l).is_empty());
+            assert_eq!(held.slots.as_slice(), &slots[..], "visited");
         }
     };
 
-    // (a) Extension: `inner` alone becomes a key, at depth 1.
-    assert_eq!(remembered(locks[3]), (vec![0], true));
+    // (a) Extension: `inner` alone becomes a key, at depth 1. Lock 3 leaves
+    // the shared depth-2 bucket before the visit, which never puts it in
+    // the new depth-1 one.
+    assert_eq!(remembered(locks[3]), vec![0]);
     rt.history()
         .add(
             CycleKind::Deadlock,
@@ -714,58 +720,52 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
             1,
         )
         .unwrap();
-    let old = core.view_cell.load();
-    let extended = core.extended_view(&old).expect("a pure append");
+    let first = core.published();
+    let extended = core.extended_view(&first).expect("a pure append");
     assert!(Arc::ptr_eq(
         &extended.table.buckets[0],
-        &old.table.buckets[0]
+        &first.table.buckets[0]
     ));
-    rebuild_around(extended, old.layout.len() as u32, locks[3]);
-    // Depth ascending: the new depth-1 slot, then the surviving depth-2 one.
-    assert_eq!(remembered(locks[2]), (vec![2, 0], true));
+    rebuild_around(extended, first.layout.len() as u32, &[locks[3]]);
     assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
     assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
+    // Depth ascending: the new depth-1 slot, then the surviving depth-2 one.
+    assert_eq!(remembered(locks[2]), vec![2, 0]);
+    assert!(core.release(t, locks[2]).is_empty());
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 2);
     // A grant under the extended view lands in both buckets, and leaves
     // them by what it remembers.
     grant(3);
-    assert_eq!(remembered(locks[3]), (vec![2, 0], true));
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 4);
-    assert!(core.release(t, locks[3]).is_empty());
+    assert_eq!(remembered(locks[3]), vec![2, 0]);
     assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
-    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
+    assert!(core.release(t, locks[3]).is_empty());
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 2);
 
     // (b) Structural: the depth-2 signature goes; a fresh table numbers
-    // what is left from 0.
+    // what is left from 0. Both levels of lock 1 leave the extended table
+    // before the visit, innermost first, by its slots.
     assert!(rt.history().remove(deep.id));
-    assert!(core.extended_view(&core.view_cell.load()).is_none());
-    rebuild_around(core.fresh_view(), 0, locks[2]);
-    assert_eq!(remembered(locks[1]), (vec![0], true));
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
-
-    // The two nesting levels of lock 1, innermost first.
-    assert!(core.release(t, locks[1]).is_empty());
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 1);
-    assert!(core.release(t, locks[1]).is_empty());
+    let extended = core.published();
+    assert!(core.extended_view(&extended).is_none());
+    rebuild_around(core.fresh_view(), 0, &[locks[1], locks[1]]);
     assert!(core.me(t).allowed.lock().entries.is_empty());
-    assert_table_drained(core);
+    grant(2);
+    assert_eq!(remembered(locks[2]), vec![0]);
+    assert_eq!(bucket_of(core, 1, &paths[2].0).len(), 1);
+    assert!(core.release(t, locks[2]).is_empty());
+    for view in [&first, &extended, &core.published()] {
+        assert_drained(view);
+    }
     core.unregister_thread(t);
 }
 
+/// A stack that hits more depth layers than an entry can remember keeps
+/// the first few: granted into every bucket, and released out of every
+/// bucket by resolving the stack again — before and after a rebuild's visit.
 #[test]
-fn a_release_between_publish_and_visit_resolves_its_slots_again() {
-    remembered_slots_survive_rebuilds(true);
-}
-
-#[test]
-fn a_release_after_the_visit_uses_the_restamped_slots() {
-    remembered_slots_survive_rebuilds(false);
-}
-
-/// A stack that hits more depth layers than an entry can remember is
-/// stamped "ask the view": granted into every bucket, and released out of
-/// every bucket by resolving again — the stale-stamp path, not a third one.
-#[test]
-fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
+fn an_incomplete_resolution_is_resolved_again_at_release() {
     let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
     let frames: Vec<(&str, u32)> = (0..=REMEMBERED_SLOTS as u32).map(|i| ("f", i)).collect();
@@ -779,25 +779,51 @@ fn more_depth_layers_than_an_entry_remembers_take_the_stale_stamp_path() {
     }
     let t = core.register_thread().unwrap();
     let l = rt.new_lock_id();
+    let incomplete = || {
+        let log = core.me(t).allowed.lock();
+        let slots = log.entries[0].slots;
+        usize::from(slots.len) == usize::from(layers) && !slots.is_complete()
+    };
     assert!(matches!(core.request(t, l, &path, stack), Decision::Go));
     core.acquired(t, l, stack);
-    assert_eq!(
-        core.me(t).allowed.lock().entries[0].stamp,
-        Held::ASK_THE_VIEW
-    );
+    assert!(incomplete());
     for depth in 1..=layers {
         assert_eq!(bucket_of(core, depth, &path).len(), 1, "depth {depth}");
     }
-    // The visit of a rebuild finds as many and leaves the same stamp.
+    // The visit of a rebuild finds as many and leaves them as incomplete.
     rt.history().touch();
     core.refresh_published();
     assert_eq!(core.occupancy_skew().live_entries, u64::from(layers));
-    assert_eq!(
-        core.me(t).allowed.lock().entries[0].stamp,
-        Held::ASK_THE_VIEW
-    );
+    assert!(incomplete());
     assert!(core.release(t, l).is_empty());
-    assert_table_drained(core);
+    assert_drained(&core.published());
+    core.unregister_thread(t);
+}
+
+/// A registered thread that runs no hook pins no retired view: its chunk
+/// install handed it the published one, and each visit hands it the next,
+/// so after a rebuild the only other reference to the old view is the
+/// test's own.
+#[test]
+fn an_idle_thread_pins_no_retired_view() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let stack = |n: u32| site(&rt, &[("idle", n), ("take", 1)]).1;
+    let vaccinate = |n: u32| {
+        rt.history()
+            .add(CycleKind::Deadlock, vec![stack(n), stack(n + 1)], 2)
+            .unwrap();
+        core.refresh_published();
+    };
+    vaccinate(0);
+    let t = core.register_thread().unwrap();
+    let old = core.published();
+    assert!(Arc::ptr_eq(&core.me(t).allowed.lock().view, &old));
+    vaccinate(2);
+    let new = core.published();
+    assert!(!Arc::ptr_eq(&new, &old), "rebuilt");
+    assert!(Arc::ptr_eq(&core.me(t).allowed.lock().view, &new));
+    assert_eq!(Arc::strong_count(&old), 1, "only the test's own");
     core.unregister_thread(t);
 }
 
@@ -841,7 +867,7 @@ fn the_fallback_agrees(held: u32, holders: usize) -> (Vec<Hold>, Vec<Hold>) {
     let me = core.me(yielder);
     let mut resolved = Resolved::default();
     let log = core.lock_current(me, &yield_path, &mut resolved);
-    let view = Arc::clone(log.view.as_ref().unwrap());
+    let view = Arc::clone(&log.view);
     drop(log);
     let slots = resolved.as_slice();
     assert_eq!(slots.len(), 1, "the yielder's path is a member suffix");

@@ -79,10 +79,7 @@ pub struct Config {
     ///
     /// The predictor maintains an incremental SCC condensation of the
     /// lock-order graph, so its per-pass cost scales with *new* edges and
-    /// affected components, not graph size. Two knobs govern that
-    /// machinery: `PredictionConfig::scc_rebuild_budget` caps the
-    /// component visits one incremental restructure may spend before
-    /// falling back to a full (always-correct) Tarjan rebuild, and
+    /// affected components, not graph size.
     /// `PredictionConfig::lock_retire_after` ages release-quiescent locks
     /// out of the graph after that many passes (0 disables aging), keeping
     /// long-running processes' graphs bounded by the *live* lock set.

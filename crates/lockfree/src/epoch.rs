@@ -1,8 +1,8 @@
 //! Epoch-published snapshot cell (`ArcSwap`-style, dependency-free).
 //!
-//! The avoidance hot path must read the current *match view* (enabled
-//! matching depths + suffix index) on every `request` without taking the
-//! shared-state guard. [`EpochCell`] supports that with a two-part protocol:
+//! Kept only for the benchmark's `lockfree.epoch_load_ns` probe; nothing in
+//! the runtime uses it. The cell lets a reader see the current snapshot
+//! without taking a shared guard, with a two-part protocol:
 //!
 //! * a cache-padded **epoch counter**, bumped on every publication — readers
 //!   keep a private `(epoch, Arc<T>)` cache and revalidate it with a single
@@ -69,22 +69,10 @@ impl<T> EpochCell<T> {
 
     /// Clones the currently published snapshot.
     pub fn load(&self) -> Arc<T> {
-        self.load_with_epoch().1
-    }
-
-    /// Clones the currently published snapshot together with the epoch it
-    /// was published at. [`EpochCell::epoch`] followed by
-    /// [`EpochCell::load`] can straddle a publication and pair an older
-    /// epoch with a newer value; a reader that keys anything else by the
-    /// epoch — "same epoch, therefore same snapshot" — refreshes through
-    /// this instead.
-    pub fn load_with_epoch(&self) -> (u64, Arc<T>) {
         let _g = self.lock();
-        // The epoch only moves inside this critical section (`publish`).
-        let epoch = self.epoch.load(Ordering::Acquire);
         // SAFETY: The spinlock is held, so no publication is concurrently
         // replacing the Arc.
-        (epoch, unsafe { Arc::clone(&*self.value.get()) })
+        unsafe { Arc::clone(&*self.value.get()) }
     }
 
     /// Publishes `value` as the new snapshot and bumps the epoch.
@@ -94,7 +82,7 @@ impl<T> EpochCell<T> {
     /// refresh is guaranteed to load the new (or a newer) value.
     pub fn publish(&self, value: Arc<T>) {
         let _g = self.lock();
-        // SAFETY: As in `load_with_epoch`: exclusive via the spinlock.
+        // SAFETY: As in `load`: exclusive via the spinlock.
         unsafe {
             *self.value.get() = value;
         }
@@ -144,7 +132,6 @@ mod tests {
         cell.publish(Arc::new("c"));
         assert_eq!(cell.epoch(), 2);
         assert_eq!(*cell.load(), "c");
-        assert_eq!(cell.load_with_epoch(), (2, Arc::new("c")));
     }
 
     #[test]
@@ -169,9 +156,6 @@ mod tests {
             assert!(e >= last_epoch, "epoch regressed");
             last = v;
             last_epoch = e;
-            // Value `i` is the `i`-th publication: the pair is exact.
-            let (paired_epoch, paired) = cell.load_with_epoch();
-            assert_eq!(paired_epoch, *paired);
         }
         publisher.join().unwrap();
     }

@@ -11,9 +11,6 @@
 //!
 //! The sharded request path is built from these pieces:
 //!
-//! * an **epoch-published snapshot cell** ([`epoch::EpochCell`]) that lets
-//!   the `request` hook read the current match view with a single atomic
-//!   load instead of a read-write lock;
 //! * a **seqlock-versioned bucket** ([`versioned::VersionedBucket`])
 //!   holding the `Allowed` records the exact-cover search probes: readers
 //!   are optimistic (copy, then re-validate the sequence word) and never
@@ -24,16 +21,17 @@
 //!   registrations are one CAS, and a release's wakeup delivery is one
 //!   swap-and-drain — no wake-shard mutex.
 //!
-//! Three modules are kept only for benchmark probes, and nothing in the
+//! Five modules are kept only for benchmark probes, and nothing in the
 //! runtime uses them: [`mpsc`], a Vyukov-style MPSC queue (the shape of the
 //! paper's single event queue), [`spsc`], a bounded SPSC ring the event
-//! lanes used to be chained from, and [`occupancy`], a counting filter of
-//! per-bucket fingerprints the cover precheck used to read.
+//! lanes used to be chained from, [`occupancy`], a counting filter of
+//! per-bucket fingerprints the cover precheck used to read, [`epoch`], the
+//! epoch-published snapshot cell the match view used to be read through,
+//! and [`backoff`], the exponential spin backoff only that cell uses.
 //!
 //! The crate also provides the small utilities those algorithms need: the
-//! [`slots::SlotAllocator`] that hands out dense thread ids, exponential
-//! [`backoff::Backoff`] for contended spin loops and [`pad::CachePadded`] to
-//! keep hot atomics on separate cache lines.
+//! [`slots::SlotAllocator`] that hands out dense thread ids and
+//! [`pad::CachePadded`] to keep hot atomics on separate cache lines.
 //!
 //! Everything here is `std`-only and dependency-free; `unsafe` is confined to
 //! the queue internals and documented with `SAFETY` comments.

@@ -65,7 +65,7 @@ const FIRST_CHUNK: usize = 8;
 
 /// Wait strategy for seqlock retries. The holder is inside for a handful
 /// of word stores, so the common wait is tens of nanoseconds — a *short*
-/// spin (far below the shared [`crate::backoff::Backoff`]'s 64-pause ceiling, which costs
+/// spin (far below [`crate::backoff::Backoff`]'s 64-pause ceiling, which costs
 /// microseconds of idle per claim on a hot bucket). But a holder can also
 /// be preempted mid-session; a pure spin then burns the waiter's entire
 /// timeslice on a saturated core, so after the short spin phase every

@@ -95,11 +95,6 @@ pub struct PredictionConfig {
     /// exhausted pass *defers* — the paused enumeration and remaining
     /// queue resume at the next pass, never dropped.
     pub pass_budget: usize,
-    /// Component-visit budget for one incremental condensation
-    /// restructure (the Pearce–Kelly affected region). Past it the
-    /// condensation falls back to a full Tarjan rebuild — always correct,
-    /// O(graph), and rare.
-    pub scc_rebuild_budget: usize,
     /// Passes a lock may stay quiescent — unheld by every thread and
     /// recording no new orderings — before it is retired from the order
     /// graph and condensation (lock aging). `0` disables aging.
@@ -121,7 +116,6 @@ impl Default for PredictionConfig {
             max_instances_per_edge: 8,
             max_edge_instances: 1 << 16,
             pass_budget: 1 << 13,
-            scc_rebuild_budget: 1 << 12,
             lock_retire_after: 1 << 12,
         }
     }
@@ -295,10 +289,7 @@ impl Predictor {
                 ) {
                     Recorded::NewEdge => {
                         self.touch(src);
-                        match self
-                            .scc
-                            .insert_edge(&self.graph, src, l, self.cfg.scc_rebuild_budget)
-                        {
+                        match self.scc.insert_edge(&self.graph, src, l) {
                             // Topological order respected: provably on no
                             // cycle — the common case costs no queue entry
                             // and no enumeration at all.

@@ -29,10 +29,8 @@
 //!   the gap above the component's old value (a global renumber restores
 //!   gaps when one closes; amortized over `ORDER_STRIDE` retirements).
 //!
-//! An incremental restructure whose affected region exceeds
-//! `scc_rebuild_budget` component visits falls back to one full Tarjan
-//! rebuild — always correct, O(graph), and counted so a pathological edge
-//! stream shows up in telemetry instead of silently degrading latency.
+//! There is no second restructure path: the affected region is part of the
+//! graph, so a full Tarjan rebuild in its place would never visit less.
 //!
 //! # Why the reorder is sound
 //!
@@ -91,7 +89,6 @@ pub(crate) struct Condensation {
     next_id: CompId,
     merges: u64,
     component_peak: usize,
-    full_rebuilds: u64,
 }
 
 impl Condensation {
@@ -104,13 +101,6 @@ impl Condensation {
     /// Largest SCC ever formed (gauge; components shrink via retirement).
     pub fn component_peak(&self) -> usize {
         self.component_peak
-    }
-
-    /// Full Tarjan rebuilds taken because an incremental restructure
-    /// exceeded its budget.
-    #[cfg(test)]
-    pub fn full_rebuilds(&self) -> u64 {
-        self.full_rebuilds
     }
 
     /// Whether `a` and `b` currently share a component. `false` when
@@ -190,16 +180,8 @@ impl Condensation {
     }
 
     /// Records that edge `u → v` now exists in `graph` (which must already
-    /// contain it) and restores the condensation invariant. `budget` caps
-    /// the incremental restructure's component visits; past it the
-    /// condensation falls back to a full Tarjan rebuild.
-    pub fn insert_edge(
-        &mut self,
-        graph: &LockOrderGraph,
-        u: LockId,
-        v: LockId,
-        budget: usize,
-    ) -> EdgeOutcome {
+    /// contain it) and restores the condensation invariant.
+    pub fn insert_edge(&mut self, graph: &LockOrderGraph, u: LockId, v: LockId) -> EdgeOutcome {
         if u == v {
             return EdgeOutcome::Acyclic;
         }
@@ -230,20 +212,8 @@ impl Condensation {
             return EdgeOutcome::Acyclic;
         }
         // Order violated: discover the affected region.
-        let mut visits = budget;
-        let fwd = self.window_dfs(graph, cv, ov, ou, Direction::Forward, &mut visits);
-        let bwd = fwd
-            .as_ref()
-            .and_then(|_| self.window_dfs(graph, cu, ov, ou, Direction::Backward, &mut visits));
-        let (Some(fwd), Some(bwd)) = (fwd, bwd) else {
-            // Affected region larger than the budget: rebuild from scratch.
-            self.full_rebuild(graph);
-            return if self.same_component(u, v) {
-                EdgeOutcome::Merged
-            } else {
-                EdgeOutcome::Acyclic
-            };
-        };
+        let fwd = self.window_dfs(graph, cv, ov, ou, Direction::Forward);
+        let bwd = self.window_dfs(graph, cu, ov, ou, Direction::Backward);
         if fwd.contains(&cu) {
             let merged: IdSet<CompId> = fwd.intersection(&bwd).copied().collect();
             self.restructure(&fwd, &bwd, Some(&merged));
@@ -256,7 +226,7 @@ impl Condensation {
     }
 
     /// DFS over the component graph restricted to order values in
-    /// `[lo, hi]`. Returns `None` when `budget` visits were exhausted.
+    /// `[lo, hi]`.
     fn window_dfs(
         &self,
         graph: &LockOrderGraph,
@@ -264,15 +234,12 @@ impl Condensation {
         lo: u64,
         hi: u64,
         dir: Direction,
-        budget: &mut usize,
-    ) -> Option<IdSet<CompId>> {
+    ) -> IdSet<CompId> {
         let mut seen: IdSet<CompId> = IdSet::default();
         seen.insert(start);
         let mut stack = vec![start];
         while let Some(c) = stack.pop() {
-            let members = &self.comps[&c].members;
-            *budget = budget.checked_sub(1 + members.len())?;
-            for &m in members {
+            for &m in &self.comps[&c].members {
                 let mut visit = |w: LockId| {
                     let cw = self.comp[&w];
                     if seen.contains(&cw) {
@@ -291,7 +258,7 @@ impl Condensation {
                 }
             }
         }
-        Some(seen)
+        seen
     }
 
     /// Pearce–Kelly reorder of the affected region, optionally merging
@@ -445,31 +412,6 @@ impl Condensation {
         }
     }
 
-    /// Full Tarjan rebuild over every known lock — the correctness
-    /// fallback when an incremental restructure exceeds its budget.
-    fn full_rebuild(&mut self, graph: &LockOrderGraph) {
-        self.full_rebuilds += 1;
-        let nodes: Vec<LockId> = self.comp.keys().copied().collect();
-        let sccs = tarjan_restricted(graph, &nodes);
-        let merged_before = self.comps.len();
-        self.comp.clear();
-        self.comps.clear();
-        self.orders.clear();
-        for (i, sub) in sccs.into_iter().rev().enumerate() {
-            let ord = (i as u64 + 1) * ORDER_STRIDE;
-            let id = self.alloc_id();
-            self.orders.insert(ord);
-            self.component_peak = self.component_peak.max(sub.len());
-            for &m in &sub {
-                self.comp.insert(m, id);
-            }
-            self.comps.insert(id, Component { ord, members: sub });
-        }
-        if self.comps.len() < merged_before {
-            self.merges += 1;
-        }
-    }
-
     #[cfg(test)]
     fn check_invariants(&self, graph: &LockOrderGraph) {
         // Unique order values, one per component.
@@ -609,7 +551,7 @@ mod tests {
             Recorded::NewEdge | Recorded::NewInstance => {}
             r => panic!("unexpected record outcome {r:?}"),
         }
-        scc.insert_edge(g, l(u), l(v), 4096)
+        scc.insert_edge(g, l(u), l(v))
     }
 
     #[test]
@@ -668,8 +610,12 @@ mod tests {
         assert!(scc.same_component(l(0), l(11)));
     }
 
+    /// Both restructures of the incremental path between two chains: a
+    /// cross edge that violates the order without closing a cycle reorders
+    /// the affected region, and an edge that closes the loop the other way
+    /// merges all 18 locks.
     #[test]
-    fn budget_exhaustion_falls_back_to_full_rebuild() {
+    fn cross_edges_between_two_chains_reorder_then_merge() {
         let mut g = LockOrderGraph::default();
         let mut scc = Condensation::default();
         // Two disjoint chains: 0 -> .. -> 8 (low orders) and
@@ -679,25 +625,23 @@ mod tests {
             add_edge(&mut g, &mut scc, 100 + i, 101 + i);
         }
         // A cross edge from the high chain into the low one violates the
-        // order without closing a cycle; budget 0 forces the fallback.
+        // order without closing a cycle.
         let inst = EdgeInstance {
             thread: ThreadId(999),
             hold_stack: StackId(999),
             guards: Box::new([]),
         };
         g.record(l(108), l(0), inst, 64, 1 << 20);
-        assert_eq!(scc.insert_edge(&g, l(108), l(0), 0), EdgeOutcome::Acyclic);
-        assert!(scc.full_rebuilds() > 0);
+        assert_eq!(scc.insert_edge(&g, l(108), l(0)), EdgeOutcome::Acyclic);
         scc.check_invariants(&g);
-        // Closing the loop the other way merges all 18 locks, still under
-        // a zero budget.
+        // Closing the loop the other way merges all 18 locks.
         let inst = EdgeInstance {
             thread: ThreadId(998),
             hold_stack: StackId(998),
             guards: Box::new([]),
         };
         g.record(l(8), l(100), inst, 64, 1 << 20);
-        assert_eq!(scc.insert_edge(&g, l(8), l(100), 0), EdgeOutcome::Merged);
+        assert_eq!(scc.insert_edge(&g, l(8), l(100)), EdgeOutcome::Merged);
         scc.check_invariants(&g);
         assert_eq!(scc.component_peak(), 18);
     }
@@ -759,7 +703,6 @@ mod tests {
             let edges = 4 + (rng() % (3 * n)) as usize;
             let mut g = LockOrderGraph::default();
             let mut scc = Condensation::default();
-            let budget = if round % 3 == 0 { 2 } else { 4096 };
             for _ in 0..edges {
                 let u = rng() % n;
                 let v = rng() % n;
@@ -775,7 +718,7 @@ mod tests {
                     g.record(l(u), l(v), inst, 64, 1 << 20),
                     Recorded::NewEdge | Recorded::NewInstance
                 ) {
-                    scc.insert_edge(&g, l(u), l(v), budget);
+                    scc.insert_edge(&g, l(u), l(v));
                 }
                 // Occasional retirement of a random known lock.
                 if rng() % 16 == 0 {

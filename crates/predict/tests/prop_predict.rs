@@ -7,8 +7,8 @@
 //! the same first-fit feasibility assignment. The predictor — fed the
 //! identical trace and drained at the end — must produce exactly the same
 //! set of emitted label multisets and the same count of guard-suppressed
-//! cycles, no matter which merges, reorders, full-rebuild fallbacks or
-//! deferrals its incremental machinery went through along the way.
+//! cycles, no matter which merges, reorders or deferrals its incremental
+//! machinery went through along the way.
 
 use dimmunix_predict::{PredictionConfig, Predictor, MAX_CYCLE_LEN, MIN_CYCLE_LEN};
 use dimmunix_rag::{LockId, ThreadId};
@@ -284,16 +284,5 @@ proptest! {
             run_both(&trace, cfg);
         prop_assert_eq!(&got, &want, "emitted cycle sets diverge under deferral");
         prop_assert_eq!(got_suppressed, want_suppressed, "suppression verdicts diverge under deferral");
-    }
-
-    /// Same equivalence with a condensation restructure budget of zero:
-    /// every order violation takes the full-Tarjan fallback path.
-    #[test]
-    fn equivalence_survives_full_rebuild_fallbacks(trace in arb_trace()) {
-        let cfg = PredictionConfig { scc_rebuild_budget: 0, ..config() };
-        let ((got, got_suppressed), (want, want_suppressed)) =
-            run_both(&trace, cfg);
-        prop_assert_eq!(&got, &want, "emitted cycle sets diverge under rebuild fallback");
-        prop_assert_eq!(got_suppressed, want_suppressed, "suppression verdicts diverge under rebuild fallback");
     }
 }
