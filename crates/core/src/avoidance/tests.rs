@@ -640,14 +640,15 @@ fn assert_drained(view: &MatchView) {
 /// under the rebuild mutex: an append that gives the suffix a key at a
 /// second depth (the view is extended: each entry gains a bucket past the
 /// old layout) and a removal (a fresh table: the surviving key is
-/// renumbered from slot 2 to slot 0, the other one is gone). A release
-/// before a visit removes its entry by the old view's slots: a bucket the
-/// extension shares loses it in both tables, and no bucket the visit fills
-/// ever gets it. The visit hands the log the new view and leaves every held
-/// entry remembering its slots under it; a release after the visit removes
-/// by those. At the end no table, retired or published, keeps anything.
-#[test]
-fn remembered_slots_survive_rebuilds() {
+/// renumbered from slot 2 to slot 0, the other one is gone). Around each
+/// rebuild one lock is released: before the visit when `before_visit` (its
+/// log still holds the old view, and the entry leaves by that view's
+/// slots: a bucket the extension shares loses it in both tables, and no
+/// bucket the visit fills ever gets it), after the visit otherwise (the
+/// visit handed the log the new view and left the entry remembering its
+/// slots under it). Then everything else is released, and the published
+/// table keeps nothing.
+fn remembered_slots_survive_rebuilds(before_visit: bool) {
     let rt = Runtime::new(Config::default()).unwrap();
     let core = rt.core();
     let member = |rt: &Runtime, n: u32| site(rt, &[("m", n), ("mid", 7), ("inner", 8)]).1;
@@ -688,11 +689,11 @@ fn remembered_slots_survive_rebuilds() {
         let held = log.entries.iter().rfind(|held| held.l == l).unwrap();
         held.slots.as_slice().to_vec()
     };
-    // One rebuild, by hand: release `before` while the log still holds the
-    // old view, then visit with `view` and publish it.
-    let rebuild_around = |view: MatchView, first_new: u32, before: &[LockId]| {
+    // One rebuild, by hand: visit with `view` and publish it, releasing `l`
+    // on one side of the visit or the other.
+    let rebuild_around = |view: MatchView, first_new: u32, l: LockId| {
         let mut published = core.view.lock();
-        for &l in before {
+        if before_visit {
             let log = core.me(t).allowed.lock();
             assert!(Arc::ptr_eq(&log.view, &published), "not visited yet");
             drop(log);
@@ -707,11 +708,13 @@ fn remembered_slots_survive_rebuilds() {
             let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(held.stack)).collect();
             assert_eq!(held.slots.as_slice(), &slots[..], "visited");
         }
+        drop(log);
+        if !before_visit {
+            assert!(core.release(t, l).is_empty());
+        }
     };
 
-    // (a) Extension: `inner` alone becomes a key, at depth 1. Lock 3 leaves
-    // the shared depth-2 bucket before the visit, which never puts it in
-    // the new depth-1 one.
+    // (a) Extension: `inner` alone becomes a key, at depth 1.
     assert_eq!(remembered(locks[3]), vec![0]);
     rt.history()
         .add(
@@ -726,39 +729,49 @@ fn remembered_slots_survive_rebuilds() {
         &extended.table.buckets[0],
         &first.table.buckets[0]
     ));
-    rebuild_around(extended, first.layout.len() as u32, &[locks[3]]);
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
-    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
+    rebuild_around(extended, first.layout.len() as u32, locks[3]);
     // Depth ascending: the new depth-1 slot, then the surviving depth-2 one.
     assert_eq!(remembered(locks[2]), vec![2, 0]);
-    assert!(core.release(t, locks[2]).is_empty());
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
-    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 2);
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
     // A grant under the extended view lands in both buckets, and leaves
     // them by what it remembers.
     grant(3);
     assert_eq!(remembered(locks[3]), vec![2, 0]);
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 4);
     assert!(core.release(t, locks[3]).is_empty());
-    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
-    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 2);
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 3);
+    assert_eq!(bucket_of(core, 2, &paths[1].0).len(), 3);
 
     // (b) Structural: the depth-2 signature goes; a fresh table numbers
-    // what is left from 0. Both levels of lock 1 leave the extended table
-    // before the visit, innermost first, by its slots.
+    // what is left from 0.
     assert!(rt.history().remove(deep.id));
-    let extended = core.published();
-    assert!(core.extended_view(&extended).is_none());
-    rebuild_around(core.fresh_view(), 0, &[locks[1], locks[1]]);
+    assert!(core.extended_view(&core.published()).is_none());
+    rebuild_around(core.fresh_view(), 0, locks[2]);
+    assert_eq!(remembered(locks[1]), vec![0]);
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 2);
+
+    // The two nesting levels of lock 1, innermost first.
+    assert!(core.release(t, locks[1]).is_empty());
+    assert_eq!(bucket_of(core, 1, &paths[1].0).len(), 1);
+    assert!(core.release(t, locks[1]).is_empty());
     assert!(core.me(t).allowed.lock().entries.is_empty());
-    grant(2);
-    assert_eq!(remembered(locks[2]), vec![0]);
-    assert_eq!(bucket_of(core, 1, &paths[2].0).len(), 1);
-    assert!(core.release(t, locks[2]).is_empty());
-    for view in [&first, &extended, &core.published()] {
-        assert_drained(view);
-    }
+    assert_drained(&core.published());
     core.unregister_thread(t);
+}
+
+/// A release racing a rebuild, before the visit reaches its log: the entry
+/// leaves the buckets by the old view's slots.
+#[test]
+fn a_release_between_publish_and_visit_resolves_its_slots_again() {
+    remembered_slots_survive_rebuilds(true);
+}
+
+/// A release after the visit: the entry leaves the buckets by the slots the
+/// visit left it remembering under the new view.
+#[test]
+fn a_release_after_the_visit_uses_the_restamped_slots() {
+    remembered_slots_survive_rebuilds(false);
 }
 
 /// A stack that hits more depth layers than an entry can remember keeps
