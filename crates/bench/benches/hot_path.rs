@@ -21,8 +21,8 @@
 //! * **hot_cause** — worker 0 churns the anchor path of a real signature
 //!   while every other worker's request covers against its entry: all
 //!   yields share the one cause `(worker 0, its lock)`, so every yield
-//!   registration and every release-side wakeup funnels through one
-//!   lock-free `WakeList` (the old wake-shard-mutex convoy case);
+//!   registration and every release-side wakeup takes worker 0's slot
+//!   mutex, which its own hooks take too (the convoy case);
 //! * **vaccinate_live** — the uniform setup, plus a vaccinator thread that
 //!   streams 48 extra signatures into the history mid-run in small
 //!   pure-append batches: every batch is a generation bump the engine must

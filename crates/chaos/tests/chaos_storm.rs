@@ -8,7 +8,9 @@
 //! `PROPTEST_CASES` budget.
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path};
-use dimmunix_core::{Config, CycleKind, Decision, PredictionConfig, ReferenceCore, Runtime};
+use dimmunix_core::{
+    Config, CycleKind, Decision, PredictionConfig, ReferenceCore, Runtime, ThreadId,
+};
 use dimmunix_inject::{install, FaultPlan, MonitorFault, MonitorFaultKind};
 use dimmunix_workloads::{run_once, table1};
 use proptest::prelude::*;
@@ -221,6 +223,16 @@ proptest! {
         // The reference shares the LockId space (plain u64 keys).
         let ref_locks = rt_locks.clone();
 
+        // A wake set as sorted thread indices: the two engines' ids need not
+        // agree.
+        let woken = |wake: Vec<ThreadId>, tids: &[ThreadId]| {
+            let mut idx: Vec<usize> = wake
+                .iter()
+                .filter_map(|w| tids.iter().position(|t| t == w))
+                .collect();
+            idx.sort_unstable();
+            idx
+        };
         let mut rng = Rng::new(seed);
         let mut held: Vec<Vec<usize>> = vec![Vec::new(); THREADS];
         let mut owner: Vec<Option<usize>> = vec![None; LOCKS];
@@ -253,15 +265,25 @@ proptest! {
                         held[t].push(l);
                     } else {
                         // Contended or yielded: try-lock semantics, back off.
-                        rt.core().cancel(rt_tids[t], rt_locks[l]);
-                        reference.cancel(ref_tids[t], ref_locks[l]);
+                        let w1 = woken(rt.core().cancel(rt_tids[t], rt_locks[l]), &rt_tids);
+                        let w2 = woken(reference.cancel(ref_tids[t], ref_locks[l]), &ref_tids);
+                        prop_assert_eq!(
+                            w1, w2,
+                            "cancel wake divergence at step {} (seed {:016x})",
+                            step, seed
+                        );
                     }
                 }
                 5 => {
                     let t = rng.below(THREADS as u64) as usize;
                     if let Some(l) = held[t].pop() {
-                        rt.core().release(rt_tids[t], rt_locks[l]);
-                        reference.release(ref_tids[t], ref_locks[l]);
+                        let w1 = woken(rt.core().release(rt_tids[t], rt_locks[l]), &rt_tids);
+                        let w2 = woken(reference.release(ref_tids[t], ref_locks[l]), &ref_tids);
+                        prop_assert_eq!(
+                            w1, w2,
+                            "release wake divergence at step {} (seed {:016x})",
+                            step, seed
+                        );
                         owner[l] = None;
                     }
                 }

@@ -5,8 +5,8 @@
 //! "simpler cache of parts of the RAG" the paper describes — who holds
 //! which lock and the `Allowed` sets — with a **mutex-free signature-hit
 //! path**: once a request's suffix hits a signature-member bucket,
-//! everything it touches (the emptiness precheck, the cover search, yield
-//! registration, release-side wakeups) is atomics, not locks:
+//! everything it reads to decide (the emptiness precheck, the cover search)
+//! is atomics, not locks; only a yield then takes a lock, one per cause:
 //!
 //! * each registered thread keeps its own **`Allowed` log** (the master
 //!   copy of its entries) as a **held-lock stack**: a `Vec` of `(lock,
@@ -30,12 +30,12 @@
 //!   bucket is the only record of whether it is empty: its live-record
 //!   count, loaded alone ([`VersionedBucket::is_empty`]), proves it empty
 //!   without copying anything;
-//! * the **yielding bookkeeping** is lock-free: each thread slot owns a
-//!   Treiber-style [`WakeList`] of registrations *against it as a cause*
-//!   (`(cause lock, yielder, epoch)` nodes), plus an atomic registration
-//!   epoch whose bump invalidates all of the slot's outstanding nodes as a
-//!   yielder. Registration is one CAS per cause; a release's wakeup
-//!   delivery is one swap-and-drain of its own list;
+//! * the **yielding bookkeeping** sits in the causes' logs: each log keeps
+//!   the registrations *against its thread as a cause* (`Waiter`s: cause
+//!   lock, yielder, yielder epoch), pushed by a yielder under that log's
+//!   slot mutex and taken by the pop that ends the entry, and each thread
+//!   keeps an atomic registration epoch whose bump retracts all of its
+//!   registrations as a yielder;
 //! * the read-mostly **match view** (bucket layout, the [`MatchIndex`],
 //!   and the current `MatchTable`) sits in each thread's log, where the
 //!   rebuild's visit hands it over, so `request` reads it under the slot
@@ -99,13 +99,12 @@
 //!
 //! * `request` marks a GO quiet when the thread's log is empty and no
 //!   yield is in force whose edges the monitor still draws. It decides once,
-//!   right after `lock_current`, for all three branches that grant: a stack
-//!   that hits no member bucket, a relevant one with no cover, and the
-//!   bounded-retry fallback. A relevant quiet grant still inserts its
-//!   bucket entries, and its release still removes them and drains its
-//!   wake list, so decisions and wakeups are those of a published pair;
-//!   only the lane entries are skipped. Instrumentation-only mode keeps no
-//!   log and never marks one;
+//!   right after `lock_current`, for both branches that grant: a stack that
+//!   hits no member bucket, and a relevant one with no cover. A relevant
+//!   quiet grant still inserts its bucket entries, and its release still
+//!   removes them and takes its waiters, so decisions and wakeups are those
+//!   of a published pair; only the lane entries are skipped.
+//!   Instrumentation-only mode keeps no log and never marks one;
 //! * `acquired` on a quiet grant pushes nothing. It leaves the grant's lock
 //!   and stack where `defer_go` wrote them and stores `HELD` into the
 //!   grant word, `ThreadSlot::grant` (`Release`): the hold is a state of
@@ -154,8 +153,8 @@
 //! **A cover may name a quiet hold.** The bucket entry of a relevant quiet
 //! hold `(T, L)` is as visible to covers as any, so a yielder can register
 //! it as a cause while the monitor has no hold edge for it. Nothing the
-//! yielder waits for comes from the monitor: T's release drains the wake
-//! list whatever the hold's state. The monitor's part is the yield-cycle
+//! yielder waits for comes from the monitor: T's release takes its waiters
+//! whatever the hold's state. The monitor's part is the yield-cycle
 //! search, and there a cause it does not see held does not pin its yielder
 //! (`Rag::find_yield_cycles`) — the safe direction, and only while T
 //! cannot be stuck: T joins a yield cycle only by a further `request` while
@@ -207,12 +206,11 @@
 //! members — one length load — refutes that candidate without reading
 //! anything else. Candidates that survive get an **optimistic cover
 //! search**: each member bucket is copied with a validated sequence
-//! ([`VersionedBucket::read_into`]), the exact cover is solved over those
-//! snapshots, and the `(bucket, sequence)` pairs become the cover's
-//! *proof*, revalidated after the yield is registered (below). In the
-//! common case ("in most cases at least one of these sets is empty", §5.4)
-//! the whole matching path is a read-only precheck plus one single-bucket
-//! CAS-claimed insert of the requester's own entry.
+//! ([`VersionedBucket::read_into`]) and the exact cover is solved over
+//! those snapshots; a yield then registers with each cause the cover names
+//! (below). In the common case ("in most cases at least one of these sets
+//! is empty", §5.4) the whole matching path is a read-only precheck plus
+//! one single-bucket CAS-claimed insert of the requester's own entry.
 //!
 //! # Rebuild protocol: build, then visit
 //!
@@ -263,7 +261,7 @@
 //! an extension that frees only the view shell.
 //!
 //! The visit walks only the thread records that exist (a `ThreadSlot` per
-//! thread: log, yield state, wake list and the parker it yields on). They
+//! thread: log and waiters, yield state and the parker it yields on). They
 //! are made 64 at a time, and a registration that needs a new chunk
 //! installs it under the rebuild mutex — the **chunk-install rule** —
 //! setting each new record's view to the published one. So a visit either
@@ -283,52 +281,46 @@
 //! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
 //! mutex beside them: rebuilds hold the rebuild mutex and take slot
 //! mutexes one at a time, hooks bucket their own entries with the slot
-//! mutex held, a release claims its bucket with the slot mutex held, and
-//! the bounded-retry cover fallback (below) claims every bucket in
-//! ascending slot order while holding its own slot mutex. No holder of a
-//! bucket claim ever takes a mutex of an earlier tier, and bucket claims
-//! are only held in ascending order or singly, so the order is acyclic.
+//! mutex held, and a release claims its bucket with the slot mutex held. A
+//! yielder takes each cause's slot mutex in turn holding no engine lock, as
+//! the monitor's claim does. A bucket claim is only ever held singly, and
+//! its holder takes no mutex, so the order is acyclic.
 //!
-//! # No-lost-wakeup protocol (lock-free)
+//! # No-lost-wakeup protocol: the cause's slot mutex
 //!
-//! The yield path holds no lock a releasing cause would need, so nothing
-//! stops a cause from releasing while a yielder registers against it; that
-//! the wakeup is not lost is guaranteed by ordering:
+//! A yielder waits until one of its causes `(C, L)` gives `L` up. The
+//! registration and the give-up meet in C's slot critical section, so that
+//! no wakeup is lost is a mutual-exclusion argument:
 //!
-//! 1. the requester snapshots the member buckets (validated sequences),
-//!    finds a cover, **publishes its wake registrations** (SeqCst CAS
-//!    pushes into the cause threads' [`WakeList`]s), and only then
-//!    **revalidates** the history generation and every snapshot sequence;
-//! 2. a releasing thread **removes its entry first** (a SeqCst write
-//!    session that bumps the bucket's sequence) and **drains its wake list
-//!    second** (a SeqCst swap).
+//! 1. once a cover is found, the requester notes its view's generation,
+//!    drops its own slot lock and, for each cause in turn, locks that
+//!    cause's log holding no other engine lock. If the log still holds an
+//!    entry for `L` with the stack the cover named, it drops the waiters
+//!    their yielders retracted and pushes its own `Waiter`; otherwise the
+//!    registration is refused;
+//! 2. a cause's `release` or `cancel` pops its entry, removes it from its
+//!    buckets and takes the live waiters for `L` in one critical section of
+//!    the same mutex; the caller wakes them. The exit sweep takes every live
+//!    waiter in the critical section that clears the entries.
 //!
-//! In the single total order of those SeqCst operations, either the
-//! requester's revalidation observes the removal (sequence or generation
-//! moved → it retracts the registration, bumps `cover_retries`, and
-//! re-decides — "retry on churn" instead of blocking), or the release's
-//! drain observes the registration and delivers the wakeup. A release that
-//! consulted a *newer* table bumps no old-table sequence, but the history
-//! generation it must have observed was bumped (SeqCst) before that table
-//! existed, so the requester's generation re-check catches that boundary.
-//! The real-thread parked-yield canaries hang on any lost wakeup. Under
-//! concurrency, two requests may still decide against covers that each
-//! other's in-flight entries would have completed — the same
-//! monitor-detectable window the paper already tolerates for yield cycles
-//! (§3); the differential proptest pins the sequential semantics to
-//! [`crate::reference::ReferenceCore`] exactly. Because an extended
-//! table keeps surviving buckets' temporal entry order while a fresh one is
+//! A registration made before the pop is taken by it; one made after it
+//! finds the entry gone. A refused registration, or a history generation
+//! that moved while the slot lock was dropped, retracts the yield
+//! (`remove_yielding`), bumps `cover_retries` and decides again. A retry so
+//! means that a named cause gave up its lock or the history changed —
+//! progress either way — so the loop needs no bound and no fallback, and
+//! no other thread's bucket writes can make it retry. The real-thread
+//! parked-yield canaries hang on any lost wakeup. Under concurrency, two
+//! requests may still decide against covers that each other's in-flight
+//! entries would have completed — the same monitor-detectable window the
+//! paper already tolerates for yield cycles (§3); the differential
+//! proptest pins the sequential semantics to
+//! [`crate::reference::ReferenceCore`] exactly. Because an extended table
+//! keeps surviving buckets' temporal entry order while a fresh one is
 //! filled in visit order, bucket storage order is deliberately *not*
 //! load-bearing: every cover search canonically sorts its snapshots by
 //! `(thread, lock, stack)` before solving, the reference engine sorts the
-//! same way, and lockstep decision streams stay byte-identical. After a
-//! validation-failure budget (`COVER_RETRY_LIMIT`) the retry
-//! loop falls back to deciding while *holding* every bucket's write claim
-//! (ascending slot order) — the decision cannot be invalidated, the yield
-//! is registered before the claims drop (so a racing release's removal,
-//! which must claim the bucket, is ordered after the registration and its
-//! drain observes it), and the path becomes effectively wait-free under
-//! adversarial churn.
+//! same way, and lockstep decision streams stay byte-identical.
 //!
 //! # Exit and unwind cleanup
 //!
@@ -336,12 +328,13 @@
 //! locks would otherwise strand its held-lock stack, its bucketed
 //! `Allowed` entries, and (worst) the yielders parked against it as a
 //! cause, forever. [`AvoidanceCore::unregister_thread_waking`] is the exit
-//! sweep: it walks the dead thread's stack, removes each entry from its
-//! buckets and empties the stack (which keeps its capacity for the slot's
-//! next tenant), clears the yield state, and *then* drains its wake list
-//! through the caller's waker — removals strictly before wakes, so a woken
-//! yielder's retried request can never re-yield on the dead thread's
-//! entries (each delivered wake counts `orphan_wakes`). The runtime runs
+//! sweep: in one critical section of its slot mutex it removes each entry
+//! of the dead thread's stack from its buckets, empties the stack (which
+//! keeps its capacity for the slot's next tenant) and takes every live
+//! waiter; it then wakes those through the caller's waker, each wake
+//! counted in `orphan_wakes`. A woken yielder's retried request can never
+//! re-yield on the dead thread's entries: they left before the waiters
+//! did, and a later registration finds no entry. The runtime runs
 //! the sweep from the thread-local `Registration`'s `Drop`, which executes
 //! during TLS teardown — *after* the thread boundary has already caught a
 //! panic, where `std::thread::panicking()` is false again. Panic exits are
@@ -363,7 +356,7 @@ use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::runtime::Parker;
 use crate::stats::Stats;
-use dimmunix_lockfree::{DrainVerdict, SlotAllocator, VersionedBucket, WakeList, WakeNodePool};
+use dimmunix_lockfree::{SlotAllocator, VersionedBucket};
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
     BucketLayout, CoverKeys, FrameId, History, MatchIndex, MemberKey, Signature, StackId,
@@ -488,27 +481,10 @@ impl MatchTable {
 }
 
 /// One member bucket's validated optimistic snapshot, taken by the cover
-/// search: the decoded live entries (in `Vec` order) and the sequence word
-/// they were validated against.
+/// search: its decoded live entries, in canonical cover order.
 struct BucketSnap {
     slot: u32,
-    seq: u64,
     entries: Vec<AllowedEntry>,
-}
-
-/// A successful cover's revalidation set: the `(bucket, sequence)` pairs
-/// its decision was computed from. After registering the yield, the
-/// requester re-checks these — any movement means a cause entry may have
-/// been released (and its wake drained) concurrently, so the decision is
-/// retried instead of parking on a possibly-dead registration.
-struct CoverProof(Vec<(u32, u64)>);
-
-impl CoverProof {
-    fn still_valid(&self, view: &MatchView) -> bool {
-        self.0
-            .iter()
-            .all(|&(slot, seq)| view.table.buckets[slot as usize].seq() == seq)
-    }
 }
 
 /// The read-mostly snapshot `request` consults without any shared lock: the
@@ -620,8 +596,18 @@ struct Held {
     slots: Resolved,
 }
 
-/// A thread's private `Allowed` log — the master copy of its entries — and
-/// the match view its hooks act on.
+/// A yielder's registration against one of a log's entries as its cause:
+/// taken by the pop of an entry for `lock`, and live while `epoch` is still
+/// the yielder's registration epoch (`ThreadSlot::wake_epoch`).
+#[derive(Clone, Copy)]
+struct Waiter {
+    lock: LockId,
+    yielder: ThreadId,
+    epoch: u64,
+}
+
+/// A thread's private `Allowed` log — the master copy of its entries —, the
+/// yielders registered against them and the match view its hooks act on.
 struct AllowedLog {
     /// The thread's **held-lock stack**: one [`Held`] per granted request or
     /// reentrant nesting level, in grant order. A grant pushes; a release or
@@ -629,6 +615,12 @@ struct AllowedLog {
     /// so LIFO unlocks cost one comparison and out-of-order unlocks stay
     /// correct). Capacity is retained, so a warm pair allocates nothing.
     entries: Vec<Held>,
+    /// Yielders registered against this thread as a cause, pushed in this
+    /// log's critical section only while an entry for their lock is in it,
+    /// and taken by the pop of such an entry (module docs, "No-lost-wakeup
+    /// protocol"). Retracted ones linger until the next registration or
+    /// take; capacity is retained, so a warm hand-off allocates nothing.
+    waiters: Vec<Waiter>,
     /// The view every entry's slots index. Set only where the entries are
     /// re-resolved: by the chunk install that made this record, and by each
     /// rebuild's visit of it (module docs, "Rebuild protocol").
@@ -670,30 +662,18 @@ pub(crate) struct ThreadSlot {
     /// reads `false`: only the owner thread stores `true` (when recording
     /// a yield), so a stale `false` read is impossible there.
     yielding: AtomicBool,
-    /// This thread's private `Allowed` log and its match view. Locked by the
-    /// owning thread on every hook and by every rebuild's visit; never
-    /// contended in steady state.
+    /// This thread's private `Allowed` log, the waiters registered against
+    /// it and its match view. Locked by the owning thread on every hook, by
+    /// every rebuild's visit and by each yielder registering against this
+    /// thread; never contended in steady state.
     allowed: Mutex<AllowedLog>,
-    /// Wake registrations *against this thread as a cause*: `(cause lock,
-    /// yielder, yielder epoch)` nodes pushed lock-free by yielding
-    /// threads. Only this thread drains it (its own `release` /
-    /// `unregister` — the single-drainer contract of [`WakeList`], which
-    /// holds structurally because a cause is always `(entry owner, lock)`
-    /// and only the owner releases its locks).
-    wake_list: WakeList,
-    /// This thread's registration epoch *as a yielder*: every node it
-    /// pushes carries the current value, and bumping it retracts all of
-    /// its outstanding registrations in O(1) (drainers discard
-    /// stale-epoch nodes). Monotonic across slot reuse.
+    /// This thread's registration epoch *as a yielder*: every [`Waiter`] it
+    /// registers carries the current value, and bumping it retracts all of
+    /// its outstanding registrations in O(1) (registrations and takes drop
+    /// stale-epoch waiters). Monotonic across slot reuse. `Relaxed`
+    /// throughout: it publishes no other data, and the cause's slot mutex
+    /// orders each registration before any take of it.
     wake_epoch: AtomicU64,
-    /// Free [`WakeList`] nodes recycled by this thread. The pool's
-    /// single-popper contract maps onto the engine's structure: only the
-    /// owner thread pops (its own yield registrations recycle from here),
-    /// while whichever cause thread drains one of this thread's nodes
-    /// pushes it back **here** — the node's payload names the yielder — so
-    /// a thread that only ever yields finds its nodes again. Steady-state
-    /// yield/wake churn thus allocates nothing.
-    wake_pool: WakeNodePool,
     /// Latched when a hook observes this thread unwinding (a RAII guard
     /// releasing during a panic). `Registration`'s drop runs in TLS
     /// teardown — *after* the thread boundary caught the panic, when
@@ -739,11 +719,10 @@ impl ThreadSlot {
             yielding: AtomicBool::default(),
             allowed: Mutex::new(AllowedLog {
                 entries: Vec::new(),
+                waiters: Vec::new(),
                 view,
             }),
-            wake_list: WakeList::default(),
             wake_epoch: AtomicU64::default(),
-            wake_pool: WakeNodePool::default(),
             panicked: AtomicBool::default(),
             grant: AtomicU8::default(),
             grant_lock: AtomicU64::default(),
@@ -821,10 +800,10 @@ impl ThreadSlot {
     }
 
     /// Retracts this thread's yield registration: one epoch bump
-    /// invalidates every outstanding node (drainers free them lazily).
+    /// invalidates every outstanding [`Waiter`] (dropped lazily).
     /// No-op-safe when not yielding.
     pub(crate) fn remove_yielding(&self) {
-        self.wake_epoch.fetch_add(1, Ordering::SeqCst);
+        self.wake_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     fn clear_yield_state(&self) {
@@ -967,33 +946,25 @@ impl AvoidanceCore {
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             me.remove_yielding();
             // Drop the entries the thread never released (panic inside a
-            // critical section) from the buckets, then empty its stack. The
-            // monitor's RAG drops the hold edges via `ThreadExit`, so no
-            // per-lock Release events are needed.
-            {
+            // critical section) from the buckets, empty its stack and take
+            // every live waiter, in one critical section: a yielder that
+            // registers later finds no entry. The monitor's RAG drops the
+            // hold edges via `ThreadExit`, so no per-lock Release events are
+            // needed.
+            let orphans = {
                 let mut log = me.allowed.lock();
                 for held in &log.entries {
                     self.remove_buckets(&log.view, t, held);
                 }
                 log.entries.clear();
+                self.take_waiters(&mut log.waiters, |_| true)
+            };
+            // Their cause is exiting, so the release they are waiting out
+            // will never happen.
+            for y in orphans {
+                Stats::bump(&self.stats.orphan_wakes);
+                wake(y);
             }
-            // Drain every wake registration parked against this thread.
-            // Live yielders among them are woken through the caller's
-            // handle: their cause is exiting, so the release they are
-            // waiting out will never happen. The bucket removals above
-            // precede this drain, so a woken yielder's re-request cannot
-            // find the dead thread's entries and re-yield on them.
-            me.wake_list.drain_to_pools(
-                |yielder| &self.me(ThreadId(yielder)).wake_pool,
-                |_, yielder, epoch| {
-                    let y = ThreadId(yielder);
-                    if self.me(y).wake_epoch.load(Ordering::Acquire) == epoch {
-                        Stats::bump(&self.stats.orphan_wakes);
-                        wake(y);
-                    }
-                    DrainVerdict::Consume
-                },
-            );
         }
         // A grant the thread never got to act on (it died between `request`
         // and `acquired`) still counts as a GO.
@@ -1060,21 +1031,10 @@ impl AvoidanceCore {
             return Decision::Go;
         }
 
-        /// Bounded-retry budget of the optimistic cover decision: after
-        /// this many consecutive post-registration revalidation failures
-        /// on one `request` (a member bucket's version kept moving between
-        /// the optimistic read and the yield registration — adversarial
-        /// churn) the decision is made while *holding* every bucket's write
-        /// claim, which cannot be invalidated and so always terminates.
-        /// That serializes against bucket writers but keeps the request
-        /// path effectively wait-free; `Stats::cover_fallbacks` counts it.
-        const COVER_RETRY_LIMIT: u32 = 8;
-
         let full = self.config.mode == RuntimeMode::Full;
-        let mut validation_failures = 0_u32;
         // A yield in force when the request began: its registration is still
         // live and the monitor still draws its edges, however many retries
-        // below fail to revalidate (only this thread writes `yielding`).
+        // below are refused (only this thread writes `yielding`).
         let yielding = me.yielding.load(Ordering::Relaxed);
         let mut quiet;
         let instance = loop {
@@ -1094,42 +1054,27 @@ impl AvoidanceCore {
             }
             let view = &log.view;
             let slots = &view.all_slots(&resolved, frames)[..];
-            if full && validation_failures >= COVER_RETRY_LIMIT {
-                // Adversarial churn kept invalidating the optimistic
-                // decision; decide once and for all under bucket write
-                // claims (a hit registers its yield before the claims drop —
-                // no revalidation possible or needed).
-                let found = self.find_instance_locked(view, slots, me, t, l, stack);
-                if found.is_none() {
-                    Self::record_go(log, slots, yielding, me, t, l, stack);
-                }
-                break found;
-            }
             let found = if full {
                 self.find_instance(view, slots, t, l, stack)
             } else {
                 None
             };
-            let Some((inst, proof)) = found else {
+            let Some(inst) = found else {
                 Self::record_go(log, slots, yielding, me, t, l, stack);
                 break None;
             };
             if self.config.enforce_yields {
-                // Publish the wake registrations first (SeqCst pushes), then
-                // revalidate both the generation and the cover's bucket
-                // sequences: a cause release removes its entry (sequence
-                // bump) *before* draining its wake list, so either the
-                // revalidation here observes the churn and retries, or the
-                // drain observes the registration and delivers the wakeup —
-                // see the module docs' protocol. The revalidation must run
-                // with the slot lock dropped, so this branch alone takes its
-                // own reference to the view.
-                self.insert_yielding(me, t, &inst.causes);
-                let view = Arc::clone(&log.view);
+                // Register with each cause in its own log's critical
+                // section, holding no engine lock: a cause that popped its
+                // entry since the search refuses, and a pop after the
+                // registration takes it (module docs' protocol). Either a
+                // refusal or a moved generation means deciding again.
+                let generation = view.generation;
                 drop(log);
-                if view.generation != self.history.generation() || !proof.still_valid(&view) {
+                if !self.register_yield(me, t, &inst.causes)
+                    || generation != self.history.generation()
+                {
                     Stats::bump(&self.stats.hot(slot).cover_retries);
-                    validation_failures += 1;
                     me.remove_yielding();
                     continue;
                 }
@@ -1323,7 +1268,7 @@ impl AvoidanceCore {
         // Pushed whole and amended in place: an entry handed around by
         // value is written field by field and re-read in wider pieces,
         // which stalls on store forwarding — ≈ 10 ns of a 45 ns request.
-        let AllowedLog { entries, view } = &mut *log;
+        let AllowedLog { entries, view, .. } = &mut *log;
         entries.push(Held {
             l,
             stack,
@@ -1397,42 +1342,11 @@ impl AvoidanceCore {
                 false
             }
         };
-        let mut wake = Vec::new();
-        if self.config.mode != RuntimeMode::InstrumentationOnly {
-            // Pop the innermost entry from our private log and take it out
-            // of the buckets it is in. The bucket removal (sequence bump)
-            // must precede the wake-list check below: that order is what
-            // lets a concurrent cover decision trust a validated sequence
-            // (module docs' protocol).
-            self.pop_entry(me, t, l);
-            // Swap-and-drain our own wake list (single-drainer: only the
-            // owner thread releases its locks). The empty check is a
-            // SeqCst load, so skipping the drain keeps the ordering
-            // argument intact.
-            if !me.wake_list.is_empty() {
-                Stats::bump(&self.stats.hot(slot).wake_drains);
-                me.wake_list.drain_to_pools(
-                    |yielder| &self.me(ThreadId(yielder)).wake_pool,
-                    |key, yielder, epoch| {
-                        if self
-                            .me(ThreadId(yielder))
-                            .wake_epoch
-                            .load(Ordering::Acquire)
-                            != epoch
-                        {
-                            // Retracted or superseded registration.
-                            DrainVerdict::Consume
-                        } else if key == l.0 {
-                            wake.push(ThreadId(yielder));
-                            DrainVerdict::Consume
-                        } else {
-                            // Live registration against another of our locks.
-                            DrainVerdict::Retain
-                        }
-                    },
-                );
-            }
-        }
+        let wake = if self.config.mode == RuntimeMode::InstrumentationOnly {
+            Vec::new()
+        } else {
+            self.pop_entry(me, t, l)
+        };
         let hot = self.stats.hot(slot);
         if quiet {
             Stats::bump(&hot.quiet_pairs);
@@ -1445,35 +1359,46 @@ impl AvoidanceCore {
 
     /// The `cancel` hook (§6): rolls back a granted-or-pending request after
     /// a try/timed lock gave up. A grant that was never published is
-    /// withdrawn with it: the monitor hears of the cancel alone.
-    pub fn cancel(&self, t: ThreadId, l: LockId) {
+    /// withdrawn with it: the monitor hears of the cancel alone. Returns the
+    /// threads whose yields were caused by the entry it popped, as
+    /// [`Self::release`] does; the caller wakes them.
+    pub fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let me = self.me(t);
         let (grant, _) = self.take_grant(me, t, l);
+        let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            self.pop_entry(me, t, l);
+            wake = self.pop_entry(me, t, l);
             if me.yielding.load(Ordering::Relaxed) {
                 me.remove_yielding();
             }
         }
         me.clear_yield_state();
         self.lanes.push(t.0 as usize, Event::Cancel { t, l, grant });
+        wake
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
-    /// private log and removes it from the buckets of the log's view by the
-    /// slots it remembers, all in one slot critical section, so no rebuild's
-    /// visit can fall between the pop and the removal. An entry with no
+    /// private log, removes it from the buckets of the log's view by the
+    /// slots it remembers and takes the live waiters for `l`, all in one
+    /// slot critical section: no rebuild's visit can fall between the pop
+    /// and the removal, and no yielder can register between the pop and the
+    /// take (module docs). Returns the yielders to wake. An entry with no
     /// buckets — an empty history, an irrelevant suffix — ends here, while
     /// it is still in registers (`remove_buckets` takes it through memory:
     /// ≈ 3 ns of the empty-history pair).
-    fn pop_entry(&self, me: &ThreadSlot, t: ThreadId, l: LockId) {
+    fn pop_entry(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let mut log = me.allowed.lock();
         let Some(held) = log.pop(l) else {
-            return;
+            return Vec::new();
         };
         if held.slots.len != 0 {
             self.remove_buckets(&log.view, t, &held);
         }
+        if log.waiters.is_empty() {
+            return Vec::new();
+        }
+        Stats::bump(&self.stats.hot(t.0 as usize).wake_drains);
+        self.take_waiters(&mut log.waiters, |w| w.lock == l)
     }
 
     /// Marks `t`'s current yield as broken (monitor starvation breaking).
@@ -1682,25 +1607,61 @@ impl AvoidanceCore {
         }
     }
 
-    /// Registers `t` as yielding on `causes`: bumps its registration epoch
-    /// (atomically retracting any previous registration) and pushes one
-    /// lock-free node into each cause thread's wake list.
-    fn insert_yielding(&self, me: &ThreadSlot, t: ThreadId, causes: &[YieldCause]) {
-        let epoch = me.wake_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        for c in causes {
-            // Recycle a node from *our own* pool (registration runs on the
-            // yielding thread — the pool's single popper); the push itself
-            // still lands in the cause thread's list.
-            let hit = self
-                .me(c.thread)
-                .wake_list
-                .push_pooled(&me.wake_pool, c.lock.0, t.0, epoch);
-            Stats::bump(if hit {
+    /// Registers `t` as yielding on `causes` (module docs, "No-lost-wakeup
+    /// protocol"): bumps its registration epoch, which retracts any earlier
+    /// registration, then, in each cause's log critical section in turn,
+    /// drops the waiters their yielders retracted and pushes a [`Waiter`].
+    /// Returns `false`, with the causes before it registered, when a cause's
+    /// log no longer holds the entry the cover named. The caller holds no
+    /// engine lock.
+    fn register_yield(&self, me: &ThreadSlot, t: ThreadId, causes: &[YieldCause]) -> bool {
+        let epoch = me.wake_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        causes.iter().all(|c| {
+            let mut log = self.me(c.thread).allowed.lock();
+            let named = |held: &Held| held.l == c.lock && held.stack == c.stack;
+            if !log.entries.iter().any(named) {
+                return false;
+            }
+            let waiters = &mut log.waiters;
+            waiters.retain(|w| self.registered(w));
+            Stats::bump(if waiters.len() < waiters.capacity() {
                 &self.stats.wake_pool_hits
             } else {
                 &self.stats.wake_pool_misses
             });
-        }
+            waiters.push(Waiter {
+                lock: c.lock,
+                yielder: t,
+                epoch,
+            });
+            true
+        })
+    }
+
+    /// Whether `w`'s yielder has not retracted it. The slot mutex orders a
+    /// registration before any take of it, so a take reads the epoch it was
+    /// registered with or a later one, which only its yielder writes.
+    fn registered(&self, w: &Waiter) -> bool {
+        self.me(w.yielder).wake_epoch.load(Ordering::Relaxed) == w.epoch
+    }
+
+    /// Takes the waiters `pick` selects out of `waiters`, returning the
+    /// yielders of those still registered, and drops every retracted one.
+    fn take_waiters(
+        &self,
+        waiters: &mut Vec<Waiter>,
+        pick: impl Fn(&Waiter) -> bool,
+    ) -> Vec<ThreadId> {
+        let mut wake = Vec::new();
+        waiters.retain(|w| {
+            let live = self.registered(w);
+            if live && pick(w) {
+                wake.push(w.yielder);
+                return false;
+            }
+            live
+        });
+        wake
     }
 
     /// Precomputes member bucket keys for `sig` at depth `d`, resolved
@@ -1727,10 +1688,11 @@ impl AvoidanceCore {
     }
 
     /// Searches the history for a signature that the tentative allow edge
-    /// `(t, l, stack)` would instantiate (§5.4). On a hit, the successful
-    /// cover's [`CoverProof`] (the validated bucket sequences its decision
-    /// was computed from) is returned, so the caller can register the
-    /// yield and then revalidate (see `request`).
+    /// `(t, l, stack)` would instantiate (§5.4), over optimistic bucket
+    /// snapshots. `slots` is what the requester's frames resolved to under
+    /// `view`, ascending by depth — the index is entered by slot, no second
+    /// look-up — so candidates are tried in the order [`crate::reference`]
+    /// states.
     fn find_instance(
         &self,
         view: &MatchView,
@@ -1738,76 +1700,14 @@ impl AvoidanceCore {
         t: ThreadId,
         l: LockId,
         stack: StackId,
-    ) -> Option<(Instance, CoverProof)> {
-        let mut scratch: Vec<[u64; 3]> = Vec::new();
-        self.find_instance_with(view, slots, t, l, stack, &mut |s: u32| {
-            let seq = view.table.buckets[s as usize].read_into(&mut scratch);
-            (seq, Self::decode_sorted(&scratch))
-        })
-    }
-
-    /// The bounded-retry fallback decision (see `COVER_RETRY_LIMIT` in
-    /// [`Self::request`] and the module docs): runs the same search as [`Self::find_instance`]
-    /// but while **holding every bucket's write claim** (taken in ascending
-    /// slot order — the lowest tier of the engine lock order), so nothing
-    /// can move under it and no post-registration revalidation is needed.
-    /// On a hit the yield is registered *before* the claims drop: a racing
-    /// cause release must claim a bucket to remove its entry, so its
-    /// removal — and hence its wake-list drain — is ordered after the
-    /// registration here and observes it (no lost wakeup). Claim holders
-    /// never take an engine mutex and normal write sessions hold a single
-    /// claim without waiting, so the all-claims hold cannot deadlock —
-    /// only serialize.
-    fn find_instance_locked(
-        &self,
-        view: &MatchView,
-        slots: &[u32],
-        me: &ThreadSlot,
-        t: ThreadId,
-        l: LockId,
-        stack: StackId,
     ) -> Option<Instance> {
-        Stats::bump(&self.stats.cover_fallbacks);
-        let writers: Vec<_> = view.table.buckets.iter().map(|b| b.write()).collect();
-        let mut scratch: Vec<[u64; 3]> = Vec::new();
-        let all: Vec<Vec<AllowedEntry>> = writers
-            .iter()
-            .map(|w| {
-                w.read_into(&mut scratch);
-                Self::decode_sorted(&scratch)
-            })
-            .collect();
-        // Sequences in the proof are immaterial — the decision is final.
-        let found = self.find_instance_with(view, slots, t, l, stack, &mut |s: u32| {
-            (0, all[s as usize].clone())
-        });
-        let inst = found.map(|(inst, _proof)| inst);
-        if let Some(inst) = &inst {
-            if self.config.enforce_yields {
-                self.insert_yielding(me, t, &inst.causes);
-            }
-        }
-        drop(writers);
-        inst
-    }
-
-    /// Shared search body of [`Self::find_instance`] (optimistic bucket
-    /// reads) and [`Self::find_instance_locked`] (reads under claims),
-    /// parameterized over the bucket `read` accessor. `slots` is what the
-    /// requester's frames resolved to under `view`, ascending by depth — the
-    /// index is entered by slot, no second look-up — so candidates are
-    /// tried in the order [`crate::reference`] states.
-    fn find_instance_with(
-        &self,
-        view: &MatchView,
-        slots: &[u32],
-        t: ThreadId,
-        l: LockId,
-        stack: StackId,
-        read: &mut dyn FnMut(u32) -> (u64, Vec<AllowedEntry>),
-    ) -> Option<(Instance, CoverProof)> {
         let hot = self.stats.hot(t.0 as usize);
         let occupied = |s: &u32| !view.table.buckets[*s as usize].is_empty();
+        let mut scratch: Vec<[u64; 3]> = Vec::new();
+        let mut read = |s: u32| {
+            view.table.buckets[s as usize].read_into(&mut scratch);
+            Self::decode_sorted(&scratch)
+        };
         // Batch the per-candidate precheck counter: a hot suffix can carry
         // dozens of candidates, and per-candidate atomic bumps measurably
         // tax the contended rows.
@@ -1853,7 +1753,7 @@ impl AvoidanceCore {
                     &fresh_keys
                 };
                 Stats::bump(&hot.cover_searches);
-                found = Self::try_cover_with(read, &c.sig, d, member_keys, c.member, t, l, stack);
+                found = Self::try_cover(&mut read, &c.sig, d, member_keys, c.member, t, l, stack);
                 if found.is_some() {
                     break 'sets;
                 }
@@ -1880,17 +1780,12 @@ impl AvoidanceCore {
 
     /// Attempts to cover `sig`'s member stacks (anchoring the current thread
     /// at member `anchor`) with distinct `(thread, lock)` entries from the
-    /// `Allowed` buckets — the "exact cover" of §3. Bucket access is
-    /// abstracted behind `read` (slot → validated `(sequence, canonical
-    /// snapshot)`): the optimistic path supplies seqlock copies
-    /// ([`VersionedBucket::read_into`]), the bounded-retry fallback
-    /// supplies reads taken under write claims. Each distinct member
-    /// bucket is read once, the search runs over those snapshots, and a
-    /// successful cover returns the `(bucket, sequence)` proof for
-    /// post-registration revalidation.
+    /// `Allowed` buckets — the "exact cover" of §3. `read` copies one
+    /// bucket (slot → canonical snapshot); each distinct member bucket is
+    /// read once and the search runs over those snapshots.
     #[allow(clippy::too_many_arguments)] // Packed cover-search inputs.
-    fn try_cover_with(
-        read: &mut dyn FnMut(u32) -> (u64, Vec<AllowedEntry>),
+    fn try_cover(
+        read: &mut dyn FnMut(u32) -> Vec<AllowedEntry>,
         sig: &Arc<Signature>,
         d: u8,
         keys: &[MemberKey],
@@ -1898,7 +1793,7 @@ impl AvoidanceCore {
         t: ThreadId,
         l: LockId,
         stack: StackId,
-    ) -> Option<(Instance, CoverProof)> {
+    ) -> Option<Instance> {
         let members: Vec<usize> = (0..keys.len()).filter(|&i| i != anchor).collect();
         let mut snaps: Vec<BucketSnap> = Vec::with_capacity(members.len());
         for &i in &members {
@@ -1909,11 +1804,11 @@ impl AvoidanceCore {
             if snaps.iter().any(|s| s.slot == slot) {
                 continue; // members with identical keys share one snapshot
             }
-            let (seq, entries) = read(slot);
+            let entries = read(slot);
             if entries.is_empty() {
                 return None; // a required member bucket is empty
             }
-            snaps.push(BucketSnap { slot, seq, entries });
+            snaps.push(BucketSnap { slot, entries });
         }
         let mut chosen: Vec<(ThreadId, LockId, StackId, StackId)> = Vec::new();
         if Self::cover_rec(&snaps, keys, &members, 0, t, l, &mut chosen) {
@@ -1927,15 +1822,12 @@ impl AvoidanceCore {
                 .collect();
             let mut bindings = vec![(stack, sig.stacks[anchor])];
             bindings.extend(chosen.iter().map(|&(_, _, cs, ms)| (cs, ms)));
-            Some((
-                Instance {
-                    sig: Arc::clone(sig),
-                    depth_used: d,
-                    causes,
-                    bindings,
-                },
-                CoverProof(snaps.iter().map(|s| (s.slot, s.seq)).collect()),
-            ))
+            Some(Instance {
+                sig: Arc::clone(sig),
+                depth_used: d,
+                causes,
+                bindings,
+            })
         } else {
             None
         }

@@ -3,8 +3,8 @@
 //! here as the oracle), the exit sweep, and the rebuild's visit: its bucket
 //! order, that appends racing it are applied once, that buckets equal the
 //! logs after every live rebuild, and the view it hands each log; the slots
-//! a held entry remembers across both kinds of rebuild; and the
-//! bounded-retry cover fallback.
+//! a held entry remembers across both kinds of rebuild; and a yield's
+//! registration in its cause's log.
 
 use super::*;
 use crate::runtime::Runtime;
@@ -840,101 +840,115 @@ fn an_idle_thread_pins_no_retired_view() {
     core.unregister_thread(t);
 }
 
-/// A thread and a lock it holds.
-type Hold = (ThreadId, LockId);
+/// A holder granted a lock through one member of a two-member signature,
+/// and a yielder whose request through the other member that grant covers.
+struct Handoff {
+    rt: Runtime,
+    holder: ThreadId,
+    held: LockId,
+    held_stack: StackId,
+    yielder: ThreadId,
+    wanted: LockId,
+    path: (Vec<FrameId>, StackId),
+}
 
-/// The bounded-retry fallback, reached directly: over the same bucket
-/// contents `find_instance_locked` decides what the optimistic
-/// `find_instance` decides — the same signature, causes and bindings, or no
-/// instance — and counts itself. On a hit it has the yield registered by
-/// the time it returns (it registers before its bucket claims drop, so a
-/// cause's release, which must claim the bucket to remove its entry, cannot
-/// slip in between): every cause's release hands back the yielder although
-/// `request` never ran. The signature has `held` members whose depth-2 keys
-/// are identical, all ending the path `holders` threads each hold a lock
-/// through, and one the yielder requests on. Returns the holders' threads and
-/// locks, and the decision's causes as such pairs.
-fn the_fallback_agrees(held: u32, holders: usize) -> (Vec<Hold>, Vec<Hold>) {
-    let rt = Runtime::new(Config::default()).unwrap();
-    let core = rt.core();
-    let held_site = |i: u32| site(&rt, &[("holder", i), ("mid", 5), ("take", 10)]);
-    let (held_path, held_stack) = held_site(0);
-    let (yield_path, yield_stack) = site(&rt, &[("waiter", 0), ("take", 20)]);
-    let mut members: Vec<StackId> = (0..held).map(|i| held_site(i).1).collect();
-    members.push(yield_stack);
-    let sig = rt.history().add(CycleKind::Deadlock, members, 2).unwrap();
-    let holders: Vec<Hold> = (0..holders)
-        .map(|_| {
-            let (t, l) = (core.register_thread().unwrap(), rt.new_lock_id());
-            assert!(matches!(
-                core.request(t, l, &held_path, held_stack),
-                Decision::Go
-            ));
-            core.acquired(t, l, held_stack);
-            (t, l)
-        })
-        .collect();
-    let yielder = core.register_thread().unwrap();
-    let wanted = rt.new_lock_id();
+impl Handoff {
+    fn new() -> Self {
+        let rt = Runtime::new(Config::default()).unwrap();
+        let (held_path, held_stack) = site(&rt, &[("holder", 0), ("take", 10)]);
+        let path = site(&rt, &[("waiter", 0), ("take", 20)]);
+        rt.history()
+            .add(CycleKind::Deadlock, vec![held_stack, path.1], 4)
+            .unwrap();
+        let core = rt.core();
+        let (holder, held) = (core.register_thread().unwrap(), rt.new_lock_id());
+        assert!(matches!(
+            core.request(holder, held, &held_path, held_stack),
+            Decision::Go
+        ));
+        let (yielder, wanted) = (core.register_thread().unwrap(), rt.new_lock_id());
+        Self {
+            rt,
+            holder,
+            held,
+            held_stack,
+            yielder,
+            wanted,
+            path,
+        }
+    }
 
-    let me = core.me(yielder);
+    /// The yielder's request.
+    fn request(&self) -> Decision {
+        let (frames, stack) = &self.path;
+        self.rt
+            .core()
+            .request(self.yielder, self.wanted, frames, *stack)
+    }
+
+    /// How many waiters the holder's log keeps, live or retracted.
+    fn waiters(&self) -> usize {
+        self.rt.core().me(self.holder).allowed.lock().waiters.len()
+    }
+}
+
+/// A cover found while its cause held the lock, registered after the cause
+/// released it: the cause's log no longer holds the entry, so the
+/// registration is refused and leaves no waiter behind, and the request
+/// decides again to a GO.
+#[test]
+fn a_registration_against_a_released_cause_is_refused() {
+    let h = Handoff::new();
+    let core = h.rt.core();
+    core.acquired(h.holder, h.held, h.held_stack);
+    let me = core.me(h.yielder);
     let mut resolved = Resolved::default();
-    let log = core.lock_current(me, &yield_path, &mut resolved);
-    let view = Arc::clone(&log.view);
+    let log = core.lock_current(me, &h.path.0, &mut resolved);
+    let inst = core
+        .find_instance(
+            &log.view,
+            resolved.as_slice(),
+            h.yielder,
+            h.wanted,
+            h.path.1,
+        )
+        .expect("the holder's entry covers the other member");
     drop(log);
-    let slots = resolved.as_slice();
-    assert_eq!(slots.len(), 1, "the yielder's path is a member suffix");
-    let optimistic = core
-        .find_instance(&view, slots, yielder, wanted, yield_stack)
-        .map(|(inst, _proof)| inst);
-    assert_eq!(rt.stats().cover_fallbacks, 0);
-    for &(t, _) in &holders {
-        assert!(core.me(t).wake_list.is_empty(), "nothing registered yet");
+    assert_eq!(inst.causes[0].thread, h.holder);
+    assert!(core.release(h.holder, h.held).is_empty());
+    assert!(!core.register_yield(me, h.yielder, &inst.causes));
+    assert_eq!(h.waiters(), 0);
+    assert!(matches!(h.request(), Decision::Go));
+}
+
+/// A yielder that yields on one held cause ten times, retracting in
+/// between, leaves one waiter in the cause's log, not ten: each
+/// registration drops the retracted ones. The cause's release wakes it
+/// once.
+#[test]
+fn repeated_yields_on_one_cause_keep_one_live_waiter() {
+    let h = Handoff::new();
+    let core = h.rt.core();
+    core.acquired(h.holder, h.held, h.held_stack);
+    for round in 0..10 {
+        if round > 0 {
+            assert!(core.cancel(h.yielder, h.wanted).is_empty());
+        }
+        assert!(matches!(h.request(), Decision::Yield { .. }), "{round}");
+        assert_eq!(h.waiters(), 1, "round {round}");
     }
-
-    let locked = core.find_instance_locked(&view, slots, me, yielder, wanted, yield_stack);
-    assert_eq!(rt.stats().cover_fallbacks, 1);
-    let decision = |inst: &Option<Instance>| {
-        inst.as_ref()
-            .map(|i| (i.sig.id, i.depth_used, i.causes.clone(), i.bindings.clone()))
-    };
-    assert_eq!(decision(&locked), decision(&optimistic));
-    let causes: Vec<Hold> = locked.map_or_else(Vec::new, |inst| {
-        assert_eq!(inst.sig.id, sig.id);
-        inst.causes.iter().map(|c| (c.thread, c.lock)).collect()
-    });
-    let woken = if causes.is_empty() {
-        vec![]
-    } else {
-        vec![yielder]
-    };
-    for &(t, l) in &holders {
-        assert_eq!(core.release(t, l), woken, "{t:?}");
-        core.unregister_thread(t);
-    }
-    core.unregister_thread(yielder);
-    (holders, causes)
+    assert_eq!(core.release(h.holder, h.held), vec![h.yielder]);
+    assert_eq!(h.waiters(), 0);
 }
 
-/// A hit: one holder covers the one other member.
+/// A cause that gives up its grant with `cancel` (a timed lock that timed
+/// out) wakes its yielder as a release would.
 #[test]
-fn the_cover_fallback_decides_like_the_optimistic_search_and_registers_the_yield() {
-    let (holders, causes) = the_fallback_agrees(1, 1);
-    assert_eq!(causes, holders);
-}
-
-/// A miss: two members with one key want two distinct holders, and the
-/// bucket holds one. Neither search finds an instance; the fallback still
-/// counts itself and registers nothing.
-#[test]
-fn the_cover_fallback_misses_where_the_optimistic_search_misses() {
-    assert!(the_fallback_agrees(2, 1).1.is_empty());
-}
-
-/// Two members with identical keys share one bucket snapshot, and two
-/// holders in it cover both.
-#[test]
-fn the_cover_fallback_covers_members_with_identical_keys_alike() {
-    let (holders, causes) = the_fallback_agrees(2, 2);
-    assert_eq!(causes, holders);
+fn a_cancel_of_the_causes_lock_returns_its_yielder() {
+    let h = Handoff::new();
+    let core = h.rt.core();
+    assert!(matches!(h.request(), Decision::Yield { .. }));
+    assert_eq!(core.cancel(h.holder, h.held), vec![h.yielder]);
+    assert_eq!(h.waiters(), 0);
+    assert!(matches!(h.request(), Decision::Go));
 }

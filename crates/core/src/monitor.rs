@@ -926,7 +926,7 @@ mod tests {
         assert_eq!(monitor.drain_events(), 1);
     }
 
-    /// A request retried after a failed revalidation still clears the yield
+    /// A request retried after a refused registration still clears the yield
     /// the monitor drew. The retry's first step retracts the registration,
     /// but the `Yield` stays in force until a grant's event replaces it, so
     /// the grant may not become a quiet hold, even on a stack that by now

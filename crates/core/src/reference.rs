@@ -32,7 +32,7 @@
 //!
 //! It decides and nothing else: it publishes no events, keeps no owner map
 //! and builds no yield report — what the lockstep harnesses compare is the
-//! decision, the signature yielded on, the yield causes and the wake lists.
+//! decision, the signature yielded on, the yield causes and the wake sets.
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
@@ -158,6 +158,11 @@ impl ReferenceCore {
     pub fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let state = &mut *self.state.lock();
         Self::remove_entry_inner(&self.stacks, state, t, l);
+        Self::caused_by(state, t, l)
+    }
+
+    /// The yielders with a cause `(t, l)`.
+    fn caused_by(state: &RefState, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         state
             .yielding
             .iter()
@@ -179,11 +184,13 @@ impl ReferenceCore {
         state.yielding.remove(&t);
     }
 
-    /// The pre-refactor `cancel` hook.
-    pub fn cancel(&self, t: ThreadId, l: LockId) {
+    /// The pre-refactor `cancel` hook. Returns what `release` would: the
+    /// yielders with a cause `(t, l)`.
+    pub fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let state = &mut *self.state.lock();
         Self::remove_entry_inner(&self.stacks, state, t, l);
         state.yielding.remove(&t);
+        Self::caused_by(state, t, l)
     }
 
     fn refresh(&self, state: &mut RefState) {

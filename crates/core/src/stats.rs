@@ -31,11 +31,13 @@ pub struct HotStripe {
     pub precheck_skips: AtomicU64,
     /// Optimistic exact-cover searches actually performed.
     pub cover_searches: AtomicU64,
-    /// Cover decisions retried because a member bucket's version moved
-    /// between the optimistic read and the post-registration revalidation
-    /// (the lock-free no-lost-wakeup protocol's churn path).
+    /// Cover decisions retried because a yield registration was refused (a
+    /// cause had popped the entry the cover named) or the history
+    /// generation moved while it registered (the no-lost-wakeup protocol's
+    /// retry path).
     pub cover_retries: AtomicU64,
-    /// Release-side wake-list swap-and-drains performed (list non-empty).
+    /// Entry pops (`release`, `cancel`) that found a waiter registered in
+    /// the log.
     pub wake_drains: AtomicU64,
     /// Pairs that ended as a quiet hold no one waited for: the `release`
     /// retired their four counted outcomes (request, GO, acquisition,
@@ -166,14 +168,10 @@ pub struct Stats {
     pub rebuild_us_delta_hist: [AtomicU64; REBUILD_BINS],
     /// Full-rebuild latency histogram; bins as in `rebuild_us_delta_hist`.
     pub rebuild_us_full_hist: [AtomicU64; REBUILD_BINS],
-    /// Cover decisions that exhausted the bounded optimistic-retry budget
-    /// (`COVER_RETRY_LIMIT`, eight failed revalidations) and fell back to deciding under the
-    /// member buckets' write claims (the effectively wait-free slow path).
-    pub cover_fallbacks: AtomicU64,
-    /// Yield registrations served from the thread's wake-node pool (no
+    /// Yield registrations that found room in the cause's waiter list (no
     /// allocation).
     pub wake_pool_hits: AtomicU64,
-    /// Yield registrations that Box-allocated because the pool was dry.
+    /// Yield registrations that grew the cause's waiter list.
     pub wake_pool_misses: AtomicU64,
     /// Registered threads whose state was reclaimed by the unwind path — a
     /// `Registration` dropped while its thread was panicking (owner-table
@@ -248,7 +246,6 @@ impl Default for Stats {
             rebuild_us_full_max: AtomicU64::new(0),
             rebuild_us_delta_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             rebuild_us_full_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            cover_fallbacks: AtomicU64::new(0),
             wake_pool_hits: AtomicU64::new(0),
             wake_pool_misses: AtomicU64::new(0),
             panic_cleanups: AtomicU64::new(0),
@@ -314,7 +311,7 @@ impl Stats {
         self.hot_sum(|s| &s.cover_retries)
     }
 
-    /// Total wake-list drains across all stripes.
+    /// Total entry pops that found a waiter, across all stripes.
     pub fn wake_drains(&self) -> u64 {
         self.hot_sum(|s| &s.wake_drains)
     }
@@ -393,7 +390,7 @@ impl Stats {
                 Self::get(&self.rebuild_us_delta_hist[i])
             }),
             rebuild_us_full_hist: std::array::from_fn(|i| Self::get(&self.rebuild_us_full_hist[i])),
-            cover_fallbacks: Self::get(&self.cover_fallbacks),
+            cover_fallbacks: 0,
             wake_pool_hits: Self::get(&self.wake_pool_hits),
             wake_pool_misses: Self::get(&self.wake_pool_misses),
             panic_cleanups: Self::get(&self.panic_cleanups),
@@ -422,9 +419,10 @@ pub struct StatsSnapshot {
     pub precheck_skips: u64,
     /// Optimistic exact-cover searches performed.
     pub cover_searches: u64,
-    /// Cover decisions retried on version churn.
+    /// Cover decisions retried on a refused registration or a moved
+    /// generation.
     pub cover_retries: u64,
-    /// Wake-list swap-and-drains performed.
+    /// Entry pops that found a waiter.
     pub wake_drains: u64,
     /// Pairs retired at their `release` as quiet holds no one waited for.
     pub quiet_pairs: u64,
@@ -491,11 +489,12 @@ pub struct StatsSnapshot {
     pub rebuild_us_delta_hist: [u64; REBUILD_BINS],
     /// Full-rebuild latency histogram (bins: [`REBUILD_US_BINS`]).
     pub rebuild_us_full_hist: [u64; REBUILD_BINS],
-    /// Cover decisions that fell back to the locked slow path.
+    /// Always 0: the cover decision has no fallback path any more.
+    /// `crates/benchmark` still reads it.
     pub cover_fallbacks: u64,
-    /// Yield registrations served from a wake-node pool.
+    /// Yield registrations that found room in the cause's waiter list.
     pub wake_pool_hits: u64,
-    /// Yield registrations that Box-allocated (pool dry).
+    /// Yield registrations that grew the cause's waiter list.
     pub wake_pool_misses: u64,
     /// Panicking-thread unwind cleanups performed.
     pub panic_cleanups: u64,

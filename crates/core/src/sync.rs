@@ -88,7 +88,8 @@ fn request_until_go(
 /// The blocking acquisition shared by every lock type: drives the request
 /// to a GO, takes `raw`, and tells the engine how it went — `acquired`, or
 /// `cancel` when `deadline` (timed locks only) passed first, in which case
-/// `false` is returned and `raw` is not held.
+/// `false` is returned and `raw` is not held, and the threads yielding on
+/// the cancelled grant are woken.
 ///
 /// This is the one place a supervised thread blocks inside a mutex, and so
 /// the one place that owes the monitor the allow edge first: `waiting` is
@@ -118,14 +119,15 @@ pub(crate) fn acquire(
     if locked {
         core.acquired(t, id, site.stack);
     } else {
-        core.cancel(t, id);
+        wake_all(runtime, core.cancel(t, id));
     }
     locked
 }
 
 /// The non-blocking acquisition shared by every `try_lock`: one request,
 /// one `try_lock` of `raw`. On a YIELD, or a GO that finds `raw` taken, the
-/// request is rolled back with `cancel` (§6) and `false` is returned.
+/// request is rolled back with `cancel` (§6), the threads yielding on it
+/// are woken, and `false` is returned.
 pub(crate) fn try_acquire(
     runtime: &Runtime,
     raw: &RawMutex,
@@ -139,7 +141,7 @@ pub(crate) fn try_acquire(
     if locked {
         core.acquired(t, id, site.stack);
     } else {
-        core.cancel(t, id);
+        wake_all(runtime, core.cancel(t, id));
     }
     locked
 }
@@ -151,7 +153,12 @@ pub(crate) fn try_acquire(
 pub(crate) fn release(runtime: &Runtime, tid: Option<ThreadId>, id: LockId, unlock: impl FnOnce()) {
     let wake = tid.map_or_else(Vec::new, |t| runtime.core().release(t, id));
     unlock();
-    for w in wake {
+    wake_all(runtime, wake);
+}
+
+/// Wakes the yielders a `release` or `cancel` hook handed back.
+fn wake_all(runtime: &Runtime, yielders: Vec<ThreadId>) {
+    for w in yielders {
         runtime.wake(w);
     }
 }

@@ -182,10 +182,11 @@ fn second_encounter_is_avoided_by_yield() {
 }
 
 /// A hand-off that only ever goes one way — T0 always the yielder, T1 always
-/// the cause — must recycle its wake node: T1's drain returns it to T0's
-/// pool, where T0's next registration looks for it.
+/// the cause — allocates for its first registration only: T1's release takes
+/// the waiter out of its log and keeps the list's capacity, where T0's next
+/// registration finds room.
 #[test]
-fn one_way_handoffs_recycle_the_yielders_wake_node() {
+fn one_way_handoff_registrations_stop_allocating() {
     const ROUNDS: u64 = 50;
     let w = AbbaWorld::new(quiet_config());
     w.run_first_deadlock();

@@ -1,8 +1,9 @@
 //! Exit-path wake regression (the unwind-cleanup contract): a thread that
 //! exits — orderly or panicking — while other threads yield on its entries
 //! must wake those yielders promptly. Before the unwind sweep existed, the
-//! dead thread's `Allowed` entries stayed bucketed and its wake list was
-//! never drained, so with no max-yield bound the yielders parked forever.
+//! dead thread's `Allowed` entries stayed bucketed and the yielders
+//! registered on it were never woken, so with no max-yield bound they
+//! parked forever.
 
 use dimmunix_core::{Config, CycleKind, Decision, Runtime};
 use std::sync::{Arc, Barrier};
@@ -81,7 +82,7 @@ fn run_exit_canary(die: fn(&Runtime)) -> dimmunix_core::StatsSnapshot {
             la.lock(&sa);
             a_held.wait();
             // Wait until the waiter has yielded (and is parked, or about to
-            // park — the register-then-revalidate protocol covers the gap).
+            // park — a wake before the park is not lost).
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while rt.stats().yields < 1 {
                 assert!(

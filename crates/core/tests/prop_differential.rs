@@ -176,7 +176,8 @@ fn arb_hit_heavy_script<S: Strategy<Value = u8> + 'static>(
 /// Schedule for the shared-cause generator: one signature over sites 0/1
 /// seeded up front, then pure scheduling noise — the scripts below funnel
 /// every yield cause onto thread 0, so all wake traffic goes through one
-/// `WakeList` (drain ordering, retained nodes, epoch retraction).
+/// log's waiters (takes by lock, waiters kept for another lock, epoch
+/// retraction).
 fn arb_hot_cause_schedule() -> impl Strategy<Value = Vec<Step>> {
     (
         1_u8..3,
@@ -192,8 +193,8 @@ fn arb_hot_cause_schedule() -> impl Strategy<Value = Vec<Step>> {
 /// Thread 0's script under the shared-cause generator: churn locks 0/1
 /// through site 0 — its `Allowed` entries are the only possible cover
 /// members, so it is the cause thread of every yield, and its unlocks
-/// exercise both drain verdicts (a release of lock 1 must *retain* a
-/// registration keyed by lock 0).
+/// both take and keep waiters (a release of lock 1 must *keep* a
+/// registration for lock 0).
 fn arb_holder_script() -> impl Strategy<Value = Vec<Action>> {
     prop::collection::vec(
         prop_oneof![
@@ -237,7 +238,7 @@ trait Hooks {
     fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId>;
     fn acquired(&self, t: ThreadId, l: LockId, stack: StackId);
     fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId>;
-    fn cancel(&self, t: ThreadId, l: LockId);
+    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId>;
 }
 
 fn yielded_on(decision: Decision) -> Option<SigId> {
@@ -257,8 +258,8 @@ impl Hooks for Runtime {
     fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         self.core().release(t, l)
     }
-    fn cancel(&self, t: ThreadId, l: LockId) {
-        self.core().cancel(t, l);
+    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
+        self.core().cancel(t, l)
     }
 }
 
@@ -272,8 +273,8 @@ impl Hooks for ReferenceCore {
     fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         ReferenceCore::release(self, t, l)
     }
-    fn cancel(&self, t: ThreadId, l: LockId) {
-        ReferenceCore::cancel(self, t, l);
+    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
+        ReferenceCore::cancel(self, t, l)
     }
 }
 
@@ -376,7 +377,8 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
                             self.owner[l] = Some(v);
                             self.held[v].push(l);
                         } else {
-                            self.engine.cancel(self.tids[v], self.lock_ids[l]);
+                            let wake = self.engine.cancel(self.tids[v], self.lock_ids[l]);
+                            self.wake_yielders(wake);
                         }
                         self.pc[v] += 1;
                         Some(yielded)
@@ -418,6 +420,11 @@ impl<'a, E: Hooks> MiniSim<'a, E> {
             let stack = self.sites[site as usize].1;
             self.grant(next, l, stack);
         }
+        self.wake_yielders(wake);
+    }
+
+    /// Wakes the yielders a `release` or `cancel` handed back.
+    fn wake_yielders(&mut self, wake: Vec<ThreadId>) {
         for w in wake {
             if let Some(idx) = self.tids.iter().position(|&t| t == w) {
                 if matches!(self.state[idx], VState::Yielding(_)) {
@@ -560,9 +567,10 @@ proptest! {
     }
 
     /// Same agreement when every yield shares thread 0 as its cause — the
-    /// lock-free `WakeList` path (Treiber pushes, swap-and-drain, retained
-    /// nodes, epoch retraction) must deliver exactly the wake sets the
-    /// reference's yielding-map scan produces, at every step.
+    /// registrations in its log (taken by lock, kept for another lock,
+    /// retracted by epoch) must deliver exactly the wake sets the
+    /// reference's yielding-map scan produces, at every step, for its
+    /// releases and its cancels alike.
     #[test]
     fn sharded_engine_matches_reference_hot_cause(
         schedule in arb_hot_cause_schedule(),
@@ -612,7 +620,7 @@ proptest! {
 }
 
 /// A deterministic yield-storm regression: several threads yield on the
-/// *same* cause `(T0, L0)` — all indexed under one wake shard — and a
+/// *same* cause `(T0, L0)` — all registered in T0's log — and a
 /// single release must wake every one of them, after which each retried
 /// request must GO (the cover's member bucket emptied with the release).
 /// Both engines must agree at every step.
@@ -768,13 +776,13 @@ fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
     Hooks::cancel(&reference, asking, wanted);
 }
 
-/// A deterministic drain-ordering regression for the lock-free wake list:
-/// the cause thread holds two locks acquired through the same site, a
-/// yielder registers against the *first* one (bucket order picks the
-/// first-inserted entry), and the cause thread releases them innermost-
-/// first. The first release (lock 1) must *retain* the registration —
-/// waking nobody, exactly like the reference — and the second release
-/// (lock 0) must deliver it.
+/// A deterministic regression for a registration kept across an unrelated
+/// release: the cause thread holds two locks acquired through the same
+/// site, a yielder registers against the *first* one (bucket order picks
+/// the first-inserted entry), and the cause thread releases them
+/// innermost-first. The first release (lock 1) must *keep* the
+/// registration — waking nobody, exactly like the reference — and the
+/// second release (lock 0) must take it and wake the yielder.
 #[test]
 fn retained_wake_registration_survives_unrelated_release() {
     let schedule = vec![
@@ -786,9 +794,9 @@ fn retained_wake_registration_survives_unrelated_release() {
         Step::Run(0), // T0 locks L0 via site 0 (member bucket gains entry 1)
         Step::Run(0), // T0 locks L1 via site 0 (member bucket gains entry 2)
         Step::Run(1), // T1 requests L2 via site 1 → cover picks (T0, L0) → YIELD
-        Step::Run(0), // T0 unlocks L1 (innermost): registration retained, no wake
+        Step::Run(0), // T0 unlocks L1 (innermost): registration kept, no wake
         Step::Run(1), // T1 still yielding, not woken: no decision
-        Step::Run(0), // T0 unlocks L0: drain delivers the wake
+        Step::Run(0), // T0 unlocks L0: its pop takes the registration, wakes T1
         Step::Run(1), // T1 retries → member bucket empty → GO
     ];
     let scripts = [

@@ -556,19 +556,79 @@ fn parked_yield_storm_wakes_every_waiter_on_release() {
     assert_eq!(stats.yield_aborts, 0, "{stats:?}");
 }
 
+/// A cause that gives up its grant wakes the thread yielding on it. H holds
+/// `l0`; C asks for `l0` through `site_a` with a 300 ms timeout, is granted,
+/// and blocks; Y locks `l1` through `site_b`, the signature's other member,
+/// and yields on the cause `(C, l0)`. C's timeout cancels its grant, and the
+/// cancel must wake Y, whose retry then finds no cover. Without that wake Y
+/// stays parked for the whole 3 s yield bound and aborts.
+#[test]
+fn a_cancelled_cause_wakes_its_yielder() {
+    watchdogged(|| {
+        let rt = Runtime::new(Config {
+            max_yield_duration: Some(Duration::from_secs(3)),
+            ..quiet_config()
+        })
+        .unwrap();
+        let site_a = rt.make_site(&[("m", "cancel.rs", 1), ("u", "cancel.rs", 3)]);
+        let site_b = rt.make_site(&[("m", "cancel.rs", 2), ("u", "cancel.rs", 3)]);
+        let site_h = rt.make_site(&[("holder", "cancel.rs", 9)]);
+        rt.history()
+            .add(
+                dimmunix_core::CycleKind::Deadlock,
+                vec![site_a.stack(), site_b.stack()],
+                4,
+            )
+            .unwrap();
+        rt.history().touch();
+        let (l0, l1) = (rt.raw_lock(), rt.raw_lock());
+        l0.lock(&site_h);
+        let y_done = Barrier::new(2);
+        let (cancelled, waited) = std::thread::scope(|s| {
+            let c = s.spawn(|| {
+                let cancelled = !l0.lock_timeout(&site_a, Duration::from_millis(300));
+                // C stays alive until Y is done: its exit sweep would wake Y
+                // as an orphan.
+                y_done.wait();
+                cancelled
+            });
+            assert!(sees_blocked(&rt, l0.id(), 1), "C never blocked on l0");
+            let y = s.spawn(|| {
+                let start = Instant::now();
+                l1.lock(&site_b);
+                l1.unlock();
+                start.elapsed()
+            });
+            let waited = y.join().unwrap();
+            y_done.wait();
+            (c.join().unwrap(), waited)
+        });
+        l0.unlock();
+        let stats = rt.stats();
+        assert!(cancelled, "C's timed lock must time out while H holds l0");
+        assert!(stats.yields >= 1, "Y never yielded on C: {stats:?}");
+        assert_eq!(stats.yield_aborts, 0, "{stats:?}");
+        assert_eq!(stats.orphan_wakes, 0, "{stats:?}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "Y waited {waited:?} for its lock: {stats:?}"
+        );
+    });
+}
+
 #[test]
 fn hot_cause_storm_delivers_every_wave_of_wakeups() {
-    // Storm variant of the parked-yield canary for the lock-free wake
-    // path: one holder thread *churns* lock A through SA (insert/remove on
-    // the hot member bucket, one wake-list drain per release) while
-    // waiters repeatedly lock their own locks through SB — every yield
-    // registers against the same hot cause `(holder, A)` via Treiber
-    // pushes. With no yield timeout, any lost wakeup (a drain missing a
-    // registration, a stale-epoch bug consuming a live one, a validation
-    // passing when it must not) parks a waiter forever; the watchdog turns
-    // that hang into a failure. Repeated rounds also exercise cover-retry
-    // churn: the holder's entry appears and disappears under the waiters'
-    // optimistic cover searches.
+    // Storm variant of the parked-yield canary for the wake path: one
+    // holder thread *churns* lock A through SA (insert/remove on the hot
+    // member bucket, one take of its waiters per release) while waiters
+    // repeatedly lock their own locks through SB — every yield registers
+    // against the same hot cause `(holder, A)` under the holder's slot
+    // mutex. With no yield timeout, any lost wakeup (a take missing a
+    // registration, a stale-epoch bug dropping a live one, a registration
+    // accepted after the entry left) parks a waiter forever; the watchdog
+    // turns that hang into a failure. Repeated rounds also exercise refused
+    // registrations: the holder's entry appears and disappears under the
+    // waiters' optimistic cover searches.
     let cfg = Config {
         max_yield_duration: None,
         ..quiet_config()
@@ -593,7 +653,7 @@ fn hot_cause_storm_delivers_every_wave_of_wakeups() {
     let mut handles = Vec::new();
     // Holder: cycles A — holding it briefly each time so waiters' requests
     // overlap a bucketed entry and must yield — until every waiter is
-    // done. Each release drains its wake list, so any parked waiter is
+    // done. Each release takes its waiters, so any parked waiter is
     // woken by the next cycle.
     {
         let la = Arc::clone(&lock_a);

@@ -9,25 +9,24 @@
 //! no counterpart — the production engine needs none and the reference
 //! engine uses a plain mutex.
 //!
-//! The sharded request path is built from these pieces:
+//! The sharded request path is built from one piece: a
+//! **seqlock-versioned bucket** ([`versioned::VersionedBucket`]) holding the
+//! `Allowed` records the exact-cover search probes. Readers are optimistic
+//! (copy, then re-validate the sequence word) and never block, and its
+//! live-record count alone proves a bucket empty — the cover precheck's one
+//! read.
 //!
-//! * a **seqlock-versioned bucket** ([`versioned::VersionedBucket`])
-//!   holding the `Allowed` records the exact-cover search probes: readers
-//!   are optimistic (copy, then re-validate the sequence word) and never
-//!   block, the returned sequence supports the engine's
-//!   register-then-revalidate no-lost-wakeup protocol, and its live-record
-//!   count alone proves a bucket empty — the cover precheck's one read;
-//! * a **Treiber-style wake list** ([`wakelist::WakeList`]): yield
-//!   registrations are one CAS, and a release's wakeup delivery is one
-//!   swap-and-drain — no wake-shard mutex.
-//!
-//! Five modules are kept only for benchmark probes, and nothing in the
+//! Six modules are kept only for benchmark probes, and nothing in the
 //! runtime uses them: [`mpsc`], a Vyukov-style MPSC queue (the shape of the
 //! paper's single event queue), [`spsc`], a bounded SPSC ring the event
 //! lanes used to be chained from, [`occupancy`], a counting filter of
 //! per-bucket fingerprints the cover precheck used to read, [`epoch`], the
 //! epoch-published snapshot cell the match view used to be read through,
-//! and [`backoff`], the exponential spin backoff only that cell uses.
+//! [`backoff`], the exponential spin backoff only that cell uses, and
+//! [`wakelist`], the Treiber-style wake lists ([`WakeList`], its
+//! [`WakeNodePool`] and [`DrainVerdict`]) yield registrations used to be
+//! pushed into; a yield now registers in its cause's slot-mutex-guarded
+//! log in `dimmunix_core`.
 //!
 //! The crate also provides the small utilities those algorithms need: the
 //! [`slots::SlotAllocator`] that hands out dense thread ids and

@@ -11,9 +11,8 @@
 //! * **readers never block**: [`VersionedBucket::read_into`] loads the
 //!   sequence, copies the records out, re-loads the sequence, and retries
 //!   on a mismatch — the seqlock read protocol. The returned sequence lets
-//!   a caller *re-validate later* (after publishing a yield registration)
-//!   that the bucket has not changed since the copy, which is the heart of
-//!   the lock-free no-lost-wakeup protocol;
+//!   a caller *re-validate later* that the bucket has not changed since the
+//!   copy;
 //! * **writers** claim the bucket with one CAS on the sequence word (even →
 //!   odd), mutate, and release by bumping back to even. There is no OS
 //!   mutex and no parking — the critical section is a handful of word
@@ -44,13 +43,8 @@
 //! holder knows the exact odd value it claimed to), so an RMW would buy
 //! nothing — the single-writer release fast path halves the session's
 //! `SeqCst` RMWs and shaves the uncontended own-entry insert/remove on the
-//! 1-thread signature-hit rows. The cross-structure Dekker argument in the
-//! avoidance engine stays sound because a `SeqCst` store still
-//! participates in the single total order: a yielding thread does *(push
-//! wake registration — SeqCst RMW) then (re-load `seq` — SeqCst)*, while a
-//! releasing thread does *(claim `seq` — SeqCst CAS, release — SeqCst
-//! store) then (swap the wake list — SeqCst RMW)*; one of the two sides
-//! must see the other.
+//! 1-thread signature-hit rows. Nothing outside this module depends on
+//! the sequence word being `SeqCst`.
 //!
 //! The live-record count `len` is the bucket's only record of its own
 //! occupancy: the claim holder stores it `Release` after the record words,
@@ -337,17 +331,6 @@ impl<const W: usize> BucketWriter<'_, W> {
         self.bucket.len.store(self.len, Ordering::Release);
     }
 
-    /// Copies the live records into `out` (cleared first), in slot order.
-    /// Runs under the session's exclusive claim, so no sequence validation
-    /// or retry is needed — this is the read half of the avoidance engine's
-    /// bounded-retry locked fallback, where a decision is computed while
-    /// *holding* every member bucket instead of optimistically revalidating.
-    pub fn read_into(&self, out: &mut Vec<[u64; W]>) {
-        out.clear();
-        self.bucket.copy_prefix(self.len as usize, out);
-        debug_assert_eq!(out.len(), self.len as usize);
-    }
-
     /// Removes the first record equal to `rec`, moving the last live record
     /// into the hole (`Vec::swap_remove` order). Returns whether a record
     /// was removed.
@@ -376,9 +359,7 @@ impl<const W: usize> Drop for BucketWriter<'_, W> {
     fn drop(&mut self) {
         // Single-writer release: while the sequence is odd, every other
         // writer's claim loop refuses to CAS and readers only load, so the
-        // holder's store cannot race another write to the word. `SeqCst`
-        // keeps the release in the total order the engine's
-        // register-then-revalidate / remove-then-drain protocol needs.
+        // holder's store cannot race another write to the word.
         self.bucket.seq.store(self.claimed + 1, Ordering::SeqCst);
     }
 }

@@ -1,6 +1,13 @@
 //! Lock-free wake lists: Treiber-style registration stacks drained on
 //! release.
 //!
+//! Kept only for the benchmark's `lockfree.wakelist_push_drain_ns` probe:
+//! the avoidance engine no longer uses [`WakeList`], [`WakeNodePool`] or
+//! [`DrainVerdict`]. A yield now registers in its cause's log under that
+//! log's slot mutex, and the pop that ends the cause's entry takes the
+//! registrations in the same critical section. What follows describes the
+//! design as the engine used it.
+//!
 //! The avoidance engine's release-side wakeups used to funnel through hash-
 //! sharded mutexes keyed by yield cause, so one popular cause (a hot lock)
 //! re-serialized every release and yield registration on one mutex.

@@ -366,12 +366,16 @@ impl Sim {
         }
     }
 
-    /// Mirrors a `cancel` into the shadow.
-    fn shadow_cancel(&mut self, v: usize, lock: usize) {
-        let lid = self.locks[lock].id;
-        if let Some(sh) = &mut self.shadow {
-            sh.core.cancel(sh.tids[v], lid);
-        }
+    /// Cancels thread `v`'s request of `lock` in both engines and wakes
+    /// the yielders the cancel hands back.
+    fn do_cancel(&mut self, v: usize, lock: usize) {
+        let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
+        let wake = self.rt.core().cancel(tid, lid);
+        let shadow_wake = self
+            .shadow
+            .as_mut()
+            .map(|sh| sh.core.cancel(sh.tids[v], lid));
+        self.wake_yielders(v, lock, "cancelling", wake, shadow_wake);
     }
 
     /// Executes one scheduling slot for thread `v`. Returns `false` if the
@@ -490,13 +494,11 @@ impl Sim {
                             self.grant(v, lock, stack);
                             return;
                         }
-                        self.rt.core().cancel(tid, self.locks[lock].id);
-                        self.shadow_cancel(v, lock);
+                        self.do_cancel(v, lock);
                     }
                     Decision::Yield { .. } => {
                         self.shadow_request(v, lock, &frames, stack, false);
-                        self.rt.core().cancel(tid, self.locks[lock].id);
-                        self.shadow_cancel(v, lock);
+                        self.do_cancel(v, lock);
                     }
                 }
                 self.threads[v].pc += 1;
@@ -515,10 +517,42 @@ impl Sim {
     }
 
     fn do_unlock(&mut self, v: usize, lock: usize) {
-        let tid = self.threads[v].tid;
-        let wake = self.rt.core().release(tid, self.locks[lock].id);
-        if let Some(sh) = &mut self.shadow {
-            let shadow_wake = sh.core.release(sh.tids[v], self.locks[lock].id);
+        let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
+        let wake = self.rt.core().release(tid, lid);
+        let shadow_wake = self
+            .shadow
+            .as_mut()
+            .map(|sh| sh.core.release(sh.tids[v], lid));
+        if let Some(pos) = self.threads[v].held.iter().rposition(|&h| h == lock) {
+            self.threads[v].held.remove(pos);
+        }
+        self.locks[lock].owner = None;
+        // FIFO hand-off to the next blocked waiter.
+        if let Some(next) = self.locks[lock].waiters.pop_front() {
+            let stack = self.threads[next]
+                .pending
+                .as_ref()
+                .map(|(_, s)| *s)
+                .expect("blocked thread has a pending stack");
+            self.wakes += 1;
+            self.grant(next, lock, stack);
+        }
+        self.wake_yielders(v, lock, "releasing", wake, shadow_wake);
+        self.threads[v].pc += 1;
+    }
+
+    /// Wakes the yielding threads whose cause was `(v, lock)`: `wake`, what
+    /// the engine's `release` or `cancel` (`what`) handed back. With a
+    /// shadow, first compares `wake` with the shadow's answer.
+    fn wake_yielders(
+        &mut self,
+        v: usize,
+        lock: usize,
+        what: &str,
+        wake: Vec<ThreadId>,
+        shadow_wake: Option<Vec<ThreadId>>,
+    ) {
+        if let (Some(sh), Some(shadow_wake)) = (&mut self.shadow, shadow_wake) {
             if sh.aligned {
                 // Map both wake sets to thread indices and compare. Cover
                 // choice is tid-order-sensitive, so this is only meaningful
@@ -535,27 +569,12 @@ impl Sim {
                 b.sort_unstable();
                 if a != b {
                     sh.divergences.push(format!(
-                        "wake divergence: {} releasing {}: sharded wakes {:?} vs reference {:?}",
+                        "wake divergence: {} {what} {}: sharded wakes {:?} vs reference {:?}",
                         self.threads[v].name, self.locks[lock].name, a, b
                     ));
                 }
             }
         }
-        if let Some(pos) = self.threads[v].held.iter().rposition(|&h| h == lock) {
-            self.threads[v].held.remove(pos);
-        }
-        self.locks[lock].owner = None;
-        // FIFO hand-off to the next blocked waiter.
-        if let Some(next) = self.locks[lock].waiters.pop_front() {
-            let stack = self.threads[next]
-                .pending
-                .as_ref()
-                .map(|(_, s)| *s)
-                .expect("blocked thread has a pending stack");
-            self.wakes += 1;
-            self.grant(next, lock, stack);
-        }
-        // Wake yielding threads whose cause was (tid, lock).
         for w in wake {
             if let Some(idx) = self.threads.iter().position(|t| t.tid == w) {
                 if !self.threads[idx].woken {
@@ -564,7 +583,6 @@ impl Sim {
                 self.threads[idx].woken = true;
             }
         }
-        self.threads[v].pc += 1;
     }
 
     fn finish_thread(&mut self, v: usize) {
