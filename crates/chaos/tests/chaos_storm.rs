@@ -8,13 +8,11 @@
 //! `PROPTEST_CASES` budget.
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path};
-use dimmunix_core::{
-    Config, CycleKind, Decision, PredictionConfig, ReferenceCore, Runtime, ThreadId,
-};
+use dimmunix_core::{Config, CycleKind, Decision, PredictionConfig, Runtime};
 use dimmunix_inject::{install, FaultPlan, MonitorFault, MonitorFaultKind};
+use dimmunix_threadsim::Lockstep;
 use dimmunix_workloads::{run_once, table1};
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Splittable xorshift64* — deterministic op-stream driver (the chaos
@@ -192,47 +190,28 @@ proptest! {
     }
 
     /// Lockstep differential under monitor chaos: with the monitor being
-    /// scripted-killed and restarted underneath, the surviving GO/YIELD
-    /// decision stream must still match the preserved single-lock
-    /// [`ReferenceCore`] byte for byte. Ops are try-lock style (a yield
-    /// cancels immediately), so successful monitor passes are
-    /// decision-neutral and every divergence is a real soundness bug.
+    /// scripted-killed and restarted underneath, the surviving decisions
+    /// (GO, or YIELD and on which signature) and wake sets must still
+    /// match the preserved single-lock
+    /// [`ReferenceCore`](dimmunix_core::ReferenceCore) at every hook. Ops
+    /// are try-lock style (a yield cancels immediately), so successful
+    /// monitor passes are decision-neutral and every divergence is a real
+    /// soundness bug.
     #[test]
     fn surviving_decisions_match_reference_under_monitor_chaos(seed in any::<u64>()) {
         quiet_scripted_panics();
         let guard = install(FaultPlan::none().kill_monitor_after(1, 3));
         let rt = Runtime::new(Config::default()).unwrap();
-        let reference = ReferenceCore::new(
-            Config::default(),
-            Arc::clone(rt.history()),
-            Arc::clone(rt.stack_table()),
-        );
+        let mut ls = Lockstep::with_reference(&rt);
 
         const THREADS: usize = 3;
         const LOCKS: usize = 4;
         let sites: Vec<_> = (0..4)
             .map(|p| rt.make_site(&[("op", "chaos.rs", p), ("outer", "chaos.rs", 99)]))
             .collect();
-        let rt_tids: Vec<_> = (0..THREADS)
-            .map(|_| rt.core().register_thread().unwrap())
-            .collect();
-        let ref_tids: Vec<_> = (0..THREADS)
-            .map(|_| reference.register_thread().unwrap())
-            .collect();
-        let rt_locks: Vec<_> = (0..LOCKS).map(|_| rt.new_lock_id()).collect();
-        // The reference shares the LockId space (plain u64 keys).
-        let ref_locks = rt_locks.clone();
+        let tids: Vec<_> = (0..THREADS).map(|_| ls.register("T")).collect();
+        let locks: Vec<_> = (0..LOCKS).map(|_| rt.new_lock_id()).collect();
 
-        // A wake set as sorted thread indices: the two engines' ids need not
-        // agree.
-        let woken = |wake: Vec<ThreadId>, tids: &[ThreadId]| {
-            let mut idx: Vec<usize> = wake
-                .iter()
-                .filter_map(|w| tids.iter().position(|t| t == w))
-                .collect();
-            idx.sort_unstable();
-            idx
-        };
         let mut rng = Rng::new(seed);
         let mut held: Vec<Vec<usize>> = vec![Vec::new(); THREADS];
         let mut owner: Vec<Option<usize>> = vec![None; LOCKS];
@@ -249,41 +228,21 @@ proptest! {
                         continue; // keep both engines off the reentrant path
                     }
                     let site = &sites[p];
-                    let d1 = rt.core().request(rt_tids[t], rt_locks[l], site.frames(), site.stack());
-                    let d2 = reference.request(ref_tids[t], ref_locks[l], site.frames(), site.stack());
-                    let (go1, go2) = (matches!(d1, Decision::Go), matches!(d2, Decision::Go));
-                    prop_assert_eq!(
-                        go1, go2,
-                        "decision divergence at step {} (seed {:016x}): sharded {:?} vs reference {:?}",
-                        step, seed, d1, d2
-                    );
+                    let d = ls.request(tids[t], locks[l], site.frames(), site.stack());
                     compared += 1;
-                    if go1 && owner[l].is_none() {
-                        rt.core().acquired(rt_tids[t], rt_locks[l], site.stack());
-                        reference.acquired(ref_tids[t], ref_locks[l], site.stack());
+                    if matches!(d, Decision::Go) && owner[l].is_none() {
+                        ls.acquired(tids[t], locks[l], site.stack());
                         owner[l] = Some(t);
                         held[t].push(l);
                     } else {
                         // Contended or yielded: try-lock semantics, back off.
-                        let w1 = woken(rt.core().cancel(rt_tids[t], rt_locks[l]), &rt_tids);
-                        let w2 = woken(reference.cancel(ref_tids[t], ref_locks[l]), &ref_tids);
-                        prop_assert_eq!(
-                            w1, w2,
-                            "cancel wake divergence at step {} (seed {:016x})",
-                            step, seed
-                        );
+                        ls.cancel(tids[t], locks[l]);
                     }
                 }
                 5 => {
                     let t = rng.below(THREADS as u64) as usize;
                     if let Some(l) = held[t].pop() {
-                        let w1 = woken(rt.core().release(rt_tids[t], rt_locks[l]), &rt_tids);
-                        let w2 = woken(reference.release(ref_tids[t], ref_locks[l]), &ref_tids);
-                        prop_assert_eq!(
-                            w1, w2,
-                            "release wake divergence at step {} (seed {:016x})",
-                            step, seed
-                        );
+                        ls.release(tids[t], locks[l]);
                         owner[l] = None;
                     }
                 }
@@ -302,6 +261,11 @@ proptest! {
                 }
                 _ => rt.step_monitor(), // chaos target: may die and restart
             }
+            prop_assert!(
+                ls.divergences().is_empty(),
+                "divergence at step {} (seed {:016x}): {:?}",
+                step, seed, ls.divergences()
+            );
         }
         let stats = rt.stats();
         prop_assert!(compared > 0);

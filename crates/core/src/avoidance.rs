@@ -611,9 +611,10 @@ struct Waiter {
 struct AllowedLog {
     /// The thread's **held-lock stack**: one [`Held`] per granted request or
     /// reentrant nesting level, in grant order. A grant pushes; a release or
-    /// cancel removes the *last* entry for its lock (searched from the top,
-    /// so LIFO unlocks cost one comparison and out-of-order unlocks stay
-    /// correct). Capacity is retained, so a warm pair allocates nothing.
+    /// a granted request's cancel removes the *last* entry for its lock
+    /// (searched from the top, so LIFO unlocks cost one comparison and
+    /// out-of-order unlocks stay correct). Capacity is retained, so a warm
+    /// pair allocates nothing.
     entries: Vec<Held>,
     /// Yielders registered against this thread as a cause, pushed in this
     /// log's critical section only while an entry for their lock is in it,
@@ -1359,17 +1360,21 @@ impl AvoidanceCore {
 
     /// The `cancel` hook (§6): rolls back a granted-or-pending request after
     /// a try/timed lock gave up. A grant that was never published is
-    /// withdrawn with it: the monitor hears of the cancel alone. Returns the
-    /// threads whose yields were caused by the entry it popped, as
-    /// [`Self::release`] does; the caller wakes them.
+    /// withdrawn with it: the monitor hears of the cancel alone. After a GO
+    /// it pops the request's entry and returns the threads whose yields
+    /// that entry caused, as [`Self::release`] does; the caller wakes them.
+    /// After a YIELD (the thread is still yielding) it only retracts the
+    /// yield: the request pushed no entry, and the innermost `(t, l)` entry
+    /// is a hold of `l` the thread keeps.
     pub fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let me = self.me(t);
         let (grant, _) = self.take_grant(me, t, l);
         let mut wake = Vec::new();
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            wake = self.pop_entry(me, t, l);
             if me.yielding.load(Ordering::Relaxed) {
                 me.remove_yielding();
+            } else {
+                wake = self.pop_entry(me, t, l);
             }
         }
         me.clear_yield_state();

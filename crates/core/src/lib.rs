@@ -56,7 +56,7 @@
 //!   synthesizes `predicted`-provenance vaccines before the first
 //!   manifestation.
 //! * [`reference::ReferenceCore`] — the preserved pre-refactor single-lock
-//!   engine, used by the differential tests and the `hot_path` bench.
+//!   engine, the oracle `dimmunix_threadsim::Lockstep` compares it with.
 //! * [`context`] + [`frame!`] — the per-thread call-flow frames that give
 //!   signatures their shape.
 

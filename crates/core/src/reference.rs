@@ -5,20 +5,20 @@
 //! event lanes), every
 //! `request`/`acquired`/`release` from every thread serialized through one
 //! global critical section around a monolithic state. This module keeps
-//! that engine alive as an oracle: the **differential property test**
-//! (`tests/prop_differential.rs`), the chaos suite and the explorer's
-//! lockstep shadow replay schedules through both engines and assert
-//! byte-identical GO/YIELD decision streams — the sharding must be a pure
-//! performance refactor. The critical section is a plain mutex; the paper's
-//! Peterson-style guard (§5.6) is not reproduced, and nothing measures
-//! this engine's speed.
+//! that engine alive as an oracle, driven by one harness:
+//! `dimmunix_threadsim::Lockstep` replays every hook through both engines
+//! (for the simulator, the explorer, the differential property tests and
+//! the chaos storm) and compares decisions and wake sets at each hook —
+//! the sharding must be a pure performance refactor. The critical section
+//! is a plain mutex; the paper's Peterson-style guard (§5.6) is not
+//! reproduced, and nothing measures this engine's speed.
 //!
 //! The oracle matches the way the paper does (§5.6): every `request` walks
 //! the history and compares the call stack with each member stack at the
-//! signature's depth. It shares **no matching code** with the sharded
-//! engine — no candidate index, no bucket layout, no emptiness precheck —
-//! so every lockstep run compares the engine's index against the walk it
-//! replaces.
+//! signature's depth, and every cover walks the `Allowed` entries. It
+//! shares **no matching code** with the sharded engine — no candidate
+//! index, no buckets, no emptiness precheck — so every lockstep run
+//! compares the engine's index and buckets against the walks they replace.
 //!
 //! # Candidate order
 //!
@@ -31,8 +31,8 @@
 //! order); the oracle from a stable sort of the history snapshot by depth.
 //!
 //! It decides and nothing else: it publishes no events, keeps no owner map
-//! and builds no yield report — what the lockstep harnesses compare is the
-//! decision, the signature yielded on, the yield causes and the wake sets.
+//! and builds no yield report — what `Lockstep` compares is the decision,
+//! the signature yielded on and the wake sets.
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
@@ -40,28 +40,17 @@ use crate::avoidance::Decision;
 use crate::config::{Config, RuntimeMode, MAX_THREADS};
 use dimmunix_lockfree::SlotAllocator;
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
-use dimmunix_signature::{
-    suffix_matches, suffix_of, FrameId, History, Signature, StackId, StackTable,
-};
+use dimmunix_signature::{suffix_matches, FrameId, History, Signature, StackId, StackTable};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct AllowedEntry {
-    t: ThreadId,
-    l: LockId,
-    stack: StackId,
-}
-
-/// The monolithic state — master `Allowed` multiset, suffix buckets and
-/// yielding set all behind one mutex.
+/// The monolithic state — the `Allowed` multiset (each thread's stacks per
+/// lock, in grant order) and the yielding set — behind one mutex.
+#[derive(Default)]
 struct RefState {
     entries: HashMap<(ThreadId, LockId), Vec<StackId>>,
-    buckets: HashMap<u8, HashMap<Box<[FrameId]>, Vec<AllowedEntry>>>,
-    depths: Vec<u8>,
     yielding: HashMap<ThreadId, Vec<YieldCause>>,
-    built_gen: u64,
 }
 
 /// The single-lock engine (see module docs). One mutex, no fast path.
@@ -77,13 +66,7 @@ impl ReferenceCore {
     /// Creates the engine over a (possibly shared) history and stack table.
     pub fn new(config: Config, history: Arc<History>, stacks: Arc<StackTable>) -> Self {
         Self {
-            state: Mutex::new(RefState {
-                entries: HashMap::new(),
-                buckets: HashMap::new(),
-                depths: Vec::new(),
-                yielding: HashMap::new(),
-                built_gen: u64::MAX,
-            }),
+            state: Mutex::default(),
             slot_alloc: SlotAllocator::new(MAX_THREADS),
             history,
             stacks,
@@ -97,40 +80,33 @@ impl ReferenceCore {
         Some(ThreadId(slot as u64))
     }
 
-    /// Deregisters `t`.
-    pub fn unregister_thread(&self, t: ThreadId) {
-        {
+    /// Deregisters `t`, dropping its entries and its yield. Returns the
+    /// yielders with a cause on `t`: their release will never come.
+    pub fn unregister_thread(&self, t: ThreadId) -> Vec<ThreadId> {
+        let wake = {
             let state = &mut *self.state.lock();
             state.yielding.remove(&t);
-            let stale: Vec<(ThreadId, LockId)> = state
-                .entries
-                .keys()
-                .filter(|&&(et, _)| et == t)
-                .copied()
-                .collect();
-            for key in stale {
-                while Self::remove_entry_inner(&self.stacks, state, key.0, key.1).is_some() {}
-            }
-        }
+            state.entries.retain(|&(et, _), _| et != t);
+            Self::take_caused_by(state, |c| c.thread == t)
+        };
         self.slot_alloc.release(t.0 as usize);
+        wake
     }
 
     /// The pre-refactor `request` hook: one global critical section per
-    /// call, inline rebuild on history-generation change. Yields are always
-    /// enforced (the differential/bench harnesses run the default
-    /// configuration).
+    /// call. Yields are always enforced (the lockstep harnesses run the
+    /// default configuration).
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
         let full = self.config.mode == RuntimeMode::Full;
         let state = &mut *self.state.lock();
-        self.refresh(state);
-        let instance = if full && !state.depths.is_empty() {
+        let instance = if full {
             self.find_instance(state, t, l, frames)
         } else {
             None
         };
         match instance {
             None => {
-                Self::add_entry(state, t, l, frames, stack);
+                state.entries.entry((t, l)).or_default().push(stack);
                 state.yielding.remove(&t);
                 Decision::Go
             }
@@ -141,135 +117,63 @@ impl ReferenceCore {
         }
     }
 
-    /// The `acquired` hook: a no-op. The GO already entered the `Allowed`
-    /// entry, and no decision reads who owns a lock. Kept so lockstep
-    /// harnesses drive both engines through the same hooks.
-    pub fn acquired(&self, _t: ThreadId, _l: LockId, _stack: StackId) {}
-
-    /// Reentrant re-acquisition: records the nesting level's entry.
-    pub fn acquired_reentrant(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        let state = &mut *self.state.lock();
-        self.refresh(state);
-        Self::add_entry(state, t, l, frames, stack);
-    }
-
     /// The pre-refactor `release` hook: linear scan over all yielders'
     /// causes inside the global critical section.
     pub fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let state = &mut *self.state.lock();
-        Self::remove_entry_inner(&self.stacks, state, t, l);
-        Self::caused_by(state, t, l)
+        Self::pop_entry(state, t, l);
+        Self::take_caused_by(state, |c| c.thread == t && c.lock == l)
     }
 
-    /// The yielders with a cause `(t, l)`.
-    fn caused_by(state: &RefState, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        state
-            .yielding
-            .iter()
-            .filter(|(_, causes)| causes.iter().any(|c| c.thread == t && c.lock == l))
-            .map(|(&yt, _)| yt)
-            .collect()
+    /// The yielders with a cause that `hit` selects, each such cause taken
+    /// from its yielder: a cause wakes its yielder once, as a registration
+    /// with the cause does in the sharded engine. The yielder stays
+    /// yielding until it retries.
+    fn take_caused_by(state: &mut RefState, hit: impl Fn(&YieldCause) -> bool) -> Vec<ThreadId> {
+        let mut wake = Vec::new();
+        for (&yt, causes) in &mut state.yielding {
+            let before = causes.len();
+            causes.retain(|c| !hit(c));
+            if causes.len() != before {
+                wake.push(yt);
+            }
+        }
+        wake
     }
 
     /// The pre-refactor equivalent of the sharded engine's `force_go`:
     /// grants the request without consulting the history (used when a yield
     /// is broken by the monitor or times out, §3). Records the `Allowed`
     /// entry and clears the yielding registration — the sharded path's
-    /// bookkeeping, so lockstep shadows can follow starvation-break and
+    /// bookkeeping, so lockstep runs can follow starvation-break and
     /// timeout schedules.
-    pub fn force_go(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
+    pub fn force_go(&self, t: ThreadId, l: LockId, stack: StackId) {
         let state = &mut *self.state.lock();
-        self.refresh(state);
-        Self::add_entry(state, t, l, frames, stack);
+        state.entries.entry((t, l)).or_default().push(stack);
         state.yielding.remove(&t);
     }
 
-    /// The pre-refactor `cancel` hook. Returns what `release` would: the
-    /// yielders with a cause `(t, l)`.
+    /// The pre-refactor `cancel` hook. After a YIELD it only retracts the
+    /// yield: the request pushed no entry, so nothing is popped and nobody
+    /// woken. After a GO it pops the entry and returns what `release`
+    /// would: the yielders with a cause `(t, l)`.
     pub fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let state = &mut *self.state.lock();
-        Self::remove_entry_inner(&self.stacks, state, t, l);
-        state.yielding.remove(&t);
-        Self::caused_by(state, t, l)
+        if state.yielding.remove(&t).is_some() {
+            return Vec::new();
+        }
+        Self::pop_entry(state, t, l);
+        Self::take_caused_by(state, |c| c.thread == t && c.lock == l)
     }
 
-    fn refresh(&self, state: &mut RefState) {
-        let gen = self.history.generation();
-        if state.built_gen == gen {
-            return;
-        }
-        let snapshot = self.history.snapshot();
-        let mut depths: Vec<u8> = snapshot
-            .iter()
-            .filter(|s| !s.is_disabled())
-            .map(|s| s.depth())
-            .collect();
-        depths.sort_unstable();
-        depths.dedup();
-        state.depths = depths;
-        state.buckets.clear();
-        // Deterministic rebuild order (sorted by thread, lock) so yield
-        // causes don't depend on hash-map iteration order — must match the
-        // sharded engine's slot-order sweep.
-        let mut keys: Vec<(ThreadId, LockId)> = state.entries.keys().copied().collect();
-        keys.sort_unstable_by_key(|&(t, l)| (t, l));
-        let entries: Vec<AllowedEntry> = keys
-            .into_iter()
-            .flat_map(|(t, l)| {
-                state.entries[&(t, l)]
-                    .iter()
-                    .map(move |&stack| AllowedEntry { t, l, stack })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for e in entries {
-            let frames = self.stacks.resolve(e.stack);
-            Self::bucket_insert(state, &frames, e);
-        }
-        state.built_gen = gen;
-    }
-
-    fn bucket_insert(state: &mut RefState, frames: &[FrameId], e: AllowedEntry) {
-        for &d in &state.depths {
-            let suffix = suffix_of(frames, d as usize);
-            let per_depth = state.buckets.entry(d).or_default();
-            if let Some(v) = per_depth.get_mut(suffix) {
-                v.push(e);
-            } else {
-                per_depth.insert(suffix.into(), vec![e]);
+    /// Pops the innermost entry for `(t, l)`, if there is one.
+    fn pop_entry(state: &mut RefState, t: ThreadId, l: LockId) {
+        if let Some(stacks) = state.entries.get_mut(&(t, l)) {
+            stacks.pop();
+            if stacks.is_empty() {
+                state.entries.remove(&(t, l));
             }
         }
-    }
-
-    fn add_entry(state: &mut RefState, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) {
-        state.entries.entry((t, l)).or_default().push(stack);
-        Self::bucket_insert(state, frames, AllowedEntry { t, l, stack });
-    }
-
-    fn remove_entry_inner(
-        stacks: &StackTable,
-        state: &mut RefState,
-        t: ThreadId,
-        l: LockId,
-    ) -> Option<StackId> {
-        let vec = state.entries.get_mut(&(t, l))?;
-        let stack = vec.pop()?;
-        if vec.is_empty() {
-            state.entries.remove(&(t, l));
-        }
-        let frames = stacks.resolve(stack);
-        let entry = AllowedEntry { t, l, stack };
-        for &d in &state.depths {
-            let suffix = suffix_of(&frames, d as usize);
-            if let Some(per_depth) = state.buckets.get_mut(&d) {
-                if let Some(v) = per_depth.get_mut(suffix) {
-                    if let Some(pos) = v.iter().position(|e| *e == entry) {
-                        v.swap_remove(pos);
-                    }
-                }
-            }
-        }
-        Some(stack)
     }
 
     /// The first signature, in the module docs' candidate order, whose
@@ -325,28 +229,34 @@ impl ReferenceCore {
             return true;
         };
         let mframes = self.stacks.resolve(sig.stacks[member]);
-        let suffix = suffix_of(&mframes, d as usize);
-        let Some(candidates) = state.buckets.get(&d).and_then(|m| m.get(suffix)) else {
-            return false;
-        };
         // Canonical cover order: the sharded engine sorts every bucket
         // snapshot by `(thread, lock, stack)` at cover time (its storage
-        // order differs between extended and freshly built tables),
-        // so the reference must search in the same order for the
-        // differential decision streams to stay byte-identical.
-        let mut candidates: Vec<AllowedEntry> = candidates.clone();
-        candidates.sort_unstable_by_key(|e| (e.t.0, e.l.0, e.stack.0));
-        for e in &candidates {
-            let distinct =
-                e.t != t && e.l != l && chosen.iter().all(|c| c.thread != e.t && c.lock != e.l);
+        // order differs between extended and freshly built tables), so the
+        // walk must try the entries in the same order for the decision
+        // streams to stay byte-identical.
+        let mut candidates: Vec<YieldCause> = state
+            .entries
+            .iter()
+            .flat_map(|(&(thread, lock), stacks)| {
+                stacks.iter().map(move |&stack| YieldCause {
+                    thread,
+                    lock,
+                    stack,
+                })
+            })
+            .filter(|e| suffix_matches(&self.stacks.resolve(e.stack), &mframes, d.into()))
+            .collect();
+        candidates.sort_unstable_by_key(|e| (e.thread.0, e.lock.0, e.stack.0));
+        for &e in &candidates {
+            let distinct = e.thread != t
+                && e.lock != l
+                && chosen
+                    .iter()
+                    .all(|c| c.thread != e.thread && c.lock != e.lock);
             if !distinct {
                 continue;
             }
-            chosen.push(YieldCause {
-                thread: e.t,
-                lock: e.l,
-                stack: e.stack,
-            });
+            chosen.push(e);
             if self.cover_rec(state, sig, d, rest, t, l, chosen) {
                 return true;
             }

@@ -373,6 +373,7 @@ fn op_token(op: &dimmunix_threadsim::Op, nlocks: usize) -> String {
         Op::TryLock(l, site) => lock_tok("try", l, site),
         Op::Unlock(l) => format!("unlock:{}", l.0),
         Op::UnlockIfHeld(l) => format!("unlockif:{}", l.0),
+        Op::UnlockInnermost => "unlocktop".to_string(),
         Op::Compute(n) => format!("compute:{n}"),
         Op::Call(name) => {
             assert!(token_ok(name), "bad call name {name:?}");
@@ -384,8 +385,10 @@ fn op_token(op: &dimmunix_threadsim::Op, nlocks: usize) -> String {
 
 fn parse_op(script: Script, tok: &str, nlocks: usize) -> Result<Script, String> {
     use dimmunix_threadsim::LockHandle;
-    if tok == "ret" {
-        return Ok(script.ret());
+    match tok {
+        "ret" => return Ok(script.ret()),
+        "unlocktop" => return Ok(script.unlock_innermost()),
+        _ => {}
     }
     let (kw, operand) = tok
         .split_once(':')

@@ -61,8 +61,9 @@ pub struct ExploreConfig {
     /// explored, so under [`Pruning::Dpor`] a bitten bound can hide
     /// additional traces beyond the ones it excludes directly.
     pub preemption_bound: Option<u32>,
-    /// Run every schedule in lockstep against the
-    /// [`ReferenceCore`](dimmunix_core::ReferenceCore) shadow.
+    /// Run every schedule through a [`Lockstep`](dimmunix_threadsim::Lockstep)
+    /// that compares the engine with
+    /// [`ReferenceCore`](dimmunix_core::ReferenceCore) at every hook.
     pub shadow: bool,
 }
 

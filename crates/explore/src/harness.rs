@@ -1,10 +1,12 @@
 //! The invariant harness: the full verify pipeline for one scenario.
 //!
 //! 1. **Buggy pass** — explore the scenario over fresh empty-history
-//!    runtimes (avoidance never fires), with the
-//!    [`ReferenceCore`](dimmunix_core::ReferenceCore) shadow comparing
-//!    every engine decision and the park/wake accounting checking for
-//!    lost wakeups on every completed schedule.
+//!    runtimes (avoidance never fires), with the simulator's
+//!    [`Lockstep`](dimmunix_threadsim::Lockstep) comparing the engine with
+//!    [`ReferenceCore`](dimmunix_core::ReferenceCore) at every hook
+//!    (decision, signature, and the wake sets of release, cancel and exit)
+//!    and the park/wake accounting checking for lost wakeups on every
+//!    completed schedule.
 //! 2. **Vaccination** — replay the first mined deadlock strictly on a
 //!    throwaway runtime so the monitor captures its signature, then save
 //!    the history to a temp file ([`mine_vaccine`]).

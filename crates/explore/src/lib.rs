@@ -87,12 +87,15 @@
 //! ```text
 //! Scenario ──▶ explore (DPOR, avoidance off) ──▶ deadlock schedules
 //!                   │                                  │
-//!                   │ lockstep vs ReferenceCore        ▼
+//!                   │ Lockstep vs ReferenceCore        ▼
 //!                   │ no-lost-wakeup accounting    minimize ──▶ corpus
 //!                   ▼                                  │       fixture
 //!              violations == ∅                         ▼
 //!              Scenario ──▶ explore (vaccinated) ──▶ must complete
 //! ```
+//!
+//! Lockstep is [`dimmunix_threadsim::Lockstep`], in each schedule's `Sim`:
+//! decision, signature and the wake sets of release, cancel and exit.
 //!
 //! [`harness::verify_scenario`] runs the full pipeline; [`corpus`] gives
 //! the fixtures a versioned on-disk format so refactors of the engine are

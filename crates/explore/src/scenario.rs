@@ -69,9 +69,9 @@ impl Scenario {
     /// in declaration order (so [`LockHandle`]s in the scripts resolve to
     /// the right locks), then threads are spawned in declaration order.
     ///
-    /// With `shadow` set, a [`ReferenceCore`](dimmunix_core::ReferenceCore)
-    /// shadow is attached before spawning so every engine decision is
-    /// checked in lockstep.
+    /// With `shadow` set, the sim's [`Lockstep`](dimmunix_threadsim::Lockstep)
+    /// gets its [`ReferenceCore`](dimmunix_core::ReferenceCore) before
+    /// spawning, so every hook is checked against it.
     pub fn instantiate(&self, rt: &Runtime, config: SimConfig, shadow: bool) -> Sim {
         let mut sim = Sim::with_config(rt, 0, config);
         if shadow {

@@ -40,11 +40,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod explore;
+pub mod lockstep;
 pub mod sched;
 pub mod script;
 pub mod sim;
 
 pub use explore::{explore, ExploreReport};
+pub use lockstep::Lockstep;
 pub use sched::{RandomScheduler, ReplayScheduler, SchedulePoint, Scheduler, StepClass};
 pub use script::{Op, Script};
 pub use sim::{LockHandle, Outcome, RunReport, Sim, SimConfig, WaitEdge};

@@ -22,6 +22,9 @@ pub enum Op {
     /// Release only if this thread currently holds the lock — the natural
     /// companion of [`Op::TryLock`] fallback paths.
     UnlockIfHeld(LockHandle),
+    /// Release of the most recently acquired lock still held; nothing when
+    /// the thread holds none.
+    UnlockInnermost,
     /// Non-blocking acquisition; on failure (contention or yield decision)
     /// execution simply continues — like taking the fallback path after
     /// `pthread_mutex_trylock` fails.
@@ -77,6 +80,13 @@ impl Script {
     /// Appends a conditional unlock (no-op when not held).
     pub fn unlock_if_held(mut self, l: LockHandle) -> Self {
         self.ops.push(Op::UnlockIfHeld(l));
+        self
+    }
+
+    /// Appends a release of the most recently acquired lock (no-op when
+    /// none is held).
+    pub fn unlock_innermost(mut self) -> Self {
+        self.ops.push(Op::UnlockInnermost);
         self
     }
 

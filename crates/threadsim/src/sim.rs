@@ -1,9 +1,10 @@
 //! The cooperative scheduler.
 
+use crate::lockstep::Lockstep;
 use crate::sched::{RandomScheduler, SchedulePoint, Scheduler, StepClass};
 use crate::script::{Op, Script};
 use dimmunix_core::ThreadId;
-use dimmunix_core::{Decision, ReferenceCore, Runtime, Signature, StatsSnapshot};
+use dimmunix_core::{Decision, Runtime, Signature, StatsSnapshot};
 use dimmunix_signature::{FrameId, StackId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,7 +100,7 @@ pub struct RunReport {
     /// parked in an avoidance yield.
     pub parks: u64,
     /// Times a parked thread was made runnable again: a FIFO lock
-    /// hand-off, a yield-cause release, or a monitor starvation break.
+    /// hand-off, or a yield cause's release or cancel.
     /// On a completed run, `parks == wakes + yield_aborts` — every park
     /// was resolved by a wake or a timeout, none was lost.
     pub wakes: u64,
@@ -130,7 +131,8 @@ struct VThread {
     /// Interned frames of the current call scopes (outermost first).
     frames: Vec<FrameId>,
     state: VState,
-    /// Set when a `release` wake or monitor break makes a yielder eligible.
+    /// Set when a `release` or `cancel` wake makes a yielder eligible. A
+    /// yield the monitor broke resumes at its timeout (`take_broken`).
     woken: bool,
     yield_since: u64,
     yield_sig: Option<Arc<Signature>>,
@@ -146,22 +148,6 @@ struct SimLock {
     waiters: VecDeque<usize>,
 }
 
-/// A lockstep shadow: the preserved single-lock [`ReferenceCore`] driven
-/// through the same hook sequence as the production sharded engine, with
-/// every GO/YIELD decision and wake set compared on the spot.
-struct Shadow {
-    core: ReferenceCore,
-    /// Shadow thread ids, parallel to `Sim::threads`.
-    tids: Vec<ThreadId>,
-    /// Human-readable divergence reports (empty = byte-identical streams).
-    divergences: Vec<String>,
-    /// Whether shadow tids numerically equal the runtime tids. Cover
-    /// *choice* (which instance binds) is order-sensitive in tid space, so
-    /// wake sets are only comparable when the numbering lines up; GO/YIELD
-    /// decisions are order-insensitive and always compared.
-    aligned: bool,
-}
-
 /// A deterministic simulation of virtual threads over one Dimmunix runtime.
 ///
 /// The runtime (and hence the history — the immune memory) is shared across
@@ -173,6 +159,7 @@ struct Shadow {
 /// hook publishes onto that lane, and the embedded monitor steps drain the
 /// lanes in slot order — so the simulator exercises the same sharded
 /// request path (and the same lane-ordering rules) as real OS threads.
+/// Every hook goes through the sim's [`Lockstep`].
 pub struct Sim {
     rt: Runtime,
     config: SimConfig,
@@ -181,7 +168,7 @@ pub struct Sim {
     threads: Vec<VThread>,
     time: u64,
     start_stats: StatsSnapshot,
-    shadow: Option<Shadow>,
+    lockstep: Lockstep,
     parks: u64,
     wakes: u64,
 }
@@ -202,42 +189,28 @@ impl Sim {
             threads: Vec::new(),
             time: 0,
             start_stats: rt.stats(),
-            shadow: None,
+            lockstep: Lockstep::new(rt),
             parks: 0,
             wakes: 0,
         }
     }
 
-    /// Attaches a lockstep [`ReferenceCore`] shadow sharing this runtime's
-    /// history and stack table. Every subsequent hook is mirrored into the
-    /// shadow and its GO/YIELD decision compared on the spot; divergences
-    /// accumulate in [`Sim::shadow_divergences`]. Must be called before
-    /// [`Sim::spawn`] so both engines see identical registration order.
+    /// Attaches the reference engine to the sim's [`Lockstep`]: every later
+    /// hook is compared on the spot, and divergences accumulate in
+    /// [`Sim::shadow_divergences`]. Must be called before [`Sim::spawn`] so
+    /// both engines see every registration.
     ///
     /// # Panics
     ///
     /// Panics if threads were already spawned.
     pub fn attach_shadow(&mut self) {
-        assert!(
-            self.threads.is_empty(),
-            "attach_shadow must be called before spawn()"
-        );
-        self.shadow = Some(Shadow {
-            core: ReferenceCore::new(
-                self.rt.config().clone(),
-                Arc::clone(self.rt.history()),
-                Arc::clone(self.rt.stack_table()),
-            ),
-            tids: Vec::new(),
-            divergences: Vec::new(),
-            aligned: true,
-        });
+        self.lockstep.attach_reference();
     }
 
-    /// Divergence reports from the lockstep shadow (empty when no shadow
-    /// is attached, or when the decision streams matched byte for byte).
+    /// The [`Lockstep`] divergence reports (empty without a reference, or
+    /// while the engines agree).
     pub fn shadow_divergences(&self) -> &[String] {
-        self.shadow.as_ref().map_or(&[], |s| &s.divergences)
+        self.lockstep.divergences()
     }
 
     /// Declares a simulated lock.
@@ -258,19 +231,7 @@ impl Sim {
     ///
     /// Panics if [`dimmunix_core::config::MAX_THREADS`] threads are registered.
     pub fn spawn(&mut self, name: &'static str, script: Script) {
-        let tid = self
-            .rt
-            .core()
-            .register_thread()
-            .expect("simulator thread registration failed: MAX_THREADS threads are registered");
-        if let Some(sh) = &mut self.shadow {
-            let stid = sh
-                .core
-                .register_thread()
-                .expect("shadow thread registration failed");
-            sh.aligned &= stid == tid;
-            sh.tids.push(stid);
-        }
+        let tid = self.lockstep.register(name);
         self.threads.push(VThread {
             name,
             tid,
@@ -308,10 +269,7 @@ impl Sim {
         let tid = self.threads[v].tid;
         let lid = self.locks[lock].id;
         self.locks[lock].owner = Some(v);
-        self.rt.core().acquired(tid, lid, stack);
-        if let Some(sh) = &mut self.shadow {
-            sh.core.acquired(sh.tids[v], lid, stack);
-        }
+        self.lockstep.acquired(tid, lid, stack);
         self.threads[v].held.push(lock);
         self.threads[v].state = VState::Ready;
         self.threads[v].pc += 1;
@@ -324,9 +282,9 @@ impl Sim {
         } else {
             // The one place a simulated thread blocks inside a mutex: its
             // allow edge is published first, as `dimmunix_core`'s lock
-            // types do. (The shadow publishes its `Go` at the request.)
+            // types do.
             let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
-            self.rt.core().waiting(tid, lid, stack);
+            self.lockstep.waiting(tid, lid, stack);
             self.locks[lock].waiters.push_back(v);
             self.threads[v].state = VState::Blocked(lock);
             self.threads[v].pending = Some((Vec::new(), stack));
@@ -334,70 +292,48 @@ impl Sim {
         }
     }
 
-    /// Mirrors a `request` into the shadow and compares the decision.
-    fn shadow_request(
-        &mut self,
-        v: usize,
-        lock: usize,
-        frames: &[FrameId],
-        stack: StackId,
-        primary_go: bool,
-    ) {
-        let lid = self.locks[lock].id;
-        let Some(sh) = &mut self.shadow else { return };
-        let d = sh.core.request(sh.tids[v], lid, frames, stack);
-        let shadow_go = matches!(d, Decision::Go);
-        if shadow_go != primary_go {
-            sh.divergences.push(format!(
-                "decision divergence: thread {} requesting {}: sharded {} vs reference {}",
-                self.threads[v].name,
-                self.locks[lock].name,
-                if primary_go { "GO" } else { "YIELD" },
-                if shadow_go { "GO" } else { "YIELD" },
-            ));
-        }
-    }
-
-    /// Mirrors a `force_go` into the shadow (broken or timed-out yield).
-    fn shadow_force_go(&mut self, v: usize, lock: usize, frames: &[FrameId], stack: StackId) {
-        let lid = self.locks[lock].id;
-        if let Some(sh) = &mut self.shadow {
-            sh.core.force_go(sh.tids[v], lid, frames, stack);
-        }
-    }
-
-    /// Cancels thread `v`'s request of `lock` in both engines and wakes
-    /// the yielders the cancel hands back.
+    /// Cancels thread `v`'s request of `lock` and wakes the yielders the
+    /// cancel hands back.
     fn do_cancel(&mut self, v: usize, lock: usize) {
         let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
-        let wake = self.rt.core().cancel(tid, lid);
-        let shadow_wake = self
-            .shadow
-            .as_mut()
-            .map(|sh| sh.core.cancel(sh.tids[v], lid));
-        self.wake_yielders(v, lock, "cancelling", wake, shadow_wake);
+        let wake = self.lockstep.cancel(tid, lid);
+        self.wake_yielders(wake);
     }
 
-    /// Executes one scheduling slot for thread `v`. Returns `false` if the
-    /// thread could not make progress.
-    fn run_slot(&mut self, v: usize) {
+    /// Runs thread `v`'s ops up to and including one visible op (see
+    /// [`StepClass`]): the local ops before it, if any, then the lock
+    /// operation or the retry of a woken yield. A no-op when the thread is
+    /// blocked, done, or yielding and not woken. Never steps the monitor
+    /// and never advances time. Returns the decision of the request the
+    /// step made, if it made one.
+    pub fn step(&mut self, v: usize) -> Option<Decision> {
+        while self.eligible(v) {
+            let visible = matches!(self.step_class(v), StepClass::Visible(_));
+            let decision = self.run_slot(v);
+            if visible {
+                return decision;
+            }
+        }
+        None
+    }
+
+    /// Executes one scheduling slot for thread `v`: one op, or the resume
+    /// of its yield. Returns the decision of the request it made, if any.
+    fn run_slot(&mut self, v: usize) -> Option<Decision> {
         // Resume a yielding thread first.
         if let VState::Yielding(lock) = self.threads[v].state {
-            let tid = self.threads[v].tid;
+            let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
             let (frames, stack) = self.threads[v]
                 .pending
                 .clone()
                 .expect("yielding thread has a pending request");
             if self.rt.core().take_broken(tid) {
                 // Monitor broke the starvation: pursue the lock directly.
-                self.rt
-                    .core()
-                    .force_go(tid, self.locks[lock].id, &frames, stack);
-                self.shadow_force_go(v, lock, &frames, stack);
+                self.lockstep.force_go(tid, lid, &frames, stack);
                 self.threads[v].yield_sig = None;
                 self.threads[v].woken = false;
                 self.attempt_acquire(v, lock, stack);
-                return;
+                return None;
             }
             let timed_out = self
                 .config
@@ -407,41 +343,33 @@ impl Sim {
                 if let Some(sig) = self.threads[v].yield_sig.take() {
                     crate::sim::record_abort(&self.rt, &sig);
                 }
-                self.rt
-                    .core()
-                    .force_go(tid, self.locks[lock].id, &frames, stack);
-                self.shadow_force_go(v, lock, &frames, stack);
+                self.lockstep.force_go(tid, lid, &frames, stack);
                 self.threads[v].woken = false;
                 self.attempt_acquire(v, lock, stack);
-                return;
+                return None;
             }
             if !self.threads[v].woken {
-                return;
+                return None;
             }
             self.threads[v].woken = false;
-            match self
-                .rt
-                .core()
-                .request(tid, self.locks[lock].id, &frames, stack)
-            {
+            let decision = self.lockstep.request(tid, lid, &frames, stack);
+            match &decision {
                 Decision::Go => {
-                    self.shadow_request(v, lock, &frames, stack, true);
                     self.threads[v].yield_sig = None;
                     self.attempt_acquire(v, lock, stack);
                 }
                 Decision::Yield { sig } => {
-                    self.shadow_request(v, lock, &frames, stack, false);
-                    self.threads[v].yield_sig = Some(sig);
+                    self.threads[v].yield_sig = Some(Arc::clone(sig));
                     self.threads[v].yield_since = self.time;
                     self.parks += 1;
                 }
             }
-            return;
+            return Some(decision);
         }
 
         let Some(&op) = self.threads[v].ops.get(self.threads[v].pc) else {
             self.finish_thread(v);
-            return;
+            return None;
         };
         match op {
             Op::Call(name) => {
@@ -459,70 +387,54 @@ impl Sim {
             }
             Op::Lock(LockHandle(lock), site) => {
                 let (frames, stack) = self.lock_stack(v, site);
-                let tid = self.threads[v].tid;
-                match self
-                    .rt
-                    .core()
-                    .request(tid, self.locks[lock].id, &frames, stack)
-                {
-                    Decision::Go => {
-                        self.shadow_request(v, lock, &frames, stack, true);
-                        self.attempt_acquire(v, lock, stack);
-                    }
+                let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
+                let decision = self.lockstep.request(tid, lid, &frames, stack);
+                match &decision {
+                    Decision::Go => self.attempt_acquire(v, lock, stack),
                     Decision::Yield { sig } => {
-                        self.shadow_request(v, lock, &frames, stack, false);
                         self.threads[v].state = VState::Yielding(lock);
-                        self.threads[v].yield_sig = Some(sig);
+                        self.threads[v].yield_sig = Some(Arc::clone(sig));
                         self.threads[v].yield_since = self.time;
                         self.threads[v].woken = false;
                         self.threads[v].pending = Some((frames, stack));
                         self.parks += 1;
                     }
                 }
+                return Some(decision);
             }
             Op::TryLock(LockHandle(lock), site) => {
                 let (frames, stack) = self.lock_stack(v, site);
-                let tid = self.threads[v].tid;
-                match self
-                    .rt
-                    .core()
-                    .request(tid, self.locks[lock].id, &frames, stack)
-                {
-                    Decision::Go => {
-                        self.shadow_request(v, lock, &frames, stack, true);
-                        if self.locks[lock].owner.is_none() {
-                            self.grant(v, lock, stack);
-                            return;
-                        }
-                        self.do_cancel(v, lock);
-                    }
-                    Decision::Yield { .. } => {
-                        self.shadow_request(v, lock, &frames, stack, false);
-                        self.do_cancel(v, lock);
-                    }
+                let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
+                let decision = self.lockstep.request(tid, lid, &frames, stack);
+                if matches!(decision, Decision::Go) && self.locks[lock].owner.is_none() {
+                    self.grant(v, lock, stack);
+                } else {
+                    self.do_cancel(v, lock);
+                    self.threads[v].pc += 1;
                 }
-                self.threads[v].pc += 1;
+                return Some(decision);
             }
             Op::UnlockIfHeld(LockHandle(lock)) => {
-                if !self.threads[v].held.contains(&lock) {
+                if self.threads[v].held.contains(&lock) {
+                    self.do_unlock(v, lock);
+                } else {
                     self.threads[v].pc += 1;
-                    return;
                 }
-                self.do_unlock(v, lock);
             }
+            Op::UnlockInnermost => match self.threads[v].held.last() {
+                Some(&lock) => self.do_unlock(v, lock),
+                None => self.threads[v].pc += 1,
+            },
             Op::Unlock(LockHandle(lock)) => {
                 self.do_unlock(v, lock);
             }
         }
+        None
     }
 
     fn do_unlock(&mut self, v: usize, lock: usize) {
         let (tid, lid) = (self.threads[v].tid, self.locks[lock].id);
-        let wake = self.rt.core().release(tid, lid);
-        let shadow_wake = self
-            .shadow
-            .as_mut()
-            .map(|sh| sh.core.release(sh.tids[v], lid));
+        let wake = self.lockstep.release(tid, lid);
         if let Some(pos) = self.threads[v].held.iter().rposition(|&h| h == lock) {
             self.threads[v].held.remove(pos);
         }
@@ -537,44 +449,12 @@ impl Sim {
             self.wakes += 1;
             self.grant(next, lock, stack);
         }
-        self.wake_yielders(v, lock, "releasing", wake, shadow_wake);
+        self.wake_yielders(wake);
         self.threads[v].pc += 1;
     }
 
-    /// Wakes the yielding threads whose cause was `(v, lock)`: `wake`, what
-    /// the engine's `release` or `cancel` (`what`) handed back. With a
-    /// shadow, first compares `wake` with the shadow's answer.
-    fn wake_yielders(
-        &mut self,
-        v: usize,
-        lock: usize,
-        what: &str,
-        wake: Vec<ThreadId>,
-        shadow_wake: Option<Vec<ThreadId>>,
-    ) {
-        if let (Some(sh), Some(shadow_wake)) = (&mut self.shadow, shadow_wake) {
-            if sh.aligned {
-                // Map both wake sets to thread indices and compare. Cover
-                // choice is tid-order-sensitive, so this is only meaningful
-                // when the two engines share the tid numbering.
-                let mut a: Vec<usize> = wake
-                    .iter()
-                    .filter_map(|w| self.threads.iter().position(|t| t.tid == *w))
-                    .collect();
-                let mut b: Vec<usize> = shadow_wake
-                    .iter()
-                    .filter_map(|w| sh.tids.iter().position(|t| t == w))
-                    .collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                if a != b {
-                    sh.divergences.push(format!(
-                        "wake divergence: {} {what} {}: sharded wakes {:?} vs reference {:?}",
-                        self.threads[v].name, self.locks[lock].name, a, b
-                    ));
-                }
-            }
-        }
+    /// Wakes the yielding threads a `release` or `cancel` handed back.
+    fn wake_yielders(&mut self, wake: Vec<ThreadId>) {
         for w in wake {
             if let Some(idx) = self.threads.iter().position(|t| t.tid == w) {
                 if !self.threads[idx].woken {
@@ -634,7 +514,6 @@ impl Sim {
             if self.time - last_monitor >= self.config.monitor_every {
                 last_monitor = self.time;
                 self.rt.step_monitor();
-                self.poll_breaks();
                 if self.config.stop_on_deadlock && self.deadlock_delta() > 0 {
                     break self.deadlock_outcome();
                 }
@@ -650,7 +529,6 @@ impl Sim {
                 // detect and break, then advance time to yield timeouts.
                 self.rt.step_monitor();
                 last_monitor = self.time;
-                self.poll_breaks();
                 if self.config.stop_on_deadlock && self.deadlock_delta() > 0 {
                     break self.deadlock_outcome();
                 }
@@ -736,6 +614,10 @@ impl Sim {
                     StepClass::Local
                 }
             }
+            Some(Op::UnlockInnermost) => t
+                .held
+                .last()
+                .map_or(StepClass::Local, |&l| StepClass::Visible(l)),
         }
     }
 
@@ -805,25 +687,6 @@ impl Sim {
             .collect()
     }
 
-    /// Marks yielders whose yield the monitor just broke as eligible.
-    fn poll_breaks(&mut self) {
-        for v in 0..self.threads.len() {
-            if matches!(self.threads[v].state, VState::Yielding(_))
-                && self.rt.core().is_yielding(self.threads[v].tid)
-            {
-                // Still yielding normally.
-                continue;
-            }
-            if matches!(self.threads[v].state, VState::Yielding(_)) {
-                // The monitor cleared the yield (break): schedule a resume.
-                if !self.threads[v].woken {
-                    self.wakes += 1;
-                }
-                self.threads[v].woken = true;
-            }
-        }
-    }
-
     fn deadlock_delta(&self) -> u64 {
         self.rt.stats().deadlocks_detected - self.start_stats.deadlocks_detected
     }
@@ -844,14 +707,17 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        if let Some(sh) = &self.shadow {
-            for &tid in &sh.tids {
-                sh.core.unregister_thread(tid);
-            }
-        }
+        // The exit sweeps: their wakes go to threads that are exiting too,
+        // and a divergence among them has no later reader, so it panics.
+        let before = self.lockstep.divergences().len();
         for t in &self.threads {
-            self.rt.core().unregister_thread(t.tid);
+            self.lockstep.unregister(t.tid);
         }
+        let at_exit = &self.lockstep.divergences()[before..];
+        assert!(
+            at_exit.is_empty() || std::thread::panicking(),
+            "lockstep divergence at thread exit: {at_exit:?}"
+        );
         // Let the monitor observe the exits so the RAG forgets this run.
         self.rt.step_monitor();
     }

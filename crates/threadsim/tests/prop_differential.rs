@@ -1,24 +1,23 @@
 //! Differential property test: the sharded request path must be a pure
 //! performance refactor.
 //!
-//! Random threadsim-style schedules (per-thread lock/unlock scripts
-//! interleaved by a generated slot sequence, with signatures injected
-//! mid-run so the history crosses the empty→non-empty transition) are
-//! replayed in lockstep through the sharded engine
+//! Random schedules (per-thread lock/unlock scripts interleaved by a
+//! generated slot sequence, with signatures injected mid-run so the history
+//! crosses the empty→non-empty transition) are replayed through a [`Sim`]
+//! whose [`Lockstep`] drives the sharded engine
 //! ([`dimmunix_core::AvoidanceCore`], via a `Runtime`) and the preserved
 //! pre-refactor single-lock engine ([`dimmunix_core::ReferenceCore`]). The
-//! decision streams — GO, or YIELD and on which signature — must be
-//! identical at every step. The sharded engine finds its candidates through
-//! the suffix index, the reference by walking the history, so every run
-//! here is also index against walk.
+//! decisions — GO, or YIELD and on which signature — and the wake sets must
+//! be identical at every hook. The sharded engine finds its candidates
+//! through the suffix index and its buckets, the reference by walking the
+//! history and the `Allowed` entries, so every run here is also index
+//! against walk.
 
 use dimmunix_core::{
-    Config, CycleKind, Decision, FrameId, LockId, ReferenceCore, Runtime, SigId, StackId,
-    StatsSnapshot, ThreadId, YieldCause,
+    Config, CycleKind, Decision, LockId, Runtime, StackId, StatsSnapshot, ThreadId, YieldCause,
 };
+use dimmunix_threadsim::{LockHandle, Lockstep, Script, Sim};
 use proptest::prelude::*;
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 const THREADS: usize = 4;
 const LOCKS: usize = 4;
@@ -29,11 +28,17 @@ const SITES: u8 = 6;
 /// two candidates at two depths, which is where candidate order shows. Only
 /// the shared-inner generator uses them.
 const TWINS: u8 = 2;
+/// The caller frame of each site: sites `0..SITES`, then their twins.
+const CALLERS: [&str; (SITES + TWINS) as usize] = [
+    "caller0", "caller1", "caller2", "caller3", "caller4", "caller5", "twin0", "twin1",
+];
+/// The innermost frame of each site, shared by a site and its twin.
+const INNER: [&str; SITES as usize] = ["inner0", "inner1", "inner2", "inner3", "inner4", "inner5"];
 
 /// One entry of the generated schedule.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Give thread `t` one scheduling slot.
+    /// Step thread `t` ([`Sim::step`]): its ops up to one lock operation.
     Run(u8),
     /// Add a deadlock signature over sites `i`/`j` at `depth` — the
     /// empty→non-empty history transition happens mid-schedule. Followed
@@ -42,8 +47,8 @@ enum Step {
     AddSig { i: u8, j: u8, depth: u8 },
     /// Add a deadlock signature *without* a structural touch: the bump is
     /// a pure append, so the sharded engine's next rebuild extends its
-    /// view (the reference always rebuilds from scratch — the two must
-    /// stay decision-identical).
+    /// view (the reference keeps no match state — the two must stay
+    /// decision-identical).
     AddSigDelta { i: u8, j: u8, depth: u8 },
 }
 
@@ -124,8 +129,8 @@ fn arb_hit_heavy_schedule<S: Strategy<Value = u8> + 'static>(
 /// traffic, so the sharded engine repeatedly extends its live match state
 /// (shared buckets, only the new keys' buckets filled) while requests race
 /// the bumps.
-/// The reference rebuilds fully on every bump; the decision streams must
-/// stay byte-identical.
+/// The reference walks the history afresh on every request; the decision
+/// streams must stay byte-identical.
 fn arb_delta_schedule() -> impl Strategy<Value = Vec<Step>> {
     let add = || {
         (0_u8..SITES, 0_u8..SITES, 1_u8..3).prop_map(|(i, j, depth)| Step::AddSigDelta {
@@ -232,211 +237,21 @@ fn arb_script() -> impl Strategy<Value = Vec<Action>> {
     )
 }
 
-/// The hook surface both engines expose. `request` answers `None` for GO
-/// and the signature yielded on otherwise.
-trait Hooks {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId>;
-    fn acquired(&self, t: ThreadId, l: LockId, stack: StackId);
-    fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId>;
-    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId>;
+/// Site `p` as script ops: its caller frame, the lock operation at its
+/// innermost frame, the return.
+fn at_site(s: Script, p: u8, op: impl FnOnce(Script, &'static str) -> Script) -> Script {
+    op(s.call(CALLERS[p as usize]), INNER[(p % SITES) as usize]).ret()
 }
 
-fn yielded_on(decision: Decision) -> Option<SigId> {
-    match decision {
-        Decision::Go => None,
-        Decision::Yield { sig } => Some(sig.id),
-    }
+/// The stack the simulator interns for a lock operation at site `p`.
+fn site_stack(rt: &Runtime, p: u8) -> StackId {
+    let caller = (CALLERS[p as usize], "<call>", 0);
+    rt.make_site(&[caller, (INNER[(p % SITES) as usize], "<site>", 0)])
+        .stack()
 }
 
-impl Hooks for Runtime {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId> {
-        yielded_on(self.core().request(t, l, frames, stack))
-    }
-    fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
-        self.core().acquired(t, l, stack);
-    }
-    fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        self.core().release(t, l)
-    }
-    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        self.core().cancel(t, l)
-    }
-}
-
-impl Hooks for ReferenceCore {
-    fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Option<SigId> {
-        yielded_on(ReferenceCore::request(self, t, l, frames, stack))
-    }
-    fn acquired(&self, t: ThreadId, l: LockId, stack: StackId) {
-        ReferenceCore::acquired(self, t, l, stack);
-    }
-    fn release(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        ReferenceCore::release(self, t, l)
-    }
-    fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        ReferenceCore::cancel(self, t, l)
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum VState {
-    Ready,
-    Blocked(usize),
-    Yielding(usize),
-}
-
-/// Minimal deterministic thread simulator over one engine, mirroring
-/// `dimmunix_threadsim::Sim`'s blocking/yield/wake semantics.
-struct MiniSim<'a, E: Hooks> {
-    engine: &'a E,
-    tids: Vec<ThreadId>,
-    lock_ids: Vec<LockId>,
-    sites: Vec<(Vec<FrameId>, StackId)>,
-    scripts: Vec<Vec<Action>>,
-    pc: Vec<usize>,
-    state: Vec<VState>,
-    woken: Vec<bool>,
-    held: Vec<Vec<usize>>,
-    owner: Vec<Option<usize>>,
-    waiters: Vec<VecDeque<usize>>,
-    /// Site of the outstanding (blocked or yielding) request per thread.
-    pending: Vec<Option<u8>>,
-}
-
-impl<'a, E: Hooks> MiniSim<'a, E> {
-    fn new(
-        engine: &'a E,
-        tids: Vec<ThreadId>,
-        lock_ids: Vec<LockId>,
-        sites: Vec<(Vec<FrameId>, StackId)>,
-        scripts: Vec<Vec<Action>>,
-    ) -> Self {
-        let n = scripts.len();
-        Self {
-            engine,
-            tids,
-            lock_ids,
-            sites,
-            scripts,
-            pc: vec![0; n],
-            state: vec![VState::Ready; n],
-            woken: vec![false; n],
-            held: vec![Vec::new(); n],
-            owner: vec![None; LOCKS],
-            waiters: vec![VecDeque::new(); LOCKS],
-            pending: vec![None; n],
-        }
-    }
-
-    /// Runs one slot for thread `v`; returns the decision ([`Hooks::request`])
-    /// if a `request` was made.
-    fn run_slot(&mut self, v: usize) -> Option<Option<SigId>> {
-        match self.state[v] {
-            VState::Blocked(_) => None,
-            VState::Yielding(l) => {
-                if !self.woken[v] {
-                    return None;
-                }
-                self.woken[v] = false;
-                let site = self.pending[v].expect("yielding thread has a pending site");
-                let (frames, stack) = self.sites[site as usize].clone();
-                let yielded = self
-                    .engine
-                    .request(self.tids[v], self.lock_ids[l], &frames, stack);
-                if yielded.is_none() {
-                    self.attempt_acquire(v, l, stack);
-                }
-                Some(yielded)
-            }
-            VState::Ready => {
-                let action = self.scripts[v].get(self.pc[v]).cloned()?;
-                match action {
-                    Action::Lock(l, p) => {
-                        let (frames, stack) = self.sites[p as usize].clone();
-                        let l = l as usize;
-                        let yielded =
-                            self.engine
-                                .request(self.tids[v], self.lock_ids[l], &frames, stack);
-                        self.pending[v] = Some(p);
-                        if yielded.is_none() {
-                            self.attempt_acquire(v, l, stack);
-                        } else {
-                            self.state[v] = VState::Yielding(l);
-                            self.woken[v] = false;
-                        }
-                        Some(yielded)
-                    }
-                    Action::TryLock(l, p) => {
-                        let (frames, stack) = self.sites[p as usize].clone();
-                        let l = l as usize;
-                        let yielded =
-                            self.engine
-                                .request(self.tids[v], self.lock_ids[l], &frames, stack);
-                        if yielded.is_none() && self.owner[l].is_none() {
-                            self.engine.acquired(self.tids[v], self.lock_ids[l], stack);
-                            self.owner[l] = Some(v);
-                            self.held[v].push(l);
-                        } else {
-                            let wake = self.engine.cancel(self.tids[v], self.lock_ids[l]);
-                            self.wake_yielders(wake);
-                        }
-                        self.pc[v] += 1;
-                        Some(yielded)
-                    }
-                    Action::Unlock => {
-                        if let Some(l) = self.held[v].pop() {
-                            self.do_unlock(v, l);
-                        }
-                        self.pc[v] += 1;
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    fn attempt_acquire(&mut self, v: usize, l: usize, stack: StackId) {
-        if self.owner[l].is_none() {
-            self.grant(v, l, stack);
-        } else {
-            self.waiters[l].push_back(v);
-            self.state[v] = VState::Blocked(l);
-        }
-    }
-
-    fn grant(&mut self, v: usize, l: usize, stack: StackId) {
-        self.engine.acquired(self.tids[v], self.lock_ids[l], stack);
-        self.owner[l] = Some(v);
-        self.held[v].push(l);
-        self.state[v] = VState::Ready;
-        self.pc[v] += 1;
-    }
-
-    fn do_unlock(&mut self, v: usize, l: usize) {
-        let wake = self.engine.release(self.tids[v], self.lock_ids[l]);
-        self.owner[l] = None;
-        if let Some(next) = self.waiters[l].pop_front() {
-            let site = self.pending[next].expect("blocked thread has a pending site");
-            let stack = self.sites[site as usize].1;
-            self.grant(next, l, stack);
-        }
-        self.wake_yielders(wake);
-    }
-
-    /// Wakes the yielders a `release` or `cancel` handed back.
-    fn wake_yielders(&mut self, wake: Vec<ThreadId>) {
-        for w in wake {
-            if let Some(idx) = self.tids.iter().position(|&t| t == w) {
-                if matches!(self.state[idx], VState::Yielding(_)) {
-                    self.woken[idx] = true;
-                }
-            }
-        }
-    }
-}
-
-/// Replays `schedule` over `scripts` through both engines in lockstep and
-/// returns the (asserted-identical) decision stream, `true` for GO.
+/// Replays `schedule` over `scripts` in lockstep and returns the
+/// (asserted-identical) decision stream, `true` for GO.
 fn run_differential(
     schedule: &[Step],
     scripts: [Vec<Action>; THREADS],
@@ -453,85 +268,53 @@ fn run_differential_full(
     let rt = Runtime::new(Config::default()).unwrap();
     // The reference engine shares the runtime's history and interners, so
     // signature injection and stack ids line up exactly; nothing else
-    // mutates the history (the monitor is never stepped here).
-    let reference = ReferenceCore::new(
-        Config::default(),
-        Arc::clone(rt.history()),
-        Arc::clone(rt.stack_table()),
-    );
-
-    let sites: Vec<(Vec<FrameId>, StackId)> = (0..SITES + TWINS)
-        .map(|p| {
-            let (caller, inner) = if p < SITES {
-                ("caller", p)
-            } else {
-                ("twin", p - SITES)
-            };
-            let site = rt.make_site(&[
-                (caller, "d.rs", u32::from(p)),
-                ("inner", "d.rs", 100 + u32::from(inner)),
-            ]);
-            (site.frames().to_vec(), site.stack())
-        })
-        .collect();
-    let tids_a: Vec<ThreadId> = (0..THREADS)
-        .map(|_| rt.core().register_thread().unwrap())
-        .collect();
-    let tids_b: Vec<ThreadId> = (0..THREADS)
-        .map(|_| reference.register_thread().unwrap())
-        .collect();
-    if tids_a != tids_b {
-        return Err("engines assigned different thread ids".into());
+    // mutates the history (`Sim::step` never steps the monitor).
+    let mut sim = Sim::new(&rt, 0);
+    sim.attach_shadow();
+    let locks: Vec<LockHandle> = ["L0", "L1", "L2", "L3"]
+        .map(|name| sim.lock_handle(name))
+        .into();
+    for (name, actions) in ["T0", "T1", "T2", "T3"].into_iter().zip(&scripts) {
+        let script = actions.iter().fold(Script::new(), |s, a| match *a {
+            Action::Lock(l, p) => at_site(s, p, |s, site| s.lock_at(locks[l as usize], site)),
+            Action::TryLock(l, p) => {
+                at_site(s, p, |s, site| s.try_lock_at(locks[l as usize], site))
+            }
+            Action::Unlock => s.unlock_innermost(),
+        });
+        sim.spawn(name, script);
     }
-    let lock_ids: Vec<LockId> = (0..LOCKS).map(|_| rt.new_lock_id()).collect();
-
-    let mut sim_a = MiniSim::new(
-        &rt,
-        tids_a,
-        lock_ids.clone(),
-        sites.clone(),
-        scripts.to_vec(),
-    );
-    let mut sim_b = MiniSim::new(
-        &reference,
-        tids_b,
-        lock_ids,
-        sites.clone(),
-        scripts.to_vec(),
-    );
 
     let mut decisions = Vec::new();
     for (step_no, step) in schedule.iter().enumerate() {
         match *step {
             Step::Run(t) => {
-                let da = sim_a.run_slot(t as usize);
-                let db = sim_b.run_slot(t as usize);
-                if da != db {
-                    return Err(format!(
-                        "decision divergence at step {step_no} (thread {t}): \
-                         sharded={da:?} reference={db:?}"
-                    ));
-                }
-                if let Some(yielded) = da {
-                    decisions.push(yielded.is_none());
+                if let Some(d) = sim.step(t as usize) {
+                    decisions.push(matches!(d, Decision::Go));
                 }
             }
             Step::AddSig { i, j, depth } => {
-                let a = sites[i as usize].1;
-                let b = sites[j as usize].1;
-                rt.history().add(CycleKind::Deadlock, vec![a, b], depth);
+                let members = vec![site_stack(&rt, i), site_stack(&rt, j)];
+                rt.history().add(CycleKind::Deadlock, members, depth);
                 rt.history().touch();
             }
             Step::AddSigDelta { i, j, depth } => {
-                let a = sites[i as usize].1;
-                let b = sites[j as usize].1;
+                let members = vec![site_stack(&rt, i), site_stack(&rt, j)];
                 // No touch: the add itself is one pure-append generation
                 // bump, which the sharded engine's rebuild can extend over.
-                rt.history().add(CycleKind::Deadlock, vec![a, b], depth);
+                rt.history().add(CycleKind::Deadlock, members, depth);
             }
+        }
+        if let Some(d) = sim.shadow_divergences().first() {
+            return Err(format!("at step {step_no} ({step:?}): {d}"));
         }
     }
     Ok((decisions, rt.stats()))
+}
+
+/// Asserts that the engines behind `ls` agreed on every hook so far.
+fn assert_agreed(ls: &Lockstep) {
+    assert!(ls.divergences().is_empty(), "{:?}", ls.divergences());
 }
 
 proptest! {
@@ -569,8 +352,10 @@ proptest! {
     /// Same agreement when every yield shares thread 0 as its cause — the
     /// registrations in its log (taken by lock, kept for another lock,
     /// retracted by epoch) must deliver exactly the wake sets the
-    /// reference's yielding-map scan produces, at every step, for its
-    /// releases and its cancels alike.
+    /// reference's yielding-map scan produces, at every release, and at a
+    /// cancel after a GO (a waiter's try-lock of the lock it holds). A
+    /// try-lock that yields cancels without popping anything: it wakes
+    /// nobody.
     #[test]
     fn sharded_engine_matches_reference_hot_cause(
         schedule in arb_hot_cause_schedule(),
@@ -587,8 +372,8 @@ proptest! {
     /// (vaccination without a structural touch): the sharded engine's
     /// extending rebuilds — extended layouts, shared buckets, a visit that
     /// fills only the new keys' buckets — must be decision-identical to
-    /// the reference's full rebuilds, including bumps landing between a thread's entries being
-    /// recorded and the cover searches that consume them.
+    /// the reference's walks, including bumps landing between a thread's
+    /// entries being recorded and the cover searches that consume them.
     #[test]
     fn sharded_engine_matches_reference_delta_rebuilds(
         schedule in arb_delta_schedule(),
@@ -663,27 +448,21 @@ fn yield_storm_wakes_every_yielder_in_lockstep() {
 #[test]
 fn single_member_signature_yields_in_both_engines() {
     let rt = Runtime::new(Config::default()).unwrap();
-    let reference = ReferenceCore::new(
-        Config::default(),
-        Arc::clone(rt.history()),
-        Arc::clone(rt.stack_table()),
-    );
+    let mut ls = Lockstep::with_reference(&rt);
     let site = rt.make_site(&[("caller", "d.rs", 1), ("inner", "d.rs", 101)]);
     rt.history()
         .add(CycleKind::Deadlock, vec![site.stack()], 2)
         .expect("fresh signature");
     rt.history().touch();
-    let ta = rt.core().register_thread().unwrap();
-    let tb = reference.register_thread().unwrap();
+    let t = ls.register("T");
     let l = rt.new_lock_id();
-    let da = rt.core().request(ta, l, site.frames(), site.stack());
-    let db = ReferenceCore::request(&reference, tb, l, site.frames(), site.stack());
+    let d = ls.request(t, l, site.frames(), site.stack());
     assert!(
-        matches!(da, Decision::Yield { .. }) && matches!(db, Decision::Yield { .. }),
-        "both engines must yield on a lone-member signature: sharded={da:?} reference={db:?}"
+        matches!(d, Decision::Yield { .. }),
+        "a lone-member signature must yield: {d:?}"
     );
-    rt.core().cancel(ta, l);
-    reference.cancel(tb, l);
+    ls.cancel(t, l);
+    assert_agreed(&ls);
 }
 
 /// Pins the candidate-order rule (`dimmunix_core::reference`'s module docs):
@@ -698,11 +477,7 @@ fn single_member_signature_yields_in_both_engines() {
 #[test]
 fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
     let rt = Runtime::new(Config::default()).unwrap();
-    let reference = ReferenceCore::new(
-        Config::default(),
-        Arc::clone(rt.history()),
-        Arc::clone(rt.stack_table()),
-    );
+    let mut ls = Lockstep::with_reference(&rt);
     let site = |caller: &'static str, inner: u32| {
         rt.make_site(&[(caller, "order.rs", 1), ("inner", "order.rs", inner)])
     };
@@ -719,40 +494,27 @@ fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
     let shallow = add(twin.stack(), shallow_holder.stack(), 1);
     assert!(deep.id < shallow.id, "history order: the deeper one first");
 
-    let threads: Vec<ThreadId> = (0..3)
-        .map(|_| {
-            let t = rt.core().register_thread().unwrap();
-            assert_eq!(reference.register_thread(), Some(t));
-            t
-        })
-        .collect();
-    let (deep_thread, shallow_thread, asking) = (threads[0], threads[1], threads[2]);
+    let deep_thread = ls.register("deep");
+    let shallow_thread = ls.register("shallow");
+    let asking = ls.register("asking");
     let (deep_lock, shallow_lock, wanted) = (rt.new_lock_id(), rt.new_lock_id(), rt.new_lock_id());
     // One holder per signature, each covering its signature's other member.
     for (t, l, s) in [
         (deep_thread, deep_lock, &deep_holder),
         (shallow_thread, shallow_lock, &shallow_holder),
     ] {
-        assert_eq!(Hooks::request(&rt, t, l, s.frames(), s.stack()), None);
-        assert_eq!(
-            Hooks::request(&reference, t, l, s.frames(), s.stack()),
-            None
-        );
-        Hooks::acquired(&rt, t, l, s.stack());
-        Hooks::acquired(&reference, t, l, s.stack());
+        assert!(matches!(
+            ls.request(t, l, s.frames(), s.stack()),
+            Decision::Go
+        ));
+        ls.acquired(t, l, s.stack());
     }
 
     let (frames, stack) = (requester.frames(), requester.stack());
-    assert_eq!(
-        Hooks::request(&rt, asking, wanted, frames, stack),
-        Some(shallow.id),
-        "sharded"
-    );
-    assert_eq!(
-        Hooks::request(&reference, asking, wanted, frames, stack),
-        Some(shallow.id),
-        "reference"
-    );
+    let Decision::Yield { sig } = ls.request(asking, wanted, frames, stack) else {
+        panic!("the requester must yield");
+    };
+    assert_eq!(sig.id, shallow.id);
     assert_eq!(
         rt.core().yield_causes(asking),
         vec![YieldCause {
@@ -762,18 +524,10 @@ fn a_request_matching_at_two_depths_tries_the_shallower_signature_first() {
         }]
     );
     // The reference shows its causes by whom a release wakes.
-    assert_eq!(Hooks::release(&rt, deep_thread, deep_lock), vec![]);
-    assert_eq!(Hooks::release(&reference, deep_thread, deep_lock), vec![]);
-    assert_eq!(
-        Hooks::release(&rt, shallow_thread, shallow_lock),
-        vec![asking]
-    );
-    assert_eq!(
-        Hooks::release(&reference, shallow_thread, shallow_lock),
-        vec![asking]
-    );
-    Hooks::cancel(&rt, asking, wanted);
-    Hooks::cancel(&reference, asking, wanted);
+    assert_eq!(ls.release(deep_thread, deep_lock), vec![]);
+    assert_eq!(ls.release(shallow_thread, shallow_lock), vec![asking]);
+    ls.cancel(asking, wanted);
+    assert_agreed(&ls);
 }
 
 /// A deterministic regression for a registration kept across an unrelated
@@ -875,11 +629,7 @@ fn mid_run_append_bump_patches_live_state_in_lockstep() {
 #[test]
 fn pure_appends_past_the_first_builds_size_keep_extending() {
     let rt = Runtime::new(Config::default()).unwrap();
-    let reference = ReferenceCore::new(
-        Config::default(),
-        Arc::clone(rt.history()),
-        Arc::clone(rt.stack_table()),
-    );
+    let mut ls = Lockstep::with_reference(&rt);
     let site = |p: u32| rt.make_site(&[("caller", "grow.rs", p), ("inner", "grow.rs", 100 + p)]);
     let add = |i: u32, j: u32| {
         rt.history()
@@ -890,33 +640,26 @@ fn pure_appends_past_the_first_builds_size_keep_extending() {
             )
             .expect("fresh signature");
     };
-    // Every step runs through both engines and must decide alike.
-    let request = |t: ThreadId, l: LockId, p: u32| -> bool {
+    // Every step runs through both engines and must decide alike; a GO
+    // acquires.
+    let request = |ls: &mut Lockstep, t: ThreadId, l: LockId, p: u32| -> bool {
         let s = site(p);
-        let a = <Runtime as Hooks>::request(&rt, t, l, s.frames(), s.stack());
-        let b = Hooks::request(&reference, t, l, s.frames(), s.stack());
-        assert_eq!(a, b, "engines disagree on site {p}");
-        if a.is_none() {
-            Hooks::acquired(&rt, t, l, s.stack());
-            Hooks::acquired(&reference, t, l, s.stack());
+        let go = matches!(ls.request(t, l, s.frames(), s.stack()), Decision::Go);
+        if go {
+            ls.acquired(t, l, s.stack());
         }
-        a.is_none()
+        assert_agreed(ls);
+        go
     };
-    let threads: Vec<ThreadId> = (0..5)
-        .map(|_| {
-            let t = rt.core().register_thread().unwrap();
-            assert_eq!(reference.register_thread(), Some(t));
-            t
-        })
-        .collect();
+    let threads: Vec<ThreadId> = (0..5).map(|_| ls.register("T")).collect();
     let locks: Vec<LockId> = (0..8).map(|_| rt.new_lock_id()).collect();
 
     // Two keys: the first build.
     add(0, 1);
-    assert!(request(threads[0], locks[0], 0), "bucketed holder");
-    assert!(request(threads[1], locks[1], 2), "log-only holder");
+    assert!(request(&mut ls, threads[0], locks[0], 0), "bucketed holder");
+    assert!(request(&mut ls, threads[1], locks[1], 2), "log-only holder");
     assert!(
-        request(threads[0], locks[4], 6),
+        request(&mut ls, threads[0], locks[4], 6),
         "log-only holder, for later"
     );
     let before = rt.stats();
@@ -927,11 +670,11 @@ fn pure_appends_past_the_first_builds_size_keep_extending() {
     add(10, 11);
     add(12, 13);
     assert!(
-        !request(threads[2], locks[2], 1),
+        !request(&mut ls, threads[2], locks[2], 1),
         "cover over the entry bucketed before the extension"
     );
     assert!(
-        !request(threads[3], locks[3], 3),
+        !request(&mut ls, threads[3], locks[3], 3),
         "cover over the entry only the extension's visit could bucket"
     );
     let grown = rt.stats();
@@ -944,7 +687,7 @@ fn pure_appends_past_the_first_builds_size_keep_extending() {
     // Two more keys: this one extends too.
     add(6, 7);
     assert!(
-        !request(threads[4], locks[5], 7),
+        !request(&mut ls, threads[4], locks[5], 7),
         "cover over an entry the extension's visit bucketed"
     );
     let after = rt.stats();
@@ -992,11 +735,7 @@ fn empty_to_nonempty_transition_is_lockstep() {
 #[test]
 fn a_visit_and_a_wake_cross_chunks_of_thread_records_in_lockstep() {
     let rt = Runtime::new(Config::default()).unwrap();
-    let reference = ReferenceCore::new(
-        Config::default(),
-        Arc::clone(rt.history()),
-        Arc::clone(rt.stack_table()),
-    );
+    let mut ls = Lockstep::with_reference(&rt);
     let site =
         |p: u32| rt.make_site(&[("caller", "chunks.rs", p), ("inner", "chunks.rs", 100 + p)]);
     let add = |i: u32, j: u32| {
@@ -1009,30 +748,26 @@ fn a_visit_and_a_wake_cross_chunks_of_thread_records_in_lockstep() {
             .expect("fresh signature")
             .id
     };
-    // Every request runs through both engines and must decide alike.
-    let request = |t: ThreadId, l: LockId, p: u32| -> Option<SigId> {
+    // Every request runs through both engines and must decide alike: the
+    // signature yielded on, or `None` for a GO, which acquires.
+    let request = |ls: &mut Lockstep, t: ThreadId, l: LockId, p: u32| {
         let s = site(p);
-        let a = <Runtime as Hooks>::request(&rt, t, l, s.frames(), s.stack());
-        let b = Hooks::request(&reference, t, l, s.frames(), s.stack());
-        assert_eq!(a, b, "engines disagree on site {p}");
-        if a.is_none() {
-            Hooks::acquired(&rt, t, l, s.stack());
-            Hooks::acquired(&reference, t, l, s.stack());
-        }
-        a
+        let sig = match ls.request(t, l, s.frames(), s.stack()) {
+            Decision::Go => {
+                ls.acquired(t, l, s.stack());
+                None
+            }
+            Decision::Yield { sig } => Some(sig.id),
+        };
+        assert_agreed(ls);
+        sig
     };
-    let release = |t: ThreadId, l: LockId| -> Vec<ThreadId> {
-        let a = Hooks::release(&rt, t, l);
-        assert_eq!(a, Hooks::release(&reference, t, l), "engines wake alike");
-        a
+    let release = |ls: &mut Lockstep, t: ThreadId, l: LockId| {
+        let wake = ls.release(t, l);
+        assert_agreed(ls);
+        wake
     };
-    let threads: Vec<ThreadId> = (0..66)
-        .map(|_| {
-            let t = rt.core().register_thread().unwrap();
-            assert_eq!(reference.register_thread(), Some(t));
-            t
-        })
-        .collect();
+    let threads: Vec<ThreadId> = (0..66).map(|_| ls.register("T")).collect();
     let locks: Vec<LockId> = (0..4).map(|_| rt.new_lock_id()).collect();
     let parked = || {
         rt.core()
@@ -1045,25 +780,33 @@ fn a_visit_and_a_wake_cross_chunks_of_thread_records_in_lockstep() {
     // Chunk 1 holds, chunk 0 yields.
     let (first, second) = (threads[1], threads[65]);
     let sig01 = add(0, 1);
-    assert_eq!(request(second, locks[0], 2), None, "log-only holder");
+    assert_eq!(
+        request(&mut ls, second, locks[0], 2),
+        None,
+        "log-only holder"
+    );
     let sig23 = add(2, 3);
     assert_eq!(
-        request(first, locks[1], 3),
+        request(&mut ls, first, locks[1], 3),
         Some(sig23),
         "cover over the visited entry"
     );
     assert_eq!(parked(), vec![first]);
-    assert_eq!(release(second, locks[0]), vec![first]);
-    assert_eq!(request(first, locks[1], 3), None, "retried after the wake");
+    assert_eq!(release(&mut ls, second, locks[0]), vec![first]);
+    assert_eq!(
+        request(&mut ls, first, locks[1], 3),
+        None,
+        "retried after the wake"
+    );
     assert!(parked().is_empty());
 
     // Chunk 0 holds, chunk 1 yields.
     let (first, second) = (threads[0], threads[64]);
-    assert_eq!(request(first, locks[2], 0), None);
-    assert_eq!(request(second, locks[3], 1), Some(sig01));
+    assert_eq!(request(&mut ls, first, locks[2], 0), None);
+    assert_eq!(request(&mut ls, second, locks[3], 1), Some(sig01));
     assert_eq!(parked(), vec![second]);
-    assert_eq!(release(first, locks[2]), vec![second]);
-    assert_eq!(request(second, locks[3], 1), None);
+    assert_eq!(release(&mut ls, first, locks[2]), vec![second]);
+    assert_eq!(request(&mut ls, second, locks[3], 1), None);
 
     let stats = rt.stats();
     assert_eq!((stats.rebuilds_full, stats.rebuilds_delta), (1, 1));
