@@ -109,13 +109,18 @@
 //!   and stack where `defer_go` wrote them and stores `HELD` into the
 //!   grant word, `ThreadSlot::grant` (`Release`): the hold is a state of
 //!   the one word that already says what was granted;
-//! * that lock's `release` takes the word with one swap. A hold still
+//! * that lock's `release` takes the word in the slot critical section that
+//!   pops the entry, with a load and a store: the monitor claims only under
+//!   that mutex, so nothing else can write the word there. A hold still
 //!   unclaimed ends unseen: the release pushes nothing and counts the
 //!   pair's four outcomes as one `quiet_pairs`;
 //! * every other hook that finds a quiet hold (a nested `request`,
 //!   `force_go`, `acquired_reentrant`, `waiting` / `acquired` / `cancel` of
-//!   another lock, the exit sweep) takes it and publishes it first, as the
-//!   `Granted` it stands in for. Everything else publishes what it did.
+//!   another lock, the exit sweep) takes it with a swap, outside the slot
+//!   mutex, where the monitor may claim up to the instant it lands, and
+//!   publishes it first, as the `Granted` it stands in for.
+//!   Instrumentation-only mode takes no slot mutex, and its `release` swaps
+//!   too. Everything else publishes what it did.
 //!
 //! **The monitor claims a hold only when someone waits.** After each drain
 //! it looks for locks that a thread in its RAG waits for and no thread
@@ -126,18 +131,19 @@
 //! drained, reads the lock and stack, and CASes `HELD → HELD | CLAIMED` —
 //! the only write to the word that is not the owner's. It then draws the
 //! hold edge as that `Granted` would have, and retires the grant's three
-//! outcomes. The holder's swap sees the claim, and the release publishes a
+//! outcomes. The holder's take sees the claim, and the release publishes a
 //! plain `Release`. Three facts make the claim exact:
 //!
 //! * **The CAS lands on the hold that was read.** While the monitor holds
 //!   the slot mutex the owner can still *end* the hold — the swap at the
-//!   top of `release` or `request` — but cannot *start* another: every
-//!   path to a new grant passes `lock_current`, which takes that mutex
-//!   (instrumentation-only grants skip it, and that mode never holds
-//!   quietly). So the word cannot return to `HELD` before the CAS, and the
-//!   lock and stack read after the reload are the hold's: they were written
-//!   before its `Release` store, and their one writer, `defer_go`, runs
-//!   only after a new grant's `lock_current`.
+//!   top of a nested `request`, say; its `release` waits for the mutex —
+//!   but cannot *start* another: every path to a new grant passes
+//!   `lock_current`, which takes that mutex (instrumentation-only grants
+//!   skip it, and that mode never holds quietly). So the word cannot
+//!   return to `HELD` before the CAS, and the lock and stack read after
+//!   the reload are the hold's: they were written before its `Release`
+//!   store, and their one writer, `defer_go`, runs only after a new
+//!   grant's `lock_current`.
 //! * **The edge lands in the holder's event order.** Every event the holder
 //!   pushed before the hold happens-before the word store the claim read,
 //!   so a drained lane means they are all applied; while the hold is in
@@ -692,10 +698,11 @@ pub(crate) struct ThreadSlot {
     /// Written by the owner — a thread's hooks all run on that thread (or
     /// on whoever drives a simulated one), and a slot changes hands only
     /// through the slot allocator, after the exit sweep left this at 0 —
-    /// except for the monitor's one claim CAS, `HELD → HELD | CLAIMED`. So
-    /// the owner enters `HELD` with a `Release` store and leaves it with a
-    /// swap; every other state is the owner's alone, and relaxed loads and
-    /// stores do.
+    /// except for the monitor's one claim CAS, `HELD → HELD | CLAIMED`,
+    /// made under `allowed`'s mutex. So the owner enters `HELD` with a
+    /// `Release` store and leaves it with a swap, or, holding that mutex
+    /// (its `release`), with a load and a store; every other state is the
+    /// owner's alone, and relaxed loads and stores do.
     grant: AtomicU8,
     grant_lock: AtomicU64,
     grant_stack: AtomicU32,
@@ -744,8 +751,7 @@ impl ThreadSlot {
 
     /// Takes whatever the grant word holds — an unpublished grant or a quiet
     /// hold — with its lock and stack, and leaves it 0. A hold is taken with
-    /// a swap, the one read-modify-write of a quiet pair: the monitor may
-    /// set [`CLAIMED`] up to the instant it lands.
+    /// a swap: the monitor may set [`CLAIMED`] up to the instant it lands.
     fn take(&self) -> Option<(LockId, StackId, u8)> {
         let mut grant = self.grant.load(Ordering::Relaxed);
         if grant == 0 {
@@ -756,9 +762,26 @@ impl ThreadSlot {
         } else {
             grant = self.grant.swap(0, Ordering::AcqRel);
         }
+        Some(self.taken(grant))
+    }
+
+    /// [`Self::take`] by a caller in this record's slot critical section,
+    /// `log` being the guarded log: the monitor claims only there, so no
+    /// one else can write the word, and a load and a store take a hold too.
+    fn take_locked(&self, _log: &AllowedLog) -> Option<(LockId, StackId, u8)> {
+        let grant = self.grant.load(Ordering::Relaxed);
+        if grant == 0 {
+            return None;
+        }
+        self.grant.store(0, Ordering::Relaxed);
+        Some(self.taken(grant))
+    }
+
+    /// The grant word's `grant`, just taken, with its lock and stack.
+    fn taken(&self, grant: u8) -> (LockId, StackId, u8) {
         let l = LockId(self.grant_lock.load(Ordering::Relaxed));
         let stack = StackId(self.grant_stack.load(Ordering::Relaxed));
-        Some((l, stack, grant))
+        (l, stack, grant)
     }
 
     /// Makes the grant just taken a quiet hold. Its lock and stack stay in
@@ -783,9 +806,10 @@ impl ThreadSlot {
         };
         // Lock-free first: most threads hold nothing anyone waits for.
         held()?;
-        // The owner may still end the hold read below, but cannot start
-        // another until this guard drops: every grant passes
-        // `lock_current`. So the CAS succeeds only against that hold.
+        // The owner may still end the hold read below with a swap (its
+        // `release` waits for this guard), but cannot start another until
+        // the guard drops: every grant passes `lock_current`. So the CAS
+        // succeeds only against that hold.
         let _log = self.allowed.lock();
         let l = held()?;
         // Every event the thread pushed before this hold happens-before the
@@ -894,6 +918,8 @@ impl AvoidanceCore {
                 });
             }
         }
+        // Makes the id's counters with their block, so no hook allocates.
+        self.stats.hot(slot);
         let t = ThreadId(slot as u64);
         self.me(t).panicked.store(false, Ordering::Relaxed);
         Some(t)
@@ -1023,11 +1049,12 @@ impl AvoidanceCore {
     pub fn request(&self, t: ThreadId, l: LockId, frames: &[FrameId], stack: StackId) -> Decision {
         let me = self.me(t);
         let slot = t.0 as usize;
-        Stats::bump(&self.stats.hot(slot).requests);
+        let hot = self.stats.hot(slot);
+        Stats::count(&hot.requests, 1);
         self.publish_grant(me, t);
 
         if self.config.mode == RuntimeMode::InstrumentationOnly {
-            Stats::bump(&self.stats.hot(slot).gos);
+            Stats::count(&hot.gos, 1);
             me.defer_go(l, stack, 2);
             return Decision::Go;
         }
@@ -1075,7 +1102,7 @@ impl AvoidanceCore {
                 if !self.register_yield(me, t, &inst.causes)
                     || generation != self.history.generation()
                 {
-                    Stats::bump(&self.stats.hot(slot).cover_retries);
+                    Stats::count(&hot.cover_retries, 1);
                     me.remove_yielding();
                     continue;
                 }
@@ -1090,7 +1117,7 @@ impl AvoidanceCore {
         match instance {
             None => {
                 me.clear_yield_state();
-                Stats::bump(&self.stats.hot(slot).gos);
+                Stats::count(&hot.gos, 1);
                 me.defer_go(l, stack, if quiet { 2 | GRANT_QUIET } else { 2 });
                 Decision::Go
             }
@@ -1112,7 +1139,7 @@ impl AvoidanceCore {
                     Decision::Yield { sig: inst.sig }
                 } else {
                     // The `Yield` event above accounts for the request.
-                    Stats::bump(&self.stats.hot(slot).gos);
+                    Stats::count(&hot.gos, 1);
                     me.defer_go(l, stack, 1);
                     Decision::Go
                 }
@@ -1131,7 +1158,7 @@ impl AvoidanceCore {
             me.remove_yielding();
         }
         me.clear_yield_state();
-        Stats::bump(&self.stats.hot(t.0 as usize).gos);
+        Stats::count(&self.stats.hot(t.0 as usize).gos, 1);
         // The `Yield` event of the request this overrides accounted for it.
         me.defer_go(l, stack, 1);
     }
@@ -1227,7 +1254,7 @@ impl AvoidanceCore {
             );
         }
         let slot = t.0 as usize;
-        Stats::bump(&self.stats.hot(slot).acquisitions);
+        Stats::count(&self.stats.hot(slot).acquisitions, 1);
         let event = match self.take_grant(me, t, l) {
             (_, true) => return me.hold_quietly(),
             (0, _) => Event::Acquired { t, l, stack },
@@ -1248,7 +1275,7 @@ impl AvoidanceCore {
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.record_entry(me, t, l, frames, stack);
         }
-        Stats::bump(&self.stats.hot(slot).acquisitions);
+        Stats::count(&self.stats.hot(slot).acquisitions, 1);
         self.lanes.push(slot, Event::Acquired { t, l, stack });
     }
 
@@ -1333,27 +1360,25 @@ impl AvoidanceCore {
             me.panicked.store(true, Ordering::Relaxed);
         }
         let slot = t.0 as usize;
+        // The grant word is taken in the critical section that pops the
+        // entry, where the monitor cannot claim (module docs).
+        let (taken, wake) = if self.config.mode == RuntimeMode::InstrumentationOnly {
+            (me.take(), Vec::new())
+        } else {
+            let mut log = me.allowed.lock();
+            (me.take_locked(&log), self.pop_entry(&mut log, t, l))
+        };
         // A quiet hold of `l` the monitor never claimed ends unseen: this
-        // release retires its pair. Anything else the word holds is
+        // release retires its pair. Anything else the word held is
         // published.
-        let quiet = match me.take() {
-            Some((held, _, HELD)) if held == l => true,
+        let hot = self.stats.hot(slot);
+        match taken {
+            Some((held, _, HELD)) if held == l => Stats::count(&hot.quiet_pairs, 1),
             taken => {
                 self.publish(t, taken);
-                false
+                Stats::count(&hot.releases, 1);
+                self.lanes.push(slot, Event::Release { t, l });
             }
-        };
-        let wake = if self.config.mode == RuntimeMode::InstrumentationOnly {
-            Vec::new()
-        } else {
-            self.pop_entry(me, t, l)
-        };
-        let hot = self.stats.hot(slot);
-        if quiet {
-            Stats::bump(&hot.quiet_pairs);
-        } else {
-            Stats::bump(&hot.releases);
-            self.lanes.push(slot, Event::Release { t, l });
         }
         wake
     }
@@ -1374,7 +1399,7 @@ impl AvoidanceCore {
             if me.yielding.load(Ordering::Relaxed) {
                 me.remove_yielding();
             } else {
-                wake = self.pop_entry(me, t, l);
+                wake = self.pop_entry(&mut me.allowed.lock(), t, l);
             }
         }
         me.clear_yield_state();
@@ -1382,17 +1407,16 @@ impl AvoidanceCore {
         wake
     }
 
-    /// Pops the innermost `Allowed` entry for `(t, l)` from the slot's
-    /// private log, removes it from the buckets of the log's view by the
-    /// slots it remembers and takes the live waiters for `l`, all in one
-    /// slot critical section: no rebuild's visit can fall between the pop
-    /// and the removal, and no yielder can register between the pop and the
-    /// take (module docs). Returns the yielders to wake. An entry with no
-    /// buckets — an empty history, an irrelevant suffix — ends here, while
-    /// it is still in registers (`remove_buckets` takes it through memory:
-    /// ≈ 3 ns of the empty-history pair).
-    fn pop_entry(&self, me: &ThreadSlot, t: ThreadId, l: LockId) -> Vec<ThreadId> {
-        let mut log = me.allowed.lock();
+    /// Pops the innermost `Allowed` entry for `(t, l)` from `log`, `t`'s
+    /// log under the caller's guard, removes it from the buckets of the
+    /// log's view by the slots it remembers and takes the live waiters for
+    /// `l`, all in that one slot critical section: no rebuild's visit can
+    /// fall between the pop and the removal, and no yielder can register
+    /// between the pop and the take (module docs). Returns the yielders to
+    /// wake. An entry with no buckets — an empty history, an irrelevant
+    /// suffix — ends here, while it is still in registers (`remove_buckets`
+    /// takes it through memory: ≈ 3 ns of the empty-history pair).
+    fn pop_entry(&self, log: &mut AllowedLog, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let Some(held) = log.pop(l) else {
             return Vec::new();
         };
@@ -1402,7 +1426,7 @@ impl AvoidanceCore {
         if log.waiters.is_empty() {
             return Vec::new();
         }
-        Stats::bump(&self.stats.hot(t.0 as usize).wake_drains);
+        Stats::count(&self.stats.hot(t.0 as usize).wake_drains, 1);
         self.take_waiters(&mut log.waiters, |w| w.lock == l)
     }
 
@@ -1714,8 +1738,7 @@ impl AvoidanceCore {
             Self::decode_sorted(&scratch)
         };
         // Batch the per-candidate precheck counter: a hot suffix can carry
-        // dozens of candidates, and per-candidate atomic bumps measurably
-        // tax the contended rows.
+        // dozens of candidates.
         let mut skips = 0_u64;
         let mut found = None;
         'sets: for set in slots.iter().map(|&s| view.index.set_at(s)) {
@@ -1757,7 +1780,7 @@ impl AvoidanceCore {
                     }
                     &fresh_keys
                 };
-                Stats::bump(&hot.cover_searches);
+                Stats::count(&hot.cover_searches, 1);
                 found = Self::try_cover(&mut read, &c.sig, d, member_keys, c.member, t, l, stack);
                 if found.is_some() {
                     break 'sets;
@@ -1765,7 +1788,7 @@ impl AvoidanceCore {
             }
         }
         if skips > 0 {
-            hot.precheck_skips.fetch_add(skips, Ordering::Relaxed);
+            Stats::count(&hot.precheck_skips, skips);
         }
         found
     }

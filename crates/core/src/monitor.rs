@@ -926,6 +926,31 @@ mod tests {
         assert_eq!(monitor.drain_events(), 1);
     }
 
+    /// The other order: a release that ends the hold before the monitor
+    /// claims it leaves nothing to claim. The pair ends quiet, and no hold
+    /// edge is ever drawn. (Claim, then release: the test above.)
+    #[test]
+    fn a_hold_released_before_its_claim_ends_quiet() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let (holder, waiter) = (
+            core.register_thread().unwrap(),
+            core.register_thread().unwrap(),
+        );
+        let l = LockId(1);
+        let (site, s) = site(&frames, &stacks);
+        core.request(holder, l, &site, s);
+        core.acquired(holder, l, s);
+        core.request(waiter, l, &site, s);
+        core.waiting(waiter, l, s);
+        assert_eq!(monitor.drain_events(), 1, "the waiter's Go alone");
+
+        core.release(holder, l);
+        assert!(core.claim_quiet(&[l]).is_empty(), "released first");
+        assert_eq!(monitor.stats.snapshot().quiet_pairs, 1);
+        monitor.step(&core, &|_| {});
+        assert!(monitor.rag.held_locks(holder).is_empty());
+    }
+
     /// A request retried after a refused registration still clears the yield
     /// the monitor drew. The retry's first step retracts the registration,
     /// but the `Yield` stays in force until a grant's event replaces it, so

@@ -1,20 +1,26 @@
 //! Runtime counters.
 
+use crate::config::MAX_THREADS;
 use dimmunix_lockfree::CachePadded;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Number of hot-counter stripes (power of two). Threads bump the stripe
-/// `slot % HOT_STRIPES`, so up to this many threads count concurrently
-/// without sharing a cache line.
-const HOT_STRIPES: usize = 16;
+/// Per-thread counter blocks are made this many at a time, as the engine
+/// makes its thread records.
+const HOT_BLOCK: usize = 64;
 
-/// One stripe of the counters bumped on *every* lock operation. A stripe
-/// fits its 128-byte padded cell (two 64-byte lines, the unit adjacent-line
-/// prefetch moves), so bumps from threads on different stripes never
-/// invalidate each other's lines (false sharing) — the single
-/// shared-counter-per-stat layout measurably throttled the request path at
-/// 8+ threads.
+/// One thread's counters of the hook outcomes counted on *every* lock
+/// operation. Each registered thread id has its own, in its own padded cell
+/// (two 64-byte lines, the unit adjacent-line prefetch moves), so no two
+/// threads ever write the same line.
+///
+/// **Single writer.** Only the thread that owns an id runs that id's hooks,
+/// and an id changes hands only through the slot allocator, after the exit
+/// sweep — the rule `ThreadSlot::grant` relies on too. So each counter has
+/// one writer at a time, which counts with a load and a store
+/// (`Stats::count`), no read-modify-write; readers load the counters
+/// racily and sum them.
 #[derive(Default, Debug)]
 pub struct HotStripe {
     /// `request` hook invocations.
@@ -42,21 +48,24 @@ pub struct HotStripe {
     /// Pairs that ended as a quiet hold no one waited for: the `release`
     /// retired their four counted outcomes (request, GO, acquisition,
     /// release) itself, and the monitor never heard of them. The one
-    /// counter such a release bumps.
+    /// counter such a release writes.
     pub quiet_pairs: AtomicU64,
 }
 
-/// Monotonic counters exposed by a runtime; all relaxed atomics, cheap to
-/// bump from the hot path.
+/// Monotonic counters exposed by a runtime; all relaxed atomics.
 ///
 /// The per-operation counters (`requests`, `gos`, `acquisitions`,
-/// `releases`, plus the sharded-match-path `precheck_skips` /
-/// `cover_searches`) are striped across [`HotStripe`]s indexed by thread
-/// slot and summed on read. The remaining counters are rare (yields,
-/// detections) or monitor-only and stay as single unpadded atomics.
+/// `releases`, `quiet_pairs`, plus the match path's `precheck_skips`,
+/// `cover_searches`, `cover_retries` and `wake_drains`) sit in one
+/// [`HotStripe`] per thread id, written only by that id's thread
+/// (`Stats::count`) and summed on read. The remaining counters are rare
+/// (yields, detections) or monitor-only, may have several writers, and stay
+/// single unpadded atomics bumped with a `fetch_add` (`Stats::bump`).
 #[derive(Debug)]
 pub struct Stats {
-    hot: Box<[CachePadded<HotStripe>]>,
+    /// The per-thread counters, [`HOT_BLOCK`] ids per block, each block
+    /// made when the engine registers an id in it.
+    hot: [OnceLock<Box<[CachePadded<HotStripe>; HOT_BLOCK]>>; MAX_THREADS / HOT_BLOCK],
     /// YIELD decisions returned (avoidances performed).
     pub yields: AtomicU64,
     /// Yields aborted by the max-yield-duration bound.
@@ -211,9 +220,7 @@ pub fn rebuild_us_bin(us: u64) -> usize {
 impl Default for Stats {
     fn default() -> Self {
         Self {
-            hot: (0..HOT_STRIPES)
-                .map(|_| CachePadded::new(HotStripe::default()))
-                .collect(),
+            hot: std::array::from_fn(|_| OnceLock::new()),
             yields: AtomicU64::new(0),
             yield_aborts: AtomicU64::new(0),
             yields_broken: AtomicU64::new(0),
@@ -263,67 +270,85 @@ impl Stats {
         Self::default()
     }
 
-    /// The hot-counter stripe for thread slot `slot`.
+    /// The counters of thread id `slot`, which only that thread may count
+    /// in ([`HotStripe`]). Their block is made on first use, which the
+    /// engine's `register_thread` is, so no hook allocates.
     #[inline]
-    pub fn hot(&self, slot: usize) -> &HotStripe {
-        &self.hot[slot & (HOT_STRIPES - 1)]
+    pub(crate) fn hot(&self, slot: usize) -> &HotStripe {
+        let block = self.hot[slot / HOT_BLOCK].get_or_init(|| {
+            // On the heap, not through 8 KB of the caller's stack.
+            let made: Box<[CachePadded<HotStripe>]> = (0..HOT_BLOCK)
+                .map(|_| CachePadded::new(HotStripe::default()))
+                .collect();
+            made.try_into().unwrap_or_else(|_| unreachable!())
+        });
+        &block[slot % HOT_BLOCK]
     }
 
+    /// Sums `field` over every thread's counters made so far.
     fn hot_sum(&self, field: impl Fn(&HotStripe) -> &AtomicU64) -> u64 {
-        self.hot
-            .iter()
+        let blocks = self.hot.iter().filter_map(OnceLock::get);
+        blocks
+            .flat_map(|block| block.iter())
             .map(|s| field(s).load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Total `request` hook invocations across all stripes.
+    /// Total `request` hook invocations across all threads.
     pub fn requests(&self) -> u64 {
         self.hot_sum(|s| &s.requests)
     }
 
-    /// Total GO decisions across all stripes.
+    /// Total GO decisions across all threads.
     pub fn gos(&self) -> u64 {
         self.hot_sum(|s| &s.gos)
     }
 
-    /// Total lock acquisitions across all stripes.
+    /// Total lock acquisitions across all threads.
     pub fn acquisitions(&self) -> u64 {
         self.hot_sum(|s| &s.acquisitions)
     }
 
-    /// Total lock releases across all stripes, quiet pairs' included.
+    /// Total lock releases across all threads, quiet pairs' included.
     pub fn releases(&self) -> u64 {
         self.hot_sum(|s| &s.releases) + self.quiet_pairs()
     }
 
-    /// Total emptiness-precheck candidate dismissals across all stripes.
+    /// Total emptiness-precheck candidate dismissals across all threads.
     pub fn precheck_skips(&self) -> u64 {
         self.hot_sum(|s| &s.precheck_skips)
     }
 
-    /// Total optimistic cover searches across all stripes.
+    /// Total optimistic cover searches across all threads.
     pub fn cover_searches(&self) -> u64 {
         self.hot_sum(|s| &s.cover_searches)
     }
 
-    /// Total churn-retried cover decisions across all stripes.
+    /// Total churn-retried cover decisions across all threads.
     pub fn cover_retries(&self) -> u64 {
         self.hot_sum(|s| &s.cover_retries)
     }
 
-    /// Total entry pops that found a waiter, across all stripes.
+    /// Total entry pops that found a waiter, across all threads.
     pub fn wake_drains(&self) -> u64 {
         self.hot_sum(|s| &s.wake_drains)
     }
 
-    /// Total quiet pairs across all stripes.
+    /// Total quiet pairs across all threads.
     pub fn quiet_pairs(&self) -> u64 {
         self.hot_sum(|s| &s.quiet_pairs)
     }
 
-    /// Convenience relaxed increment.
+    /// Convenience relaxed increment, for a counter with several writers.
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `n` to a counter of the calling thread's own [`HotStripe`]: a
+    /// load and a store, since no other thread writes it.
+    #[inline]
+    pub(crate) fn count(counter: &AtomicU64, n: u64) {
+        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
     /// Records one rebuild latency into the delta or full histogram + max
@@ -538,8 +563,8 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let s = Stats::new();
-        Stats::bump(&s.hot(0).requests);
-        Stats::bump(&s.hot(1).requests);
+        Stats::count(&s.hot(0).requests, 1);
+        Stats::count(&s.hot(1).requests, 1);
         Stats::bump(&s.yields);
         let snap = s.snapshot();
         assert_eq!(snap.requests, 2);
@@ -552,24 +577,29 @@ mod tests {
     #[test]
     fn a_quiet_pair_is_a_release_and_four_retired_outcomes() {
         let s = Stats::new();
-        Stats::bump(&s.hot(0).releases);
+        Stats::count(&s.hot(0).releases, 1);
         Stats::bump(&s.events_processed);
-        Stats::bump(&s.hot(5).quiet_pairs);
+        Stats::count(&s.hot(5).quiet_pairs, 1);
         let snap = s.snapshot();
         assert_eq!(snap.quiet_pairs, 1);
         assert_eq!(snap.releases, 2);
         assert_eq!(snap.events_processed, 5);
     }
 
+    /// Every thread id counts in its own cell — 0 and 16 no longer share
+    /// one, and 64 is in a second block — and the sums cover every block
+    /// made.
     #[test]
-    fn stripes_wrap_by_slot() {
+    fn per_thread_counters_are_kept_apart_and_summed() {
         let s = Stats::new();
-        // Slots 0 and HOT_STRIPES map to the same stripe; sums are exact
-        // regardless.
-        Stats::bump(&s.hot(0).gos);
-        Stats::bump(&s.hot(HOT_STRIPES).gos);
-        Stats::bump(&s.hot(3).gos);
-        assert_eq!(s.gos(), 3);
-        assert_eq!(s.hot(0).gos.load(Ordering::Relaxed), 2);
+        for (slot, n) in [(0, 1), (16, 2), (64, 4)] {
+            Stats::count(&s.hot(slot).gos, n);
+        }
+        Stats::count(&s.hot(64).precheck_skips, 7);
+        let own = |slot: usize| s.hot(slot).gos.load(Ordering::Relaxed);
+        assert_eq!((own(0), own(16), own(64), own(1)), (1, 2, 4, 0));
+        assert_eq!((s.gos(), s.precheck_skips()), (7, 7));
+        assert!(!std::ptr::eq(s.hot(0), s.hot(16)));
+        assert_eq!(s.hot.iter().filter(|b| b.get().is_some()).count(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! live once the signature is known.
 
 use dimmunix_core::config::MAX_THREADS;
-use dimmunix_core::{frame, Config, Decision, LockId, Runtime};
+use dimmunix_core::{frame, Config, CycleKind, Decision, LockId, Runtime};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -896,5 +896,73 @@ fn a_claim_racing_the_holders_release_leaves_no_hold_edge() {
             "{stats:?}"
         );
         assert!(stats.quiet_pairs > 0, "no pair was quiet: {stats:?}");
+    });
+}
+
+/// No count is lost to the per-thread counters, which each hook updates
+/// with a load and a store, exact only while one thread writes them. Eight
+/// threads run 20 000 `RawLock` pairs each, every other one on a stack of a
+/// loaded signature (so through its member bucket and the precheck), while
+/// the spawned monitor reads the counters; then eight more threads take the
+/// ids the first eight freed and do the same. Every pair counts exactly
+/// once, and once all sixteen have exited every outcome has been retired.
+#[test]
+fn per_thread_counters_lose_no_count_across_threads_and_reused_ids() {
+    const THREADS: usize = 8;
+    const PAIRS: u64 = 20_000;
+    watchdogged(|| {
+        let rt = Runtime::start(Config {
+            monitor_period: Duration::from_millis(1),
+            ..quiet_config()
+        })
+        .unwrap();
+        let site = |function, line| {
+            rt.make_site(&[("main", "canary.rs", 1), (function, "canary.rs", line)])
+        };
+        let (member, partner, plain) = (site("member", 2), site("partner", 3), site("plain", 4));
+        rt.history()
+            .add(
+                CycleKind::Deadlock,
+                vec![member.stack(), partner.stack()],
+                1,
+            )
+            .unwrap();
+        let wave = || {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (rt, sites) = (rt.clone(), [member.clone(), plain.clone()]);
+                    std::thread::spawn(move || {
+                        let lock = rt.raw_lock();
+                        for i in 0..PAIRS {
+                            lock.lock(&sites[i as usize % 2]);
+                            lock.unlock();
+                        }
+                        rt.current_thread().expect("registered")
+                    })
+                })
+                .collect();
+            // `join` returns once the thread-local exit sweep has freed the id.
+            let mut ids: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            ids.sort_unstable_by_key(|t| t.0);
+            ids
+        };
+        let first = wave();
+        assert_eq!(wave(), first, "the second wave reuses the first one's ids");
+        rt.shutdown();
+
+        let st = rt.stats();
+        let pairs = 2 * THREADS as u64 * PAIRS;
+        let counted = [st.requests, st.gos, st.acquisitions, st.releases];
+        assert_eq!(counted, [pairs; 4], "{st:?}");
+        assert_eq!(
+            st.precheck_skips,
+            pairs / 2,
+            "one candidate per member pair"
+        );
+        assert_eq!(
+            st.events_processed,
+            st.requests + st.gos + st.yields + st.acquisitions + st.releases + 2 * THREADS as u64,
+            "{st:?}"
+        );
     });
 }

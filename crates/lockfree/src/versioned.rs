@@ -35,16 +35,34 @@
 //!
 //! # Memory ordering
 //!
-//! The sequence word is operated on with `SeqCst`. The writer *claim* is a
-//! CAS (it is the mutual-exclusion point), but the *release* transition is
-//! a plain `SeqCst` **store**: inside a write session the claim holder is
-//! the only possible writer of the sequence word (every other writer is
-//! spinning in its claim loop, which only CASes an *even* value, and the
-//! holder knows the exact odd value it claimed to), so an RMW would buy
-//! nothing — the single-writer release fast path halves the session's
-//! `SeqCst` RMWs and shaves the uncontended own-entry insert/remove on the
-//! 1-thread signature-hit rows. Nothing outside this module depends on
-//! the sequence word being `SeqCst`.
+//! A write session is one read-modify-write: the *claim*, a CAS (even →
+//! odd) on the sequence word, the mutual-exclusion point. The *exit* is a
+//! plain `Release` **store** of the next even value: inside a session the
+//! claim holder is the only possible writer of the word (every other
+//! writer spins in its claim loop, which only CASes an *even* value, and
+//! the holder knows the exact odd value it claimed to).
+//!
+//! The records are per-word atomics written and copied `Relaxed`, so two
+//! fences order them against the sequence word, the seqlock recipe of
+//! Boehm, "Can seqlocks get along with programming language memory
+//! models?" (MSPC 2012):
+//!
+//! * the claim CAS (`Acquire`, which orders the session after the previous
+//!   holder's exit) is followed by `fence(Release)`. If a reader's copy
+//!   sees any record word this session stores, the reader's fence below
+//!   synchronizes with this one, and its re-load sees the odd claim or
+//!   later;
+//! * [`VersionedBucket::read_into`] puts `fence(Acquire)` between its copy
+//!   and its validating re-load. Without it the `Relaxed` copy could be
+//!   reordered after the re-load, and a torn copy could validate.
+//!
+//! `Release` is enough for the exit because only two things read it: a
+//! reader's first load (`Acquire`, so a copy that starts on the new even
+//! value sees the session's records), and the next writer's claim CAS
+//! (`Acquire`, so sessions are ordered). No one needs a total order over
+//! the sequence words of different buckets: nothing outside this module
+//! depends on the word being `SeqCst`. On x86 neither fence emits an
+//! instruction, and the exit store is a `mov`, not an `xchg`.
 //!
 //! The live-record count `len` is the bucket's only record of its own
 //! occupancy: the claim holder stores it `Release` after the record words,
@@ -52,7 +70,7 @@
 //! separate occupancy counter to keep in step with it.
 
 use crate::pad::CachePadded;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
 /// Capacity of the inline first chunk; subsequent chunks double.
 const FIRST_CHUNK: usize = 8;
@@ -127,7 +145,8 @@ impl<const W: usize> Chunk<W> {
 /// assert_eq!(out, vec![[2, 20]]); // swap_remove moved the tail into the hole
 /// ```
 pub struct VersionedBucket<const W: usize> {
-    /// Sequence word: even = stable, odd = writer inside. `SeqCst` RMWs.
+    /// Sequence word: even = stable, odd = writer inside. One CAS per write
+    /// session (module docs, "Memory ordering").
     seq: CachePadded<AtomicU64>,
     /// Number of live records (the dense prefix). Only the claim holder
     /// writes it (`Release`, after the record words).
@@ -182,12 +201,14 @@ impl<const W: usize> VersionedBucket<W> {
     pub fn read_into(&self, out: &mut Vec<[u64; W]>) -> u64 {
         let mut wait = ClaimWait::new();
         loop {
-            let s1 = self.seq.load(Ordering::SeqCst);
+            let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
                 out.clear();
                 let n = self.len.load(Ordering::Acquire) as usize;
                 self.copy_prefix(n, out);
-                if out.len() == n && self.seq.load(Ordering::SeqCst) == s1 {
+                // The copy before the re-load (module docs).
+                fence(Ordering::Acquire);
+                if out.len() == n && self.seq.load(Ordering::Relaxed) == s1 {
                     return s1;
                 }
             }
@@ -223,19 +244,21 @@ impl<const W: usize> VersionedBucket<W> {
     /// Claims the bucket for writing: one CAS on the sequence word (even →
     /// odd), spinning with backoff while another writer is inside. The
     /// returned guard releases the claim (odd → even) on drop — a plain
-    /// `SeqCst` store, since the holder is the sequence word's only writer
-    /// (single-writer release fast path; see the module docs) — so every
-    /// write session moves the sequence by exactly 2.
+    /// `Release` store, since the holder is the sequence word's only writer
+    /// (module docs) — so every write session moves the sequence by
+    /// exactly 2.
     pub fn write(&self) -> BucketWriter<'_, W> {
         let mut wait = ClaimWait::new();
         loop {
-            let s = self.seq.load(Ordering::SeqCst);
+            let s = self.seq.load(Ordering::Relaxed);
             if s & 1 == 0
                 && self
                     .seq
-                    .compare_exchange_weak(s, s + 1, Ordering::SeqCst, Ordering::Relaxed)
+                    .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
+                // The odd claim before any record store (module docs).
+                fence(Ordering::Release);
                 let len = self.len.load(Ordering::Relaxed);
                 return BucketWriter {
                     bucket: self,
@@ -360,7 +383,7 @@ impl<const W: usize> Drop for BucketWriter<'_, W> {
         // Single-writer release: while the sequence is odd, every other
         // writer's claim loop refuses to CAS and readers only load, so the
         // holder's store cannot race another write to the word.
-        self.bucket.seq.store(self.claimed + 1, Ordering::SeqCst);
+        self.bucket.seq.store(self.claimed + 1, Ordering::Release);
     }
 }
 
