@@ -160,8 +160,8 @@ fn monitor_restart_resumes_detection_from_snapshot() {
     assert_eq!(guard.fired().monitor_faults, 1);
 }
 
-/// Path 2c: the restart also restores the *predictor* from its last-good
-/// clone. A lock ordering taught (and fully released) before the panic
+/// Path 2c: the restart also restores the *predictor* (its checkpoint with
+/// the logged inputs replayed). A lock ordering taught (and fully released) before the panic
 /// exists only inside predictor state — the RAG snapshot holds nothing
 /// about it — so a prediction fired by feeding just the inverse ordering
 /// after the restart proves the respawned monitor resumed the pre-panic

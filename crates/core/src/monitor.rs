@@ -49,11 +49,18 @@
 //! [`Monitor::respawn`] — a fresh instance seeded with the RAG snapshot
 //! taken at the end of the last *successful* pass that changed it
 //! ([`last_good`]; idle passes reuse the snapshot they would only have
-//! re-cloned), plus the predictor snapshot cloned at the same moment.
+//! re-cloned), plus the predictor as it stood at that same moment.
 //! Probe state may have been mid-mutation when the pass died, so open
 //! probes are abandoned (a missed calibration sample, never a correctness
-//! loss); the predictor resumes from its last-good clone so pre-panic lock
-//! orderings — and the condensation built over them — survive the restart.
+//! loss); the predictor is restored so pre-panic lock orderings — and the
+//! condensation built over them — survive the restart. The history's
+//! "not saved yet" flag survives too, so a vaccine archived by the pass
+//! that died still reaches the file at the next pass.
+//!
+//! The predictor's restart point is not a clone per busy pass, which
+//! would cost every pass the whole lock-order graph, but a rarely taken
+//! checkpoint plus the inputs fed since (`LoggedPredictor`), replayed on
+//! respawn under the predictor's determinism contract ([`Predictor`]).
 //!
 //! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
@@ -72,7 +79,7 @@ use crate::config::{Config, Immunity, DEFAULT_DEPTH};
 use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
 use crate::stats::Stats;
-use dimmunix_predict::Predictor;
+use dimmunix_predict::{PredictedCycle, Predictor};
 use dimmunix_rag::{LockId, Rag, ThreadId};
 use dimmunix_signature::{
     suffix_matches, CalibrationUpdate, CallStack, CycleKind, FrameTable, History, HistoryError,
@@ -164,6 +171,95 @@ impl FpProbe {
 /// the monitor.
 const DRAIN_CAP: usize = 1 << 20;
 
+/// One predictor input, as the monitor fed it.
+#[derive(Clone, Copy, Debug)]
+enum Fed {
+    Acquired(ThreadId, LockId, StackId),
+    Release(ThreadId, LockId),
+    ThreadExit(ThreadId),
+    /// `n` consecutive [`Predictor::pass`] calls.
+    Passes(u64),
+}
+
+impl Fed {
+    /// Applies this input to `p`; returns the cycles its passes found.
+    fn apply(self, p: &mut Predictor) -> Vec<PredictedCycle> {
+        match self {
+            Fed::Acquired(t, l, stack) => p.on_acquired(t, l, stack),
+            Fed::Release(t, l) => p.on_release(t, l),
+            Fed::ThreadExit(t) => p.on_thread_exit(t),
+            Fed::Passes(n) => return (0..n).flat_map(|_| p.pass()).collect(),
+        }
+        Vec::new()
+    }
+}
+
+/// The live predictor and its restart point: `checkpoint`, a clone taken
+/// rarely, plus the inputs fed since. `committed` runs from the checkpoint
+/// to the end of the last busy pass — the state a respawn restores —
+/// `pending` from there on.
+///
+/// A busy pass moves `pending` onto `committed`. Once `committed` holds
+/// more entries than the live predictor has edge instances and locks,
+/// replaying it would cost about as much as a clone, so the live predictor
+/// becomes the checkpoint and the log empties: clone work is amortised
+/// O(1) per input, and `committed` never exceeds one checkpoint's size by
+/// more than one pass's inputs. Idle passes are never committed, and
+/// consecutive passes merge into one entry, so an idle monitor's `pending`
+/// stays one `Passes(n)`.
+struct LoggedPredictor {
+    live: Predictor,
+    checkpoint: Predictor,
+    committed: Vec<Fed>,
+    pending: Vec<Fed>,
+}
+
+impl LoggedPredictor {
+    fn new(predictor: Predictor) -> Self {
+        Self {
+            checkpoint: predictor.clone(),
+            live: predictor,
+            committed: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// The one way into the live predictor: applies `input` and logs it.
+    fn feed(&mut self, input: Fed) -> Vec<PredictedCycle> {
+        let cycles = input.apply(&mut self.live);
+        match (input, self.pending.last_mut()) {
+            (Fed::Passes(n), Some(Fed::Passes(m))) => *m += n,
+            _ => self.pending.push(input),
+        }
+        cycles
+    }
+
+    /// Makes the live state the restart point (end of a busy pass).
+    fn commit(&mut self) {
+        self.committed.append(&mut self.pending);
+        let size = self.live.stats();
+        if self.committed.len() as u64 > size.edge_instances + size.locks {
+            self.checkpoint = self.live.clone();
+            self.committed.clear();
+        }
+    }
+
+    /// The predictor as it stood at the last commit, with the same log.
+    fn restored(&self) -> Self {
+        let mut live = self.checkpoint.clone();
+        for &input in &self.committed {
+            // A replayed pass's cycles went to the history when it first ran.
+            input.apply(&mut live);
+        }
+        Self {
+            live,
+            checkpoint: self.checkpoint.clone(),
+            committed: self.committed.clone(),
+            pending: Vec::new(),
+        }
+    }
+}
+
 /// The monitor state machine.
 pub struct Monitor {
     rag: Rag,
@@ -171,14 +267,11 @@ pub struct Monitor {
     /// supervisor seeds a restarted monitor from it (see [`Monitor::respawn`]).
     last_good: Rag,
     probes: Vec<FpProbe>,
-    /// Lock-order-graph deadlock predictor (`Config::prediction`).
-    predictor: Option<Predictor>,
-    /// Predictor snapshot taken alongside [`last_good`]: a restarted
-    /// monitor resumes prediction from the last consistent state instead
-    /// of re-learning every pre-panic lock ordering from scratch.
-    ///
-    /// [`last_good`]: Monitor::respawn
-    last_good_predictor: Option<Predictor>,
+    /// Lock-order-graph deadlock predictor (`Config::prediction`), with
+    /// its restart point: a checkpoint and the inputs fed since, which a
+    /// restarted monitor replays to resume prediction from the end of the
+    /// last busy pass instead of re-learning every pre-panic lock ordering.
+    predictor: Option<LoggedPredictor>,
     /// Predicted signatures synthesized so far, counted against
     /// `PredictionConfig::max_predicted`. Seeded from the loaded history
     /// so restarts do not re-earn the budget.
@@ -208,7 +301,10 @@ impl Monitor {
         stats: Arc<Stats>,
         hooks: Arc<Hooks>,
     ) -> Self {
-        let predictor = config.prediction.clone().map(Predictor::new);
+        let predictor = config
+            .prediction
+            .clone()
+            .map(|cfg| LoggedPredictor::new(Predictor::new(cfg)));
         let predicted_budget_used = if predictor.is_some() {
             history
                 .snapshot()
@@ -218,13 +314,11 @@ impl Monitor {
         } else {
             0
         };
-        let last_good_predictor = predictor.clone();
         Self {
             rag: Rag::new(),
             last_good: Rag::new(),
             probes: Vec::new(),
             predictor,
-            last_good_predictor,
             predicted_budget_used,
             config,
             history,
@@ -280,7 +374,7 @@ impl Monitor {
             || self
                 .predictor
                 .as_ref()
-                .is_some_and(Predictor::has_pending_work);
+                .is_some_and(|p| p.live.has_pending_work());
         busy |= self.claim_quiet_holds(core);
         self.detect_deadlocks();
         // Prediction runs after detection so that when a pattern both
@@ -302,23 +396,28 @@ impl Monitor {
         // consistent restart point. An idle pass — no event applied, no
         // enumeration pending, no yield broken — leaves the RAG as the
         // snapshot already has it and moves only the predictor's aging
-        // clock, which a respawned monitor simply runs again; cloning both
-        // regardless made every idle tick O(held locks).
+        // clock, which a respawned monitor simply runs again; cloning the
+        // RAG regardless made every idle tick O(held locks). The predictor
+        // is not cloned here at all: the commit only moves its logged
+        // inputs, and clones it once the log outgrows it.
         if busy {
             self.last_good = self.rag.clone();
-            self.last_good_predictor = self.predictor.clone();
+            if let Some(p) = &mut self.predictor {
+                p.commit();
+            }
         }
     }
 
     /// A fresh monitor inheriting this one's wiring (config, history,
     /// tables, lanes, stats, hooks), the RAG snapshot from its last
-    /// successful pass, and the predictor snapshot taken at the same
-    /// moment — the supervisor's restart path after a panicked pass.
-    /// Probe state may have been mid-mutation when the pass died, so it
-    /// restarts empty (a missed calibration sample, never a correctness
-    /// loss); the predictor resumes from its last-good clone so pre-panic
-    /// lock orderings do not have to be re-learned. Every thread in the
-    /// RAG snapshot is marked dirty so the first pass re-scans the graph.
+    /// successful pass, the predictor as it stood at the end of the last
+    /// busy pass ([`LoggedPredictor::restored`]) and the unsaved-history
+    /// flag — the supervisor's restart path after a panicked pass. Probe
+    /// state may have been mid-mutation when the pass died, so it restarts
+    /// empty (a missed calibration sample, never a correctness loss). A
+    /// signature the dead pass archived has not reached the file yet; the
+    /// inherited flag makes the next pass save it. Every thread in the RAG
+    /// snapshot is marked dirty so the first pass re-scans the graph.
     pub(crate) fn respawn(&self) -> Monitor {
         let mut fresh = Monitor::new(
             self.config.clone(),
@@ -332,8 +431,8 @@ impl Monitor {
         fresh.rag = self.last_good.clone();
         fresh.rag.mark_all_dirty();
         fresh.last_good = self.last_good.clone();
-        fresh.predictor = self.last_good_predictor.clone();
-        fresh.last_good_predictor = self.last_good_predictor.clone();
+        fresh.predictor = self.predictor.as_ref().map(LoggedPredictor::restored);
+        fresh.dirty = self.dirty;
         fresh
     }
 
@@ -419,9 +518,7 @@ impl Monitor {
             }
             Event::Release { t, l } => {
                 self.feed_probes(t, l, false);
-                if let Some(p) = &mut self.predictor {
-                    p.on_release(t, l);
-                }
+                self.feed(Fed::Release(t, l));
                 self.rag.on_release(t, l);
             }
             Event::Cancel { t, l, .. } => {
@@ -435,9 +532,7 @@ impl Monitor {
                 }
             }
             Event::ThreadExit { t } => {
-                if let Some(p) = &mut self.predictor {
-                    p.on_thread_exit(t);
-                }
+                self.feed(Fed::ThreadExit(t));
                 self.rag.on_thread_exit(t);
             }
         }
@@ -446,10 +541,15 @@ impl Monitor {
     /// What an acquisition feeds besides the RAG: the lock-order predictor
     /// and the open false-positive probes.
     fn note_acquired(&mut self, t: ThreadId, l: LockId, stack: StackId) {
-        if let Some(p) = &mut self.predictor {
-            p.on_acquired(t, l, stack);
-        }
+        self.feed(Fed::Acquired(t, l, stack));
         self.feed_probes(t, l, true);
+    }
+
+    /// Feeds one input to the predictor, if prediction is on.
+    fn feed(&mut self, input: Fed) {
+        if let Some(p) = &mut self.predictor {
+            p.feed(input);
+        }
     }
 
     /// One budgeted prediction pass: archives every feasible order cycle
@@ -459,9 +559,9 @@ impl Monitor {
         let Some(predictor) = &mut self.predictor else {
             return;
         };
-        let cycles = predictor.pass();
+        let cycles = predictor.feed(Fed::Passes(1));
         use std::sync::atomic::Ordering::Relaxed;
-        let pstats = predictor.stats();
+        let pstats = predictor.live.stats();
         self.stats
             .prediction_guard_suppressed
             .store(pstats.guard_suppressed, Relaxed);
@@ -478,7 +578,7 @@ impl Monitor {
         self.stats
             .prediction_edges_retired
             .store(pstats.edges_retired, Relaxed);
-        let max_predicted = predictor.config().max_predicted;
+        let max_predicted = predictor.live.config().max_predicted;
         // Coalesce the whole pass's discoveries into ONE generation bump:
         // the early-run predictor can surface many feasible cycles in a
         // single pass, and archiving them one by one used to cost one
@@ -828,7 +928,7 @@ mod tests {
             core.acquired(t, l, stack);
         }
         monitor.step(&core, &|_| {});
-        let edges = |m: &Monitor| m.predictor.as_ref().unwrap().stats().edge_instances;
+        let edges = |m: &Monitor| m.predictor.as_ref().unwrap().live.stats().edge_instances;
         assert_eq!(monitor.rag.holds_of(t), 2);
         assert_eq!(edges(&monitor), 1);
 
@@ -839,6 +939,68 @@ mod tests {
         assert_eq!(fresh.rag.held_locks(t), monitor.rag.held_locks(t));
         assert_eq!(fresh.rag.holds_of(t), 2);
         assert_eq!(edges(&fresh), 1);
+    }
+
+    /// A respawn restores the predictor exactly as it stood at the end of
+    /// the last busy pass — `Debug` dump for dump — whether the restart
+    /// point is a checkpoint just taken or a checkpoint plus a replayed
+    /// log, and however many idle passes (which age locks) ran since.
+    #[test]
+    fn a_respawn_restores_the_predictor_of_the_last_busy_pass() {
+        let (core, mut monitor, frames, stacks) = wired_with(PredictionConfig {
+            lock_retire_after: 3,
+            ..PredictionConfig::default()
+        });
+        let (site, s) = site(&frames, &stacks);
+        let dump = |m: &Monitor| format!("{:?}", m.predictor.as_ref().unwrap().live);
+        let mut threads = [
+            core.register_thread().unwrap(),
+            core.register_thread().unwrap(),
+        ];
+        let mut busy_dump = dump(&monitor);
+        let (mut checkpoints, mut replayed) = (0, 0);
+        for round in 0..40_u64 {
+            let idle_run = round % 4 == 3;
+            if !idle_run {
+                // Nested, so published: three acquisitions in lock order.
+                let t = threads[(round % 2) as usize];
+                let first = round % 5;
+                for l in first..first + 3 {
+                    core.request(t, LockId(l), &site, s);
+                    core.acquired(t, LockId(l), s);
+                }
+                if round % 7 == 0 {
+                    // Exits holding all three: the exit drops the holds.
+                    core.unregister_thread(t);
+                    threads[(round % 2) as usize] = core.register_thread().unwrap();
+                } else {
+                    for l in (first..first + 3).rev() {
+                        core.release(t, LockId(l));
+                    }
+                }
+            }
+            for _ in 0..if idle_run { 3 } else { 1 } {
+                monitor.step(&core, &|_| {});
+                let p = monitor.predictor.as_ref().unwrap();
+                assert!(!p.live.has_pending_work(), "no enumeration left over");
+                if !idle_run {
+                    busy_dump = dump(&monitor);
+                    let size = p.live.stats();
+                    assert!(p.committed.len() as u64 <= size.edge_instances + size.locks);
+                    if p.committed.is_empty() {
+                        checkpoints += 1;
+                    } else {
+                        replayed += 1;
+                    }
+                }
+                assert!(p.pending.len() <= 1, "round {round}: {:?}", p.pending);
+                assert_eq!(dump(&monitor.respawn()), busy_dump, "round {round}");
+            }
+        }
+        assert!(
+            checkpoints >= 3 && replayed >= 3,
+            "{checkpoints} {replayed}"
+        );
     }
 
     /// The one call stack the quiet-hold tests lock with: it hits no
@@ -1065,7 +1227,7 @@ mod tests {
                 t
             })
             .collect();
-        let predictor = |m: &Monitor| m.predictor.as_ref().unwrap().stats();
+        let predictor = |m: &Monitor| m.predictor.as_ref().unwrap().live.stats();
         for pass in 0..6 {
             let (core, monitor, frames, stacks) = &mut worlds[0];
             let (site, s) = site(frames, stacks);

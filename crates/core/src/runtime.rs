@@ -266,8 +266,9 @@ impl Runtime {
 
     /// One supervised monitor pass. A panic escaping [`Monitor::step`] is
     /// caught and the monitor is rebuilt from its last good RAG snapshot
-    /// ([`Monitor::respawn`]); after [`MONITOR_RESTART_BUDGET`] restarts
-    /// the runtime degrades to pass-through passes instead.
+    /// and predictor restart point ([`Monitor::respawn`]); after
+    /// [`MONITOR_RESTART_BUDGET`] restarts the runtime degrades to
+    /// pass-through passes instead.
     fn step_inner(inner: &Arc<Inner>) {
         let mut monitor = inner.monitor.lock();
         if inner.degraded.load(Ordering::SeqCst) {
@@ -301,7 +302,9 @@ impl Runtime {
             } else {
                 // Replace the panicked monitor (its probe/predictor state
                 // may be mid-mutation) with a fresh one seeded from the
-                // RAG snapshot of its last successful pass.
+                // RAG snapshot of its last successful pass, the predictor
+                // replayed from its checkpoint to the end of the last busy
+                // pass, and the unsaved-history flag the dead pass set.
                 *monitor = monitor.respawn();
             }
         }

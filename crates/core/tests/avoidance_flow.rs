@@ -3,7 +3,7 @@
 //! and stepping the monitor deterministically.
 
 use dimmunix_core::{Config, CycleKind, Decision, Immunity, Runtime, RuntimeMode};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn quiet_config() -> Config {
@@ -31,7 +31,11 @@ struct AbbaWorld {
 
 impl AbbaWorld {
     fn new(config: Config) -> Self {
-        let rt = Runtime::new(config).unwrap();
+        Self::on(Runtime::new(config).unwrap())
+    }
+
+    /// The scenario on a runtime built by the caller (hooks, history file).
+    fn on(rt: Runtime) -> Self {
         let t0 = rt.core().register_thread().unwrap();
         let t1 = rt.core().register_thread().unwrap();
         let lock_a = rt.new_lock_id();
@@ -127,19 +131,46 @@ fn deadlock_hook_fires_with_cycle_threads() {
         })),
         ..Default::default()
     };
-    let rt = Runtime::with_hooks(quiet_config(), hooks).unwrap();
-    let w = AbbaWorld {
-        t0: rt.core().register_thread().unwrap(),
-        t1: rt.core().register_thread().unwrap(),
-        lock_a: rt.new_lock_id(),
-        lock_b: rt.new_lock_id(),
-        site_a_first: rt.make_site(&[("main", "ex.rs", 1), ("update", "ex.rs", 3)]),
-        site_b_first: rt.make_site(&[("main", "ex.rs", 2), ("update", "ex.rs", 3)]),
-        site_second: rt.make_site(&[("main", "ex.rs", 9), ("update", "ex.rs", 4)]),
-        rt,
-    };
+    let w = AbbaWorld::on(Runtime::with_hooks(quiet_config(), hooks).unwrap());
     w.run_first_deadlock();
     assert_eq!(seen.load(Ordering::SeqCst), 2);
+}
+
+/// A pass that archives a signature and then panics (here in the user's
+/// deadlock hook) dies before its save. The restarted monitor inherits the
+/// "not saved yet" flag and saves at its next pass, not only at the next
+/// change or at shutdown, which a killed process never reaches.
+#[test]
+fn a_signature_archived_by_a_panicked_pass_is_saved_by_the_next_pass() {
+    let dir = std::env::temp_dir().join("dimmunix-core-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("panicked-pass-{}.dlk", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let failed = Arc::new(AtomicBool::new(false));
+    let once = Arc::clone(&failed);
+    let hooks = dimmunix_core::Hooks {
+        on_deadlock: Some(Box::new(move |_sig, _threads| {
+            if !once.swap(true, Ordering::SeqCst) {
+                panic!("the deadlock hook fails once");
+            }
+        })),
+        ..Default::default()
+    };
+    let config = Config {
+        history_path: Some(path.clone()),
+        ..Config::default()
+    };
+    let w = AbbaWorld::on(Runtime::with_hooks(config.clone(), hooks).unwrap());
+    w.run_first_deadlock();
+    let stats = w.rt.stats();
+    assert_eq!((stats.signatures_added, stats.monitor_restarts), (1, 1));
+    assert!(!path.exists(), "the pass died before its save");
+
+    w.rt.step_monitor();
+    assert!(path.exists(), "the next pass saves the archived signature");
+    assert_eq!(Runtime::new(config).unwrap().history().len(), 1);
+    drop(w);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

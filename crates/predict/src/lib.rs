@@ -173,9 +173,23 @@ struct Enumeration {
 
 /// The online lock-order-graph deadlock predictor. One per monitor; not
 /// thread-safe (the monitor owns it). `Clone` snapshots the complete
-/// state — the monitor's supervisor keeps a copy from the last successful
-/// pass so a restarted monitor resumes prediction instead of relearning
+/// state, so a restarted monitor resumes prediction instead of relearning
 /// the graph.
+///
+/// **Determinism contract.** The state after a sequence of inputs
+/// ([`on_acquired`], [`on_release`], [`on_thread_exit`], [`pass`]) is a
+/// function of the state before them and of the inputs alone: there is no
+/// clock and no randomness, every map hashes with the fixed
+/// [`dimmunix_signature::IdHasher`], and `Clone` keeps each map's layout,
+/// so a clone fed the same inputs as its original reaches the same state,
+/// down to its `Debug` dump, and returns the same cycles. The monitor's
+/// restart point relies on it: a checkpoint clone plus the inputs fed
+/// since, replayed on respawn.
+///
+/// [`on_acquired`]: Predictor::on_acquired
+/// [`on_release`]: Predictor::on_release
+/// [`on_thread_exit`]: Predictor::on_thread_exit
+/// [`pass`]: Predictor::pass
 #[derive(Clone, Debug)]
 pub struct Predictor {
     cfg: PredictionConfig,

@@ -286,3 +286,65 @@ proptest! {
         prop_assert_eq!(got_suppressed, want_suppressed, "suppression verdicts diverge under deferral");
     }
 }
+
+/// Feeds `trace[range]` to `p`, running a pass after every third op of the
+/// whole trace; returns the labels of the cycles those passes found.
+/// `held` is the caller's record of each thread's holds, so that a release
+/// names the thread's innermost lock.
+fn feed(
+    p: &mut Predictor,
+    held: &mut HashMap<ThreadId, Vec<LockId>>,
+    trace: &[Op],
+    range: std::ops::Range<usize>,
+) -> Vec<Vec<StackId>> {
+    let mut found = Vec::new();
+    for i in range {
+        match trace[i] {
+            Op::Acquire { t, l } => {
+                let (tid, lid) = (ThreadId(u64::from(t)), LockId(u64::from(l)));
+                p.on_acquired(tid, lid, stack_of(t, l));
+                held.entry(tid).or_default().push(lid);
+            }
+            Op::Release { t } => {
+                let tid = ThreadId(u64::from(t));
+                if let Some(l) = held.get_mut(&tid).and_then(Vec::pop) {
+                    p.on_release(tid, l);
+                }
+            }
+            Op::Exit { t } => {
+                let tid = ThreadId(u64::from(t));
+                p.on_thread_exit(tid);
+                held.remove(&tid);
+            }
+        }
+        if i % 3 == 2 {
+            found.extend(p.pass().into_iter().map(|c| c.labels));
+        }
+    }
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The determinism contract the monitor's restart path relies on: a
+    /// clone taken at any point of a trace and fed the rest of it finds
+    /// the same cycles as its original and ends in the same state, `Debug`
+    /// dump for dump — lock aging and budget deferrals included.
+    #[test]
+    fn a_clone_fed_the_same_inputs_reaches_the_same_state(
+        trace in arb_trace(),
+        cut in any::<usize>(),
+    ) {
+        let cut = cut % (trace.len() + 1);
+        let cfg = PredictionConfig { pass_budget: 3, lock_retire_after: 2, ..config() };
+        let mut original = Predictor::new(cfg);
+        let mut held = HashMap::new();
+        feed(&mut original, &mut held, &trace, 0..cut);
+        let (mut copy, mut copy_held) = (original.clone(), held.clone());
+        let want = feed(&mut original, &mut held, &trace, cut..trace.len());
+        let got = feed(&mut copy, &mut copy_held, &trace, cut..trace.len());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(format!("{copy:?}"), format!("{original:?}"));
+    }
+}
