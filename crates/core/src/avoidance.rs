@@ -267,7 +267,8 @@
 //! an extension that frees only the view shell.
 //!
 //! The visit walks only the thread records that exist (a `ThreadSlot` per
-//! thread: log and waiters, yield state and the parker it yields on). They
+//! thread: log, waiters and yield behind the slot mutex, and the parker
+//! that waits on that mutex). They
 //! are made 64 at a time, and a registration that needs a new chunk
 //! installs it under the rebuild mutex — the **chunk-install rule** —
 //! setting each new record's view to the published one. So a visit either
@@ -290,7 +291,11 @@
 //! mutex held, and a release claims its bucket with the slot mutex held. A
 //! yielder takes each cause's slot mutex in turn holding no engine lock, as
 //! the monitor's claim does. A bucket claim is only ever held singly, and
-//! its holder takes no mutex, so the order is acyclic.
+//! its holder takes no mutex, so the order is acyclic. The slot mutex is
+//! also the thread's yield state and the mutex it parks on, so the park
+//! and its wakes add no tier: a thread parks on its own slot mutex holding
+//! nothing else, and every waker takes the yielder's slot mutex holding no
+//! engine lock (below).
 //!
 //! # No-lost-wakeup protocol: the cause's slot mutex
 //!
@@ -307,7 +312,20 @@
 //! 2. a cause's `release` or `cancel` pops its entry, removes it from its
 //!    buckets and takes the live waiters for `L` in one critical section of
 //!    the same mutex; the caller wakes them. The exit sweep takes every live
-//!    waiter in the critical section that clears the entries.
+//!    waiter in the critical section that clears the entries;
+//! 3. the yielder parks on its *own* slot mutex: it reads its parker's
+//!    epoch before the request, and checks it and waits on the parker's
+//!    condition variable under that mutex (`ThreadSlot::park`). A wake
+//!    bumps the epoch and notifies under the same mutex
+//!    (`ThreadSlot::wake`), so a wake either lands before the check, which
+//!    sees the epoch moved, or finds the yielder waiting. Rebuild visits
+//!    and registrations against the yielder as a cause take that mutex too;
+//!    they only delay a park or a wake. The wakers, none holding an engine
+//!    lock: the lock types' `sync::wake_all`, after the `release` or
+//!    `cancel` hook returned; the exit sweep, after its critical section;
+//!    the monitor's starvation break; and the degraded flip, which wakes
+//!    every record. The last two hold only the monitor's own mutex, which
+//!    no hook takes.
 //!
 //! A registration made before the pop is taken by it; one made after it
 //! finds the entry gone. A refused registration, or a history generation
@@ -360,18 +378,20 @@
 use crate::config::{Config, RuntimeMode, MAX_THREADS};
 use crate::event::{Event, YieldInfo};
 use crate::lanes::EventLanes;
-use crate::runtime::Parker;
+use crate::runtime::ParkOutcome;
 use crate::stats::Stats;
-use dimmunix_lockfree::{SlotAllocator, VersionedBucket};
+use dimmunix_lockfree::VersionedBucket;
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{
     BucketLayout, CoverKeys, FrameId, History, MatchIndex, MemberKey, Signature, StackId,
     StackTable,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Answer of the `request` hook (§3): GO means it is safe — with respect to
 /// the history — for the thread to block waiting for the lock; YIELD means
@@ -613,7 +633,9 @@ struct Waiter {
 }
 
 /// A thread's private `Allowed` log — the master copy of its entries —, the
-/// yielders registered against them and the match view its hooks act on.
+/// yielders registered against them, the match view its hooks act on and
+/// the thread's own yield: everything its record keeps behind a mutex, the
+/// slot mutex, which is also the mutex the thread parks on.
 struct AllowedLog {
     /// The thread's **held-lock stack**: one [`Held`] per granted request or
     /// reentrant nesting level, in grant order. A grant pushes; a release or
@@ -632,6 +654,13 @@ struct AllowedLog {
     /// re-resolved: by the chunk install that made this record, and by each
     /// rebuild's visit of it (module docs, "Rebuild protocol").
     view: Arc<MatchView>,
+    /// Causes of the thread's current yield (empty when not yielding, and
+    /// for a yield on a single-member signature, which has no other
+    /// member).
+    causes: Vec<YieldCause>,
+    /// Set by the monitor to break starvation: the thread must stop
+    /// yielding and pursue its most recently requested lock (§3).
+    broken: bool,
 }
 
 impl AllowedLog {
@@ -656,37 +685,34 @@ impl AllowedLog {
 /// Thread records per chunk: the first registration in a chunk makes all.
 const CHUNK: usize = 64;
 
-/// One registered thread's record: its `Allowed` log, yield state and
-/// parker (the paper's `yieldLock[T]` data), made with its chunk and reused
-/// by every later tenant of the id.
+/// One chunk of thread records, cache-line aligned (see [`ThreadSlot`]).
+#[repr(C, align(128))]
+struct Chunk([ThreadSlot; CHUNK]);
+
+/// A chunk on `view`, written in place on the heap: built on the stack, it
+/// would make a fresh thread fault in ≈ 9 KB of stack pages.
+fn new_chunk(view: &Arc<MatchView>) -> Box<Chunk> {
+    let mut chunk = Box::<Chunk>::new_uninit();
+    let first = chunk.as_mut_ptr().cast::<ThreadSlot>();
+    for i in 0..CHUNK {
+        // SAFETY: `Chunk` is `repr(C)` around the array, so record `i` is
+        // at `first + i`, in the allocation. A panic leaks what was written.
+        unsafe { first.add(i).write(ThreadSlot::new(Arc::clone(view))) };
+    }
+    // SAFETY: the loop wrote every record.
+    unsafe { chunk.assume_init() }
+}
+
+/// One registered thread's record (the paper's `yieldLock[T]` data): its
+/// `Allowed` log and yield behind one mutex, the slot mutex, and the parker
+/// that waits on it. Made with its aligned [`Chunk`] and reused by every
+/// later tenant of the id. `repr(C)`: what a lone pair touches ends before
+/// byte 112, so a chunk's first record puts it in the same two cache lines
+/// in every run (at an allocator's address, they varied from run to run).
+#[repr(C)]
 pub(crate) struct ThreadSlot {
-    /// Where a yielding real thread parks (simulated ones park elsewhere).
-    pub(crate) parker: Parker,
-    pub(crate) yield_state: Mutex<YieldState>,
-    /// Whether a yield is in force — and so whether `yield_state` holds
-    /// anything worth clearing. Written only with `yield_state` locked and
-    /// read under it, except by the GO path, which skips the mutex when it
-    /// reads `false`: only the owner thread stores `true` (when recording
-    /// a yield), so a stale `false` read is impossible there.
-    yielding: AtomicBool,
-    /// This thread's private `Allowed` log, the waiters registered against
-    /// it and its match view. Locked by the owning thread on every hook, by
-    /// every rebuild's visit and by each yielder registering against this
-    /// thread; never contended in steady state.
-    allowed: Mutex<AllowedLog>,
-    /// This thread's registration epoch *as a yielder*: every [`Waiter`] it
-    /// registers carries the current value, and bumping it retracts all of
-    /// its outstanding registrations in O(1) (registrations and takes drop
-    /// stale-epoch waiters). Monotonic across slot reuse. `Relaxed`
-    /// throughout: it publishes no other data, and the cause's slot mutex
-    /// orders each registration before any take of it.
-    wake_epoch: AtomicU64,
-    /// Latched when a hook observes this thread unwinding (a RAII guard
-    /// releasing during a panic). `Registration`'s drop runs in TLS
-    /// teardown — *after* the thread boundary caught the panic, when
-    /// `std::thread::panicking()` is already false — so this latch is how
-    /// the exit sweep still classifies the exit as a panic cleanup.
-    panicked: AtomicBool,
+    grant_lock: AtomicU64,
+    grant_stack: AtomicU32,
     /// What was granted and not published yet, or is held quietly, with its
     /// lock and stack in `grant_lock` / `grant_stack` (module docs, "What
     /// the monitor is told" and "Quiet holds"); **0** when there is neither.
@@ -697,15 +723,40 @@ pub(crate) struct ThreadSlot {
     ///
     /// Written by the owner — a thread's hooks all run on that thread (or
     /// on whoever drives a simulated one), and a slot changes hands only
-    /// through the slot allocator, after the exit sweep left this at 0 —
+    /// through the id pool's mutex, after the exit sweep left this at 0 —
     /// except for the monitor's one claim CAS, `HELD → HELD | CLAIMED`,
     /// made under `allowed`'s mutex. So the owner enters `HELD` with a
     /// `Release` store and leaves it with a swap, or, holding that mutex
     /// (its `release`), with a load and a store; every other state is the
     /// owner's alone, and relaxed loads and stores do.
     grant: AtomicU8,
-    grant_lock: AtomicU64,
-    grant_stack: AtomicU32,
+    /// Whether a yield is in force — and so whether the log's `causes` and
+    /// `broken` hold anything worth clearing. Written only by the owner,
+    /// with `allowed` locked; read bare by the owner's GO path (only the
+    /// owner writes it, so its own read is never stale) and by
+    /// [`AvoidanceCore::is_yielding`], a probe.
+    yielding: AtomicBool,
+    /// Latched when a hook observes this thread unwinding (a RAII guard
+    /// releasing during a panic). `Registration`'s drop runs in TLS
+    /// teardown — *after* the thread boundary caught the panic, when
+    /// `std::thread::panicking()` is already false — so this latch is how
+    /// the exit sweep still classifies the exit as a panic cleanup.
+    panicked: AtomicBool,
+    /// This thread's private `Allowed` log, the waiters registered against
+    /// it, its match view and its yield: the slot mutex. Locked by the
+    /// owning thread on every hook and to park, by every rebuild's visit,
+    /// by each yielder registering against this thread and by whoever wakes
+    /// it; never contended in steady state.
+    allowed: Mutex<AllowedLog>,
+    /// This thread's registration epoch *as a yielder*: every [`Waiter`] it
+    /// registers carries the current value, and bumping it retracts all of
+    /// its outstanding registrations in O(1) (registrations and takes drop
+    /// stale-epoch waiters). Monotonic across slot reuse. `Relaxed`
+    /// throughout: it publishes no other data, and the cause's slot mutex
+    /// orders each registration before any take of it.
+    wake_epoch: AtomicU64,
+    /// Where a yielding real thread parks (simulated ones park elsewhere).
+    parker: Parker,
 }
 
 /// [`ThreadSlot::grant`] flag: the GO was granted to a thread holding
@@ -723,12 +774,13 @@ impl ThreadSlot {
     fn new(view: Arc<MatchView>) -> Self {
         Self {
             parker: Parker::default(),
-            yield_state: Mutex::default(),
             yielding: AtomicBool::default(),
             allowed: Mutex::new(AllowedLog {
                 entries: Vec::new(),
                 waiters: Vec::new(),
                 view,
+                causes: Vec::new(),
+                broken: false,
             }),
             wake_epoch: AtomicU64::default(),
             panicked: AtomicBool::default(),
@@ -832,26 +884,110 @@ impl ThreadSlot {
     }
 
     fn clear_yield_state(&self) {
-        if !self.yielding.load(Ordering::Relaxed) {
-            return;
+        if self.yielding.load(Ordering::Relaxed) {
+            self.end_yield(&mut self.allowed.lock());
         }
-        let mut ys = self.yield_state.lock();
-        ys.causes.clear();
-        ys.broken = false;
+    }
+
+    /// Ends the yield in force; `log` is this record's log, under the
+    /// caller's guard.
+    fn end_yield(&self, log: &mut AllowedLog) {
+        log.causes.clear();
+        log.broken = false;
         self.yielding.store(false, Ordering::Relaxed);
+    }
+
+    /// The parker's epoch; pass it to [`Self::park`] to close the
+    /// decide-then-park race.
+    pub(crate) fn park_epoch(&self) -> u64 {
+        self.parker.epoch.load(Ordering::Acquire)
+    }
+
+    /// Parks the owner thread until a wake moves the epoch past `epoch0`
+    /// or `deadline` passes. The epoch is checked and the wait entered
+    /// under the slot mutex, under which every [`Self::wake`] bumps it, so
+    /// no wake is lost (module docs, "No-lost-wakeup protocol").
+    pub(crate) fn park(&self, epoch0: u64, deadline: Option<Instant>) -> ParkOutcome {
+        let moved = || self.parker.epoch.load(Ordering::Acquire) != epoch0;
+        let mut log = self.allowed.lock();
+        while !moved() {
+            let timed_out = match deadline {
+                Some(deadline) => self.parker.cv.wait_until(&mut log, deadline).timed_out(),
+                None => {
+                    self.parker.cv.wait(&mut log);
+                    false
+                }
+            };
+            if timed_out && !moved() {
+                return ParkOutcome::TimedOut;
+            }
+        }
+        ParkOutcome::Woken
+    }
+
+    /// Wakes the owner if it is parked, or makes its next park return at
+    /// once. The caller holds no engine lock: this takes the slot mutex.
+    pub(crate) fn wake(&self) {
+        let _log = self.allowed.lock();
+        self.parker.epoch.fetch_add(1, Ordering::Release);
+        self.parker.cv.notify_all();
     }
 }
 
-/// What a yielding thread is waiting out (whether it is yielding at all is
-/// `ThreadSlot::yielding`, written under this state's mutex).
+/// A thread's parking primitive, in its record. Its mutex is the record's
+/// slot mutex (`ThreadSlot::allowed`).
 #[derive(Default)]
-pub(crate) struct YieldState {
-    /// Causes of the current yield (empty when not yielding, and for a
-    /// yield on a single-member signature, which has no other member).
-    pub(crate) causes: Vec<YieldCause>,
-    /// Set by the monitor to break starvation: the thread must stop
-    /// yielding and pursue its most recently requested lock (§3).
-    pub(crate) broken: bool,
+struct Parker {
+    /// Wake count. Bumped only under the slot mutex, so a parker that
+    /// checks it there cannot miss a wake — the mutex orders the two.
+    /// [`ThreadSlot::park_epoch`] reads it bare: a wake that matters to
+    /// that caller is caused by a registration the caller publishes after
+    /// the read, so coherence alone keeps the read from seeing that wake's
+    /// bump.
+    epoch: AtomicU64,
+    cv: Condvar,
+}
+
+/// The thread ids not in use: those given back, and every id from `next`
+/// up to [`MAX_THREADS`], never handed out. Behind a mutex, which orders
+/// an id's successive tenants: the exit sweep of one happens-before the
+/// first hook of the next.
+#[derive(Default)]
+pub(crate) struct IdPool {
+    free: BTreeSet<usize>,
+    next: usize,
+}
+
+impl IdPool {
+    /// The lowest id not in use — so one given back goes out again before
+    /// a new one —, or `None` when [`MAX_THREADS`] are.
+    pub(crate) fn take(&mut self) -> Option<usize> {
+        self.free.pop_first().or_else(|| {
+            let id = self.next;
+            (id < MAX_THREADS).then(|| {
+                self.next += 1;
+                id
+            })
+        })
+    }
+
+    /// Returns `id` to the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in use (never handed out, or given back
+    /// twice).
+    pub(crate) fn give_back(&mut self, id: usize) {
+        assert!(
+            id < self.next && self.free.insert(id),
+            "thread id {id} was not in use"
+        );
+    }
+
+    /// How many ids are in use.
+    pub(crate) fn in_use(&self) -> usize {
+        self.next - self.free.len()
+    }
 }
 
 /// A matched signature instance, ready to be turned into a YIELD.
@@ -866,8 +1002,8 @@ struct Instance {
 pub struct AvoidanceCore {
     /// The thread records, [`CHUNK`] ids per entry, installed as a prefix
     /// (module docs) and kept until the engine drops.
-    chunks: [OnceLock<Box<[ThreadSlot; CHUNK]>>; MAX_THREADS / CHUNK],
-    slot_alloc: SlotAllocator,
+    chunks: [OnceLock<Box<Chunk>>; MAX_THREADS / CHUNK],
+    ids: Mutex<IdPool>,
     /// The published match view, behind the mutex that serializes rebuilds
     /// (view build, the per-slot visit, publication) and chunk installs.
     /// Hooks read their log's view, never this; they take the mutex only to
@@ -891,7 +1027,7 @@ impl AvoidanceCore {
     ) -> Self {
         Self {
             chunks: std::array::from_fn(|_| OnceLock::new()),
-            slot_alloc: SlotAllocator::new(MAX_THREADS),
+            ids: Mutex::default(),
             view: Mutex::new(MatchView::sentinel()),
             history,
             stacks,
@@ -905,17 +1041,11 @@ impl AvoidanceCore {
     /// id, or `None` when [`MAX_THREADS`] are already registered. An id past
     /// the installed chunks installs every chunk up to its own (module docs).
     pub fn register_thread(&self) -> Option<ThreadId> {
-        let slot = self.slot_alloc.acquire()?;
+        let slot = self.ids.lock().take()?;
         if self.chunks[slot / CHUNK].get().is_none() {
             let view = self.view.lock();
             for chunk in &self.chunks[..=slot / CHUNK] {
-                chunk.get_or_init(|| {
-                    // On the heap, not through ≈ 10 KB of the caller's stack.
-                    let made: Box<[ThreadSlot]> = (0..CHUNK)
-                        .map(|_| ThreadSlot::new(Arc::clone(&view)))
-                        .collect();
-                    made.try_into().unwrap_or_else(|_| unreachable!())
-                });
+                chunk.get_or_init(|| new_chunk(&view));
             }
         }
         // Makes the id's counters with their block, so no hook allocates.
@@ -929,7 +1059,7 @@ impl AvoidanceCore {
     /// thread was ever given.
     pub(crate) fn record(&self, t: ThreadId) -> Option<&ThreadSlot> {
         let id = usize::try_from(t.0).ok()?;
-        Some(&self.chunks.get(id / CHUNK)?.get()?[id % CHUNK])
+        Some(&self.chunks.get(id / CHUNK)?.get()?.0[id % CHUNK])
     }
 
     /// The record of registered thread `t`: each hook looks it up once.
@@ -941,7 +1071,7 @@ impl AvoidanceCore {
     /// Every record there is, with its id: what each per-thread sweep walks.
     pub(crate) fn records(&self) -> impl Iterator<Item = (ThreadId, &ThreadSlot)> {
         let made = self.chunks.iter().map_while(OnceLock::get);
-        let ids = made.flat_map(|chunk| chunk.iter()).enumerate();
+        let ids = made.flat_map(|chunk| chunk.0.iter()).enumerate();
         ids.map(|(id, me)| (ThreadId(id as u64), me))
     }
 
@@ -997,7 +1127,7 @@ impl AvoidanceCore {
         // and `acquired`) still counts as a GO.
         self.publish_grant(me, t);
         self.lanes.push(t.0 as usize, Event::ThreadExit { t });
-        self.slot_alloc.release(t.0 as usize);
+        self.ids.lock().give_back(t.0 as usize);
     }
 
     /// Interns a captured frame sequence.
@@ -1132,9 +1262,9 @@ impl AvoidanceCore {
                 Stats::bump(&self.stats.yields);
                 self.lanes.push(slot, Event::Yield { t, l, stack, info });
                 if self.config.enforce_yields {
-                    let mut ys = me.yield_state.lock();
-                    ys.causes = inst.causes;
-                    ys.broken = false;
+                    let mut log = me.allowed.lock();
+                    log.causes = inst.causes;
+                    log.broken = false;
                     me.yielding.store(true, Ordering::Relaxed);
                     Decision::Yield { sig: inst.sig }
                 } else {
@@ -1436,11 +1566,11 @@ impl AvoidanceCore {
         let Some(me) = self.record(t) else {
             return false;
         };
-        let mut ys = me.yield_state.lock();
+        let mut log = me.allowed.lock();
         if !me.yielding.load(Ordering::Relaxed) {
             return false;
         }
-        ys.broken = true;
+        log.broken = true;
         Stats::bump(&self.stats.yields_broken);
         true
     }
@@ -1451,23 +1581,19 @@ impl AvoidanceCore {
         let Some(me) = self.record(t) else {
             return false;
         };
-        let mut ys = me.yield_state.lock();
-        if ys.broken {
-            ys.broken = false;
-            ys.causes.clear();
-            me.yielding.store(false, Ordering::Relaxed);
-            true
-        } else {
-            false
+        let mut log = me.allowed.lock();
+        let broken = log.broken;
+        if broken {
+            me.end_yield(&mut log);
         }
+        broken
     }
 
-    /// Whether `t` currently has an unconsumed yield in force.
+    /// Whether `t` currently has an unconsumed yield in force: one load, no
+    /// lock.
     pub fn is_yielding(&self, t: ThreadId) -> bool {
-        self.record(t).is_some_and(|me| {
-            let _ys = me.yield_state.lock();
-            me.yielding.load(Ordering::Relaxed)
-        })
+        self.record(t)
+            .is_some_and(|me| me.yielding.load(Ordering::Relaxed))
     }
 
     /// Probe: the yield causes currently registered for `t` — the
@@ -1476,7 +1602,7 @@ impl AvoidanceCore {
     /// build wait-for edges and audit parked/woken accounting.
     pub fn yield_causes(&self, t: ThreadId) -> Vec<YieldCause> {
         self.record(t)
-            .map_or_else(Vec::new, |me| me.yield_state.lock().causes.clone())
+            .map_or_else(Vec::new, |me| me.allowed.lock().causes.clone())
     }
 
     /// Probe: every thread currently parked in an unconsumed yield, with
@@ -1491,9 +1617,9 @@ impl AvoidanceCore {
             if !me.yielding.load(Ordering::Relaxed) {
                 continue;
             }
-            let ys = me.yield_state.lock();
+            let log = me.allowed.lock();
             if me.yielding.load(Ordering::Relaxed) {
-                parked.push((t, ys.causes.clone()));
+                parked.push((t, log.causes.clone()));
             }
         }
         parked
@@ -1944,7 +2070,7 @@ pub struct OccupancySkew {
 impl std::fmt::Debug for AvoidanceCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AvoidanceCore")
-            .field("threads", &self.slot_alloc.allocated())
+            .field("threads", &self.ids.lock().in_use())
             .field("history_len", &self.history.len())
             .finish()
     }

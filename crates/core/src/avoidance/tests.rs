@@ -316,11 +316,47 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
 /// (counting filter and hint beside the stack), 136 with the stack alone,
 /// then the parker that used to sit in an array of its own. A quiet hold is
 /// a state of the grant word, so it costs no byte of its own; the log's view
-/// is one `Arc`, with no epoch beside it (136 before that).
+/// is one `Arc`, with no epoch beside it (136 before that). 152 with the
+/// yield state and the parker behind mutexes of their own; 136 with both
+/// under the slot mutex.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
-    assert!(core::mem::size_of::<ThreadSlot>() <= 128 + core::mem::size_of::<Parker>());
+    let size = core::mem::size_of::<ThreadSlot>();
+    assert!(size <= 136, "ThreadSlot is {size} bytes");
+}
+
+/// A lone pair touches the grant word with its lock and stack, `yielding`
+/// and the slot mutex with its log: all in a record's first 112 bytes,
+/// ahead of what only a yield uses. A chunk's first record sits at a
+/// cache-line-aligned address, so those bytes are the same two 64-byte
+/// lines in every run.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn a_lone_pairs_record_fields_sit_in_two_aligned_cache_lines() {
+    use core::mem::{offset_of, size_of};
+    let allowed = offset_of!(ThreadSlot, allowed);
+    let hot_end = allowed + size_of::<Mutex<AllowedLog>>();
+    assert!(hot_end <= 112, "the hot fields end at byte {hot_end}");
+    for hot in [
+        offset_of!(ThreadSlot, grant_lock),
+        offset_of!(ThreadSlot, grant_stack),
+        offset_of!(ThreadSlot, grant),
+        offset_of!(ThreadSlot, yielding),
+    ] {
+        assert!(hot < allowed);
+    }
+    assert!(offset_of!(ThreadSlot, wake_epoch) >= hot_end);
+    assert!(offset_of!(ThreadSlot, parker) >= hot_end);
+
+    let rt = Runtime::new(Config::default()).unwrap();
+    for _ in 0..=CHUNK {
+        rt.core().register_thread().unwrap();
+    }
+    for first in [0, CHUNK as u64] {
+        let addr = std::ptr::from_ref(rt.core().me(ThreadId(first))) as usize;
+        assert_eq!(addr % 64, 0, "record {first} at {addr:#x}");
+    }
 }
 
 /// A runtime makes no thread record until a thread registers, then 64 at a
@@ -951,4 +987,159 @@ fn a_cancel_of_the_causes_lock_returns_its_yielder() {
     assert_eq!(core.cancel(h.holder, h.held), vec![h.yielder]);
     assert_eq!(h.waiters(), 0);
     assert!(matches!(h.request(), Decision::Go));
+}
+
+/// A wake is not lost while the yielder's slot mutex is busy: the park, the
+/// wake and every rebuild's visit of the yielder's record take that one
+/// mutex. Y parks in a yield on H's hold of `l0`; a second thread then
+/// touches the history over and over, each rebuild visiting Y's record,
+/// and H releases `l0` among those visits. Y must come back `Woken` and
+/// retry to a GO, not wait out its yield bound.
+#[test]
+fn a_wake_is_not_lost_while_the_yielders_slot_mutex_is_busy() {
+    let rt = Runtime::new(Config {
+        max_yield_duration: Some(std::time::Duration::from_secs(5)),
+        ..Config::default()
+    })
+    .unwrap();
+    let site_a = rt.make_site(&[("m", "busy.rs", 1), ("u", "busy.rs", 3)]);
+    let site_b = rt.make_site(&[("m", "busy.rs", 2), ("u", "busy.rs", 3)]);
+    rt.history()
+        .add(CycleKind::Deadlock, vec![site_a.stack(), site_b.stack()], 4)
+        .unwrap();
+    let (l0, l1) = (rt.raw_lock(), rt.raw_lock());
+    l0.lock(&site_a);
+    let rebuilds = || {
+        let stats = rt.stats();
+        stats.rebuilds_full + stats.rebuilds_delta
+    };
+    let stop = AtomicBool::new(false);
+    let (rt, l1, site_b) = (&rt, &l1, &site_b);
+    let waited = std::thread::scope(|s| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let y = s.spawn(move || {
+            tx.send(rt.current_thread().unwrap()).unwrap();
+            let start = Instant::now();
+            l1.lock(site_b);
+            l1.unlock();
+            start.elapsed()
+        });
+        let y_id = rx.recv().unwrap();
+        while !rt.core().is_yielding(y_id) && !y.is_finished() {
+            std::thread::yield_now();
+        }
+        let toucher = s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                rt.history().touch();
+                rt.core().refresh_published();
+            }
+        });
+        let before = rebuilds();
+        while rebuilds() < before + 20 {
+            std::thread::yield_now();
+        }
+        // The wake is delivered before `unlock` returns; only then may the
+        // toucher stop, so that Y's retry finds a view that stays current.
+        l0.unlock();
+        stop.store(true, Ordering::Relaxed);
+        toucher.join().unwrap();
+        y.join().unwrap()
+    });
+    let stats = rt.stats();
+    assert!(stats.yields >= 1, "Y never yielded on H: {stats:?}");
+    assert_eq!(stats.yield_aborts, 0, "Y's wake was lost: {stats:?}");
+    assert!(
+        waited < std::time::Duration::from_secs(5),
+        "Y waited {waited:?}: {stats:?}"
+    );
+}
+
+/// The id pool hands out [`MAX_THREADS`] ids and then none: the next
+/// registration returns `None`, and a thread that first touches the
+/// runtime then runs unsupervised and is counted. An id given back goes
+/// out again.
+#[test]
+fn thread_ids_run_out_at_max_threads() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let ids: Vec<ThreadId> = (0..MAX_THREADS)
+        .map(|_| core.register_thread().unwrap())
+        .collect();
+    assert_eq!(ids.last(), Some(&ThreadId(MAX_THREADS as u64 - 1)));
+    assert_eq!(core.register_thread(), None);
+    assert_eq!(rt.current_thread(), None);
+    assert_eq!(rt.stats().unsupervised_threads, 1);
+    core.unregister_thread(ids[100]);
+    assert_eq!(core.register_thread(), Some(ids[100]));
+    assert_eq!(core.register_thread(), None);
+}
+
+/// An id given back is handed out again before any id never handed out,
+/// the lowest first.
+#[test]
+fn a_freed_thread_id_is_handed_out_before_a_new_one() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let ids: Vec<ThreadId> = (0..4).map(|_| core.register_thread().unwrap()).collect();
+    assert_eq!(ids, (0..4).map(ThreadId).collect::<Vec<_>>());
+    core.unregister_thread(ids[2]);
+    core.unregister_thread(ids[1]);
+    assert_eq!(core.register_thread(), Some(ids[1]));
+    assert_eq!(core.register_thread(), Some(ids[2]));
+    assert_eq!(core.register_thread(), Some(ThreadId(4)));
+}
+
+/// Giving an id back twice is a bug in the caller, and panics.
+#[test]
+#[should_panic(expected = "was not in use")]
+fn unregistering_a_thread_twice_panics() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let t = rt.core().register_thread().unwrap();
+    rt.core().unregister_thread(t);
+    rt.core().unregister_thread(t);
+}
+
+/// Sixteen threads registering at once get sixteen distinct ids.
+#[test]
+fn concurrent_registrations_get_distinct_ids() {
+    const THREADS: usize = 16;
+    let rt = Runtime::new(Config::default()).unwrap();
+    let ready = std::sync::Barrier::new(THREADS);
+    let mut ids: Vec<ThreadId> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    ready.wait();
+                    rt.core().register_thread().unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), THREADS, "an id was handed out twice");
+}
+
+proptest! {
+    /// Registrations and deregistrations against a set model: every id
+    /// handed out is the lowest one not in use, and the pool counts exactly
+    /// the ids in use.
+    #[test]
+    fn thread_ids_match_set_model(ops in prop::collection::vec(any::<bool>(), 0..200)) {
+        let rt = Runtime::new(Config::default()).unwrap();
+        let core = rt.core();
+        let mut live: Vec<ThreadId> = Vec::new();
+        for register in ops {
+            if register {
+                let t = core.register_thread().unwrap();
+                let lowest = (0..).map(ThreadId).find(|t| !live.contains(t));
+                prop_assert_eq!(Some(t), lowest);
+                live.push(t);
+            } else if let Some(t) = live.pop() {
+                core.unregister_thread(t);
+            }
+            prop_assert_eq!(core.ids.lock().in_use(), live.len());
+        }
+    }
 }

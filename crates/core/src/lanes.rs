@@ -93,9 +93,9 @@ impl EventLanes {
     /// Publishes `event` on `slot`'s lane. Never fails or reorders;
     /// allocates only when the lane's queue is full.
     ///
-    /// Per-slot single-producer contract: only the thread owning `slot` (or
-    /// its deregistering successor, ordered through the slot allocator) may
-    /// call this for a given slot.
+    /// Per-slot single-producer contract: only the thread owning `slot` may
+    /// call this for a given slot. An id's successive tenants, the exit
+    /// sweep's `ThreadExit` included, are ordered by the id pool's mutex.
     pub fn push(&self, slot: usize, event: Event) {
         let mut queue = self.lane(slot).lock();
         let len = queue.len();

@@ -36,9 +36,8 @@
 //! It is not wired into [`crate::runtime::Runtime`]; real workloads always
 //! run the sharded [`crate::avoidance::AvoidanceCore`].
 
-use crate::avoidance::Decision;
-use crate::config::{Config, RuntimeMode, MAX_THREADS};
-use dimmunix_lockfree::SlotAllocator;
+use crate::avoidance::{Decision, IdPool};
+use crate::config::{Config, RuntimeMode};
 use dimmunix_rag::{LockId, ThreadId, YieldCause};
 use dimmunix_signature::{suffix_matches, FrameId, History, Signature, StackId, StackTable};
 use parking_lot::Mutex;
@@ -56,7 +55,7 @@ struct RefState {
 /// The single-lock engine (see module docs). One mutex, no fast path.
 pub struct ReferenceCore {
     state: Mutex<RefState>,
-    slot_alloc: SlotAllocator,
+    ids: Mutex<IdPool>,
     history: Arc<History>,
     stacks: Arc<StackTable>,
     config: Config,
@@ -67,7 +66,7 @@ impl ReferenceCore {
     pub fn new(config: Config, history: Arc<History>, stacks: Arc<StackTable>) -> Self {
         Self {
             state: Mutex::default(),
-            slot_alloc: SlotAllocator::new(MAX_THREADS),
+            ids: Mutex::default(),
             history,
             stacks,
             config,
@@ -76,8 +75,8 @@ impl ReferenceCore {
 
     /// Registers a thread, returning its dense id.
     pub fn register_thread(&self) -> Option<ThreadId> {
-        let slot = self.slot_alloc.acquire()?;
-        Some(ThreadId(slot as u64))
+        let id = self.ids.lock().take()?;
+        Some(ThreadId(id as u64))
     }
 
     /// Deregisters `t`, dropping its entries and its yield. Returns the
@@ -89,7 +88,7 @@ impl ReferenceCore {
             state.entries.retain(|&(et, _), _| et != t);
             Self::take_caused_by(state, |c| c.thread == t)
         };
-        self.slot_alloc.release(t.0 as usize);
+        self.ids.lock().give_back(t.0 as usize);
         wake
     }
 
@@ -269,7 +268,7 @@ impl ReferenceCore {
 impl std::fmt::Debug for ReferenceCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReferenceCore")
-            .field("threads", &self.slot_alloc.allocated())
+            .field("threads", &self.ids.lock().in_use())
             .field("history_len", &self.history.len())
             .finish()
     }

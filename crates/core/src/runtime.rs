@@ -5,8 +5,10 @@
 //! frame/stack interners, the persistent [`History`], the
 //! [`AvoidanceCore`], the per-thread event lanes and (optionally) a spawned
 //! monitor thread with period τ. [`Runtime::new`] makes no per-thread
-//! state: a thread's record (`Allowed` log, yield state, [`Parker`]) is
-//! made with its chunk of 64 ids, its event lane when it registers. Lock types ([`crate::sync::ImmunizedMutex`],
+//! state: a thread's record (`Allowed` log and yield behind its slot
+//! mutex, and the parker that waits on that mutex) is made with its chunk
+//! of 64 ids, its event lane when it registers. Lock types
+//! ([`crate::sync::ImmunizedMutex`],
 //! [`crate::sync::ReentrantLock`], [`crate::raw::RawLock`]) hold a handle to
 //! their runtime and route every lock/unlock through its hooks.
 //!
@@ -37,19 +39,6 @@ pub enum ParkOutcome {
     Woken,
     /// The max-yield-duration bound expired (§5.7's escape hatch).
     TimedOut,
-}
-
-/// A thread's parking primitive (the paper's `yieldLock[T]`), in its record.
-#[derive(Default)]
-pub(crate) struct Parker {
-    /// Wake count. Bumped only with `lock` held, so a parker that checks
-    /// it under `lock` cannot miss a wake — the mutex orders the two.
-    /// `park_epoch` reads it bare: a wake that matters to that caller is
-    /// caused by a registration the caller publishes after the read, so
-    /// coherence alone keeps the read from seeing that wake's bump.
-    epoch: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
 }
 
 pub(crate) struct Inner {
@@ -348,13 +337,14 @@ impl Runtime {
     /// that stale read only makes `park_yield` see a moved epoch, return
     /// `Woken` at once and send the caller round to re-request.
     pub(crate) fn park_epoch(&self, t: ThreadId) -> u64 {
-        self.inner.core.me(t).parker.epoch.load(Ordering::Acquire)
+        self.inner.core.me(t).park_epoch()
     }
 
-    /// Parks the calling thread (which must be `t`) until a wake arrives
-    /// (epoch moves past `epoch0`) or the max-yield bound expires.
+    /// Parks the calling thread (which must be `t`) on its own slot mutex
+    /// until a wake arrives (epoch moves past `epoch0`) or the max-yield
+    /// bound expires. A bound that reaches past the end of [`Instant`] is
+    /// no bound.
     pub(crate) fn park_yield(&self, t: ThreadId, epoch0: u64) -> ParkOutcome {
-        let parker = &self.inner.core.me(t).parker;
         let mut bound = self.inner.config.max_yield_duration;
         if self.inner.degraded.load(Ordering::Relaxed) {
             // No monitor will ever break this thread's starvation: cap the
@@ -362,30 +352,8 @@ impl Runtime {
             // loosening, the configured max-yield bound).
             bound = Some(bound.map_or(DEGRADED_YIELD_WAIT, |d| d.min(DEGRADED_YIELD_WAIT)));
         }
-        let deadline = bound.map(|d| Instant::now() + d);
-        let mut held = parker.lock.lock();
-        let moved = || parker.epoch.load(Ordering::Acquire) != epoch0;
-        loop {
-            if moved() {
-                return ParkOutcome::Woken;
-            }
-            match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return ParkOutcome::TimedOut;
-                    }
-                    if parker.cv.wait_until(&mut held, deadline).timed_out() {
-                        return if moved() {
-                            ParkOutcome::Woken
-                        } else {
-                            ParkOutcome::TimedOut
-                        };
-                    }
-                }
-                None => parker.cv.wait(&mut held),
-            }
-        }
+        let deadline = bound.and_then(|d| Instant::now().checked_add(d));
+        self.inner.core.me(t).park(epoch0, deadline)
     }
 
     /// Wakes thread `t` if it is parked in a yield.
@@ -393,13 +361,12 @@ impl Runtime {
         Self::wake_tid(&self.inner, t);
     }
 
+    /// Wakes `t` under its slot mutex; no caller holds an engine lock (the
+    /// wakers are listed in the `avoidance` module docs).
     fn wake_tid(inner: &Inner, t: ThreadId) {
-        let Some(me) = inner.core.record(t) else {
-            return; // no thread was ever given `t`
-        };
-        let _held = me.parker.lock.lock();
-        me.parker.epoch.fetch_add(1, Ordering::Release);
-        me.parker.cv.notify_all();
+        if let Some(me) = inner.core.record(t) {
+            me.wake();
+        }
     }
 
     /// The avoidance engine (expert/simulator API).

@@ -16,7 +16,7 @@ const HOT_BLOCK: usize = 64;
 /// threads ever write the same line.
 ///
 /// **Single writer.** Only the thread that owns an id runs that id's hooks,
-/// and an id changes hands only through the slot allocator, after the exit
+/// and an id changes hands only through the id pool's mutex, after the exit
 /// sweep — the rule `ThreadSlot::grant` relies on too. So each counter has
 /// one writer at a time, which counts with a load and a store
 /// (`Stats::count`), no read-modify-write; readers load the counters

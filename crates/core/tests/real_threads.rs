@@ -158,6 +158,46 @@ fn raw_lock_timeout_of_duration_max_is_no_deadline() {
     });
 }
 
+/// A max-yield bound too long to add to `Instant::now()` (which used to
+/// panic in the park) is no bound: Y yields on H's hold of `l0` under
+/// `max_yield_duration: Some(Duration::MAX)`, parks, and is woken by H's
+/// release.
+#[test]
+fn a_yield_under_a_max_yield_duration_of_duration_max_is_woken_by_its_cause() {
+    watchdogged(|| {
+        let rt = Runtime::new(Config {
+            max_yield_duration: Some(Duration::MAX),
+            ..quiet_config()
+        })
+        .unwrap();
+        let site_a = rt.make_site(&[("m", "forever.rs", 1), ("u", "forever.rs", 3)]);
+        let site_b = rt.make_site(&[("m", "forever.rs", 2), ("u", "forever.rs", 3)]);
+        rt.history()
+            .add(CycleKind::Deadlock, vec![site_a.stack(), site_b.stack()], 4)
+            .unwrap();
+        let (l0, l1) = (rt.raw_lock(), rt.raw_lock());
+        l0.lock(&site_a);
+        let (rt, l1, site_b) = (&rt, &l1, &site_b);
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let y = s.spawn(move || {
+                tx.send(rt.current_thread().unwrap()).unwrap();
+                l1.lock(site_b);
+                l1.unlock();
+            });
+            let y_id = rx.recv().unwrap();
+            while !rt.core().is_yielding(y_id) && !y.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            l0.unlock();
+            y.join().expect("Y parks with no deadline and completes");
+        });
+        let stats = rt.stats();
+        assert!(stats.yields >= 1, "Y never yielded on H: {stats:?}");
+        assert_eq!(stats.yield_aborts, 0, "{stats:?}");
+    });
+}
+
 #[test]
 fn mutex_try_lock_for_duration_max_is_no_deadline() {
     watchdogged(|| {

@@ -28,9 +28,10 @@
 //! pushed into; a yield now registers in its cause's slot-mutex-guarded
 //! log in `dimmunix_core`.
 //!
-//! The crate also provides the small utilities those algorithms need: the
-//! [`slots::SlotAllocator`] that hands out dense thread ids and
-//! [`pad::CachePadded`] to keep hot atomics on separate cache lines.
+//! The crate also provides [`pad::CachePadded`], which keeps hot atomics
+//! on separate cache lines. Dense thread ids come from a mutex-guarded id
+//! pool in `dimmunix_core`, the same mutex that orders an id's successive
+//! tenants.
 //!
 //! Everything here is `std`-only and dependency-free; `unsafe` is confined to
 //! the queue internals and documented with `SAFETY` comments.
@@ -43,7 +44,6 @@ pub mod epoch;
 pub mod mpsc;
 pub mod occupancy;
 pub mod pad;
-pub mod slots;
 pub mod spsc;
 pub mod versioned;
 pub mod wakelist;
@@ -53,7 +53,6 @@ pub use epoch::EpochCell;
 pub use mpsc::MpscQueue;
 pub use occupancy::OccupancyArray;
 pub use pad::CachePadded;
-pub use slots::SlotAllocator;
 pub use spsc::SpscRing;
 pub use versioned::{BucketWriter, VersionedBucket};
 pub use wakelist::{DrainVerdict, WakeList, WakeNodePool};

@@ -20,12 +20,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// At most one thread may call [`SpscRing::push`] concurrently, and at most
 /// one (possibly different) thread may call [`SpscRing::pop`] concurrently.
-/// This is a logical contract like the one on [`crate::MpscQueue`]: Dimmunix
-/// assigns each ring to exactly one registered thread (producer) and drains
-/// all rings from the single monitor thread (consumer). Slot reuse after
-/// thread deregistration is ordered through the
-/// [`crate::SlotAllocator`]'s release/acquire pair, so successive producers
-/// never overlap.
+/// This is a logical contract like the one on [`crate::MpscQueue`]: each
+/// ring has one producer thread and one consumer thread at a time. A caller
+/// that hands a ring to a new producer must order the hand-over (a mutex or
+/// a join), so successive producers never overlap.
 ///
 /// # Examples
 ///

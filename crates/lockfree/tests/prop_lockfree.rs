@@ -1,6 +1,6 @@
 //! Property and stress tests for the lock-free substrate.
 
-use dimmunix_lockfree::{DrainVerdict, MpscQueue, SlotAllocator, VersionedBucket, WakeList};
+use dimmunix_lockfree::{DrainVerdict, MpscQueue, VersionedBucket, WakeList};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,31 +29,6 @@ proptest! {
             prop_assert_eq!(q.pop(), Some(expect));
         }
         prop_assert_eq!(q.pop(), None);
-    }
-
-    /// The slot allocator never double-allocates and respects capacity.
-    #[test]
-    fn slot_allocator_matches_set_model(
-        capacity in 1_usize..100,
-        ops in prop::collection::vec(any::<bool>(), 0..200),
-    ) {
-        let a = SlotAllocator::new(capacity);
-        let mut live: Vec<usize> = Vec::new();
-        for acquire in ops {
-            if acquire {
-                match a.acquire() {
-                    Some(slot) => {
-                        prop_assert!(slot < capacity);
-                        prop_assert!(!live.contains(&slot), "double allocation of {slot}");
-                        live.push(slot);
-                    }
-                    None => prop_assert_eq!(live.len(), capacity),
-                }
-            } else if let Some(slot) = live.pop() {
-                a.release(slot);
-            }
-            prop_assert_eq!(a.allocated(), live.len());
-        }
     }
 }
 
