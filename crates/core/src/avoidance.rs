@@ -32,10 +32,9 @@
 //!   without copying anything;
 //! * the **yielding bookkeeping** sits in the causes' logs: each log keeps
 //!   the registrations *against its thread as a cause* (`Waiter`s: cause
-//!   lock, yielder, yielder epoch), pushed by a yielder under that log's
-//!   slot mutex and taken by the pop that ends the entry, and each thread
-//!   keeps an atomic registration epoch whose bump retracts all of its
-//!   registrations as a yielder;
+//!   lock, yielder), pushed by a yielder under that log's slot mutex and
+//!   either taken by the pop that ends the entry or withdrawn by the
+//!   yielder, under that same mutex, when its yield ends;
 //! * the read-mostly **match view** (bucket layout, the [`MatchIndex`],
 //!   and the current `MatchTable`) sits in each thread's log, where the
 //!   rebuild's visit hands it over, so `request` reads it under the slot
@@ -268,7 +267,7 @@
 //!
 //! The visit walks only the thread records that exist (a `ThreadSlot` per
 //! thread: log, waiters and yield behind the slot mutex, and the parker
-//! that waits on that mutex). They
+//! that waits on that mutex; 128 bytes, two cache lines). They
 //! are made 64 at a time, and a registration that needs a new chunk
 //! installs it under the rebuild mutex — the **chunk-install rule** —
 //! setting each new record's view to the published one. So a visit either
@@ -289,9 +288,10 @@
 //! mutex beside them: rebuilds hold the rebuild mutex and take slot
 //! mutexes one at a time, hooks bucket their own entries with the slot
 //! mutex held, and a release claims its bucket with the slot mutex held. A
-//! yielder takes each cause's slot mutex in turn holding no engine lock, as
-//! the monitor's claim does. A bucket claim is only ever held singly, and
-//! its holder takes no mutex, so the order is acyclic. The slot mutex is
+//! yielder takes each cause's slot mutex in turn holding no engine lock, to
+//! register or to withdraw, as the monitor's claim does. A bucket claim is
+//! only ever held singly, and its holder takes no mutex, so the order is
+//! acyclic. The slot mutex is
 //! also the thread's yield state and the mutex it parks on, so the park
 //! and its wakes add no tier: a thread parks on its own slot mutex holding
 //! nothing else, and every waker takes the yielder's slot mutex holding no
@@ -306,13 +306,12 @@
 //! 1. once a cover is found, the requester notes its view's generation,
 //!    drops its own slot lock and, for each cause in turn, locks that
 //!    cause's log holding no other engine lock. If the log still holds an
-//!    entry for `L` with the stack the cover named, it drops the waiters
-//!    their yielders retracted and pushes its own `Waiter`; otherwise the
-//!    registration is refused;
+//!    entry for `L` with the stack the cover named, it pushes its `Waiter`;
+//!    otherwise the registration is refused;
 //! 2. a cause's `release` or `cancel` pops its entry, removes it from its
-//!    buckets and takes the live waiters for `L` in one critical section of
-//!    the same mutex; the caller wakes them. The exit sweep takes every live
-//!    waiter in the critical section that clears the entries;
+//!    buckets and takes the waiters for `L` in one critical section of the
+//!    same mutex; the caller wakes them. The exit sweep takes every waiter
+//!    in the critical section that clears the entries;
 //! 3. the yielder parks on its *own* slot mutex: it reads its parker's
 //!    epoch before the request, and checks it and waits on the parker's
 //!    condition variable under that mutex (`ThreadSlot::park`). A wake
@@ -328,9 +327,15 @@
 //!    no hook takes.
 //!
 //! A registration made before the pop is taken by it; one made after it
-//! finds the entry gone. A refused registration, or a history generation
-//! that moved while the slot lock was dropped, retracts the yield
-//! (`remove_yielding`), bumps `cover_retries` and decides again. A retry so
+//! finds the entry gone. A registration leaves a log the same way it came
+//! in: whoever ends the yield — the yielder's next `request`, `force_go`,
+//! `cancel` or exit sweep, or `take_broken` — takes its causes from the
+//! yielder's log and withdraws its `Waiter` from each cause's log in turn,
+//! one slot critical section at a time, holding no other engine lock. So a
+//! log holds only waiters whose yield is still registered, and a waiter the
+//! pop already took is simply not found. A refused registration, or a
+//! history generation that moved while the slot lock was dropped, withdraws
+//! what it registered, bumps `cover_retries` and decides again. A retry so
 //! means that a named cause gave up its lock or the history changed —
 //! progress either way — so the loop needs no bound and no fallback, and
 //! no other thread's bucket writes can make it retry. The real-thread
@@ -623,13 +628,12 @@ struct Held {
 }
 
 /// A yielder's registration against one of a log's entries as its cause:
-/// taken by the pop of an entry for `lock`, and live while `epoch` is still
-/// the yielder's registration epoch (`ThreadSlot::wake_epoch`).
+/// taken by the pop of an entry for `lock`, or withdrawn by its yielder
+/// when the yield ends.
 #[derive(Clone, Copy)]
 struct Waiter {
     lock: LockId,
     yielder: ThreadId,
-    epoch: u64,
 }
 
 /// A thread's private `Allowed` log — the master copy of its entries —, the
@@ -647,8 +651,8 @@ struct AllowedLog {
     /// Yielders registered against this thread as a cause, pushed in this
     /// log's critical section only while an entry for their lock is in it,
     /// and taken by the pop of such an entry (module docs, "No-lost-wakeup
-    /// protocol"). Retracted ones linger until the next registration or
-    /// take; capacity is retained, so a warm hand-off allocates nothing.
+    /// protocol") or withdrawn by their yielder, so every one is live.
+    /// Capacity is retained, so a warm hand-off allocates nothing.
     waiters: Vec<Waiter>,
     /// The view every entry's slots index. Set only where the entries are
     /// re-resolved: by the chunk install that made this record, and by each
@@ -656,7 +660,9 @@ struct AllowedLog {
     view: Arc<MatchView>,
     /// Causes of the thread's current yield (empty when not yielding, and
     /// for a yield on a single-member signature, which has no other
-    /// member).
+    /// member). Between hooks, every log that holds a registration of this
+    /// thread is a cause listed here (a cause's pop may have taken its own
+    /// since): whoever ends the yield takes the list and withdraws them.
     causes: Vec<YieldCause>,
     /// Set by the monitor to break starvation: the thread must stop
     /// yielding and pursue its most recently requested lock (§3).
@@ -706,9 +712,11 @@ fn new_chunk(view: &Arc<MatchView>) -> Box<Chunk> {
 /// One registered thread's record (the paper's `yieldLock[T]` data): its
 /// `Allowed` log and yield behind one mutex, the slot mutex, and the parker
 /// that waits on it. Made with its aligned [`Chunk`] and reused by every
-/// later tenant of the id. `repr(C)`: what a lone pair touches ends before
-/// byte 112, so a chunk's first record puts it in the same two cache lines
-/// in every run (at an allocator's address, they varied from run to run).
+/// later tenant of the id. `repr(C)` and 128 bytes on 64-bit targets, so in
+/// the 128-byte-aligned chunk every record starts on its own pair of cache
+/// lines, the same two in every run (at an allocator's address, they varied
+/// from run to run), and no two records share a line. What a lone pair
+/// touches ends before byte 112.
 #[repr(C)]
 pub(crate) struct ThreadSlot {
     grant_lock: AtomicU64,
@@ -748,13 +756,6 @@ pub(crate) struct ThreadSlot {
     /// by each yielder registering against this thread and by whoever wakes
     /// it; never contended in steady state.
     allowed: Mutex<AllowedLog>,
-    /// This thread's registration epoch *as a yielder*: every [`Waiter`] it
-    /// registers carries the current value, and bumping it retracts all of
-    /// its outstanding registrations in O(1) (registrations and takes drop
-    /// stale-epoch waiters). Monotonic across slot reuse. `Relaxed`
-    /// throughout: it publishes no other data, and the cause's slot mutex
-    /// orders each registration before any take of it.
-    wake_epoch: AtomicU64,
     /// Where a yielding real thread parks (simulated ones park elsewhere).
     parker: Parker,
 }
@@ -782,7 +783,6 @@ impl ThreadSlot {
                 causes: Vec::new(),
                 broken: false,
             }),
-            wake_epoch: AtomicU64::default(),
             panicked: AtomicBool::default(),
             grant: AtomicU8::default(),
             grant_lock: AtomicU64::default(),
@@ -876,25 +876,12 @@ impl ThreadSlot {
         Some((l, stack))
     }
 
-    /// Retracts this thread's yield registration: one epoch bump
-    /// invalidates every outstanding [`Waiter`] (dropped lazily).
-    /// No-op-safe when not yielding.
-    pub(crate) fn remove_yielding(&self) {
-        self.wake_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn clear_yield_state(&self) {
-        if self.yielding.load(Ordering::Relaxed) {
-            self.end_yield(&mut self.allowed.lock());
-        }
-    }
-
-    /// Ends the yield in force; `log` is this record's log, under the
-    /// caller's guard.
-    fn end_yield(&self, log: &mut AllowedLog) {
-        log.causes.clear();
+    /// Ends the yield in force and returns its causes; `log` is this
+    /// record's log, under the caller's guard.
+    fn take_yield(&self, log: &mut AllowedLog) -> Vec<YieldCause> {
         log.broken = false;
         self.yielding.store(false, Ordering::Relaxed);
+        std::mem::take(&mut log.causes)
     }
 
     /// The parker's epoch; pass it to [`Self::park`] to close the
@@ -1089,32 +1076,31 @@ impl AvoidanceCore {
         self.unregister_thread_waking(t, &mut |_| {});
     }
 
-    /// Deregisters `t` with a waker: cleans its yield state, empties its
-    /// held-lock stack (it may have panicked mid-critical-section) and
-    /// drops those `Allowed` entries from the shared buckets, hands every
-    /// live yielder parked on `t` as its cause to `wake` (counted in
-    /// `orphan_wakes` — their release will never come),
+    /// Deregisters `t` with a waker: ends its yield and withdraws its
+    /// registrations, empties its held-lock stack (it may have panicked
+    /// mid-critical-section) and drops those `Allowed` entries from the
+    /// shared buckets, hands every yielder parked on `t` as its cause to
+    /// `wake` (counted in `orphan_wakes` — their release will never come),
     /// emits `ThreadExit`, and frees the slot. This is the unwind-safe exit
     /// path: a panicking registered thread reaches it via `Registration`'s
     /// `Drop`.
     pub fn unregister_thread_waking(&self, t: ThreadId, wake: &mut dyn FnMut(ThreadId)) {
         let me = self.me(t);
-        me.clear_yield_state();
+        self.clear_yield(me, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
-            me.remove_yielding();
             // Drop the entries the thread never released (panic inside a
             // critical section) from the buckets, empty its stack and take
-            // every live waiter, in one critical section: a yielder that
+            // every waiter, in one critical section: a yielder that
             // registers later finds no entry. The monitor's RAG drops the
             // hold edges via `ThreadExit`, so no per-lock Release events are
             // needed.
-            let orphans = {
+            let orphans: Vec<ThreadId> = {
                 let mut log = me.allowed.lock();
                 for held in &log.entries {
                     self.remove_buckets(&log.view, t, held);
                 }
                 log.entries.clear();
-                self.take_waiters(&mut log.waiters, |_| true)
+                log.waiters.drain(..).map(|w| w.yielder).collect()
             };
             // Their cause is exiting, so the release they are waiting out
             // will never happen.
@@ -1190,10 +1176,14 @@ impl AvoidanceCore {
         }
 
         let full = self.config.mode == RuntimeMode::Full;
-        // A yield in force when the request began: its registration is still
-        // live and the monitor still draws its edges, however many retries
-        // below are refused (only this thread writes `yielding`).
+        // A yield in force when the request began (a retry after a wake):
+        // its registrations come back first, but it stays in force, and the
+        // monitor draws its edges, until a grant or a new yield replaces it
+        // (only this thread writes `yielding`).
         let yielding = me.yielding.load(Ordering::Relaxed);
+        if yielding {
+            self.withdraw_yield(me, t);
+        }
         let mut quiet;
         let instance = loop {
             let mut resolved = Resolved::default();
@@ -1207,7 +1197,7 @@ impl AvoidanceCore {
                 // Cover impossible: the suffix hits no member bucket, so the
                 // decision is GO and the entry stays in the private log — no
                 // shared state touched (beyond yield cleanup).
-                Self::record_go(log, &[], yielding, me, t, l, stack);
+                Self::record_go(log, &[], t, l, stack);
                 break None;
             }
             let view = &log.view;
@@ -1218,7 +1208,7 @@ impl AvoidanceCore {
                 None
             };
             let Some(inst) = found else {
-                Self::record_go(log, slots, yielding, me, t, l, stack);
+                Self::record_go(log, slots, t, l, stack);
                 break None;
             };
             if self.config.enforce_yields {
@@ -1226,27 +1216,29 @@ impl AvoidanceCore {
                 // section, holding no engine lock: a cause that popped its
                 // entry since the search refuses, and a pop after the
                 // registration takes it (module docs' protocol). Either a
-                // refusal or a moved generation means deciding again.
+                // refusal or a moved generation means withdrawing what was
+                // registered and deciding again.
                 let generation = view.generation;
                 drop(log);
-                if !self.register_yield(me, t, &inst.causes)
-                    || generation != self.history.generation()
-                {
+                let registered = self.register_yield(t, &inst.causes);
+                if !registered || generation != self.history.generation() {
+                    if registered {
+                        self.withdraw(t, &inst.causes);
+                    }
                     Stats::count(&hot.cover_retries, 1);
-                    me.remove_yielding();
                     continue;
                 }
             } else {
                 // Measurement mode: record the would-be yield but proceed
                 // as GO.
-                Self::record_go(log, slots, yielding, me, t, l, stack);
+                Self::record_go(log, slots, t, l, stack);
             }
             break Some(inst);
         };
 
         match instance {
             None => {
-                me.clear_yield_state();
+                self.clear_yield(me, t);
                 Stats::count(&hot.gos, 1);
                 me.defer_go(l, stack, if quiet { 2 | GRANT_QUIET } else { 2 });
                 Decision::Go
@@ -1285,9 +1277,8 @@ impl AvoidanceCore {
         self.publish_grant(me, t);
         if self.config.mode != RuntimeMode::InstrumentationOnly {
             self.record_entry(me, t, l, frames, stack);
-            me.remove_yielding();
         }
-        me.clear_yield_state();
+        self.clear_yield(me, t);
         Stats::count(&self.stats.hot(t.0 as usize).gos, 1);
         // The `Yield` event of the request this overrides accounted for it.
         me.defer_go(l, stack, 1);
@@ -1413,12 +1404,10 @@ impl AvoidanceCore {
     /// the private log and to the member buckets `slots` — all that its
     /// stack resolved to under the log's view in this critical section,
     /// none for an irrelevant suffix — under the slot lock (see the rebuild
-    /// protocol); then clears any yield registration.
+    /// protocol).
     fn record_go(
         mut log: MutexGuard<'_, AllowedLog>,
         slots: &[u32],
-        yielding: bool,
-        me: &ThreadSlot,
         t: ThreadId,
         l: LockId,
         stack: StackId,
@@ -1435,10 +1424,6 @@ impl AvoidanceCore {
         if !slots.is_empty() {
             let held = entries.last_mut().expect("pushed above");
             Self::bucket(view, slots, 0, t, held);
-        }
-        drop(log);
-        if yielding {
-            me.remove_yielding();
         }
     }
 
@@ -1475,7 +1460,7 @@ impl AvoidanceCore {
         let mut resolved = Resolved::default();
         let log = self.lock_current(me, frames, &mut resolved);
         let slots = log.view.all_slots(&resolved, frames);
-        Self::record_go(log, &slots, false, me, t, l, stack);
+        Self::record_go(log, &slots, t, l, stack);
     }
 
     /// The `release` hook, invoked **before** the real unlock. Returns the
@@ -1518,29 +1503,26 @@ impl AvoidanceCore {
     /// withdrawn with it: the monitor hears of the cancel alone. After a GO
     /// it pops the request's entry and returns the threads whose yields
     /// that entry caused, as [`Self::release`] does; the caller wakes them.
-    /// After a YIELD (the thread is still yielding) it only retracts the
-    /// yield: the request pushed no entry, and the innermost `(t, l)` entry
-    /// is a hold of `l` the thread keeps.
+    /// After a YIELD (the thread is still yielding) it only ends the yield
+    /// and withdraws its registrations: the request pushed no entry, and the
+    /// innermost `(t, l)` entry is a hold of `l` the thread keeps.
     pub fn cancel(&self, t: ThreadId, l: LockId) -> Vec<ThreadId> {
         let me = self.me(t);
         let (grant, _) = self.take_grant(me, t, l);
         let mut wake = Vec::new();
-        if self.config.mode != RuntimeMode::InstrumentationOnly {
-            if me.yielding.load(Ordering::Relaxed) {
-                me.remove_yielding();
-            } else {
-                wake = self.pop_entry(&mut me.allowed.lock(), t, l);
-            }
+        if me.yielding.load(Ordering::Relaxed) {
+            self.end_yield(me, t);
+        } else if self.config.mode != RuntimeMode::InstrumentationOnly {
+            wake = self.pop_entry(&mut me.allowed.lock(), t, l);
         }
-        me.clear_yield_state();
         self.lanes.push(t.0 as usize, Event::Cancel { t, l, grant });
         wake
     }
 
     /// Pops the innermost `Allowed` entry for `(t, l)` from `log`, `t`'s
     /// log under the caller's guard, removes it from the buckets of the
-    /// log's view by the slots it remembers and takes the live waiters for
-    /// `l`, all in that one slot critical section: no rebuild's visit can
+    /// log's view by the slots it remembers and takes the waiters for `l`,
+    /// all in that one slot critical section: no rebuild's visit can
     /// fall between the pop and the removal, and no yielder can register
     /// between the pop and the take (module docs). Returns the yielders to
     /// wake. An entry with no buckets — an empty history, an irrelevant
@@ -1557,7 +1539,8 @@ impl AvoidanceCore {
             return Vec::new();
         }
         Stats::count(&self.stats.hot(t.0 as usize).wake_drains, 1);
-        self.take_waiters(&mut log.waiters, |w| w.lock == l)
+        let taken = log.waiters.extract_if(.., |w| w.lock == l);
+        taken.map(|w| w.yielder).collect()
     }
 
     /// Marks `t`'s current yield as broken (monitor starvation breaking).
@@ -1577,16 +1560,20 @@ impl AvoidanceCore {
 
     /// Consumes `t`'s broken flag; a yielding thread calls this on wakeup to
     /// learn whether it must proceed without re-consulting the history.
+    /// A broken yield ends here, its registrations withdrawn.
     pub fn take_broken(&self, t: ThreadId) -> bool {
         let Some(me) = self.record(t) else {
             return false;
         };
-        let mut log = me.allowed.lock();
-        let broken = log.broken;
-        if broken {
-            me.end_yield(&mut log);
-        }
-        broken
+        let causes = {
+            let mut log = me.allowed.lock();
+            if !log.broken {
+                return false;
+            }
+            me.take_yield(&mut log)
+        };
+        self.withdraw(t, &causes);
+        true
     }
 
     /// Whether `t` currently has an unconsumed yield in force: one load, no
@@ -1763,22 +1750,21 @@ impl AvoidanceCore {
     }
 
     /// Registers `t` as yielding on `causes` (module docs, "No-lost-wakeup
-    /// protocol"): bumps its registration epoch, which retracts any earlier
-    /// registration, then, in each cause's log critical section in turn,
-    /// drops the waiters their yielders retracted and pushes a [`Waiter`].
-    /// Returns `false`, with the causes before it registered, when a cause's
-    /// log no longer holds the entry the cover named. The caller holds no
-    /// engine lock.
-    fn register_yield(&self, me: &ThreadSlot, t: ThreadId, causes: &[YieldCause]) -> bool {
-        let epoch = me.wake_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        causes.iter().all(|c| {
+    /// protocol"): pushes a [`Waiter`] in each cause's log critical section
+    /// in turn. Returns `false` when a cause's log no longer holds the entry
+    /// the cover named, having withdrawn the registrations made before it.
+    /// The caller holds no engine lock, and no registration of `t`'s is
+    /// left from an earlier yield.
+    fn register_yield(&self, t: ThreadId, causes: &[YieldCause]) -> bool {
+        for (at, c) in causes.iter().enumerate() {
             let mut log = self.me(c.thread).allowed.lock();
             let named = |held: &Held| held.l == c.lock && held.stack == c.stack;
             if !log.entries.iter().any(named) {
+                drop(log);
+                self.withdraw(t, &causes[..at]);
                 return false;
             }
             let waiters = &mut log.waiters;
-            waiters.retain(|w| self.registered(w));
             Stats::bump(if waiters.len() < waiters.capacity() {
                 &self.stats.wake_pool_hits
             } else {
@@ -1787,59 +1773,49 @@ impl AvoidanceCore {
             waiters.push(Waiter {
                 lock: c.lock,
                 yielder: t,
-                epoch,
             });
-            true
-        })
+        }
+        true
     }
 
-    /// Whether `w`'s yielder has not retracted it. The slot mutex orders a
-    /// registration before any take of it, so a take reads the epoch it was
-    /// registered with or a later one, which only its yielder writes.
-    fn registered(&self, w: &Waiter) -> bool {
-        self.me(w.yielder).wake_epoch.load(Ordering::Relaxed) == w.epoch
+    /// Withdraws `t`'s registrations from the logs of `causes`, one cause's
+    /// slot critical section at a time, holding no other engine lock — the
+    /// order a registration takes. A registration its cause's pop already
+    /// took is simply gone.
+    fn withdraw(&self, t: ThreadId, causes: &[YieldCause]) {
+        for c in causes {
+            let mut log = self.me(c.thread).allowed.lock();
+            log.waiters.retain(|w| w.yielder != t);
+        }
     }
 
-    /// Takes the waiters `pick` selects out of `waiters`, returning the
-    /// yielders of those still registered, and drops every retracted one.
-    fn take_waiters(
-        &self,
-        waiters: &mut Vec<Waiter>,
-        pick: impl Fn(&Waiter) -> bool,
-    ) -> Vec<ThreadId> {
-        let mut wake = Vec::new();
-        waiters.retain(|w| {
-            let live = self.registered(w);
-            if live && pick(w) {
-                wake.push(w.yielder);
-                return false;
-            }
-            live
-        });
-        wake
+    /// Withdraws the registrations of `me`'s yield, which stays in force:
+    /// what a retried request does first. Out of line, like
+    /// [`Self::end_yield`], so that a hook with no yield in force pays one
+    /// load and a branch.
+    #[cold]
+    #[inline(never)]
+    fn withdraw_yield(&self, me: &ThreadSlot, t: ThreadId) {
+        let causes = std::mem::take(&mut me.allowed.lock().causes);
+        self.withdraw(t, &causes);
     }
 
-    /// Precomputes member bucket keys for `sig` at depth `d`, resolved
-    /// against `view`'s layout (used when the index's cached keys are stale:
-    /// a live depth change racing a rebuild).
-    fn member_keys_at(&self, view: &MatchView, sig: &Signature, d: u8) -> Vec<MemberKey> {
-        let mut keys = CoverKeys::compute(sig, d, &self.stacks);
-        keys.resolve(&view.layout);
-        keys.members
+    /// Ends `me`'s yield, if one is in force, and withdraws its
+    /// registrations.
+    #[inline]
+    fn clear_yield(&self, me: &ThreadSlot, t: ThreadId) {
+        if me.yielding.load(Ordering::Relaxed) {
+            self.end_yield(me, t);
+        }
     }
 
-    /// The guard-free cover precheck: a signature can only be instantiated
-    /// if every non-anchor member bucket is non-empty, so one empty bucket
-    /// ([`VersionedBucket::is_empty`]) refutes the candidate without
-    /// copying any. A member key outside the layout has no bucket at all —
-    /// provably empty.
-    fn cover_possible(view: &MatchView, keys: &[MemberKey], anchor: usize) -> bool {
-        keys.iter().enumerate().all(|(i, mk)| {
-            i == anchor
-                || mk
-                    .slot
-                    .is_some_and(|s| !view.table.buckets[s as usize].is_empty())
-        })
+    /// Ends `me`'s yield, which is in force, and withdraws its
+    /// registrations.
+    #[cold]
+    #[inline(never)]
+    fn end_yield(&self, me: &ThreadSlot, t: ThreadId) {
+        let causes = me.take_yield(&mut me.allowed.lock());
+        self.withdraw(t, &causes);
     }
 
     /// Searches the history for a signature that the tentative allow edge
@@ -1883,31 +1859,19 @@ impl AvoidanceCore {
             for (i, c) in set.candidates().iter().enumerate() {
                 // Precheck over the set's flat other-member slots: one
                 // bucket-length load per slot, no per-candidate pointer
-                // chasing. A refuted candidate skips even the live depth
-                // guard — a depth change always rides a generation bump
-                // (monitor sets depth then touches), so a stale-keys
-                // refutation is only reachable in the concurrent mid-bump
-                // window the engine already tolerates.
+                // chasing.
                 if !set.other_slots(i).iter().all(occupied) {
                     skips += 1;
                     continue;
                 }
-                let d = c.sig.depth();
-                let fresh_keys;
-                let member_keys: &[MemberKey] = if d == c.keys.depth {
-                    &c.keys.members
-                } else {
-                    // Depth changed since the index was built (generation
-                    // bump pending); recompute live like the reference.
-                    fresh_keys = self.member_keys_at(view, &c.sig, d);
-                    if !Self::cover_possible(view, &fresh_keys, c.member) {
-                        skips += 1;
-                        continue;
-                    }
-                    &fresh_keys
-                };
+                // Decided at the depth the view was built at. A depth change
+                // rides a generation bump (the monitor sets the depth, then
+                // touches the history), and a grant acts only on a view of
+                // the current generation (`lock_current`), so a live depth
+                // that differs is only seen in that gap, which the engine
+                // already tolerates.
                 Stats::count(&hot.cover_searches, 1);
-                found = Self::try_cover(&mut read, &c.sig, d, member_keys, c.member, t, l, stack);
+                found = Self::try_cover(&mut read, &c.sig, &c.keys, c.member, t, l, stack);
                 if found.is_some() {
                     break 'sets;
                 }
@@ -1934,26 +1898,24 @@ impl AvoidanceCore {
 
     /// Attempts to cover `sig`'s member stacks (anchoring the current thread
     /// at member `anchor`) with distinct `(thread, lock)` entries from the
-    /// `Allowed` buckets — the "exact cover" of §3. `read` copies one
-    /// bucket (slot → canonical snapshot); each distinct member bucket is
-    /// read once and the search runs over those snapshots.
-    #[allow(clippy::too_many_arguments)] // Packed cover-search inputs.
+    /// `Allowed` buckets — the "exact cover" of §3 — at the depth `keys`
+    /// were computed at. `read` copies one bucket (slot → canonical
+    /// snapshot); each distinct member bucket is read once and the search
+    /// runs over those snapshots.
     fn try_cover(
         read: &mut dyn FnMut(u32) -> Vec<AllowedEntry>,
         sig: &Arc<Signature>,
-        d: u8,
-        keys: &[MemberKey],
+        keys: &CoverKeys,
         anchor: usize,
         t: ThreadId,
         l: LockId,
         stack: StackId,
     ) -> Option<Instance> {
+        let (d, keys) = (keys.depth, &keys.members[..]);
         let members: Vec<usize> = (0..keys.len()).filter(|&i| i != anchor).collect();
         let mut snaps: Vec<BucketSnap> = Vec::with_capacity(members.len());
         for &i in &members {
-            // `cover_possible` vouched for every member, but a raced depth
-            // change can leave a key outside the layout: no bucket, no
-            // cover.
+            // A key outside the layout has no bucket: no cover.
             let slot = keys[i].slot?;
             if snaps.iter().any(|s| s.slot == slot) {
                 continue; // members with identical keys share one snapshot

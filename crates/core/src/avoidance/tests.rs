@@ -4,7 +4,7 @@
 //! order, that appends racing it are applied once, that buckets equal the
 //! logs after every live rebuild, and the view it hands each log; the slots
 //! a held entry remembers across both kinds of rebuild; and a yield's
-//! registration in its cause's log.
+//! registration in its cause's log, and its withdrawal.
 
 use super::*;
 use crate::runtime::Runtime;
@@ -318,19 +318,20 @@ fn full_and_delta_sweeps_bucket_in_lock_id_order() {
 /// a state of the grant word, so it costs no byte of its own; the log's view
 /// is one `Arc`, with no epoch beside it (136 before that). 152 with the
 /// yield state and the parker behind mutexes of their own; 136 with both
-/// under the slot mutex.
+/// under the slot mutex; 128 once a yielder withdrew its own registrations
+/// and the registration epoch went.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn thread_slot_is_no_larger_than_at_the_parent_commit() {
     let size = core::mem::size_of::<ThreadSlot>();
-    assert!(size <= 136, "ThreadSlot is {size} bytes");
+    assert!(size <= 128, "ThreadSlot is {size} bytes");
 }
 
 /// A lone pair touches the grant word with its lock and stack, `yielding`
 /// and the slot mutex with its log: all in a record's first 112 bytes,
-/// ahead of what only a yield uses. A chunk's first record sits at a
-/// cache-line-aligned address, so those bytes are the same two 64-byte
-/// lines in every run.
+/// ahead of what only a yield uses. Every record of a chunk starts at a
+/// 128-byte-aligned address, so those bytes are the same two 64-byte lines
+/// in every run, and no line holds two records.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn a_lone_pairs_record_fields_sit_in_two_aligned_cache_lines() {
@@ -346,16 +347,15 @@ fn a_lone_pairs_record_fields_sit_in_two_aligned_cache_lines() {
     ] {
         assert!(hot < allowed);
     }
-    assert!(offset_of!(ThreadSlot, wake_epoch) >= hot_end);
     assert!(offset_of!(ThreadSlot, parker) >= hot_end);
 
     let rt = Runtime::new(Config::default()).unwrap();
     for _ in 0..=CHUNK {
         rt.core().register_thread().unwrap();
     }
-    for first in [0, CHUNK as u64] {
-        let addr = std::ptr::from_ref(rt.core().me(ThreadId(first))) as usize;
-        assert_eq!(addr % 64, 0, "record {first} at {addr:#x}");
+    for id in [0, 1, CHUNK as u64 - 1, CHUNK as u64] {
+        let addr = std::ptr::from_ref(rt.core().me(ThreadId(id))) as usize;
+        assert_eq!(addr % 128, 0, "record {id} at {addr:#x}");
     }
 }
 
@@ -922,10 +922,15 @@ impl Handoff {
             .request(self.yielder, self.wanted, frames, *stack)
     }
 
-    /// How many waiters the holder's log keeps, live or retracted.
+    /// How many waiters the holder's log keeps.
     fn waiters(&self) -> usize {
-        self.rt.core().me(self.holder).allowed.lock().waiters.len()
+        waiters(self.rt.core(), self.holder)
     }
+}
+
+/// How many waiters `cause`'s log keeps.
+fn waiters(core: &AvoidanceCore, cause: ThreadId) -> usize {
+    core.me(cause).allowed.lock().waiters.len()
 }
 
 /// A cover found while its cause held the lock, registered after the cause
@@ -952,14 +957,14 @@ fn a_registration_against_a_released_cause_is_refused() {
     drop(log);
     assert_eq!(inst.causes[0].thread, h.holder);
     assert!(core.release(h.holder, h.held).is_empty());
-    assert!(!core.register_yield(me, h.yielder, &inst.causes));
+    assert!(!core.register_yield(h.yielder, &inst.causes));
     assert_eq!(h.waiters(), 0);
     assert!(matches!(h.request(), Decision::Go));
 }
 
-/// A yielder that yields on one held cause ten times, retracting in
-/// between, leaves one waiter in the cause's log, not ten: each
-/// registration drops the retracted ones. The cause's release wakes it
+/// A yielder that yields on one held cause ten times, cancelling in
+/// between, leaves one waiter in the cause's log, not ten: each cancel
+/// withdraws the registration its yield made. The cause's release wakes it
 /// once.
 #[test]
 fn repeated_yields_on_one_cause_keep_one_live_waiter() {
@@ -975,6 +980,139 @@ fn repeated_yields_on_one_cause_keep_one_live_waiter() {
     }
     assert_eq!(core.release(h.holder, h.held), vec![h.yielder]);
     assert_eq!(h.waiters(), 0);
+}
+
+/// A yielded request that is cancelled (a `try_lock` that yielded) takes
+/// its registration back at once: the cause's log holds no waiter, and the
+/// cause's release wakes nobody.
+#[test]
+fn a_cancelled_yield_leaves_no_waiter() {
+    let h = Handoff::new();
+    let core = h.rt.core();
+    core.acquired(h.holder, h.held, h.held_stack);
+    assert!(matches!(h.request(), Decision::Yield { .. }));
+    assert_eq!(h.waiters(), 1);
+    assert!(core.cancel(h.yielder, h.wanted).is_empty());
+    assert_eq!(h.waiters(), 0, "withdrawn by the cancel");
+    assert!(core.release(h.holder, h.held).is_empty());
+}
+
+/// However a yield ends without a retry — it times out (`force_go`), the
+/// monitor breaks it (`take_broken`, then `force_go`) or its thread exits —
+/// its registration leaves the cause's log with it, and the cause's
+/// release wakes nobody.
+#[test]
+fn an_ended_yield_leaves_no_waiter() {
+    for ending in ["timed out", "broken", "exit"] {
+        let h = Handoff::new();
+        let core = h.rt.core();
+        core.acquired(h.holder, h.held, h.held_stack);
+        assert!(matches!(h.request(), Decision::Yield { .. }), "{ending}");
+        assert_eq!(h.waiters(), 1, "{ending}");
+        let (frames, stack) = &h.path;
+        match ending {
+            "timed out" => core.force_go(h.yielder, h.wanted, frames, *stack),
+            "broken" => {
+                assert!(core.break_yield(h.yielder));
+                assert!(core.take_broken(h.yielder));
+                assert_eq!(h.waiters(), 0, "withdrawn by take_broken");
+                core.force_go(h.yielder, h.wanted, frames, *stack);
+            }
+            _ => core.unregister_thread(h.yielder),
+        }
+        assert_eq!(h.waiters(), 0, "{ending}");
+        assert!(!core.is_yielding(h.yielder), "{ending}");
+        assert!(core.release(h.holder, h.held).is_empty(), "{ending}");
+    }
+}
+
+/// A three-member signature covered by two causes, the second of which
+/// releases its lock between the cover search and the registration: that
+/// registration is refused, and the one the first cause's log already took
+/// is withdrawn with it.
+#[test]
+fn a_refused_registration_withdraws_the_ones_before_it() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let (a_path, a_stack) = site(&rt, &[("first", 0), ("take", 10)]);
+    let (b_path, b_stack) = site(&rt, &[("second", 0), ("take", 20)]);
+    let (y_path, y_stack) = site(&rt, &[("waiter", 0), ("take", 30)]);
+    rt.history()
+        .add(CycleKind::Deadlock, vec![a_stack, b_stack, y_stack], 4)
+        .unwrap();
+    let hold = |path: &[FrameId], stack| {
+        let (t, l) = (core.register_thread().unwrap(), rt.new_lock_id());
+        assert!(matches!(core.request(t, l, path, stack), Decision::Go));
+        core.acquired(t, l, stack);
+        (t, l)
+    };
+    let (a, _) = hold(&a_path, a_stack);
+    let (b, lb) = hold(&b_path, b_stack);
+    let (y, wanted) = (core.register_thread().unwrap(), rt.new_lock_id());
+    let me = core.me(y);
+    let mut resolved = Resolved::default();
+    let log = core.lock_current(me, &y_path, &mut resolved);
+    let inst = core
+        .find_instance(&log.view, resolved.as_slice(), y, wanted, y_stack)
+        .expect("the two holders cover the other members");
+    drop(log);
+    let causes: Vec<ThreadId> = inst.causes.iter().map(|c| c.thread).collect();
+    assert_eq!(causes, [a, b]);
+    assert!(core.release(b, lb).is_empty());
+    assert!(!core.register_yield(y, &inst.causes));
+    assert_eq!(
+        waiters(core, a),
+        0,
+        "the first cause's registration is withdrawn"
+    );
+    assert!(matches!(
+        core.request(y, wanted, &y_path, y_stack),
+        Decision::Go
+    ));
+}
+
+/// A retried request that yields again on a different cause withdraws the
+/// first yield's registration: the first cause's release wakes nobody, the
+/// second cause's wakes the yielder.
+#[test]
+fn a_reyield_on_another_cause_leaves_the_first_cause_no_waiter() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    let core = rt.core();
+    let (held_path, held_stack) = site(&rt, &[("holder", 0), ("take", 10)]);
+    let (path, stack) = site(&rt, &[("waiter", 0), ("take", 20)]);
+    rt.history()
+        .add(CycleKind::Deadlock, vec![held_stack, stack], 4)
+        .unwrap();
+    // The covers sort their entries by thread id, so the second cause is
+    // registered first and is preferred once it holds.
+    let (second, first, y) = (
+        core.register_thread().unwrap(),
+        core.register_thread().unwrap(),
+        core.register_thread().unwrap(),
+    );
+    let hold = |t, l| {
+        assert!(matches!(
+            core.request(t, l, &held_path, held_stack),
+            Decision::Go
+        ));
+        core.acquired(t, l, held_stack);
+    };
+    let (l1, l2, wanted) = (rt.new_lock_id(), rt.new_lock_id(), rt.new_lock_id());
+    hold(first, l1);
+    assert!(matches!(
+        core.request(y, wanted, &path, stack),
+        Decision::Yield { .. }
+    ));
+    assert_eq!(core.yield_causes(y)[0].thread, first);
+    hold(second, l2);
+    assert!(matches!(
+        core.request(y, wanted, &path, stack),
+        Decision::Yield { .. }
+    ));
+    assert_eq!(core.yield_causes(y)[0].thread, second);
+    assert_eq!(waiters(core, first), 0);
+    assert!(core.release(first, l1).is_empty());
+    assert_eq!(core.release(second, l2), vec![y]);
 }
 
 /// A cause that gives up its grant with `cancel` (a timed lock that timed

@@ -1114,7 +1114,7 @@ mod tests {
     }
 
     /// A request retried after a refused registration still clears the yield
-    /// the monitor drew. The retry's first step retracts the registration,
+    /// the monitor drew. The retry's first step withdraws the registration,
     /// but the `Yield` stays in force until a grant's event replaces it, so
     /// the grant may not become a quiet hold, even on a stack that by now
     /// hits no bucket — else the pair publishes nothing and the stale yield
@@ -1142,7 +1142,6 @@ mod tests {
         assert!(monitor.rag.is_yielding(yielder), "the Yield is drawn");
 
         assert!(monitor.history.remove(sig.id));
-        core.me(yielder).remove_yielding();
         core.request(yielder, b, &wanted, ws);
         core.acquired(yielder, b, ws);
         core.release(yielder, b);

@@ -23,7 +23,9 @@ use crate::lanes::{EventLanes, BLOCK_CAPACITY};
 use crate::monitor::{Hooks, Monitor};
 use crate::stats::{Stats, StatsSnapshot};
 use dimmunix_rag::{LockId, ThreadId};
-use dimmunix_signature::{FrameTable, History, HistoryError, HistoryRecovery, StackTable};
+use dimmunix_signature::{
+    FrameTable, History, HistoryError, HistoryRecovery, Signature, StackTable,
+};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::path::Path;
@@ -372,6 +374,22 @@ impl Runtime {
     /// The avoidance engine (expert/simulator API).
     pub fn core(&self) -> &AvoidanceCore {
         &self.inner.core
+    }
+
+    /// Records that a yield on `sig` outlived the max-yield bound and was
+    /// aborted: counts it in `yield_aborts` and against `sig`, and applies
+    /// the auto-disable policy (§5.7: a pattern accumulating many aborts is
+    /// "too risky to avoid"). The lock types call it when a park times out;
+    /// a simulator calls it for its own yield bound.
+    pub fn record_yield_abort(&self, sig: &Signature) {
+        Stats::bump(&self.inner.stats.yield_aborts);
+        let aborts = sig.record_abort();
+        if let Some(threshold) = self.inner.config.abort_disable_threshold {
+            if aborts >= threshold && !sig.is_disabled() {
+                sig.set_disabled(true);
+                self.inner.history.touch();
+            }
+        }
     }
 
     /// The runtime's configuration.

@@ -20,16 +20,14 @@ use crate::avoidance::Decision;
 use crate::context;
 use crate::raw::LockSite;
 use crate::runtime::{ParkOutcome, Runtime};
-use crate::stats::Stats;
 use dimmunix_rag::{LockId, ThreadId};
-use dimmunix_signature::{FrameId, Signature, StackId};
+use dimmunix_signature::{FrameId, StackId};
 use parking_lot::lock_api::{RawMutex as RawMutexApi, RawMutexTimed};
 use parking_lot::RawMutex;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::panic::Location;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Process-unique token identifying a thread (used for reentrancy ownership
@@ -76,7 +74,7 @@ fn request_until_go(
                     // Lock conditions changed; retry the request.
                 }
                 ParkOutcome::TimedOut => {
-                    yield_abort(runtime, &sig);
+                    runtime.record_yield_abort(&sig);
                     core.force_go(t, id, frames, stack);
                     return true;
                 }
@@ -160,19 +158,6 @@ pub(crate) fn release(runtime: &Runtime, tid: Option<ThreadId>, id: LockId, unlo
 fn wake_all(runtime: &Runtime, yielders: Vec<ThreadId>) {
     for w in yielders {
         runtime.wake(w);
-    }
-}
-
-/// Records a max-yield-duration abort and applies the auto-disable policy
-/// (§5.7: a pattern accumulating many aborts is "too risky to avoid").
-pub(crate) fn yield_abort(runtime: &Runtime, sig: &Arc<Signature>) {
-    Stats::bump(&runtime.stats_ref().yield_aborts);
-    let aborts = sig.record_abort();
-    if let Some(threshold) = runtime.config().abort_disable_threshold {
-        if aborts >= threshold && !sig.is_disabled() {
-            sig.set_disabled(true);
-            runtime.history().touch();
-        }
     }
 }
 

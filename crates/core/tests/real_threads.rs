@@ -664,7 +664,7 @@ fn hot_cause_storm_delivers_every_wave_of_wakeups() {
     // repeatedly lock their own locks through SB — every yield registers
     // against the same hot cause `(holder, A)` under the holder's slot
     // mutex. With no yield timeout, any lost wakeup (a take missing a
-    // registration, a stale-epoch bug dropping a live one, a registration
+    // registration, a withdrawal dropping another yielder's, a registration
     // accepted after the entry left) parks a waiter forever; the watchdog
     // turns that hang into a failure. Repeated rounds also exercise refused
     // registrations: the holder's entry appears and disappears under the

@@ -59,6 +59,15 @@ struct LockNode {
     waiters: IdSet<ThreadId>,
 }
 
+impl LockNode {
+    /// Removes `t`'s innermost hold edge, if it has one.
+    fn pop_holder(&mut self, t: ThreadId) {
+        if let Some(pos) = self.holders.iter().rposition(|&(h, _)| h == t) {
+            self.holders.remove(pos);
+        }
+    }
+}
+
 /// A deadlock cycle found in the RAG: a cycle made up exclusively of hold,
 /// allow and request edges (§5.2).
 #[derive(Clone, Debug)]
@@ -102,7 +111,9 @@ pub struct YieldCycle {
 pub struct RagStats {
     /// Thread vertices currently present.
     pub threads: usize,
-    /// Lock vertices currently present.
+    /// Lock vertices currently present: the locks some thread holds or
+    /// waits for. A lock vertex goes as soon as it has neither a holder nor
+    /// a waiter, so the graph does not grow with every lock ever used.
     pub locks: usize,
     /// Hold edges (counting reentrant multiplicity).
     pub hold_edges: usize,
@@ -142,6 +153,17 @@ impl Rag {
 
     fn lock_mut(&mut self, l: LockId) -> &mut LockNode {
         self.locks.entry(l).or_default()
+    }
+
+    /// Applies `f` to `l`'s vertex, if it has one, and removes the vertex
+    /// once nothing holds or waits for `l`.
+    fn update_lock(&mut self, l: LockId, f: impl FnOnce(&mut LockNode)) {
+        if let Some(lock) = self.locks.get_mut(&l) {
+            f(lock);
+            if lock.holders.is_empty() && lock.waiters.is_empty() {
+                self.locks.remove(&l);
+            }
+        }
     }
 
     /// Draws a request edge: `t` wants `l` with call stack `s`. The monitor
@@ -224,12 +246,9 @@ impl Rag {
     }
 
     /// Applies a `release` event: pops the innermost hold edge of `(t, l)`.
+    /// A lock left with no holder and no waiter loses its vertex.
     pub fn on_release(&mut self, t: ThreadId, l: LockId) {
-        if let Some(lock) = self.locks.get_mut(&l) {
-            if let Some(pos) = lock.holders.iter().rposition(|&(h, _)| h == t) {
-                lock.holders.remove(pos);
-            }
-        }
+        self.update_lock(l, |lock| lock.pop_holder(t));
         if let Some(node) = self.threads.get_mut(&t) {
             if let Some(pos) = node.holds.iter().rposition(|&h| h == l) {
                 node.holds.remove(pos);
@@ -246,25 +265,22 @@ impl Rag {
             }
             node.yields.clear();
         }
-        if let Some(lock) = self.locks.get_mut(&l) {
+        self.update_lock(l, |lock| {
             lock.waiters.remove(&t);
-        }
+        });
     }
 
-    /// Removes a thread vertex (thread exit).
+    /// Removes a thread vertex (thread exit), and every lock vertex it
+    /// leaves with no holder and no waiter.
     pub fn on_thread_exit(&mut self, t: ThreadId) {
         if let Some(node) = self.threads.remove(&t) {
             if let Some(w) = node.waiting {
-                if let Some(lock) = self.locks.get_mut(&w.lock) {
+                self.update_lock(w.lock, |lock| {
                     lock.waiters.remove(&t);
-                }
+                });
             }
             for l in node.holds {
-                if let Some(lock) = self.locks.get_mut(&l) {
-                    if let Some(pos) = lock.holders.iter().rposition(|&(h, _)| h == t) {
-                        lock.holders.remove(pos);
-                    }
-                }
+                self.update_lock(l, |lock| lock.pop_holder(t));
             }
         }
         self.dirty.remove(&t);
@@ -719,16 +735,49 @@ mod tests {
         assert_eq!(rag.stats().wait_edges, 1);
     }
 
+    /// A lock vertex lives only while the lock is held or awaited: a
+    /// monitor that has seen many short-lived locks keeps none of them.
+    #[test]
+    fn released_and_cancelled_locks_leave_no_vertex() {
+        let mut rag = Rag::new();
+        for i in 0..100 {
+            rag.on_granted(t(1), l(i), S);
+            rag.on_release(t(1), l(i));
+        }
+        assert_eq!(rag.stats().locks, 0);
+        // Reentrant: the vertex stays until the last level goes.
+        rag.on_acquired(t(1), l(1), S);
+        rag.on_acquired(t(1), l(1), S);
+        rag.on_release(t(1), l(1));
+        assert_eq!(rag.stats().locks, 1);
+        rag.on_release(t(1), l(1));
+        assert_eq!(rag.stats().locks, 0);
+        // A waiter keeps an unheld lock's vertex; its cancel drops it.
+        rag.on_granted(t(1), l(2), S);
+        rag.on_go(t(2), l(2), S);
+        rag.on_release(t(1), l(2));
+        assert_eq!(rag.stats().locks, 1);
+        assert_eq!(rag.awaited_unheld(), vec![l(2)]);
+        rag.on_cancel(t(2), l(2));
+        assert_eq!(rag.stats().locks, 0);
+    }
+
     #[test]
     fn thread_exit_releases_everything() {
         let mut rag = Rag::new();
         rag.on_acquired(t(1), l(1), S);
         rag.on_go(t(1), l(2), S);
+        rag.on_acquired(t(2), l(3), S);
+        rag.on_go(t(2), l(1), S);
         rag.on_thread_exit(t(1));
         let st = rag.stats();
-        assert_eq!(st.threads, 0);
-        assert_eq!(st.hold_edges, 0);
-        assert_eq!(st.wait_edges, 0);
+        assert_eq!(st.threads, 1);
+        assert_eq!(st.hold_edges, 1);
+        assert_eq!(st.wait_edges, 1);
+        // `l(2)` only t1 awaited; `l(1)` t2 still awaits.
+        assert_eq!(st.locks, 2);
+        rag.on_thread_exit(t(2));
+        assert_eq!(rag.stats(), RagStats::default());
     }
 
     /// Figure 2's yield cycle: T13 yields on T22, T22 blocked on L7 held by

@@ -44,9 +44,9 @@ pub struct MemberKey {
     /// The member stack's innermost `depth` frames.
     pub suffix: Box<[FrameId]>,
     /// Dense bucket slot of `(depth, suffix)` in the generation's
-    /// [`BucketLayout`]; `None` until resolved (or when the key is not in
-    /// the layout — e.g. a live depth change racing a rebuild — which means
-    /// no entry can be bucketed under it in the current table).
+    /// [`BucketLayout`]; `None` until resolved, or when the key is not in
+    /// the layout, which means no entry can be bucketed under it in the
+    /// current table.
     pub slot: Option<u32>,
 }
 
@@ -64,10 +64,10 @@ pub struct CoverKeys {
 
 impl CoverKeys {
     /// Computes the member bucket keys for `sig` at `depth`, with slots
-    /// unresolved. The single source of the suffix derivation: the index
-    /// precomputes through this at build time, and the avoidance engine
-    /// calls it for the rare live-depth-change fallback — both must agree
-    /// on the key layout or the emptiness precheck would be unsound.
+    /// unresolved. The index precomputes every candidate's keys through
+    /// this at build time, at the signature's depth then, and the engine's
+    /// cover search decides at that depth: a depth change rides a history
+    /// generation bump, and so a rebuild.
     pub fn compute(sig: &Signature, depth: u8, stacks: &StackTable) -> Self {
         Self {
             depth,

@@ -341,7 +341,7 @@ impl Sim {
                 .is_some_and(|m| self.time.saturating_sub(self.threads[v].yield_since) >= m);
             if timed_out {
                 if let Some(sig) = self.threads[v].yield_sig.take() {
-                    crate::sim::record_abort(&self.rt, &sig);
+                    self.rt.record_yield_abort(&sig);
                 }
                 self.lockstep.force_go(tid, lid, &frames, stack);
                 self.threads[v].woken = false;
@@ -730,17 +730,5 @@ impl std::fmt::Debug for Sim {
             .field("locks", &self.locks.len())
             .field("time", &self.time)
             .finish()
-    }
-}
-
-/// Records a yield-timeout abort against `sig` with the runtime's
-/// auto-disable policy (mirrors the real-thread path).
-fn record_abort(rt: &Runtime, sig: &Arc<Signature>) {
-    let aborts = sig.record_abort();
-    if let Some(threshold) = rt.config().abort_disable_threshold {
-        if aborts >= threshold && !sig.is_disabled() {
-            sig.set_disabled(true);
-            rt.history().touch();
-        }
     }
 }

@@ -181,8 +181,8 @@ fn arb_hit_heavy_script<S: Strategy<Value = u8> + 'static>(
 /// Schedule for the shared-cause generator: one signature over sites 0/1
 /// seeded up front, then pure scheduling noise — the scripts below funnel
 /// every yield cause onto thread 0, so all wake traffic goes through one
-/// log's waiters (takes by lock, waiters kept for another lock, epoch
-/// retraction).
+/// log's waiters (takes by lock, waiters kept for another lock, withdrawals
+/// by yielders whose yield ended).
 fn arb_hot_cause_schedule() -> impl Strategy<Value = Vec<Step>> {
     (
         1_u8..3,
@@ -351,7 +351,7 @@ proptest! {
 
     /// Same agreement when every yield shares thread 0 as its cause — the
     /// registrations in its log (taken by lock, kept for another lock,
-    /// retracted by epoch) must deliver exactly the wake sets the
+    /// withdrawn when their yield ends) must deliver exactly the wake sets the
     /// reference's yielding-map scan produces, at every release, and at a
     /// cancel after a GO (a waiter's try-lock of the lock it holds). A
     /// try-lock that yields cancels without popping anything: it wakes

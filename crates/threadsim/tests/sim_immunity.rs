@@ -62,6 +62,52 @@ fn avoided_run_reports_yields() {
     assert_eq!(report.deadlocks_detected, 0);
 }
 
+/// A simulated yield that outlives `max_yield_steps` is aborted, and the
+/// abort is counted where a real thread's is: in the run report's
+/// `yield_aborts`, in the runtime's counter and against the signature.
+#[test]
+fn a_simulated_yield_timeout_is_counted() {
+    let rt = Runtime::new(Config::default()).unwrap();
+    find_deadlock_seed(&rt);
+    let sig = rt.history().snapshot()[0].clone();
+    let mut total = 0;
+    for seed in 0..64 {
+        // The first lock is held far longer than a yield may last.
+        let mut sim = Sim::with_config(
+            &rt,
+            seed,
+            SimConfig {
+                max_yield_steps: Some(3),
+                ..SimConfig::default()
+            },
+        );
+        let a = sim.lock_handle("A");
+        let b = sim.lock_handle("B");
+        sim.spawn(
+            "T1",
+            Script::new().scoped("update", |s| {
+                s.lock(a).compute(400).lock(b).unlock(b).unlock(a)
+            }),
+        );
+        sim.spawn(
+            "T2",
+            Script::new().scoped("update", |s| {
+                s.lock(b).compute(400).lock(a).unlock(a).unlock(b)
+            }),
+        );
+        let (aborts, counted) = (sig.aborts(), rt.stats().yield_aborts);
+        let report = sim.run();
+        assert_eq!(report.yield_aborts, sig.aborts() - aborts, "seed {seed}");
+        assert_eq!(
+            report.yield_aborts,
+            rt.stats().yield_aborts - counted,
+            "seed {seed}"
+        );
+        total += report.yield_aborts;
+    }
+    assert!(total >= 1, "no yield outlived its bound");
+}
+
 #[test]
 fn one_hundred_trials_all_complete_after_immunization() {
     // The Table 1 protocol: 100 trials with the signature in history.
