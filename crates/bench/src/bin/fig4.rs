@@ -66,10 +66,10 @@ fn main() {
             sigs.to_string(),
             format!("{base:.0}"),
             format!("{dlk:.0}"),
-            pct(rubis_overhead.max(0.0)),
+            pct(rubis_overhead),
             format!("{base_j:.0}"),
             format!("{dlk_j:.0}"),
-            pct(jdbc_overhead.max(0.0)),
+            pct(jdbc_overhead),
         ]);
     }
     table(

@@ -90,7 +90,7 @@ fn main() {
                 t.to_string(),
                 format!("{:.0}", base.ops_per_sec()),
                 format!("{:.0}", dlk.ops_per_sec()),
-                pct(dlk.overhead_vs(&base).max(0.0)),
+                pct(dlk.overhead_vs(&base)),
                 format!("{:.1}", dlk.yields_per_sec()),
             ]);
             t *= 2;

@@ -52,7 +52,7 @@ fn main() {
                 format!("{delta}"),
                 format!("{:.2}", base.ops_per_sec() / 1_000.0),
                 format!("{:.2}", dlk.ops_per_sec() / 1_000.0),
-                pct(dlk.overhead_vs(&base).max(0.0)),
+                pct(dlk.overhead_vs(&base)),
             ]);
         }
         table(

@@ -59,7 +59,7 @@ fn main() {
             siggen::synthesize_history(&rt, &paths, 64, 2, 5, 4);
             let r = run_micro(&params, &Engine::Dimmunix(rt.clone()));
             rt.shutdown();
-            cells.push(pct(r.overhead_vs(&base).max(0.0)));
+            cells.push(pct(r.overhead_vs(&base)));
         }
         rows.push(cells);
         t *= 2;

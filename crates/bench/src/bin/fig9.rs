@@ -82,14 +82,14 @@ fn main() {
         let ignored = run_micro(&p, &Engine::Dimmunix(rt.clone()));
         rt.shutdown();
 
-        let total = full.overhead_vs(&base).max(0.0);
-        let own = ignored.overhead_vs(&base).max(0.0);
+        let total = full.overhead_vs(&base);
+        let own = ignored.overhead_vs(&base);
         rows.push(vec![
             depth.to_string(),
             full.structural_fps.to_string(),
             full.structural_tps.to_string(),
             pct(own),
-            pct((total - own).max(0.0)),
+            pct(total - own),
             pct(total),
         ]);
     }
@@ -168,7 +168,7 @@ fn main() {
     println!(
         "gate-lock throughput: {:.0} ops/s  overhead: {}  serializations (all FPs): {}",
         gate_ops_per_sec,
-        pct(gate_overhead.max(0.0)),
+        pct(gate_overhead),
         gates.serializations()
     );
     println!(

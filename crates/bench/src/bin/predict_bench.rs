@@ -43,12 +43,14 @@
 //!   so microsecond-level 1k baselines don't amplify noise).
 //!
 //! `--quick` runs fewer events and leaves the committed baseline
-//! untouched; a full run rewrites `BENCH_predict.json`.
+//! untouched; a full run rewrites `BENCH_predict.json`. Every row records
+//! the host's core count (`host_cores`) and the run's `scale` (`quick` or
+//! `full`).
 
 use dimmunix_predict::{PredictionConfig, Predictor};
 use dimmunix_rag::{LockId, ThreadId};
 use dimmunix_signature::StackId;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Lock-count scales (the paper-scale claim: three orders of magnitude
 /// past the evaluation workloads).
@@ -224,19 +226,16 @@ fn feed_phase(
     events: usize,
 ) -> Phase {
     let mut rng = 0x9E37_79B9_7F4A_7C15_u64 ^ (locks as u64);
-    let mut ph = Phase {
-        feed_us: 0,
-        pass_us: 0,
-        pass_us_max: 0,
-        passes: 0,
-        cycles: 0,
-    };
+    // Summed as `Duration`s and converted once: one event takes well under
+    // a microsecond, so summing per-event whole microseconds reads ≈ 0.
+    let (mut feed, mut pass, mut pass_max) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    let (mut passes, mut cycles) = (0, 0);
     if cycles_variant {
         let start = Instant::now();
         for idx in 0..PLANTED_CYCLES {
             plant_cycle(p, idx, locks);
         }
-        ph.feed_us += start.elapsed().as_micros() as u64;
+        feed += start.elapsed();
     }
     for k in 0..events {
         let (u, v) = shape.edge(k, locks, &mut rng);
@@ -247,17 +246,24 @@ fn feed_phase(
         p.on_acquired(t, lv, StackId(v as u32));
         p.on_release(t, lv);
         p.on_release(t, lu);
-        ph.feed_us += start.elapsed().as_micros() as u64;
+        feed += start.elapsed();
         if (k + 1) % PASS_EVERY == 0 {
             let start = Instant::now();
-            ph.cycles += p.pass().len();
-            let us = start.elapsed().as_micros() as u64;
-            ph.pass_us += us;
-            ph.pass_us_max = ph.pass_us_max.max(us);
-            ph.passes += 1;
+            cycles += p.pass().len();
+            let took = start.elapsed();
+            pass += took;
+            pass_max = pass_max.max(took);
+            passes += 1;
         }
     }
-    ph
+    let us = |d: Duration| d.as_micros() as u64;
+    Phase {
+        feed_us: us(feed),
+        pass_us: us(pass),
+        pass_us_max: us(pass_max),
+        passes,
+        cycles,
+    }
 }
 
 fn run(shape: Shape, cycles_variant: bool, locks: usize, events: usize) -> Row {
@@ -318,11 +324,12 @@ fn main() {
         args.iter().any(|a| a == "--quick") || std::env::var("DIMMUNIX_BENCH_QUICK").is_ok();
     let check_baseline = args.iter().any(|a| a == "--check-baseline");
     let events = if quick { EVENTS_QUICK } else { EVENTS };
+    let scale = if quick { "quick" } else { "full" };
+    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
 
     println!(
         "predict_bench: incremental-condensation scaling, {events} events per \
-         scale{}",
-        if quick { ", --quick" } else { "" }
+         scale ({scale} run, host_cores = {host_cores})"
     );
 
     let mut rows = Vec::new();
@@ -447,6 +454,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "  {{\"workload\": \"{}\", \"locks\": {}, \"events\": {}, \
+             \"host_cores\": {host_cores}, \"scale\": \"{scale}\", \
              \"passes\": {}, \"warmup_us\": {}, \"feed_us\": {}, \"pass_us\": {}, \
              \"pass_us_max\": {}, \"drain_us\": {}, \"total_us\": {}, \
              \"cycles_found\": {}, \"deferred\": {}, \"dropped\": {}, \

@@ -58,9 +58,12 @@
 //! that died still reaches the file at the next pass.
 //!
 //! The predictor's restart point is not a clone per busy pass, which
-//! would cost every pass the whole lock-order graph, but a rarely taken
-//! checkpoint plus the inputs fed since (`LoggedPredictor`), replayed on
-//! respawn under the predictor's determinism contract ([`Predictor`]).
+//! would cost every pass the whole lock-order graph, but a rarely
+//! refreshed checkpoint plus the inputs fed since (`LoggedPredictor`),
+//! replayed on respawn under the predictor's determinism contract
+//! ([`Predictor`]). A refresh copies the live predictor's flat buffers
+//! into the checkpoint's own (`clone_from`), so it allocates only where
+//! the live predictor has outgrown them.
 //!
 //! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
@@ -194,19 +197,21 @@ impl Fed {
     }
 }
 
-/// The live predictor and its restart point: `checkpoint`, a clone taken
-/// rarely, plus the inputs fed since. `committed` runs from the checkpoint
-/// to the end of the last busy pass — the state a respawn restores —
-/// `pending` from there on.
+/// The live predictor and its restart point: `checkpoint`, a copy
+/// refreshed rarely, plus the inputs fed since. `committed` runs from the
+/// checkpoint to the end of the last busy pass — the state a respawn
+/// restores — `pending` from there on.
 ///
 /// A busy pass moves `pending` onto `committed`. Once `committed` holds
-/// more entries than the live predictor has edge instances and locks,
-/// replaying it would cost about as much as a clone, so the live predictor
-/// becomes the checkpoint and the log empties: clone work is amortised
-/// O(1) per input, and `committed` never exceeds one checkpoint's size by
-/// more than one pass's inputs. Idle passes are never committed, and
-/// consecutive passes merge into one entry, so an idle monitor's `pending`
-/// stays one `Passes(n)`.
+/// more entries than a copy of the live predictor copies
+/// ([`Predictor::clone_len`]: its arenas, dead space included, and its
+/// maps' tables), replaying it would cost about as much as a copy, so the
+/// live predictor is copied into the checkpoint's buffers (`clone_from`)
+/// and the log empties: copy work is amortised O(1) per input, and
+/// `committed` never exceeds one checkpoint's size by more than one
+/// pass's inputs. Idle passes are never committed, and consecutive passes
+/// merge into one entry, so an idle monitor's `pending` stays one
+/// `Passes(n)`.
 struct LoggedPredictor {
     live: Predictor,
     checkpoint: Predictor,
@@ -237,9 +242,8 @@ impl LoggedPredictor {
     /// Makes the live state the restart point (end of a busy pass).
     fn commit(&mut self) {
         self.committed.append(&mut self.pending);
-        let size = self.live.stats();
-        if self.committed.len() as u64 > size.edge_instances + size.locks {
-            self.checkpoint = self.live.clone();
+        if self.committed.len() as u64 > self.live.clone_len() {
+            self.checkpoint.clone_from(&self.live);
             self.committed.clear();
         }
     }
@@ -959,7 +963,7 @@ mod tests {
         ];
         let mut busy_dump = dump(&monitor);
         let (mut checkpoints, mut replayed) = (0, 0);
-        for round in 0..40_u64 {
+        for round in 0..160_u64 {
             let idle_run = round % 4 == 3;
             if !idle_run {
                 // Nested, so published: three acquisitions in lock order.
@@ -985,8 +989,7 @@ mod tests {
                 assert!(!p.live.has_pending_work(), "no enumeration left over");
                 if !idle_run {
                     busy_dump = dump(&monitor);
-                    let size = p.live.stats();
-                    assert!(p.committed.len() as u64 <= size.edge_instances + size.locks);
+                    assert!(p.committed.len() as u64 <= p.live.clone_len());
                     if p.committed.is_empty() {
                         checkpoints += 1;
                     } else {

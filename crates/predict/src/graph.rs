@@ -10,15 +10,56 @@
 //! distinct and the guard sets are pairwise disjoint (a common gate lock
 //! serializes the two critical sections, so the cycle can never close).
 //!
-//! The graph also maintains a reverse adjacency index (`preds`) so the
-//! condensation's backward searches and whole-lock removal (aging —
-//! [`LockOrderGraph::remove_lock`]) run without scanning every edge map.
+//! # Layout
+//!
+//! The graph is three arenas of `Copy` records, linked by `u32` indices,
+//! and two maps of `Copy` values:
+//!
+//! * `arcs` holds one record per edge. It names the edge's instance block
+//!   and is a node of two doubly linked lists: the source's successors and
+//!   the destination's predecessors. Removing an edge unlinks it from both
+//!   in O(1), so whole-lock removal (aging — [`LockOrderGraph::remove_lock`])
+//!   never scans an adjacency list.
+//! * `insts` holds each edge's instances as one contiguous block, in
+//!   recording order, so the duplicate check on every fed acquisition
+//!   scans a few cache lines. A full block doubles (up to the per-edge
+//!   cap): in place when it ends the arena, else by moving to the end.
+//! * `guards` holds every guard set; an instance names a range of it.
+//! * `edges` maps `(src, dst)` to its arc, and `nodes` maps a lock to the
+//!   heads of its two lists.
+//!
+//! Nothing in the graph owns a heap block of its own: a clone copies five
+//! buffers (the maps' tables are copied whole, keys and values being
+//! `Copy`), and [`Clone::clone_from`] copies into the buffers the target
+//! already has, allocating only where one is too small.
+//!
+//! # Compaction
+//!
+//! A moved block, and everything of an edge a lock removal takes out,
+//! stays in the arenas as dead entries; a block's unused tail is slack.
+//! Once dead entries and slack outnumber the live ones, a removal
+//! compacts: live arcs keep their relative order, each edge's instances
+//! and guards become contiguous in arc order with no slack, and every
+//! index is remapped. Whether a removal compacts depends on the operations
+//! alone, so the graph stays a function of its inputs. Growth alone never
+//! leaves more than twice the live instances behind it (a block's earlier
+//! copies add up to less than the block), so the arenas — what a clone
+//! copies — stay within a small multiple of the live graph.
 
 use dimmunix_rag::{LockId, ThreadId};
-use dimmunix_signature::{IdMap, IdSet, StackId};
+use dimmunix_signature::{IdMap, StackId};
+
+/// The end of a list.
+const NIL: u32 = u32::MAX;
+
+/// The `u32` index of the entry at `len`: the arenas stay far below 2^32
+/// entries, bounded by the global instance cap.
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("an arena holds fewer than 2^32 entries")
+}
 
 /// One observed establishment of a lock ordering.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EdgeInstance {
     /// The thread that acquired the edge's destination lock.
     pub thread: ThreadId,
@@ -26,9 +67,43 @@ pub(crate) struct EdgeInstance {
     /// exactly the hold-edge label a detected deadlock cycle would carry,
     /// and therefore the synthesized signature's member stack.
     pub hold_stack: StackId,
-    /// All other locks held at the acquisition (sorted, source excluded):
-    /// the gate locks guarding this ordering.
-    pub guards: Box<[LockId]>,
+    /// Where its guard set starts in the guard arena.
+    guard_start: u32,
+    /// How many guards it has (see [`LockOrderGraph::guards`]).
+    guard_len: u32,
+}
+
+/// What fills a block's unused tail.
+const SLACK: EdgeInstance = EdgeInstance {
+    thread: ThreadId(0),
+    hold_stack: StackId(0),
+    guard_start: 0,
+    guard_len: 0,
+};
+
+/// One edge: its instance block and its links in two adjacency lists. A
+/// removed edge's record stays in the arena with `len` 0 until compaction.
+#[derive(Clone, Copy, Debug)]
+struct Arc {
+    src: LockId,
+    dst: LockId,
+    /// The block: `insts[first..first + cap]`, the first `len` recorded.
+    first: u32,
+    len: u32,
+    cap: u32,
+    /// Neighbours in `src`'s successor list.
+    succ_prev: u32,
+    succ_next: u32,
+    /// Neighbours in `dst`'s predecessor list.
+    pred_prev: u32,
+    pred_next: u32,
+}
+
+/// The heads of a lock's successor and predecessor lists.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    succs: u32,
+    preds: u32,
 }
 
 /// Outcome of recording an ordering observation.
@@ -46,123 +121,286 @@ pub(crate) enum Recorded {
     Capped,
 }
 
-/// The graph itself: `src → dst → instances`, plus the reverse index.
-#[derive(Clone, Default, Debug)]
+/// The graph itself (see the module docs for the layout).
+#[derive(Default, Debug)]
 pub(crate) struct LockOrderGraph {
-    edges: IdMap<LockId, IdMap<LockId, Vec<EdgeInstance>>>,
-    preds: IdMap<LockId, IdSet<LockId>>,
-    nodes: IdSet<LockId>,
+    edges: IdMap<(LockId, LockId), u32>,
+    /// Every lock that has been an edge endpoint since it was last removed.
+    nodes: IdMap<LockId, Node>,
+    arcs: Vec<Arc>,
+    insts: Vec<EdgeInstance>,
+    guards: Vec<LockId>,
+    /// Live instances, and the guards they name.
     instances: usize,
+    live_guards: usize,
+}
+
+impl Clone for LockOrderGraph {
+    fn clone(&self) -> Self {
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies into this graph's own buffers, allocating nothing when the
+    /// source has not outgrown them: each arena fits the target's
+    /// capacity, and each map has as many buckets as the target's (maps
+    /// never shrink, so an older copy of the same graph has). Each map
+    /// keeps its source's layout, as a clone does.
+    fn clone_from(&mut self, source: &Self) {
+        self.edges.clone_from(&source.edges);
+        self.nodes.clone_from(&source.nodes);
+        self.arcs.clone_from(&source.arcs);
+        self.insts.clone_from(&source.insts);
+        self.guards.clone_from(&source.guards);
+        self.instances = source.instances;
+        self.live_guards = source.live_guards;
+    }
 }
 
 impl LockOrderGraph {
-    /// Records one ordering observation, deduplicating identical instances.
+    /// Records that `thread` ordered `src` before `dst`, holding `src` with
+    /// `hold_stack` and `guards` (sorted) besides, deduplicating identical
+    /// instances. The caps are checked before anything is written.
     pub fn record(
         &mut self,
-        src: LockId,
-        dst: LockId,
-        inst: EdgeInstance,
+        (src, dst): (LockId, LockId),
+        (thread, hold_stack): (ThreadId, StackId),
+        guards: &[LockId],
         per_edge_cap: usize,
         global_cap: usize,
     ) -> Recorded {
+        debug_assert_ne!(src, dst, "a lock is never ordered before itself");
         if self.instances >= global_cap {
             return Recorded::Capped;
         }
-        let out = self.edges.entry(src).or_default();
-        let slot = out.entry(dst).or_default();
-        let new_edge = slot.is_empty();
-        let outcome = if slot.contains(&inst) {
-            Recorded::Duplicate
-        } else if slot.len() >= per_edge_cap {
-            Recorded::Capped
-        } else {
-            slot.push(inst);
-            self.instances += 1;
-            if new_edge {
-                Recorded::NewEdge
-            } else {
-                Recorded::NewInstance
-            }
-        };
-        if new_edge && outcome != Recorded::NewEdge {
-            // Roll back the slot the entry API just created, so a capped
-            // first observation leaves no phantom (instance-less) edge.
-            out.remove(&dst);
-            if out.is_empty() {
-                self.edges.remove(&src);
-            }
-        } else if outcome == Recorded::NewEdge {
-            self.preds.entry(dst).or_default().insert(src);
-            self.nodes.insert(src);
-            self.nodes.insert(dst);
+        let arc = self.edges.get(&(src, dst)).copied();
+        let recorded = arc.map_or(&[][..], |a| self.block(&self.arcs[a as usize]));
+        if recorded
+            .iter()
+            .any(|i| i.thread == thread && i.hold_stack == hold_stack && self.guards(i) == guards)
+        {
+            return Recorded::Duplicate;
         }
-        outcome
+        if recorded.len() >= per_edge_cap {
+            return Recorded::Capped;
+        }
+        let inst = EdgeInstance {
+            thread,
+            hold_stack,
+            guard_start: index(self.guards.len()),
+            guard_len: index(guards.len()),
+        };
+        self.guards.extend_from_slice(guards);
+        self.instances += 1;
+        self.live_guards += guards.len();
+        if let Some(a) = arc {
+            let arc = &mut self.arcs[a as usize];
+            if arc.len == arc.cap {
+                let (first, len) = (arc.first as usize, arc.len as usize);
+                if first + len < self.insts.len() {
+                    arc.first = index(self.insts.len());
+                    self.insts.extend_from_within(first..first + len);
+                }
+                arc.cap = index((2 * len).min(per_edge_cap));
+                self.insts.resize((arc.first + arc.cap) as usize, SLACK);
+            }
+            self.insts[(arc.first + arc.len) as usize] = inst;
+            arc.len += 1;
+            return Recorded::NewInstance;
+        }
+        let a = index(self.arcs.len());
+        let succ_next = self.node(src).succs;
+        let pred_next = self.node(dst).preds;
+        self.arcs.push(Arc {
+            src,
+            dst,
+            first: index(self.insts.len()),
+            len: 1,
+            cap: 1,
+            succ_prev: NIL,
+            succ_next,
+            pred_prev: NIL,
+            pred_next,
+        });
+        self.insts.push(inst);
+        if succ_next != NIL {
+            self.arcs[succ_next as usize].succ_prev = a;
+        }
+        if pred_next != NIL {
+            self.arcs[pred_next as usize].pred_prev = a;
+        }
+        self.node(src).succs = a;
+        self.node(dst).preds = a;
+        self.edges.insert((src, dst), a);
+        Recorded::NewEdge
+    }
+
+    fn node(&mut self, l: LockId) -> &mut Node {
+        self.nodes.entry(l).or_insert(Node {
+            succs: NIL,
+            preds: NIL,
+        })
+    }
+
+    /// The recorded part of `arc`'s block.
+    fn block(&self, arc: &Arc) -> &[EdgeInstance] {
+        let first = arc.first as usize;
+        &self.insts[first..first + arc.len as usize]
+    }
+
+    /// The arcs of a list, from `head` on, each followed by `next`.
+    fn walk(&self, head: u32, next: fn(&Arc) -> u32) -> impl Iterator<Item = &Arc> + '_ {
+        let mut at = head;
+        std::iter::from_fn(move || {
+            let arc = self.arcs.get(at as usize)?;
+            at = next(arc);
+            Some(arc)
+        })
     }
 
     /// The destination locks reachable from `src` by one edge.
     pub fn successors(&self, src: LockId) -> impl Iterator<Item = LockId> + '_ {
-        self.edges
-            .get(&src)
-            .into_iter()
-            .flat_map(|m| m.keys().copied())
+        let head = self.nodes.get(&src).map_or(NIL, |n| n.succs);
+        self.walk(head, |a| a.succ_next).map(|a| a.dst)
     }
 
     /// The source locks with an edge into `dst`.
     pub fn predecessors(&self, dst: LockId) -> impl Iterator<Item = LockId> + '_ {
-        self.preds
-            .get(&dst)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        let head = self.nodes.get(&dst).map_or(NIL, |n| n.preds);
+        self.walk(head, |a| a.pred_next).map(|a| a.src)
     }
 
-    /// The recorded instances of edge `src → dst` (empty if absent).
+    /// The recorded instances of edge `src → dst`, in recording order
+    /// (empty if the edge is absent).
     pub fn instances(&self, src: LockId, dst: LockId) -> &[EdgeInstance] {
         self.edges
-            .get(&src)
-            .and_then(|m| m.get(&dst))
-            .map_or(&[], |v| v.as_slice())
+            .get(&(src, dst))
+            .map_or(&[], |&a| self.block(&self.arcs[a as usize]))
     }
 
-    /// Removes `l` and every edge touching it (lock aging). Returns
-    /// `(edges removed, instances removed)`.
+    /// The guard set `inst` was recorded under, sorted.
+    pub fn guards(&self, inst: &EdgeInstance) -> &[LockId] {
+        let start = inst.guard_start as usize;
+        &self.guards[start..start + inst.guard_len as usize]
+    }
+
+    /// Removes `l` and every edge touching it (lock aging), compacting the
+    /// arenas once they hold more dead entries and slack than live ones.
+    /// Returns `(edges removed, instances removed)`.
     pub fn remove_lock(&mut self, l: LockId) -> (usize, usize) {
+        let Some(node) = self.nodes.remove(&l) else {
+            return (0, 0);
+        };
         let mut edges_removed = 0;
         let mut inst_removed = 0;
-        if let Some(out) = self.edges.remove(&l) {
-            for (dst, insts) in out {
-                edges_removed += 1;
-                inst_removed += insts.len();
-                if let Some(p) = self.preds.get_mut(&dst) {
-                    p.remove(&l);
-                    if p.is_empty() {
-                        self.preds.remove(&dst);
-                    }
-                }
-            }
-        }
-        if let Some(ins) = self.preds.remove(&l) {
-            for src in ins {
-                let Some(m) = self.edges.get_mut(&src) else {
-                    continue;
+        for (head, outgoing) in [(node.succs, true), (node.preds, false)] {
+            let mut at = head;
+            while at != NIL {
+                let arc = self.arcs[at as usize];
+                self.arcs[at as usize].len = 0;
+                at = if outgoing {
+                    self.unlink_pred(&arc);
+                    arc.succ_next
+                } else {
+                    self.unlink_succ(&arc);
+                    arc.pred_next
                 };
-                if let Some(insts) = m.remove(&l) {
-                    edges_removed += 1;
-                    inst_removed += insts.len();
-                }
-                if m.is_empty() {
-                    self.edges.remove(&src);
-                }
+                self.edges.remove(&(arc.src, arc.dst));
+                let guards: usize = self.block(&arc).iter().map(|i| i.guard_len as usize).sum();
+                self.live_guards -= guards;
+                edges_removed += 1;
+                inst_removed += arc.len as usize;
             }
         }
-        self.nodes.remove(&l);
         self.instances -= inst_removed;
+        let live = self.edges.len() + self.instances + self.live_guards;
+        if self.arena_len() - live > live {
+            self.compact();
+        }
         (edges_removed, inst_removed)
+    }
+
+    /// Unlinks `arc` from its destination's predecessor list.
+    fn unlink_pred(&mut self, arc: &Arc) {
+        match arc.pred_prev {
+            NIL => self.node(arc.dst).preds = arc.pred_next,
+            p => self.arcs[p as usize].pred_next = arc.pred_next,
+        }
+        if arc.pred_next != NIL {
+            self.arcs[arc.pred_next as usize].pred_prev = arc.pred_prev;
+        }
+    }
+
+    /// Unlinks `arc` from its source's successor list.
+    fn unlink_succ(&mut self, arc: &Arc) {
+        match arc.succ_prev {
+            NIL => self.node(arc.src).succs = arc.succ_next,
+            p => self.arcs[p as usize].succ_next = arc.succ_next,
+        }
+        if arc.succ_next != NIL {
+            self.arcs[arc.succ_next as usize].succ_prev = arc.succ_prev;
+        }
+    }
+
+    /// Rebuilds the arenas from the live edges, in arc order.
+    fn compact(&mut self) {
+        let mut remap = vec![NIL; self.arcs.len()];
+        let mut arcs = Vec::with_capacity(self.edges.len());
+        let mut insts = Vec::with_capacity(self.instances);
+        let mut guards = Vec::with_capacity(self.live_guards);
+        for (a, arc) in self.arcs.iter().enumerate() {
+            if arc.len == 0 {
+                continue;
+            }
+            let mut arc = *arc;
+            for &inst in self.block(&arc) {
+                let guard_start = index(guards.len());
+                guards.extend_from_slice(self.guards(&inst));
+                insts.push(EdgeInstance {
+                    guard_start,
+                    ..inst
+                });
+            }
+            arc.first = index(insts.len() - arc.len as usize);
+            arc.cap = arc.len;
+            remap[a] = index(arcs.len());
+            arcs.push(arc);
+        }
+        let fix = |i: &mut u32| {
+            if *i != NIL {
+                *i = remap[*i as usize];
+            }
+        };
+        for arc in &mut arcs {
+            fix(&mut arc.succ_prev);
+            fix(&mut arc.succ_next);
+            fix(&mut arc.pred_prev);
+            fix(&mut arc.pred_next);
+        }
+        for node in self.nodes.values_mut() {
+            fix(&mut node.succs);
+            fix(&mut node.preds);
+        }
+        self.edges.values_mut().for_each(fix);
+        (self.arcs, self.insts, self.guards) = (arcs, insts, guards);
+    }
+
+    /// Entries in the three arenas, dead ones and slack included.
+    pub fn arena_len(&self) -> usize {
+        self.arcs.len() + self.insts.len() + self.guards.len()
+    }
+
+    /// Entries a clone copies: the arenas, dead space included, and the
+    /// maps' tables.
+    pub fn clone_len(&self) -> usize {
+        self.arena_len() + self.edges.capacity() + self.nodes.capacity()
     }
 
     /// Whether `l` currently appears in the graph.
     #[cfg(test)]
     pub fn has_node(&self, l: LockId) -> bool {
-        self.nodes.contains(&l)
+        self.nodes.contains_key(&l)
     }
 
     /// Total stored edge instances.
@@ -179,30 +417,25 @@ impl LockOrderGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    fn inst(t: u64, s: u32) -> EdgeInstance {
-        EdgeInstance {
-            thread: ThreadId(t),
-            hold_stack: StackId(s),
-            guards: Box::new([]),
-        }
+    fn rec(g: &mut LockOrderGraph, src: u64, dst: u64, t: u64, s: u32) -> Recorded {
+        g.record(
+            (LockId(src), LockId(dst)),
+            (ThreadId(t), StackId(s)),
+            &[],
+            8,
+            64,
+        )
     }
 
     #[test]
     fn record_distinguishes_new_edges_from_new_instances() {
         let mut g = LockOrderGraph::default();
-        assert_eq!(
-            g.record(LockId(1), LockId(2), inst(1, 1), 8, 64),
-            Recorded::NewEdge
-        );
-        assert_eq!(
-            g.record(LockId(1), LockId(2), inst(2, 2), 8, 64),
-            Recorded::NewInstance
-        );
-        assert_eq!(
-            g.record(LockId(1), LockId(2), inst(2, 2), 8, 64),
-            Recorded::Duplicate
-        );
+        assert_eq!(rec(&mut g, 1, 2, 1, 1), Recorded::NewEdge);
+        assert_eq!(rec(&mut g, 1, 2, 2, 2), Recorded::NewInstance);
+        assert_eq!(rec(&mut g, 1, 2, 2, 2), Recorded::Duplicate);
         assert_eq!(g.lock_count(), 2);
         assert_eq!(g.predecessors(LockId(2)).collect::<Vec<_>>(), [LockId(1)]);
     }
@@ -210,10 +443,10 @@ mod tests {
     #[test]
     fn remove_lock_severs_both_directions_and_counts() {
         let mut g = LockOrderGraph::default();
-        g.record(LockId(1), LockId(2), inst(1, 1), 8, 64);
-        g.record(LockId(2), LockId(3), inst(1, 2), 8, 64);
-        g.record(LockId(2), LockId(3), inst(2, 3), 8, 64);
-        g.record(LockId(3), LockId(1), inst(2, 4), 8, 64);
+        rec(&mut g, 1, 2, 1, 1);
+        rec(&mut g, 2, 3, 1, 2);
+        rec(&mut g, 2, 3, 2, 3);
+        rec(&mut g, 3, 1, 2, 4);
         assert_eq!(g.instance_count(), 4);
         let (edges, insts) = g.remove_lock(LockId(2));
         assert_eq!((edges, insts), (2, 3));
@@ -222,9 +455,202 @@ mod tests {
         assert!(g.successors(LockId(1)).next().is_none());
         assert_eq!(g.predecessors(LockId(1)).collect::<Vec<_>>(), [LockId(3)]);
         // The survivors keep working.
-        assert_eq!(
-            g.record(LockId(1), LockId(2), inst(3, 5), 8, 64),
-            Recorded::NewEdge
-        );
+        assert_eq!(rec(&mut g, 1, 2, 3, 5), Recorded::NewEdge);
+    }
+
+    /// One instance as the model stores it: thread, hold stack, guards.
+    type ModelInstance = (ThreadId, StackId, Vec<LockId>);
+
+    /// The representation the flat graph replaced, kept as its model:
+    /// `src → dst → instances`, a reverse index and a node set.
+    #[derive(Default)]
+    struct Model {
+        edges: IdMap<LockId, IdMap<LockId, Vec<ModelInstance>>>,
+        preds: IdMap<LockId, BTreeSet<LockId>>,
+        nodes: BTreeSet<LockId>,
+        instances: usize,
+    }
+
+    impl Model {
+        fn record(
+            &mut self,
+            src: LockId,
+            dst: LockId,
+            inst: ModelInstance,
+            caps: (usize, usize),
+        ) -> Recorded {
+            if self.instances >= caps.1 {
+                return Recorded::Capped;
+            }
+            let slot = self.edges.entry(src).or_default().entry(dst).or_default();
+            let outcome = if slot.contains(&inst) {
+                Recorded::Duplicate
+            } else if slot.len() >= caps.0 {
+                Recorded::Capped
+            } else {
+                slot.push(inst);
+                self.instances += 1;
+                if slot.len() == 1 {
+                    Recorded::NewEdge
+                } else {
+                    Recorded::NewInstance
+                }
+            };
+            if slot.is_empty() {
+                let out = self.edges.get_mut(&src).unwrap();
+                out.remove(&dst);
+                if out.is_empty() {
+                    self.edges.remove(&src);
+                }
+            } else if outcome == Recorded::NewEdge {
+                self.preds.entry(dst).or_default().insert(src);
+                self.nodes.extend([src, dst]);
+            }
+            outcome
+        }
+
+        fn remove_lock(&mut self, l: LockId) -> (usize, usize) {
+            let (mut edges, mut insts) = (0, 0);
+            for (dst, v) in self.edges.remove(&l).unwrap_or_default() {
+                edges += 1;
+                insts += v.len();
+                self.preds.get_mut(&dst).unwrap().remove(&l);
+            }
+            for src in self.preds.remove(&l).unwrap_or_default() {
+                let out = self.edges.get_mut(&src).unwrap();
+                edges += 1;
+                insts += out.remove(&l).unwrap().len();
+                if out.is_empty() {
+                    self.edges.remove(&src);
+                }
+            }
+            self.nodes.remove(&l);
+            self.instances -= insts;
+            (edges, insts)
+        }
+    }
+
+    const LOCKS: u64 = 8;
+    /// The global instance cap.
+    const GLOBAL_CAP: usize = 16;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Record {
+            src: u64,
+            dst: u64,
+            thread: u64,
+            stack: u32,
+            guards: Vec<u64>,
+        },
+        Remove(u64),
+    }
+
+    fn arb_record() -> impl Strategy<Value = Op> {
+        let guards = prop::collection::vec(0..LOCKS, 0..4);
+        // Near neighbours only, so that edges collect several instances.
+        (0..LOCKS, 1..3u64, 0..3u64, 0..2u32, guards).prop_map(
+            |(src, step, thread, stack, guards)| Op::Record {
+                src,
+                dst: (src + step) % LOCKS,
+                thread,
+                stack,
+                guards,
+            },
+        )
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                arb_record(),
+                arb_record(),
+                arb_record(),
+                (0..LOCKS).prop_map(Op::Remove)
+            ],
+            0..160,
+        )
+    }
+
+    /// Compares everything the graph answers with the model.
+    fn same(g: &LockOrderGraph, m: &Model) -> Result<(), String> {
+        prop_assert_eq!(g.instance_count(), m.instances);
+        prop_assert_eq!(g.lock_count(), m.nodes.len());
+        for l in (0..LOCKS).map(LockId) {
+            prop_assert_eq!(g.has_node(l), m.nodes.contains(&l));
+            let succs: BTreeSet<LockId> = g.successors(l).collect();
+            let want: BTreeSet<LockId> = m
+                .edges
+                .get(&l)
+                .map_or_else(BTreeSet::new, |o| o.keys().copied().collect());
+            prop_assert_eq!(
+                g.successors(l).count(),
+                succs.len(),
+                "a successor listed twice"
+            );
+            prop_assert_eq!(&succs, &want, "successors of {:?}", l);
+            let preds: BTreeSet<LockId> = g.predecessors(l).collect();
+            prop_assert_eq!(
+                g.predecessors(l).count(),
+                preds.len(),
+                "a predecessor listed twice"
+            );
+            let want = m.preds.get(&l).cloned().unwrap_or_default();
+            prop_assert_eq!(&preds, &want, "predecessors of {:?}", l);
+            for dst in (0..LOCKS).map(LockId) {
+                let got: Vec<ModelInstance> = g
+                    .instances(l, dst)
+                    .iter()
+                    .map(|i| (i.thread, i.hold_stack, g.guards(i).to_vec()))
+                    .collect();
+                let want = m
+                    .edges
+                    .get(&l)
+                    .and_then(|o| o.get(&dst))
+                    .cloned()
+                    .unwrap_or_default();
+                prop_assert_eq!(got, want, "instances of {:?} -> {:?}", l, dst);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat graph answers every query as the nested maps it
+        /// replaced do, after every record and removal, under a per-edge
+        /// cap of 2 (blocks of one or two instances) or more (blocks with
+        /// slack); the run ends by removing every lock, which compacts the
+        /// arenas to nothing.
+        #[test]
+        fn flat_graph_matches_the_nested_map_model(ops in arb_ops(), per_edge in 2..6usize) {
+            let (mut g, mut m) = (LockOrderGraph::default(), Model::default());
+            let (mut compacted, mut recorded) = (false, false);
+            let removals = (0..LOCKS).map(Op::Remove);
+            for op in ops.into_iter().chain(removals) {
+                let before = g.arena_len();
+                match op {
+                    Op::Record { src, dst, thread, stack, mut guards } => {
+                        guards.retain(|&x| x != src && x != dst);
+                        guards.sort_unstable();
+                        guards.dedup();
+                        let guards: Vec<LockId> = guards.into_iter().map(LockId).collect();
+                        let (src, dst) = (LockId(src), LockId(dst));
+                        let got = g.record((src, dst), (ThreadId(thread), StackId(stack)), &guards, per_edge, GLOBAL_CAP);
+                        let want = m.record(src, dst, (ThreadId(thread), StackId(stack), guards), (per_edge, GLOBAL_CAP));
+                        prop_assert_eq!(got, want);
+                        recorded |= got == Recorded::NewEdge;
+                    }
+                    Op::Remove(l) => {
+                        prop_assert_eq!(g.remove_lock(LockId(l)), m.remove_lock(LockId(l)));
+                        compacted |= g.arena_len() < before;
+                    }
+                }
+                same(&g, &m)?;
+            }
+            prop_assert_eq!(g.arena_len(), 0, "an empty graph keeps dead entries");
+            prop_assert!(compacted || !recorded, "compaction never ran");
+        }
     }
 }

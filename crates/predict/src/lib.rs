@@ -180,24 +180,35 @@ struct Enumeration {
 /// ([`on_acquired`], [`on_release`], [`on_thread_exit`], [`pass`]) is a
 /// function of the state before them and of the inputs alone: there is no
 /// clock and no randomness, every map hashes with the fixed
-/// [`dimmunix_signature::IdHasher`], and `Clone` keeps each map's layout,
-/// so a clone fed the same inputs as its original reaches the same state,
-/// down to its `Debug` dump, and returns the same cycles. The monitor's
-/// restart point relies on it: a checkpoint clone plus the inputs fed
-/// since, replayed on respawn.
+/// [`dimmunix_signature::IdHasher`], and both `clone` and `clone_from`
+/// keep each map's layout, so a copy fed the same inputs as its original
+/// reaches the same state, down to its `Debug` dump, and returns the same
+/// cycles — whatever the copy held before a `clone_from`. The monitor's
+/// restart point relies on it: a checkpoint plus the inputs fed since,
+/// replayed on respawn.
+///
+/// **Copies.** The order graph and the condensation hold only `Copy`
+/// records in flat buffers, so a clone is a handful of buffer copies, and
+/// `clone_from` copies into the buffers the target already has: an older
+/// copy of a predictor refreshed from it allocates nothing unless the
+/// predictor has outgrown the copy's buffers, or holds owned parts — a
+/// thread's non-empty held stack, emitted or suppressed cycle keys, a
+/// paused enumeration. [`Predictor::clone_len`] counts what a copy
+/// copies.
 ///
 /// [`on_acquired`]: Predictor::on_acquired
 /// [`on_release`]: Predictor::on_release
 /// [`on_thread_exit`]: Predictor::on_thread_exit
 /// [`pass`]: Predictor::pass
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Predictor {
     cfg: PredictionConfig,
     graph: LockOrderGraph,
     /// Incrementally maintained SCC condensation of `graph`.
     scc: Condensation,
     /// Per-thread held multiset: `(lock, acquisition stack)` in acquisition
-    /// order (reentrancy repeats the lock).
+    /// order (reentrancy repeats the lock). An emptied stack keeps its
+    /// entry, and its capacity, until the thread exits.
     held: IdMap<ThreadId, Vec<(LockId, StackId)>>,
     /// Edges that landed inside an SCC and await cycle enumeration.
     dirty: VecDeque<(LockId, LockId)>,
@@ -227,6 +238,65 @@ pub struct Predictor {
     dropped: u64,
     deferred: u64,
     edges_retired: u64,
+    /// Scratch for [`Predictor::on_acquired`], empty between calls: the
+    /// distinct held locks and one edge's guard set.
+    distinct: Vec<(LockId, StackId)>,
+    guards: Vec<LockId>,
+}
+
+impl Clone for Predictor {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new(self.cfg.clone());
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies `source` field by field into this predictor's own buffers
+    /// (see "Copies" above); the scratch buffers are left as they are.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            cfg,
+            graph,
+            scc,
+            held,
+            dirty,
+            dirty_set,
+            pending,
+            emitted,
+            suppressed_cycles,
+            pass_tick,
+            last_active,
+            held_count,
+            retire_queue,
+            retire_queued,
+            cycles_predicted,
+            guard_suppressed,
+            dropped,
+            deferred,
+            edges_retired,
+            distinct: _,
+            guards: _,
+        } = source;
+        self.cfg.clone_from(cfg);
+        self.graph.clone_from(graph);
+        self.scc.clone_from(scc);
+        self.held.clone_from(held);
+        self.dirty.clone_from(dirty);
+        self.dirty_set.clone_from(dirty_set);
+        self.pending.clone_from(pending);
+        self.emitted.clone_from(emitted);
+        self.suppressed_cycles.clone_from(suppressed_cycles);
+        self.pass_tick = *pass_tick;
+        self.last_active.clone_from(last_active);
+        self.held_count.clone_from(held_count);
+        self.retire_queue.clone_from(retire_queue);
+        self.retire_queued.clone_from(retire_queued);
+        self.cycles_predicted = *cycles_predicted;
+        self.guard_suppressed = *guard_suppressed;
+        self.dropped = *dropped;
+        self.deferred = *deferred;
+        self.edges_retired = *edges_retired;
+    }
 }
 
 impl Predictor {
@@ -252,6 +322,8 @@ impl Predictor {
             dropped: 0,
             deferred: 0,
             edges_retired: 0,
+            distinct: Vec::new(),
+            guards: Vec::new(),
         }
     }
 
@@ -265,11 +337,14 @@ impl Predictor {
     pub fn on_acquired(&mut self, t: ThreadId, l: LockId, stack: StackId) {
         self.touch(l);
         *self.held_count.entry(l).or_insert(0) += 1;
+        let (mut distinct, mut guards) = (
+            std::mem::take(&mut self.distinct),
+            std::mem::take(&mut self.guards),
+        );
         let held = self.held.entry(t).or_default();
         let reentrant = held.iter().any(|&(h, _)| h == l);
         // Distinct held locks with their innermost hold stacks, in
         // acquisition order (deterministic edge recording).
-        let mut distinct: Vec<(LockId, StackId)> = Vec::with_capacity(held.len());
         if !reentrant {
             for &(h, s) in held.iter() {
                 match distinct.iter_mut().find(|(d, _)| *d == h) {
@@ -279,54 +354,47 @@ impl Predictor {
             }
         }
         held.push((l, stack));
-        {
-            for &(src, hold_stack) in &distinct {
-                // Gate set: every *other* held lock. A lock held across
-                // both of two orderings serializes them.
-                let mut guards: Vec<LockId> = distinct
-                    .iter()
-                    .map(|&(d, _)| d)
-                    .filter(|&d| d != src)
-                    .collect();
-                guards.sort_unstable();
-                let inst = EdgeInstance {
-                    thread: t,
-                    hold_stack,
-                    guards: guards.into_boxed_slice(),
-                };
-                match self.graph.record(
-                    src,
-                    l,
-                    inst,
-                    self.cfg.max_instances_per_edge,
-                    self.cfg.max_edge_instances,
-                ) {
-                    Recorded::NewEdge => {
-                        self.touch(src);
-                        match self.scc.insert_edge(&self.graph, src, l) {
-                            // Topological order respected: provably on no
-                            // cycle — the common case costs no queue entry
-                            // and no enumeration at all.
-                            EdgeOutcome::Acyclic => {}
-                            EdgeOutcome::SameComponent | EdgeOutcome::Merged => {
-                                self.mark_dirty(src, l);
-                            }
-                        }
-                    }
-                    Recorded::NewInstance => {
-                        self.touch(src);
-                        // A fresh instance only changes feasibility for
-                        // cycles through this edge — which exist only if
-                        // the edge sits inside an SCC.
-                        if self.scc.same_component(src, l) {
+        for &(src, hold_stack) in &distinct {
+            // Gate set: every *other* held lock. A lock held across
+            // both of two orderings serializes them.
+            guards.clear();
+            guards.extend(distinct.iter().map(|&(d, _)| d).filter(|&d| d != src));
+            guards.sort_unstable();
+            match self.graph.record(
+                (src, l),
+                (t, hold_stack),
+                &guards,
+                self.cfg.max_instances_per_edge,
+                self.cfg.max_edge_instances,
+            ) {
+                Recorded::NewEdge => {
+                    self.touch(src);
+                    match self.scc.insert_edge(&self.graph, src, l) {
+                        // Topological order respected: provably on no
+                        // cycle — the common case costs no queue entry
+                        // and no enumeration at all.
+                        EdgeOutcome::Acyclic => {}
+                        EdgeOutcome::SameComponent | EdgeOutcome::Merged => {
                             self.mark_dirty(src, l);
                         }
                     }
-                    Recorded::Duplicate => {}
-                    Recorded::Capped => self.dropped += 1,
                 }
+                Recorded::NewInstance => {
+                    self.touch(src);
+                    // A fresh instance only changes feasibility for
+                    // cycles through this edge — which exist only if
+                    // the edge sits inside an SCC.
+                    if self.scc.same_component(src, l) {
+                        self.mark_dirty(src, l);
+                    }
+                }
+                Recorded::Duplicate => {}
+                Recorded::Capped => self.dropped += 1,
             }
         }
+        distinct.clear();
+        guards.clear();
+        (self.distinct, self.guards) = (distinct, guards);
     }
 
     /// Feeds one `release` event: pops the innermost hold of `(t, l)`.
@@ -335,9 +403,6 @@ impl Predictor {
             if let Some(pos) = held.iter().rposition(|&(h, _)| h == l) {
                 held.remove(pos);
                 self.unhold(l);
-            }
-            if self.held.get(&t).is_some_and(|h| h.is_empty()) {
-                self.held.remove(&t);
             }
         }
     }
@@ -405,6 +470,25 @@ impl Predictor {
             edge_instances: self.graph.instance_count() as u64,
             locks: self.graph.lock_count() as u64,
         }
+    }
+
+    /// Entries a copy of this predictor copies: the order graph's arenas,
+    /// dead space included, the tables of its maps and of the
+    /// condensation's, the aging state and the queues. A restart point
+    /// weighs replaying a log against a copy with it.
+    pub fn clone_len(&self) -> u64 {
+        let len = self.graph.clone_len()
+            + self.scc.clone_len()
+            + self.held.capacity()
+            + self.dirty.len()
+            + self.dirty_set.capacity()
+            + self.emitted.capacity()
+            + self.suppressed_cycles.capacity()
+            + self.last_active.capacity()
+            + self.held_count.capacity()
+            + self.retire_queue.len()
+            + self.retire_queued.capacity();
+        len as u64
     }
 
     fn mark_dirty(&mut self, src: LockId, dst: LockId) {
@@ -541,7 +625,7 @@ impl Predictor {
         // dirty edge the enumeration happened to enter the cycle through.
         let min_pos = (0..n).min_by_key(|&i| path[i]).expect("non-empty cycle");
         let canon: Vec<LockId> = (0..n).map(|i| path[(min_pos + i) % n]).collect();
-        let mut chosen: Vec<&EdgeInstance> = Vec::with_capacity(n);
+        let mut chosen: Vec<EdgeInstance> = Vec::with_capacity(n);
         let mut guard_blocked = false;
         let ok = self.assign(&canon, 0, &mut chosen, &mut guard_blocked, budget);
         if ok {
@@ -564,11 +648,11 @@ impl Predictor {
 
     /// Backtracking instance assignment over cycle edge `i` (the edge
     /// `path[i] → path[(i + 1) % n]`).
-    fn assign<'g>(
-        &'g self,
+    fn assign(
+        &self,
         path: &[LockId],
         i: usize,
-        chosen: &mut Vec<&'g EdgeInstance>,
+        chosen: &mut Vec<EdgeInstance>,
         guard_blocked: &mut bool,
         budget: &mut usize,
     ) -> bool {
@@ -576,7 +660,7 @@ impl Predictor {
             return true;
         }
         let dst = path[(i + 1) % path.len()];
-        for inst in self.graph.instances(path[i], dst) {
+        for &inst in self.graph.instances(path[i], dst) {
             *budget = budget.saturating_sub(1);
             if chosen.iter().any(|c| c.thread == inst.thread) {
                 continue;
@@ -585,11 +669,10 @@ impl Predictor {
             // already chosen instance, gates the cycle shut: in the
             // would-be deadlock state every cycle lock is pinned and a
             // common gate lock cannot be held twice.
-            if inst
-                .guards
-                .iter()
-                .any(|g| path.contains(g) || chosen.iter().any(|c| c.guards.contains(g)))
-            {
+            let gated = self.graph.guards(&inst).iter().any(|g| {
+                path.contains(g) || chosen.iter().any(|c| self.graph.guards(c).contains(g))
+            });
+            if gated {
                 *guard_blocked = true;
                 continue;
             }

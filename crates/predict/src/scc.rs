@@ -13,8 +13,9 @@
 //! # Complexity
 //!
 //! * [`Condensation::insert_edge`], order already consistent (the common
-//!   acyclic case): **O(log n)** — two map lookups plus a `BTreeSet`
-//!   probe when a fresh lock needs an order value.
+//!   acyclic case): **O(1)** — two map lookups, plus a link into the
+//!   order list when a fresh lock needs an order value (its neighbour in
+//!   the order is one link away).
 //! * [`Condensation::insert_edge`], order violated but no cycle: one
 //!   forward and one backward DFS restricted to components with order
 //!   values inside the violation window, then a sort of the visited set —
@@ -31,6 +32,17 @@
 //!
 //! There is no second restructure path: the affected region is part of the
 //! graph, so a full Tarjan rebuild in its place would never visit less.
+//!
+//! # Layout
+//!
+//! Three maps of `Copy` values, like the order graph's (see
+//! [`crate::graph`]): lock → its component and the next member of that
+//! component (each component's members form a ring, so a merge joins two
+//! rings by swapping two links, and a retirement unlinks one member in
+//! O(component)); component → its order value, one member and its size;
+//! and the order values in use as a doubly linked list keyed by value,
+//! which answers "the value just below or above this one" in O(1). A
+//! clone copies three tables; `clone_from` copies them into the target's.
 //!
 //! # Why the reorder is sound
 //!
@@ -50,7 +62,6 @@
 use crate::graph::LockOrderGraph;
 use dimmunix_rag::LockId;
 use dimmunix_signature::{IdMap, IdSet};
-use std::collections::BTreeSet;
 
 /// Identifier of one condensation component.
 type CompId = u32;
@@ -59,10 +70,73 @@ type CompId = u32;
 /// retirement splits can slot sub-components in without renumbering.
 const ORDER_STRIDE: u64 = 1 << 20;
 
-#[derive(Clone, Debug)]
+/// A lock's component, and the next member of that component: each
+/// component's members form a ring.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    comp: CompId,
+    next: LockId,
+}
+
+#[derive(Clone, Copy, Debug)]
 struct Component {
     ord: u64,
-    members: Vec<LockId>,
+    /// Any member: where a walk of the ring starts.
+    head: LockId,
+    len: usize,
+}
+
+/// The order values in use, in ascending order: a doubly linked list kept
+/// in a map from each value to its `(previous, next)` values. Key 0, never
+/// an order value, is the list's head and end.
+#[derive(Debug, Default)]
+struct Orders {
+    links: IdMap<u64, (u64, u64)>,
+}
+
+const HEAD: u64 = 0;
+
+impl Orders {
+    fn link(&self, o: u64) -> (u64, u64) {
+        self.links.get(&o).copied().unwrap_or((HEAD, HEAD))
+    }
+
+    /// The largest value in use.
+    fn last(&self) -> Option<u64> {
+        Some(self.link(HEAD).0).filter(|&o| o != HEAD)
+    }
+
+    /// The value in use just below `o` (which is in use), or `HEAD`.
+    fn prev(&self, o: u64) -> u64 {
+        self.link(o).0
+    }
+
+    /// The value in use just above `o` (which is in use).
+    fn next(&self, o: u64) -> Option<u64> {
+        Some(self.link(o).1).filter(|&n| n != HEAD)
+    }
+
+    /// Puts `o` right after `at` (`HEAD` for the front).
+    fn insert_after(&mut self, at: u64, o: u64) {
+        let next = self.link(at).1;
+        self.links.entry(at).or_insert((HEAD, HEAD)).1 = o;
+        self.links.entry(next).or_insert((HEAD, HEAD)).0 = o;
+        self.links.insert(o, (at, next));
+    }
+
+    fn remove(&mut self, o: u64) {
+        let (prev, next) = self.links.remove(&o).expect("order value in use");
+        self.links.get_mut(&prev).expect("linked").1 = next;
+        self.links.get_mut(&next).expect("linked").0 = prev;
+        if self.links.len() == 1 {
+            self.links.clear();
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.links.len().saturating_sub(1)
+    }
 }
 
 /// Outcome of [`Condensation::insert_edge`].
@@ -80,15 +154,34 @@ pub(crate) enum EdgeOutcome {
 }
 
 /// The condensation DAG: lock → component, component → topological order.
-#[derive(Clone, Debug, Default)]
+/// Every map holds `Copy` values, so a clone copies three tables and
+/// [`Clone::clone_from`] copies them into the tables already there.
+#[derive(Debug, Default)]
 pub(crate) struct Condensation {
-    comp: IdMap<LockId, CompId>,
+    comp: IdMap<LockId, Member>,
     comps: IdMap<CompId, Component>,
     /// Order values currently in use (gap queries for insertions/splits).
-    orders: BTreeSet<u64>,
+    orders: Orders,
     next_id: CompId,
     merges: u64,
     component_peak: usize,
+}
+
+impl Clone for Condensation {
+    fn clone(&self) -> Self {
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.comp.clone_from(&source.comp);
+        self.comps.clone_from(&source.comps);
+        self.orders.links.clone_from(&source.orders.links);
+        self.next_id = source.next_id;
+        self.merges = source.merges;
+        self.component_peak = source.component_peak;
+    }
 }
 
 impl Condensation {
@@ -103,22 +196,37 @@ impl Condensation {
         self.component_peak
     }
 
+    /// Entries a clone copies: the three maps' tables.
+    pub fn clone_len(&self) -> usize {
+        self.comp.capacity() + self.comps.capacity() + self.orders.links.capacity()
+    }
+
     /// Whether `a` and `b` currently share a component. `false` when
     /// either lock is unknown (e.g. retired).
     pub fn same_component(&self, a: LockId, b: LockId) -> bool {
         match (self.comp.get(&a), self.comp.get(&b)) {
-            (Some(x), Some(y)) => x == y,
+            (Some(x), Some(y)) => x.comp == y.comp,
             _ => false,
         }
     }
 
+    /// The members of component `c`, walking its ring.
+    fn members(&self, c: CompId) -> impl Iterator<Item = LockId> + '_ {
+        let slot = self.comps[&c];
+        let mut at = slot.head;
+        (0..slot.len).map(move |_| {
+            let m = at;
+            at = self.comp[&m].next;
+            m
+        })
+    }
+
     /// Members of the component containing `l` (empty if unknown).
     #[cfg(test)]
-    pub fn members_of(&self, l: LockId) -> &[LockId] {
+    pub fn members_of(&self, l: LockId) -> Vec<LockId> {
         self.comp
             .get(&l)
-            .and_then(|c| self.comps.get(c))
-            .map_or(&[], |c| c.members.as_slice())
+            .map_or_else(Vec::new, |m| self.members(m.comp).collect())
     }
 
     fn alloc_id(&mut self) -> CompId {
@@ -129,11 +237,11 @@ impl Condensation {
 
     /// Creates a singleton component for `l` at the end of the order.
     fn ensure_last(&mut self, l: LockId) -> CompId {
-        if let Some(&c) = self.comp.get(&l) {
-            return c;
+        if let Some(m) = self.comp.get(&l) {
+            return m.comp;
         }
         let ord = match self.orders.last() {
-            Some(&max) => match max.checked_add(ORDER_STRIDE) {
+            Some(max) => match max.checked_add(ORDER_STRIDE) {
                 Some(o) => o,
                 None => {
                     self.renumber();
@@ -142,7 +250,8 @@ impl Condensation {
             },
             None => ORDER_STRIDE,
         };
-        self.insert_singleton(l, ord)
+        let after = self.orders.last().unwrap_or(HEAD);
+        self.insert_singleton(l, ord, after)
     }
 
     /// Creates a singleton component for `l` ordered strictly below `ord`
@@ -152,7 +261,7 @@ impl Condensation {
     /// `v`).
     fn ensure_below(&mut self, l: LockId, below: u64) -> CompId {
         debug_assert!(!self.comp.contains_key(&l));
-        let floor = self.orders.range(..below).next_back().copied().unwrap_or(0);
+        let floor = self.orders.prev(below);
         let gap = below - floor;
         if gap < 2 {
             self.renumber();
@@ -160,21 +269,24 @@ impl Condensation {
             // the target from the caller's component on the caller side.
             return CompId::MAX; // sentinel: caller must re-resolve
         }
-        self.insert_singleton(l, floor + gap / 2)
+        self.insert_singleton(l, floor + gap / 2, floor)
     }
 
-    fn insert_singleton(&mut self, l: LockId, ord: u64) -> CompId {
+    /// Creates a singleton component for `l` with order value `ord`, which
+    /// goes right after `after` in the order.
+    fn insert_singleton(&mut self, l: LockId, ord: u64, after: u64) -> CompId {
         let id = self.alloc_id();
-        debug_assert!(!self.orders.contains(&ord));
-        self.orders.insert(ord);
+        debug_assert!(!self.orders.links.contains_key(&ord));
+        self.orders.insert_after(after, ord);
         self.comps.insert(
             id,
             Component {
                 ord,
-                members: vec![l],
+                head: l,
+                len: 1,
             },
         );
-        self.comp.insert(l, id);
+        self.comp.insert(l, Member { comp: id, next: l });
         self.component_peak = self.component_peak.max(1);
         id
     }
@@ -185,25 +297,21 @@ impl Condensation {
         if u == v {
             return EdgeOutcome::Acyclic;
         }
-        let cv = match self.comp.get(&v) {
-            Some(&c) => c,
-            None => self.ensure_last(v),
-        };
+        let cv = self.ensure_last(v);
         let cu = match self.comp.get(&u) {
-            Some(&c) => c,
+            Some(m) => m.comp,
             None => {
                 let below = self.comps[&cv].ord;
                 let c = self.ensure_below(u, below);
                 if c == CompId::MAX {
                     // A renumber ran; gaps are wide open now.
-                    let below = self.comps[&self.comp[&v]].ord;
+                    let below = self.comps[&cv].ord;
                     self.ensure_below(u, below)
                 } else {
                     c
                 }
             }
         };
-        let cv = self.comp[&v]; // may have been renumbered/created above
         if cu == cv {
             return EdgeOutcome::SameComponent;
         }
@@ -239,9 +347,9 @@ impl Condensation {
         seen.insert(start);
         let mut stack = vec![start];
         while let Some(c) = stack.pop() {
-            for &m in &self.comps[&c].members {
+            for m in self.members(c) {
                 let mut visit = |w: LockId| {
-                    let cw = self.comp[&w];
+                    let cw = self.comp[&w].comp;
                     if seen.contains(&cw) {
                         return;
                     }
@@ -297,25 +405,41 @@ impl Condensation {
             // middle values are freed.
             let base = *mset
                 .iter()
-                .max_by_key(|c| (self.comps[c].members.len(), std::cmp::Reverse(**c)))
+                .max_by_key(|c| (self.comps[c].len, std::cmp::Reverse(**c)))
                 .expect("merge set is non-empty");
-            let mut members = std::mem::take(&mut self.comps.get_mut(&base).unwrap().members);
+            let base_head = self.comps[&base].head;
+            let mut len = self.comps[&base].len;
             for &c in mset {
                 if c == base {
                     continue;
                 }
                 let dead = self.comps.remove(&c).expect("merged component exists");
-                for l in dead.members {
-                    self.comp.insert(l, base);
-                    members.push(l);
+                let mut at = dead.head;
+                for _ in 0..dead.len {
+                    let member = self.comp.get_mut(&at).expect("member");
+                    member.comp = base;
+                    at = member.next;
                 }
+                // Swapping the successors of one member of each ring joins
+                // the two rings into one.
+                let a = self.comp[&base_head].next;
+                let dead_head = self
+                    .comp
+                    .get_mut(&dead.head)
+                    .expect("a ring's head is a member");
+                let b = std::mem::replace(&mut dead_head.next, a);
+                self.comp
+                    .get_mut(&base_head)
+                    .expect("a ring's head is a member")
+                    .next = b;
+                len += dead.len;
             }
-            self.component_peak = self.component_peak.max(members.len());
+            self.component_peak = self.component_peak.max(len);
             let slot = self.comps.get_mut(&base).unwrap();
-            slot.members = members;
+            slot.len = len;
             slot.ord = pool[bs.len()];
             for &freed in &pool[bs.len() + 1..top] {
-                self.orders.remove(&freed);
+                self.orders.remove(freed);
             }
         }
     }
@@ -323,79 +447,68 @@ impl Condensation {
     /// Removes `l` (already deleted from `graph`) from the condensation,
     /// re-splitting its component if the removal disconnected it.
     pub fn retire(&mut self, graph: &LockOrderGraph, l: LockId) {
-        let Some(c) = self.comp.remove(&l) else {
+        let Some(Member { comp: c, next }) = self.comp.remove(&l) else {
             return;
         };
-        let slot = self.comps.get_mut(&c).expect("member's component exists");
-        slot.members.retain(|&m| m != l);
-        if slot.members.is_empty() {
-            let dead = self.comps.remove(&c).unwrap();
-            self.orders.remove(&dead.ord);
+        let slot = self.comps[&c];
+        if slot.len == 1 {
+            self.comps.remove(&c);
+            self.orders.remove(slot.ord);
             return;
         }
-        if slot.members.len() == 1 {
+        // Take `l` out of the ring.
+        let mut prev = next;
+        while self.comp[&prev].next != l {
+            prev = self.comp[&prev].next;
+        }
+        self.comp
+            .get_mut(&prev)
+            .expect("ring members are locks")
+            .next = next;
+        let slot = self.comps.get_mut(&c).expect("member's component exists");
+        slot.len -= 1;
+        if slot.head == l {
+            slot.head = next;
+        }
+        if slot.len == 1 {
             return;
         }
         // The survivors may have split into several SCCs.
-        let members = slot.members.clone();
+        let members: Vec<LockId> = self.members(c).collect();
         let subs = tarjan_restricted(graph, &members);
         if subs.len() == 1 {
             return;
         }
-        let old_ord = self.comps[&c].ord;
         // The split parts need `subs.len()` order values strictly between
-        // every external predecessor (all < old_ord) and every external
-        // successor (all > old_ord): values in [old_ord, next_used) work.
+        // every external predecessor (all < the old value) and every
+        // external successor (all > it): values in [old, next used) work.
         let k = subs.len() as u64;
-        let next_used = self
-            .orders
-            .range(old_ord + 1..)
-            .next()
-            .copied()
-            .unwrap_or(u64::MAX);
-        let gap = next_used - old_ord;
-        if gap < k {
+        let gap = |me: &Self| {
+            let ord = me.comps[&c].ord;
+            me.orders.next(ord).unwrap_or(u64::MAX) - ord
+        };
+        if gap(self) < k {
             self.renumber();
-            self.retire_split(c, subs);
-            return;
         }
-        let step = gap / k;
-        self.orders.remove(&old_ord);
+        let old_ord = self.comps[&c].ord;
+        let step = gap(self) / k;
+        debug_assert!(step >= 1, "renumber must reopen the gap");
+        let mut after = self.orders.prev(old_ord);
+        self.orders.remove(old_ord);
         self.comps.remove(&c);
         // `subs` arrives in reverse topological order (Tarjan emits a
         // component only after everything it reaches).
         for (i, sub) in subs.into_iter().rev().enumerate() {
             let ord = old_ord + i as u64 * step;
             let id = self.alloc_id();
-            self.orders.insert(ord);
-            for &m in &sub {
-                self.comp.insert(m, id);
+            self.orders.insert_after(after, ord);
+            after = ord;
+            for (j, &m) in sub.iter().enumerate() {
+                let next = sub[(j + 1) % sub.len()];
+                self.comp.insert(m, Member { comp: id, next });
             }
-            self.comps.insert(id, Component { ord, members: sub });
-        }
-    }
-
-    /// Split continuation after a renumber (every gap is stride-wide).
-    fn retire_split(&mut self, c: CompId, subs: Vec<Vec<LockId>>) {
-        let old_ord = self.comps[&c].ord;
-        let next_used = self
-            .orders
-            .range(old_ord + 1..)
-            .next()
-            .copied()
-            .unwrap_or(u64::MAX);
-        let step = (next_used - old_ord) / subs.len() as u64;
-        debug_assert!(step >= 1, "renumber must reopen the gap");
-        self.orders.remove(&old_ord);
-        self.comps.remove(&c);
-        for (i, sub) in subs.into_iter().rev().enumerate() {
-            let ord = old_ord + i as u64 * step;
-            let id = self.alloc_id();
-            self.orders.insert(ord);
-            for &m in &sub {
-                self.comp.insert(m, id);
-            }
-            self.comps.insert(id, Component { ord, members: sub });
+            let (head, len) = (sub[0], sub.len());
+            self.comps.insert(id, Component { ord, head, len });
         }
     }
 
@@ -404,31 +517,48 @@ impl Condensation {
     fn renumber(&mut self) {
         let mut by_ord: Vec<CompId> = self.comps.keys().copied().collect();
         by_ord.sort_unstable_by_key(|c| self.comps[c].ord);
-        self.orders.clear();
+        self.orders.links.clear();
+        let mut after = HEAD;
         for (i, c) in by_ord.into_iter().enumerate() {
             let ord = (i as u64 + 1) * ORDER_STRIDE;
             self.comps.get_mut(&c).unwrap().ord = ord;
-            self.orders.insert(ord);
+            self.orders.insert_after(after, ord);
+            after = ord;
         }
     }
 
     #[cfg(test)]
     fn check_invariants(&self, graph: &LockOrderGraph) {
-        // Unique order values, one per component.
+        // Unique order values, one per component, listed in ascending order.
         assert_eq!(self.orders.len(), self.comps.len());
-        for (id, c) in &self.comps {
-            assert!(self.orders.contains(&c.ord));
-            for m in &c.members {
-                assert_eq!(self.comp[m], *id, "member map out of sync");
-            }
+        let (mut at, mut listed) = (HEAD, 0);
+        while let Some(next) = self.orders.next(at) {
+            assert!(next > at, "order list out of order");
+            assert_eq!(self.orders.prev(next), at, "order list links disagree");
+            (at, listed) = (next, listed + 1);
         }
+        assert_eq!(listed, self.orders.len());
+        let mut members = 0;
+        for (id, c) in &self.comps {
+            assert!(self.orders.links.contains_key(&c.ord));
+            for m in self.members(*id) {
+                assert_eq!(self.comp[&m].comp, *id, "member map out of sync");
+                members += 1;
+            }
+            let mut at = c.head;
+            for _ in 0..c.len {
+                at = self.comp[&at].next;
+            }
+            assert_eq!(at, c.head, "a component's ring is not closed");
+        }
+        assert_eq!(members, self.comp.len(), "a lock outside every ring");
         // Every cross-component edge respects the order.
-        for (&l, &cl) in &self.comp {
+        for (&l, ml) in &self.comp {
             for w in graph.successors(l) {
-                let cw = self.comp[&w];
-                if cl != cw {
+                let cw = self.comp[&w].comp;
+                if ml.comp != cw {
                     assert!(
-                        self.comps[&cl].ord < self.comps[&cw].ord,
+                        self.comps[&ml.comp].ord < self.comps[&cw].ord,
                         "edge {l:?} -> {w:?} violates the topological order"
                     );
                 }
@@ -533,7 +663,7 @@ fn tarjan_restricted(graph: &LockOrderGraph, nodes: &[LockId]) -> Vec<Vec<LockId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{EdgeInstance, LockOrderGraph, Recorded};
+    use crate::graph::{LockOrderGraph, Recorded};
     use dimmunix_rag::ThreadId;
     use dimmunix_signature::StackId;
 
@@ -542,12 +672,8 @@ mod tests {
     }
 
     fn add_edge(g: &mut LockOrderGraph, scc: &mut Condensation, u: u64, v: u64) -> EdgeOutcome {
-        let inst = EdgeInstance {
-            thread: ThreadId(u * 1000 + v),
-            hold_stack: StackId((u * 100 + v) as u32),
-            guards: Box::new([]),
-        };
-        match g.record(l(u), l(v), inst, 64, 1 << 20) {
+        let who = (ThreadId(u * 1000 + v), StackId((u * 100 + v) as u32));
+        match g.record((l(u), l(v)), who, &[], 64, 1 << 20) {
             Recorded::NewEdge | Recorded::NewInstance => {}
             r => panic!("unexpected record outcome {r:?}"),
         }
@@ -626,21 +752,23 @@ mod tests {
         }
         // A cross edge from the high chain into the low one violates the
         // order without closing a cycle.
-        let inst = EdgeInstance {
-            thread: ThreadId(999),
-            hold_stack: StackId(999),
-            guards: Box::new([]),
-        };
-        g.record(l(108), l(0), inst, 64, 1 << 20);
+        g.record(
+            (l(108), l(0)),
+            (ThreadId(999), StackId(999)),
+            &[],
+            64,
+            1 << 20,
+        );
         assert_eq!(scc.insert_edge(&g, l(108), l(0)), EdgeOutcome::Acyclic);
         scc.check_invariants(&g);
         // Closing the loop the other way merges all 18 locks.
-        let inst = EdgeInstance {
-            thread: ThreadId(998),
-            hold_stack: StackId(998),
-            guards: Box::new([]),
-        };
-        g.record(l(8), l(100), inst, 64, 1 << 20);
+        g.record(
+            (l(8), l(100)),
+            (ThreadId(998), StackId(998)),
+            &[],
+            64,
+            1 << 20,
+        );
         assert_eq!(scc.insert_edge(&g, l(8), l(100)), EdgeOutcome::Merged);
         scc.check_invariants(&g);
         assert_eq!(scc.component_peak(), 18);
@@ -709,13 +837,9 @@ mod tests {
                 if u == v {
                     continue;
                 }
-                let inst = EdgeInstance {
-                    thread: ThreadId(rng() % 4),
-                    hold_stack: StackId((rng() % 64) as u32),
-                    guards: Box::new([]),
-                };
+                let who = (ThreadId(rng() % 4), StackId((rng() % 64) as u32));
                 if matches!(
-                    g.record(l(u), l(v), inst, 64, 1 << 20),
+                    g.record((l(u), l(v)), who, &[], 64, 1 << 20),
                     Recorded::NewEdge | Recorded::NewInstance
                 ) {
                     scc.insert_edge(&g, l(u), l(v));

@@ -348,3 +348,63 @@ proptest! {
         prop_assert_eq!(format!("{copy:?}"), format!("{original:?}"));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same contract when the copy is not fresh: a predictor fed an
+    /// older prefix of the trace — smaller arenas, other map layouts — is
+    /// refreshed with `clone_from`, as the monitor refreshes its
+    /// checkpoint, and must then be indistinguishable from a clone.
+    #[test]
+    fn a_clone_fed_the_same_inputs_reaches_the_same_state_after_clone_from(
+        trace in arb_trace(),
+        cut in any::<usize>(),
+        older in any::<usize>(),
+    ) {
+        let cut = cut % (trace.len() + 1);
+        let older = older % (cut + 1);
+        let cfg = PredictionConfig { pass_budget: 3, lock_retire_after: 2, ..config() };
+        let (mut original, mut copy) = (Predictor::new(cfg.clone()), Predictor::new(cfg));
+        let (mut held, mut stale_held) = (HashMap::new(), HashMap::new());
+        feed(&mut copy, &mut stale_held, &trace, 0..older);
+        feed(&mut original, &mut held, &trace, 0..cut);
+        copy.clone_from(&original);
+        let mut copy_held = held.clone();
+        let want = feed(&mut original, &mut held, &trace, cut..trace.len());
+        let got = feed(&mut copy, &mut copy_held, &trace, cut..trace.len());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(format!("{copy:?}"), format!("{original:?}"));
+    }
+
+    /// The same contract across compactions: every lock retires after one
+    /// quiet pass, and halfway through every thread exits and passes run
+    /// until the whole graph has retired, so its arenas compact (to
+    /// nothing, then again as the second half re-learns it).
+    #[test]
+    fn a_clone_fed_the_same_inputs_reaches_the_same_state_across_compactions(
+        trace in arb_trace(),
+        mid in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let mid = mid % (trace.len() + 1);
+        // Twelve exits: every hold dropped, then four passes with no input.
+        let exits = (0..3).flat_map(|_| (0..THREADS).map(|t| Op::Exit { t }));
+        let ops: Vec<Op> = trace[..mid].iter().cloned().chain(exits).chain(trace[mid..].iter().cloned()).collect();
+        let quiet = mid + 3 * usize::from(THREADS);
+        let cfg = PredictionConfig { pass_budget: 3, lock_retire_after: 1, ..config() };
+        let mut probe = Predictor::new(cfg.clone());
+        feed(&mut probe, &mut HashMap::new(), &ops, 0..quiet);
+        prop_assert_eq!(probe.stats().locks, 0, "the quiet stretch retires every lock");
+
+        let cut = cut % (ops.len() + 1);
+        let mut original = Predictor::new(cfg);
+        let mut held = HashMap::new();
+        feed(&mut original, &mut held, &ops, 0..cut);
+        let (mut copy, mut copy_held) = (original.clone(), held.clone());
+        let want = feed(&mut original, &mut held, &ops, cut..ops.len());
+        let got = feed(&mut copy, &mut copy_held, &ops, cut..ops.len());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(format!("{copy:?}"), format!("{original:?}"));
+    }
+}
