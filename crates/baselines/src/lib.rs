@@ -9,18 +9,12 @@
 //!   order-of-magnitude higher false-positive serialization the paper
 //!   measures (70% overhead vs. Dimmunix's 4.6%, 45 gates for 64
 //!   signatures).
-//! * [`ghostlock`] — Zeng & Martin, *"Ghost locks: Deadlock prevention for
-//!   Java"* (2004), reference \[23\]: serialize access to the **lock sets**
-//!   that could induce deadlock — a ghost lock must be acquired before
-//!   locking any member of a set previously seen to deadlock.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod gatelock;
-pub mod ghostlock;
 mod unionfind;
 
 pub use gatelock::{GateGuard, GateLockTable};
-pub use ghostlock::{GhostGuard, GhostLockTable};
 pub use unionfind::UnionFind;

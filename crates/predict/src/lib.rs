@@ -57,14 +57,27 @@
 //! from the graph and the condensation (splitting its component if
 //! needed), so the graph tracks the working set, not the process
 //! lifetime.
+//!
+//! # One record per lock
+//!
+//! Everything the predictor keeps about a lock — its node in the order
+//! graph, its condensation component and its aging state — lives in one
+//! record of the lock table (`locks.rs`). A fed acquisition finds its lock's
+//! record with one look-up; each held-stack entry carries its lock's
+//! record, so the acquisition's sources and every release reach theirs
+//! with none. A nested acquisition of a lock while holding two, each
+//! recording a new instance, makes four hash look-ups: the lock's record,
+//! the thread's held stack and one edge per source.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod graph;
+mod locks;
 mod scc;
 
 use graph::{EdgeInstance, LockOrderGraph, Recorded};
+use locks::LockTable;
 use scc::{Condensation, EdgeOutcome};
 
 use dimmunix_rag::{LockId, ThreadId};
@@ -171,6 +184,15 @@ struct Enumeration {
     frames: Vec<(Vec<LockId>, usize)>,
 }
 
+/// One entry of a thread's held stack: the lock, the stack it was acquired
+/// with, and its lock record, which a release reaches without a look-up.
+#[derive(Clone, Copy, Debug)]
+struct Held {
+    lock: LockId,
+    stack: StackId,
+    record: u32,
+}
+
 /// The online lock-order-graph deadlock predictor. One per monitor; not
 /// thread-safe (the monitor owns it). `Clone` snapshots the complete
 /// state, so a restarted monitor resumes prediction instead of relearning
@@ -180,20 +202,24 @@ struct Enumeration {
 /// ([`on_acquired`], [`on_release`], [`on_thread_exit`], [`pass`]) is a
 /// function of the state before them and of the inputs alone: there is no
 /// clock and no randomness, every map hashes with the fixed
-/// [`dimmunix_signature::IdHasher`], and both `clone` and `clone_from`
-/// keep each map's layout, so a copy fed the same inputs as its original
-/// reaches the same state, down to its `Debug` dump, and returns the same
-/// cycles — whatever the copy held before a `clone_from`. The monitor's
-/// restart point relies on it: a checkpoint plus the inputs fed since,
-/// replayed on respawn.
+/// [`dimmunix_signature::IdHasher`], internal indices are handed out in
+/// input order — a new lock takes the lock record freed last, or the next
+/// one, and likewise for arcs and condensation components — and both
+/// `clone` and `clone_from` keep each map's layout, so a copy fed the same
+/// inputs as its original reaches the same state, down to its `Debug`
+/// dump, and returns the same cycles — whatever the copy held before a
+/// `clone_from`. The monitor's restart point relies on it: a checkpoint
+/// plus the inputs fed since, replayed on respawn. What the predictor
+/// reports — its cycles, their labels and order, and [`PredictorStats`] —
+/// depends on the lock ids in the inputs, never on those internal indices.
 ///
-/// **Copies.** The order graph and the condensation hold only `Copy`
-/// records in flat buffers, so a clone is a handful of buffer copies, and
-/// `clone_from` copies into the buffers the target already has: an older
-/// copy of a predictor refreshed from it allocates nothing unless the
-/// predictor has outgrown the copy's buffers, or holds owned parts — a
-/// thread's non-empty held stack, emitted or suppressed cycle keys, a
-/// paused enumeration. [`Predictor::clone_len`] counts what a copy
+/// **Copies.** The lock table, the order graph and the condensation hold
+/// only `Copy` records in flat buffers, so a clone is a handful of buffer
+/// copies, and `clone_from` copies into the buffers the target already
+/// has: an older copy of a predictor refreshed from it allocates nothing
+/// unless the predictor has outgrown the copy's buffers, or holds owned
+/// parts — a thread's non-empty held stack, emitted or suppressed cycle
+/// keys, a paused enumeration. [`Predictor::clone_len`] counts what a copy
 /// copies.
 ///
 /// [`on_acquired`]: Predictor::on_acquired
@@ -203,13 +229,16 @@ struct Enumeration {
 #[derive(Debug)]
 pub struct Predictor {
     cfg: PredictionConfig,
+    /// One record per known lock: its graph node, condensation membership
+    /// and aging state.
+    locks: LockTable,
     graph: LockOrderGraph,
     /// Incrementally maintained SCC condensation of `graph`.
     scc: Condensation,
-    /// Per-thread held multiset: `(lock, acquisition stack)` in acquisition
-    /// order (reentrancy repeats the lock). An emptied stack keeps its
-    /// entry, and its capacity, until the thread exits.
-    held: IdMap<ThreadId, Vec<(LockId, StackId)>>,
+    /// Per-thread held multiset, in acquisition order (reentrancy repeats
+    /// the lock). An emptied stack keeps its entry, and its capacity, until
+    /// the thread exits.
+    held: IdMap<ThreadId, Vec<Held>>,
     /// Edges that landed inside an SCC and await cycle enumeration.
     dirty: VecDeque<(LockId, LockId)>,
     dirty_set: IdSet<(LockId, LockId)>,
@@ -224,15 +253,10 @@ pub struct Predictor {
     suppressed_cycles: IdSet<Vec<LockId>>,
     /// Monotonic pass counter — the aging clock.
     pass_tick: u64,
-    /// Last pass at which each lock was held, released, or recorded an
-    /// ordering.
-    last_active: IdMap<LockId, u64>,
-    /// How many times each lock is currently held across all threads.
-    held_count: IdMap<LockId, usize>,
-    /// Aging probes: `(due pass, lock)`, lazily revalidated on pop.
-    retire_queue: BinaryHeap<Reverse<(u64, LockId)>>,
-    /// Locks with a live probe in `retire_queue`.
-    retire_queued: IdSet<LockId>,
+    /// Aging probes: `(due pass, lock record)`, lazily revalidated on pop
+    /// against the record's aging state. A record has at most one, and
+    /// none once it is freed.
+    retire_queue: BinaryHeap<Reverse<(u64, u32)>>,
     cycles_predicted: u64,
     guard_suppressed: u64,
     dropped: u64,
@@ -240,7 +264,7 @@ pub struct Predictor {
     edges_retired: u64,
     /// Scratch for [`Predictor::on_acquired`], empty between calls: the
     /// distinct held locks and one edge's guard set.
-    distinct: Vec<(LockId, StackId)>,
+    distinct: Vec<Held>,
     guards: Vec<LockId>,
 }
 
@@ -256,6 +280,7 @@ impl Clone for Predictor {
     fn clone_from(&mut self, source: &Self) {
         let Self {
             cfg,
+            locks,
             graph,
             scc,
             held,
@@ -265,10 +290,7 @@ impl Clone for Predictor {
             emitted,
             suppressed_cycles,
             pass_tick,
-            last_active,
-            held_count,
             retire_queue,
-            retire_queued,
             cycles_predicted,
             guard_suppressed,
             dropped,
@@ -278,6 +300,7 @@ impl Clone for Predictor {
             guards: _,
         } = source;
         self.cfg.clone_from(cfg);
+        self.locks.clone_from(locks);
         self.graph.clone_from(graph);
         self.scc.clone_from(scc);
         self.held.clone_from(held);
@@ -287,10 +310,7 @@ impl Clone for Predictor {
         self.emitted.clone_from(emitted);
         self.suppressed_cycles.clone_from(suppressed_cycles);
         self.pass_tick = *pass_tick;
-        self.last_active.clone_from(last_active);
-        self.held_count.clone_from(held_count);
         self.retire_queue.clone_from(retire_queue);
-        self.retire_queued.clone_from(retire_queued);
         self.cycles_predicted = *cycles_predicted;
         self.guard_suppressed = *guard_suppressed;
         self.dropped = *dropped;
@@ -304,6 +324,7 @@ impl Predictor {
     pub fn new(cfg: PredictionConfig) -> Self {
         Self {
             cfg,
+            locks: LockTable::default(),
             graph: LockOrderGraph::default(),
             scc: Condensation::default(),
             held: IdMap::default(),
@@ -313,10 +334,7 @@ impl Predictor {
             emitted: IdSet::default(),
             suppressed_cycles: IdSet::default(),
             pass_tick: 0,
-            last_active: IdMap::default(),
-            held_count: IdMap::default(),
             retire_queue: BinaryHeap::new(),
-            retire_queued: IdSet::default(),
             cycles_predicted: 0,
             guard_suppressed: 0,
             dropped: 0,
@@ -335,57 +353,66 @@ impl Predictor {
     /// Feeds one `acquired` event: thread `t` obtained lock `l` with call
     /// stack `stack`. Records one order-graph edge per lock already held.
     pub fn on_acquired(&mut self, t: ThreadId, l: LockId, stack: StackId) {
-        self.touch(l);
-        *self.held_count.entry(l).or_insert(0) += 1;
+        let r = self.locks.intern(l);
+        self.locks[r].held += 1;
+        self.touch(r);
         let (mut distinct, mut guards) = (
             std::mem::take(&mut self.distinct),
             std::mem::take(&mut self.guards),
         );
         let held = self.held.entry(t).or_default();
-        let reentrant = held.iter().any(|&(h, _)| h == l);
+        let reentrant = held.iter().any(|h| h.record == r);
         // Distinct held locks with their innermost hold stacks, in
         // acquisition order (deterministic edge recording).
         if !reentrant {
-            for &(h, s) in held.iter() {
-                match distinct.iter_mut().find(|(d, _)| *d == h) {
-                    Some(entry) => entry.1 = s, // innermost hold wins
-                    None => distinct.push((h, s)),
+            for &h in held.iter() {
+                match distinct.iter_mut().find(|d| d.record == h.record) {
+                    Some(entry) => entry.stack = h.stack, // innermost hold wins
+                    None => distinct.push(h),
                 }
             }
         }
-        held.push((l, stack));
-        for &(src, hold_stack) in &distinct {
+        held.push(Held {
+            lock: l,
+            stack,
+            record: r,
+        });
+        for src in &distinct {
             // Gate set: every *other* held lock. A lock held across
             // both of two orderings serializes them.
             guards.clear();
-            guards.extend(distinct.iter().map(|&(d, _)| d).filter(|&d| d != src));
+            guards.extend(distinct.iter().map(|d| d.lock).filter(|&d| d != src.lock));
             guards.sort_unstable();
             match self.graph.record(
-                (src, l),
-                (t, hold_stack),
+                &mut self.locks,
+                (src.record, r),
+                (t, src.stack),
                 &guards,
                 self.cfg.max_instances_per_edge,
                 self.cfg.max_edge_instances,
             ) {
                 Recorded::NewEdge => {
-                    self.touch(src);
-                    match self.scc.insert_edge(&self.graph, src, l) {
+                    self.touch(src.record);
+                    match self
+                        .scc
+                        .insert_edge(&self.graph, &mut self.locks, src.record, r)
+                    {
                         // Topological order respected: provably on no
                         // cycle — the common case costs no queue entry
                         // and no enumeration at all.
                         EdgeOutcome::Acyclic => {}
                         EdgeOutcome::SameComponent | EdgeOutcome::Merged => {
-                            self.mark_dirty(src, l);
+                            self.mark_dirty(src.lock, l);
                         }
                     }
                 }
                 Recorded::NewInstance => {
-                    self.touch(src);
+                    self.touch(src.record);
                     // A fresh instance only changes feasibility for
                     // cycles through this edge — which exist only if
                     // the edge sits inside an SCC.
-                    if self.scc.same_component(src, l) {
-                        self.mark_dirty(src, l);
+                    if self.locks.same_component(src.record, r) {
+                        self.mark_dirty(src.lock, l);
                     }
                 }
                 Recorded::Duplicate => {}
@@ -400,9 +427,9 @@ impl Predictor {
     /// Feeds one `release` event: pops the innermost hold of `(t, l)`.
     pub fn on_release(&mut self, t: ThreadId, l: LockId) {
         if let Some(held) = self.held.get_mut(&t) {
-            if let Some(pos) = held.iter().rposition(|&(h, _)| h == l) {
-                held.remove(pos);
-                self.unhold(l);
+            if let Some(pos) = held.iter().rposition(|h| h.lock == l) {
+                let r = held.remove(pos).record;
+                self.unhold(r);
             }
         }
     }
@@ -412,8 +439,8 @@ impl Predictor {
     /// locks' aging clocks start ticking.
     pub fn on_thread_exit(&mut self, t: ThreadId) {
         if let Some(held) = self.held.remove(&t) {
-            for (l, _) in held {
-                self.unhold(l);
+            for h in held {
+                self.unhold(h.record);
             }
         }
     }
@@ -434,7 +461,7 @@ impl Predictor {
                 break;
             };
             self.dirty_set.remove(&(src, dst));
-            if !self.scc.same_component(src, dst) {
+            if !self.same_component(src, dst) {
                 // Cross-component by now (a retirement split it, or the
                 // queue entry was conservative): provably on no cycle.
                 continue;
@@ -472,22 +499,20 @@ impl Predictor {
         }
     }
 
-    /// Entries a copy of this predictor copies: the order graph's arenas,
-    /// dead space included, the tables of its maps and of the
-    /// condensation's, the aging state and the queues. A restart point
-    /// weighs replaying a log against a copy with it.
+    /// Entries a copy of this predictor copies: the lock directory and the
+    /// record arena, the order graph's arenas, dead space included, the
+    /// tables of its maps and of the condensation's, and the queues. A
+    /// restart point weighs replaying a log against a copy with it.
     pub fn clone_len(&self) -> u64 {
-        let len = self.graph.clone_len()
+        let len = self.locks.clone_len()
+            + self.graph.clone_len()
             + self.scc.clone_len()
             + self.held.capacity()
             + self.dirty.len()
             + self.dirty_set.capacity()
             + self.emitted.capacity()
             + self.suppressed_cycles.capacity()
-            + self.last_active.capacity()
-            + self.held_count.capacity()
-            + self.retire_queue.len()
-            + self.retire_queued.capacity();
+            + self.retire_queue.len();
         len as u64
     }
 
@@ -497,63 +522,67 @@ impl Predictor {
         }
     }
 
-    /// Resets `l`'s aging clock and (re-)arms its retirement probe.
-    fn touch(&mut self, l: LockId) {
-        self.last_active.insert(l, self.pass_tick);
+    /// Whether locks `a` and `b` currently share a component. `false`
+    /// when either lock is unknown (e.g. retired).
+    fn same_component(&self, a: LockId, b: LockId) -> bool {
+        match (self.locks.find(a), self.locks.find(b)) {
+            (Some(x), Some(y)) => self.locks.same_component(x, y),
+            _ => false,
+        }
+    }
+
+    /// Resets record `r`'s aging clock and (re-)arms its retirement probe.
+    fn touch(&mut self, r: u32) {
         let after = self.cfg.lock_retire_after;
-        if after > 0 && self.retire_queued.insert(l) {
+        let record = &mut self.locks[r];
+        record.last_active = self.pass_tick;
+        if after > 0 && !record.probed {
+            record.probed = true;
             self.retire_queue
-                .push(Reverse((self.pass_tick.saturating_add(after), l)));
+                .push(Reverse((self.pass_tick.saturating_add(after), r)));
         }
     }
 
     /// Release-side bookkeeping shared by `on_release`/`on_thread_exit`.
-    fn unhold(&mut self, l: LockId) {
-        if let Some(c) = self.held_count.get_mut(&l) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                self.held_count.remove(&l);
-            }
-        }
-        self.touch(l);
+    fn unhold(&mut self, r: u32) {
+        let record = &mut self.locks[r];
+        record.held = record.held.saturating_sub(1);
+        self.touch(r);
     }
 
     /// Retires locks whose aging probes came due: unheld and quiescent
     /// for `lock_retire_after` passes. Amortized O(1) per event — probes
-    /// are lazily revalidated against `last_active` on pop.
+    /// are lazily revalidated against the record on pop. A retired lock's
+    /// record is freed for the next new lock.
     fn age_locks(&mut self) {
         if self.cfg.lock_retire_after == 0 {
             return;
         }
         let after = self.cfg.lock_retire_after;
-        while let Some(&Reverse((due, l))) = self.retire_queue.peek() {
+        while let Some(&Reverse((due, r))) = self.retire_queue.peek() {
             if due > self.pass_tick {
                 break;
             }
             self.retire_queue.pop();
-            self.retire_queued.remove(&l);
-            let Some(&last) = self.last_active.get(&l) else {
-                continue;
-            };
-            let horizon = last.saturating_add(after);
-            let held = self.held_count.get(&l).is_some_and(|&c| c > 0);
+            let record = &mut self.locks[r];
+            let horizon = record.last_active.saturating_add(after);
+            let held = record.held > 0;
             if held || horizon > self.pass_tick {
                 // Touched (or still held) since the probe was armed:
                 // re-arm at the fresh horizon.
-                if self.retire_queued.insert(l) {
-                    let due = if held {
-                        self.pass_tick.saturating_add(after)
-                    } else {
-                        horizon
-                    };
-                    self.retire_queue.push(Reverse((due, l)));
-                }
+                let due = if held {
+                    self.pass_tick.saturating_add(after)
+                } else {
+                    horizon
+                };
+                self.retire_queue.push(Reverse((due, r)));
                 continue;
             }
-            let (edges, _instances) = self.graph.remove_lock(l);
-            self.scc.retire(&self.graph, l);
+            record.probed = false;
+            let (edges, _instances) = self.graph.remove_lock(&mut self.locks, r);
+            self.scc.retire(&self.graph, &mut self.locks, r);
+            self.locks.release(r);
             self.edges_retired += edges as u64;
-            self.last_active.remove(&l);
         }
     }
 
@@ -590,7 +619,7 @@ impl Predictor {
             }
             // Successor snapshots may be stale across a deferral (edges
             // retired, components split): revalidate membership live.
-            if !self.scc.same_component(en.src, next)
+            if !self.same_component(en.src, next)
                 || en.path.contains(&next)
                 || en.path.len() >= MAX_CYCLE_LEN
             {
@@ -605,10 +634,14 @@ impl Predictor {
     /// Sorted successors of `l` restricted to `anchor`'s component — the
     /// only nodes a cycle through `anchor` can traverse.
     fn sorted_successors_in(&self, l: LockId, anchor: LockId) -> Vec<LockId> {
+        let (Some(r), Some(anchor)) = (self.locks.find(l), self.locks.find(anchor)) else {
+            return Vec::new();
+        };
         let mut v: Vec<LockId> = self
             .graph
-            .successors(l)
-            .filter(|&w| self.scc.same_component(anchor, w))
+            .successors(&self.locks, r)
+            .filter(|&w| self.locks.same_component(anchor, w))
+            .map(|w| self.locks[w].lock)
             .collect();
         v.sort_unstable();
         v
@@ -659,8 +692,14 @@ impl Predictor {
         if i == path.len() {
             return true;
         }
-        let dst = path[(i + 1) % path.len()];
-        for &inst in self.graph.instances(path[i], dst) {
+        let edge = (
+            self.locks.find(path[i]),
+            self.locks.find(path[(i + 1) % path.len()]),
+        );
+        let (Some(src), Some(dst)) = edge else {
+            return false; // a lock retired since the search reached it
+        };
+        for &inst in self.graph.instances(src, dst) {
             *budget = budget.saturating_sub(1);
             if chosen.iter().any(|c| c.thread == inst.thread) {
                 continue;
@@ -689,6 +728,8 @@ impl Predictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn t(n: u64) -> ThreadId {
         ThreadId(n)
@@ -961,5 +1002,205 @@ mod tests {
         nested(&mut snap, t(2), (l(2), s(3)), (l(1), s(4)));
         assert_eq!(snap.pass().len(), 1);
         assert!(p.pass().is_empty(), "original lacks the closing edge");
+    }
+
+    /// The lock state the predictor's records must hold after any inputs,
+    /// kept the plainest way: per-thread held stacks, the live edges, the
+    /// graph's nodes, and each known lock's last activity.
+    #[derive(Default)]
+    struct LockModel {
+        held: BTreeMap<ThreadId, Vec<LockId>>,
+        edges: BTreeSet<(LockId, LockId)>,
+        nodes: BTreeSet<LockId>,
+        last_active: BTreeMap<LockId, u64>,
+        tick: u64,
+    }
+
+    impl LockModel {
+        fn acquire(&mut self, t: ThreadId, l: LockId) {
+            self.last_active.insert(l, self.tick);
+            let held = self.held.entry(t).or_default();
+            if !held.contains(&l) {
+                for &h in held.iter() {
+                    self.edges.insert((h, l));
+                    self.nodes.extend([h, l]);
+                }
+            }
+            held.push(l);
+        }
+
+        fn release(&mut self, t: ThreadId) -> Option<LockId> {
+            let l = self.held.get_mut(&t)?.pop()?;
+            self.last_active.insert(l, self.tick);
+            Some(l)
+        }
+
+        fn exit(&mut self, t: ThreadId) {
+            for l in self.held.remove(&t).unwrap_or_default() {
+                self.last_active.insert(l, self.tick);
+            }
+        }
+
+        fn holds(&self, l: LockId) -> usize {
+            self.held.values().flatten().filter(|&&h| h == l).count()
+        }
+
+        /// A pass retires every unheld lock quiet for `after` passes,
+        /// with its edges.
+        fn pass(&mut self, after: u64) {
+            self.tick += 1;
+            let due: Vec<LockId> = self
+                .last_active
+                .iter()
+                .filter(|&(&l, &last)| last + after <= self.tick && self.holds(l) == 0)
+                .map(|(&l, _)| l)
+                .collect();
+            for l in due {
+                self.last_active.remove(&l);
+                self.nodes.remove(&l);
+                self.edges.retain(|&(a, b)| a != l && b != l);
+            }
+        }
+
+        fn reaches(&self, from: LockId, to: LockId) -> bool {
+            let (mut seen, mut stack) = (BTreeSet::from([from]), vec![from]);
+            while let Some(a) = stack.pop() {
+                for &(_, b) in self.edges.range((a, LockId(0))..=(a, LockId(u64::MAX))) {
+                    if b == to {
+                        return true;
+                    }
+                    if seen.insert(b) {
+                        stack.push(b);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    const LOCKS: u64 = 6;
+
+    #[derive(Clone, Debug)]
+    enum Input {
+        Acquire(u64, u64),
+        Release(u64),
+        Exit(u64),
+        Pass,
+    }
+
+    fn arb_inputs() -> impl Strategy<Value = Vec<Input>> {
+        prop::collection::vec(
+            prop_oneof![
+                (0..3u64, 0..LOCKS).prop_map(|(t, l)| Input::Acquire(t, l)),
+                (0..3u64, 0..LOCKS).prop_map(|(t, l)| Input::Acquire(t, l)),
+                (0..3u64).prop_map(Input::Release),
+                (0..3u64).prop_map(Input::Exit),
+                (0..1u64).prop_map(|_| Input::Pass),
+                (0..1u64).prop_map(|_| Input::Pass),
+            ],
+            0..200,
+        )
+    }
+
+    /// Compares the predictor's lock table, graph and condensation with
+    /// the model.
+    fn agrees(p: &Predictor, m: &LockModel) -> Result<(), String> {
+        let known: BTreeSet<LockId> = p.locks.iter().map(|(l, _)| l).collect();
+        let want: BTreeSet<LockId> = m.last_active.keys().copied().collect();
+        prop_assert_eq!(&known, &want, "the locks with a record");
+        prop_assert_eq!(p.stats().locks as usize, m.nodes.len());
+        for (l, r) in p.locks.iter() {
+            let record = &p.locks[r];
+            prop_assert_eq!(record.lock, l, "record {} is another lock's", r);
+            prop_assert_eq!(record.held as usize, m.holds(l), "holds of {:?}", l);
+            prop_assert_eq!(record.linked, m.nodes.contains(&l), "{:?} in the graph", l);
+            let succs: BTreeSet<LockId> = p
+                .graph
+                .successors(&p.locks, r)
+                .map(|w| p.locks[w].lock)
+                .collect();
+            let want: BTreeSet<LockId> = m.edges.iter().filter(|e| e.0 == l).map(|e| e.1).collect();
+            prop_assert_eq!(succs, want, "successors of {:?}", l);
+            let preds: BTreeSet<LockId> = p
+                .graph
+                .predecessors(&p.locks, r)
+                .map(|w| p.locks[w].lock)
+                .collect();
+            let want: BTreeSet<LockId> = m.edges.iter().filter(|e| e.1 == l).map(|e| e.0).collect();
+            prop_assert_eq!(preds, want, "predecessors of {:?}", l);
+            for (b, rb) in p.locks.iter() {
+                let same = if l == b {
+                    m.nodes.contains(&l)
+                } else {
+                    m.reaches(l, b) && m.reaches(b, l)
+                };
+                prop_assert_eq!(
+                    p.locks.same_component(r, rb),
+                    same,
+                    "{:?} and {:?} share a component",
+                    l,
+                    b
+                );
+            }
+        }
+        for (t, stack) in &p.held {
+            for h in stack {
+                prop_assert_eq!(
+                    p.locks.find(h.lock),
+                    Some(h.record),
+                    "{:?}'s hold of {:?}",
+                    t,
+                    h.lock
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Locks retire and come back, so records are freed and reused:
+        /// after every input the predictor's records agree with the
+        /// model — which locks have one (so which retired at which pass),
+        /// their hold counts, their successor and predecessor sets, and
+        /// condensation membership against mutual reachability — and every
+        /// held entry names its lock's current record.
+        #[test]
+        fn lock_records_match_the_model_through_retirement_and_reuse(
+            inputs in arb_inputs(),
+            after in 1..4u64,
+        ) {
+            let mut p = Predictor::new(PredictionConfig {
+                lock_retire_after: after,
+                pass_budget: 4,
+                ..PredictionConfig::default()
+            });
+            let mut m = LockModel::default();
+            let mut stack = 0;
+            for input in inputs {
+                stack += 1;
+                match input {
+                    Input::Acquire(tid, lid) => {
+                        p.on_acquired(t(tid), l(lid), s(stack % 3));
+                        m.acquire(t(tid), l(lid));
+                    }
+                    Input::Release(tid) => {
+                        if let Some(lid) = m.release(t(tid)) {
+                            p.on_release(t(tid), lid);
+                        }
+                    }
+                    Input::Exit(tid) => {
+                        p.on_thread_exit(t(tid));
+                        m.exit(t(tid));
+                    }
+                    Input::Pass => {
+                        p.pass();
+                        m.pass(after);
+                    }
+                }
+                agrees(&p, &m)?;
+            }
+        }
     }
 }

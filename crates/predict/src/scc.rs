@@ -13,9 +13,11 @@
 //! # Complexity
 //!
 //! * [`Condensation::insert_edge`], order already consistent (the common
-//!   acyclic case): **O(1)** — two map lookups, plus a link into the
-//!   order list when a fresh lock needs an order value (its neighbour in
-//!   the order is one link away).
+//!   acyclic case): **O(1)** — no look-up at all: both endpoints' components
+//!   are in their lock records and the components' order values in the
+//!   component arena. A fresh lock needing an order value adds a link into
+//!   the order list (its neighbour in the order is one link away): a few
+//!   look-ups in the order map.
 //! * [`Condensation::insert_edge`], order violated but no cycle: one
 //!   forward and one backward DFS restricted to components with order
 //!   values inside the violation window, then a sort of the visited set —
@@ -35,14 +37,17 @@
 //!
 //! # Layout
 //!
-//! Three maps of `Copy` values, like the order graph's (see
-//! [`crate::graph`]): lock → its component and the next member of that
-//! component (each component's members form a ring, so a merge joins two
-//! rings by swapping two links, and a retirement unlinks one member in
-//! O(component)); component → its order value, one member and its size;
-//! and the order values in use as a doubly linked list keyed by value,
-//! which answers "the value just below or above this one" in O(1). A
-//! clone copies three tables; `clone_from` copies them into the target's.
+//! A lock's membership lives in its record in the [`LockTable`]: its
+//! component and the next member of that component (each component's
+//! members form a ring of record indices, so a merge joins two rings by
+//! swapping two links, and a retirement unlinks one member in
+//! O(component)). The condensation itself is an arena of components —
+//! each its order value, one member and its size — indexed by component
+//! id, with a free list that hands the slot freed last to the next new
+//! component, and the order values in use as a doubly linked list kept in
+//! a map keyed by value, which answers "the value just below or above this
+//! one" in O(1). A clone copies two arenas and one table; `clone_from`
+//! copies them into the target's.
 //!
 //! # Why the reorder is sound
 //!
@@ -60,30 +65,25 @@
 //! downward move; symmetrically for edges out of `F`.
 
 use crate::graph::LockOrderGraph;
-use dimmunix_rag::LockId;
+use crate::locks::{index, LockTable, NIL};
 use dimmunix_signature::{IdMap, IdSet};
 
-/// Identifier of one condensation component.
+/// Identifier of one condensation component: its slot in the component
+/// arena.
 type CompId = u32;
 
 /// Gap left between consecutive order values on (re)assignment, so
 /// retirement splits can slot sub-components in without renumbering.
 const ORDER_STRIDE: u64 = 1 << 20;
 
-/// A lock's component, and the next member of that component: each
-/// component's members form a ring.
-#[derive(Clone, Copy, Debug)]
-struct Member {
-    comp: CompId,
-    next: LockId,
-}
-
+/// One component: its order value and its ring of members. A freed slot
+/// has `len` 0 until a new component takes it.
 #[derive(Clone, Copy, Debug)]
 struct Component {
     ord: u64,
-    /// Any member: where a walk of the ring starts.
-    head: LockId,
-    len: usize,
+    /// Any member's lock record: where a walk of the ring starts.
+    head: u32,
+    len: u32,
 }
 
 /// The order values in use, in ascending order: a doubly linked list kept
@@ -153,16 +153,16 @@ pub(crate) enum EdgeOutcome {
     Merged,
 }
 
-/// The condensation DAG: lock → component, component → topological order.
-/// Every map holds `Copy` values, so a clone copies three tables and
-/// [`Clone::clone_from`] copies them into the tables already there.
+/// The condensation DAG: component → topological order, with each lock's
+/// component and ring link in its record. A clone copies two arenas and
+/// one table, and [`Clone::clone_from`] copies them into the target's.
 #[derive(Debug, Default)]
 pub(crate) struct Condensation {
-    comp: IdMap<LockId, Member>,
-    comps: IdMap<CompId, Component>,
+    comps: Vec<Component>,
+    /// Freed component slots, the last freed on top.
+    free: Vec<CompId>,
     /// Order values currently in use (gap queries for insertions/splits).
     orders: Orders,
-    next_id: CompId,
     merges: u64,
     component_peak: usize,
 }
@@ -175,10 +175,9 @@ impl Clone for Condensation {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.comp.clone_from(&source.comp);
         self.comps.clone_from(&source.comps);
+        self.free.clone_from(&source.free);
         self.orders.links.clone_from(&source.orders.links);
-        self.next_id = source.next_id;
         self.merges = source.merges;
         self.component_peak = source.component_peak;
     }
@@ -196,49 +195,55 @@ impl Condensation {
         self.component_peak
     }
 
-    /// Entries a clone copies: the three maps' tables.
+    /// Entries a clone copies: the two arenas and the order table.
     pub fn clone_len(&self) -> usize {
-        self.comp.capacity() + self.comps.capacity() + self.orders.links.capacity()
+        self.comps.len() + self.free.len() + self.orders.links.capacity()
     }
 
-    /// Whether `a` and `b` currently share a component. `false` when
-    /// either lock is unknown (e.g. retired).
-    pub fn same_component(&self, a: LockId, b: LockId) -> bool {
-        match (self.comp.get(&a), self.comp.get(&b)) {
-            (Some(x), Some(y)) => x.comp == y.comp,
-            _ => false,
-        }
-    }
-
-    /// The members of component `c`, walking its ring.
-    fn members(&self, c: CompId) -> impl Iterator<Item = LockId> + '_ {
-        let slot = self.comps[&c];
+    /// The lock records of component `c`'s members, walking its ring.
+    fn members<'a>(&self, locks: &'a LockTable, c: CompId) -> impl Iterator<Item = u32> + 'a {
+        let slot = self.comps[c as usize];
         let mut at = slot.head;
         (0..slot.len).map(move |_| {
             let m = at;
-            at = self.comp[&m].next;
+            at = locks[m].ring;
             m
         })
     }
 
-    /// Members of the component containing `l` (empty if unknown).
+    /// Members of the component containing record `r` (empty outside the
+    /// condensation).
     #[cfg(test)]
-    pub fn members_of(&self, l: LockId) -> Vec<LockId> {
-        self.comp
-            .get(&l)
-            .map_or_else(Vec::new, |m| self.members(m.comp).collect())
+    pub fn members_of(&self, locks: &LockTable, r: u32) -> Vec<u32> {
+        match locks[r].comp {
+            NIL => Vec::new(),
+            c => self.members(locks, c).collect(),
+        }
     }
 
+    /// A free component slot, the last freed first.
     fn alloc_id(&mut self) -> CompId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+        self.free.pop().unwrap_or_else(|| {
+            self.comps.push(Component {
+                ord: 0,
+                head: NIL,
+                len: 0,
+            });
+            index(self.comps.len() - 1)
+        })
     }
 
-    /// Creates a singleton component for `l` at the end of the order.
-    fn ensure_last(&mut self, l: LockId) -> CompId {
-        if let Some(m) = self.comp.get(&l) {
-            return m.comp;
+    /// Frees component `c`'s slot.
+    fn free_id(&mut self, c: CompId) {
+        self.comps[c as usize].len = 0;
+        self.free.push(c);
+    }
+
+    /// Creates a singleton component for record `l` at the end of the
+    /// order, unless it has a component already.
+    fn ensure_last(&mut self, locks: &mut LockTable, l: u32) -> CompId {
+        if locks[l].comp != NIL {
+            return locks[l].comp;
         }
         let ord = match self.orders.last() {
             Some(max) => match max.checked_add(ORDER_STRIDE) {
@@ -251,84 +256,81 @@ impl Condensation {
             None => ORDER_STRIDE,
         };
         let after = self.orders.last().unwrap_or(HEAD);
-        self.insert_singleton(l, ord, after)
+        self.insert_singleton(locks, l, ord, after)
     }
 
-    /// Creates a singleton component for `l` ordered strictly below `ord`
-    /// (the fresh-source fast path: a brand-new lock gaining its first
-    /// edge `l → v` slots in right under `v` instead of at the end, which
-    /// would otherwise trigger a restructure spanning everything above
-    /// `v`).
-    fn ensure_below(&mut self, l: LockId, below: u64) -> CompId {
-        debug_assert!(!self.comp.contains_key(&l));
-        let floor = self.orders.prev(below);
-        let gap = below - floor;
-        if gap < 2 {
+    /// Creates a singleton component for record `l` ordered strictly below
+    /// component `above` (the fresh-source fast path: a brand-new lock
+    /// gaining its first edge `l → v` slots in right under `v` instead of
+    /// at the end, which would otherwise trigger a restructure spanning
+    /// everything above `v`).
+    fn ensure_below(&mut self, locks: &mut LockTable, l: u32, above: CompId) -> CompId {
+        debug_assert_eq!(locks[l].comp, NIL);
+        // The order values just below `above`'s and its own.
+        let bounds = |me: &Self| {
+            let ord = me.comps[above as usize].ord;
+            (me.orders.prev(ord), ord)
+        };
+        let (mut floor, mut below) = bounds(self);
+        if below - floor < 2 {
+            // No value fits between: reopen every gap.
             self.renumber();
-            // After renumbering every gap is ORDER_STRIDE wide; recompute
-            // the target from the caller's component on the caller side.
-            return CompId::MAX; // sentinel: caller must re-resolve
+            (floor, below) = bounds(self);
         }
-        self.insert_singleton(l, floor + gap / 2, floor)
+        self.insert_singleton(locks, l, floor + (below - floor) / 2, floor)
     }
 
-    /// Creates a singleton component for `l` with order value `ord`, which
-    /// goes right after `after` in the order.
-    fn insert_singleton(&mut self, l: LockId, ord: u64, after: u64) -> CompId {
+    /// Creates a singleton component for record `l` with order value `ord`,
+    /// which goes right after `after` in the order.
+    fn insert_singleton(&mut self, locks: &mut LockTable, l: u32, ord: u64, after: u64) -> CompId {
         let id = self.alloc_id();
         debug_assert!(!self.orders.links.contains_key(&ord));
         self.orders.insert_after(after, ord);
-        self.comps.insert(
-            id,
-            Component {
-                ord,
-                head: l,
-                len: 1,
-            },
-        );
-        self.comp.insert(l, Member { comp: id, next: l });
+        self.comps[id as usize] = Component {
+            ord,
+            head: l,
+            len: 1,
+        };
+        (locks[l].comp, locks[l].ring) = (id, l);
         self.component_peak = self.component_peak.max(1);
         id
     }
 
-    /// Records that edge `u → v` now exists in `graph` (which must already
-    /// contain it) and restores the condensation invariant.
-    pub fn insert_edge(&mut self, graph: &LockOrderGraph, u: LockId, v: LockId) -> EdgeOutcome {
+    /// Records that edge `u → v` between two lock records now exists in
+    /// `graph` (which must already contain it) and restores the
+    /// condensation invariant.
+    pub fn insert_edge(
+        &mut self,
+        graph: &LockOrderGraph,
+        locks: &mut LockTable,
+        u: u32,
+        v: u32,
+    ) -> EdgeOutcome {
         if u == v {
             return EdgeOutcome::Acyclic;
         }
-        let cv = self.ensure_last(v);
-        let cu = match self.comp.get(&u) {
-            Some(m) => m.comp,
-            None => {
-                let below = self.comps[&cv].ord;
-                let c = self.ensure_below(u, below);
-                if c == CompId::MAX {
-                    // A renumber ran; gaps are wide open now.
-                    let below = self.comps[&cv].ord;
-                    self.ensure_below(u, below)
-                } else {
-                    c
-                }
-            }
+        let cv = self.ensure_last(locks, v);
+        let cu = match locks[u].comp {
+            NIL => self.ensure_below(locks, u, cv),
+            c => c,
         };
         if cu == cv {
             return EdgeOutcome::SameComponent;
         }
-        let (ou, ov) = (self.comps[&cu].ord, self.comps[&cv].ord);
+        let (ou, ov) = (self.comps[cu as usize].ord, self.comps[cv as usize].ord);
         if ou < ov {
             return EdgeOutcome::Acyclic;
         }
         // Order violated: discover the affected region.
-        let fwd = self.window_dfs(graph, cv, ov, ou, Direction::Forward);
-        let bwd = self.window_dfs(graph, cu, ov, ou, Direction::Backward);
+        let fwd = self.window_dfs(graph, locks, cv, ov, ou, Direction::Forward);
+        let bwd = self.window_dfs(graph, locks, cu, ov, ou, Direction::Backward);
         if fwd.contains(&cu) {
             let merged: IdSet<CompId> = fwd.intersection(&bwd).copied().collect();
-            self.restructure(&fwd, &bwd, Some(&merged));
+            self.restructure(locks, &fwd, &bwd, Some(&merged));
             self.merges += 1;
             EdgeOutcome::Merged
         } else {
-            self.restructure(&fwd, &bwd, None);
+            self.restructure(locks, &fwd, &bwd, None);
             EdgeOutcome::Acyclic
         }
     }
@@ -338,6 +340,7 @@ impl Condensation {
     fn window_dfs(
         &self,
         graph: &LockOrderGraph,
+        locks: &LockTable,
         start: CompId,
         lo: u64,
         hi: u64,
@@ -347,13 +350,13 @@ impl Condensation {
         seen.insert(start);
         let mut stack = vec![start];
         while let Some(c) = stack.pop() {
-            for m in self.members(c) {
-                let mut visit = |w: LockId| {
-                    let cw = self.comp[&w].comp;
+            for m in self.members(locks, c) {
+                let mut visit = |w: u32| {
+                    let cw = locks[w].comp;
                     if seen.contains(&cw) {
                         return;
                     }
-                    let ow = self.comps[&cw].ord;
+                    let ow = self.comps[cw as usize].ord;
                     if ow < lo || ow > hi {
                         return;
                     }
@@ -361,8 +364,8 @@ impl Condensation {
                     stack.push(cw);
                 };
                 match dir {
-                    Direction::Forward => graph.successors(m).for_each(&mut visit),
-                    Direction::Backward => graph.predecessors(m).for_each(&mut visit),
+                    Direction::Forward => graph.successors(locks, m).for_each(&mut visit),
+                    Direction::Backward => graph.predecessors(locks, m).for_each(&mut visit),
                 }
             }
         }
@@ -374,30 +377,29 @@ impl Condensation {
     /// the soundness argument.
     fn restructure(
         &mut self,
+        locks: &mut LockTable,
         fwd: &IdSet<CompId>,
         bwd: &IdSet<CompId>,
         merged: Option<&IdSet<CompId>>,
     ) {
         let empty = IdSet::default();
         let m = merged.unwrap_or(&empty);
+        let ord = |me: &Self, c: &CompId| me.comps[*c as usize].ord;
         // Pool of order values owned by the affected region.
-        let mut pool: Vec<u64> = fwd
-            .union(bwd)
-            .map(|c| self.comps[c].ord)
-            .collect::<Vec<_>>();
+        let mut pool: Vec<u64> = fwd.union(bwd).map(|c| ord(self, c)).collect::<Vec<_>>();
         pool.sort_unstable();
         let mut bs: Vec<CompId> = bwd.iter().copied().filter(|c| !m.contains(c)).collect();
-        bs.sort_unstable_by_key(|c| self.comps[c].ord);
+        bs.sort_unstable_by_key(|c| ord(self, c));
         let mut fs: Vec<CompId> = fwd.iter().copied().filter(|c| !m.contains(c)).collect();
-        fs.sort_unstable_by_key(|c| self.comps[c].ord);
+        fs.sort_unstable_by_key(|c| ord(self, c));
         // Backward set sinks to the bottom of the pool, forward set floats
         // to the top; both keep their internal relative order.
-        for (i, c) in bs.iter().enumerate() {
-            self.comps.get_mut(c).unwrap().ord = pool[i];
+        for (i, &c) in bs.iter().enumerate() {
+            self.comps[c as usize].ord = pool[i];
         }
         let top = pool.len() - fs.len();
-        for (j, c) in fs.iter().enumerate() {
-            self.comps.get_mut(c).unwrap().ord = pool[top + j];
+        for (j, &c) in fs.iter().enumerate() {
+            self.comps[c as usize].ord = pool[top + j];
         }
         if let Some(mset) = merged {
             // Collapse the cycle components into the largest one, then
@@ -405,37 +407,30 @@ impl Condensation {
             // middle values are freed.
             let base = *mset
                 .iter()
-                .max_by_key(|c| (self.comps[c].len, std::cmp::Reverse(**c)))
+                .max_by_key(|&&c| (self.comps[c as usize].len, std::cmp::Reverse(c)))
                 .expect("merge set is non-empty");
-            let base_head = self.comps[&base].head;
-            let mut len = self.comps[&base].len;
+            let base_head = self.comps[base as usize].head;
+            let mut len = self.comps[base as usize].len;
             for &c in mset {
                 if c == base {
                     continue;
                 }
-                let dead = self.comps.remove(&c).expect("merged component exists");
+                let dead = self.comps[c as usize];
+                self.free_id(c);
                 let mut at = dead.head;
                 for _ in 0..dead.len {
-                    let member = self.comp.get_mut(&at).expect("member");
-                    member.comp = base;
-                    at = member.next;
+                    locks[at].comp = base;
+                    at = locks[at].ring;
                 }
                 // Swapping the successors of one member of each ring joins
                 // the two rings into one.
-                let a = self.comp[&base_head].next;
-                let dead_head = self
-                    .comp
-                    .get_mut(&dead.head)
-                    .expect("a ring's head is a member");
-                let b = std::mem::replace(&mut dead_head.next, a);
-                self.comp
-                    .get_mut(&base_head)
-                    .expect("a ring's head is a member")
-                    .next = b;
+                let a = locks[base_head].ring;
+                let b = std::mem::replace(&mut locks[dead.head].ring, a);
+                locks[base_head].ring = b;
                 len += dead.len;
             }
-            self.component_peak = self.component_peak.max(len);
-            let slot = self.comps.get_mut(&base).unwrap();
+            self.component_peak = self.component_peak.max(len as usize);
+            let slot = &mut self.comps[base as usize];
             slot.len = len;
             slot.ord = pool[bs.len()];
             for &freed in &pool[bs.len() + 1..top] {
@@ -444,28 +439,28 @@ impl Condensation {
         }
     }
 
-    /// Removes `l` (already deleted from `graph`) from the condensation,
-    /// re-splitting its component if the removal disconnected it.
-    pub fn retire(&mut self, graph: &LockOrderGraph, l: LockId) {
-        let Some(Member { comp: c, next }) = self.comp.remove(&l) else {
+    /// Removes record `l` (already unlinked from `graph`) from the
+    /// condensation, re-splitting its component if the removal
+    /// disconnected it.
+    pub fn retire(&mut self, graph: &LockOrderGraph, locks: &mut LockTable, l: u32) {
+        let (c, next) = (locks[l].comp, locks[l].ring);
+        if c == NIL {
             return;
-        };
-        let slot = self.comps[&c];
+        }
+        (locks[l].comp, locks[l].ring) = (NIL, NIL);
+        let slot = self.comps[c as usize];
         if slot.len == 1 {
-            self.comps.remove(&c);
+            self.free_id(c);
             self.orders.remove(slot.ord);
             return;
         }
         // Take `l` out of the ring.
         let mut prev = next;
-        while self.comp[&prev].next != l {
-            prev = self.comp[&prev].next;
+        while locks[prev].ring != l {
+            prev = locks[prev].ring;
         }
-        self.comp
-            .get_mut(&prev)
-            .expect("ring members are locks")
-            .next = next;
-        let slot = self.comps.get_mut(&c).expect("member's component exists");
+        locks[prev].ring = next;
+        let slot = &mut self.comps[c as usize];
         slot.len -= 1;
         if slot.head == l {
             slot.head = next;
@@ -474,8 +469,8 @@ impl Condensation {
             return;
         }
         // The survivors may have split into several SCCs.
-        let members: Vec<LockId> = self.members(c).collect();
-        let subs = tarjan_restricted(graph, &members);
+        let members: Vec<u32> = self.members(locks, c).collect();
+        let subs = tarjan_restricted(graph, locks, &members);
         if subs.len() == 1 {
             return;
         }
@@ -484,18 +479,18 @@ impl Condensation {
         // external successor (all > it): values in [old, next used) work.
         let k = subs.len() as u64;
         let gap = |me: &Self| {
-            let ord = me.comps[&c].ord;
+            let ord = me.comps[c as usize].ord;
             me.orders.next(ord).unwrap_or(u64::MAX) - ord
         };
         if gap(self) < k {
             self.renumber();
         }
-        let old_ord = self.comps[&c].ord;
+        let old_ord = self.comps[c as usize].ord;
         let step = gap(self) / k;
         debug_assert!(step >= 1, "renumber must reopen the gap");
         let mut after = self.orders.prev(old_ord);
         self.orders.remove(old_ord);
-        self.comps.remove(&c);
+        self.free_id(c);
         // `subs` arrives in reverse topological order (Tarjan emits a
         // component only after everything it reaches).
         for (i, sub) in subs.into_iter().rev().enumerate() {
@@ -504,33 +499,42 @@ impl Condensation {
             self.orders.insert_after(after, ord);
             after = ord;
             for (j, &m) in sub.iter().enumerate() {
-                let next = sub[(j + 1) % sub.len()];
-                self.comp.insert(m, Member { comp: id, next });
+                (locks[m].comp, locks[m].ring) = (id, sub[(j + 1) % sub.len()]);
             }
-            let (head, len) = (sub[0], sub.len());
-            self.comps.insert(id, Component { ord, head, len });
+            let (head, len) = (sub[0], index(sub.len()));
+            self.comps[id as usize] = Component { ord, head, len };
         }
     }
 
     /// Reassigns every component's order value with `ORDER_STRIDE` gaps,
     /// preserving relative order.
     fn renumber(&mut self) {
-        let mut by_ord: Vec<CompId> = self.comps.keys().copied().collect();
-        by_ord.sort_unstable_by_key(|c| self.comps[c].ord);
+        let mut by_ord: Vec<CompId> = (0..index(self.comps.len()))
+            .filter(|&c| self.comps[c as usize].len > 0)
+            .collect();
+        by_ord.sort_unstable_by_key(|&c| self.comps[c as usize].ord);
         self.orders.links.clear();
         let mut after = HEAD;
         for (i, c) in by_ord.into_iter().enumerate() {
             let ord = (i as u64 + 1) * ORDER_STRIDE;
-            self.comps.get_mut(&c).unwrap().ord = ord;
+            self.comps[c as usize].ord = ord;
             self.orders.insert_after(after, ord);
             after = ord;
         }
     }
 
     #[cfg(test)]
-    fn check_invariants(&self, graph: &LockOrderGraph) {
+    fn check_invariants(&self, graph: &LockOrderGraph, locks: &LockTable) {
+        let live: Vec<CompId> = (0..index(self.comps.len()))
+            .filter(|&c| self.comps[c as usize].len > 0)
+            .collect();
+        assert_eq!(
+            live.len() + self.free.len(),
+            self.comps.len(),
+            "a slot neither live nor free"
+        );
         // Unique order values, one per component, listed in ascending order.
-        assert_eq!(self.orders.len(), self.comps.len());
+        assert_eq!(self.orders.len(), live.len());
         let (mut at, mut listed) = (HEAD, 0);
         while let Some(next) = self.orders.next(at) {
             assert!(next > at, "order list out of order");
@@ -539,27 +543,36 @@ impl Condensation {
         }
         assert_eq!(listed, self.orders.len());
         let mut members = 0;
-        for (id, c) in &self.comps {
+        for &id in &live {
+            let c = self.comps[id as usize];
             assert!(self.orders.links.contains_key(&c.ord));
-            for m in self.members(*id) {
-                assert_eq!(self.comp[&m].comp, *id, "member map out of sync");
+            for m in self.members(locks, id) {
+                assert_eq!(locks[m].comp, id, "member map out of sync");
                 members += 1;
             }
             let mut at = c.head;
             for _ in 0..c.len {
-                at = self.comp[&at].next;
+                at = locks[at].ring;
             }
             assert_eq!(at, c.head, "a component's ring is not closed");
         }
-        assert_eq!(members, self.comp.len(), "a lock outside every ring");
+        let in_comps: Vec<u32> = locks
+            .iter()
+            .map(|(_, r)| r)
+            .filter(|&r| locks[r].comp != NIL)
+            .collect();
+        assert_eq!(members, in_comps.len(), "a lock outside every ring");
         // Every cross-component edge respects the order.
-        for (&l, ml) in &self.comp {
-            for w in graph.successors(l) {
-                let cw = self.comp[&w].comp;
-                if ml.comp != cw {
+        for &r in &in_comps {
+            let cr = locks[r].comp;
+            for w in graph.successors(locks, r) {
+                let cw = locks[w].comp;
+                if cr != cw {
                     assert!(
-                        self.comps[&ml.comp].ord < self.comps[&cw].ord,
-                        "edge {l:?} -> {w:?} violates the topological order"
+                        self.comps[cr as usize].ord < self.comps[cw as usize].ord,
+                        "edge {:?} -> {:?} violates the topological order",
+                        locks[r].lock,
+                        locks[w].lock
                     );
                 }
             }
@@ -573,18 +586,18 @@ enum Direction {
     Backward,
 }
 
-/// Iterative Tarjan restricted to `nodes` (edges leaving the set are
-/// ignored). Returns SCCs in emission order — reverse topological.
-fn tarjan_restricted(graph: &LockOrderGraph, nodes: &[LockId]) -> Vec<Vec<LockId>> {
+/// Iterative Tarjan over the lock records `nodes` (edges leaving the set
+/// are ignored). Returns SCCs in emission order — reverse topological.
+fn tarjan_restricted(graph: &LockOrderGraph, locks: &LockTable, nodes: &[u32]) -> Vec<Vec<u32>> {
     struct State {
-        index: IdMap<LockId, u32>,
-        lowlink: IdMap<LockId, u32>,
-        on_stack: IdSet<LockId>,
-        stack: Vec<LockId>,
+        index: IdMap<u32, u32>,
+        lowlink: IdMap<u32, u32>,
+        on_stack: IdSet<u32>,
+        stack: Vec<u32>,
         next: u32,
-        out: Vec<Vec<LockId>>,
+        out: Vec<Vec<u32>>,
     }
-    let allowed: IdSet<LockId> = nodes.iter().copied().collect();
+    let allowed: IdSet<u32> = nodes.iter().copied().collect();
     let mut st = State {
         index: IdMap::default(),
         lowlink: IdMap::default(),
@@ -593,24 +606,24 @@ fn tarjan_restricted(graph: &LockOrderGraph, nodes: &[LockId]) -> Vec<Vec<LockId
         next: 0,
         out: Vec::new(),
     };
-    // Visit in id order: map iteration follows hash order, not insertion
-    // or id order, and SCC emission order must not depend on it.
-    let mut roots: Vec<LockId> = nodes.to_vec();
+    // Visit in record order: set iteration follows hash order, and SCC
+    // emission order must not depend on it.
+    let mut roots: Vec<u32> = nodes.to_vec();
     roots.sort_unstable();
     for &root in &roots {
         if st.index.contains_key(&root) {
             continue;
         }
         // Explicit DFS frames: (node, sorted successors, next successor).
-        let succs = |l: LockId| {
-            let mut v: Vec<LockId> = graph
-                .successors(l)
+        let succs = |l: u32| {
+            let mut v: Vec<u32> = graph
+                .successors(locks, l)
                 .filter(|w| allowed.contains(w))
                 .collect();
             v.sort_unstable();
             v
         };
-        let mut frames: Vec<(LockId, Vec<LockId>, usize)> = Vec::new();
+        let mut frames: Vec<(u32, Vec<u32>, usize)> = Vec::new();
         st.index.insert(root, st.next);
         st.lowlink.insert(root, st.next);
         st.next += 1;
@@ -663,77 +676,119 @@ fn tarjan_restricted(graph: &LockOrderGraph, nodes: &[LockId]) -> Vec<Vec<LockId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{LockOrderGraph, Recorded};
-    use dimmunix_rag::ThreadId;
+    use crate::graph::{Fixture, Recorded};
+    use dimmunix_rag::{LockId, ThreadId};
     use dimmunix_signature::StackId;
 
     fn l(n: u64) -> LockId {
         LockId(n)
     }
 
-    fn add_edge(g: &mut LockOrderGraph, scc: &mut Condensation, u: u64, v: u64) -> EdgeOutcome {
-        let who = (ThreadId(u * 1000 + v), StackId((u * 100 + v) as u32));
-        match g.record((l(u), l(v)), who, &[], 64, 1 << 20) {
-            Recorded::NewEdge | Recorded::NewInstance => {}
-            r => panic!("unexpected record outcome {r:?}"),
+    /// The order graph, its lock table and the condensation, addressed by
+    /// lock.
+    #[derive(Default)]
+    struct World {
+        f: Fixture,
+        scc: Condensation,
+    }
+
+    impl World {
+        /// Records one instance of `u → v` and tells the condensation when
+        /// the edge is new.
+        fn add_edge(&mut self, u: u64, v: u64) -> EdgeOutcome {
+            let who = (ThreadId(u * 1000 + v), StackId((u * 100 + v) as u32));
+            match self.f.record((l(u), l(v)), who, &[], 64, 1 << 20) {
+                Recorded::NewEdge | Recorded::NewInstance => {}
+                r => panic!("unexpected record outcome {r:?}"),
+            }
+            self.insert(u, v)
         }
-        scc.insert_edge(g, l(u), l(v))
+
+        /// Tells the condensation about the recorded edge `u → v`.
+        fn insert(&mut self, u: u64, v: u64) -> EdgeOutcome {
+            let (ru, rv) = (self.f.rec(l(u)), self.f.rec(l(v)));
+            self.scc.insert_edge(&self.f.g, &mut self.f.locks, ru, rv)
+        }
+
+        /// Retires `r` from the graph and the condensation, then frees its
+        /// record, as lock aging does.
+        fn retire(&mut self, r: u64) {
+            self.f.unlink(l(r));
+            if let Some(rec) = self.f.locks.find(l(r)) {
+                self.scc.retire(&self.f.g, &mut self.f.locks, rec);
+                self.f.locks.release(rec);
+            }
+        }
+
+        fn same_component(&self, a: u64, b: u64) -> bool {
+            match (self.f.locks.find(l(a)), self.f.locks.find(l(b))) {
+                (Some(x), Some(y)) => self.f.locks.same_component(x, y),
+                _ => false,
+            }
+        }
+
+        fn members_of(&self, a: u64) -> Vec<u32> {
+            self.f
+                .locks
+                .find(l(a))
+                .map_or_else(Vec::new, |r| self.scc.members_of(&self.f.locks, r))
+        }
+
+        fn check_invariants(&self) {
+            self.scc.check_invariants(&self.f.g, &self.f.locks);
+        }
     }
 
     #[test]
     fn forward_chain_stays_acyclic_and_cheap() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         for i in 0..64 {
-            assert_eq!(add_edge(&mut g, &mut scc, i, i + 1), EdgeOutcome::Acyclic);
+            assert_eq!(w.add_edge(i, i + 1), EdgeOutcome::Acyclic);
         }
-        scc.check_invariants(&g);
-        assert_eq!(scc.merges(), 0);
-        assert_eq!(scc.component_peak(), 1);
+        w.check_invariants();
+        assert_eq!(w.scc.merges(), 0);
+        assert_eq!(w.scc.component_peak(), 1);
     }
 
     #[test]
     fn reverse_chain_reorders_without_merging() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         for i in (0..64).rev() {
-            assert_eq!(add_edge(&mut g, &mut scc, i, i + 1), EdgeOutcome::Acyclic);
-            scc.check_invariants(&g);
+            assert_eq!(w.add_edge(i, i + 1), EdgeOutcome::Acyclic);
+            w.check_invariants();
         }
-        assert_eq!(scc.merges(), 0);
+        assert_eq!(w.scc.merges(), 0);
     }
 
     #[test]
     fn closing_edge_merges_the_cycle() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         for i in 0..5 {
-            add_edge(&mut g, &mut scc, i, i + 1);
+            w.add_edge(i, i + 1);
         }
-        assert_eq!(add_edge(&mut g, &mut scc, 5, 0), EdgeOutcome::Merged);
-        scc.check_invariants(&g);
-        assert_eq!(scc.merges(), 1);
-        assert_eq!(scc.component_peak(), 6);
-        assert!(scc.same_component(l(0), l(5)));
+        assert_eq!(w.add_edge(5, 0), EdgeOutcome::Merged);
+        w.check_invariants();
+        assert_eq!(w.scc.merges(), 1);
+        assert_eq!(w.scc.component_peak(), 6);
+        assert!(w.same_component(0, 5));
         // A later edge inside the SCC reports SameComponent.
-        assert_eq!(add_edge(&mut g, &mut scc, 3, 1), EdgeOutcome::SameComponent);
+        assert_eq!(w.add_edge(3, 1), EdgeOutcome::SameComponent);
     }
 
     #[test]
     fn two_cycles_merge_through_a_bridge() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         // Cycle A: 0 -> 1 -> 0; cycle B: 10 -> 11 -> 10.
-        add_edge(&mut g, &mut scc, 0, 1);
-        assert_eq!(add_edge(&mut g, &mut scc, 1, 0), EdgeOutcome::Merged);
-        add_edge(&mut g, &mut scc, 10, 11);
-        assert_eq!(add_edge(&mut g, &mut scc, 11, 10), EdgeOutcome::Merged);
+        w.add_edge(0, 1);
+        assert_eq!(w.add_edge(1, 0), EdgeOutcome::Merged);
+        w.add_edge(10, 11);
+        assert_eq!(w.add_edge(11, 10), EdgeOutcome::Merged);
         // Bridge A -> B, then B -> A: one four-lock SCC.
-        assert_eq!(add_edge(&mut g, &mut scc, 1, 10), EdgeOutcome::Acyclic);
-        assert_eq!(add_edge(&mut g, &mut scc, 11, 0), EdgeOutcome::Merged);
-        scc.check_invariants(&g);
-        assert_eq!(scc.component_peak(), 4);
-        assert!(scc.same_component(l(0), l(11)));
+        assert_eq!(w.add_edge(1, 10), EdgeOutcome::Acyclic);
+        assert_eq!(w.add_edge(11, 0), EdgeOutcome::Merged);
+        w.check_invariants();
+        assert_eq!(w.scc.component_peak(), 4);
+        assert!(w.same_component(0, 11));
     }
 
     /// Both restructures of the incremental path between two chains: a
@@ -742,76 +797,62 @@ mod tests {
     /// merges all 18 locks.
     #[test]
     fn cross_edges_between_two_chains_reorder_then_merge() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         // Two disjoint chains: 0 -> .. -> 8 (low orders) and
         // 100 -> .. -> 108 (high orders).
         for i in 0..8 {
-            add_edge(&mut g, &mut scc, i, i + 1);
-            add_edge(&mut g, &mut scc, 100 + i, 101 + i);
+            w.add_edge(i, i + 1);
+            w.add_edge(100 + i, 101 + i);
         }
         // A cross edge from the high chain into the low one violates the
         // order without closing a cycle.
-        g.record(
-            (l(108), l(0)),
-            (ThreadId(999), StackId(999)),
-            &[],
-            64,
-            1 << 20,
-        );
-        assert_eq!(scc.insert_edge(&g, l(108), l(0)), EdgeOutcome::Acyclic);
-        scc.check_invariants(&g);
+        let who = (ThreadId(999), StackId(999));
+        w.f.record((l(108), l(0)), who, &[], 64, 1 << 20);
+        assert_eq!(w.insert(108, 0), EdgeOutcome::Acyclic);
+        w.check_invariants();
         // Closing the loop the other way merges all 18 locks.
-        g.record(
-            (l(8), l(100)),
-            (ThreadId(998), StackId(998)),
-            &[],
-            64,
-            1 << 20,
-        );
-        assert_eq!(scc.insert_edge(&g, l(8), l(100)), EdgeOutcome::Merged);
-        scc.check_invariants(&g);
-        assert_eq!(scc.component_peak(), 18);
+        let who = (ThreadId(998), StackId(998));
+        w.f.record((l(8), l(100)), who, &[], 64, 1 << 20);
+        assert_eq!(w.insert(8, 100), EdgeOutcome::Merged);
+        w.check_invariants();
+        assert_eq!(w.scc.component_peak(), 18);
     }
 
     #[test]
     fn retirement_splits_a_component() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
+        let mut w = World::default();
         // 0 -> 1 -> 2 -> 0 and 2 -> 3 -> 4 -> 2: one SCC of 5 through 2.
-        add_edge(&mut g, &mut scc, 0, 1);
-        add_edge(&mut g, &mut scc, 1, 2);
-        add_edge(&mut g, &mut scc, 2, 0);
-        add_edge(&mut g, &mut scc, 2, 3);
-        add_edge(&mut g, &mut scc, 3, 4);
-        add_edge(&mut g, &mut scc, 4, 2);
-        scc.check_invariants(&g);
-        assert_eq!(scc.component_peak(), 5);
-        assert!(scc.same_component(l(0), l(4)));
+        w.add_edge(0, 1);
+        w.add_edge(1, 2);
+        w.add_edge(2, 0);
+        w.add_edge(2, 3);
+        w.add_edge(3, 4);
+        w.add_edge(4, 2);
+        w.check_invariants();
+        assert_eq!(w.scc.component_peak(), 5);
+        assert!(w.same_component(0, 4));
         // Retiring lock 2 severs both cycles: 4 singleton components.
-        g.remove_lock(l(2));
-        scc.retire(&g, l(2));
-        scc.check_invariants(&g);
-        assert!(!scc.same_component(l(0), l(1)));
-        assert!(!scc.same_component(l(3), l(4)));
-        assert!(scc.members_of(l(2)).is_empty());
+        w.retire(2);
+        w.check_invariants();
+        assert!(!w.same_component(0, 1));
+        assert!(!w.same_component(3, 4));
+        assert!(w.members_of(2).is_empty());
     }
 
     #[test]
     fn retirement_of_singletons_frees_their_order() {
-        let mut g = LockOrderGraph::default();
-        let mut scc = Condensation::default();
-        add_edge(&mut g, &mut scc, 0, 1);
-        g.remove_lock(l(0));
-        scc.retire(&g, l(0));
-        g.remove_lock(l(1));
-        scc.retire(&g, l(1));
-        assert!(scc.members_of(l(0)).is_empty());
-        assert_eq!(scc.orders.len(), 0);
-        // Re-acquiring after retirement starts a fresh component.
-        add_edge(&mut g, &mut scc, 0, 1);
-        scc.check_invariants(&g);
-        assert!(!scc.same_component(l(0), l(1)));
+        let mut w = World::default();
+        w.add_edge(0, 1);
+        w.retire(0);
+        w.retire(1);
+        assert!(w.members_of(0).is_empty());
+        assert_eq!(w.scc.orders.len(), 0);
+        // Re-acquiring after retirement starts a fresh component, in a
+        // reused record and a reused component slot.
+        w.add_edge(0, 1);
+        w.check_invariants();
+        assert!(!w.same_component(0, 1));
+        assert_eq!(w.scc.comps.len(), 2, "both component slots reused");
     }
 
     /// Randomized stress: every insertion order over random edge sets must
@@ -829,8 +870,7 @@ mod tests {
         for round in 0..40 {
             let n = 4 + rng() % 24;
             let edges = 4 + (rng() % (3 * n)) as usize;
-            let mut g = LockOrderGraph::default();
-            let mut scc = Condensation::default();
+            let mut w = World::default();
             for _ in 0..edges {
                 let u = rng() % n;
                 let v = rng() % n;
@@ -839,25 +879,29 @@ mod tests {
                 }
                 let who = (ThreadId(rng() % 4), StackId((rng() % 64) as u32));
                 if matches!(
-                    g.record((l(u), l(v)), who, &[], 64, 1 << 20),
+                    w.f.record((l(u), l(v)), who, &[], 64, 1 << 20),
                     Recorded::NewEdge | Recorded::NewInstance
                 ) {
-                    scc.insert_edge(&g, l(u), l(v));
+                    w.insert(u, v);
                 }
                 // Occasional retirement of a random known lock.
                 if rng() % 16 == 0 {
                     let r = rng() % n;
-                    if g.has_node(l(r)) {
-                        g.remove_lock(l(r));
-                        scc.retire(&g, l(r));
+                    if w.f.has_node(l(r)) {
+                        w.retire(r);
                     }
                 }
             }
-            scc.check_invariants(&g);
+            w.check_invariants();
             // Membership must agree with batch Tarjan over the live nodes.
-            let nodes: Vec<LockId> = scc.comp.keys().copied().collect();
-            let batch = tarjan_restricted(&g, &nodes);
-            let mut expect: IdMap<LockId, usize> = IdMap::default();
+            let locks = &w.f.locks;
+            let nodes: Vec<u32> = locks
+                .iter()
+                .map(|(_, r)| r)
+                .filter(|&r| locks[r].comp != NIL)
+                .collect();
+            let batch = tarjan_restricted(&w.f.g, locks, &nodes);
+            let mut expect: IdMap<u32, usize> = IdMap::default();
             for (i, sub) in batch.iter().enumerate() {
                 for &m in sub {
                     expect.insert(m, i);
@@ -866,9 +910,11 @@ mod tests {
             for &a in &nodes {
                 for &b in &nodes {
                     assert_eq!(
-                        scc.same_component(a, b),
+                        locks.same_component(a, b),
                         expect[&a] == expect[&b],
-                        "round {round}: membership mismatch for {a:?}, {b:?}"
+                        "round {round}: membership mismatch for {:?}, {:?}",
+                        locks[a].lock,
+                        locks[b].lock
                     );
                 }
             }

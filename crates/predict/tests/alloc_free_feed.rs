@@ -3,8 +3,9 @@
 //! capacity, the distinct-holds and guard buffers are the predictor's own
 //! scratch, and a duplicate instance is found by scanning the edge's block.
 //! Nor does refreshing a checkpoint of the same size with `clone_from`:
-//! the order graph and the condensation are flat buffers of `Copy`
-//! records, copied into the buffers the checkpoint already has.
+//! the lock table, the order graph and the condensation are flat buffers
+//! of `Copy` records, copied into the buffers the checkpoint already has.
+//! Nor does feeding a lock that aging retired: it takes a freed record.
 
 use dimmunix_predict::{PredictionConfig, Predictor};
 use dimmunix_rag::{LockId, ThreadId};
@@ -112,4 +113,47 @@ fn a_checkpoint_of_the_same_size_is_refreshed_without_allocating() {
     assert_ne!(format!("{checkpoint:?}"), format!("{live:?}"));
     assert_eq!(allocations(|| checkpoint.clone_from(&live)), 0);
     assert_eq!(format!("{checkpoint:?}"), format!("{live:?}"));
+}
+
+/// Lock aging retires a quiet lock and frees its record; the next new lock
+/// takes that record, so locks fed again after retiring make no new
+/// records — and re-learning them allocates nothing once the arenas have
+/// room for their edges.
+#[test]
+fn a_retired_lock_fed_again_reuses_its_record_without_allocating() {
+    let cfg = PredictionConfig {
+        lock_retire_after: 2,
+        ..PredictionConfig::default()
+    };
+    // Thread 1 keeps the nest on 100..103 from retiring by re-feeding it
+    // before every pass.
+    let keep = |p: &mut Predictor| {
+        nest(p, 1, 100, 0);
+        p.pass();
+    };
+    // A predictor whose arenas are larger than the state it holds: an
+    // older, larger predictor refreshed with `clone_from`, as a checkpoint
+    // is. It holds the kept nest and a nest on 10..13.
+    let mut roomy = Predictor::new(cfg.clone());
+    for first in (200..300).step_by(3) {
+        nest(&mut roomy, 1, first, 0);
+    }
+    keep(&mut roomy);
+    let mut state = Predictor::new(cfg);
+    nest(&mut state, 1, 10, 0);
+    keep(&mut state);
+    roomy.clone_from(&state);
+    assert_eq!(roomy.stats().locks, 6);
+    let len = roomy.clone_len();
+    for _ in 0..4 {
+        keep(&mut roomy);
+    }
+    assert_eq!(roomy.stats().locks, 3, "the nest on 10..13 retired");
+    assert_eq!(allocations(|| nest(&mut roomy, 1, 10, 0)), 0);
+    assert_eq!(roomy.stats().locks, 6, "the nest on 10..13 learnt again");
+    keep(&mut roomy);
+    // The nest's three new arcs, three instances and two guards are all
+    // that grew: its old ones are dead space until a compaction, and its
+    // locks took their freed records and components back.
+    assert_eq!(roomy.clone_len(), len + 8);
 }
