@@ -6,6 +6,7 @@
 //! a held entry remembers across both kinds of rebuild; and a yield's
 //! registration in its cause's log, and its withdrawal.
 
+use super::cover::REMEMBERED_SLOTS;
 use super::*;
 use crate::runtime::Runtime;
 use dimmunix_signature::{suffix_of, CycleKind};
@@ -564,7 +565,7 @@ fn buckets_equal_the_logs_after_every_live_rebuild() {
             }
             for held in &log.entries {
                 let Held { l, stack, .. } = *held;
-                let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(stack)).collect();
+                let slots: Vec<u32> = view.layout.slots_of(&core.stacks.resolve(stack)).collect();
                 // Granted under this view or re-resolved by its visit:
                 // either way the entry remembers exactly its buckets.
                 if held.slots.as_slice() != &slots[..] {
@@ -741,7 +742,10 @@ fn remembered_slots_survive_rebuilds(before_visit: bool) {
         let log = core.me(t).allowed.lock();
         assert!(Arc::ptr_eq(&log.view, &view), "handed over by the visit");
         for held in &log.entries {
-            let slots: Vec<u32> = view.slots_of(&core.stacks.resolve(held.stack)).collect();
+            let slots: Vec<u32> = view
+                .layout
+                .slots_of(&core.stacks.resolve(held.stack))
+                .collect();
             assert_eq!(held.slots.as_slice(), &slots[..], "visited");
         }
         drop(log);
@@ -995,6 +999,27 @@ fn a_cancelled_yield_leaves_no_waiter() {
     assert!(core.cancel(h.yielder, h.wanted).is_empty());
     assert_eq!(h.waiters(), 0, "withdrawn by the cancel");
     assert!(core.release(h.holder, h.held).is_empty());
+}
+
+/// Two yielders on one cause, and one of them cancels: the withdrawal is
+/// keyed by yielder, so the other's registration stays in the cause's log,
+/// and the cause's release wakes exactly that one.
+#[test]
+fn one_of_two_yielders_on_a_cause_cancels() {
+    let h = Handoff::new();
+    let core = h.rt.core();
+    core.acquired(h.holder, h.held, h.held_stack);
+    let (other, other_wants) = (core.register_thread().unwrap(), h.rt.new_lock_id());
+    assert!(matches!(h.request(), Decision::Yield { .. }));
+    let (frames, stack) = &h.path;
+    assert!(matches!(
+        core.request(other, other_wants, frames, *stack),
+        Decision::Yield { .. }
+    ));
+    assert_eq!(h.waiters(), 2);
+    assert!(core.cancel(h.yielder, h.wanted).is_empty());
+    assert_eq!(h.waiters(), 1, "the other yielder stays registered");
+    assert_eq!(core.release(h.holder, h.held), vec![other]);
 }
 
 /// However a yield ends without a retry — it times out (`force_go`), the

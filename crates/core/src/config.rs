@@ -126,17 +126,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Paper-default configuration for the §7 experiments: strong immunity,
-    /// τ = 100 ms, fixed matching depth 4.
-    pub fn paper_evaluation() -> Self {
-        Self {
-            immunity: Immunity::Strong,
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,10 +140,5 @@ mod tests {
         assert!(c.calibration.is_none());
         assert!(c.prediction.is_none(), "prediction is opt-in");
         assert!(c.enforce_yields);
-    }
-
-    #[test]
-    fn paper_evaluation_uses_strong_immunity() {
-        assert_eq!(Config::paper_evaluation().immunity, Immunity::Strong);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * a **lone** uncontended `lock()`/`unlock()` — taken by a thread that
 //!   holds nothing, on a stack that hits no signature bucket — publishes
-//!   nothing at all. It is a *quiet hold* (`crate::avoidance`, "Quiet
+//!   nothing at all. It is a *quiet hold* (`avoidance/record.rs`, "Quiet
 //!   holds"): the monitor draws its hold edge itself if someone waits for
 //!   the lock, and otherwise the `release` retires the whole pair;
 //! * any other **uncontended** pair publishes two events —

@@ -7,7 +7,7 @@
 //! The mutex has two users: the owning thread's `push` and the monitor's
 //! once-per-pass swap, so it is all but uncontended, and a push can neither
 //! fail nor reorder. A lone pair pushes nothing at all (a quiet hold,
-//! [`crate::avoidance`]); the monitor asks [`EventLanes::is_drained`] before
+//! `avoidance/record.rs`); the monitor asks [`EventLanes::is_drained`] before
 //! it draws such a hold itself, so the hold edge lands after everything its
 //! thread pushed before taking the lock. Like the single queue of §5.2 a
 //! lane is unbounded: a producer the monitor never catches up with grows its

@@ -2,7 +2,7 @@
 //!
 //! Periodically drains the per-thread event lanes, replays the events into
 //! the full [`Rag`], claims the quiet holds its waiters wait for (the hold
-//! edges no event carried, [`crate::avoidance`]'s "Quiet holds"), searches
+//! edges no event carried, "Quiet holds" in `avoidance/record.rs`), searches
 //! for deadlock and yield cycles, archives new
 //! signatures into the persistent history, breaks induced starvation (weak
 //! immunity) or requests a restart (strong immunity), and runs the
@@ -46,9 +46,9 @@
 //! The monitor is the immunity runtime's single point of failure, so the
 //! runtime supervises it: a panic escaping a pass is caught, counted in
 //! [`Stats::monitor_restarts`], and the monitor is rebuilt via
-//! [`Monitor::respawn`] — a fresh instance seeded with the RAG snapshot
+//! `Monitor::respawn` — a fresh instance seeded with the RAG snapshot
 //! taken at the end of the last *successful* pass that changed it
-//! ([`last_good`]; idle passes reuse the snapshot they would only have
+//! (`last_good`; idle passes reuse the snapshot they would only have
 //! re-cloned), plus the predictor as it stood at that same moment.
 //! Probe state may have been mid-mutation when the pass died, so open
 //! probes are abandoned (a missed calibration sample, never a correctness
@@ -67,15 +67,13 @@
 //!
 //! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
-//! ([`Stats::degraded_mode`]): each period it runs [`Monitor::degraded_step`]
+//! ([`Stats::degraded_mode`]): each period it runs `Monitor::degraded_step`
 //! instead — a pass-through pass that drains and discards events (bounding
 //! lane memory), keeps republishing the match view (so avoidance decisions
 //! stay sound against the last published history), and skips detection,
 //! prediction, starvation breaking and saves. Yielding threads park with
 //! the bounded `DEGRADED_YIELD_WAIT` instead of waiting on a monitor
 //! that will never break their starvation.
-//!
-//! [`last_good`]: Monitor::respawn
 
 use crate::avoidance::AvoidanceCore;
 use crate::config::{Config, Immunity, DEFAULT_DEPTH};
@@ -485,7 +483,7 @@ impl Monitor {
     }
 
     /// Draws the hold edge of every quiet hold someone waits for
-    /// ([`crate::avoidance`], "Quiet holds"), as the `Granted` it stands in
+    /// (`avoidance/record.rs`, "Quiet holds"), as the `Granted` it stands in
     /// for would have, and retires that grant's three outcomes. Returns
     /// whether it claimed any.
     fn claim_quiet_holds(&mut self, core: &AvoidanceCore) -> bool {

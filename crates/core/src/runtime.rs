@@ -364,7 +364,8 @@ impl Runtime {
     }
 
     /// Wakes `t` under its slot mutex; no caller holds an engine lock (the
-    /// wakers are listed in the `avoidance` module docs).
+    /// wakers are listed in `avoidance/yields.rs`, "No-lost-wakeup
+    /// protocol").
     fn wake_tid(inner: &Inner, t: ThreadId) {
         if let Some(me) = inner.core.record(t) {
             me.wake();

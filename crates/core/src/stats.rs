@@ -30,7 +30,7 @@ pub struct HotStripe {
     /// Locks actually acquired.
     pub acquisitions: AtomicU64,
     /// Locks released, but for the releases that ended a quiet pair: those
-    /// count in `quiet_pairs` alone ([`Stats::releases`] sums both).
+    /// count in `quiet_pairs` alone ([`StatsSnapshot::releases`] sums both).
     pub releases: AtomicU64,
     /// Signature candidates dismissed by the guard-free emptiness precheck
     /// (a required member bucket was provably empty — nothing was copied).
@@ -294,51 +294,6 @@ impl Stats {
             .sum()
     }
 
-    /// Total `request` hook invocations across all threads.
-    pub fn requests(&self) -> u64 {
-        self.hot_sum(|s| &s.requests)
-    }
-
-    /// Total GO decisions across all threads.
-    pub fn gos(&self) -> u64 {
-        self.hot_sum(|s| &s.gos)
-    }
-
-    /// Total lock acquisitions across all threads.
-    pub fn acquisitions(&self) -> u64 {
-        self.hot_sum(|s| &s.acquisitions)
-    }
-
-    /// Total lock releases across all threads, quiet pairs' included.
-    pub fn releases(&self) -> u64 {
-        self.hot_sum(|s| &s.releases) + self.quiet_pairs()
-    }
-
-    /// Total emptiness-precheck candidate dismissals across all threads.
-    pub fn precheck_skips(&self) -> u64 {
-        self.hot_sum(|s| &s.precheck_skips)
-    }
-
-    /// Total optimistic cover searches across all threads.
-    pub fn cover_searches(&self) -> u64 {
-        self.hot_sum(|s| &s.cover_searches)
-    }
-
-    /// Total churn-retried cover decisions across all threads.
-    pub fn cover_retries(&self) -> u64 {
-        self.hot_sum(|s| &s.cover_retries)
-    }
-
-    /// Total entry pops that found a waiter, across all threads.
-    pub fn wake_drains(&self) -> u64 {
-        self.hot_sum(|s| &s.wake_drains)
-    }
-
-    /// Total quiet pairs across all threads.
-    pub fn quiet_pairs(&self) -> u64 {
-        self.hot_sum(|s| &s.quiet_pairs)
-    }
-
     /// Convenience relaxed increment, for a counter with several writers.
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -370,17 +325,17 @@ impl Stats {
 
     /// A plain-data snapshot of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let quiet_pairs = self.quiet_pairs();
+        let quiet_pairs = self.hot_sum(|s| &s.quiet_pairs);
         StatsSnapshot {
-            requests: self.requests(),
-            gos: self.gos(),
+            requests: self.hot_sum(|s| &s.requests),
+            gos: self.hot_sum(|s| &s.gos),
             yields: Self::get(&self.yields),
-            acquisitions: self.acquisitions(),
-            releases: self.releases(),
-            precheck_skips: self.precheck_skips(),
-            cover_searches: self.cover_searches(),
-            cover_retries: self.cover_retries(),
-            wake_drains: self.wake_drains(),
+            acquisitions: self.hot_sum(|s| &s.acquisitions),
+            releases: self.hot_sum(|s| &s.releases) + quiet_pairs,
+            precheck_skips: self.hot_sum(|s| &s.precheck_skips),
+            cover_searches: self.hot_sum(|s| &s.cover_searches),
+            cover_retries: self.hot_sum(|s| &s.cover_retries),
+            wake_drains: self.hot_sum(|s| &s.wake_drains),
             quiet_pairs,
             yield_aborts: Self::get(&self.yield_aborts),
             yields_broken: Self::get(&self.yields_broken),
@@ -438,7 +393,7 @@ pub struct StatsSnapshot {
     pub yields: u64,
     /// Locks actually acquired.
     pub acquisitions: u64,
-    /// Locks released.
+    /// Locks released, quiet pairs' included.
     pub releases: u64,
     /// Signature candidates dismissed by the guard-free emptiness precheck.
     pub precheck_skips: u64,
@@ -598,7 +553,8 @@ mod tests {
         Stats::count(&s.hot(64).precheck_skips, 7);
         let own = |slot: usize| s.hot(slot).gos.load(Ordering::Relaxed);
         assert_eq!((own(0), own(16), own(64), own(1)), (1, 2, 4, 0));
-        assert_eq!((s.gos(), s.precheck_skips()), (7, 7));
+        let snap = s.snapshot();
+        assert_eq!((snap.gos, snap.precheck_skips), (7, 7));
         assert!(!std::ptr::eq(s.hot(0), s.hot(16)));
         assert_eq!(s.hot.iter().filter(|b| b.get().is_some()).count(), 2);
     }

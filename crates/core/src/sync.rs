@@ -91,8 +91,8 @@ fn request_until_go(
 ///
 /// This is the one place a supervised thread blocks inside a mutex, and so
 /// the one place that owes the monitor the allow edge first: `waiting` is
-/// called after the `try_lock` failed and before the blocking call (see the
-/// `avoidance` module docs). When the mutex is free the thread never waits
+/// called after the `try_lock` failed and before the blocking call (see
+/// `avoidance/mod.rs`). When the mutex is free the thread never waits
 /// and `acquired` publishes the grant and the acquisition as one event.
 pub(crate) fn acquire(
     runtime: &Runtime,

@@ -3,9 +3,9 @@
 //!
 //! Stateless model checking re-executes the same program once per
 //! schedule; a [`Scenario`] captures everything a run needs — lock names
-//! and per-thread scripts — decoupled from any particular
-//! [`Runtime`](dimmunix_core::Runtime), so the driver can build a fresh
-//! runtime (empty or vaccinated) for every schedule.
+//! and per-thread scripts — decoupled from any particular [`Runtime`], so
+//! the driver can build a fresh runtime (empty or vaccinated) for every
+//! schedule.
 
 use dimmunix_core::Runtime;
 use dimmunix_threadsim::{LockHandle, Script, Sim, SimConfig};

@@ -15,7 +15,7 @@
 //!
 //! # The condensation pass
 //!
-//! Scaling to thousands of locks is what the [`scc`] module buys: the
+//! Scaling to thousands of locks is what the `scc` module buys: the
 //! predictor maintains an **incrementally updated SCC condensation** of
 //! the order graph (Pearce–Kelly dynamic topological order, Tarjan per
 //! affected component). Each pass then decomposes into

@@ -80,7 +80,10 @@ pub enum CalibrationUpdate {
     Finished {
         /// The chosen (smallest minimal-FP-rate) depth.
         depth: u8,
-        /// The false-positive rate at that depth.
+        /// The false-positive rate at that depth. At 1.0 *every* avoidance
+        /// there was a false positive — the §8 signal that the signature is
+        /// obsolete (e.g. the bug was fixed by an upgrade) and can be
+        /// discarded.
         fp_rate: f64,
     },
 }
@@ -158,14 +161,6 @@ impl CalibrationState {
             .get(depth as usize - 1)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Whether the last calibration concluded that *every* avoidance at the
-    /// chosen depth was a false positive — the §8 signal that the signature
-    /// is obsolete (e.g. the bug was fixed by an upgrade) and can be
-    /// discarded.
-    pub fn is_all_false_positives(&self) -> bool {
-        matches!(self.chosen, Some((_, rate)) if rate >= 1.0)
     }
 
     /// Feeds one avoidance outcome into the machine.
@@ -323,10 +318,9 @@ mod tests {
     fn input_dependent_fp_keeps_nonzero_min() {
         // Every depth is an FP: FPmin = 1.0 and the smallest depth wins.
         let c = cfg(2, 100, 3);
-        let (st, depth, rate) = calibrate_with_fp_below(&c, 10);
+        let (_, depth, rate) = calibrate_with_fp_below(&c, 10);
         assert_eq!(depth, 1);
         assert_eq!(rate, 1.0);
-        assert!(st.is_all_false_positives());
     }
 
     #[test]
