@@ -17,11 +17,15 @@
 //! # Drain: swap, then apply
 //!
 //! A drain takes each non-empty lane's lock only to swap its queue with an
-//! empty buffer, and applies the events it took with no lane lock held, so a
-//! producer waits at most for a swap, never for the monitor's work. The
-//! emptied queue is the buffer swapped into the next lane. A capped drain
-//! puts what it did not apply back at the front of the lane's queue, ahead
-//! of anything pushed meanwhile.
+//! empty buffer, and hands the monitor the buffer it took as one [`Batch`],
+//! with no lane lock held, so a producer waits at most for a swap, never for
+//! the monitor's work. The monitor applies the batch's events and either
+//! lets them go, or keeps them: the whole buffer, leaving an empty one of
+//! its own in its place ([`Batch::swap_whole`]; the predictor's restart log
+//! keeps dense buffers this way), or the events alone. Whichever empty
+//! buffer is left is the one swapped into the next lane. A capped drain
+//! puts what it did not hand over back at the front of the lane's queue,
+//! ahead of anything pushed meanwhile.
 //!
 //! # Ordering
 //!
@@ -84,6 +88,12 @@ impl EventLanes {
         }
     }
 
+    /// Events a lane holds before it grows: the room a drain gives every
+    /// buffer it swaps in.
+    pub fn block_capacity(&self) -> usize {
+        self.block_capacity
+    }
+
     /// Makes `slot`'s lane, ahead of its first push (called by the thread
     /// that will push; the lane is kept across slot reuse).
     pub fn register(&self, slot: usize) {
@@ -122,13 +132,14 @@ impl EventLanes {
     }
 
     /// Drains up to exactly `cap` events — every lane in use in slot order,
-    /// each oldest first — invoking `f` on each. Returns how many were
-    /// drained; a later call resumes where this one stopped. A push made
-    /// by `f` is left for a later call. Should `f` panic, the rest of the
+    /// each oldest first — handing `f` one [`Batch`] per non-empty lane.
+    /// Returns how many were drained; a later call resumes where this one
+    /// stopped. A push made by `f` is left for a later call. Events `f`
+    /// leaves in its batch are dropped. Should `f` panic, the rest of the
     /// lane's batch goes down with the pass that was applying it.
     ///
     /// Single-consumer contract: only the monitor may call this.
-    pub fn drain(&self, cap: usize, mut f: impl FnMut(Event)) -> usize {
+    pub fn drain(&self, cap: usize, mut f: impl FnMut(Batch<'_>)) -> usize {
         let mut buf = std::mem::take(&mut *self.spare.lock());
         let mut drained = 0_usize;
         for lane in self.lanes[..self.in_use.load(Ordering::Acquire)]
@@ -150,7 +161,14 @@ impl EventLanes {
             }
             self.high_water.fetch_max(buf.len(), Ordering::Relaxed);
             let take = buf.len().min(cap - drained);
-            buf.drain(..take).for_each(&mut f);
+            let rest = buf.len() - take;
+            f(Batch {
+                buf: &mut buf,
+                take,
+            });
+            // What `f` left of its batch, if anything, goes now.
+            let left = buf.len() - rest;
+            buf.drain(..left);
             drained += take;
             if !buf.is_empty() {
                 // Capped: the rest goes back in front of what was pushed
@@ -187,6 +205,68 @@ impl EventLanes {
     /// a whole block.
     pub fn overflow_count(&self) -> u64 {
         self.grown.load(Ordering::Relaxed)
+    }
+}
+
+/// One lane's share of an [`EventLanes::drain`]: the buffer the drain
+/// swapped out of the lane, whose first [`Batch::len`] events are this
+/// batch (a capped drain keeps the rest for the lane). The consumer reads
+/// the events in place ([`Batch::events`]) and keeps what it wants of them:
+/// all of them by value (the batch is an iterator's source), or the whole
+/// buffer ([`Batch::swap_whole`]). Whatever it leaves is dropped.
+#[derive(Debug)]
+pub struct Batch<'a> {
+    buf: &'a mut VecDeque<Event>,
+    take: usize,
+}
+
+impl<'a> Batch<'a> {
+    /// How many events the batch holds (never 0).
+    pub fn len(&self) -> usize {
+        self.take
+    }
+
+    /// Whether the batch holds no event; a drain never hands one over.
+    pub fn is_empty(&self) -> bool {
+        self.take == 0
+    }
+
+    /// The batch's events, oldest first.
+    pub fn events(&self) -> std::collections::vec_deque::Iter<'_, Event> {
+        self.buf.range(..self.take)
+    }
+
+    /// How many events the buffer has room for.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Whether the batch is the whole buffer: the drain's cap did not stop
+    /// inside this lane.
+    pub fn is_whole(&self) -> bool {
+        self.take == self.buf.len()
+    }
+
+    /// Takes the whole buffer, events and room, and leaves `spare`,
+    /// emptied, to be swapped into the next lane instead.
+    ///
+    /// # Panics
+    ///
+    /// If the batch is not the whole buffer ([`Batch::is_whole`]).
+    pub fn swap_whole(self, mut spare: VecDeque<Event>) -> VecDeque<Event> {
+        assert!(self.is_whole(), "a capped batch shares its buffer");
+        spare.clear();
+        std::mem::replace(self.buf, spare)
+    }
+}
+
+impl<'a> IntoIterator for Batch<'a> {
+    type Item = Event;
+    type IntoIter = std::collections::vec_deque::Drain<'a, Event>;
+
+    /// Moves the batch's events out, oldest first.
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.drain(..self.take)
     }
 }
 
@@ -229,10 +309,15 @@ mod tests {
         lanes
     }
 
+    /// [`EventLanes::drain`], handing `f` each event of each batch.
+    fn drain_each(lanes: &EventLanes, cap: usize, mut f: impl FnMut(Event)) -> usize {
+        lanes.drain(cap, |batch| batch.into_iter().for_each(&mut f))
+    }
+
     /// Drains everything and returns the lock ids in delivery order.
     fn drain_all(lanes: &EventLanes) -> Vec<u64> {
         let mut seen = Vec::new();
-        lanes.drain(usize::MAX, |e| seen.push(key(&e).1));
+        drain_each(lanes, usize::MAX, |e| seen.push(key(&e).1));
         seen
     }
 
@@ -245,7 +330,7 @@ mod tests {
         lanes.push(0, ev(0, 0));
         lanes.push(0, ev(0, 1));
         let mut seen = Vec::new();
-        let n = lanes.drain(usize::MAX, |e| seen.push(key(&e)));
+        let n = drain_each(&lanes, usize::MAX, |e| seen.push(key(&e)));
         assert_eq!(n, 3);
         // Lane order (slot 0 first), FIFO within a lane.
         assert_eq!(seen, vec![(0, 0), (0, 1), (2, 0)]);
@@ -288,8 +373,8 @@ mod tests {
             lanes.push(0, ev(0, i));
         }
         let mut seen = Vec::new();
-        assert_eq!(lanes.drain(4, |e| seen.push(key(&e).1)), 4);
-        assert_eq!(lanes.drain(usize::MAX, |e| seen.push(key(&e).1)), 6);
+        assert_eq!(drain_each(&lanes, 4, |e| seen.push(key(&e).1)), 4);
+        assert_eq!(drain_each(&lanes, usize::MAX, |e| seen.push(key(&e).1)), 6);
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
     }
 
@@ -304,10 +389,10 @@ mod tests {
         // never one event more than asked, and pushes made in between
         // queue behind what a capped drain put back.
         for (cap, expect) in [(3, 3), (0, 0), (2, 2)] {
-            assert_eq!(lanes.drain(cap, |e| seen.push(key(&e).1)), expect);
+            assert_eq!(drain_each(&lanes, cap, |e| seen.push(key(&e).1)), expect);
         }
         lanes.push(0, ev(0, 7));
-        assert_eq!(lanes.drain(usize::MAX, |e| seen.push(key(&e).1)), 3);
+        assert_eq!(drain_each(&lanes, usize::MAX, |e| seen.push(key(&e).1)), 3);
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
@@ -359,7 +444,7 @@ mod tests {
             lanes.push(0, ev(0, i));
         }
         let mut seen = Vec::new();
-        let drained = lanes.drain(2, |e| {
+        let drained = drain_each(&lanes, 2, |e| {
             let k = key(&e).1;
             if k == 0 {
                 for i in 3..7 {
@@ -370,10 +455,49 @@ mod tests {
         });
         assert_eq!(drained, 2, "capped, and the pushes wait for the next drain");
         assert!(!lanes.is_drained(0));
-        assert_eq!(lanes.drain(usize::MAX, |e| seen.push(key(&e).1)), 5);
+        assert_eq!(drain_each(&lanes, usize::MAX, |e| seen.push(key(&e).1)), 5);
         assert_eq!(seen, (0..7).collect::<Vec<_>>());
         assert!(lanes.is_drained(0));
         assert_eq!(lanes.overflow_count(), 2);
+    }
+
+    /// A consumer that keeps a lane's whole buffer, as the predictor's log
+    /// does, and hands back an empty one of its own: the kept buffer holds
+    /// the batch in order, the lane goes on FIFO in the buffer it got, and a
+    /// capped remainder still goes back ahead of pushes made meanwhile.
+    #[test]
+    fn a_kept_buffer_leaves_the_lane_fifo() {
+        let lanes = tiny_blocks();
+        for i in 0..3 {
+            lanes.push(0, ev(0, i));
+        }
+        let mut kept = Vec::new();
+        let drained = lanes.drain(usize::MAX, |batch| {
+            assert!(batch.is_whole() && batch.len() == 3);
+            kept.push(batch.swap_whole(VecDeque::with_capacity(2)));
+        });
+        assert_eq!(drained, 3);
+        let kept: Vec<u64> = kept[0].iter().map(|e| key(e).1).collect();
+        assert_eq!(kept, vec![0, 1, 2]);
+
+        // Two rounds, so the lane runs in more than one swapped buffer.
+        for round in 0..2 {
+            let first = 3 + round * 6;
+            for i in first..first + 5 {
+                lanes.push(0, ev(0, i));
+            }
+            let mut seen = Vec::new();
+            let drained = drain_each(&lanes, 2, |e| {
+                seen.push(key(&e).1);
+                if seen.len() == 1 {
+                    lanes.push(0, ev(0, first + 5));
+                }
+            });
+            assert_eq!(drained, 2);
+            seen.extend(drain_all(&lanes));
+            assert_eq!(seen, (first..first + 6).collect::<Vec<_>>());
+        }
+        assert!(lanes.is_drained(0));
     }
 
     /// One producer racing the drains, at two block sizes: every event
@@ -394,7 +518,7 @@ mod tests {
             };
             let mut next = 0_u64;
             while next < N {
-                lanes.drain(usize::MAX, |e| {
+                drain_each(&lanes, usize::MAX, |e| {
                     let k = key(&e).1;
                     assert_eq!(k, next, "event order violated");
                     next += 1;

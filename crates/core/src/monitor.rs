@@ -48,8 +48,9 @@
 //! [`Stats::monitor_restarts`], and the monitor is rebuilt via
 //! `Monitor::respawn` — a fresh instance seeded with the RAG snapshot
 //! taken at the end of the last *successful* pass that changed it
-//! (`last_good`; idle passes reuse the snapshot they would only have
-//! re-cloned), plus the predictor as it stood at that same moment.
+//! (`last_good`, refreshed in place with `clone_from`; idle passes keep
+//! the snapshot they would only have copied again), plus the predictor as
+//! it stood at that same moment.
 //! Probe state may have been mid-mutation when the pass died, so open
 //! probes are abandoned (a missed calibration sample, never a correctness
 //! loss); the predictor is restored so pre-panic lock orderings — and the
@@ -59,11 +60,18 @@
 //!
 //! The predictor's restart point is not a clone per busy pass, which
 //! would cost every pass the whole lock-order graph, but a rarely
-//! refreshed checkpoint plus the inputs fed since (`LoggedPredictor`),
-//! replayed on respawn under the predictor's determinism contract
-//! ([`Predictor`]). A refresh copies the live predictor's flat buffers
-//! into the checkpoint's own (`clone_from`), so it allocates only where
-//! the live predictor has outgrown them.
+//! refreshed checkpoint plus a log of what was fed since
+//! (`LoggedPredictor`), replayed on respawn under the predictor's
+//! determinism contract ([`Predictor`]). The log does not copy what it is
+//! fed: it keeps the lane buffers the drain swapped out, events and all,
+//! and hands the lanes spare ones in their place; only a batch that fills
+//! less than half its buffer is copied, into the log's last block. One
+//! function (`Fed::of`) says what an event feeds the predictor, for the
+//! live feed and the replay alike; the inputs no lane event carries
+//! (claimed quiet holds, passes) are logged beside the events, in feed
+//! order. A refresh copies the live predictor's flat buffers into the
+//! checkpoint's own (`clone_from`), so it allocates only where the live
+//! predictor has outgrown them, and the emptied blocks become spares.
 //!
 //! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
@@ -78,7 +86,7 @@
 use crate::avoidance::AvoidanceCore;
 use crate::config::{Config, Immunity, DEFAULT_DEPTH};
 use crate::event::{Event, YieldInfo};
-use crate::lanes::EventLanes;
+use crate::lanes::{Batch, EventLanes};
 use crate::stats::Stats;
 use dimmunix_predict::{PredictedCycle, Predictor};
 use dimmunix_rag::{LockId, Rag, ThreadId};
@@ -86,6 +94,7 @@ use dimmunix_signature::{
     suffix_matches, CalibrationUpdate, CallStack, CycleKind, FrameTable, History, HistoryError,
     IdSet, Provenance, Signature, StackId, StackTable,
 };
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Callback invoked with a detected cycle's signature and participants.
@@ -183,6 +192,20 @@ enum Fed {
 }
 
 impl Fed {
+    /// What applying `event` feeds the predictor, if anything. The live
+    /// feed and a respawn's replay both map events through this, so the two
+    /// cannot disagree.
+    fn of(event: &Event) -> Option<Fed> {
+        match *event {
+            Event::Granted { t, l, stack, .. } | Event::Acquired { t, l, stack } => {
+                Some(Fed::Acquired(t, l, stack))
+            }
+            Event::Release { t, l } => Some(Fed::Release(t, l)),
+            Event::ThreadExit { t } => Some(Fed::ThreadExit(t)),
+            Event::Go { .. } | Event::Yield { .. } | Event::Cancel { .. } => None,
+        }
+    }
+
     /// Applies this input to `p`; returns the cycles its passes found.
     fn apply(self, p: &mut Predictor) -> Vec<PredictedCycle> {
         match self {
@@ -195,69 +218,194 @@ impl Fed {
     }
 }
 
+/// How far the log reaches: now (`LoggedPredictor::logged`), or at the
+/// last commit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Mark {
+    /// Events in `LoggedPredictor::blocks`.
+    events: usize,
+    /// Entries in `LoggedPredictor::fed`.
+    fed: usize,
+    /// Predictor inputs: events that feed one, and `fed` entries.
+    inputs: u64,
+}
+
 /// The live predictor and its restart point: `checkpoint`, a copy
-/// refreshed rarely, plus the inputs fed since. `committed` runs from the
-/// checkpoint to the end of the last busy pass — the state a respawn
-/// restores — `pending` from there on.
+/// refreshed rarely, plus a log of what was fed since. The log up to
+/// `committed` — the end of the last busy pass — is the state a respawn
+/// restores ([`LoggedPredictor::restored`]); what follows is pending.
 ///
-/// A busy pass moves `pending` onto `committed`. Once `committed` holds
-/// more entries than a copy of the live predictor copies
-/// ([`Predictor::clone_len`]: its arenas, dead space included, and its
-/// maps' tables), replaying it would cost about as much as a copy, so the
-/// live predictor is copied into the checkpoint's buffers (`clone_from`)
-/// and the log empties: copy work is amortised O(1) per input, and
-/// `committed` never exceeds one checkpoint's size by more than one
-/// pass's inputs. Idle passes are never committed, and consecutive passes
-/// merge into one entry, so an idle monitor's `pending` stays one
-/// `Passes(n)`.
+/// The log is two sequences. `blocks` holds every event the monitor applied
+/// since the checkpoint, in order, in the lane buffers the drain produced:
+/// a batch that fills at least half its buffer moves into the log whole,
+/// and the lane is handed a spare in its place; a sparser one is copied
+/// into the last block, or into a fresh one when it does not fit. So the
+/// log holds no event twice. A kept buffer is at least half full, and a
+/// block left partly empty is one that a kept buffer of at least half a
+/// lane's block followed, so the log takes at most 2 × 32 B per event for
+/// a busy lane's buffers, and 4 × 32 B in the worst interleaving. `fed`
+/// holds the inputs no lane event carries — claimed quiet holds, and
+/// passes — each with the number of events logged before it, so a replay
+/// interleaves the two in feed order. Both map to predictor inputs through
+/// [`Fed::of`], live and on replay alike.
+///
+/// A busy pass commits. Once the committed log holds more inputs than a
+/// copy of the live predictor copies ([`Predictor::clone_len`]: its
+/// arenas, dead space included, and its maps' tables), replaying it would
+/// cost about as much as a copy, so the live predictor is copied into the
+/// checkpoint's buffers (`clone_from`) and the log empties: copy work is
+/// amortised O(1) per input, and the log never exceeds one checkpoint's
+/// size by more than one pass's inputs. Every emptied block becomes a
+/// spare, shrunk to a lane's block. A block is allocated only when no
+/// spare is left, so the spares and the log's blocks together never
+/// outnumber the most blocks the log ever held: memory it held already.
+/// A stretch between checkpoints that logs no more blocks than that takes
+/// every lane buffer and tail block from the spares and allocates none.
+/// Idle passes are never committed, and consecutive passes merge into one
+/// entry, so an idle monitor's pending log stays one `Passes(n)`.
 struct LoggedPredictor {
     live: Predictor,
     checkpoint: Predictor,
-    committed: Vec<Fed>,
-    pending: Vec<Fed>,
+    blocks: Vec<VecDeque<Event>>,
+    fed: Vec<(usize, Fed)>,
+    /// The log's length now.
+    logged: Mark,
+    /// The log's length at the last commit.
+    committed: Mark,
+    /// Emptied blocks, handed to the lanes for the buffers the log keeps
+    /// and opened as tail blocks.
+    spares: Vec<VecDeque<Event>>,
+    /// A lane's block ([`EventLanes::block_capacity`]): the size of a
+    /// spare.
+    block_capacity: usize,
 }
 
 impl LoggedPredictor {
-    fn new(predictor: Predictor) -> Self {
+    fn new(predictor: Predictor, block_capacity: usize) -> Self {
         Self {
             checkpoint: predictor.clone(),
             live: predictor,
-            committed: Vec::new(),
-            pending: Vec::new(),
+            blocks: Vec::new(),
+            fed: Vec::new(),
+            logged: Mark::default(),
+            committed: Mark::default(),
+            spares: Vec::new(),
+            block_capacity,
         }
     }
 
-    /// The one way into the live predictor: applies `input` and logs it.
+    /// Feeds the live predictor what `event` carries, if anything; the
+    /// event itself is logged with its batch ([`LoggedPredictor::log`]).
+    fn feed_event(&mut self, event: &Event) {
+        if let Some(input) = Fed::of(event) {
+            input.apply(&mut self.live);
+            self.logged.inputs += 1;
+        }
+    }
+
+    /// Logs a batch whose events were all just fed ([`Self::feed_event`]),
+    /// keeping its buffer when the events fill at least half of it.
+    fn log(&mut self, batch: Batch<'_>) {
+        let n = batch.len();
+        self.logged.events += n;
+        if batch.is_whole() && 2 * n >= batch.capacity() {
+            let spare = self.spares.pop().unwrap_or_default();
+            self.blocks.push(batch.swap_whole(spare));
+            return;
+        }
+        match self.blocks.last_mut() {
+            Some(tail) if tail.capacity() - tail.len() >= n => tail.extend(batch),
+            _ => {
+                let mut block = self
+                    .spares
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(self.block_capacity));
+                block.extend(batch);
+                self.blocks.push(block);
+            }
+        }
+    }
+
+    /// Applies an input no lane event carries, and logs it.
     fn feed(&mut self, input: Fed) -> Vec<PredictedCycle> {
         let cycles = input.apply(&mut self.live);
-        match (input, self.pending.last_mut()) {
-            (Fed::Passes(n), Some(Fed::Passes(m))) => *m += n,
-            _ => self.pending.push(input),
+        let at = self.logged.events;
+        match (input, self.fed.last_mut()) {
+            (Fed::Passes(n), Some((last_at, Fed::Passes(m))))
+                if *last_at == at && self.logged.fed > self.committed.fed =>
+            {
+                *m += n;
+            }
+            _ => {
+                self.fed.push((at, input));
+                self.logged.fed += 1;
+                self.logged.inputs += 1;
+            }
         }
         cycles
     }
 
     /// Makes the live state the restart point (end of a busy pass).
     fn commit(&mut self) {
-        self.committed.append(&mut self.pending);
-        if self.committed.len() as u64 > self.live.clone_len() {
+        self.committed = self.logged;
+        if self.committed.inputs > self.live.clone_len() {
             self.checkpoint.clone_from(&self.live);
-            self.committed.clear();
+            for mut block in self.blocks.drain(..) {
+                block.clear();
+                block.shrink_to(self.block_capacity);
+                self.spares.push(block);
+            }
+            self.fed.clear();
+            self.logged = Mark::default();
+            self.committed = Mark::default();
         }
     }
 
-    /// The predictor as it stood at the last commit, with the same log.
+    /// Inputs logged since the last commit: events and `fed` entries.
+    #[cfg(test)]
+    fn pending(&self) -> usize {
+        self.logged.events - self.committed.events + self.logged.fed - self.committed.fed
+    }
+
+    /// The predictor as it stood at the last commit, with the same
+    /// committed log (its events in one block).
     fn restored(&self) -> Self {
         let mut live = self.checkpoint.clone();
-        for &input in &self.committed {
-            // A replayed pass's cycles went to the history when it first ran.
+        let committed = self.committed;
+        let events: VecDeque<Event> = self
+            .blocks
+            .iter()
+            .flatten()
+            .take(committed.events)
+            .cloned()
+            .collect();
+        let fed = &self.fed[..committed.fed];
+        let mut next = fed.iter().peekable();
+        // A replayed pass's cycles went to the history when it first ran.
+        for (i, event) in events.iter().enumerate() {
+            while let Some((_, input)) = next.next_if(|&&(at, _)| at == i) {
+                input.apply(&mut live);
+            }
+            if let Some(input) = Fed::of(event) {
+                input.apply(&mut live);
+            }
+        }
+        for (_, input) in next {
             input.apply(&mut live);
         }
         Self {
             live,
             checkpoint: self.checkpoint.clone(),
-            committed: self.committed.clone(),
-            pending: Vec::new(),
+            blocks: if events.is_empty() {
+                Vec::new()
+            } else {
+                vec![events]
+            },
+            fed: fed.to_vec(),
+            logged: committed,
+            committed,
+            spares: Vec::new(),
+            block_capacity: self.block_capacity,
         }
     }
 }
@@ -306,7 +454,7 @@ impl Monitor {
         let predictor = config
             .prediction
             .clone()
-            .map(|cfg| LoggedPredictor::new(Predictor::new(cfg)));
+            .map(|cfg| LoggedPredictor::new(Predictor::new(cfg), lanes.block_capacity()));
         let predicted_budget_used = if predictor.is_some() {
             history
                 .snapshot()
@@ -398,12 +546,13 @@ impl Monitor {
         // consistent restart point. An idle pass — no event applied, no
         // enumeration pending, no yield broken — leaves the RAG as the
         // snapshot already has it and moves only the predictor's aging
-        // clock, which a respawned monitor simply runs again; cloning the
-        // RAG regardless made every idle tick O(held locks). The predictor
-        // is not cloned here at all: the commit only moves its logged
-        // inputs, and clones it once the log outgrows it.
+        // clock, which a respawned monitor simply runs again; copying the
+        // RAG regardless made every idle tick O(held locks). The copy goes
+        // into the snapshot's own tables. The predictor is not copied here
+        // at all: the commit only marks how far its log reaches, and copies
+        // it once the log outgrows it.
         if busy {
-            self.last_good = self.rag.clone();
+            self.last_good.clone_from(&self.rag);
             if let Some(p) = &mut self.predictor {
                 p.commit();
             }
@@ -431,8 +580,8 @@ impl Monitor {
             Arc::clone(&self.hooks),
         );
         fresh.rag = self.last_good.clone();
+        fresh.last_good.clone_from(&fresh.rag);
         fresh.rag.mark_all_dirty();
-        fresh.last_good = self.last_good.clone();
         fresh.predictor = self.predictor.as_ref().map(LoggedPredictor::restored);
         fresh.dirty = self.dirty;
         fresh
@@ -448,26 +597,35 @@ impl Monitor {
     pub(crate) fn degraded_step(&mut self, core: &AvoidanceCore) {
         Stats::bump(&self.stats.monitor_passes);
         core.refresh_published();
-        self.drain_with(|_, _| {});
+        self.drain_with(|_, batch| batch.events().map(Event::outcomes).sum());
     }
 
-    /// Applies everything queued (up to [`DRAIN_CAP`]); returns how many
-    /// lane entries that was.
+    /// Applies everything queued (up to [`DRAIN_CAP`]), and logs it for the
+    /// predictor's restart point; returns how many lane entries that was.
     fn drain_events(&mut self) -> usize {
-        self.drain_with(Self::apply)
+        self.drain_with(|monitor, batch| {
+            let mut retired = 0;
+            for event in batch.events() {
+                retired += event.outcomes();
+                monitor.apply(event);
+            }
+            if let Some(p) = &mut monitor.predictor {
+                p.log(batch);
+            }
+            retired
+        })
     }
 
-    /// Hands everything queued (up to [`DRAIN_CAP`]) to `apply` and does the
-    /// accounting both passes share; returns how many lane entries that was.
-    fn drain_with(&mut self, mut apply: impl FnMut(&mut Self, Event)) -> usize {
+    /// Hands everything queued (up to [`DRAIN_CAP`]) to `apply`, one lane's
+    /// batch at a time, and does the accounting both passes share; returns
+    /// how many lane entries that was. `apply` returns how many hook
+    /// outcomes the batch retired.
+    fn drain_with(&mut self, mut apply: impl FnMut(&mut Self, Batch<'_>) -> u64) -> usize {
         let lanes = Arc::clone(&self.lanes);
         // `events_processed` counts hook outcomes retired, not lane entries
         // (one `Granted` stands for a request, its GO and the acquisition).
         let mut retired = 0_u64;
-        let drained = lanes.drain(DRAIN_CAP, |event| {
-            retired += event.outcomes();
-            apply(self, event);
-        });
+        let drained = lanes.drain(DRAIN_CAP, |batch| retired += apply(self, batch));
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.events_processed.fetch_add(retired, Relaxed);
         // Monitor-lag gauges: drain size per pass and peak lane depth, in
@@ -494,7 +652,10 @@ impl Monitor {
         let claims = core.claim_quiet(&awaited);
         for &(t, l, stack) in &claims {
             self.rag.on_granted(t, l, stack);
-            self.note_acquired(t, l, stack);
+            if let Some(p) = &mut self.predictor {
+                p.feed(Fed::Acquired(t, l, stack));
+            }
+            self.feed_probes(t, l, true);
         }
         self.stats.events_processed.fetch_add(
             3 * claims.len() as u64,
@@ -503,24 +664,33 @@ impl Monitor {
         !claims.is_empty()
     }
 
-    fn apply(&mut self, event: Event) {
-        match event {
+    /// Applies one drained event to the RAG, the predictor and the open
+    /// probes.
+    fn apply(&mut self, event: &Event) {
+        if let Some(p) = &mut self.predictor {
+            p.feed_event(event);
+        }
+        match *event {
             Event::Go { t, l, stack, .. } => self.rag.on_go(t, l, stack),
-            Event::Yield { t, l, stack, info } => {
+            Event::Yield {
+                t,
+                l,
+                stack,
+                ref info,
+            } => {
                 self.rag.on_yield(t, l, stack, info.causes.clone());
-                self.open_probe(t, l, &info);
+                self.open_probe(t, l, info);
             }
             Event::Granted { t, l, stack, .. } => {
                 self.rag.on_granted(t, l, stack);
-                self.note_acquired(t, l, stack);
+                self.feed_probes(t, l, true);
             }
             Event::Acquired { t, l, stack } => {
                 self.rag.on_acquired(t, l, stack);
-                self.note_acquired(t, l, stack);
+                self.feed_probes(t, l, true);
             }
             Event::Release { t, l } => {
                 self.feed_probes(t, l, false);
-                self.feed(Fed::Release(t, l));
                 self.rag.on_release(t, l);
             }
             Event::Cancel { t, l, .. } => {
@@ -533,24 +703,7 @@ impl Monitor {
                     }
                 }
             }
-            Event::ThreadExit { t } => {
-                self.feed(Fed::ThreadExit(t));
-                self.rag.on_thread_exit(t);
-            }
-        }
-    }
-
-    /// What an acquisition feeds besides the RAG: the lock-order predictor
-    /// and the open false-positive probes.
-    fn note_acquired(&mut self, t: ThreadId, l: LockId, stack: StackId) {
-        self.feed(Fed::Acquired(t, l, stack));
-        self.feed_probes(t, l, true);
-    }
-
-    /// Feeds one input to the predictor, if prediction is on.
-    fn feed(&mut self, input: Fed) {
-        if let Some(p) = &mut self.predictor {
-            p.feed(input);
+            Event::ThreadExit { t } => self.rag.on_thread_exit(t),
         }
     }
 
@@ -987,14 +1140,14 @@ mod tests {
                 assert!(!p.live.has_pending_work(), "no enumeration left over");
                 if !idle_run {
                     busy_dump = dump(&monitor);
-                    assert!(p.committed.len() as u64 <= p.live.clone_len());
-                    if p.committed.is_empty() {
+                    assert!(p.committed.inputs <= p.live.clone_len());
+                    if p.committed.inputs == 0 {
                         checkpoints += 1;
                     } else {
                         replayed += 1;
                     }
                 }
-                assert!(p.pending.len() <= 1, "round {round}: {:?}", p.pending);
+                assert!(p.pending() <= 1, "round {round}: {:?}", p.fed);
                 assert_eq!(dump(&monitor.respawn()), busy_dump, "round {round}");
             }
         }
@@ -1002,6 +1155,88 @@ mod tests {
             checkpoints >= 3 && replayed >= 3,
             "{checkpoints} {replayed}"
         );
+    }
+
+    /// A respawn replays every kind of entry the log holds, on top of a
+    /// checkpoint: lane buffers moved into the log whole, sparse batches
+    /// copied into its tail block, quiet-hold claims logged between them,
+    /// and `Yield` / `Cancel` events, which feed the predictor nothing.
+    /// After every pass the respawned predictor dumps as the live one did.
+    #[test]
+    fn a_respawn_replays_moved_copied_and_claimed_inputs() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let (site, s) = site(&frames, &stacks);
+        // Lanes drain in registration order: the dense one first, so the
+        // sparse batches after it go into its buffer's room.
+        let [dense, sparse, holder, waiter, cause, yielder] =
+            [(); 6].map(|()| core.register_thread().unwrap());
+        let held = [frames.intern("cause", "respawn.rs", 1)];
+        let wanted = [frames.intern("yielder", "respawn.rs", 2)];
+        let (hs, ws) = (stacks.intern(&held), stacks.intern(&wanted));
+        monitor
+            .history
+            .add(CycleKind::Deadlock, vec![hs, ws], 1)
+            .unwrap();
+        let nests = |t, first: u64, n: u64| {
+            for i in first..first + n {
+                for l in i..i + 3 {
+                    core.request(t, LockId(l), &site, s);
+                    core.acquired(t, LockId(l), s);
+                }
+                for l in (i..i + 3).rev() {
+                    core.release(t, LockId(l));
+                }
+            }
+        };
+        let (quiet, a, b) = (LockId(1000), LockId(1001), LockId(1002));
+        let dump = |m: &Monitor| format!("{:?}", m.predictor.as_ref().unwrap().live);
+        let (mut checkpoints, mut covered) = (0, 0);
+        for round in 0..12_u64 {
+            // 600 events, over half a block: the buffer moves whole.
+            nests(dense, 100 + round % 7, 100);
+            nests(sparse, 300 + round % 3, 2);
+            if round % 2 == 0 {
+                // A quiet hold with a waiter: the pass claims it.
+                core.request(holder, quiet, &site, s);
+                core.acquired(holder, quiet, s);
+                core.request(waiter, quiet, &site, s);
+                core.waiting(waiter, quiet, s);
+            } else {
+                core.release(holder, quiet);
+                core.acquired(waiter, quiet, s);
+                core.release(waiter, quiet);
+            }
+            // A yield on the signature, then its cancel.
+            core.request(cause, a, &held, hs);
+            core.acquired(cause, a, hs);
+            let d = core.request(yielder, b, &wanted, ws);
+            assert!(matches!(d, crate::Decision::Yield { .. }), "{d:?}");
+            core.cancel(yielder, b);
+            core.release(cause, a);
+
+            monitor.step(&core, &|_| {});
+            let busy_dump = dump(&monitor);
+            let p = monitor.predictor.as_ref().unwrap();
+            if p.committed.inputs == 0 {
+                checkpoints += 1;
+            }
+            let events: Vec<&Event> = p.blocks.iter().flatten().collect();
+            let moved = p.blocks.iter().any(|b| b.len() >= 600);
+            let copied = p
+                .blocks
+                .iter()
+                .any(|b| b.iter().any(|e| e.thread() == sparse) && b[0].thread() == dense);
+            let claimed = p.fed.iter().any(|&(at, input)| {
+                matches!(input, Fed::Acquired(t, ..) if t == holder) && at > 0 && at < events.len()
+            });
+            let fed_nothing = events.iter().any(|e| matches!(e, Event::Yield { .. }))
+                && events.iter().any(|e| matches!(e, Event::Cancel { .. }));
+            if checkpoints > 0 && moved && copied && claimed && fed_nothing {
+                covered += 1;
+            }
+            assert_eq!(dump(&monitor.respawn()), busy_dump, "round {round}");
+        }
+        assert!(checkpoints >= 1 && covered >= 3, "{checkpoints} {covered}");
     }
 
     /// The one call stack the quiet-hold tests lock with: it hits no

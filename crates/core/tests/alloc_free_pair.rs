@@ -193,7 +193,7 @@ fn dropping_lanes_frees_every_block_and_queued_event() {
             );
         }
         assert_eq!(lanes.overflow_count(), 2, "five events past two blocks");
-        assert_eq!(lanes.drain(1, drop), 1);
+        assert_eq!(lanes.drain(1, |_| {}), 1);
     });
     // Per event a box and two vectors; the lane array, the lane and at
     // least its first buffer and the spare.

@@ -132,13 +132,65 @@ pub struct RagStats {
 ///
 /// Two graphs compare equal when every vertex, edge and pending-detection
 /// mark agrees (the equivalence the fused [`Rag::on_granted`] is tested to).
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A copy ([`Clone::clone_from`] included) copies just as much, into the
+/// destination's own tables.
+#[derive(Default)]
 pub struct Rag {
     threads: IdMap<ThreadId, ThreadNode>,
     locks: IdMap<LockId, LockNode>,
     /// Threads whose outgoing edges changed since the last detection pass;
     /// new cycles must involve at least one of them.
     dirty: IdSet<ThreadId>,
+    /// Emptied `holders` buffers of removed lock vertices, which new
+    /// vertices take before allocating one. A vertex goes with its last
+    /// holder, so without them every hold of a lock nobody else holds
+    /// would allocate one. Every removed vertex leaves its buffer here, and
+    /// a vertex allocates only when none is left, so these and the live
+    /// vertices' buffers together never outnumber the most lock vertices
+    /// the graph ever had at once: memory it already held. Not part of the
+    /// graph: equality, `Debug` and copies ignore them.
+    spare_holders: Vec<Vec<(ThreadId, StackId)>>,
+}
+
+impl Clone for Rag {
+    fn clone(&self) -> Self {
+        Self {
+            threads: self.threads.clone(),
+            locks: self.locks.clone(),
+            dirty: self.dirty.clone(),
+            spare_holders: Vec::new(),
+        }
+    }
+
+    /// Copies `source` into this graph's own tables: a snapshot refreshed
+    /// this way allocates only where `source` has outgrown it.
+    fn clone_from(&mut self, source: &Self) {
+        self.threads.clone_from(&source.threads);
+        self.locks.clone_from(&source.locks);
+        self.dirty.clone_from(&source.dirty);
+    }
+}
+
+impl PartialEq for Rag {
+    fn eq(&self, other: &Self) -> bool {
+        self.threads == other.threads && self.locks == other.locks && self.dirty == other.dirty
+    }
+}
+
+impl Eq for Rag {}
+
+/// `l`'s vertex in `locks`, made with a spare `holders` buffer if it has
+/// none. (A function of the two fields, so a caller can still touch the
+/// others while it holds the vertex.)
+fn lock_vertex<'a>(
+    locks: &'a mut IdMap<LockId, LockNode>,
+    spare_holders: &mut Vec<Vec<(ThreadId, StackId)>>,
+    l: LockId,
+) -> &'a mut LockNode {
+    locks.entry(l).or_insert_with(|| LockNode {
+        holders: spare_holders.pop().unwrap_or_default(),
+        waiters: IdSet::default(),
+    })
 }
 
 impl Rag {
@@ -152,16 +204,17 @@ impl Rag {
     }
 
     fn lock_mut(&mut self, l: LockId) -> &mut LockNode {
-        self.locks.entry(l).or_default()
+        lock_vertex(&mut self.locks, &mut self.spare_holders, l)
     }
 
     /// Applies `f` to `l`'s vertex, if it has one, and removes the vertex
-    /// once nothing holds or waits for `l`.
+    /// once nothing holds or waits for `l`, keeping its `holders` buffer.
     fn update_lock(&mut self, l: LockId, f: impl FnOnce(&mut LockNode)) {
         if let Some(lock) = self.locks.get_mut(&l) {
             f(lock);
             if lock.holders.is_empty() && lock.waiters.is_empty() {
-                self.locks.remove(&l);
+                let lock = self.locks.remove(&l).expect("just found");
+                self.spare_holders.push(lock.holders);
             }
         }
     }
@@ -237,7 +290,7 @@ impl Rag {
         node.waiting = None;
         node.yields.clear();
         node.holds.push(l);
-        let lock = self.locks.entry(l).or_default();
+        let lock = lock_vertex(&mut self.locks, &mut self.spare_holders, l);
         lock.waiters.remove(&t);
         lock.holders.push((t, s));
         // As in `on_acquired`: every waiter of `l` now waits on `t`.
@@ -925,6 +978,41 @@ mod tests {
         // T1 is woken even though T2 is still stuck on L3.
         rag.on_release(t(2), l(2));
         assert!(rag.find_yield_cycles().is_empty());
+    }
+
+    /// A lock vertex goes with its last holder and lends its `holders`
+    /// buffer to the next new vertex. The kept buffers are no part of the
+    /// graph: a copy has none, and equality ignores them.
+    #[test]
+    fn a_removed_lock_vertex_lends_its_buffer_to_the_next() {
+        let mut rag = Rag::new();
+        rag.on_granted(t(1), l(1), S);
+        let buffer = rag.locks[&l(1)].holders.as_ptr();
+        rag.on_release(t(1), l(1));
+        assert!(rag.locks.is_empty());
+        assert_eq!(rag.spare_holders.len(), 1);
+        let copy = rag.clone();
+        assert!(copy.spare_holders.is_empty());
+        assert!(copy == rag);
+
+        rag.on_granted(t(2), l(2), S);
+        assert_eq!(rag.locks[&l(2)].holders.as_ptr(), buffer);
+        assert!(rag.spare_holders.is_empty());
+        let mut snapshot = copy;
+        snapshot.clone_from(&rag);
+        assert!(snapshot == rag);
+        assert_eq!(snapshot.held_locks(t(2)), [l(2)]);
+
+        // Kept and live buffers never outnumber the most vertices at once.
+        for i in 3..6 {
+            rag.on_granted(t(2), l(i), S);
+        }
+        for i in 2..6 {
+            rag.on_release(t(2), l(i));
+        }
+        assert_eq!(rag.spare_holders.len(), 4);
+        rag.on_granted(t(3), l(9), S);
+        assert_eq!(rag.spare_holders.len() + rag.locks.len(), 4);
     }
 
     #[test]
