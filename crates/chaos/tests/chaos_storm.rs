@@ -37,8 +37,8 @@ impl Rng {
 }
 
 /// One fixed-seed storm with prediction enabled: the monitor is scripted-
-/// killed mid-storm, and the restart path must restore the predictor as it
-/// stood at the end of the last busy pass. A lock ordering taught (and fully released)
+/// killed mid-storm, and the restart path must keep the predictor as its
+/// last completed call left it. A lock ordering taught (and fully released)
 /// before the kill combines with only its post-storm inverse into a fresh
 /// prediction — impossible if the respawned monitor had started from an
 /// empty lock-order graph.

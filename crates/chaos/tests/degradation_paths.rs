@@ -3,8 +3,9 @@
 //!
 //! 1. a registered thread panics at its Nth acquire while holding locks —
 //!    the unwind sweep must reclaim its state and wake its yielders;
-//! 2. the monitor panics — the supervisor restarts it from the last good
-//!    RAG snapshot, and past the restart budget degrades to pass-through
+//! 2. the monitor panics, by a scripted fault or in a user hook — the
+//!    supervisor restarts it from the last good RAG snapshot and the live
+//!    predictor, and past the restart budget degrades to pass-through
 //!    mode with bounded yield waits;
 //! 3. the history file is torn (truncated / corrupted / crash before
 //!    rename) — the next boot salvages the valid prefix.
@@ -14,9 +15,10 @@
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
 use dimmunix_core::config::MONITOR_RESTART_BUDGET;
-use dimmunix_core::{Config, CycleKind, HistoryError, PredictionConfig, Runtime};
+use dimmunix_core::{Config, CycleKind, HistoryError, Hooks, PredictionConfig, Runtime};
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -160,9 +162,9 @@ fn monitor_restart_resumes_detection_from_snapshot() {
     assert_eq!(guard.fired().monitor_faults, 1);
 }
 
-/// Path 2c: the restart also restores the *predictor* (its checkpoint with
-/// the logged inputs replayed). A lock ordering taught (and fully released) before the panic
-/// exists only inside predictor state — the RAG snapshot holds nothing
+/// Path 2c: the restart also keeps the *predictor*, copied as its last
+/// completed call left it. A lock ordering taught (and fully released)
+/// before the panic exists only inside predictor state — the RAG snapshot holds nothing
 /// about it — so a prediction fired by feeding just the inverse ordering
 /// after the restart proves the respawned monitor resumed the pre-panic
 /// lock-order graph and condensation rather than an empty one.
@@ -182,8 +184,8 @@ fn monitor_restart_restores_predictor_from_snapshot() {
     let sa = rt.make_site(&[("m", "x.rs", 1), ("u", "x.rs", 3)]);
     let sb = rt.make_site(&[("m", "x.rs", 2), ("u", "x.rs", 3)]);
 
-    // Pass 1 (succeeds): the predictor learns a→b, everything is released
-    // again, and the end-of-pass snapshot captures the predictor clone.
+    // Pass 1 (succeeds): the predictor learns a→b, and everything is
+    // released again.
     rt.core().request(t0, a, sa.frames(), sa.stack());
     rt.core().acquired(t0, a, sa.stack());
     rt.core().request(t0, b, sb.frames(), sb.stack());
@@ -195,7 +197,7 @@ fn monitor_restart_restores_predictor_from_snapshot() {
     rt.step_monitor(); // pass 2: scripted panic → respawn from snapshots
 
     // Only the inverse ordering arrives after the restart. Predicting the
-    // a↔b cycle needs the pre-panic a→b edge from the restored clone.
+    // a↔b cycle needs the pre-panic a→b edge from the copied predictor.
     rt.core().request(t1, b, sb.frames(), sb.stack());
     rt.core().acquired(t1, b, sb.stack());
     rt.core().request(t1, a, sa.frames(), sa.stack());
@@ -215,6 +217,82 @@ fn monitor_restart_restores_predictor_from_snapshot() {
     assert!(stats.predicted_signatures >= 1, "{stats:?}");
     assert_eq!(rt.history().len(), 1);
     assert_eq!(guard.fired().monitor_faults, 1);
+}
+
+/// Path 2d: a user hook that panics mid-pass, the one monitor panic user
+/// code can reach. The deadlock hook runs after the pass has fed the
+/// predictor and archived the cycle, so the restart keeps both: the
+/// deadlock's signature stays in the history, and an order the dying pass
+/// fed still predicts its inverse after the restart, though the RAG rolls
+/// back to the last good snapshot.
+#[test]
+fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
+    quiet_scripted_panics();
+    // No fault is scripted; the install keeps other scenarios' plans out.
+    let _guard = install(FaultPlan::none());
+    let fired = Arc::new(AtomicBool::new(false));
+    let hooks = Hooks {
+        on_deadlock: Some(Box::new({
+            let fired = Arc::clone(&fired);
+            move |_, _| {
+                if !fired.swap(true, Ordering::SeqCst) {
+                    panic!("scripted: the deadlock hook panics once");
+                }
+            }
+        })),
+        ..Hooks::default()
+    };
+    let rt = Runtime::with_hooks(
+        Config {
+            prediction: Some(PredictionConfig::default()),
+            ..Config::default()
+        },
+        hooks,
+    )
+    .unwrap();
+    let [t0, t1, t2, t3] = [(); 4].map(|()| rt.core().register_thread().unwrap());
+    let [a, b, c, d] = [(); 4].map(|()| rt.new_lock_id());
+    let [sa, sb, sc, sd] =
+        [1, 2, 3, 4].map(|line| rt.make_site(&[("m", "hook.rs", line), ("u", "hook.rs", 9)]));
+    let acquire = |t, l, s: &dimmunix_core::LockSite| {
+        rt.core().request(t, l, s.frames(), s.stack());
+        rt.core().acquired(t, l, s.stack());
+    };
+
+    // One pass: t0 and t1 deadlock over a and b, and t2 orders c before d.
+    acquire(t0, a, &sa);
+    acquire(t1, b, &sb);
+    rt.core().request(t0, b, sb.frames(), sb.stack());
+    rt.core().waiting(t0, b, sb.stack());
+    rt.core().request(t1, a, sa.frames(), sa.stack());
+    rt.core().waiting(t1, a, sa.stack());
+    acquire(t2, c, &sc);
+    acquire(t2, d, &sd);
+    rt.core().release(t2, d);
+    rt.core().release(t2, c);
+    rt.step_monitor(); // detects, archives, the hook panics → respawn
+
+    let stats = rt.stats();
+    assert!(fired.load(Ordering::SeqCst));
+    assert_eq!(stats.monitor_restarts, 1, "{stats:?}");
+    assert_eq!(stats.degraded_mode, 0, "{stats:?}");
+    assert_eq!(stats.deadlocks_detected, 1, "{stats:?}");
+    let detected = rt.history().find_by_stacks(&[sa.stack(), sb.stack()]);
+    assert!(detected.is_some(), "{:?}", rt.history().snapshot());
+    assert_eq!(stats.cycles_predicted, 0, "{stats:?}");
+
+    // Only the inverse of t2's order arrives after the restart.
+    acquire(t3, d, &sd);
+    acquire(t3, c, &sc);
+    rt.core().release(t3, c);
+    rt.core().release(t3, d);
+    rt.step_monitor();
+
+    let stats = rt.stats();
+    assert_eq!(stats.monitor_restarts, 1, "{stats:?}");
+    assert_eq!(stats.cycles_predicted, 1, "{stats:?}");
+    assert_eq!(stats.predicted_signatures, 1, "{stats:?}");
+    assert_eq!(rt.history().len(), 2);
 }
 
 /// Path 2b: the monitor keeps dying. After the restart budget the runtime

@@ -291,11 +291,12 @@ impl Runtime {
                 }
                 monitor.degraded_step(&inner.core);
             } else {
-                // Replace the panicked monitor (its probe/predictor state
-                // may be mid-mutation) with a fresh one seeded from the
-                // RAG snapshot of its last successful pass, the predictor
-                // replayed from its checkpoint to the end of the last busy
-                // pass, and the unsaved-history flag the dead pass set.
+                // Replace the panicked monitor (its probe state may be
+                // mid-mutation) with a fresh one seeded from the RAG
+                // snapshot of its last successful pass, a copy of the
+                // predictor as its last completed call left it (a fresh
+                // one if the panic struck inside a call), and the
+                // unsaved-history flag the dead pass set.
                 *monitor = monitor.respawn();
             }
         }

@@ -398,12 +398,6 @@ impl LockOrderGraph {
         self.arcs.len() + self.insts.len() + self.guards.len()
     }
 
-    /// Entries a clone copies: the arenas, dead space included, and the
-    /// map's table.
-    pub fn clone_len(&self) -> usize {
-        self.arena_len() + self.edges.capacity()
-    }
-
     /// Total stored edge instances.
     pub fn instance_count(&self) -> usize {
         self.instances

@@ -198,8 +198,15 @@ struct Held {
 /// state, so a restarted monitor resumes prediction instead of relearning
 /// the graph.
 ///
-/// **Determinism contract.** The state after a sequence of inputs
-/// ([`on_acquired`], [`on_release`], [`on_thread_exit`], [`pass`]) is a
+/// **Consistent between calls.** Each input ([`on_acquired`],
+/// [`on_release`], [`on_thread_exit`], [`pass`]) takes the predictor from
+/// one consistent state to the next: the state after a call is the state a
+/// valid prefix of the inputs reaches. The monitor's restart point relies
+/// on it: a monitor pass that dies between two calls leaves a predictor a
+/// restarted monitor can copy as it stands. A panic inside a call gives no
+/// such promise, so the monitor starts a fresh predictor after one.
+///
+/// **Determinism contract.** The state after a sequence of inputs is a
 /// function of the state before them and of the inputs alone: there is no
 /// clock and no randomness, every map hashes with the fixed
 /// [`dimmunix_signature::IdHasher`], internal indices are handed out in
@@ -208,10 +215,10 @@ struct Held {
 /// `clone` and `clone_from` keep each map's layout, so a copy fed the same
 /// inputs as its original reaches the same state, down to its `Debug`
 /// dump, and returns the same cycles — whatever the copy held before a
-/// `clone_from`. The monitor's restart point relies on it: a checkpoint
-/// plus the inputs fed since, replayed on respawn. What the predictor
-/// reports — its cycles, their labels and order, and [`PredictorStats`] —
-/// depends on the lock ids in the inputs, never on those internal indices.
+/// `clone_from`. A restarted monitor's copy therefore predicts as the
+/// original would have. What the predictor reports — its cycles, their
+/// labels and order, and [`PredictorStats`] — depends on the lock ids in
+/// the inputs, never on those internal indices.
 ///
 /// **Copies.** The lock table, the order graph and the condensation hold
 /// only `Copy` records in flat buffers, so a clone is a handful of buffer
@@ -219,8 +226,8 @@ struct Held {
 /// has: an older copy of a predictor refreshed from it allocates nothing
 /// unless the predictor has outgrown the copy's buffers, or holds owned
 /// parts — a thread's non-empty held stack, emitted or suppressed cycle
-/// keys, a paused enumeration. [`Predictor::clone_len`] counts what a copy
-/// copies.
+/// keys, a paused enumeration. The monitor copies a predictor only when it
+/// restarts.
 ///
 /// [`on_acquired`]: Predictor::on_acquired
 /// [`on_release`]: Predictor::on_release
@@ -497,23 +504,6 @@ impl Predictor {
             edge_instances: self.graph.instance_count() as u64,
             locks: self.graph.lock_count() as u64,
         }
-    }
-
-    /// Entries a copy of this predictor copies: the lock directory and the
-    /// record arena, the order graph's arenas, dead space included, the
-    /// tables of its maps and of the condensation's, and the queues. A
-    /// restart point weighs replaying a log against a copy with it.
-    pub fn clone_len(&self) -> u64 {
-        let len = self.locks.clone_len()
-            + self.graph.clone_len()
-            + self.scc.clone_len()
-            + self.held.capacity()
-            + self.dirty.len()
-            + self.dirty_set.capacity()
-            + self.emitted.capacity()
-            + self.suppressed_cycles.capacity()
-            + self.retire_queue.len();
-        len as u64
     }
 
     fn mark_dirty(&mut self, src: LockId, dst: LockId) {

@@ -146,11 +146,6 @@ impl LockTable {
     pub fn iter(&self) -> impl Iterator<Item = (LockId, u32)> + '_ {
         self.dir.iter().map(|(&l, &r)| (l, r))
     }
-
-    /// Entries a clone copies: the directory's table and both arenas.
-    pub fn clone_len(&self) -> usize {
-        self.dir.capacity() + self.records.len() + self.free.len()
-    }
 }
 
 impl Index<u32> for LockTable {

@@ -195,11 +195,6 @@ impl Condensation {
         self.component_peak
     }
 
-    /// Entries a clone copies: the two arenas and the order table.
-    pub fn clone_len(&self) -> usize {
-        self.comps.len() + self.free.len() + self.orders.links.capacity()
-    }
-
     /// The lock records of component `c`'s members, walking its ring.
     fn members<'a>(&self, locks: &'a LockTable, c: CompId) -> impl Iterator<Item = u32> + 'a {
         let slot = self.comps[c as usize];

@@ -2,9 +2,9 @@
 //! nest it has already recorded touches no heap: the held stack keeps its
 //! capacity, the distinct-holds and guard buffers are the predictor's own
 //! scratch, and a duplicate instance is found by scanning the edge's block.
-//! Nor does refreshing a checkpoint of the same size with `clone_from`:
-//! the lock table, the order graph and the condensation are flat buffers
-//! of `Copy` records, copied into the buffers the checkpoint already has.
+//! Nor does refreshing a copy of the same size with `clone_from`: the lock
+//! table, the order graph and the condensation are flat buffers of `Copy`
+//! records, copied into the buffers the copy already has.
 //! Nor does feeding a lock that aging retired: it takes a freed record.
 
 use dimmunix_predict::{PredictionConfig, Predictor};
@@ -132,8 +132,8 @@ fn a_retired_lock_fed_again_reuses_its_record_without_allocating() {
         p.pass();
     };
     // A predictor whose arenas are larger than the state it holds: an
-    // older, larger predictor refreshed with `clone_from`, as a checkpoint
-    // is. It holds the kept nest and a nest on 10..13.
+    // older, larger predictor refreshed with `clone_from`. It holds the
+    // kept nest and a nest on 10..13.
     let mut roomy = Predictor::new(cfg.clone());
     for first in (200..300).step_by(3) {
         nest(&mut roomy, 1, first, 0);
@@ -144,16 +144,10 @@ fn a_retired_lock_fed_again_reuses_its_record_without_allocating() {
     keep(&mut state);
     roomy.clone_from(&state);
     assert_eq!(roomy.stats().locks, 6);
-    let len = roomy.clone_len();
     for _ in 0..4 {
         keep(&mut roomy);
     }
     assert_eq!(roomy.stats().locks, 3, "the nest on 10..13 retired");
     assert_eq!(allocations(|| nest(&mut roomy, 1, 10, 0)), 0);
     assert_eq!(roomy.stats().locks, 6, "the nest on 10..13 learnt again");
-    keep(&mut roomy);
-    // The nest's three new arcs, three instances and two guards are all
-    // that grew: its old ones are dead space until a compaction, and its
-    // locks took their freed records and components back.
-    assert_eq!(roomy.clone_len(), len + 8);
 }

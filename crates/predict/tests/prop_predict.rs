@@ -354,8 +354,8 @@ proptest! {
 
     /// The same contract when the copy is not fresh: a predictor fed an
     /// older prefix of the trace — smaller arenas, other map layouts — is
-    /// refreshed with `clone_from`, as the monitor refreshes its
-    /// checkpoint, and must then be indistinguishable from a clone.
+    /// refreshed with `clone_from`, and must then be indistinguishable
+    /// from a clone.
     #[test]
     fn a_clone_fed_the_same_inputs_reaches_the_same_state_after_clone_from(
         trace in arb_trace(),
