@@ -219,6 +219,58 @@ fn monitor_restart_restores_predictor_from_snapshot() {
     assert_eq!(guard.fired().monitor_faults, 1);
 }
 
+/// Path 2c′: a pass that dies after its predictor found a cycle and before
+/// the cycle reached the history. The predictor has already marked the
+/// cycle emitted, so a copy of it would never report the cycle again: the
+/// restart must start a fresh predictor, and the cycle, taught again,
+/// reaches the history after all.
+#[test]
+fn a_monitor_panic_before_a_prediction_is_archived_restarts_a_fresh_predictor() {
+    quiet_scripted_panics();
+    let guard = install(FaultPlan::none().kill_monitor_after_prediction(1));
+    let rt = Runtime::new(Config {
+        prediction: Some(PredictionConfig::default()),
+        ..Config::default()
+    })
+    .unwrap();
+    let t0 = rt.core().register_thread().unwrap();
+    let t1 = rt.core().register_thread().unwrap();
+    let (a, b) = (rt.new_lock_id(), rt.new_lock_id());
+    let sa = rt.make_site(&[("m", "x.rs", 1), ("u", "x.rs", 3)]);
+    let sb = rt.make_site(&[("m", "x.rs", 2), ("u", "x.rs", 3)]);
+    // `t` takes two locks nested in the given order, then releases both.
+    let nest = |t, order: [(dimmunix_core::LockId, &dimmunix_core::LockSite); 2]| {
+        for (l, site) in order {
+            rt.core().request(t, l, site.frames(), site.stack());
+            rt.core().acquired(t, l, site.stack());
+        }
+        for (l, _) in order.into_iter().rev() {
+            rt.core().release(t, l);
+        }
+    };
+    let predicted = || (rt.stats().cycles_predicted, rt.history().len());
+
+    nest(t0, [(a, &sa), (b, &sb)]);
+    rt.step_monitor(); // pass 1: learns a→b, predicts nothing
+    nest(t1, [(b, &sb), (a, &sa)]);
+    rt.step_monitor(); // pass 2: finds a↔b, dies before archiving it
+    assert_eq!(guard.fired().prediction_faults, 1);
+    assert_eq!(rt.stats().monitor_restarts, 1);
+    assert_eq!(predicted(), (0, 0), "the dying pass archived nothing");
+
+    // The fresh predictor learned nothing before the panic: both orders
+    // are taught again, and the cycle is predicted and archived.
+    nest(t0, [(a, &sa), (b, &sb)]);
+    rt.step_monitor();
+    nest(t1, [(b, &sb), (a, &sa)]);
+    rt.step_monitor();
+    let stats = rt.stats();
+    assert_eq!(predicted(), (1, 1), "{stats:?}");
+    assert_eq!(stats.predicted_signatures, 1, "{stats:?}");
+    assert_eq!(stats.monitor_restarts, 1, "{stats:?}");
+    assert_eq!(stats.degraded_mode, 0, "{stats:?}");
+}
+
 /// Path 2d: a user hook that panics mid-pass, the one monitor panic user
 /// code can reach. The deadlock hook runs after the pass has fed the
 /// predictor and archived the cycle, so the restart keeps both: the

@@ -118,9 +118,9 @@ impl AvoidanceCore {
         me: &'a ThreadSlot,
         frames: &[FrameId],
         resolved: &mut Resolved,
-    ) -> MutexGuard<'a, AllowedLog> {
+    ) -> SlotGuard<'a, AllowedLog> {
         loop {
-            let log = me.allowed.lock();
+            let log = me.lock();
             let view = &log.view;
             if view.generation != self.history.generation() {
                 drop(log);

@@ -29,8 +29,9 @@ pub(super) struct Waiter {
 
 /// A thread's private `Allowed` log — the master copy of its entries —, the
 /// yielders registered against them, the match view its hooks act on and
-/// the thread's own yield: everything its record keeps behind a mutex, the
-/// slot mutex, which is also the mutex the thread parks on.
+/// the thread's own yield: everything its record keeps behind the slot lock
+/// (`record.rs`, "The slot lock"). The thread parks elsewhere, on its
+/// record's parker.
 pub(super) struct AllowedLog {
     /// The thread's **held-lock stack**: one [`Held`] per granted request or
     /// reentrant nesting level, in grant order. A grant pushes; a release or
@@ -86,7 +87,7 @@ impl AvoidanceCore {
     /// none for an irrelevant suffix — under the slot lock (see the rebuild
     /// protocol).
     pub(super) fn record_go(
-        mut log: MutexGuard<'_, AllowedLog>,
+        mut log: SlotGuard<'_, AllowedLog>,
         slots: &[u32],
         t: ThreadId,
         l: LockId,

@@ -15,10 +15,11 @@
 //!   the top so unlocks may come in any order. It is the only record of
 //!   lock ownership on the hook path — a lock's owner is the thread whose
 //!   stack holds it, so there is no shared owner map to update — and it
-//!   sits behind a per-slot mutex that only its owner and the occasional
-//!   rebuild touch. An uncontended pair on a warm stack allocates nothing,
-//!   hashes nothing on an empty history, and on a populated one hashes the
-//!   stack's suffixes once, in `request`;
+//!   sits behind a per-slot lock that only its owner and the occasional
+//!   rebuild touch, whose uncontended unlock is a load and a store
+//!   (`record.rs`, "The slot lock"). An uncontended pair on a warm stack
+//!   allocates nothing, hashes nothing on an empty history, and on a
+//!   populated one hashes the stack's suffixes once, in `request`;
 //! * the suffix-keyed **`Allowed` buckets** consulted by the exact-cover
 //!   search live in a `MatchTable` (`rebuild.rs`): a **dense array of
 //!   [`VersionedBucket`]s**, one per distinct `(depth, suffix)` member key
@@ -32,9 +33,9 @@
 //!   without copying anything;
 //! * the **yielding bookkeeping** sits in the causes' logs: each log keeps
 //!   the registrations *against its thread as a cause* (`Waiter`s: cause
-//!   lock, yielder), pushed by a yielder under that log's slot mutex and
+//!   lock, yielder), pushed by a yielder under that log's slot lock and
 //!   either taken by the pop that ends the entry or withdrawn by the
-//!   yielder, under that same mutex, when its yield ends;
+//!   yielder, under that same lock, when its yield ends;
 //! * the read-mostly **match view** (bucket layout, the [`MatchIndex`],
 //!   and the current `MatchTable`) sits in each thread's log, where the
 //!   rebuild's visit hands it over, so `request` reads it under the slot
@@ -95,18 +96,20 @@
 //! # Lock order
 //!
 //! The engine-internal lock order is `rebuild mutex → slot (allowed-log)
-//! mutex → bucket sequence claim` — three tiers, with no hashed or sharded
-//! mutex beside them: rebuilds hold the rebuild mutex and take slot
-//! mutexes one at a time, hooks bucket their own entries with the slot
-//! mutex held, and a release claims its bucket with the slot mutex held. A
-//! yielder takes each cause's slot mutex in turn holding no engine lock, to
-//! register or to withdraw, as the monitor's claim does. A bucket claim is
-//! only ever held singly, and its holder takes no mutex, so the order is
-//! acyclic. The slot mutex is
-//! also the thread's yield state and the mutex it parks on, so the park
-//! and its wakes add no tier: a thread parks on its own slot mutex holding
-//! nothing else, and every waker takes the yielder's slot mutex holding no
-//! engine lock (`yields.rs`).
+//! lock → bucket sequence claim`, with the parker mutex as a leaf — no
+//! hashed or sharded mutex beside them: rebuilds hold the rebuild mutex
+//! and take slot locks one at a time, hooks bucket their own entries with
+//! the slot lock held, and a release claims its bucket with the slot lock
+//! held. A yielder takes each cause's slot lock in turn holding no engine
+//! lock, to register or to withdraw, as the monitor's claim does. A bucket
+//! claim is only ever held singly, and its holder takes no lock, so the
+//! order is acyclic. Each record's parker mutex is the leaf: whoever holds
+//! it takes no other lock. A thread parks in a yield on its own parker
+//! holding nothing else, every waker takes the yielder's parker mutex
+//! holding no engine lock (`yields.rs`), and a slot lock's waiter sleeps
+//! on the record's parker, which the contended unlock notifies — possibly
+//! with the rebuild mutex held, a leaf taken last (`record.rs`, "The slot
+//! lock").
 //!
 //! # Exit and unwind cleanup
 //!
@@ -114,7 +117,7 @@
 //! locks would otherwise strand its held-lock stack, its bucketed
 //! `Allowed` entries, and (worst) the yielders parked against it as a
 //! cause, forever. [`AvoidanceCore::unregister_thread_waking`] is the exit
-//! sweep: in one critical section of its slot mutex it removes each entry
+//! sweep: in one critical section of its slot lock it removes each entry
 //! of the dead thread's stack from its buckets, empties the stack (which
 //! keeps its capacity for the slot's next tenant) and takes every live
 //! waiter; it then wakes those through the caller's waker, each wake
@@ -157,15 +160,17 @@ use dimmunix_signature::{
     StackTable,
 };
 use log::{AllowedLog, Held, Waiter};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use rebuild::{AllowedEntry, MatchView};
 pub(crate) use record::IdPool;
-use record::{new_chunk, Chunk, ThreadSlot, CHUNK, GRANT_QUIET, HELD};
+use record::{new_chunk, Chunk, SlotGuard, ThreadSlot, CHUNK, GRANT_QUIET, HELD};
 use std::borrow::Cow;
+use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Answer of the `request` hook (§3): GO means it is safe — with respect to
 /// the history — for the thread to block waiting for the lock; YIELD means
@@ -294,7 +299,7 @@ impl AvoidanceCore {
             // hold edges via `ThreadExit`, so no per-lock Release events are
             // needed.
             let orphans: Vec<ThreadId> = {
-                let mut log = me.allowed.lock();
+                let mut log = me.lock();
                 for held in &log.entries {
                     self.remove_buckets(&log.view, t, held);
                 }
@@ -416,7 +421,7 @@ impl AvoidanceCore {
                 Stats::bump(&self.stats.yields);
                 self.lanes.push(slot, Event::Yield { t, l, stack, info });
                 if self.config.enforce_yields {
-                    let mut log = me.allowed.lock();
+                    let mut log = me.lock();
                     log.causes = inst.causes;
                     log.broken = false;
                     me.yielding.store(true, Ordering::Relaxed);
@@ -565,7 +570,7 @@ impl AvoidanceCore {
         let (taken, wake) = if self.config.mode == RuntimeMode::InstrumentationOnly {
             (me.take(), Vec::new())
         } else {
-            let mut log = me.allowed.lock();
+            let mut log = me.lock();
             (me.take_locked(&log), self.pop_entry(&mut log, t, l))
         };
         // A quiet hold of `l` the monitor never claimed ends unseen: this
@@ -598,7 +603,7 @@ impl AvoidanceCore {
         if me.yielding.load(Ordering::Relaxed) {
             self.end_yield(me, t);
         } else if self.config.mode != RuntimeMode::InstrumentationOnly {
-            wake = self.pop_entry(&mut me.allowed.lock(), t, l);
+            wake = self.pop_entry(&mut me.lock(), t, l);
         }
         self.lanes.push(t.0 as usize, Event::Cancel { t, l, grant });
         wake
@@ -606,7 +611,7 @@ impl AvoidanceCore {
 
     /// Approximate heap footprint of the avoidance state, in bytes (§7.4).
     pub fn approx_bytes(&self) -> usize {
-        let held = |(_, me): (ThreadId, &ThreadSlot)| me.allowed.lock().entries.len();
+        let held = |(_, me): (ThreadId, &ThreadSlot)| me.lock().entries.len();
         let live: usize = self.records().map(held).sum();
         live * core::mem::size_of::<Held>()
             + self.published().table.approx_bytes()

@@ -50,8 +50,9 @@
 //! an extension that frees only the view shell.
 //!
 //! The visit walks only the thread records that exist (a `ThreadSlot` per
-//! thread: log, waiters and yield behind the slot mutex, and the parker
-//! that waits on that mutex; 128 bytes, two cache lines). They
+//! thread: log, waiters and yield behind the slot lock, and the parker
+//! where the thread parks and the lock's waiters sleep; 128 bytes, two
+//! cache lines). They
 //! are made 64 at a time, and a registration that needs a new chunk
 //! installs it under the rebuild mutex — the **chunk-install rule** —
 //! setting each new record's view to the published one. So a visit either
@@ -63,7 +64,7 @@
 //! stale generation sends it to the rebuild mutex, which it gets once the
 //! visit is over; and, after its visit, a grant on a *relevant* suffix
 //! until the swept flag. `acquired`, `waiting`, releases, cancels and the
-//! exit sweep never wait. The visit takes every record's slot mutex, so it
+//! exit sweep never wait. The visit takes every record's slot lock, so it
 //! can itself wait on a thread descheduled mid-hook; under heavy
 //! oversubscription that is the tail of `rebuild_us_*_max`.
 
@@ -262,7 +263,7 @@ impl AvoidanceCore {
         // Slot order, and lock-id order within a slot, so the bucket
         // vectors are deterministic (`AllowedLog::sweep_order`).
         for (t, me) in self.records() {
-            let mut log = me.allowed.lock();
+            let mut log = me.lock();
             for at in log.sweep_order() {
                 let held = &mut log.entries[at];
                 let frames = self.stacks.resolve(held.stack);

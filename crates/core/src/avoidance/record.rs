@@ -1,6 +1,7 @@
 //! The thread record: a [`ThreadSlot`] per thread id, made 64 at a time in
-//! an aligned [`Chunk`], the [`IdPool`] that hands the ids out, the
-//! parker, and the grant word with the monitor's claim of a quiet hold.
+//! an aligned [`Chunk`], the [`IdPool`] that hands the ids out, the slot
+//! lock and the parker its waiters sleep on, and the grant word with the
+//! monitor's claim of a quiet hold.
 //!
 //! # Quiet holds: a pair no one waits for publishes nothing
 //!
@@ -25,15 +26,15 @@
 //!   the one word that already says what was granted;
 //! * that lock's `release` takes the word in the slot critical section that
 //!   pops the entry, with a load and a store: the monitor claims only under
-//!   that mutex, so nothing else can write the word there. A hold still
+//!   that lock, so nothing else can write the word there. A hold still
 //!   unclaimed ends unseen: the release pushes nothing and counts the
 //!   pair's four outcomes as one `quiet_pairs`;
 //! * every other hook that finds a quiet hold (a nested `request`,
 //!   `force_go`, `acquired_reentrant`, `waiting` / `acquired` / `cancel` of
 //!   another lock, the exit sweep) takes it with a swap, outside the slot
-//!   mutex, where the monitor may claim up to the instant it lands, and
+//!   lock, where the monitor may claim up to the instant it lands, and
 //!   publishes it first, as the `Granted` it stands in for.
-//!   Instrumentation-only mode takes no slot mutex, and its `release` swaps
+//!   Instrumentation-only mode takes no slot lock, and its `release` swaps
 //!   too. Everything else publishes what it did.
 //!
 //! **The monitor claims a hold only when someone waits.** After each drain
@@ -41,7 +42,7 @@
 //! holds, and claims the quiet hold of each (`AvoidanceCore::claim_quiet`).
 //! A lock-free look filters the threads: the word is `HELD` and its lock
 //! is awaited. For each that passes, the monitor takes the thread's slot
-//! mutex, reloads the word (`Acquire`), checks that the holder's lane is
+//! lock, reloads the word (`Acquire`), checks that the holder's lane is
 //! drained, reads the lock and stack, and CASes `HELD → HELD | CLAIMED` —
 //! the only write to the word that is not the owner's. It then draws the
 //! hold edge as that `Granted` would have, and retires the grant's three
@@ -49,10 +50,10 @@
 //! plain `Release`. Three facts make the claim exact:
 //!
 //! * **The CAS lands on the hold that was read.** While the monitor holds
-//!   the slot mutex the owner can still *end* the hold — the swap at the
-//!   top of a nested `request`, say; its `release` waits for the mutex —
+//!   the slot lock the owner can still *end* the hold — the swap at the
+//!   top of a nested `request`, say; its `release` waits for the lock —
 //!   but cannot *start* another: every path to a new grant passes
-//!   `lock_current`, which takes that mutex (instrumentation-only grants
+//!   `lock_current`, which takes that lock (instrumentation-only grants
 //!   skip it, and that mode never holds quietly). So the word cannot
 //!   return to `HELD` before the CAS, and the lock and stack read after
 //!   the reload are the hold's: they were written before its `Release`
@@ -85,8 +86,36 @@
 //! a probe as an applied event or a claim, never on the yielder's word.
 //!
 //! The claim adds one edge to the engine's lock order: the monitor takes a
-//! slot mutex holding no engine lock, as a rebuild's visit does, and no
-//! hook holds a slot mutex while it waits on the monitor.
+//! slot lock holding no engine lock, as a rebuild's visit does, and no
+//! hook holds a slot lock while it waits on the monitor.
+//!
+//! # The slot lock
+//!
+//! A record's log is behind a [`SlotLock`], a word with three states: 0
+//! free, 1 held, 2 held and someone may be asleep. `lock` is one CAS 0 → 1
+//! (`Acquire`). The guard's drop loads the word: 1 means nobody waits, and
+//! a `Release` store of 0 unlocks with no read-modify-write; 2 means it
+//! stores 0 and notifies the sleepers. So a lone pair, which locks once in
+//! `request` and once in `release`, makes two RMWs, both CASes.
+//!
+//! A waiter spins a few reads, taking the lock 0 → 1 if it sees it free.
+//! Then it marks the word 2 with a swap — which acquires if it read 0 — and
+//! sleeps on the record's [`Parker`]: under the parker's mutex it checks
+//! that the word still reads 2, and waits on the parker's condition
+//! variable, which the contended unlock notifies under that mutex. From
+//! its first mark on it acquires only with a swap that reads 0, never with
+//! 0 → 1, so that while others may sleep the word stays 2 and its own
+//! unlock notifies them. The unlock's load and store are not one step: a
+//! waiter may write its 2 between them, and the store overwrites it. Then
+//! no notify comes, and the waiter's sleep ends at its timeout
+//! ([`SLOT_SLEEP`]) and finds the word free. The race costs that waiter
+//! latency, never mutual exclusion: only a swap or CAS that reads 0
+//! acquires.
+//!
+//! Waiters must sleep: on two cores, waiters that only spun and yielded
+//! made the hot-cause storm canary (four yielders registering against one
+//! cause's log while it churns) take seconds instead of tens of
+//! milliseconds, the spinners taking the core from the holder.
 
 use super::*;
 
@@ -112,8 +141,9 @@ pub(super) fn new_chunk(view: &Arc<MatchView>) -> Box<Chunk> {
 }
 
 /// One registered thread's record (the paper's `yieldLock[T]` data): its
-/// `Allowed` log and yield behind one mutex, the slot mutex, and the parker
-/// that waits on it. Made with its aligned [`Chunk`] and reused by every
+/// `Allowed` log and yield behind one lock, the slot lock (module docs), and
+/// the parker, where the thread parks in a yield and the slot lock's
+/// waiters sleep. Made with its aligned [`Chunk`] and reused by every
 /// later tenant of the id. `repr(C)` and 128 bytes on 64-bit targets, so in
 /// the 128-byte-aligned chunk every record starts on its own pair of cache
 /// lines, the same two in every run (at an allocator's address, they varied
@@ -136,8 +166,8 @@ pub(crate) struct ThreadSlot {
     /// on whoever drives a simulated one), and a slot changes hands only
     /// through the id pool's mutex, after the exit sweep left this at 0 —
     /// except for the monitor's one claim CAS, `HELD → HELD | CLAIMED`,
-    /// made under `allowed`'s mutex. So the owner enters `HELD` with a
-    /// `Release` store and leaves it with a swap, or, holding that mutex
+    /// made under the slot lock. So the owner enters `HELD` with a
+    /// `Release` store and leaves it with a swap, or, holding that lock
     /// (its `release`), with a load and a store; every other state is the
     /// owner's alone, and relaxed loads and stores do.
     pub(super) grant: AtomicU8,
@@ -154,12 +184,14 @@ pub(crate) struct ThreadSlot {
     /// the exit sweep still classifies the exit as a panic cleanup.
     pub(super) panicked: AtomicBool,
     /// This thread's private `Allowed` log, the waiters registered against
-    /// it, its match view and its yield: the slot mutex. Locked by the
-    /// owning thread on every hook and to park, by every rebuild's visit,
-    /// by each yielder registering against this thread and by whoever wakes
-    /// it; never contended in steady state.
-    pub(super) allowed: Mutex<AllowedLog>,
-    /// Where a yielding real thread parks (simulated ones park elsewhere).
+    /// it, its match view and its yield, behind the slot lock
+    /// ([`Self::lock`]). Locked by the owning thread on every hook, by every
+    /// rebuild's visit, by each yielder registering against this thread or
+    /// withdrawing from it, and by the monitor's claim; never contended in
+    /// steady state.
+    pub(super) allowed: SlotLock<AllowedLog>,
+    /// Where a yielding real thread parks (simulated ones park elsewhere),
+    /// and where the slot lock's waiters sleep.
     pub(super) parker: Parker,
 }
 
@@ -179,7 +211,7 @@ impl ThreadSlot {
         Self {
             parker: Parker::default(),
             yielding: AtomicBool::default(),
-            allowed: Mutex::new(AllowedLog {
+            allowed: SlotLock::new(AllowedLog {
                 entries: Vec::new(),
                 waiters: Vec::new(),
                 view,
@@ -191,6 +223,13 @@ impl ThreadSlot {
             grant_lock: AtomicU64::default(),
             grant_stack: AtomicU32::default(),
         }
+    }
+
+    /// Locks this record's log: the slot lock, whose waiters sleep on this
+    /// record's parker.
+    #[inline]
+    pub(super) fn lock(&self) -> SlotGuard<'_, AllowedLog> {
+        self.allowed.lock(&self.parker)
     }
 
     /// Remembers a GO instead of publishing it: `outcomes` is what the
@@ -265,7 +304,7 @@ impl ThreadSlot {
         // `release` waits for this guard), but cannot start another until
         // the guard drops: every grant passes `lock_current`. So the CAS
         // succeeds only against that hold.
-        let _log = self.allowed.lock();
+        let _log = self.lock();
         let l = held()?;
         // Every event the thread pushed before this hold happens-before the
         // word just read, so the lane check sees them all.
@@ -280,18 +319,179 @@ impl ThreadSlot {
     }
 }
 
-/// A thread's parking primitive, in its record. Its mutex is the record's
-/// slot mutex (`ThreadSlot::allowed`).
+/// A record's sleeping place: where its thread parks in a yield
+/// ([`ThreadSlot::park`]) and where the waiters of its slot lock sleep. Its
+/// mutex is a leaf of the engine's lock order: whoever holds it takes no
+/// other lock. 16 bytes, the last of the record's 128.
 #[derive(Default)]
 pub(super) struct Parker {
-    /// Wake count. Bumped only under the slot mutex, so a parker that
-    /// checks it there cannot miss a wake — the mutex orders the two.
+    /// Wake count. Bumped only under `mutex`, so a parker that checks it
+    /// there cannot miss a wake — the mutex orders the two.
     /// [`ThreadSlot::park_epoch`] reads it bare: a wake that matters to
     /// that caller is caused by a registration the caller publishes after
     /// the read, so coherence alone keeps the read from seeing that wake's
-    /// bump.
-    pub(super) epoch: AtomicU64,
+    /// bump. 32 bits keep the record at 128 bytes; it wraps, and a park
+    /// only asks whether it moved.
+    pub(super) epoch: AtomicU32,
+    pub(super) mutex: Mutex<()>,
+    /// Notified, to all, by every wake and every contended unlock of the
+    /// slot lock: each sleeper re-checks its own condition.
     pub(super) cv: Condvar,
+}
+
+impl Parker {
+    /// A slot-lock waiter's sleep: waits for a notify, or for `nap`, if
+    /// `marked` — the lock word still reads 2 — holds under the mutex.
+    fn sleep_while(&self, nap: Duration, marked: impl Fn() -> bool) {
+        let mut g = self.mutex.lock();
+        if marked() {
+            self.cv.wait_for(&mut g, nap);
+        }
+    }
+
+    /// Wakes every sleeper: notifies under the mutex, so a sleeper that
+    /// checked its condition before the caller changed it is already
+    /// waiting.
+    pub(super) fn notify(&self) {
+        let _g = self.mutex.lock();
+        self.cv.notify_all();
+    }
+}
+
+/// [`SlotLock`] word: free.
+const FREE: u32 = 0;
+/// [`SlotLock`] word: held, nobody waits.
+const LOCKED: u32 = 1;
+/// [`SlotLock`] word: held, and a waiter may be asleep.
+const CONTENDED: u32 = 2;
+/// Reads of the word a waiter makes before it marks it [`CONTENDED`] and
+/// sleeps: a slot critical section is short, so a waiter whose holder runs
+/// on another core mostly gets the lock here.
+const SLOT_SPINS: u32 = 64;
+/// The longest a slot-lock waiter sleeps without a notify: what the one
+/// race of the unlock (module docs, "The slot lock") can cost it.
+const SLOT_SLEEP: Duration = Duration::from_micros(100);
+
+/// A thread record's lock (module docs, "The slot lock"): a word and the
+/// data it guards. Its waiters sleep on the [`Parker`] `lock` is given.
+pub(super) struct SlotLock<T> {
+    word: AtomicU32,
+    data: UnsafeCell<T>,
+}
+
+// SAFETY: `word` is an atomic. `data` is reached only through a guard, and
+// the word lets one guard at a time exist: a guard is made only by a CAS or
+// swap that read `FREE`, and only its drop writes `FREE` again. A guard
+// hands `&mut T` to whichever thread holds it (`T: Send`), and a shared
+// guard `&T` to any thread it is shared with (`T: Sync`: the guard is
+// `Sync` whenever this is).
+unsafe impl<T: Send + Sync> Sync for SlotLock<T> {}
+
+impl<T> SlotLock<T> {
+    /// A free lock around `data`.
+    pub(super) const fn new(data: T) -> Self {
+        Self {
+            word: AtomicU32::new(FREE),
+            data: UnsafeCell::new(data),
+        }
+    }
+
+    /// Locks: one CAS when the lock is free; otherwise the waiter spins,
+    /// then sleeps on `sleep`, which every unlock of this lock must notify.
+    #[inline]
+    pub(super) fn lock<'a>(&'a self, sleep: &'a Parker) -> SlotGuard<'a, T> {
+        let free = self
+            .word
+            .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed);
+        if free.is_err() {
+            self.lock_contended(sleep, SLOT_SLEEP);
+        }
+        SlotGuard { lock: self, sleep }
+    }
+
+    /// [`Self::lock`] with sleeps of at most `nap`: a test makes it long,
+    /// so that only a notify can end one in time.
+    #[cfg(test)]
+    pub(super) fn lock_napping<'a>(&'a self, sleep: &'a Parker, nap: Duration) -> SlotGuard<'a, T> {
+        self.lock_contended(sleep, nap);
+        SlotGuard { lock: self, sleep }
+    }
+
+    /// The word: [`FREE`] 0, [`LOCKED`] 1, [`CONTENDED`] 2.
+    #[cfg(test)]
+    pub(super) fn word(&self) -> u32 {
+        self.word.load(Ordering::Relaxed)
+    }
+
+    /// The lock was held: spin, then mark the word [`CONTENDED`] and sleep,
+    /// at most `nap` at a time, until a swap of that mark reads [`FREE`].
+    #[cold]
+    #[inline(never)]
+    fn lock_contended(&self, sleep: &Parker, nap: Duration) {
+        for _ in 0..SLOT_SPINS {
+            std::hint::spin_loop();
+            if self.word.load(Ordering::Relaxed) == FREE
+                && self
+                    .word
+                    .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return;
+            }
+        }
+        // From here on, only a swap that leaves the mark acquires: others
+        // may sleep, and the mark makes this waiter's unlock notify them.
+        while self.word.swap(CONTENDED, Ordering::Acquire) != FREE {
+            sleep.sleep_while(nap, || self.word.load(Ordering::Relaxed) == CONTENDED);
+        }
+    }
+
+    /// The unlock read [`CONTENDED`]: free the lock and wake the sleepers.
+    /// While the word is marked, waiters only mark it again, so a store
+    /// frees it as a swap would.
+    #[cold]
+    #[inline(never)]
+    fn unlock_contended(&self, sleep: &Parker) {
+        self.word.store(FREE, Ordering::Release);
+        sleep.notify();
+    }
+}
+
+/// A held [`SlotLock`]: derefs to the data, and unlocks on drop, unwinding
+/// included.
+pub(super) struct SlotGuard<'a, T> {
+    lock: &'a SlotLock<T>,
+    sleep: &'a Parker,
+}
+
+impl<T> Deref for SlotGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: this guard holds the lock (`SlotLock`'s `Sync`).
+        unsafe { &*self.lock.data.get() }
+    }
+}
+
+impl<T> DerefMut for SlotGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as for `deref`, and `&mut self` is the only borrow.
+        unsafe { &mut *self.lock.data.get() }
+    }
+}
+
+impl<T> Drop for SlotGuard<'_, T> {
+    /// A load and, with nobody waiting, a `Release` store: no RMW. A waiter
+    /// that marks the word between the two is overwritten and wakes at its
+    /// timeout (module docs, "The slot lock").
+    #[inline]
+    fn drop(&mut self) {
+        let word = &self.lock.word;
+        if word.load(Ordering::Relaxed) == LOCKED {
+            word.store(FREE, Ordering::Release);
+        } else {
+            self.lock.unlock_contended(self.sleep);
+        }
+    }
 }
 
 /// The thread ids not in use: those given back, and every id from `next`
@@ -341,7 +541,7 @@ impl AvoidanceCore {
     /// thread's lane the caller has drained, with its thread, lock and
     /// stack (module docs, "Quiet holds"). Only the lanes' consumer may
     /// call this — the lane check is a consumer's read — and with no engine
-    /// lock held: it takes each candidate's slot mutex.
+    /// lock held: it takes each candidate's slot lock.
     pub(crate) fn claim_quiet(&self, locks: &[LockId]) -> Vec<(ThreadId, LockId, StackId)> {
         let claim = |(t, me): (ThreadId, &ThreadSlot)| {
             let drained = || self.lanes.is_drained(t.0 as usize);

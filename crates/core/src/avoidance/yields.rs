@@ -1,7 +1,7 @@
 //! A yield: its registration with each cause, its withdrawal when it
 //! ends, and the park and wake of the yielder.
 //!
-//! # No-lost-wakeup protocol: the cause's slot mutex
+//! # No-lost-wakeup protocol: the cause's slot lock
 //!
 //! A yielder waits until one of its causes `(C, L)` gives `L` up. The
 //! registration and the give-up meet in C's slot critical section, so that
@@ -14,21 +14,23 @@
 //!    otherwise the registration is refused;
 //! 2. a cause's `release` or `cancel` pops its entry, removes it from its
 //!    buckets and takes the waiters for `L` in one critical section of the
-//!    same mutex; the caller wakes them. The exit sweep takes every waiter
+//!    same lock; the caller wakes them. The exit sweep takes every waiter
 //!    in the critical section that clears the entries;
-//! 3. the yielder parks on its *own* slot mutex: it reads its parker's
+//! 3. the yielder parks on its *own* record's parker: it reads the parker's
 //!    epoch before the request, and checks it and waits on the parker's
-//!    condition variable under that mutex (`ThreadSlot::park`). A wake
-//!    bumps the epoch and notifies under the same mutex
+//!    condition variable under the parker's mutex (`ThreadSlot::park`). A
+//!    wake bumps the epoch and notifies under the same mutex
 //!    (`ThreadSlot::wake`), so a wake either lands before the check, which
-//!    sees the epoch moved, or finds the yielder waiting. Rebuild visits
-//!    and registrations against the yielder as a cause take that mutex too;
-//!    they only delay a park or a wake. The wakers, none holding an engine
-//!    lock: the lock types' `sync::wake_all`, after the `release` or
-//!    `cancel` hook returned; the exit sweep, after its critical section;
-//!    the monitor's starvation break; and the degraded flip, which wakes
-//!    every record. The last two hold only the monitor's own mutex, which
-//!    no hook takes.
+//!    sees the epoch moved, or finds the yielder waiting. That mutex is a
+//!    leaf of the lock order: its holder takes no other lock. The waiters
+//!    of the yielder's slot lock — rebuild visits, registrations against
+//!    the yielder as a cause — sleep on the same condition variable, so a
+//!    park may be notified for them; it checks the epoch again and waits
+//!    on. The wakers, none holding an engine lock: the lock types'
+//!    `sync::wake_all`, after the `release` or `cancel` hook returned; the
+//!    exit sweep, after its critical section; the monitor's starvation
+//!    break; and the degraded flip, which wakes every record. The last two
+//!    hold only the monitor's own mutex, which no hook takes.
 //!
 //! A registration made before the pop is taken by it; one made after it
 //! finds the entry gone. A registration leaves a log the same way it came
@@ -68,22 +70,25 @@ impl ThreadSlot {
 
     /// The parker's epoch; pass it to [`Self::park`] to close the
     /// decide-then-park race.
-    pub(crate) fn park_epoch(&self) -> u64 {
+    pub(crate) fn park_epoch(&self) -> u32 {
         self.parker.epoch.load(Ordering::Acquire)
     }
 
     /// Parks the owner thread until a wake moves the epoch past `epoch0`
     /// or `deadline` passes. The epoch is checked and the wait entered
-    /// under the slot mutex, under which every [`Self::wake`] bumps it, so
-    /// no wake is lost (module docs, "No-lost-wakeup protocol").
-    pub(crate) fn park(&self, epoch0: u64, deadline: Option<Instant>) -> ParkOutcome {
-        let moved = || self.parker.epoch.load(Ordering::Acquire) != epoch0;
-        let mut log = self.allowed.lock();
+    /// under the parker's mutex, under which every [`Self::wake`] bumps it,
+    /// so no wake is lost (module docs, "No-lost-wakeup protocol"). The
+    /// slot lock's sleepers share the condition variable, so a notify may
+    /// be theirs: the loop checks the epoch again.
+    pub(crate) fn park(&self, epoch0: u32, deadline: Option<Instant>) -> ParkOutcome {
+        let parker = &self.parker;
+        let moved = || parker.epoch.load(Ordering::Acquire) != epoch0;
+        let mut g = parker.mutex.lock();
         while !moved() {
             let timed_out = match deadline {
-                Some(deadline) => self.parker.cv.wait_until(&mut log, deadline).timed_out(),
+                Some(deadline) => parker.cv.wait_until(&mut g, deadline).timed_out(),
                 None => {
-                    self.parker.cv.wait(&mut log);
+                    parker.cv.wait(&mut g);
                     false
                 }
             };
@@ -95,9 +100,9 @@ impl ThreadSlot {
     }
 
     /// Wakes the owner if it is parked, or makes its next park return at
-    /// once. The caller holds no engine lock: this takes the slot mutex.
+    /// once. Takes only the parker's mutex, a leaf of the lock order.
     pub(crate) fn wake(&self) {
-        let _log = self.allowed.lock();
+        let _g = self.parker.mutex.lock();
         self.parker.epoch.fetch_add(1, Ordering::Release);
         self.parker.cv.notify_all();
     }
@@ -110,7 +115,7 @@ impl AvoidanceCore {
         let Some(me) = self.record(t) else {
             return false;
         };
-        let mut log = me.allowed.lock();
+        let mut log = me.lock();
         if !me.yielding.load(Ordering::Relaxed) {
             return false;
         }
@@ -127,7 +132,7 @@ impl AvoidanceCore {
             return false;
         };
         let causes = {
-            let mut log = me.allowed.lock();
+            let mut log = me.lock();
             if !log.broken {
                 return false;
             }
@@ -150,7 +155,7 @@ impl AvoidanceCore {
     /// build wait-for edges and audit parked/woken accounting.
     pub fn yield_causes(&self, t: ThreadId) -> Vec<YieldCause> {
         self.record(t)
-            .map_or_else(Vec::new, |me| me.allowed.lock().causes.clone())
+            .map_or_else(Vec::new, |me| me.lock().causes.clone())
     }
 
     /// Probe: every thread currently parked in an unconsumed yield, with
@@ -165,7 +170,7 @@ impl AvoidanceCore {
             if !me.yielding.load(Ordering::Relaxed) {
                 continue;
             }
-            let log = me.allowed.lock();
+            let log = me.lock();
             if me.yielding.load(Ordering::Relaxed) {
                 parked.push((t, log.causes.clone()));
             }
@@ -181,7 +186,7 @@ impl AvoidanceCore {
     /// left from an earlier yield.
     pub(super) fn register_yield(&self, t: ThreadId, causes: &[YieldCause]) -> bool {
         for (at, c) in causes.iter().enumerate() {
-            let mut log = self.me(c.thread).allowed.lock();
+            let mut log = self.me(c.thread).lock();
             let named = |held: &Held| held.l == c.lock && held.stack == c.stack;
             if !log.entries.iter().any(named) {
                 drop(log);
@@ -208,7 +213,7 @@ impl AvoidanceCore {
     /// took is simply gone.
     pub(super) fn withdraw(&self, t: ThreadId, causes: &[YieldCause]) {
         for c in causes {
-            let mut log = self.me(c.thread).allowed.lock();
+            let mut log = self.me(c.thread).lock();
             log.waiters.retain(|w| w.yielder != t);
         }
     }
@@ -220,7 +225,7 @@ impl AvoidanceCore {
     #[cold]
     #[inline(never)]
     pub(super) fn withdraw_yield(&self, me: &ThreadSlot, t: ThreadId) {
-        let causes = std::mem::take(&mut me.allowed.lock().causes);
+        let causes = std::mem::take(&mut me.lock().causes);
         self.withdraw(t, &causes);
     }
 
@@ -238,7 +243,7 @@ impl AvoidanceCore {
     #[cold]
     #[inline(never)]
     pub(super) fn end_yield(&self, me: &ThreadSlot, t: ThreadId) {
-        let causes = me.take_yield(&mut me.allowed.lock());
+        let causes = me.take_yield(&mut me.lock());
         self.withdraw(t, &causes);
     }
 }

@@ -504,6 +504,10 @@ impl Monitor {
         // once it relearns their orders, not from a copy that never would.
         predictor.torn = true;
         let cycles = predictor.live.pass();
+        #[cfg(feature = "fault-inject")]
+        if dimmunix_inject::prediction_fault(cycles.len()) {
+            panic!("dimmunix fault injection: scripted panic before a prediction is archived");
+        }
         use std::sync::atomic::Ordering::Relaxed;
         let pstats = predictor.live.stats();
         self.stats

@@ -6,7 +6,7 @@
 //! [`AvoidanceCore`], the per-thread event lanes and (optionally) a spawned
 //! monitor thread with period τ. [`Runtime::new`] makes no per-thread
 //! state: a thread's record (`Allowed` log and yield behind its slot
-//! mutex, and the parker that waits on that mutex) is made with its chunk
+//! lock, and the parker it parks on in a yield) is made with its chunk
 //! of 64 ids, its event lane when it registers. Lock types
 //! ([`crate::sync::ImmunizedMutex`],
 //! [`crate::sync::ReentrantLock`], [`crate::raw::RawLock`]) hold a handle to
@@ -339,15 +339,15 @@ impl Runtime {
     /// `lock()` pays it, yielding or not — so it may miss a wake in flight;
     /// that stale read only makes `park_yield` see a moved epoch, return
     /// `Woken` at once and send the caller round to re-request.
-    pub(crate) fn park_epoch(&self, t: ThreadId) -> u64 {
+    pub(crate) fn park_epoch(&self, t: ThreadId) -> u32 {
         self.inner.core.me(t).park_epoch()
     }
 
-    /// Parks the calling thread (which must be `t`) on its own slot mutex
+    /// Parks the calling thread (which must be `t`) on its own parker
     /// until a wake arrives (epoch moves past `epoch0`) or the max-yield
     /// bound expires. A bound that reaches past the end of [`Instant`] is
     /// no bound.
-    pub(crate) fn park_yield(&self, t: ThreadId, epoch0: u64) -> ParkOutcome {
+    pub(crate) fn park_yield(&self, t: ThreadId, epoch0: u32) -> ParkOutcome {
         let mut bound = self.inner.config.max_yield_duration;
         if self.inner.degraded.load(Ordering::Relaxed) {
             // No monitor will ever break this thread's starvation: cap the
@@ -364,7 +364,7 @@ impl Runtime {
         Self::wake_tid(&self.inner, t);
     }
 
-    /// Wakes `t` under its slot mutex; no caller holds an engine lock (the
+    /// Wakes `t` under its parker's mutex; no caller holds an engine lock (the
     /// wakers are listed in `avoidance/yields.rs`, "No-lost-wakeup
     /// protocol").
     fn wake_tid(inner: &Inner, t: ThreadId) {

@@ -968,10 +968,18 @@ fn per_thread_counters_lose_no_count_across_threads_and_reused_ids() {
             )
             .unwrap();
         let wave = || {
+            // All of a wave's workers hold their ids at once before any
+            // pairs: a worker that ran its pairs and exited before a late
+            // one registered would hand it its id, and the wave would not
+            // take the first one's ids.
+            let registered = Arc::new(Barrier::new(THREADS));
             let workers: Vec<_> = (0..THREADS)
                 .map(|_| {
                     let (rt, sites) = (rt.clone(), [member.clone(), plain.clone()]);
+                    let registered = Arc::clone(&registered);
                     std::thread::spawn(move || {
+                        rt.current_thread().expect("registered");
+                        registered.wait();
                         let lock = rt.raw_lock();
                         for i in 0..PAIRS {
                             lock.lock(&sites[i as usize % 2]);

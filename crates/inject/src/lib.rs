@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is a small script of component failures — "panic thread
 //! slot T at its Nth instrumented acquire", "panic or stall the monitor
-//! after pass P", "tear the history file at byte K", "crash between the
+//! after pass P", "panic the monitor between a prediction and its
+//! archival", "tear the history file at byte K", "crash between the
 //! temp-file write and the publishing rename" — that the runtime's hooks
 //! consult at the corresponding points. Plans are either built explicitly or derived from
 //! a seed with [`FaultPlan::from_seed`], so every chaos run is replayable
@@ -12,7 +13,7 @@
 //! types and identifies threads by their runtime slot index. Hooks in the
 //! other crates are compiled only under their `fault-inject` feature and
 //! call the free functions here ([`should_panic_on_acquire`],
-//! [`monitor_fault`], [`take_history_fault`]);
+//! [`monitor_fault`], [`prediction_fault`], [`take_history_fault`]);
 //! with no plan installed every hook is a cheap atomic load that says
 //! "no fault".
 //!
@@ -92,6 +93,9 @@ pub struct FaultPlan {
     pub acquire_panics: Vec<AcquireFault>,
     /// Monitor panic/stall script.
     pub monitor: Option<MonitorFault>,
+    /// How many passes whose predictor found a cycle panic between that
+    /// find and the cycle's archival (0 = none).
+    pub prediction_panics: u64,
     /// History persistence fault (consumed by the first save it applies to).
     pub history: Option<HistoryFault>,
 }
@@ -176,6 +180,13 @@ impl FaultPlan {
         self
     }
 
+    /// Panics the monitor on the first `times` passes whose predictor finds
+    /// a cycle, after the find and before the cycle reaches the history.
+    pub fn kill_monitor_after_prediction(mut self, times: u64) -> Self {
+        self.prediction_panics = times;
+        self
+    }
+
     /// Tears the next published history file with a single corrupt byte.
     pub fn corrupt_history_at(mut self, offset: u64) -> Self {
         self.history = Some(HistoryFault::CorruptByte { offset });
@@ -202,6 +213,8 @@ pub struct FiredReport {
     pub acquire_panics: u64,
     /// Monitor passes faulted (panic or stall).
     pub monitor_faults: u64,
+    /// Monitor passes panicked between a prediction and its archival.
+    pub prediction_faults: u64,
     /// History faults applied.
     pub history_faults: u64,
 }
@@ -218,6 +231,7 @@ struct ActivePlan {
     monitor_fired: AtomicU64,
     fired_acquire: AtomicU64,
     fired_monitor: AtomicU64,
+    fired_prediction: AtomicU64,
     fired_history: AtomicU64,
 }
 
@@ -266,6 +280,7 @@ pub fn install(plan: FaultPlan) -> InstallGuard {
         monitor_fired: AtomicU64::new(0),
         fired_acquire: AtomicU64::new(0),
         fired_monitor: AtomicU64::new(0),
+        fired_prediction: AtomicU64::new(0),
         fired_history: AtomicU64::new(0),
     }));
     *reg.active.lock().unwrap_or_else(PoisonError::into_inner) = Some(active_plan);
@@ -282,6 +297,7 @@ impl InstallGuard {
         FiredReport {
             acquire_panics: self.plan.fired_acquire.load(Ordering::Relaxed),
             monitor_faults: self.plan.fired_monitor.load(Ordering::Relaxed),
+            prediction_faults: self.plan.fired_prediction.load(Ordering::Relaxed),
             history_faults: self.plan.fired_history.load(Ordering::Relaxed),
         }
     }
@@ -343,6 +359,23 @@ pub fn monitor_fault(pass: u64) -> Option<MonitorFaultKind> {
     Some(fault.kind)
 }
 
+/// Hook: called by the monitor after its predictor's pass, before the
+/// cycles it found are archived; `found` is how many it found. Returns
+/// `true`, and the caller panics, on the first
+/// [`FaultPlan::prediction_panics`] passes that found any.
+pub fn prediction_fault(found: usize) -> bool {
+    let Some(active) = active() else { return false };
+    if found == 0 {
+        return false;
+    }
+    let fired = &active.fired_prediction;
+    let budget = active.plan.prediction_panics;
+    let claimed = fired.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+        (n < budget).then_some(n + 1)
+    });
+    claimed.is_ok()
+}
+
 /// Hook: called by the history saver once per save, after the temp file is
 /// durable and before the rename. Consumes and returns the plan's history
 /// fault (each plan tears at most one save, and only a save issued by the
@@ -383,6 +416,7 @@ mod tests {
     fn hooks_are_inert_without_an_installed_plan() {
         assert!(!should_panic_on_acquire(0));
         assert!(monitor_fault(1).is_none());
+        assert!(!prediction_fault(1));
         assert!(take_history_fault().is_none());
     }
 
@@ -408,6 +442,20 @@ mod tests {
         assert_eq!(guard.fired().monitor_faults, 2);
         drop(guard);
         assert!(monitor_fault(3).is_none(), "uninstalled on drop");
+    }
+
+    #[test]
+    fn prediction_fault_fires_only_on_passes_that_found_a_cycle() {
+        let guard = install(FaultPlan::none().kill_monitor_after_prediction(2));
+        assert!(!prediction_fault(0));
+        assert!(prediction_fault(1));
+        assert!(!prediction_fault(0));
+        assert!(prediction_fault(3));
+        assert!(!prediction_fault(1), "budget of 2 exhausted");
+        assert_eq!(guard.fired().prediction_faults, 2);
+        assert_eq!(guard.fired().monitor_faults, 0);
+        drop(guard);
+        assert!(!prediction_fault(1), "uninstalled on drop");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Kept only for the benchmark's `lockfree.wakelist_push_drain_ns` probe:
 //! the avoidance engine no longer uses [`WakeList`], [`WakeNodePool`] or
 //! [`DrainVerdict`]. A yield now registers in its cause's log under that
-//! log's slot mutex, and the pop that ends the cause's entry takes the
+//! log's slot lock, and the pop that ends the cause's entry takes the
 //! registrations in the same critical section. What follows describes the
 //! design as the engine used it.
 //!
