@@ -7,8 +7,9 @@
 # has a symbol of its own, i.e. the hooks call them out of line, or if the
 # slot lock's uncontended lock or unlock has one (only its cold
 # `lock_contended` / `unlock_contended` may), and prints the sizes of the
-# hooks, of the context capture and of the slot lock's slow paths for
-# comparison with the parent commit. It also fails when a symbol it looks
+# hooks, of the context capture (`Context::leaf` finds or grows a lock
+# call's leaf), of `Runtime::current_thread` and of the slot lock's slow
+# paths for comparison with the parent commit. It also fails when a symbol it looks
 # for is missing (a rename, a move or a stripped binary), so it cannot pass
 # vacuously.
 #
@@ -19,9 +20,9 @@ symbols=$(nm -C -S "$bin")
 
 # A check that finds nothing passes nothing: every symbol it reads must
 # be there, under the path it greps for.
-sizes=$(echo "$symbols" | grep -E ' dimmunix_core::(avoidance::AvoidanceCore::(request|release|acquired)|avoidance::log::<impl dimmunix_core::avoidance::AvoidanceCore>::pop_entry|context::(capture|lock_site))$' || true)
-if [ "$(echo "$sizes" | grep -c .)" -ne 6 ]; then
-    echo "Expected the six hook and context symbols, found:" >&2
+sizes=$(echo "$symbols" | grep -E ' dimmunix_core::(avoidance::AvoidanceCore::(request|release|acquired)|avoidance::log::<impl dimmunix_core::avoidance::AvoidanceCore>::pop_entry|context::(capture|Context::leaf)|runtime::Runtime::current_thread)$' || true)
+if [ "$(echo "$sizes" | grep -c .)" -ne 7 ]; then
+    echo "Expected the seven hook, context and registration symbols, found:" >&2
     echo "$sizes" >&2
     exit 1
 fi

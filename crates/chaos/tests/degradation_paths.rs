@@ -2,7 +2,8 @@
 //! seed-replayable [`FaultPlan`]:
 //!
 //! 1. a registered thread panics at its Nth acquire while holding locks —
-//!    the unwind sweep must reclaim its state and wake its yielders;
+//!    the unwind sweep must reclaim its state and wake its yielders (1′:
+//!    the panic unwinds out of a RAII lock call under live context frames);
 //! 2. the monitor panics, by a scripted fault or in a user hook — the
 //!    supervisor restarts it from the last good RAG snapshot and the live
 //!    predictor, and past the restart budget degrades to pass-through
@@ -15,7 +16,9 @@
 
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
 use dimmunix_core::config::MONITOR_RESTART_BUDGET;
-use dimmunix_core::{Config, CycleKind, HistoryError, Hooks, PredictionConfig, Runtime};
+use dimmunix_core::{
+    frame, Config, CycleKind, HistoryError, Hooks, ImmunizedMutex, PredictionConfig, Runtime,
+};
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,6 +119,68 @@ fn scripted_acquire_panic_reclaims_state_and_wakes_yielders() {
         s.requests + s.gos + s.yields + s.acquisitions + s.releases + 2,
         "{s:?}"
     );
+}
+
+/// Locks `m` under two live context frames, `outer` and `inner`.
+fn lock_in_two_scopes(m: &ImmunizedMutex<()>) {
+    fn inner(m: &ImmunizedMutex<()>) {
+        frame!("inner");
+        drop(m.lock());
+    }
+    frame!("outer");
+    inner(m);
+}
+
+/// Path 1′: the scripted acquire panic fires inside an
+/// `ImmunizedMutex::lock()` taken under two live `frame!` scopes, that is,
+/// while the lock call has the thread's calling context borrowed. The
+/// thread dies of that one panic: the borrow is gone before the scopes'
+/// frame guards pop, so none of them panics again (a second panic while
+/// unwinding would abort the process). A fresh thread locking from the
+/// same scopes resolves to the same stack.
+#[test]
+fn an_acquire_panic_inside_a_raii_lock_call_unwinds_through_its_frames() {
+    quiet_scripted_panics();
+    // The victim is the first registration in a fresh runtime: slot 0,
+    // and its first acquire is the fatal one.
+    let guard = install(FaultPlan::none().panic_thread_at(0, 1));
+    let rt = Runtime::new(Config::default()).unwrap();
+    let victim = {
+        let rt = rt.clone();
+        std::thread::spawn(move || lock_in_two_scopes(&rt.mutex(())))
+    };
+    let results = watchdog_join(vec![victim], Duration::from_secs(20), || {
+        format!("{:?}", rt.stats())
+    });
+    let payload = results.into_iter().next().unwrap().unwrap_err();
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("the scripted panic");
+    assert!(message.contains("scripted panic at acquire"), "{message}");
+    assert_eq!(guard.fired().acquire_panics, 1);
+    assert_eq!(rt.stats().panic_cleanups, 1, "{:?}", rt.stats());
+    // The victim's lock interned the runtime's one stack.
+    assert_eq!(rt.stack_table().len(), 1);
+    let names: Vec<String> = rt
+        .stack_table()
+        .resolve(dimmunix_signature::StackId(0))
+        .iter()
+        .map(|&f| rt.frame_table().resolve(f).function.to_string())
+        .collect();
+    assert_eq!(names, ["outer", "inner", "<lock>"]);
+    // A fresh thread (slot 0 again, past its fatal ordinal) locks from the
+    // same scopes, through its own context tree, onto the same stack.
+    let fresh = {
+        let rt = rt.clone();
+        std::thread::spawn(move || lock_in_two_scopes(&rt.mutex(())))
+    };
+    let results = watchdog_join(vec![fresh], Duration::from_secs(20), || {
+        format!("{:?}", rt.stats())
+    });
+    assert!(results[0].is_ok(), "the fresh thread must lock normally");
+    assert_eq!(rt.stack_table().len(), 1, "a second stack was interned");
+    let s = rt.stats();
+    assert_eq!((s.capture_misses, s.panic_cleanups), (2, 1), "{s:?}");
 }
 
 /// Path 2a: a single monitor panic. The supervisor restarts the monitor

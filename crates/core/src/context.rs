@@ -39,9 +39,10 @@
 //!   runtimes. The table is named by [`FrameTable::id`], which is never
 //!   reused, and not by its address, which the allocator hands to the next
 //!   runtime as soon as this one is dropped — a leaf keyed by address
-//!   would then serve the dead runtime's ids to the new one. The leaf holds
-//!   what [`crate::raw::RawLock`] callers pre-intern by hand: a
-//!   [`LockSite`].
+//!   would then serve the dead runtime's ids to the new one. The leaf lends
+//!   its frames and stack id for the length of the call
+//!   (`with_lock_site`): what [`crate::raw::RawLock`] callers pre-intern
+//!   by hand as a [`crate::raw::LockSite`], with no reference count touched.
 //!
 //! A hit takes no shared lock, hashes no string and allocates nothing. A
 //! miss interns the frames by string, exactly as every capture used to,
@@ -54,7 +55,6 @@
 //! thread that walks an unbounded set of contexts (or outlives an unbounded
 //! series of runtimes) keeps bounded memory. It is freed with the thread.
 
-use crate::raw::LockSite;
 use crate::runtime::Runtime;
 use crate::stats::Stats;
 use dimmunix_signature::{FrameId, FrameTable, IdMap, StackId};
@@ -187,9 +187,22 @@ pub fn capture(frames: &FrameTable, site: &'static Location<'static>) -> Vec<Fra
     CONTEXT.with(|c| c.borrow_mut().leaf(frames, site).frames.to_vec())
 }
 
-/// What a lock operation of `runtime` at `site` hands the engine: the
-/// capture as a [`LockSite`], as if the caller had pre-interned it.
-pub(crate) fn lock_site(runtime: &Runtime, site: &'static Location<'static>) -> LockSite {
+/// Runs `f` on what a lock operation of `runtime` at `site` hands the
+/// engine: the capture's frames and stack id, lent by the leaf (the stack
+/// is interned on the leaf's first use through `runtime`).
+///
+/// The thread's context stays borrowed while `f` runs. That is sound
+/// because `f` is the lock call's engine work (`request`, `park_yield`,
+/// `force_go`, `acquired`, `cancel`, an inline rebuild), which runs no
+/// application code and pushes no frame, so nothing in it reaches
+/// `CONTEXT`. A panic out of `f` (a fault-injected one at `acquired`)
+/// drops the borrow as it unwinds this frame, before any caller's
+/// [`FrameGuard`] pops.
+pub(crate) fn with_lock_site<R>(
+    runtime: &Runtime,
+    site: &'static Location<'static>,
+    f: impl FnOnce(&Arc<[FrameId]>, StackId) -> R,
+) -> R {
     CONTEXT.with(|c| {
         let mut context = c.borrow_mut();
         let leaf = context.leaf(runtime.frame_table(), site);
@@ -197,10 +210,7 @@ pub(crate) fn lock_site(runtime: &Runtime, site: &'static Location<'static>) -> 
             Stats::bump(&runtime.stats_ref().capture_misses);
             runtime.stack_table().intern(&leaf.frames)
         });
-        LockSite {
-            frames: Arc::clone(&leaf.frames),
-            stack,
-        }
+        f(&leaf.frames, stack)
     })
 }
 
@@ -319,6 +329,7 @@ mod tests {
     }
 
     use crate::config::Config;
+    use crate::raw::LockSite;
     use proptest::prelude::*;
 
     /// Distinct lock call sites (three lines, three `Location`s).
@@ -352,6 +363,15 @@ mod tests {
         let frames = intern_frames(rt.frame_table(), live, site);
         let stack = rt.stack_table().intern(&frames);
         (frames, stack)
+    }
+
+    /// The capture of a lock at `site` through `rt`, cloned out of the leaf
+    /// as a `RawLock` caller would hold it.
+    fn lock_site(rt: &Runtime, site: &'static Location<'static>) -> LockSite {
+        with_lock_site(rt, site, |frames, stack| LockSite {
+            frames: Arc::clone(frames),
+            stack,
+        })
     }
 
     fn assert_matches_oracle(rt: &Runtime, live: &[RawFrame], site: &'static Location<'static>) {

@@ -19,9 +19,13 @@
 //! A drain takes each non-empty lane's lock only to swap its queue with an
 //! empty buffer, and applies the events it took with no lane lock held, so a
 //! producer waits at most for a swap, never for the monitor's work. The
-//! emptied queue is the buffer swapped into the next lane. A capped drain
-//! puts what it did not apply back at the front of the lane's queue, ahead
-//! of anything pushed meanwhile.
+//! emptied queue is the buffer swapped into the next lane, kept at the size
+//! it grew to unless that is more than twice both a block and the backlog
+//! of the lane it goes to: a producer that steadily queues more than a
+//! block per pass keeps a buffer that fits, while a spike's buffer waits as
+//! the spare until the next drain of a smaller backlog sheds it. A capped
+//! drain puts what it did not apply back at the front of the lane's queue,
+//! ahead of anything pushed meanwhile.
 //!
 //! # Ordering
 //!
@@ -143,6 +147,14 @@ impl EventLanes {
                 if queue.is_empty() {
                     continue;
                 }
+                // `VecDeque` doubles, so a buffer grown to fit a backlog is
+                // at most twice it. One larger than that for this lane is
+                // shed first, outside the lock.
+                if buf.capacity() > 2 * self.block_capacity.max(queue.len()) {
+                    drop(queue);
+                    buf.shrink_to(self.block_capacity);
+                    queue = lane.lock();
+                }
                 if buf.capacity() < self.block_capacity {
                     buf.reserve(self.block_capacity);
                 }
@@ -160,8 +172,6 @@ impl EventLanes {
                 buf.append(&mut queue);
                 std::mem::swap(&mut *queue, &mut buf);
             }
-            // A backlog spike leaves no lasting buffer behind it.
-            buf.shrink_to(self.block_capacity);
         }
         *self.spare.lock() = buf;
         drained
@@ -333,6 +343,44 @@ mod tests {
             lanes.drain(usize::MAX, |_| {});
         }
         assert_eq!(lanes.high_water(), 7, "the peak, not the block size");
+    }
+
+    /// The capacity of the buffer in `slot`'s lane and of the spare.
+    fn capacities(lanes: &EventLanes, slot: usize) -> (usize, usize) {
+        let lane = lanes.lanes[slot].get().unwrap().lock().capacity();
+        (lane, lanes.spare.lock().capacity())
+    }
+
+    #[test]
+    fn a_steady_producer_keeps_a_buffer_that_fits_its_backlog() {
+        let lanes = EventLanes::new(1, 4);
+        lanes.register(0);
+        for pass in 0..5 {
+            for i in 0..12 {
+                lanes.push(0, ev(0, i));
+            }
+            assert_eq!(lanes.drain(usize::MAX, |_| {}), 12);
+            if pass > 0 {
+                // Both buffers have grown to fit three blocks, and the
+                // drain handed the lane one of them back.
+                let (lane, spare) = capacities(&lanes, 0);
+                assert!(lane >= 12 && spare >= 12, "pass {pass}: {lane} {spare}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_spike_leaves_no_buffer_past_the_next_small_drain() {
+        let lanes = EventLanes::new(1, 4);
+        lanes.register(0);
+        for i in 0..40 {
+            lanes.push(0, ev(0, i));
+        }
+        assert_eq!(lanes.drain(usize::MAX, |_| {}), 40);
+        lanes.push(0, ev(0, 40));
+        assert_eq!(lanes.drain(usize::MAX, |_| {}), 1);
+        let (lane, spare) = capacities(&lanes, 0);
+        assert!(lane <= 8 && spare <= 8, "{lane} {spare}");
     }
 
     #[test]

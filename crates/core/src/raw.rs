@@ -7,8 +7,9 @@
 //! mirrors that shape in Rust: explicit `lock`/`unlock` (no RAII guard) and
 //! pre-interned [`LockSite`] descriptors standing in for the cheap
 //! return-address stacks the C implementation enjoys. The RAII types reach
-//! the same engine calls with the same descriptor, looked up in the calling
-//! thread's context tree ([`crate::context`]) instead of being passed in.
+//! the same engine calls with the same frames and stack id, borrowed from
+//! the calling thread's context tree ([`crate::context`]) instead of being
+//! passed in.
 
 use crate::runtime::Runtime;
 use crate::sync::{acquire, release, try_acquire};
@@ -110,7 +111,15 @@ impl RawLock {
             self.raw.lock();
             return;
         };
-        acquire(&self.runtime, &self.raw, t, self.id, site, None);
+        acquire(
+            &self.runtime,
+            &self.raw,
+            t,
+            self.id,
+            site.frames(),
+            site.stack(),
+            None,
+        );
     }
 
     /// Non-blocking acquire (like `pthread_mutex_trylock`). Fails on
@@ -120,7 +129,14 @@ impl RawLock {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock();
         };
-        try_acquire(&self.runtime, &self.raw, t, self.id, site)
+        try_acquire(
+            &self.runtime,
+            &self.raw,
+            t,
+            self.id,
+            site.frames(),
+            site.stack(),
+        )
     }
 
     /// Acquire with a timeout (like `pthread_mutex_timedlock`).
@@ -130,7 +146,15 @@ impl RawLock {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock_for(timeout);
         };
-        acquire(&self.runtime, &self.raw, t, self.id, site, deadline)
+        acquire(
+            &self.runtime,
+            &self.raw,
+            t,
+            self.id,
+            site.frames(),
+            site.stack(),
+            deadline,
+        )
     }
 
     /// Releases the lock. Must be called by the thread that locked it.

@@ -27,7 +27,7 @@ use dimmunix_signature::{
     FrameTable, History, HistoryError, HistoryRecovery, Signature, StackTable,
 };
 use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -83,10 +83,18 @@ impl Drop for Inner {
     }
 }
 
-static RUNTIME_IDS: AtomicUsize = AtomicUsize::new(0);
+/// Runtime ids start at 1 and are never reused: 0 names no runtime.
+static RUNTIME_IDS: AtomicUsize = AtomicUsize::new(1);
+
+/// What [`CURRENT`] holds when it names no registration.
+const NO_REGISTRATION: (usize, ThreadId) = (0, ThreadId(0));
 
 thread_local! {
     static REGISTRATIONS: RefCell<Vec<Registration>> = const { RefCell::new(Vec::new()) };
+    /// The `(runtime id, thread id)` of the registration
+    /// [`Runtime::current_thread`] last answered with. No destructor, so it
+    /// stays readable from other thread-locals' destructors.
+    static CURRENT: Cell<(usize, ThreadId)> = const { Cell::new(NO_REGISTRATION) };
 }
 
 /// A thread's registration with one runtime; deregisters on thread exit.
@@ -98,6 +106,13 @@ struct Registration {
 
 impl Drop for Registration {
     fn drop(&mut self) {
+        // The id goes back to the pool below; a lock taken later, from
+        // another thread-local's destructor, must not act as it.
+        CURRENT.with(|current| {
+            if current.get() == (self.runtime_id, self.tid) {
+                current.set(NO_REGISTRATION);
+            }
+        });
         if let Some(inner) = self.inner.upgrade() {
             // Runs on both orderly exit and unwind: empty the held-lock
             // stack, clear yield state, wake yielders whose cause we were
@@ -304,9 +319,31 @@ impl Runtime {
 
     /// The calling OS thread's dense id in this runtime, registering it on
     /// first use. `None` when [`MAX_THREADS`] registrations are live.
+    ///
+    /// Every lock call asks, so the answer for the runtime asked last is
+    /// cached in a one-entry thread-local, one load and a compare; runtime
+    /// ids are never reused, so a match is this runtime's registration.
+    /// Otherwise the thread's registrations are searched (and a new one
+    /// made), and the answer cached if there is one: a refused registration
+    /// is asked again next time, when an id may have come free. A
+    /// registration's drop clears the cache before it gives its id back, so
+    /// a lock taken after it (from another thread-local's destructor) never
+    /// acts as an id another thread may already hold.
     pub fn current_thread(&self) -> Option<ThreadId> {
+        match CURRENT.with(Cell::get) {
+            (id, tid) if id == self.inner.runtime_id => Some(tid),
+            _ => self.register_current_thread(),
+        }
+    }
+
+    /// [`Runtime::current_thread`] past its cache: a thread's first lock
+    /// call in this runtime, or its first after it locked through another.
+    /// A lock from a thread-local destructor that runs after the
+    /// registration list's own finds no list, and runs unsupervised.
+    #[cold]
+    fn register_current_thread(&self) -> Option<ThreadId> {
         let id = self.inner.runtime_id;
-        REGISTRATIONS.with(|regs| {
+        let tid = REGISTRATIONS.try_with(|regs| {
             let mut regs = regs.borrow_mut();
             if let Some(r) = regs.iter().find(|r| r.runtime_id == id) {
                 return Some(r.tid);
@@ -326,7 +363,10 @@ impl Runtime {
                     None
                 }
             }
-        })
+        });
+        let tid = tid.ok().flatten()?;
+        CURRENT.with(|current| current.set((id, tid)));
+        Some(tid)
     }
 
     /// Allocates a fresh lock id.

@@ -14,11 +14,14 @@
 //!
 //! The call stack recorded with each operation is the thread's
 //! [`crate::context`] frame stack plus the lock call site (captured with
-//! `#[track_caller]`), giving signatures the same shape as the paper's.
+//! `#[track_caller]`), giving signatures the same shape as the paper's. The
+//! RAII types run their engine calls inside
+//! `context::with_lock_site`, on frames and a stack id borrowed from the
+//! thread's calling-context tree; [`crate::raw::RawLock`] passes those of
+//! its pre-interned [`crate::raw::LockSite`].
 
 use crate::avoidance::Decision;
 use crate::context;
-use crate::raw::LockSite;
 use crate::runtime::{ParkOutcome, Runtime};
 use dimmunix_rag::{LockId, ThreadId};
 use dimmunix_signature::{FrameId, StackId};
@@ -84,10 +87,13 @@ fn request_until_go(
 }
 
 /// The blocking acquisition shared by every lock type: drives the request
-/// to a GO, takes `raw`, and tells the engine how it went — `acquired`, or
-/// `cancel` when `deadline` (timed locks only) passed first, in which case
-/// `false` is returned and `raw` is not held, and the threads yielding on
-/// the cancelled grant are woken.
+/// for the call stack `frames` (interned as `stack`) to a GO, takes `raw`,
+/// and tells the engine how it went — `acquired`, or `cancel` when
+/// `deadline` (timed locks only) passed first, in which case `false` is
+/// returned and `raw` is not held, and the threads yielding on the
+/// cancelled grant are woken. The stack is borrowed: the RAII types lend
+/// the context tree's leaf ([`context::with_lock_site`]), `RawLock` its
+/// `LockSite`.
 ///
 /// This is the one place a supervised thread blocks inside a mutex, and so
 /// the one place that owes the monitor the allow edge first: `waiting` is
@@ -99,13 +105,14 @@ pub(crate) fn acquire(
     raw: &RawMutex,
     t: ThreadId,
     id: LockId,
-    site: &LockSite,
+    frames: &[FrameId],
+    stack: StackId,
     deadline: Option<Instant>,
 ) -> bool {
     let core = runtime.core();
-    let locked = request_until_go(runtime, t, id, &site.frames, site.stack, deadline)
+    let locked = request_until_go(runtime, t, id, frames, stack, deadline)
         && (raw.try_lock() || {
-            core.waiting(t, id, site.stack);
+            core.waiting(t, id, stack);
             match deadline {
                 None => {
                     raw.lock();
@@ -115,7 +122,7 @@ pub(crate) fn acquire(
             }
         });
     if locked {
-        core.acquired(t, id, site.stack);
+        core.acquired(t, id, stack);
     } else {
         wake_all(runtime, core.cancel(t, id));
     }
@@ -131,13 +138,13 @@ pub(crate) fn try_acquire(
     raw: &RawMutex,
     t: ThreadId,
     id: LockId,
-    site: &LockSite,
+    frames: &[FrameId],
+    stack: StackId,
 ) -> bool {
     let core = runtime.core();
-    let locked =
-        matches!(core.request(t, id, &site.frames, site.stack), Decision::Go) && raw.try_lock();
+    let locked = matches!(core.request(t, id, frames, stack), Decision::Go) && raw.try_lock();
     if locked {
-        core.acquired(t, id, site.stack);
+        core.acquired(t, id, stack);
     } else {
         wake_all(runtime, core.cancel(t, id));
     }
@@ -224,8 +231,9 @@ impl<T: ?Sized> ImmunizedMutex<T> {
             self.raw.lock();
             return self.guard(None);
         };
-        let site = context::lock_site(&self.runtime, site);
-        acquire(&self.runtime, &self.raw, t, self.id, &site, None);
+        context::with_lock_site(&self.runtime, site, |frames, stack| {
+            acquire(&self.runtime, &self.raw, t, self.id, frames, stack, None)
+        });
         self.guard(Some(t))
     }
 
@@ -238,8 +246,10 @@ impl<T: ?Sized> ImmunizedMutex<T> {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock().then(|| self.guard(None));
         };
-        let site = context::lock_site(&self.runtime, site);
-        try_acquire(&self.runtime, &self.raw, t, self.id, &site).then(|| self.guard(Some(t)))
+        context::with_lock_site(&self.runtime, site, |frames, stack| {
+            try_acquire(&self.runtime, &self.raw, t, self.id, frames, stack)
+        })
+        .then(|| self.guard(Some(t)))
     }
 
     /// Attempts the lock with a timeout (like `pthread_mutex_timedlock`).
@@ -251,8 +261,18 @@ impl<T: ?Sized> ImmunizedMutex<T> {
         let Some(t) = self.runtime.current_thread() else {
             return self.raw.try_lock_for(timeout).then(|| self.guard(None));
         };
-        let site = context::lock_site(&self.runtime, site);
-        acquire(&self.runtime, &self.raw, t, self.id, &site, deadline).then(|| self.guard(Some(t)))
+        context::with_lock_site(&self.runtime, site, |frames, stack| {
+            acquire(
+                &self.runtime,
+                &self.raw,
+                t,
+                self.id,
+                frames,
+                stack,
+                deadline,
+            )
+        })
+        .then(|| self.guard(Some(t)))
     }
 
     /// The guard of a `raw` this thread has just locked, as thread `tid`
@@ -373,32 +393,27 @@ impl ReentrantLock {
     pub fn enter(&self) -> ReentrantGuard<'_> {
         let caller = Location::caller();
         let me = thread_token();
-        let supervised = self
-            .runtime
-            .current_thread()
-            .map(|t| (t, context::lock_site(&self.runtime, caller)));
-        let tid = supervised.as_ref().map(|&(t, _)| t);
+        let tid = self.runtime.current_thread();
         if self.owner.load(Ordering::Acquire) == me {
             // Reentrant fast path.
             self.count.fetch_add(1, Ordering::Relaxed);
-            if let Some((t, site)) = &supervised {
-                self.runtime
-                    .core()
-                    .acquired_reentrant(*t, self.id, &site.frames, site.stack);
+            if let Some(t) = tid {
+                context::with_lock_site(&self.runtime, caller, |frames, stack| {
+                    self.runtime
+                        .core()
+                        .acquired_reentrant(t, self.id, frames, stack);
+                });
             }
-            return ReentrantGuard {
-                lock: self,
-                tid,
-                _not_send: PhantomData,
-            };
-        }
-        if let Some((t, site)) = &supervised {
-            acquire(&self.runtime, &self.raw, *t, self.id, site, None);
         } else {
-            self.raw.lock();
+            match tid {
+                Some(t) => context::with_lock_site(&self.runtime, caller, |frames, stack| {
+                    acquire(&self.runtime, &self.raw, t, self.id, frames, stack, None);
+                }),
+                None => self.raw.lock(),
+            }
+            self.owner.store(me, Ordering::Release);
+            self.count.store(1, Ordering::Relaxed);
         }
-        self.owner.store(me, Ordering::Release);
-        self.count.store(1, Ordering::Relaxed);
         ReentrantGuard {
             lock: self,
             tid,

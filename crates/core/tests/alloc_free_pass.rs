@@ -2,9 +2,11 @@
 //! counting allocator. Once the predictor knows the nests and the RAG
 //! keeps the `holders` buffers of the lock vertices it removed, a pass
 //! allocates the same whatever the number of nests it drains, with one
-//! exception: a lane whose backlog grew past a block hands the drain a
-//! grown buffer, which the drain shrinks back to a block before it swaps
-//! it into the next lane. Nothing else in a pass copies or keeps what it
+//! exception: the drain sheds a buffer more than twice the size that both a
+//! block and the lane's backlog need before it swaps it into the lane, one
+//! allocation. A steady backlog past a block therefore costs nothing extra
+//! once its buffers have grown to fit it, and a mix of backlog sizes costs
+//! what [`Buffers`] models. Nothing else in a pass copies or keeps what it
 //! drained: the predictor is its own restart point.
 
 use dimmunix_core::lanes::BLOCK_CAPACITY;
@@ -95,6 +97,30 @@ fn passes(
         .collect()
 }
 
+/// The capacities of the one lane's buffer and the drain's spare, as the
+/// drain's sizing rule moves them.
+struct Buffers {
+    lane: usize,
+    spare: usize,
+}
+
+impl Buffers {
+    /// The allocations a pass that drains `events` makes beyond `base`.
+    fn pass(&mut self, events: usize) -> u64 {
+        // The producer's `VecDeque` doubles until the backlog fits; that
+        // is the worker's allocation, not the pass's.
+        while self.lane < events {
+            self.lane *= 2;
+        }
+        let shed = self.spare > 2 * BLOCK_CAPACITY.max(events);
+        if shed {
+            self.spare = BLOCK_CAPACITY;
+        }
+        std::mem::swap(&mut self.lane, &mut self.spare);
+        u64::from(shed)
+    }
+}
+
 #[test]
 fn a_warm_busy_pass_allocates_once_more_only_to_shrink_a_grown_lane() {
     let rt = Runtime::new(Config {
@@ -107,9 +133,13 @@ fn a_warm_busy_pass_allocates_once_more_only_to_shrink_a_grown_lane() {
     let mut first = 0;
     // The first 8 passes walk the whole order: the predictor learns every
     // nest. The passes right after them and the 120 after those, of 64,
-    // 256 and 512 nests, re-feed it.
+    // 256 and 512 nests, re-feed it; then 40 passes of 512 nests each.
+    // 64 nests are 384 events, which fit a lane's block; 256 and 512 grow
+    // the lane past it.
+    let learn = [512; 8];
     let mix = [64, 256, 512];
-    passes(&rt, &locks, &site, &mut first, &[512; 8]);
+    let steady = [512; 40];
+    passes(&rt, &locks, &site, &mut first, &learn);
     let cold = passes(&rt, &locks, &site, &mut first, &mix.repeat(8));
     let before = rt.stats();
     let warm = passes(&rt, &locks, &site, &mut first, &mix.repeat(40));
@@ -117,18 +147,29 @@ fn a_warm_busy_pass_allocates_once_more_only_to_shrink_a_grown_lane() {
     assert_eq!(stats.releases - before.releases, 40 * 832 * NEST as u64);
     assert_eq!(stats.events_last_drain, 512 * 2 * NEST as u64);
     assert_eq!(stats.cycles_predicted, 0);
+    let held = passes(&rt, &locks, &site, &mut first, &steady);
+    assert_eq!(rt.stats().cycles_predicted, 0);
+    // Both buffers start at a block: the lane's is made with the lane, and
+    // the first pass reserves the spare's.
+    let mut buffers = Buffers {
+        lane: BLOCK_CAPACITY,
+        spare: BLOCK_CAPACITY,
+    };
+    for &n in &learn {
+        buffers.pass(n * 2 * NEST);
+    }
+    let nests = mix.repeat(48).into_iter().chain(steady);
+    let extra: Vec<u64> = nests.map(|n| buffers.pass(n * 2 * NEST)).collect();
+    let measured: Vec<u64> = cold.iter().chain(&warm).chain(&held).copied().collect();
     // What every pass allocates whatever its size: the deadlock search's
     // scratch for the one thread it starts from.
-    let base = warm[0];
-    assert!(base <= 2, "{warm:?}");
-    for (pass, (&n, &allocated)) in mix.iter().cycle().zip(cold.iter().chain(&warm)).enumerate() {
-        // 64 nests are 384 events, which fit a lane's block; 256 and 512
-        // grow the lane past it.
-        let grown = n * 2 * NEST > BLOCK_CAPACITY;
-        assert_eq!(
-            allocated,
-            base + u64::from(grown),
-            "pass {pass}: {cold:?} {warm:?}"
-        );
+    let base = measured[0] - extra[0];
+    assert!(base <= 2, "{measured:?}");
+    for (pass, (&allocated, &extra)) in measured.iter().zip(&extra).enumerate() {
+        assert_eq!(allocated, base + extra, "pass {pass}: {measured:?}");
     }
+    // The mixed passes shed a buffer now and then; a steady backlog past a
+    // block keeps its buffers.
+    assert!(extra.iter().any(|&e| e > 0), "{extra:?}");
+    assert!(held.iter().all(|&n| n == base), "{held:?}");
 }

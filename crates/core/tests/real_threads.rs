@@ -3,7 +3,7 @@
 //! live once the signature is known.
 
 use dimmunix_core::config::MAX_THREADS;
-use dimmunix_core::{frame, Config, CycleKind, Decision, LockId, Runtime};
+use dimmunix_core::{frame, Config, CycleKind, Decision, LockId, Runtime, ThreadId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -849,6 +849,83 @@ fn unsupervised_threads_fall_back_to_plain_locking() {
     assert_eq!(*m.lock(), 1);
     assert!(rt.stats().unsupervised_threads >= 1);
     assert_eq!(rt.stats().acquisitions, 0, "no supervised acquisition");
+    // A refused registration is not remembered: once an id is free, the
+    // same thread's next lock registers and is supervised.
+    rt.core().unregister_thread(ThreadId(0));
+    *m.lock() += 1;
+    assert_eq!(rt.current_thread(), Some(ThreadId(0)));
+    assert_eq!(rt.stats().acquisitions, 1);
+}
+
+/// Locks `.0` when dropped.
+struct LocksOnDrop(Arc<dimmunix_core::ImmunizedMutex<u32>>);
+
+impl Drop for LocksOnDrop {
+    fn drop(&mut self) {
+        *self.0.lock() += 1;
+    }
+}
+
+/// A thread-local whose destructor locks an immunized mutex, set before
+/// the thread's first lock call, is destroyed after the thread's
+/// registrations are: its lock finds the thread deregistered and runs
+/// unsupervised, as a plain mutex.
+#[test]
+fn a_lock_from_a_late_thread_local_destructor_runs_unsupervised() {
+    thread_local! {
+        static LATE: std::cell::RefCell<Option<LocksOnDrop>> =
+            const { std::cell::RefCell::new(None) };
+    }
+    let rt = Runtime::new(quiet_config()).unwrap();
+    let m = Arc::new(rt.mutex(0));
+    let late = Arc::clone(&m);
+    std::thread::spawn(move || {
+        LATE.with(|l| *l.borrow_mut() = Some(LocksOnDrop(Arc::clone(&late))));
+        *late.lock() += 1;
+    })
+    .join()
+    .unwrap();
+    assert_eq!(*m.lock(), 2);
+    // Only the thread's own lock was supervised (this test thread's
+    // last one makes it two).
+    assert_eq!(rt.stats().acquisitions, 2);
+}
+
+/// One thread locking through two live runtimes in turn is a different
+/// thread id in each, and each runtime counts only its own pairs; a
+/// runtime built after another was dropped registers the thread afresh.
+#[test]
+fn one_thread_alternating_runtimes_is_its_own_thread_in_each() {
+    std::thread::spawn(|| {
+        let (a, b) = (
+            Runtime::new(quiet_config()).unwrap(),
+            Runtime::new(quiet_config()).unwrap(),
+        );
+        // Shift b's ids, so a confusion of the two cannot pass.
+        b.core().register_thread().unwrap();
+        b.core().register_thread().unwrap();
+        let (ma, mb) = (a.mutex(0), b.mutex(0));
+        for _ in 0..10 {
+            *ma.lock() += 1;
+            assert_eq!(a.current_thread(), Some(ThreadId(0)));
+            *mb.lock() += 1;
+            assert_eq!(b.current_thread(), Some(ThreadId(2)));
+        }
+        assert_eq!((a.stats().acquisitions, a.stats().releases), (10, 10));
+        assert_eq!((b.stats().acquisitions, b.stats().releases), (10, 10));
+        drop(ma);
+        drop(a);
+        let c = Runtime::new(quiet_config()).unwrap();
+        c.core().register_thread().unwrap();
+        let mc = c.mutex(0);
+        *mc.lock() += 1;
+        assert_eq!(c.current_thread(), Some(ThreadId(1)));
+        assert_eq!(c.stats().acquisitions, 1, "{:?}", c.stats());
+        *mb.lock() += 1;
+        assert_eq!(b.stats().acquisitions, 11);
+    })
+    .join()
+    .unwrap();
 }
 
 #[test]
