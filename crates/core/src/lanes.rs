@@ -17,15 +17,18 @@
 //! # Drain: swap, then apply
 //!
 //! A drain takes each non-empty lane's lock only to swap its queue with an
-//! empty buffer, and applies the events it took with no lane lock held, so a
-//! producer waits at most for a swap, never for the monitor's work. The
-//! emptied queue is the buffer swapped into the next lane, kept at the size
-//! it grew to unless that is more than twice both a block and the backlog
-//! of the lane it goes to: a producer that steadily queues more than a
-//! block per pass keeps a buffer that fits, while a spike's buffer waits as
-//! the spare until the next drain of a smaller backlog sheds it. A capped
-//! drain puts what it did not apply back at the front of the lane's queue,
-//! ahead of anything pushed meanwhile.
+//! empty interim buffer, and applies the events it took with no lane lock
+//! held, so a producer waits at most for a swap, never for the monitor's
+//! work. The emptied queue then goes back to its lane, unless the producer
+//! pushed meanwhile: then the lane keeps the interim buffer and the emptied
+//! queue is the interim buffer of the next lane. Either way a buffer is
+//! kept at the size it grew to unless that is more than twice both a block
+//! and the backlog it is checked against (the backlog it held, or the one
+//! of the lane it goes to); a larger one is shrunk to a block first. So
+//! each producer keeps a buffer that fits its own backlog, whatever the
+//! other lanes queue, and a spike's buffer lasts until the next drain of a
+//! smaller backlog. A capped drain puts what it did not apply back at the
+//! front of the lane's queue, ahead of anything pushed meanwhile.
 //!
 //! # Ordering
 //!
@@ -63,7 +66,7 @@ pub struct EventLanes {
     /// One past the highest lane made: where a drain stops.
     in_use: AtomicUsize,
     block_capacity: usize,
-    /// The empty buffer a drain swaps into the next non-empty lane.
+    /// The interim buffer a drain swaps into the next non-empty lane.
     /// Consumer-owned.
     spare: Mutex<VecDeque<Event>>,
     /// Cumulative pushes that grew a lane past a full block.
@@ -160,8 +163,9 @@ impl EventLanes {
                 }
                 std::mem::swap(&mut *queue, &mut buf);
             }
-            self.high_water.fetch_max(buf.len(), Ordering::Relaxed);
-            let take = buf.len().min(cap - drained);
+            let backlog = buf.len();
+            self.high_water.fetch_max(backlog, Ordering::Relaxed);
+            let take = backlog.min(cap - drained);
             buf.range(..take).for_each(&mut f);
             buf.drain(..take);
             drained += take;
@@ -170,6 +174,18 @@ impl EventLanes {
                 // since the swap.
                 let mut queue = lane.lock();
                 buf.append(&mut queue);
+                std::mem::swap(&mut *queue, &mut buf);
+                continue;
+            }
+            // The lane's own buffer, emptied, goes back to the lane unless
+            // its producer pushed meanwhile (then the lane keeps the
+            // interim buffer, and this one goes on to the next lane). It is
+            // shed first by the rule above, against the backlog it held.
+            if buf.capacity() > 2 * self.block_capacity.max(backlog) {
+                buf.shrink_to(self.block_capacity);
+            }
+            let mut queue = lane.lock();
+            if queue.is_empty() {
                 std::mem::swap(&mut *queue, &mut buf);
             }
         }
@@ -360,13 +376,39 @@ mod tests {
                 lanes.push(0, ev(0, i));
             }
             assert_eq!(lanes.drain(usize::MAX, |_| {}), 12);
-            if pass > 0 {
-                // Both buffers have grown to fit three blocks, and the
-                // drain handed the lane one of them back.
-                let (lane, spare) = capacities(&lanes, 0);
-                assert!(lane >= 12 && spare >= 12, "pass {pass}: {lane} {spare}");
-            }
+            // The lane's buffer has grown to fit three blocks, and the
+            // drain handed it back; the interim buffer stays a block.
+            let (lane, spare) = capacities(&lanes, 0);
+            assert!(lane >= 12 && spare <= 4, "pass {pass}: {lane} {spare}");
         }
+    }
+
+    /// A lane keeps its own buffer whatever the lane drained before it
+    /// queues: a producer of three blocks per pass behind a producer of
+    /// one event does not regrow its queue on every pass, and the small
+    /// lane does not keep the large lane's buffer.
+    #[test]
+    fn each_lane_keeps_a_buffer_that_fits_its_own_backlog() {
+        let lanes = EventLanes::new(2, 4);
+        lanes.register(0);
+        lanes.register(1);
+        for pass in 0..5 {
+            for i in 0..12 {
+                lanes.push(0, ev(0, i));
+            }
+            lanes.push(1, ev(1, 0));
+            assert_eq!(lanes.drain(usize::MAX, |_| {}), 13);
+            let (large, spare) = capacities(&lanes, 0);
+            let (small, _) = capacities(&lanes, 1);
+            assert!(large >= 12, "pass {pass}: {large}");
+            assert!(small <= 8 && spare <= 8, "pass {pass}: {small} {spare}");
+        }
+        // Pushes that fit the lane's buffer grow nothing.
+        let before = capacities(&lanes, 0).0;
+        for i in 0..12 {
+            lanes.push(0, ev(0, i));
+        }
+        assert_eq!(capacities(&lanes, 0).0, before);
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //! Events are per-thread FIFO (a lane is one queue, which a drain swaps out
 //! and applies with no lane lock held), but cross-thread interleaving
 //! within one pass follows lane order rather than global enqueue order. The
-//! RAG tolerates that: holds are multisets, detection runs only after the
+//! RAG tolerates that: holds are per-thread multisets (a hand-off applied
+//! before the release it follows leaves, for a while, two holds of one
+//! lock, and the newer one is its holder), detection runs only after the
 //! full drain, and a deadlocked thread stops producing events, so the graph
-//! still converges on exactly the stuck subset (§5.1's lazy-view argument).
+//! still converges on exactly the stuck subset (§5.1's lazy-view argument;
+//! `prop_rag::lane_order_converges_to_real_time_order`).
 //! A drain stops at the highest lane made so far.
 //!
 //! The RAG is also the one record of holds the false-positive probes read:
-//! at each acquisition by a probe's participant, the probe notes which
-//! locks the graph shows that thread holding.
+//! each hold lives in its holder's thread vertex, so at each acquisition by
+//! a probe's participant the probe notes the locks that vertex lists.
 //!
 //! The monitor is deliberately separable from wall-clock time: the runtime
 //! can either spawn it on a dedicated thread with period τ, or call

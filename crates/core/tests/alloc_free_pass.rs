@@ -1,13 +1,15 @@
 //! Allocation guard for a busy monitor pass with prediction on, on a
-//! counting allocator. Once the predictor knows the nests and the RAG
-//! keeps the `holders` buffers of the lock vertices it removed, a pass
-//! allocates the same whatever the number of nests it drains, with one
-//! exception: the drain sheds a buffer more than twice the size that both a
-//! block and the lane's backlog need before it swaps it into the lane, one
-//! allocation. A steady backlog past a block therefore costs nothing extra
-//! once its buffers have grown to fit it, and a mix of backlog sizes costs
-//! what [`Buffers`] models. Nothing else in a pass copies or keeps what it
-//! drained: the predictor is its own restart point.
+//! counting allocator. Once the predictor knows the nests, a pass
+//! allocates nothing whatever the number of nests it drains (the RAG keeps
+//! each hold in its holder's vertex, and with no waiter it neither makes a
+//! lock record nor searches for cycles), with one exception: the drain
+//! sheds a buffer more than twice the size that both a block and the
+//! backlog it is checked against need, one allocation each. A lane gets its
+//! own buffer back after its batch is applied, so a steady backlog past a
+//! block costs nothing once its lane's buffer has grown to fit it, and a
+//! mix of backlog sizes costs what [`Buffers`] models. Nothing else in a
+//! pass copies or keeps what it drained: the predictor is its own restart
+//! point.
 
 use dimmunix_core::lanes::BLOCK_CAPACITY;
 use dimmunix_core::{Config, LockSite, PredictionConfig, RawLock, Runtime};
@@ -97,8 +99,8 @@ fn passes(
         .collect()
 }
 
-/// The capacities of the one lane's buffer and the drain's spare, as the
-/// drain's sizing rule moves them.
+/// The capacities of the one lane's buffer and the drain's interim
+/// buffer, as the drain's sizing rule moves them.
 struct Buffers {
     lane: usize,
     spare: usize,
@@ -112,12 +114,20 @@ impl Buffers {
         while self.lane < events {
             self.lane *= 2;
         }
-        let shed = self.spare > 2 * BLOCK_CAPACITY.max(events);
-        if shed {
+        let fits = |capacity: usize| capacity <= 2 * BLOCK_CAPACITY.max(events);
+        let mut shed = 0;
+        // The interim buffer is checked before it goes into the lane, the
+        // lane's own after its batch; no push comes in between, so the
+        // lane gets its own back.
+        if !fits(self.spare) {
             self.spare = BLOCK_CAPACITY;
+            shed += 1;
         }
-        std::mem::swap(&mut self.lane, &mut self.spare);
-        u64::from(shed)
+        if !fits(self.lane) {
+            self.lane = BLOCK_CAPACITY;
+            shed += 1;
+        }
+        shed
     }
 }
 
@@ -161,10 +171,10 @@ fn a_warm_busy_pass_allocates_once_more_only_to_shrink_a_grown_lane() {
     let nests = mix.repeat(48).into_iter().chain(steady);
     let extra: Vec<u64> = nests.map(|n| buffers.pass(n * 2 * NEST)).collect();
     let measured: Vec<u64> = cold.iter().chain(&warm).chain(&held).copied().collect();
-    // What every pass allocates whatever its size: the deadlock search's
-    // scratch for the one thread it starts from.
+    // What every pass allocates whatever its size: nothing. Nobody waits,
+    // so the deadlock search has nothing to chase and makes no scratch.
     let base = measured[0] - extra[0];
-    assert!(base <= 2, "{measured:?}");
+    assert_eq!(base, 0, "{measured:?}");
     for (pass, (&allocated, &extra)) in measured.iter().zip(&extra).enumerate() {
         assert_eq!(allocated, base + extra, "pass {pass}: {measured:?}");
     }

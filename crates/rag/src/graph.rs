@@ -39,6 +39,25 @@ struct WaitEdge {
     kind: WaitKind,
 }
 
+/// One hold edge: its holder holds `lock`, acquired with call stack `stack`.
+#[derive(Clone, Copy, Debug)]
+struct Hold {
+    lock: LockId,
+    stack: StackId,
+    /// The graph's hold counter when the edge was drawn: of two threads'
+    /// holds of one lock, the later one has the higher stamp.
+    seq: u64,
+}
+
+/// Equality ignores the stamp: it orders holds, it is not one.
+impl PartialEq for Hold {
+    fn eq(&self, other: &Self) -> bool {
+        self.lock == other.lock && self.stack == other.stack
+    }
+}
+
+impl Eq for Hold {}
+
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 struct ThreadNode {
     /// At most one outstanding request/allow edge: a thread waits for one
@@ -46,26 +65,10 @@ struct ThreadNode {
     waiting: Option<WaitEdge>,
     /// Outgoing yield edges (one per cause in the matched signature).
     yields: Vec<YieldCause>,
-    /// Locks currently held (multiset; reentrancy repeats the lock).
-    holds: Vec<LockId>,
-}
-
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-struct LockNode {
-    /// Hold-edge multiset: `(holder, acquisition stack)` per nesting level.
-    /// For a mutex all entries share one holder thread.
-    holders: Vec<(ThreadId, StackId)>,
-    /// Threads with a request/allow edge on this lock.
-    waiters: IdSet<ThreadId>,
-}
-
-impl LockNode {
-    /// Removes `t`'s innermost hold edge, if it has one.
-    fn pop_holder(&mut self, t: ThreadId) {
-        if let Some(pos) = self.holders.iter().rposition(|&(h, _)| h == t) {
-            self.holders.remove(pos);
-        }
-    }
+    /// The thread's hold edges, outermost acquisition first: a multiset,
+    /// so a reentrant lock appears once per nesting level. The graph's
+    /// only record of who holds what.
+    holds: Vec<Hold>,
 }
 
 /// A deadlock cycle found in the RAG: a cycle made up exclusively of hold,
@@ -112,8 +115,8 @@ pub struct RagStats {
     /// Thread vertices currently present.
     pub threads: usize,
     /// Lock vertices currently present: the locks some thread holds or
-    /// waits for. A lock vertex goes as soon as it has neither a holder nor
-    /// a waiter, so the graph does not grow with every lock ever used.
+    /// waits for. A lock has a vertex only while it has a holder or a
+    /// waiter, so the graph does not grow with every lock ever used.
     pub locks: usize,
     /// Hold edges (counting reentrant multiplicity).
     pub hold_edges: usize,
@@ -130,35 +133,45 @@ pub struct RagStats {
 /// fine for cycle detection because deadlocked threads stop producing
 /// events, so the graph converges on exactly the stuck subset.
 ///
+/// A hold edge is recorded once, in its holder's thread vertex. A lock
+/// keeps a record of its own (its waiters) only while some thread waits for
+/// it, so a hold and its release touch the holder's vertex and nothing
+/// else unless someone waits. The holder of an awaited lock is the one
+/// whose hold of it was drawn last — a mutex has one, and while lanes
+/// apply two threads' holds of a lock out of order, the later one — and
+/// each detector looks up the holders of the awaited locks once per call.
+///
 /// Two graphs compare equal when every vertex, edge and pending-detection
 /// mark agrees (the equivalence the fused [`Rag::on_granted`] is tested to).
-/// A copy ([`Clone::clone_from`] included) copies just as much, into the
-/// destination's own tables.
+/// They do not compare the order in which two threads' holds of one lock
+/// were drawn. A copy ([`Clone::clone_from`] included) copies everything,
+/// that order too, into the destination's own tables.
 #[derive(Default)]
 pub struct Rag {
     threads: IdMap<ThreadId, ThreadNode>,
-    locks: IdMap<LockId, LockNode>,
+    /// The threads with a request or allow edge on each lock, for the locks
+    /// that have any: an entry goes with its last waiter. A thread that
+    /// moves to another lock without an event that ends its wait here
+    /// stays listed (the dirty marks a grant of this lock makes reach it
+    /// too).
+    awaited: IdMap<LockId, IdSet<ThreadId>>,
     /// Threads whose outgoing edges changed since the last detection pass;
-    /// new cycles must involve at least one of them.
+    /// new cycles must involve at least one of them. A hold marks the
+    /// lock's waiters (they now wait on its holder) and the holder: an
+    /// `acquired` the holder first, a `granted` the waiters first. The
+    /// order decides which rotation of a cycle is reported.
     dirty: IdSet<ThreadId>,
-    /// Emptied `holders` buffers of removed lock vertices, which new
-    /// vertices take before allocating one. A vertex goes with its last
-    /// holder, so without them every hold of a lock nobody else holds
-    /// would allocate one. Every removed vertex leaves its buffer here, and
-    /// a vertex allocates only when none is left, so these and the live
-    /// vertices' buffers together never outnumber the most lock vertices
-    /// the graph ever had at once: memory it already held. Not part of the
-    /// graph: equality, `Debug` and copies ignore them.
-    spare_holders: Vec<Vec<(ThreadId, StackId)>>,
+    /// The stamp of the next hold edge.
+    next_seq: u64,
 }
 
 impl Clone for Rag {
     fn clone(&self) -> Self {
         Self {
             threads: self.threads.clone(),
-            locks: self.locks.clone(),
+            awaited: self.awaited.clone(),
             dirty: self.dirty.clone(),
-            spare_holders: Vec::new(),
+            next_seq: self.next_seq,
         }
     }
 
@@ -166,31 +179,38 @@ impl Clone for Rag {
     /// this way allocates only where `source` has outgrown it.
     fn clone_from(&mut self, source: &Self) {
         self.threads.clone_from(&source.threads);
-        self.locks.clone_from(&source.locks);
+        self.awaited.clone_from(&source.awaited);
         self.dirty.clone_from(&source.dirty);
+        self.next_seq = source.next_seq;
     }
 }
 
 impl PartialEq for Rag {
     fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads && self.locks == other.locks && self.dirty == other.dirty
+        self.threads == other.threads && self.awaited == other.awaited && self.dirty == other.dirty
     }
 }
 
 impl Eq for Rag {}
 
-/// `l`'s vertex in `locks`, made with a spare `holders` buffer if it has
-/// none. (A function of the two fields, so a caller can still touch the
-/// others while it holds the vertex.)
-fn lock_vertex<'a>(
-    locks: &'a mut IdMap<LockId, LockNode>,
-    spare_holders: &mut Vec<Vec<(ThreadId, StackId)>>,
+/// Takes `t` off `l`'s waiters in `awaited`, dropping the entry with its
+/// last waiter, and returns the waiters left. Looks `l` up only while some
+/// lock is awaited.
+fn stop_waiting(
+    awaited: &mut IdMap<LockId, IdSet<ThreadId>>,
+    t: ThreadId,
     l: LockId,
-) -> &'a mut LockNode {
-    locks.entry(l).or_insert_with(|| LockNode {
-        holders: spare_holders.pop().unwrap_or_default(),
-        waiters: IdSet::default(),
-    })
+) -> Option<&IdSet<ThreadId>> {
+    if awaited.is_empty() {
+        return None;
+    }
+    let waiters = awaited.get_mut(&l)?;
+    waiters.remove(&t);
+    if waiters.is_empty() {
+        awaited.remove(&l);
+        return None;
+    }
+    awaited.get(&l)
 }
 
 impl Rag {
@@ -203,20 +223,31 @@ impl Rag {
         self.threads.entry(t).or_default()
     }
 
-    fn lock_mut(&mut self, l: LockId) -> &mut LockNode {
-        lock_vertex(&mut self.locks, &mut self.spare_holders, l)
+    /// Draws `t`'s wait edge on `l`, of `kind`, and returns `t`'s vertex.
+    fn wait(&mut self, t: ThreadId, l: LockId, s: StackId, kind: WaitKind) -> &mut ThreadNode {
+        self.awaited.entry(l).or_default().insert(t);
+        self.dirty.insert(t);
+        let node = self.thread_mut(t);
+        node.waiting = Some(WaitEdge {
+            lock: l,
+            stack: s,
+            kind,
+        });
+        node
     }
 
-    /// Applies `f` to `l`'s vertex, if it has one, and removes the vertex
-    /// once nothing holds or waits for `l`, keeping its `holders` buffer.
-    fn update_lock(&mut self, l: LockId, f: impl FnOnce(&mut LockNode)) {
-        if let Some(lock) = self.locks.get_mut(&l) {
-            f(lock);
-            if lock.holders.is_empty() && lock.waiters.is_empty() {
-                let lock = self.locks.remove(&l).expect("just found");
-                self.spare_holders.push(lock.holders);
-            }
-        }
+    /// Draws a hold edge: `t` now holds `l` (one more nesting level),
+    /// acquired with stack `s`. Returns `t`'s vertex.
+    fn hold(&mut self, t: ThreadId, l: LockId, s: StackId) -> &mut ThreadNode {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let node = self.thread_mut(t);
+        node.holds.push(Hold {
+            lock: l,
+            stack: s,
+            seq,
+        });
+        node
     }
 
     /// Draws a request edge: `t` wants `l` with call stack `s`. The monitor
@@ -224,60 +255,35 @@ impl Rag {
     /// `yield`, which draw the edge themselves — but a graph built by hand
     /// may want it.
     pub fn on_request(&mut self, t: ThreadId, l: LockId, s: StackId) {
-        self.thread_mut(t).waiting = Some(WaitEdge {
-            lock: l,
-            stack: s,
-            kind: WaitKind::Request,
-        });
-        self.lock_mut(l).waiters.insert(t);
-        self.dirty.insert(t);
+        self.wait(t, l, s, WaitKind::Request);
     }
 
     /// Applies a `go` event: `t` was allowed to block waiting for `l`.
     /// Clears `t`'s yield edges ("any yield edges emerging from the current
     /// thread's node are removed", §5.4).
     pub fn on_go(&mut self, t: ThreadId, l: LockId, s: StackId) {
-        let node = self.thread_mut(t);
-        node.waiting = Some(WaitEdge {
-            lock: l,
-            stack: s,
-            kind: WaitKind::Allow,
-        });
-        node.yields.clear();
-        self.lock_mut(l).waiters.insert(t);
-        self.dirty.insert(t);
+        self.wait(t, l, s, WaitKind::Allow).yields.clear();
     }
 
     /// Applies a `yield` event: `t`'s allow edge is flipped to a request edge
     /// and a yield edge is added toward every cause.
     pub fn on_yield(&mut self, t: ThreadId, l: LockId, s: StackId, causes: Vec<YieldCause>) {
-        let node = self.thread_mut(t);
-        node.waiting = Some(WaitEdge {
-            lock: l,
-            stack: s,
-            kind: WaitKind::Request,
-        });
-        node.yields = causes;
-        self.lock_mut(l).waiters.insert(t);
-        self.dirty.insert(t);
+        self.wait(t, l, s, WaitKind::Request).yields = causes;
     }
 
     /// Applies an `acquired` event: `t` now holds `l` (one more nesting
     /// level), acquired with stack `s`.
     pub fn on_acquired(&mut self, t: ThreadId, l: LockId, s: StackId) {
-        let node = self.thread_mut(t);
+        let node = self.hold(t, l, s);
         if node.waiting.is_some_and(|w| w.lock == l) {
             node.waiting = None;
         }
-        node.holds.push(l);
-        let lock = self.lock_mut(l);
-        lock.waiters.remove(&t);
-        lock.holders.push((t, s));
         // The successor of every waiter of `l` just changed: they now wait on
         // `t`, which may close a cycle through old edges.
         self.dirty.insert(t);
-        let waiters: Vec<ThreadId> = self.locks[&l].waiters.iter().copied().collect();
-        self.dirty.extend(waiters);
+        if let Some(waiters) = stop_waiting(&mut self.awaited, t, l) {
+            self.dirty.extend(waiters.iter().copied());
+        }
     }
 
     /// Applies a `granted` event — `t` was allowed `l` and acquired it
@@ -286,24 +292,20 @@ impl Rag {
     /// whatever wait edge `t` had is gone (the `go` would have overwritten
     /// it), as are its yield edges.
     pub fn on_granted(&mut self, t: ThreadId, l: LockId, s: StackId) {
-        let node = self.thread_mut(t);
+        let node = self.hold(t, l, s);
         node.waiting = None;
         node.yields.clear();
-        node.holds.push(l);
-        let lock = lock_vertex(&mut self.locks, &mut self.spare_holders, l);
-        lock.waiters.remove(&t);
-        lock.holders.push((t, s));
         // As in `on_acquired`: every waiter of `l` now waits on `t`.
-        self.dirty.extend(lock.waiters.iter().copied());
+        if let Some(waiters) = stop_waiting(&mut self.awaited, t, l) {
+            self.dirty.extend(waiters.iter().copied());
+        }
         self.dirty.insert(t);
     }
 
-    /// Applies a `release` event: pops the innermost hold edge of `(t, l)`.
-    /// A lock left with no holder and no waiter loses its vertex.
+    /// Applies a `release` event: pops `t`'s innermost hold edge on `l`.
     pub fn on_release(&mut self, t: ThreadId, l: LockId) {
-        self.update_lock(l, |lock| lock.pop_holder(t));
         if let Some(node) = self.threads.get_mut(&t) {
-            if let Some(pos) = node.holds.iter().rposition(|&h| h == l) {
+            if let Some(pos) = node.holds.iter().rposition(|h| h.lock == l) {
                 node.holds.remove(pos);
             }
         }
@@ -318,22 +320,14 @@ impl Rag {
             }
             node.yields.clear();
         }
-        self.update_lock(l, |lock| {
-            lock.waiters.remove(&t);
-        });
+        stop_waiting(&mut self.awaited, t, l);
     }
 
-    /// Removes a thread vertex (thread exit), and every lock vertex it
-    /// leaves with no holder and no waiter.
+    /// Removes a thread vertex (thread exit) with its edges.
     pub fn on_thread_exit(&mut self, t: ThreadId) {
         if let Some(node) = self.threads.remove(&t) {
             if let Some(w) = node.waiting {
-                self.update_lock(w.lock, |lock| {
-                    lock.waiters.remove(&t);
-                });
-            }
-            for l in node.holds {
-                self.update_lock(l, |lock| lock.pop_holder(t));
+                stop_waiting(&mut self.awaited, t, w.lock);
             }
         }
         self.dirty.remove(&t);
@@ -349,24 +343,44 @@ impl Rag {
 
     /// Locks some thread has a request or allow edge on and no thread holds,
     /// ascending: where a waiter's "waiting for whom" has no answer in the
-    /// graph. O(thread vertices).
+    /// graph. O(thread vertices + hold edges) while some thread waits, O(1)
+    /// while none does.
     pub fn awaited_unheld(&self) -> Vec<LockId> {
-        let unheld = |l: &LockId| self.locks.get(l).is_none_or(|n| n.holders.is_empty());
+        if self.awaited.is_empty() {
+            return Vec::new();
+        }
+        let holders = self.holders();
         let mut locks: Vec<LockId> = self
             .threads
             .values()
             .filter_map(|n| n.waiting.map(|w| w.lock))
-            .filter(unheld)
+            .filter(|l| !holders.contains_key(l))
             .collect();
         locks.sort_unstable();
         locks.dedup();
         locks
     }
 
-    /// The holder of `l`'s hold edges, if any (a mutex has one holder
-    /// thread; the stack is the innermost acquisition's).
-    fn holder_of(&self, l: LockId) -> Option<(ThreadId, StackId)> {
-        self.locks.get(&l).and_then(|n| n.holders.last().copied())
+    /// The holder of every awaited lock that has one, with its hold edge:
+    /// of the holds of the lock, the one drawn last (a mutex has one
+    /// holder thread; the stack is its innermost acquisition's). One pass
+    /// over the hold edges, and none while nobody waits.
+    fn holders(&self) -> IdMap<LockId, (ThreadId, Hold)> {
+        if self.awaited.is_empty() {
+            return IdMap::default();
+        }
+        let mut holders = IdMap::with_capacity_and_hasher(self.awaited.len(), Default::default());
+        for (&t, node) in &self.threads {
+            for &hold in &node.holds {
+                if self.awaited.contains_key(&hold.lock) {
+                    let latest = holders.entry(hold.lock).or_insert((t, hold));
+                    if hold.seq > latest.1.seq {
+                        *latest = (t, hold);
+                    }
+                }
+            }
+        }
+        holders
     }
 
     /// Finds deadlock cycles reachable from the threads touched since the
@@ -375,8 +389,15 @@ impl Rag {
     /// Works on the wait-for projection: `T → holder(lock T waits for)`.
     /// Because out-degree ≤ 1, the colored DFS is a stamped successor chase:
     /// nodes visited in this pass are never re-walked, so a batch costs
-    /// O(threads) regardless of how many were dirty.
+    /// O(threads) regardless of how many were dirty. With no thread dirty
+    /// or none waiting there is nothing to chase, and the dirty set is
+    /// just cleared.
     pub fn find_deadlock_cycles(&mut self) -> Vec<DeadlockCycle> {
+        if self.dirty.is_empty() || self.awaited.is_empty() {
+            self.dirty.clear();
+            return Vec::new();
+        }
+        let holders = self.holders();
         let dirty: Vec<ThreadId> = self.dirty.drain().collect();
         let mut cycles = Vec::new();
         // Gray = position on the current path; Black = fully explored.
@@ -405,7 +426,7 @@ impl Rag {
                 let Some(wait) = self.threads.get(&cur).and_then(|n| n.waiting) else {
                     break;
                 };
-                let Some((holder, hold_stack)) = self.holder_of(wait.lock) else {
+                let Some(&(holder, hold)) = holders.get(&wait.lock) else {
                     break;
                 };
                 if holder == cur {
@@ -413,7 +434,7 @@ impl Rag {
                     break;
                 }
                 on_path.insert(cur, path.len());
-                path.push((cur, wait.lock, hold_stack));
+                path.push((cur, wait.lock, hold.stack));
                 cur = holder;
             }
             black.extend(on_path.into_keys());
@@ -450,6 +471,8 @@ impl Rag {
         if stuck.is_empty() {
             return Vec::new();
         }
+        let holders = self.holders();
+        let holder_of = |l: LockId| holders.get(&l).map(|&(h, hold)| (h, hold.stack));
 
         // Iterate removals to the greatest fixpoint.
         let mut queue: VecDeque<ThreadId> = stuck.iter().copied().collect();
@@ -462,19 +485,16 @@ impl Rag {
                 // Yielding: progress iff some cause no longer pins it.
                 node.yields.iter().any(|c| {
                     let cause_live = !stuck.contains(&c.thread);
-                    let cause_gone = !self.threads.contains_key(&c.thread);
-                    let lock_released = !self.locks.get(&c.lock).is_some_and(|l| {
-                        l.holders.iter().any(|&(h, _)| h == c.thread)
-                            || self
-                                .threads
-                                .get(&c.thread)
-                                .and_then(|n| n.waiting)
+                    let cause = self.threads.get(&c.thread);
+                    let lock_released = !cause.is_some_and(|n| {
+                        n.holds.iter().any(|h| h.lock == c.lock)
+                            || n.waiting
                                 .is_some_and(|w| w.lock == c.lock && w.kind == WaitKind::Allow)
                     });
-                    cause_live || cause_gone || lock_released
+                    cause_live || cause.is_none() || lock_released
                 })
             } else if let Some(w) = node.waiting {
-                match (w.kind, self.holder_of(w.lock)) {
+                match (w.kind, holder_of(w.lock)) {
                     // Request without yield edges: the thread is awake,
                     // deciding/retrying — it is not passively stuck.
                     (WaitKind::Request, _) => true,
@@ -494,9 +514,8 @@ impl Rag {
                 for (&other, n) in &self.threads {
                     if stuck.contains(&other)
                         && (n.yields.iter().any(|c| c.thread == t)
-                            || n.waiting.is_some_and(|w| {
-                                self.holder_of(w.lock).is_some_and(|(h, _)| h == t)
-                            }))
+                            || n.waiting
+                                .is_some_and(|w| holder_of(w.lock).is_some_and(|(h, _)| h == t)))
                     {
                         queue.push_back(other);
                     }
@@ -538,7 +557,7 @@ impl Rag {
                 } else if let Some(w) = node.waiting {
                     // Blocked thread: the cycle continues through the hold
                     // edge of the lock it waits for.
-                    if let Some((h, s)) = self.holder_of(w.lock) {
+                    if let Some((h, s)) = holder_of(w.lock) {
                         if stuck.contains(&h) && h != t {
                             labels.push(s);
                             if seen.insert(h) {
@@ -574,16 +593,38 @@ impl Rag {
     pub fn held_locks(&self, t: ThreadId) -> Vec<LockId> {
         self.threads
             .get(&t)
-            .map(|n| n.holds.clone())
+            .map(|n| n.holds.iter().map(|h| h.lock).collect())
             .unwrap_or_default()
+    }
+
+    /// Every hold edge as `(lock, stamp, holder, stack)`, by lock and then
+    /// in the order the edges were drawn.
+    fn hold_edges(&self) -> Vec<(LockId, u64, ThreadId, StackId)> {
+        let mut edges: Vec<_> = self
+            .threads
+            .iter()
+            .flat_map(|(&t, n)| n.holds.iter().map(move |h| (h.lock, h.seq, t, h.stack)))
+            .collect();
+        edges.sort_unstable_by_key(|&(l, seq, _, _)| (l, seq));
+        edges
+    }
+
+    /// The lock vertices, ascending: the locks held or awaited.
+    fn lock_vertices(&self, hold_edges: &[(LockId, u64, ThreadId, StackId)]) -> Vec<LockId> {
+        let mut locks: Vec<LockId> = hold_edges.iter().map(|&(l, ..)| l).collect();
+        locks.extend(self.awaited.keys().copied());
+        locks.sort_unstable();
+        locks.dedup();
+        locks
     }
 
     /// Size counters for resource accounting.
     pub fn stats(&self) -> RagStats {
+        let hold_edges = self.hold_edges();
         RagStats {
             threads: self.threads.len(),
-            locks: self.locks.len(),
-            hold_edges: self.locks.values().map(|l| l.holders.len()).sum(),
+            locks: self.lock_vertices(&hold_edges).len(),
+            hold_edges: hold_edges.len(),
             wait_edges: self
                 .threads
                 .values()
@@ -604,12 +645,11 @@ impl Rag {
     ) {
         let mut ts: Vec<_> = self.threads.keys().copied().collect();
         ts.sort_unstable();
-        let mut ls: Vec<_> = self.locks.keys().copied().collect();
-        ls.sort_unstable();
+        let hold_edges = self.hold_edges();
         for &t in &ts {
             on_thread(t);
         }
-        for &l in &ls {
+        for l in self.lock_vertices(&hold_edges) {
             on_lock(l);
         }
         for &t in &ts {
@@ -621,10 +661,8 @@ impl Rag {
                 on_yield(t, c);
             }
         }
-        for &l in &ls {
-            for &(h, s) in &self.locks[&l].holders {
-                on_hold(l, h, s);
-            }
+        for (l, _, h, s) in hold_edges {
+            on_hold(l, h, s);
         }
     }
 }
@@ -763,7 +801,8 @@ mod tests {
         rag.on_release(t(1), l(1));
         assert_eq!(rag.stats().hold_edges, 1);
         // The remaining hold edge is the outermost acquisition.
-        assert_eq!(rag.holder_of(l(1)), Some((t(1), s(1))));
+        let holds = &rag.threads[&t(1)].holds;
+        assert_eq!((holds.len(), holds[0].stack), (1, s(1)));
         rag.on_release(t(1), l(1));
         assert_eq!(rag.stats().hold_edges, 0);
     }
@@ -980,39 +1019,50 @@ mod tests {
         assert!(rag.find_yield_cycles().is_empty());
     }
 
-    /// A lock vertex goes with its last holder and lends its `holders`
-    /// buffer to the next new vertex. The kept buffers are no part of the
-    /// graph: a copy has none, and equality ignores them.
+    /// Of two threads' holds of one lock (lanes that apply a hand-off out
+    /// of order draw both for a while), the one drawn last is the holder a
+    /// waiter waits for; once it is released, the earlier one is.
     #[test]
-    fn a_removed_lock_vertex_lends_its_buffer_to_the_next() {
+    fn the_latest_hold_of_a_lock_is_its_holder() {
+        let mut rag = Rag::new();
+        rag.on_granted(t(1), l(1), s(1));
+        rag.on_granted(t(2), l(1), s(2));
+        rag.on_granted(t(3), l(3), s(3));
+        rag.on_go(t(3), l(1), S);
+        rag.on_go(t(2), l(3), S);
+        let cycles = rag.find_deadlock_cycles();
+        assert_eq!(cycles.len(), 1);
+        let mut labels = cycles[0].labels.clone();
+        labels.sort_unstable();
+        assert_eq!(labels, [s(2), s(3)]);
+        rag.on_release(t(2), l(1));
+        assert!(rag.find_deadlock_cycles().is_empty());
+        rag.on_go(t(1), l(3), S);
+        let cycles = rag.find_deadlock_cycles();
+        assert_eq!(cycles.len(), 1);
+        let mut labels = cycles[0].labels.clone();
+        labels.sort_unstable();
+        assert_eq!(labels, [s(1), s(3)]);
+        assert!(rag.awaited_unheld().is_empty());
+    }
+
+    /// A hold and its release touch the holder's vertex only: while nobody
+    /// waits, no lock has a record of its own. The last waiter's
+    /// acquisition takes its lock's record away.
+    #[test]
+    fn a_lock_has_a_record_only_while_awaited() {
         let mut rag = Rag::new();
         rag.on_granted(t(1), l(1), S);
-        let buffer = rag.locks[&l(1)].holders.as_ptr();
+        rag.on_granted(t(1), l(2), S);
+        assert!(rag.awaited.is_empty());
+        assert_eq!(rag.stats().locks, 2);
+        rag.on_go(t(2), l(1), S);
+        assert_eq!(rag.awaited.len(), 1);
         rag.on_release(t(1), l(1));
-        assert!(rag.locks.is_empty());
-        assert_eq!(rag.spare_holders.len(), 1);
-        let copy = rag.clone();
-        assert!(copy.spare_holders.is_empty());
-        assert!(copy == rag);
-
-        rag.on_granted(t(2), l(2), S);
-        assert_eq!(rag.locks[&l(2)].holders.as_ptr(), buffer);
-        assert!(rag.spare_holders.is_empty());
-        let mut snapshot = copy;
-        snapshot.clone_from(&rag);
-        assert!(snapshot == rag);
-        assert_eq!(snapshot.held_locks(t(2)), [l(2)]);
-
-        // Kept and live buffers never outnumber the most vertices at once.
-        for i in 3..6 {
-            rag.on_granted(t(2), l(i), S);
-        }
-        for i in 2..6 {
-            rag.on_release(t(2), l(i));
-        }
-        assert_eq!(rag.spare_holders.len(), 4);
-        rag.on_granted(t(3), l(9), S);
-        assert_eq!(rag.spare_holders.len() + rag.locks.len(), 4);
+        rag.on_acquired(t(2), l(1), S);
+        assert!(rag.awaited.is_empty());
+        assert_eq!(rag.stats().locks, 2);
+        assert_eq!(rag.stats().hold_edges, 2);
     }
 
     #[test]

@@ -16,6 +16,26 @@
 //!   (labelled with the cause's call stack and carrying the full
 //!   `(T′, L′, S′)` cause tuple from §5.6's `yieldCause` set).
 //!
+//! # Representation
+//!
+//! A hold edge is stored once, in its holder's thread vertex, outermost
+//! acquisition first; that is the graph's one record of who holds what. A
+//! lock is a vertex while some thread holds or waits for it
+//! ([`graph::RagStats::locks`]), but it has a record of its own — its
+//! waiters — only while some thread waits for it, so an uncontended hold
+//! and its release touch the holder's vertex alone. Each hold is stamped
+//! from a per-graph counter: the holder of a lock is its hold with the
+//! highest stamp, which for a mutex is its one holder and, while lanes
+//! apply a hand-off's acquisition before the release it follows, the newer
+//! holder. A detector looks up the holders of the awaited locks in one
+//! pass over the hold edges per call, and none while nobody waits.
+//!
+//! Detection is incremental: every event that changes a thread's outgoing
+//! edges marks it dirty, and a hold of a lock also marks its waiters (they
+//! now wait on the new holder). An `acquired` marks the holder and then the
+//! waiters, a `granted` the waiters and then the holder; the order of the
+//! marks decides which rotation of a cycle is reported.
+//!
 //! Two detectors run over the graph:
 //!
 //! * [`graph::Rag::find_deadlock_cycles`] — a thread is deadlocked iff it is

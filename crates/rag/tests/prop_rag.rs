@@ -1,6 +1,6 @@
 //! Property-based tests of the RAG's soundness guarantees.
 
-use dimmunix_rag::{LockId, Rag, ThreadId, YieldCause};
+use dimmunix_rag::{DeadlockCycle, LockId, Rag, ThreadId, YieldCause};
 use dimmunix_signature::StackId;
 use proptest::prelude::*;
 
@@ -56,7 +56,128 @@ fn apply(rag: &mut Rag, (op, t, l): (u8, u8, u8)) {
     }
 }
 
+/// One event of a well-formed stream, and the thread whose lane it is on.
+#[derive(Clone, Copy, Debug)]
+enum Hook {
+    Granted(u8, u8),
+    Go(u8, u8),
+    Acquired(u8, u8),
+    Release(u8, u8),
+}
+
+impl Hook {
+    fn thread(self) -> u8 {
+        match self {
+            Hook::Granted(t, _) | Hook::Go(t, _) | Hook::Acquired(t, _) | Hook::Release(t, _) => t,
+        }
+    }
+
+    fn apply(self, rag: &mut Rag) {
+        let ids = |t: u8, l: u8| (ThreadId(t.into()), LockId(l.into()));
+        let label = |t: u8, l: u8| StackId(u32::from(t) * 8 + u32::from(l));
+        match self {
+            Hook::Granted(t, l) => {
+                let (tid, lid) = ids(t, l);
+                rag.on_granted(tid, lid, label(t, l));
+            }
+            Hook::Go(t, l) => {
+                let (tid, lid) = ids(t, l);
+                rag.on_go(tid, lid, label(t, l));
+            }
+            Hook::Acquired(t, l) => {
+                let (tid, lid) = ids(t, l);
+                rag.on_acquired(tid, lid, label(t, l));
+            }
+            Hook::Release(t, l) => {
+                let (tid, lid) = ids(t, l);
+                rag.on_release(tid, lid);
+            }
+        }
+    }
+}
+
+/// Runs a small mutex scheduler over `THREADS` threads and `LOCKS` locks
+/// and returns the hook events it makes, in real-time order. A step
+/// `(t, acquire, l)` has thread `t` take lock `l` (`Granted` if it is
+/// free, `Go` if it is taken, after which `t` is blocked) or release its
+/// newest lock, which goes to the lowest waiting thread (`Acquired`). A
+/// blocked thread's steps, and a take of a lock the thread holds, do
+/// nothing, so threads that wait for each other stay deadlocked.
+fn schedule(steps: &[(u8, bool, u8)]) -> Vec<Hook> {
+    const THREADS: usize = 4;
+    let mut held: Vec<Vec<u8>> = vec![Vec::new(); THREADS];
+    let mut waiting: Vec<Option<u8>> = vec![None; THREADS];
+    let mut owner: Vec<Option<u8>> = vec![None; usize::from(LOCKS)];
+    let mut out = Vec::new();
+    for &(t, acquire, l) in steps {
+        let ti = usize::from(t);
+        if waiting[ti].is_some() {
+            continue;
+        }
+        if acquire {
+            match owner[usize::from(l)] {
+                Some(o) if o == t => {}
+                Some(_) => {
+                    waiting[ti] = Some(l);
+                    out.push(Hook::Go(t, l));
+                }
+                None => {
+                    owner[usize::from(l)] = Some(t);
+                    held[ti].push(l);
+                    out.push(Hook::Granted(t, l));
+                }
+            }
+        } else if let Some(l) = held[ti].pop() {
+            out.push(Hook::Release(t, l));
+            owner[usize::from(l)] = None;
+            if let Some(w) = (0..THREADS).find(|&w| waiting[w] == Some(l)) {
+                waiting[w] = None;
+                let w = w as u8;
+                owner[usize::from(l)] = Some(w);
+                held[usize::from(w)].push(l);
+                out.push(Hook::Acquired(w, l));
+            }
+        }
+    }
+    out
+}
+
+const LOCKS: u8 = 4;
+
+/// Deadlock cycles as a sorted list, each rotated to start at its lowest
+/// thread: which thread a search starts from decides only the rotation.
+fn normalized(cycles: Vec<DeadlockCycle>) -> Vec<Vec<(ThreadId, LockId, StackId)>> {
+    let mut out: Vec<_> = cycles
+        .into_iter()
+        .map(|c| {
+            let mut edges: Vec<_> = (0..c.threads.len())
+                .map(|i| (c.threads[i], c.locks[i], c.labels[i]))
+                .collect();
+            let first = (0..edges.len()).min_by_key(|&i| edges[i].0).unwrap_or(0);
+            edges.rotate_left(first);
+            edges
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Everything the monitor reads off a graph once all events are applied.
+fn converged(rag: &mut Rag) -> String {
+    let held: Vec<_> = (0..4).map(|t| rag.held_locks(ThreadId(t))).collect();
+    format!(
+        "{:?} {:?} {:?} {:?} {:?}",
+        normalized(rag.find_deadlock_cycles()),
+        rag.find_yield_cycles(),
+        held,
+        rag.awaited_unheld(),
+        rag.stats()
+    )
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// §5.7: "Dimmunix never adds a false deadlock to the history." With
     /// globally ordered acquisition there is no deadlock, so the detector
     /// must stay silent through any event interleaving.
@@ -219,5 +340,39 @@ proptest! {
                 format!("{:?}", b.find_yield_cycles())
             );
         }
+    }
+
+    /// The monitor applies a pass lane by lane, not in the order the hooks
+    /// ran: within a pass, a thread's `Acquired` of a handed-off lock can
+    /// come before the previous holder's `Release`, so for a while the
+    /// graph shows two holds of one mutex. Once every event is applied, the
+    /// graph must have converged to what real-time order leaves: the same
+    /// deadlock cycles up to rotation, the same yield cycles, holds,
+    /// awaited-but-unheld locks and sizes.
+    #[test]
+    fn lane_order_converges_to_real_time_order(
+        steps in prop::collection::vec((0_u8..4, any::<bool>(), 0_u8..LOCKS), 0..120),
+        passes in prop::collection::vec(1_usize..24, 1..16),
+    ) {
+        let events = schedule(&steps);
+        let mut real_time = Rag::new();
+        for &e in &events {
+            e.apply(&mut real_time);
+        }
+        let mut lanes = Rag::new();
+        let mut rest = &events[..];
+        for &len in passes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (pass, later) = rest.split_at(len.min(rest.len()));
+            for lane in 0..4 {
+                for &e in pass.iter().filter(|e| e.thread() == lane) {
+                    e.apply(&mut lanes);
+                }
+            }
+            rest = later;
+        }
+        prop_assert_eq!(converged(&mut lanes), converged(&mut real_time));
     }
 }
