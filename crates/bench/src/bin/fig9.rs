@@ -11,10 +11,10 @@
 //! overhead — comparable to depth-1 Dimmunix and an order of magnitude
 //! worse than depth-8.
 
-use dimmunix_baselines::GateLockTable;
 use dimmunix_bench::microbench::{build_pool, intern_pool, run_micro, Engine, Flavor, MicroParams};
 use dimmunix_bench::report::{arg_u64, banner, pct, scale_from_args, table, Scale};
 use dimmunix_bench::siggen;
+use dimmunix_bench::GateLockTable;
 use dimmunix_core::{Config, Runtime};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;

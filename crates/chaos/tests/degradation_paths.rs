@@ -5,9 +5,10 @@
 //!    the unwind sweep must reclaim its state and wake its yielders (1′:
 //!    the panic unwinds out of a RAII lock call under live context frames);
 //! 2. the monitor panics, by a scripted fault or in a user hook — the
-//!    supervisor restarts it from the last good RAG snapshot and the live
-//!    predictor, and past the restart budget degrades to pass-through
-//!    mode with bounded yield waits;
+//!    supervisor restarts it from copies of the live RAG and predictor, as
+//!    their last completed calls left them (every hold and release the
+//!    dying pass applied included), and past the restart budget degrades
+//!    to pass-through mode with bounded yield waits;
 //! 3. the history file is torn (truncated / corrupted / crash before
 //!    rename) — the next boot salvages the valid prefix.
 //!
@@ -17,7 +18,8 @@
 use dimmunix_chaos::{quiet_scripted_panics, tmp_path, watchdog_join};
 use dimmunix_core::config::MONITOR_RESTART_BUDGET;
 use dimmunix_core::{
-    frame, Config, CycleKind, HistoryError, Hooks, ImmunizedMutex, PredictionConfig, Runtime,
+    frame, Config, CycleKind, HistoryError, Hooks, ImmunizedMutex, LockId, LockSite,
+    PredictionConfig, Runtime, ThreadId,
 };
 use dimmunix_inject::{install, FaultPlan};
 use dimmunix_signature::{FrameTable, History, StackTable};
@@ -184,9 +186,8 @@ fn an_acquire_panic_inside_a_raii_lock_call_unwinds_through_its_frames() {
 }
 
 /// Path 2a: a single monitor panic. The supervisor restarts the monitor
-/// from the RAG snapshot of the last successful pass, and a deadlock whose
-/// hold edges predate the panic is still detected from events drained
-/// after the restart.
+/// from a copy of the live RAG, and a deadlock whose hold edges predate the
+/// panic is still detected from events drained after the restart.
 #[test]
 fn monitor_restart_resumes_detection_from_snapshot() {
     quiet_scripted_panics();
@@ -199,7 +200,7 @@ fn monitor_restart_resumes_detection_from_snapshot() {
     let sa = rt.make_site(&[("m", "x.rs", 1), ("u", "x.rs", 3)]);
     let sb = rt.make_site(&[("m", "x.rs", 2), ("u", "x.rs", 3)]);
 
-    // Pass 1 (succeeds): the snapshot learns hold(t0, a).
+    // Pass 1 (succeeds): the RAG learns hold(t0, a).
     rt.core().request(t0, a, sa.frames(), sa.stack());
     rt.core().acquired(t0, a, sa.stack());
     rt.step_monitor();
@@ -213,7 +214,7 @@ fn monitor_restart_resumes_detection_from_snapshot() {
     rt.core().request(t1, a, sa.frames(), sa.stack());
     rt.core().waiting(t1, a, sa.stack());
 
-    rt.step_monitor(); // pass 2: scripted panic → respawn from snapshot
+    rt.step_monitor(); // pass 2: scripted panic → respawn from the live RAG
     rt.step_monitor(); // pass 3: fresh monitor drains the queued events
 
     let stats = rt.stats();
@@ -229,10 +230,10 @@ fn monitor_restart_resumes_detection_from_snapshot() {
 
 /// Path 2c: the restart also keeps the *predictor*, copied as its last
 /// completed call left it. A lock ordering taught (and fully released)
-/// before the panic exists only inside predictor state — the RAG snapshot holds nothing
-/// about it — so a prediction fired by feeding just the inverse ordering
-/// after the restart proves the respawned monitor resumed the pre-panic
-/// lock-order graph and condensation rather than an empty one.
+/// before the panic exists only inside predictor state — the RAG holds
+/// nothing about it — so a prediction fired by feeding just the inverse
+/// ordering after the restart proves the respawned monitor resumed the
+/// pre-panic lock-order graph and condensation rather than an empty one.
 #[test]
 fn monitor_restart_restores_predictor_from_snapshot() {
     quiet_scripted_panics();
@@ -259,7 +260,7 @@ fn monitor_restart_restores_predictor_from_snapshot() {
     rt.core().release(t0, a);
     rt.step_monitor();
 
-    rt.step_monitor(); // pass 2: scripted panic → respawn from snapshots
+    rt.step_monitor(); // pass 2: scripted panic → respawn from the live copies
 
     // Only the inverse ordering arrives after the restart. Predicting the
     // a↔b cycle needs the pre-panic a→b edge from the copied predictor.
@@ -336,17 +337,9 @@ fn a_monitor_panic_before_a_prediction_is_archived_restarts_a_fresh_predictor() 
     assert_eq!(stats.degraded_mode, 0, "{stats:?}");
 }
 
-/// Path 2d: a user hook that panics mid-pass, the one monitor panic user
-/// code can reach. The deadlock hook runs after the pass has fed the
-/// predictor and archived the cycle, so the restart keeps both: the
-/// deadlock's signature stays in the history, and an order the dying pass
-/// fed still predicts its inverse after the restart, though the RAG rolls
-/// back to the last good snapshot.
-#[test]
-fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
-    quiet_scripted_panics();
-    // No fault is scripted; the install keeps other scenarios' plans out.
-    let _guard = install(FaultPlan::none());
+/// A runtime whose deadlock hook panics the first time it runs, and the
+/// flag that says it has.
+fn runtime_whose_deadlock_hook_panics_once(config: Config) -> (Runtime, Arc<AtomicBool>) {
     let fired = Arc::new(AtomicBool::new(false));
     let hooks = Hooks {
         on_deadlock: Some(Box::new({
@@ -359,32 +352,56 @@ fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
         })),
         ..Hooks::default()
     };
-    let rt = Runtime::with_hooks(
-        Config {
-            prediction: Some(PredictionConfig::default()),
-            ..Config::default()
-        },
-        hooks,
-    )
-    .unwrap();
+    (Runtime::with_hooks(config, hooks).unwrap(), fired)
+}
+
+/// `t` requests `l` and acquires it.
+fn acquire(rt: &Runtime, t: ThreadId, l: LockId, s: &LockSite) {
+    rt.core().request(t, l, s.frames(), s.stack());
+    rt.core().acquired(t, l, s.stack());
+}
+
+/// `t` requests `l`, finds it taken and is about to block on it.
+fn wait(rt: &Runtime, t: ThreadId, l: LockId, s: &LockSite) {
+    rt.core().request(t, l, s.frames(), s.stack());
+    rt.core().waiting(t, l, s.stack());
+}
+
+/// Five sites, one per lock of the hook scenarios.
+fn hook_sites(rt: &Runtime) -> [LockSite; 5] {
+    [1, 2, 3, 4, 5].map(|line| rt.make_site(&[("m", "hook.rs", line), ("u", "hook.rs", 9)]))
+}
+
+/// `t0` holds `a` and waits for `b`, `t1` holds `b` and waits for `a`.
+fn deadlock(rt: &Runtime, [t0, t1]: [ThreadId; 2], [a, b]: [LockId; 2], [sa, sb]: [&LockSite; 2]) {
+    acquire(rt, t0, a, sa);
+    acquire(rt, t1, b, sb);
+    wait(rt, t0, b, sb);
+    wait(rt, t1, a, sa);
+}
+
+/// Path 2d: a user hook that panics mid-pass, the one monitor panic user
+/// code can reach. The deadlock hook runs after the pass has fed the
+/// predictor and the RAG and archived the cycle, so the restart keeps all
+/// three: the deadlock's signature stays in the history, and an order the
+/// dying pass fed still predicts its inverse after the restart.
+#[test]
+fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
+    quiet_scripted_panics();
+    // No fault is scripted; the install keeps other scenarios' plans out.
+    let _guard = install(FaultPlan::none());
+    let (rt, fired) = runtime_whose_deadlock_hook_panics_once(Config {
+        prediction: Some(PredictionConfig::default()),
+        ..Config::default()
+    });
     let [t0, t1, t2, t3] = [(); 4].map(|()| rt.core().register_thread().unwrap());
     let [a, b, c, d] = [(); 4].map(|()| rt.new_lock_id());
-    let [sa, sb, sc, sd] =
-        [1, 2, 3, 4].map(|line| rt.make_site(&[("m", "hook.rs", line), ("u", "hook.rs", 9)]));
-    let acquire = |t, l, s: &dimmunix_core::LockSite| {
-        rt.core().request(t, l, s.frames(), s.stack());
-        rt.core().acquired(t, l, s.stack());
-    };
+    let [sa, sb, sc, sd, _] = hook_sites(&rt);
 
     // One pass: t0 and t1 deadlock over a and b, and t2 orders c before d.
-    acquire(t0, a, &sa);
-    acquire(t1, b, &sb);
-    rt.core().request(t0, b, sb.frames(), sb.stack());
-    rt.core().waiting(t0, b, sb.stack());
-    rt.core().request(t1, a, sa.frames(), sa.stack());
-    rt.core().waiting(t1, a, sa.stack());
-    acquire(t2, c, &sc);
-    acquire(t2, d, &sd);
+    deadlock(&rt, [t0, t1], [a, b], [&sa, &sb]);
+    acquire(&rt, t2, c, &sc);
+    acquire(&rt, t2, d, &sd);
     rt.core().release(t2, d);
     rt.core().release(t2, c);
     rt.step_monitor(); // detects, archives, the hook panics → respawn
@@ -399,8 +416,8 @@ fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
     assert_eq!(stats.cycles_predicted, 0, "{stats:?}");
 
     // Only the inverse of t2's order arrives after the restart.
-    acquire(t3, d, &sd);
-    acquire(t3, c, &sc);
+    acquire(&rt, t3, d, &sd);
+    acquire(&rt, t3, c, &sc);
     rt.core().release(t3, c);
     rt.core().release(t3, d);
     rt.step_monitor();
@@ -410,6 +427,80 @@ fn a_deadlock_hook_that_panics_keeps_the_signature_and_what_the_pass_fed() {
     assert_eq!(stats.cycles_predicted, 1, "{stats:?}");
     assert_eq!(stats.predicted_signatures, 1, "{stats:?}");
     assert_eq!(rt.history().len(), 2);
+}
+
+/// Path 2e: the holds a dying pass drew survive its restart. In the pass
+/// whose deadlock hook panics, `t2` nests `c → d` and keeps both. After the
+/// restart, `t3` holds `e` and waits for `d`, and `t2` waits for `e`: a
+/// deadlock that only the hold of `d` drawn by the dying pass closes. The
+/// a↔b deadlock, whose pass died, is reported again, and its signature
+/// stays in the history once.
+#[test]
+fn a_hold_drawn_by_a_dying_pass_closes_a_deadlock_after_the_restart() {
+    quiet_scripted_panics();
+    let _guard = install(FaultPlan::none());
+    let (rt, fired) = runtime_whose_deadlock_hook_panics_once(Config::default());
+    let [t0, t1, t2, t3] = [(); 4].map(|()| rt.core().register_thread().unwrap());
+    let [a, b, c, d, e] = [(); 5].map(|()| rt.new_lock_id());
+    let [sa, sb, sc, sd, se] = hook_sites(&rt);
+
+    deadlock(&rt, [t0, t1], [a, b], [&sa, &sb]);
+    acquire(&rt, t2, c, &sc);
+    acquire(&rt, t2, d, &sd);
+    rt.step_monitor(); // detects a↔b, the hook panics → respawn
+    assert!(fired.load(Ordering::SeqCst));
+    assert_eq!(rt.stats().deadlocks_detected, 1);
+
+    acquire(&rt, t3, e, &se);
+    wait(&rt, t3, d, &sd);
+    wait(&rt, t2, e, &se);
+    rt.step_monitor();
+
+    let stats = rt.stats();
+    assert_eq!(stats.monitor_restarts, 1, "{stats:?}");
+    let closed = rt.history().find_by_stacks(&[sd.stack(), se.stack()]);
+    assert!(closed.is_some(), "{:?}", rt.history().snapshot());
+    assert_eq!(stats.deadlocks_detected, 3, "{stats:?}");
+    assert_eq!(rt.history().len(), 2);
+}
+
+/// Path 2f: the releases a dying pass applied survive its restart. `t2`
+/// nests `c → d` in a pass that completes, and releases both in the pass
+/// whose deadlock hook panics. After the restart, `t5` takes `d` in a lone
+/// pair (a quiet hold, no event), `t4` holds `x` and waits for `d`, and
+/// `t2` waits for `x`. There is no deadlock: `t5` waits for nothing. A RAG
+/// that still showed `t2` holding `d` would archive `{sd, sx}`, a yield
+/// the program would then pay for good.
+#[test]
+fn a_release_applied_by_a_dying_pass_leaves_no_false_deadlock_after_the_restart() {
+    quiet_scripted_panics();
+    let _guard = install(FaultPlan::none());
+    let (rt, fired) = runtime_whose_deadlock_hook_panics_once(Config::default());
+    let [t0, t1, t2, t4, t5] = [(); 5].map(|()| rt.core().register_thread().unwrap());
+    let [a, b, c, d, x] = [(); 5].map(|()| rt.new_lock_id());
+    let [sa, sb, sc, sd, sx] = hook_sites(&rt);
+
+    acquire(&rt, t2, c, &sc);
+    acquire(&rt, t2, d, &sd);
+    rt.step_monitor(); // completes: the RAG shows t2 holding c and d
+    deadlock(&rt, [t0, t1], [a, b], [&sa, &sb]);
+    rt.core().release(t2, d);
+    rt.core().release(t2, c);
+    rt.step_monitor(); // detects a↔b, the hook panics → respawn
+    assert!(fired.load(Ordering::SeqCst));
+
+    acquire(&rt, t5, d, &sd);
+    acquire(&rt, t4, x, &sx);
+    wait(&rt, t4, d, &sd);
+    wait(&rt, t2, x, &sx);
+    rt.step_monitor();
+
+    let stats = rt.stats();
+    assert_eq!(stats.monitor_restarts, 1, "{stats:?}");
+    let false_deadlock = rt.history().find_by_stacks(&[sd.stack(), sx.stack()]);
+    assert!(false_deadlock.is_none(), "{:?}", rt.history().snapshot());
+    assert_eq!(stats.deadlocks_detected, 2, "{stats:?}");
+    assert_eq!(rt.history().len(), 1);
 }
 
 /// Path 2b: the monitor keeps dying. After the restart budget the runtime

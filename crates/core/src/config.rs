@@ -14,7 +14,7 @@ pub const MAX_THREADS: usize = 4096;
 pub const DEFAULT_DEPTH: u8 = 4;
 
 /// Monitor-pass panics the supervisor absorbs by restarting the monitor
-/// (from its last good RAG snapshot) before the runtime degrades.
+/// (from copies of its live RAG and predictor) before the runtime degrades.
 pub const MONITOR_RESTART_BUDGET: u32 = 3;
 
 /// Bound on every yield park in degraded mode, where no monitor will ever

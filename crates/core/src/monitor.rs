@@ -49,27 +49,30 @@
 //! The monitor is the immunity runtime's single point of failure, so the
 //! runtime supervises it: a panic escaping a pass is caught, counted in
 //! [`Stats::monitor_restarts`], and the monitor is rebuilt via
-//! `Monitor::respawn` — a fresh instance seeded with the RAG snapshot
-//! taken at the end of the last *successful* pass that changed it
-//! (`last_good`, refreshed in place with `clone_from`; idle passes keep
-//! the snapshot they would only have copied again), plus a copy of the
-//! predictor as its last completed call left it.
+//! `Monitor::respawn` — a fresh instance seeded with copies of the live RAG
+//! and the live predictor, as their last completed calls left them.
 //! Probe state may have been mid-mutation when the pass died, so open
 //! probes are abandoned (a missed calibration sample, never a correctness
-//! loss); the predictor is kept so pre-panic lock orderings — and the
-//! condensation built over them — survive the restart. The history's
-//! "not saved yet" flag survives too, so a vaccine archived by the pass
-//! that died still reaches the file at the next pass.
+//! loss). The history's "not saved yet" flag survives, so a vaccine
+//! archived by the pass that died still reaches the file at the next pass.
 //!
-//! The predictor needs no snapshot of its own: every predictor call
-//! leaves it consistent, the result of a valid prefix of its inputs, so a
-//! panic that strikes between two calls leaves a state the respawn can
-//! copy as it stands. That includes the inputs the dying pass had already
-//! fed, while the RAG rolls back to `last_good`. A flag (`torn`) is set
-//! around every call, and around the archival of a pass's predicted cycles,
-//! which the predictor already counts as reported; a panic inside that
-//! window — the predictor's own — restarts it empty. Its learned orders are
-//! lost then, but the vaccines already in the history are not.
+//! Neither structure needs a snapshot: every call leaves it consistent,
+//! the result of a valid prefix of its inputs, so a panic that strikes
+//! between two calls leaves a state the respawn copies as it stands, with
+//! every hold, release and order the dying pass had applied. A flag
+//! (`torn`, `Live`) is set around every call that changes one: for the
+//! RAG, the whole drain (the predictor's feeds included), the claimed
+//! holds and each broken yield; for the predictor, every feed and the
+//! archival of a pass's predicted cycles, which it already counts as
+//! reported. A panic inside such a window restarts that structure empty.
+//! An empty RAG can miss a cycle whose holds it lost but never reports a
+//! false one; an empty predictor loses its learned orders, not the
+//! vaccines already in the history.
+//!
+//! A cycle search only consumes dirty marks, and the respawn marks every
+//! thread dirty: a cycle found by a pass that died (its hook panicked, say)
+//! is reported again and counted again in `deadlocks_detected`, and its
+//! signature, already archived, stays in the history once.
 //!
 //! After `MONITOR_RESTART_BUDGET` consecutive restarts the runtime
 //! stops resurrecting detection and enters *degraded mode*
@@ -178,48 +181,43 @@ impl FpProbe {
 /// the monitor.
 const DRAIN_CAP: usize = 1 << 20;
 
-/// The live predictor, which is its own restart point. Every predictor
-/// call leaves it consistent, so a pass that dies between two calls leaves
-/// it exactly as the last completed call did: the state a valid prefix of
-/// its inputs reaches. `torn` is set while a call runs, so a pass that dies
-/// inside one leaves it set, and a respawn starts a fresh predictor instead
-/// of copying a half-updated one ([`LivePredictor::restart_point`]).
-struct LivePredictor {
-    live: Predictor,
+/// The live RAG or predictor, its own restart point (module docs,
+/// "Supervision and degradation"). `torn` is set while a call runs, so a
+/// pass that dies inside one leaves it set, and a respawn starts a fresh
+/// value instead of copying a half-updated one ([`Live::restart_point`]).
+struct Live<T> {
+    live: T,
     torn: bool,
 }
 
-impl LivePredictor {
-    /// Runs `f` on the live predictor with `torn` set.
-    fn call(&mut self, f: impl FnOnce(&mut Predictor)) {
+impl<T: Clone> Live<T> {
+    fn new(live: T) -> Self {
+        Self { live, torn: false }
+    }
+
+    /// Runs `f` on the live value with `torn` set.
+    fn call(&mut self, f: impl FnOnce(&mut T)) {
         self.torn = true;
         f(&mut self.live);
         self.torn = false;
     }
 
-    /// A copy of the live predictor, or a fresh one if a call was cut short.
-    fn restart_point(&self) -> Self {
-        let live = if self.torn {
-            Predictor::new(self.live.config().clone())
+    /// A copy of the live value, or `fresh(&live)` if a call was cut short.
+    fn restart_point(&self, fresh: impl FnOnce(&T) -> T) -> Self {
+        Self::new(if self.torn {
+            fresh(&self.live)
         } else {
             self.live.clone()
-        };
-        Self { live, torn: false }
+        })
     }
 }
 
 /// The monitor state machine.
 pub struct Monitor {
-    rag: Rag,
-    /// RAG snapshot taken at the end of the last successful pass; the
-    /// supervisor seeds a restarted monitor from it (see [`Monitor::respawn`]).
-    last_good: Rag,
+    rag: Live<Rag>,
     probes: Vec<FpProbe>,
-    /// Lock-order-graph deadlock predictor (`Config::prediction`). It is
-    /// its own restart point: a restarted monitor copies it as the last
-    /// completed predictor call left it, instead of re-learning every
-    /// pre-panic lock ordering.
-    predictor: Option<LivePredictor>,
+    /// Lock-order-graph deadlock predictor (`Config::prediction`).
+    predictor: Option<Live<Predictor>>,
     /// Predicted signatures synthesized so far, counted against
     /// `PredictionConfig::max_predicted`. Seeded from the loaded history
     /// so restarts do not re-earn the budget.
@@ -249,10 +247,10 @@ impl Monitor {
         stats: Arc<Stats>,
         hooks: Arc<Hooks>,
     ) -> Self {
-        let predictor = config.prediction.clone().map(|cfg| LivePredictor {
-            live: Predictor::new(cfg),
-            torn: false,
-        });
+        let predictor = config
+            .prediction
+            .clone()
+            .map(|cfg| Live::new(Predictor::new(cfg)));
         let predicted_budget_used = if predictor.is_some() {
             history
                 .snapshot()
@@ -263,8 +261,7 @@ impl Monitor {
             0
         };
         Self {
-            rag: Rag::new(),
-            last_good: Rag::new(),
+            rag: Live::new(Rag::new()),
             probes: Vec::new(),
             predictor,
             predicted_budget_used,
@@ -288,7 +285,7 @@ impl Monitor {
 
     /// Read-only view of the monitor's RAG (for diagnostics/DOT export).
     pub fn rag(&self) -> &Rag {
-        &self.rag
+        &self.rag.live
     }
 
     /// One monitor pass: drain events, update the RAG, detect cycles, save
@@ -318,15 +315,15 @@ impl Monitor {
                 .fetch_max(hottest, std::sync::atomic::Ordering::Relaxed);
         }
         self.skew_tick = self.skew_tick.wrapping_add(1);
-        let mut busy = self.drain_events() > 0;
-        busy |= self.claim_quiet_holds(core);
+        self.drain_events();
+        self.claim_quiet_holds(core);
         self.detect_deadlocks();
         // Prediction runs after detection so that when a pattern both
         // fired and was predictable within one pass, the archived
         // signature carries the `detected` provenance and the prediction
         // deduplicates against it (not the other way around).
         self.predict();
-        busy |= self.detect_starvation(core, waker);
+        self.detect_starvation(core, waker);
         self.resolve_probes();
         if self.dirty {
             self.dirty = false;
@@ -336,27 +333,19 @@ impl Monitor {
                 }
             }
         }
-        // The pass completed: this RAG is a consistent restart point. An
-        // idle pass — no event applied or claimed, no yield broken — leaves
-        // the RAG as the snapshot already has it; copying it regardless
-        // made every idle tick O(held locks). The copy goes into the
-        // snapshot's own tables. The predictor needs no copy here: it is
-        // consistent between any two of its calls.
-        if busy {
-            self.last_good.clone_from(&self.rag);
-        }
     }
 
     /// A fresh monitor inheriting this one's wiring (config, history,
-    /// tables, lanes, stats, hooks), the RAG snapshot from its last
-    /// successful pass, the predictor as its last completed call left it
-    /// ([`LivePredictor::restart_point`]) and the unsaved-history flag —
-    /// the supervisor's restart path after a panicked pass. Probe state may
-    /// have been mid-mutation when the pass died, so it restarts empty (a
-    /// missed calibration sample, never a correctness loss). A signature
-    /// the dead pass archived has not reached the file yet; the inherited
-    /// flag makes the next pass save it. Every thread in the RAG snapshot
-    /// is marked dirty so the first pass re-scans the graph.
+    /// tables, lanes, stats, hooks), the RAG and the predictor as their
+    /// last completed calls left them ([`Live::restart_point`]) and the
+    /// unsaved-history flag — the supervisor's restart path after a
+    /// panicked pass. Probe state may have been mid-mutation when the pass
+    /// died, so it restarts empty (a missed calibration sample, never a
+    /// correctness loss). A signature the dead pass archived has not
+    /// reached the file yet; the inherited flag makes the next pass save
+    /// it. Every thread in the RAG is marked dirty, since the pass may have
+    /// died between a change and the search that consumes its marks, so
+    /// the first pass re-scans the graph.
     pub(crate) fn respawn(&self) -> Monitor {
         let mut fresh = Monitor::new(
             self.config.clone(),
@@ -367,10 +356,12 @@ impl Monitor {
             Arc::clone(&self.stats),
             Arc::clone(&self.hooks),
         );
-        fresh.rag = self.last_good.clone();
-        fresh.last_good.clone_from(&fresh.rag);
-        fresh.rag.mark_all_dirty();
-        fresh.predictor = self.predictor.as_ref().map(LivePredictor::restart_point);
+        fresh.rag = self.rag.restart_point(|_| Rag::new());
+        fresh.rag.live.mark_all_dirty();
+        fresh.predictor = self
+            .predictor
+            .as_ref()
+            .map(|p| p.restart_point(|p| Predictor::new(p.config().clone())));
         fresh.dirty = self.dirty;
         fresh
     }
@@ -388,16 +379,19 @@ impl Monitor {
         self.drain_with(|_, _| {});
     }
 
-    /// Applies everything queued (up to [`DRAIN_CAP`]); returns how many
-    /// lane entries that was.
-    fn drain_events(&mut self) -> usize {
-        self.drain_with(Self::apply)
+    /// Applies everything queued (up to [`DRAIN_CAP`]), with the RAG torn
+    /// throughout: an event whose application dies takes the rest of its
+    /// lane's batch with it ([`EventLanes::drain`]), and a RAG that missed
+    /// a release would keep a hold that ended.
+    fn drain_events(&mut self) {
+        self.rag.torn = true;
+        self.drain_with(Self::apply);
+        self.rag.torn = false;
     }
 
     /// Hands everything queued (up to [`DRAIN_CAP`]) to `apply`, one event
-    /// at a time, and does the accounting both passes share; returns how
-    /// many lane entries that was.
-    fn drain_with(&mut self, mut apply: impl FnMut(&mut Self, &Event)) -> usize {
+    /// at a time, and does the accounting both passes share.
+    fn drain_with(&mut self, mut apply: impl FnMut(&mut Self, &Event)) {
         let lanes = Arc::clone(&self.lanes);
         // `events_processed` counts hook outcomes retired, not lane entries
         // (one `Granted` stands for a request, its GO and the acquisition).
@@ -417,21 +411,26 @@ impl Monitor {
         self.stats
             .lane_overflows
             .store(lanes.overflow_count(), Relaxed);
-        drained
     }
 
     /// Draws the hold edge of every quiet hold someone waits for
     /// (`avoidance/record.rs`, "Quiet holds"), as the `Granted` it stands in
-    /// for would have, and retires that grant's three outcomes. Returns
-    /// whether it claimed any.
-    fn claim_quiet_holds(&mut self, core: &AvoidanceCore) -> bool {
-        let awaited = self.rag.awaited_unheld();
+    /// for would have, and retires that grant's three outcomes. A hold is
+    /// claimed once, so every claim is drawn in the RAG before the
+    /// predictor or a probe sees any: a pass that dies feeding claim `i`
+    /// has lost none of the claims after it.
+    fn claim_quiet_holds(&mut self, core: &AvoidanceCore) {
+        let awaited = self.rag.live.awaited_unheld();
         if awaited.is_empty() {
-            return false;
+            return;
         }
         let claims = core.claim_quiet(&awaited);
+        self.rag.call(|rag| {
+            for &(t, l, stack) in &claims {
+                rag.on_granted(t, l, stack);
+            }
+        });
         for &(t, l, stack) in &claims {
-            self.rag.on_granted(t, l, stack);
             if let Some(p) = &mut self.predictor {
                 p.call(|p| p.on_acquired(t, l, stack));
             }
@@ -441,10 +440,9 @@ impl Monitor {
             3 * claims.len() as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        !claims.is_empty()
     }
 
-    /// Applies one drained event to the RAG, the predictor and the open
+    /// Applies one drained event to the predictor, the RAG and the open
     /// probes.
     fn apply(&mut self, event: &Event) {
         if let Some(p) = &mut self.predictor {
@@ -458,30 +456,30 @@ impl Monitor {
             }
         }
         match *event {
-            Event::Go { t, l, stack, .. } => self.rag.on_go(t, l, stack),
+            Event::Go { t, l, stack, .. } => self.rag.live.on_go(t, l, stack),
             Event::Yield {
                 t,
                 l,
                 stack,
                 ref info,
             } => {
-                self.rag.on_yield(t, l, stack, info.causes.clone());
+                self.rag.live.on_yield(t, l, stack, info.causes.clone());
                 self.open_probe(t, l, info);
             }
             Event::Granted { t, l, stack, .. } => {
-                self.rag.on_granted(t, l, stack);
+                self.rag.live.on_granted(t, l, stack);
                 self.feed_probes(t, l, true);
             }
             Event::Acquired { t, l, stack } => {
-                self.rag.on_acquired(t, l, stack);
+                self.rag.live.on_acquired(t, l, stack);
                 self.feed_probes(t, l, true);
             }
             Event::Release { t, l } => {
                 self.feed_probes(t, l, false);
-                self.rag.on_release(t, l);
+                self.rag.live.on_release(t, l);
             }
             Event::Cancel { t, l, .. } => {
-                self.rag.on_cancel(t, l);
+                self.rag.live.on_cancel(t, l);
                 // A cancelled yielder will never acquire the contested lock;
                 // close its probes by aging them out immediately.
                 for p in &mut self.probes {
@@ -490,7 +488,7 @@ impl Monitor {
                     }
                 }
             }
-            Event::ThreadExit { t } => self.rag.on_thread_exit(t),
+            Event::ThreadExit { t } => self.rag.live.on_thread_exit(t),
         }
     }
 
@@ -621,7 +619,7 @@ impl Monitor {
                 continue;
             }
             if acquire {
-                let held = held.get_or_insert_with(|| self.rag.held_locks(t));
+                let held = held.get_or_insert_with(|| self.rag.live.held_locks(t));
                 for &a in held.iter().filter(|&&a| a != l) {
                     if p.orders.len() < PROBE_ORDER_CAP {
                         p.orders.insert((t, a, l));
@@ -642,7 +640,7 @@ impl Monitor {
     }
 
     fn detect_deadlocks(&mut self) {
-        let cycles = self.rag.find_deadlock_cycles();
+        let cycles = self.rag.live.find_deadlock_cycles();
         for cycle in cycles {
             Stats::bump(&self.stats.deadlocks_detected);
             let sig = self.save_signature(CycleKind::Deadlock, cycle.labels.clone());
@@ -652,11 +650,8 @@ impl Monitor {
         }
     }
 
-    /// Returns whether a yield was broken (the one way this step edits the
-    /// RAG).
-    fn detect_starvation(&mut self, core: &AvoidanceCore, waker: &dyn Fn(ThreadId)) -> bool {
-        let mut broke = false;
-        let cycles = self.rag.find_yield_cycles();
+    fn detect_starvation(&mut self, core: &AvoidanceCore, waker: &dyn Fn(ThreadId)) {
+        let cycles = self.rag.live.find_yield_cycles();
         for cycle in cycles {
             Stats::bump(&self.stats.starvations_detected);
             let sig = self.save_signature(CycleKind::Starvation, cycle.labels.clone());
@@ -678,9 +673,9 @@ impl Monitor {
                             // Mirror the break in the monitor's RAG so the
                             // starvation is not re-detected before the
                             // thread's own Go event arrives.
-                            self.rag.on_cancel(victim.thread, LockId(u64::MAX));
+                            self.rag
+                                .call(|rag| rag.on_cancel(victim.thread, LockId(u64::MAX)));
                             waker(victim.thread);
-                            broke = true;
                         }
                     }
                 }
@@ -691,7 +686,6 @@ impl Monitor {
                 }
             }
         }
-        broke
     }
 
     /// Saves (or finds) the signature for a detected cycle and starts its
@@ -792,7 +786,7 @@ impl Monitor {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("rag", &self.rag)
+            .field("rag", &self.rag.live)
             .field("open_probes", &self.probes.len())
             .finish()
     }
@@ -863,10 +857,11 @@ mod tests {
         assert_eq!(stats.events_processed, 5);
     }
 
-    /// Idle passes skip the `last_good` clones; the snapshot a respawn
-    /// starts from must still be the busy pass's.
+    /// A respawn copies the live RAG: what the pass that died had applied
+    /// stays, here the release of `b`, and no earlier pass's graph comes
+    /// back. Every thread is marked dirty.
     #[test]
-    fn a_respawn_after_idle_passes_keeps_the_busy_pass_snapshot() {
+    fn a_respawn_keeps_the_live_rag() {
         let (core, mut monitor, frames, stacks) = wired();
 
         // Busy pass: `t` nests b inside a — two hold edges, one order edge.
@@ -880,16 +875,46 @@ mod tests {
         }
         monitor.step(&core, &|_| {});
         let edges = |m: &Monitor| m.predictor.as_ref().unwrap().live.stats().edge_instances;
-        assert_eq!(monitor.rag.holds_of(t), 2);
+        assert_eq!(monitor.rag().holds_of(t), 2);
         assert_eq!(edges(&monitor), 1);
-
         for _ in 0..3 {
             monitor.step(&core, &|_| {});
         }
+
+        // A pass that dies after its drain has applied the release of b.
+        core.release(t, b);
+        monitor.drain_events();
         let fresh = monitor.respawn();
-        assert_eq!(fresh.rag.held_locks(t), monitor.rag.held_locks(t));
-        assert_eq!(fresh.rag.holds_of(t), 2);
+        assert_eq!(fresh.rag().held_locks(t), [a]);
+        let mut dirty = monitor.rag().clone();
+        dirty.mark_all_dirty();
+        assert!(*fresh.rag() == dirty, "{:?}", fresh.rag());
         assert_eq!(edges(&fresh), 1);
+    }
+
+    /// A pass that dies inside a RAG call leaves `torn` set, so the respawn
+    /// starts from an empty RAG instead of copying one the call may have
+    /// left half-updated. A call that completes clears it again.
+    #[test]
+    fn a_respawn_after_a_torn_rag_call_starts_an_empty_rag() {
+        let (core, mut monitor, frames, stacks) = wired();
+        let (_, s) = site(&frames, &stacks);
+        let t = core.register_thread().unwrap();
+        monitor.rag.call(|rag| rag.on_granted(t, LockId(1), s));
+        assert!(!monitor.rag.torn);
+        assert_eq!(monitor.respawn().rag().holds_of(t), 1);
+
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            monitor.rag.call(|rag| {
+                rag.on_granted(t, LockId(2), s);
+                panic!("a RAG call dies");
+            })
+        }));
+        assert!(died.is_err());
+        assert!(monitor.rag.torn);
+        let fresh = monitor.respawn();
+        assert!(!fresh.rag.torn);
+        assert!(*fresh.rag() == Rag::new(), "{:?}", fresh.rag());
     }
 
     /// A respawn restores the predictor exactly as the last pass left it —
@@ -993,6 +1018,12 @@ mod tests {
         assert_eq!(fresh.history.len(), 1);
     }
 
+    /// Drains the lanes; returns how many entries that was.
+    fn drained(monitor: &mut Monitor) -> u64 {
+        monitor.drain_events();
+        Stats::get(&monitor.stats.events_last_drain)
+    }
+
     /// The one call stack the quiet-hold tests lock with: it hits no
     /// bucket, the history being empty.
     fn site(
@@ -1020,7 +1051,7 @@ mod tests {
         core.request(holder, l, &site, s);
         core.acquired(holder, l, s);
         monitor.step(&core, &|_| {});
-        assert_eq!(monitor.rag.holds_of(holder), 0, "no one waits: not drawn");
+        assert_eq!(monitor.rag().holds_of(holder), 0, "no one waits: not drawn");
 
         core.request(waiter, l, &site, s);
         core.waiting(waiter, l, s);
@@ -1029,7 +1060,7 @@ mod tests {
         replay.on_granted(holder, l, s);
         replay.on_go(waiter, l, s);
         replay.find_deadlock_cycles();
-        assert!(monitor.rag == replay, "claimed: {:?}", monitor.rag);
+        assert!(*monitor.rag() == replay, "claimed: {:?}", monitor.rag());
 
         core.release(holder, l);
         core.acquired(waiter, l, s);
@@ -1039,8 +1070,8 @@ mod tests {
         replay.on_acquired(waiter, l, s);
         replay.on_release(waiter, l);
         replay.find_deadlock_cycles();
-        assert!(monitor.rag == replay, "released: {:?}", monitor.rag);
-        assert!(monitor.rag.held_locks(holder).is_empty());
+        assert!(*monitor.rag() == replay, "released: {:?}", monitor.rag());
+        assert!(monitor.rag().held_locks(holder).is_empty());
 
         let st = monitor.stats.snapshot();
         assert_eq!(st.quiet_pairs, 0, "the claimed pair is not quiet");
@@ -1069,13 +1100,13 @@ mod tests {
         core.request(t, c, &site, s);
         core.acquired(t, c, s);
         assert!(core.claim_quiet(&[c]).is_empty(), "queued events first");
-        assert_eq!(monitor.drain_events(), 4);
+        assert_eq!(drained(&mut monitor), 4);
         assert!(core.claim_quiet(&[a]).is_empty(), "a hold of another lock");
         assert_eq!(core.claim_quiet(&[c]), vec![(t, c, s)]);
         assert!(core.claim_quiet(&[c]).is_empty(), "claimed once");
         // The claimed hold's release is published.
         core.release(t, c);
-        assert_eq!(monitor.drain_events(), 1);
+        assert_eq!(drained(&mut monitor), 1);
     }
 
     /// The other order: a release that ends the hold before the monitor
@@ -1094,13 +1125,13 @@ mod tests {
         core.acquired(holder, l, s);
         core.request(waiter, l, &site, s);
         core.waiting(waiter, l, s);
-        assert_eq!(monitor.drain_events(), 1, "the waiter's Go alone");
+        assert_eq!(drained(&mut monitor), 1, "the waiter's Go alone");
 
         core.release(holder, l);
         assert!(core.claim_quiet(&[l]).is_empty(), "released first");
         assert_eq!(monitor.stats.snapshot().quiet_pairs, 1);
         monitor.step(&core, &|_| {});
-        assert!(monitor.rag.held_locks(holder).is_empty());
+        assert!(monitor.rag().held_locks(holder).is_empty());
     }
 
     /// A request retried after a refused registration still clears the yield
@@ -1129,14 +1160,14 @@ mod tests {
         let d = core.request(yielder, b, &wanted, ws);
         assert!(matches!(d, crate::Decision::Yield { .. }), "{d:?}");
         monitor.step(&core, &|_| {});
-        assert!(monitor.rag.is_yielding(yielder), "the Yield is drawn");
+        assert!(monitor.rag().is_yielding(yielder), "the Yield is drawn");
 
         assert!(monitor.history.remove(sig.id));
         core.request(yielder, b, &wanted, ws);
         core.acquired(yielder, b, ws);
         core.release(yielder, b);
         monitor.step(&core, &|_| {});
-        assert!(!monitor.rag.is_yielding(yielder), "{:?}", monitor.rag);
+        assert!(!monitor.rag().is_yielding(yielder), "{:?}", monitor.rag());
     }
 
     /// A probe counts a yield cause's hold once. The yielder is registered
@@ -1172,7 +1203,7 @@ mod tests {
         assert!(matches!(d, crate::Decision::Yield { .. }), "{d:?}");
         monitor.step(&core, &|_| {});
         assert_eq!(monitor.probes.len(), 1);
-        assert_eq!(monitor.rag.held_locks(cause), [outer, a]);
+        assert_eq!(monitor.rag().held_locks(cause), [outer, a]);
 
         assert_eq!(core.release(cause, a), [yielder]);
         core.release(cause, outer);

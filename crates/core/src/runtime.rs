@@ -271,8 +271,8 @@ impl Runtime {
     }
 
     /// One supervised monitor pass. A panic escaping [`Monitor::step`] is
-    /// caught and the monitor is rebuilt from its last good RAG snapshot
-    /// and predictor restart point ([`Monitor::respawn`]); after
+    /// caught and the monitor is rebuilt from copies of its live RAG and
+    /// predictor ([`Monitor::respawn`]); after
     /// [`MONITOR_RESTART_BUDGET`] restarts the runtime degrades to
     /// pass-through passes instead.
     fn step_inner(inner: &Arc<Inner>) {
@@ -307,11 +307,10 @@ impl Runtime {
                 monitor.degraded_step(&inner.core);
             } else {
                 // Replace the panicked monitor (its probe state may be
-                // mid-mutation) with a fresh one seeded from the RAG
-                // snapshot of its last successful pass, a copy of the
-                // predictor as its last completed call left it (a fresh
-                // one if the panic struck inside a call), and the
-                // unsaved-history flag the dead pass set.
+                // mid-mutation) with a fresh one seeded from copies of the
+                // RAG and the predictor as their last completed calls left
+                // them (an empty one if the panic struck inside a call),
+                // and the unsaved-history flag the dead pass set.
                 *monitor = monitor.respawn();
             }
         }

@@ -191,7 +191,7 @@ pub struct Stats {
     /// they were parked on it (the exit-path wake sweep, not a release).
     pub orphan_wakes: AtomicU64,
     /// Monitor passes that panicked and were restarted by the supervisor
-    /// with tracker state rebuilt from the last good RAG snapshot.
+    /// from copies of the live RAG and predictor.
     pub monitor_restarts: AtomicU64,
     /// Gauge (0/1): the runtime is in degraded pass-through mode — the
     /// monitor exceeded its restart budget, so detection/calibration/

@@ -8,8 +8,8 @@
 //! own buffer back after its batch is applied, so a steady backlog past a
 //! block costs nothing once its lane's buffer has grown to fit it, and a
 //! mix of backlog sizes costs what [`Buffers`] models. Nothing else in a
-//! pass copies or keeps what it drained: the predictor is its own restart
-//! point.
+//! pass copies or keeps what it drained: the RAG and the predictor are
+//! their own restart points.
 
 use dimmunix_core::lanes::BLOCK_CAPACITY;
 use dimmunix_core::{Config, LockSite, PredictionConfig, RawLock, Runtime};

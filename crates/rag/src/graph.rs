@@ -144,9 +144,8 @@ pub struct RagStats {
 /// Two graphs compare equal when every vertex, edge and pending-detection
 /// mark agrees (the equivalence the fused [`Rag::on_granted`] is tested to).
 /// They do not compare the order in which two threads' holds of one lock
-/// were drawn. A copy ([`Clone::clone_from`] included) copies everything,
-/// that order too, into the destination's own tables.
-#[derive(Default)]
+/// were drawn. A copy copies everything, that order too.
+#[derive(Clone, Default)]
 pub struct Rag {
     threads: IdMap<ThreadId, ThreadNode>,
     /// The threads with a request or allow edge on each lock, for the locks
@@ -163,26 +162,6 @@ pub struct Rag {
     dirty: IdSet<ThreadId>,
     /// The stamp of the next hold edge.
     next_seq: u64,
-}
-
-impl Clone for Rag {
-    fn clone(&self) -> Self {
-        Self {
-            threads: self.threads.clone(),
-            awaited: self.awaited.clone(),
-            dirty: self.dirty.clone(),
-            next_seq: self.next_seq,
-        }
-    }
-
-    /// Copies `source` into this graph's own tables: a snapshot refreshed
-    /// this way allocates only where `source` has outgrown it.
-    fn clone_from(&mut self, source: &Self) {
-        self.threads.clone_from(&source.threads);
-        self.awaited.clone_from(&source.awaited);
-        self.dirty.clone_from(&source.dirty);
-        self.next_seq = source.next_seq;
-    }
 }
 
 impl PartialEq for Rag {
@@ -335,8 +314,8 @@ impl Rag {
 
     /// Marks every thread dirty, forcing the next detection pass to re-scan
     /// the whole graph. Used when detection state may have been lost — e.g.
-    /// a monitor restarted from a RAG snapshot whose dirty set predates the
-    /// events that were in flight when its predecessor died.
+    /// a monitor restarted from a copy of a RAG whose pass died between a
+    /// change and the search that would have consumed its marks.
     pub fn mark_all_dirty(&mut self) {
         self.dirty.extend(self.threads.keys().copied());
     }

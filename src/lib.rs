@@ -25,8 +25,7 @@
 //! | [`threadsim`](dimmunix_threadsim) | deterministic interleaving simulator |
 //! | [`explore`](dimmunix_explore) | DPOR schedule-space explorer + deadlock corpus |
 //! | `dimmunix-workloads` | the paper's Table 1 / Table 2 bug reproductions |
-//! | `dimmunix-baselines` | gate locks / ghost locks (§7.3 comparison) |
-//! | `dimmunix-bench` | per-figure/table benchmark harness |
+//! | `dimmunix-bench` | per-figure/table benchmark harness, gate-lock baseline (§7.3 comparison) |
 //!
 //! ## Quick start
 //!

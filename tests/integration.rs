@@ -3,7 +3,7 @@
 
 use dimmunix::sim::{Outcome, Script, Sim};
 use dimmunix::{Config, CycleKind, Runtime};
-use dimmunix_baselines::GateLockTable;
+use dimmunix_bench::GateLockTable;
 use dimmunix_workloads as workloads;
 
 #[test]
